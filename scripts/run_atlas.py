@@ -9,6 +9,9 @@ Prints a distribution of h*-vectors over the connected instances at the end.
 
 import argparse
 import collections
+import contextlib
+import csv
+import io
 import pathlib
 import sys
 
@@ -32,22 +35,21 @@ def main() -> int:
         argv += ["--rank", str(args.rank)]
     if not args.all:
         argv += ["--connected-only"]
-    if args.out:
-        argv += ["--out", args.out]
-    code = cli.main(argv)
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        code = cli.main(argv)
     if code != 0:
         return code
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table.getvalue())
+    else:
+        sys.stdout.write(table.getvalue())
 
-    histogram = collections.Counter()
-    for dec in cli.all_decorated_permutations(args.n):
-        import positroid_hstar.positroid as po
-        import positroid_hstar.triangulation as tg
-        necklace = po.necklace_from_decorated(dec)
-        if args.rank is not None and necklace.rank != args.rank:
-            continue
-        if not po.is_connected(po.bases_from_necklace(necklace)):
-            continue
-        histogram[tuple(tg.hstar_shelling(necklace).integer_coefficients())] += 1
+    histogram = collections.Counter(
+        tuple(int(c) for c in row["hstar"].split())
+        for row in csv.DictReader(io.StringIO(table.getvalue()))
+        if row["connected"] == "True")
     print("\nh* distribution over connected instances:", file=sys.stderr)
     for coeffs, count in sorted(histogram.items()):
         print(f"  {list(coeffs)}: {count}", file=sys.stderr)

@@ -9,10 +9,11 @@ from typing import Sequence
 Vector = tuple[Fraction, ...]
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place; returns (rows, pivot column indices)."""
+def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Row-reduce in place; returns (rows, pivot columns, signed pivot product)."""
+    scale = Fraction(1)
     if not rows:
-        return rows, []
+        return rows, [], scale
     cols = len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -22,6 +23,7 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c]
+        scale *= inv if pivot == r else -inv
         rows[r] = [v / inv for v in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c] != 0:
@@ -31,12 +33,19 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, scale
 
 
 def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     work = [[Fraction(v) for v in row] for row in rows]
     return len(_echelon(work)[1])
+
+
+def determinant(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Determinant of a square matrix."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    _, pivots, scale = _echelon(work)
+    return scale if len(pivots) == len(work) else Fraction(0)
 
 
 def affine_rank(points: Sequence[Sequence[int | Fraction]]) -> int:
@@ -51,7 +60,7 @@ def affine_rank(points: Sequence[Sequence[int | Fraction]]) -> int:
 def kernel_basis(rows: Sequence[Sequence[int | Fraction]], cols: int) -> list[Vector]:
     """Basis of the right kernel of the matrix (rows may be empty)."""
     work = [[Fraction(v) for v in row] for row in rows]
-    work, pivots = _echelon(work)
+    work, pivots, _ = _echelon(work)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:

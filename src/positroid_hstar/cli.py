@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -131,7 +132,7 @@ def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
         return po.necklace_from_decorated(value)
     if kind == "bases":
         necklace = po.necklace_from_bases(value)
-        if po.bases_from_necklace(necklace).bases != value.bases:
+        if necklace.fact(po.bases_from_necklace).bases != value.bases:
             raise InputError("basis set is a matroid but not a positroid "
                              "(its necklace generates a strictly larger one)")
         return necklace
@@ -238,7 +239,7 @@ def all_decorated_permutations(n: int) -> Iterator[po.DecoratedPermutation]:
 def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
     for dec in all_decorated_permutations(n):
         necklace = po.necklace_from_decorated(dec)
-        if po.is_connected(po.bases_from_necklace(necklace)):
+        if necklace.fact(po.necklace_connected):
             yield necklace
 
 
@@ -250,9 +251,9 @@ def cmd_convert(args) -> int:
     start = time.perf_counter()
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
-    bases = po.bases_from_necklace(necklace)
+    bases = necklace.fact(po.bases_from_necklace)
     dec = po.decorated_from_necklace(necklace)
-    connected = po.is_connected(bases)
+    connected = necklace.fact(po.necklace_connected)
     report = {
         "input_kind": kind,
         "n": necklace.n,
@@ -273,8 +274,7 @@ def cmd_hstar(args) -> int:
     start = time.perf_counter()
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
-    bases = po.bases_from_necklace(necklace)
-    connected = po.is_connected(bases)
+    connected = necklace.fact(po.necklace_connected)
     method = args.method
     half_open = args.half_open
 
@@ -306,6 +306,7 @@ def cmd_hstar(args) -> int:
                       "split with decompose_direct_sum and multiply Ehrhart factors",
                       file=sys.stderr)
                 return EXIT_DISCONNECTED
+            bases = necklace.fact(po.bases_from_necklace)
             results = {"oracle": poly_ints(eh.hstar_of_positroid_by_counting(bases))}
             report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
         else:
@@ -313,7 +314,7 @@ def cmd_hstar(args) -> int:
             base = parse_word(args.w0) if args.w0 else None
             results = hstar_closed_all_methods(necklace, methods, base)
     if connected:
-        report["num_simplices"] = len(tg.enumerate_labels(necklace))
+        report["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
     report["hstar"] = results
     report["verdict"] = agreement_verdict(results) if len(results) > 1 else None
     emit(_maybe_time(report, args, start), args)
@@ -324,14 +325,15 @@ def cmd_ehrhart(args) -> int:
     start = time.perf_counter()
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
-    bases = po.bases_from_necklace(necklace)
-    ehr = eh.ehrhart_of_positroid(bases)
+    connected = necklace.fact(po.necklace_connected)
+    ehr = (eh.ehrhart_of_connected(necklace) if connected
+           else eh.ehrhart_of_positroid(necklace.fact(po.bases_from_necklace)))
     tmax = args.tmax if args.tmax is not None else ehr.dim
     report = {
         "input_kind": kind,
         "n": necklace.n,
         "rank": necklace.rank,
-        "connected": po.is_connected(bases),
+        "connected": connected,
         "dim": ehr.dim,
         "ehrhart": poly_rationals(ehr.poly),
         "counts": [int(ehr(t)) for t in range(tmax + 1)],
@@ -345,7 +347,7 @@ def cmd_triangulate(args) -> int:
     start = time.perf_counter()
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
-    labels = tg.enumerate_labels(necklace)
+    labels = necklace.fact(tg.enumerate_labels)
     graph = tg.build_graph(labels)
     base = parse_word(args.w0) if args.w0 else graph.words[0]
     poset = tg.shelling_poset(graph, base)
@@ -401,8 +403,8 @@ def cmd_tree(args) -> int:
 
 def _atlas_row(dec: po.DecoratedPermutation) -> dict:
     necklace = po.necklace_from_decorated(dec)
-    bases = po.bases_from_necklace(necklace)
-    connected = po.is_connected(bases)
+    bases = necklace.fact(po.bases_from_necklace)
+    connected = necklace.fact(po.necklace_connected)
     row = {
         "pi": list(dec.perm),
         "white": sorted(dec.white),
@@ -414,7 +416,7 @@ def _atlas_row(dec: po.DecoratedPermutation) -> dict:
     }
     if connected:
         results = hstar_closed_all_methods(necklace)
-        row["num_simplices"] = len(tg.enumerate_labels(necklace))
+        row["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
         row["hstar"] = results
         row["verdict"] = agreement_verdict(results)
     else:
@@ -429,7 +431,10 @@ def _atlas_worker(payload: tuple[tuple[int, ...], tuple[int, ...]]) -> dict:
 
 
 def size_cap() -> int:
-    return int(os.environ.get("POSITROID_MAX_N", "7"))
+    value = os.environ.get("POSITROID_MAX_N", "7")
+    if not value.isdigit():
+        raise InputError(f"POSITROID_MAX_N must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def cmd_atlas(args) -> int:
@@ -682,9 +687,7 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
     name = necklace.compact()
     n = necklace.n
     try:
-        closed = hstar_closed_all_methods(necklace) if n > 1 else {
-            "oracle": poly_ints(eh.hstar_by_counting(necklace)),
-            "shelling": poly_ints(tg.hstar_shelling(necklace))}
+        closed = hstar_closed_all_methods(necklace)
         if agreement_verdict(closed) != "PASS":
             return _check(name, False, f"closed methods disagree: {closed}")
         if n > 1:
@@ -694,7 +697,7 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
             some = next(iter(closed.values()))
             if half["descents"][0] != 0 or sum(half["descents"]) != sum(some):
                 return _check(name, False, "half-open h* shape is wrong")
-        labels = tg.enumerate_labels(necklace)
+        labels = necklace.fact(tg.enumerate_labels)
         graph = tg.build_graph(labels)
         poset = tg.shelling_poset(graph, graph.words[0])
         edges = graph.edges()
@@ -704,15 +707,12 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
             return _check(name, False, "cover sum differs from edge count")
         hstar = tg.hstar_from_covers(poset)
         ehr = eh.ehrhart_of_connected(necklace)
-        volume = ehr.leading_coefficient
-        for k in range(2, ehr.dim + 1):
-            volume *= k
+        volume = ehr.leading_coefficient * math.factorial(ehr.dim)
         if hstar(1) != len(labels) or volume != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")
-        if n > 1:
-            affine = tg.affine_consistency_check(graph, graph.words[0])
-            if not affine.ok:
-                return _check(name, False, f"affine labeling: {affine.problems[0]}")
+        affine = tg.affine_consistency_check(graph, graph.words[0])
+        if not affine.ok:
+            return _check(name, False, f"affine labeling: {affine.problems[0]}")
         if not all(tg.simplex_is_unimodular(lab) for lab in labels):
             return _check(name, False, "non-unimodular simplex")
     except Exception as exc:  # noqa: BLE001 - verification must report, not crash
@@ -757,7 +757,7 @@ def verify_roundtrips(max_n: int) -> list[Check]:
                 continue
             if po.necklace_from_decorated(po.decorated_from_necklace(necklace)) != necklace:
                 bad_trip += 1
-            connected = po.is_connected(po.bases_from_necklace(necklace))
+            connected = necklace.fact(po.necklace_connected)
             sif = n == 1 or (not dec.fixed_points
                              and po.is_stabilized_interval_free(dec.perm))
             if connected != sif:
@@ -779,13 +779,13 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             necklace = po.necklace_from_decorated(po.DecoratedPermutation(tuple(perm)))
-            if po.is_connected(po.bases_from_necklace(necklace)):
+            if necklace.fact(po.necklace_connected):
                 return necklace
 
     bad = 0
     for _ in range(w0_samples):
         necklace = sample_connected()
-        graph = tg.build_graph(tg.enumerate_labels(necklace))
+        graph = tg.build_graph(necklace.fact(tg.enumerate_labels))
         polys = {tg.hstar_from_covers(tg.shelling_poset(graph, w)).coefficients
                  for w in graph.words}
         if len(polys) != 1:
@@ -800,7 +800,7 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
         try:
             necklace, _ = tr.positroid_from_subdivision(tau)
             ext = tuple(sorted(tr.circular_extensions(tr.tau_order(tau), tau.n)))
-            if ext != tuple(l.word for l in tg.enumerate_labels(necklace)):
+            if ext != tuple(l.word for l in necklace.fact(tg.enumerate_labels)):
                 bad += 1
                 continue
             if tr.hstar_tree(tau) != tg.hstar_shelling(necklace):
@@ -817,8 +817,8 @@ def verify_single_input(text: str) -> list[Check]:
     try:
         kind, value = parse_input(text)
         necklace = to_necklace(kind, value)
-        bases = po.bases_from_necklace(necklace)
-        if not po.is_connected(bases):
+        if not necklace.fact(po.necklace_connected):
+            bases = necklace.fact(po.bases_from_necklace)
             poly = poly_ints(eh.hstar_of_positroid_by_counting(bases))
             return [_check("disconnected input oracle h*", poly[0] == 1, str(poly))]
         closed = hstar_closed_all_methods(necklace)
@@ -840,12 +840,13 @@ def cmd_verify(args) -> int:
         checks += verify_single_input(read_input(args.input))
     else:
         scope = args.scope
+        max_n = args.max_n if args.max_n is not None else min(6, size_cap())
         if scope in ("golden", "all"):
             checks += verify_golden()
         if scope in ("roundtrip", "exhaustive", "all"):
-            checks += verify_roundtrips(args.max_n)
+            checks += verify_roundtrips(max_n)
         if scope in ("exhaustive", "all"):
-            checks += verify_exhaustive(args.max_n, args.jobs)
+            checks += verify_exhaustive(max_n, args.jobs)
         if scope in ("random", "all"):
             checks += verify_random(args.seed, args.w0_samples, args.subdivision_samples)
     width = max(len(name) for name, _, _ in checks)
@@ -916,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=("golden", "roundtrip", "exhaustive", "random", "all"),
                    default="golden")
     p.add_argument("--input", help="verify method agreement on one input instead")
-    p.add_argument("--max-n", type=int, default=min(6, size_cap()), dest="max_n")
+    p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--seed", type=int, default=20240814)
     p.add_argument("--w0-samples", type=int, default=50, dest="w0_samples")
     p.add_argument("--subdivision-samples", type=int, default=200, dest="subdivision_samples")

@@ -15,14 +15,11 @@ from typing import Iterable, Sequence
 
 from .core import ExactPolynomial, interval_support
 from .positroid import (
-    DisconnectedPositroidError,
     GrassmannNecklace,
     HRepresentation,
     PositroidBases,
-    bases_from_necklace,
     decompose_direct_sum,
     h_representation,
-    is_connected,
     necklace_from_bases,
 )
 
@@ -218,10 +215,14 @@ def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, 
     return hstar_from_counts(CountProfile(face_dim, counts))
 
 
+def _connected_profile(necklace: GrassmannNecklace) -> CountProfile:
+    """Closed counts of a connected positroid polytope (dimension n - 1)."""
+    return closed_profile(necklace.fact(h_representation), necklace.n - 1)
+
+
 def ehrhart_of_connected(necklace: GrassmannNecklace) -> EhrhartPolynomial:
     """Ehrhart polynomial of a connected positroid polytope, by counting."""
-    dim = 0 if necklace.n == 1 else necklace.n - 1
-    return ehrhart_interpolate(closed_profile(h_representation(necklace), dim))
+    return ehrhart_interpolate(necklace.fact(_connected_profile))
 
 
 def ehrhart_of_positroid(bases: PositroidBases) -> EhrhartPolynomial:
@@ -237,12 +238,8 @@ def ehrhart_of_positroid(bases: PositroidBases) -> EhrhartPolynomial:
 
 def hstar_by_counting(necklace: GrassmannNecklace) -> ExactPolynomial:
     """Oracle h* of a connected positroid polytope: count, then transform."""
-    if necklace.n > 1 and not is_connected(bases_from_necklace(necklace)):
-        raise DisconnectedPositroidError(
-            "oracle driver needs a connected positroid; use decompose_direct_sum "
-            "and ehrhart_product")
-    dim = 0 if necklace.n == 1 else necklace.n - 1
-    return hstar_from_counts(closed_profile(h_representation(necklace), dim))
+    necklace.require_connected("counting oracle")
+    return hstar_from_counts(necklace.fact(_connected_profile))
 
 
 def hstar_of_positroid_by_counting(bases: PositroidBases) -> ExactPolynomial:

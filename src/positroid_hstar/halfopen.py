@@ -18,13 +18,11 @@ from ._linalg import affine_rank
 from .core import ExactPolynomial, descent_count
 from .ehrhart import CountProfile, count_constrained, face_hstar, hstar_from_counts, _scaled_bounds
 from .positroid import (
-    DisconnectedPositroidError,
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
     h_representation,
-    is_connected,
     vertices,
 )
 from .triangulation import TriangulationLabel, enumerate_labels, simplex_facets
@@ -67,6 +65,27 @@ def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, boo
     return cands
 
 
+def _projected_vertices(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], ...]:
+    """Vertices of the polytope with the last coordinate dropped."""
+    return tuple(v[:-1] for v in vertices(necklace.fact(bases_from_necklace)))
+
+
+def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, frozenset]:
+    """Canonical facets in sorted order, each with its set of projected vertices."""
+    n = necklace.n
+    if n == 1:
+        return {}
+    necklace.require_connected("canonical facet form")
+    proj = necklace.fact(_projected_vertices)
+    faces = {}
+    for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
+        block = range(lo - 1, hi - 1)
+        tight = frozenset(v for v in proj if sum(v[k] for k in block) == bound)
+        if affine_rank(tight) == n - 2:
+            faces[CanonicalFacet(lo, hi, bound, upper)] = tight
+    return faces
+
+
 def canonical_facets(necklace: GrassmannNecklace) -> tuple[CanonicalFacet, ...]:
     """Facets of the projected polytope in canonical interval form.
 
@@ -75,21 +94,7 @@ def canonical_facets(necklace: GrassmannNecklace) -> tuple[CanonicalFacet, ...]:
     dimension one less than the polytope (this prunes redundant members of
     the raw list).  Sorted by (lo, hi, bound, upper).
     """
-    n = necklace.n
-    if n == 1:
-        return ()
-    bases = bases_from_necklace(necklace)
-    if not is_connected(bases):
-        raise DisconnectedPositroidError(
-            "canonical facets are defined for connected positroids; decompose first")
-    proj = [v[:-1] for v in vertices(bases)]
-    facets = []
-    for lo, hi, bound, upper in sorted(_projected_candidates(h_representation(necklace))):
-        block = range(lo - 1, hi - 1)
-        tight = [v for v in proj if sum(v[k] for k in block) == bound]
-        if affine_rank(tight) == n - 2:
-            facets.append(CanonicalFacet(lo, hi, bound, upper))
-    return tuple(facets)
+    return tuple(necklace.fact(_facet_vertex_sets))
 
 
 def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
@@ -101,7 +106,7 @@ def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
     """
     if necklace.n == 1:
         raise ValueError("half-open form needs n >= 2")
-    labels = enumerate_labels(necklace)
+    labels = necklace.fact(enumerate_labels)
     top = 0
     coeffs = [0]
     for lab in labels:
@@ -128,9 +133,8 @@ def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
     out the projection exactly, and strict upper bounds tighten to
     <= t*bound - 1 on lattice points.
     """
-    facets = canonical_facets(necklace)
-    n = necklace.n
-    dim = n - 1
+    facets = necklace.fact(canonical_facets)
+    dim = necklace.n - 1
     counts = []
     for t in range(dim + 1):
         constraints = []
@@ -168,13 +172,10 @@ class FacePoset:
 
 def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     """Distinct nonempty intersections of upper facets with P, ordered by inclusion."""
-    uppers = tuple(f for f in canonical_facets(necklace) if f.upper)
-    proj = [v[:-1] for v in vertices(bases_from_necklace(necklace))]
-    tight = []
-    for f in uppers:
-        block = range(f.lo - 1, f.hi - 1)
-        tight.append(frozenset(v for v in proj if sum(v[k] for k in block) == f.bound))
-    all_vertices = frozenset(proj)
+    faces = necklace.fact(_facet_vertex_sets)
+    uppers = tuple(f for f in faces if f.upper)
+    tight = [faces[f] for f in uppers]
+    all_vertices = frozenset(necklace.fact(_projected_vertices))
     seen = {all_vertices}
     queue = [all_vertices]
     while queue:
@@ -218,7 +219,7 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> ExactPo
         return ExactPolynomial.one()
     poset = face_poset_of_uppers(necklace)
     mu = moebius(poset)
-    hrep = h_representation(necklace)
+    hrep = necklace.fact(h_representation)
     one_minus_z = ExactPolynomial.from_coefficients([1, -1])
     total = hstar_half_open(necklace)
     dim_p = n - 1

@@ -17,10 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ._linalg import affine_rank
 from .core import cyclic_interval, gale_leq, i_order_key, interval_support, is_permutation_word
+
+_T = TypeVar("_T")
 
 
 class NecklaceError(ValueError):
@@ -42,10 +44,14 @@ class GrassmannNecklace:
 
     Rank 0 (all subsets empty) is admitted so that the loop-only positroid on
     a singleton ground set has a necklace; ranks 1..n are the usual case.
+
+    It is also the per-input context: ``fact`` keeps what the routes derive
+    from it for as long as it lives, outside equality, hashing and repr.
     """
 
     n: int
     subsets: tuple[frozenset[int], ...]
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -72,6 +78,22 @@ class GrassmannNecklace:
     @property
     def rank(self) -> int:
         return len(self.subsets[0])
+
+    def fact(self, derive: Callable[[GrassmannNecklace], _T]) -> _T:
+        """``derive(self)``, computed on the first request only.
+
+        Facts are keyed by the function: pass a module-level one by name.
+        """
+        if derive not in self._facts:
+            self._facts[derive] = derive(self)
+        return self._facts[derive]
+
+    def require_connected(self, what: str) -> None:
+        """Raise DisconnectedPositroidError unless the positroid is connected."""
+        if not self.fact(necklace_connected):
+            raise DisconnectedPositroidError(
+                f"the {what} needs a connected positroid; split with decompose_direct_sum "
+                "and combine via ehrhart_product")
 
     def sorted_subset(self, i: int) -> tuple[int, ...]:
         """Elements of J_i listed in increasing <_i order."""
@@ -237,8 +259,8 @@ def rank_of(subset: Iterable[int], bases: PositroidBases) -> int:
     return max(len(b & s) for b in bases.bases)
 
 
-def is_connected(bases: PositroidBases) -> bool:
-    """True iff no proper nonempty subset splits the rank additively."""
+def _rank_split(bases: PositroidBases) -> frozenset[int] | None:
+    """A proper nonempty subset whose rank and its complement's add up to r, if any."""
     n, r = bases.n, bases.r
     ground = frozenset(range(1, n + 1))
     for size in range(1, n // 2 + 1):
@@ -247,8 +269,18 @@ def is_connected(bases: PositroidBases) -> bool:
             if size == n - size and 1 not in s:
                 continue  # each half/complement pair once
             if rank_of(s, bases) + rank_of(ground - s, bases) == r:
-                return False
-    return True
+                return s
+    return None
+
+
+def is_connected(bases: PositroidBases) -> bool:
+    """True iff no proper nonempty subset splits the rank additively."""
+    return _rank_split(bases) is None
+
+
+def necklace_connected(necklace: GrassmannNecklace) -> bool:
+    """Connectivity of the positroid of a necklace (its ``is_connected`` fact)."""
+    return is_connected(necklace.fact(bases_from_necklace))
 
 
 def stabilized_intervals(perm: Sequence[int], wrapping: bool = True) -> list[tuple[int, ...]]:
@@ -293,21 +325,15 @@ def decompose_direct_sum(bases: PositroidBases) -> list[tuple[tuple[int, ...], P
     Components are ordered by their smallest ground element.  Loops and
     coloops come out as singleton components of rank 0 and 1.
     """
-    n, r = bases.n, bases.r
-    ground = frozenset(range(1, n + 1))
-    for size in range(1, n // 2 + 1):
-        for sub in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(sub)
-            if rank_of(s, bases) + rank_of(ground - s, bases) == r:
-                left = tuple(sorted(s))
-                right = tuple(sorted(ground - s))
-                parts = []
-                for g in (left, right):
-                    comp = _restrict_bases(bases, g)
-                    for sub_ground, sub_comp in decompose_direct_sum(comp):
-                        parts.append((tuple(g[k - 1] for k in sub_ground), sub_comp))
-                return sorted(parts, key=lambda p: p[0])
-    return [(tuple(range(1, n + 1)), bases)]
+    ground = frozenset(range(1, bases.n + 1))
+    split = _rank_split(bases)
+    if split is None:
+        return [(tuple(sorted(ground)), bases)]
+    parts = []
+    for g in (tuple(sorted(split)), tuple(sorted(ground - split))):
+        for sub_ground, sub_comp in decompose_direct_sum(_restrict_bases(bases, g)):
+            parts.append((tuple(g[k - 1] for k in sub_ground), sub_comp))
+    return sorted(parts, key=lambda p: p[0])
 
 
 @dataclass(frozen=True)

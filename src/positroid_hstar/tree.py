@@ -147,12 +147,6 @@ def _in_closed_cyclic(v: int, i: int, j: int, n: int) -> bool:
     return (v - i) % n <= (j - i) % n
 
 
-def fan_triangles(cell: tuple[int, ...], root_index: int = 0) -> list[tuple[int, int, int]]:
-    """Fan triangulation of a convex cell, rooted at the chosen vertex."""
-    cyc = cell[root_index:] + cell[:root_index]
-    return [(cyc[0], cyc[k], cyc[k + 1]) for k in range(1, len(cyc) - 1)]
-
-
 def _left_area(tau: BicoloredSubdivision, i: int, j: int) -> int:
     """Black triangles left of a compatible arc, in any adapted triangulation.
 
@@ -245,7 +239,7 @@ def positroid_from_subdivision(tau: BicoloredSubdivision) -> tuple[GrassmannNeck
     bases = PositroidBases(tau.n, tau.rank, frozenset(
         frozenset(k for k, v in enumerate(p, start=1) if v) for p in points))
     necklace = necklace_from_bases(bases)
-    if bases_from_necklace(necklace).bases != bases.bases:
+    if necklace.fact(bases_from_necklace).bases != bases.bases:
         raise AssertionError("subdivision polytope vertices are not a positroid")
     return necklace, bases
 

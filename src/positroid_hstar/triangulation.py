@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._linalg import hyperplane_through
+from ._linalg import determinant, hyperplane_through
 from .core import ExactPolynomial, Word, circuit_subsets, restricted_cdes
 from .positroid import (
-    DisconnectedPositroidError,
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
-    is_connected,
 )
 
 
@@ -81,38 +79,32 @@ def _restriction_table(n: int) -> dict[Word, dict[tuple[int, int], int]]:
     return _RESTRICTED[n]
 
 
-def enumerate_labels(necklace: GrassmannNecklace, cross_check: bool = True
-                     ) -> tuple[TriangulationLabel, ...]:
+def enumerate_labels(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, ...]:
     """Triangulation labels of a connected positroid polytope, sorted by word.
 
     A word w with w_n = n qualifies when it has exactly r cyclic left
-    descents and every circuit subset is a basis.  With ``cross_check`` the
-    equivalent restriction-descent criterion (every restriction of w to
-    [i, a] with a the j-th <_i-element of J_i has at most j-1 cyclic
-    descents) is evaluated too and any disagreement raises.
+    descents and every circuit subset is a basis.  The equivalent
+    restriction-descent criterion (every restriction of w to [i, a] with a
+    the j-th <_i-element of J_i has at most j-1 cyclic descents) is
+    evaluated too and any disagreement raises.
     """
     n, r = necklace.n, necklace.rank
     if n == 1:
         return (label_from_word((1,)),)
-    bases = bases_from_necklace(necklace)
-    if not is_connected(bases):
-        raise DisconnectedPositroidError(
-            "triangulation labels exist only for connected positroids; split with "
-            "decompose_direct_sum and combine via ehrhart_product")
-    basis_set = bases.bases
+    necklace.require_connected("triangulation")
+    basis_set = necklace.fact(bases_from_necklace).bases
     sorted_js = [necklace.sorted_subset(i) for i in range(1, n + 1)]
-    restricted = _restriction_table(n) if cross_check else None
+    restricted = _restriction_table(n)
     out = []
     for word, circuit in _all_labels(n).items():
         member = len(circuit[0]) == r and all(s in basis_set for s in circuit)
-        if cross_check:
-            table = restricted[word]
-            alt = len(circuit[0]) == r and all(
-                table[(i, sorted_js[i - 1][j - 1])] <= j - 1
-                for i in range(1, n + 1) for j in range(1, r + 1))
-            if alt != member:
-                raise AssertionError(
-                    f"label filters disagree on {word}: bases {member}, restriction {alt}")
+        table = restricted[word]
+        alt = len(circuit[0]) == r and all(
+            table[(i, sorted_js[i - 1][j - 1])] <= j - 1
+            for i in range(1, n + 1) for j in range(1, r + 1))
+        if alt != member:
+            raise AssertionError(
+                f"label filters disagree on {word}: bases {member}, restriction {alt}")
         if member:
             out.append(TriangulationLabel(word, circuit))
     return tuple(sorted(out, key=lambda lab: lab.word))
@@ -174,31 +166,8 @@ def simplex_is_unimodular(label: TriangulationLabel) -> bool:
     """Edge vectors from the first circuit vertex span the lattice (det +-1)."""
     verts = simplex_vertices(label)
     n = label.n
-    if n == 1:
-        return True
-    rows = [[Fraction(verts[q][k] - verts[0][k]) for k in range(n - 1)] for q in range(1, n)]
-    det = _det(rows)
-    return det in (1, -1)
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    m = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(m):
-        pivot = next((k for k in range(c, m) if rows[k][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = rows[c][c]
-        for k in range(c + 1, m):
-            if rows[k][c] != 0:
-                f = rows[k][c] / inv
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[c])]
-    return det
+    rows = [[verts[q][k] - verts[0][k] for k in range(n - 1)] for q in range(1, n)]
+    return determinant(rows) in (1, -1)
 
 
 @dataclass(frozen=True)
@@ -324,7 +293,7 @@ def hstar_from_covers(poset: ShellingPoset) -> ExactPolynomial:
 
 def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> ExactPolynomial:
     """h*-polynomial of a connected positroid polytope by the cover statistic."""
-    labels = enumerate_labels(necklace)
+    labels = necklace.fact(enumerate_labels)
     if len(labels) == 1:
         return ExactPolynomial.one()
     graph = build_graph(labels)

@@ -172,6 +172,13 @@ class TestAtlas:
         code, _, err = run(capsys, "atlas", "--n", "6")
         assert code == 2 and "cap" in err
 
+    def test_non_integer_cap_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSITROID_MAX_N", "abc")
+        for argv in (("atlas", "--n", "4"), ("verify", "--scope", "roundtrip")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error:") and "POSITROID_MAX_N" in err
+        assert run_json(capsys, "hstar", "12,23,13,14")["hstar"] == {"shelling": [1, 1]}
+
     def test_jobs_do_not_change_output(self, capsys):
         _, seq, _ = run(capsys, "atlas", "--n", "4", "--format", "csv")
         _, par, _ = run(capsys, "atlas", "--n", "4", "--format", "csv", "--jobs", "2")
@@ -191,6 +198,10 @@ class TestVerify:
     def test_corrupted_necklace_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--input", "12,23,24,14")
         assert code == 1 and "FAIL" in out
+
+    def test_exhaustive_scope_small(self, capsys):
+        code, out, _ = run(capsys, "verify", "--scope", "exhaustive", "--max-n", "5")
+        assert code == 0 and "46 connected positroids" in out
 
     def test_random_scope_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--scope", "random",

@@ -1,0 +1,80 @@
+"""Per-necklace facts: every route shares one derivation of each fact."""
+
+import sys
+from collections import defaultdict
+
+import pytest
+
+from positroid_hstar import ehrhart as eh
+from positroid_hstar import halfopen as ho
+from positroid_hstar import positroid as po
+from positroid_hstar import triangulation as tg
+
+PRISM = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]]
+DISCONNECTED = po.DecoratedPermutation((2, 1, 4, 3))
+
+SPIED = (
+    (po, "bases_from_necklace"),
+    (po, "h_representation"),
+    (tg, "enumerate_labels"),
+    (ho, "canonical_facets"),
+    (eh, "count_constrained"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Argument tuples of every call to the spied functions, by name.
+
+    Each spy replaces the function in every package module that binds it,
+    so calls through imported names are seen too.
+    """
+    log = defaultdict(list)
+    for module, name in SPIED:
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name):
+            log[_name].append(args)
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "positroid_hstar" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spy)
+    return log
+
+
+def test_every_route_shares_one_derivation_per_fact(calls):
+    necklace = po.validate_necklace(PRISM)
+    closed = {tg.hstar_shelling(necklace),
+              ho.hstar_closed_via_inclusion_exclusion(necklace),
+              eh.hstar_by_counting(necklace)}
+    half_open = {ho.hstar_half_open(necklace), ho.hstar_half_open_by_counting(necklace)}
+    ehr = eh.ehrhart_of_connected(necklace)
+    assert len(closed) == 1 and len(half_open) == 1
+    assert ehr.leading_coefficient * 24 == next(iter(closed))(1) == 5
+
+    for name in ("bases_from_necklace", "h_representation", "enumerate_labels",
+                 "canonical_facets"):
+        assert len(calls[name]) == 1, name
+    # Closed counting runs in all n coordinates with exactly the sum and the
+    # necklace constraints; faces add equalities, the half-open body has n-1.
+    n = necklace.n
+    closed_size = 1 + len(necklace.fact(po.h_representation).inequalities)
+    dilates = [box for dim, constraints, box in calls["count_constrained"]
+               if dim == n and len(constraints) == closed_size]
+    assert dilates == list(range(n))
+
+
+def test_facts_stay_out_of_equality_hash_and_repr():
+    a, b = po.validate_necklace(PRISM), po.validate_necklace(PRISM)
+    tg.hstar_shelling(a)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.fact(tg.enumerate_labels) is a.fact(tg.enumerate_labels)
+
+
+@pytest.mark.parametrize("route", [tg.enumerate_labels, ho.canonical_facets,
+                                   eh.hstar_by_counting])
+def test_disconnected_guard_names_the_split(route):
+    necklace = po.necklace_from_decorated(DISCONNECTED)
+    with pytest.raises(po.DisconnectedPositroidError, match="decompose_direct_sum"):
+        route(necklace)
