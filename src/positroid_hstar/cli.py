@@ -373,16 +373,12 @@ def cmd_triangulate(args) -> int:
 
 def cmd_tree(args) -> int:
     start = time.perf_counter()
-    kind, value = parse_input(read_input(args.input))
+    kind, tau = parse_input(read_input(args.input))
     if kind != "subdivision":
         raise InputError("the tree command expects a subdivision "
                          '({"n": ..., "cells": [...]})')
-    tau = value
-    necklace, bases = tr.positroid_from_subdivision(tau)
-    chains = tr.tau_order(tau)
-    ext = tr.circular_extensions(chains, tau.n)
-    base = parse_word(args.w0) if args.w0 else None
-    poly = tr.hstar_tree(tau, base)
+    tree = tr.tree_positroid(tau)
+    poly = tree.hstar(parse_word(args.w0) if args.w0 else None)
     arc_rows = [{"arc": [a.start, a.end], "facet_defining": a.facet_defining, "area": a.area}
                 for a in tr.arcs(tau) if a.compatible]
     report = {
@@ -390,10 +386,10 @@ def cmd_tree(args) -> int:
         "n": tau.n,
         "type": tau.type_count,
         "rank": tau.rank,
-        "chains": [list(c) for c in chains],
-        "extensions": ["".join(map(str, w)) for w in ext],
-        "necklace": [sorted(s) for s in necklace.subsets],
-        "num_vertices": len(bases.bases),
+        "chains": [list(c) for c in tree.chains],
+        "extensions": ["".join(map(str, w)) for w in tree.extensions],
+        "necklace": [sorted(s) for s in tree.necklace.subsets],
+        "num_vertices": len(tree.bases.bases),
         "compatible_arcs": arc_rows,
         "hstar": poly_ints(poly),
     }
@@ -716,7 +712,10 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         if not all(tg.simplex_is_unimodular(lab) for lab in labels):
             return _check(name, False, "non-unimodular simplex")
     except Exception as exc:  # noqa: BLE001 - verification must report, not crash
-        return _check(name, False, f"exception: {exc!r}")
+        import traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return _check(name, False, f"exception: {exc!r} at "
+                      f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}")
     return _check(name, True, "")
 
 
@@ -798,14 +797,10 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
         n = rng.randrange(4, max_n + 1)
         tau = tr.random_subdivision(n, rng)
         try:
-            necklace, _ = tr.positroid_from_subdivision(tau)
-            ext = tuple(sorted(tr.circular_extensions(tr.tau_order(tau), tau.n)))
-            if ext != tuple(l.word for l in necklace.fact(tg.enumerate_labels)):
+            tree = tr.tree_positroid(tau)
+            if tree.hstar() != tg.hstar_shelling(tree.necklace):
                 bad += 1
-                continue
-            if tr.hstar_tree(tau) != tg.hstar_shelling(necklace):
-                bad += 1
-        except Exception:  # noqa: BLE001
+        except Exception:  # noqa: BLE001 - a failed extensions/labels assertion counts as bad
             bad += 1
     checks.append(_check(f"subdivision agreement ({subdivision_samples} samples, n <= {max_n})",
                          bad == 0, f"seed {seed}"))
@@ -875,10 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact h*-polynomials of positroid polytopes, four ways.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_input=True):
-        if with_input:
-            p.add_argument("input", nargs="?", help="inline value, file path, or - for stdin")
-            p.add_argument("--input", dest="input_flag", help="alternative to the positional input")
+    def add_io(p):
+        p.add_argument("input", nargs="?", help="inline value, file path, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--timing", action="store_true", help="include elapsed_ms in the report")
@@ -927,8 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "input_flag") and args.input_flag and not args.input:
-        args.input = args.input_flag
     handlers = {
         "convert": cmd_convert,
         "hstar": cmd_hstar,

@@ -197,10 +197,6 @@ class ExactPolynomial:
     def one() -> "ExactPolynomial":
         return ExactPolynomial((Fraction(1),))
 
-    @staticmethod
-    def monomial(degree: int, coefficient: int | Fraction = 1) -> "ExactPolynomial":
-        return ExactPolynomial.from_coefficients([0] * degree + [coefficient])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""

@@ -157,9 +157,6 @@ class FaceNode:
     dim: int
     generators: frozenset[int]
 
-    def __le__(self, other: "FaceNode") -> bool:
-        return self.vertex_set <= other.vertex_set
-
 
 @dataclass(frozen=True)
 class FacePoset:

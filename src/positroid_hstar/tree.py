@@ -66,9 +66,6 @@ class BicoloredSubdivision:
     def black_cells(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vs for color, vs in self.cells if color == "black")
 
-    def white_cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(vs for color, vs in self.cells if color == "white")
-
 
 def _cell_edges(vs: tuple[int, ...]) -> list[tuple[int, int]]:
     """Boundary chords of a cell in convex position (unordered pairs)."""
@@ -283,26 +280,44 @@ def circular_extensions(chains: Sequence[Sequence[int]], n: int) -> tuple[Word, 
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class TreePositroid:
+    """What the tree pipeline derives from one subdivision, each fact once."""
+
+    necklace: GrassmannNecklace
+    bases: PositroidBases
+    chains: tuple[Word, ...]
+    extensions: tuple[Word, ...]
+
+    def hstar(self, base: Word | None = None) -> ExactPolynomial:
+        """h* by the cover statistic on the dual graph of the extensions."""
+        graph = build_graph([label_from_word(w) for w in self.extensions])
+        return hstar_from_covers(shelling_poset(graph, graph.words[0] if base is None else base))
+
+
+def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
+    """The subdivision's positroid, chain order and circular extensions.
+
+    The extensions are exactly the triangulation labels of the positroid cut
+    out by the subdivision; asserted on every call.
+    """
+    necklace, bases = positroid_from_subdivision(tau)
+    chains = tau_order(tau)
+    ext = circular_extensions(chains, tau.n)
+    if not ext:
+        raise SubdivisionError("the chain order has no circular extension")
+    if tuple(lab.word for lab in necklace.fact(enumerate_labels)) != tuple(sorted(ext)):
+        raise AssertionError("circular extensions differ from the triangulation labels")
+    return TreePositroid(necklace, bases, chains, ext)
+
+
 def hstar_tree(tau: BicoloredSubdivision, base: Word | None = None) -> ExactPolynomial:
     """h* of the subdivision's polytope by the cover statistic on extensions.
 
-    The circular extensions of the chain order are exactly the triangulation
-    labels of the positroid cut out by the subdivision; both that identity
-    and the equality of the resulting h* with the necklace pipeline are
-    asserted on every call.
+    The dual graph is built from the circular extensions, which
+    `tree_positroid` checks against the necklace's triangulation labels.
     """
-    ext = circular_extensions(tau_order(tau), tau.n)
-    if not ext:
-        raise SubdivisionError("the chain order has no circular extension")
-    necklace, _ = positroid_from_subdivision(tau)
-    labels = enumerate_labels(necklace)
-    if tuple(lab.word for lab in labels) != tuple(sorted(ext)):
-        raise AssertionError("circular extensions differ from the triangulation labels")
-    graph = build_graph([label_from_word(w) for w in ext])
-    if base is None:
-        base = graph.words[0]
-    result = hstar_from_covers(shelling_poset(graph, base))
-    return result
+    return tree_positroid(tau).hstar(base)
 
 
 def random_subdivision(n: int, rng: random.Random) -> BicoloredSubdivision:

@@ -1,34 +1,26 @@
 """Acceptance suite: one test per criterion, exact values, zero tolerance.
 
-The expensive-but-shared exhaustive sweep over every connected positroid on
-up to six elements runs once (module-scoped fixture) and feeds the method
-agreement, shelling structure, and affine labeling criteria.
+Every criterion asserts on the checks that ``positroid-hstar verify``
+returns, so ``verify --scope all --max-n 6`` and this suite share one
+implementation of each check.  Two module fixtures run the shared suites
+once: ``verify_golden`` (small instances with known values, timed) and
+``verify_exhaustive(6)`` (every pipeline on all 252 connected positroids with
+n <= 6, feeding the method agreement, shelling structure and affine labeling
+criteria).  Only criterion 10's ambient-oracle lines compute outside the
+verifier.
 """
 
-import math
-import random
 import time
 
 import pytest
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
-from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
-from positroid_hstar import tree as tr
-from positroid_hstar import triangulation as tg
 from positroid_hstar.core import ExactPolynomial
 
 MAX_SWEEP_N = 6
-
-PYRAMID = po.validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
-UNIFORM25 = po.validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
-PRISM = po.validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
-WHEEL = po.validate_necklace([[1, 2, 3], [2, 3, 5], [3, 4, 5], [1, 4, 5], [1, 2, 5]])
-
-
-def ints(poly):
-    return list(poly.integer_coefficients())
+SEED = 20240814
 
 
 def report(criterion, detail):
@@ -36,208 +28,103 @@ def report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
+def golden():
+    """The golden checks by name, and the seconds they took."""
+    start = time.perf_counter()
+    checks = cli.verify_golden()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"golden checks took {elapsed:.2f}s"
+    by_name = {name: (ok, detail) for name, ok, detail in checks}
+    assert len(by_name) == len(checks)
+    return by_name, elapsed
+
+
+def assert_golden(golden, *names):
+    checks, _ = golden
+    failed = {name: checks[name][1] for name in names if not checks[name][0]}
+    assert not failed, failed
+
+
+@pytest.fixture(scope="module")
 def sweep():
-    """Per-instance records for every connected positroid with n <= 6."""
-    records = []
-    for n in range(1, MAX_SWEEP_N + 1):
-        for necklace in cli.connected_necklaces(n):
-            rec = {"n": n, "necklace": necklace}
-            labels = tg.enumerate_labels(necklace)
-            rec["num_simplices"] = len(labels)
-            closed = {"shelling": ints(tg.hstar_shelling(necklace)),
-                      "oracle": ints(eh.hstar_by_counting(necklace))}
-            if n > 1:
-                closed["inclusion-exclusion"] = ints(
-                    ho.hstar_closed_via_inclusion_exclusion(necklace))
-                rec["half_open"] = {
-                    "descents": ints(ho.hstar_half_open(necklace)),
-                    "oracle": ints(ho.hstar_half_open_by_counting(necklace))}
-            rec["closed"] = closed
-            graph = tg.build_graph(labels)
-            poset = tg.shelling_poset(graph, graph.words[0])
-            edges = graph.edges()
-            rec["graph_connected"] = graph.is_connected()
-            rec["layered"] = all(abs(poset.dist[u] - poset.dist[v]) == 1
-                                 for u, v in edges)
-            rec["cover_sum_is_edge_count"] = sum(poset.cover.values()) == len(edges)
-            ehr = eh.ehrhart_of_connected(necklace)
-            volume = ehr.leading_coefficient * math.factorial(ehr.dim)
-            rec["counts_match"] = (
-                tg.hstar_from_covers(poset)(1) == len(labels) == volume)
-            if n > 1:
-                rec["affine_ok"] = tg.affine_consistency_check(graph, graph.words[0]).ok
-            else:
-                rec["affine_ok"] = True
-            records.append(rec)
-    return records
+    """The exhaustive sweep over every connected positroid with n <= 6."""
+    return cli.verify_exhaustive(MAX_SWEEP_N)
 
 
-def test_criterion_1_golden_hstar_values():
-    start = time.perf_counter()
-    assert ints(tg.hstar_shelling(WHEEL)) == [1, 4, 3]
-    assert ints(tg.hstar_shelling(UNIFORM25)) == [1, 5, 5]
-    assert ints(tg.hstar_shelling(PRISM)) == [1, 3, 1]
-    assert ints(ho.hstar_half_open(PYRAMID)) == [0, 0, 2]
-    assert ints(ho.hstar_half_open(PRISM)) == [0, 0, 1, 4]
-    assert ints(ho.hstar_closed_via_inclusion_exclusion(PYRAMID)) == [1, 1]
-    assert ints(ho.hstar_closed_via_inclusion_exclusion(PRISM)) == [1, 3, 1]
-    hrep = po.h_representation(PRISM)
-    assert ints(eh.face_hstar(hrep, [(1, 4, 2)], 3)) == [1, 2]
-    assert ints(eh.face_hstar(hrep, [(1, 2, 1), (1, 4, 2)], 2)) == [1, 1]
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0, f"golden values took {elapsed:.2f}s"
-    report(1, f"eight golden h* values, {elapsed * 1000:.0f} ms")
+SWEEP_PASSED = [(f"exhaustive sweep n <= {MAX_SWEEP_N}", True, "252 connected positroids")]
 
 
-def test_criterion_2_label_sets_and_graphs():
-    start = time.perf_counter()
-    assert [lab.word for lab in tg.enumerate_labels(PYRAMID)] == [
-        (1, 3, 2, 4), (2, 1, 3, 4)]
-    prism_labels = tg.enumerate_labels(PRISM)
-    assert {lab.word for lab in prism_labels} == {
-        (3, 4, 2, 1, 5), (4, 2, 1, 3, 5), (2, 4, 1, 3, 5),
-        (3, 2, 4, 1, 5), (4, 1, 3, 2, 5)}
-    assert len(tg.build_graph(prism_labels).edges()) == 5
-    uniform_graph = tg.build_graph(tg.enumerate_labels(UNIFORM25))
-    assert len(uniform_graph.words) == 11
-    assert len(uniform_graph.edges()) == 15
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    report(2, f"label sets and edge counts, {elapsed * 1000:.0f} ms")
+def test_criterion_1_golden_hstar_values(golden):
+    names = ("rank-3 wheel cover multiset", "rank-2 uniform h*", "rank-3 five-simplex h*",
+             "pyramid h* closed", "pyramid h* half-open", "rank-2 uniform half-open",
+             "rank-3 five-simplex half-open", "prism facet h*", "square face h*")
+    assert_golden(golden, *names)
+    report(1, f"{len(names)} golden h* checks, all golden checks in {golden[1] * 1000:.0f} ms")
 
 
-def test_criterion_3_circuit_and_facet_fixtures():
-    lab = tg.label_from_word((3, 2, 4, 1, 5))
-    assert [tuple(sorted(s)) for s in lab.circuit] == [
-        (1, 3, 5), (2, 3, 5), (2, 4, 5), (1, 2, 4), (1, 2, 5)]
-    assert set(tg.simplex_vertices(lab)) == {
-        (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1),
-        (0, 1, 0, 1, 1), (1, 1, 0, 1, 0)}
-    facets = {(q.start, q.stop, q.sense, q.bound)
-              for q in tg.simplex_facets(lab).inequalities}
-    assert facets == {(1, 5, ">=", 2), (3, 5, "<=", 1), (2, 3, "<=", 1),
-                      (2, 4, ">=", 1), (1, 4, "<=", 2)}
+def test_criterion_2_label_sets_and_graphs(golden):
+    assert_golden(golden, "pyramid labels", "rank-3 five-simplex labels",
+                  "rank-3 five-simplex edges", "rank-2 uniform graph")
+    report(2, "label sets and edge counts")
+
+
+def test_criterion_3_circuit_and_facet_fixtures(golden):
+    assert_golden(golden, "circuit of 32415", "vertices of 32415 simplex",
+                  "facets of projected 32415 simplex")
     report(3, "circuit, vertex set, and facet list of the 32415 simplex")
 
 
 def test_criterion_4_oracle_equivalence(sweep):
-    disagreements = []
-    for rec in sweep:
-        values = {tuple(v) for v in rec["closed"].values()}
-        if len(values) != 1:
-            disagreements.append((rec["necklace"], "closed", rec["closed"]))
-        if "half_open" in rec:
-            half = {tuple(v) for v in rec["half_open"].values()}
-            if len(half) != 1:
-                disagreements.append((rec["necklace"], "half-open", rec["half_open"]))
-    assert not disagreements, disagreements[:3]
-    report(4, f"all methods agree on {len(sweep)} connected positroids, n <= {MAX_SWEEP_N}")
+    assert sweep == SWEEP_PASSED
+    report(4, f"all methods agree on 252 connected positroids, n <= {MAX_SWEEP_N}")
 
 
 def test_criterion_5_base_point_independence():
-    rng = random.Random(20240814)
-    samples = 0
-    while samples < 50:
-        n = rng.randrange(2, 8)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        necklace = po.necklace_from_decorated(po.DecoratedPermutation(tuple(perm)))
-        if not po.is_connected(po.bases_from_necklace(necklace)):
-            continue
-        graph = tg.build_graph(tg.enumerate_labels(necklace))
-        polys = {tg.hstar_from_covers(tg.shelling_poset(graph, w)).coefficients
-                 for w in graph.words}
-        assert len(polys) == 1, (necklace, polys)
-        samples += 1
+    assert cli.verify_random(SEED, 50, 0)[0] == (
+        "base-point independence (50 samples, n <= 7)", True, f"seed {SEED}")
     report(5, "h* identical for every base label on 50 random positroids, n <= 7")
 
 
 def test_criterion_6_shelling_structure(sweep):
-    for rec in sweep:
-        assert rec["graph_connected"], rec["necklace"]
-        assert rec["layered"], rec["necklace"]
-        assert rec["cover_sum_is_edge_count"], rec["necklace"]
-        assert rec["counts_match"], rec["necklace"]
-    report(6, f"graph connectivity, layering, cover sums, and volumes on "
-              f"{len(sweep)} instances")
+    assert sweep == SWEEP_PASSED
+    report(6, "graph connectivity, layering, cover sums, and volumes on 252 instances")
 
 
-def test_criterion_7_affine_labeling(sweep):
-    graph = tg.build_graph(tg.enumerate_labels(UNIFORM25))
-    result = tg.affine_consistency_check(graph, (3, 1, 4, 2, 5))
-    assert result.ok, result.problems
-    expected = {
-        (3, 1, 4, 2, 5): (1, 2, 3, 4, 5),
-        (1, 3, 4, 2, 5): (2, 1, 3, 4, 5),
-        (3, 4, 1, 2, 5): (1, 3, 2, 4, 5),
-        (3, 1, 2, 4, 5): (1, 2, 4, 3, 5),
-        (2, 3, 1, 4, 5): (1, 2, 3, 5, 4),
-        (1, 4, 2, 3, 5): (0, 2, 3, 4, 6),
-        (1, 3, 2, 4, 5): (2, 1, 4, 3, 5),
-        (2, 1, 3, 4, 5): (2, 1, 3, 5, 4),
-        (1, 2, 4, 3, 5): (0, 2, 4, 3, 6),
-        (2, 3, 4, 1, 5): (1, 3, 2, 5, 4),
-        (4, 1, 2, 3, 5): (0, 3, 2, 4, 6),
-    }
-    assert dict(result.windows) == expected
-    for rec in sweep:
-        assert rec["affine_ok"], rec["necklace"]
-    report(7, "window fixture reproduced; edge and length consistency "
-              f"on {len(sweep)} instances")
+def test_criterion_7_affine_labeling(golden, sweep):
+    assert_golden(golden, "affine windows")
+    assert sweep == SWEEP_PASSED
+    report(7, "window fixture reproduced; edge and length consistency on 252 instances")
 
 
-def test_criterion_8_tree_positroid_agreement():
-    square = tr.validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])
-    pentagon = tr.validate_subdivision(
-        5, [("black", [1, 2, 3]), ("white", [1, 3, 4]), ("black", [1, 4, 5])])
-    for tau, expected in ((square, [1, 1]), (pentagon, [1, 3, 1])):
-        necklace, _ = tr.positroid_from_subdivision(tau)
-        ext = tuple(sorted(tr.circular_extensions(tr.tau_order(tau), tau.n)))
-        assert ext == tuple(lab.word for lab in tg.enumerate_labels(necklace))
-        assert ints(tr.hstar_tree(tau)) == expected
-
-    rng = random.Random(20240814)
-    for _ in range(200):
-        n = rng.randrange(4, 8)
-        tau = tr.random_subdivision(n, rng)
-        necklace, _ = tr.positroid_from_subdivision(tau)
-        ext = tuple(sorted(tr.circular_extensions(tr.tau_order(tau), tau.n)))
-        assert ext == tuple(lab.word for lab in tg.enumerate_labels(necklace)), tau
-        assert tr.hstar_tree(tau) == tg.hstar_shelling(necklace), tau
+def test_criterion_8_tree_positroid_agreement(golden):
+    assert_golden(golden, "square subdivision", "pentagon subdivision")
+    assert cli.verify_random(SEED, 0, 200)[1] == (
+        "subdivision agreement (200 samples, n <= 7)", True, f"seed {SEED}")
     report(8, "extensions equal labels and h* matches on 200 random subdivisions, "
               "n <= 7")
 
 
 def test_criterion_9_bijection_round_trips():
-    total = 0
-    for n in range(1, MAX_SWEEP_N + 1):
-        for dec in cli.all_decorated_permutations(n):
-            necklace = po.necklace_from_decorated(dec)
-            assert po.decorated_from_necklace(necklace) == dec, dec
-            assert po.necklace_from_decorated(po.decorated_from_necklace(necklace)) \
-                == necklace
-            total += 1
-    report(9, f"necklace/decorated round trips on {total} decorated permutations, "
-              f"n <= {MAX_SWEEP_N}")
+    total = "2371 decorated permutations"
+    assert cli.verify_roundtrips(MAX_SWEEP_N) == [
+        (f"necklace/decorated round trips n <= {MAX_SWEEP_N}", True, total),
+        (f"rank-split vs interval-free connectivity n <= {MAX_SWEEP_N}", True, total)]
+    report(9, f"necklace/decorated round trips on {total}, n <= {MAX_SWEEP_N}")
 
 
-def test_criterion_10_disconnected_handling():
+def test_criterion_10_disconnected_handling(golden):
+    assert_golden(golden, "direct sum split")
     bases = po.PositroidBases(4, 2, frozenset(
         frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
-    parts = po.decompose_direct_sum(bases)
-    assert [g for g, _ in parts] == [(1, 2), (3, 4)]
-    assert all(comp.sorted_bases() == ((1,), (2,)) for _, comp in parts)
-    product_hstar = eh.hstar_of_positroid_by_counting(bases)
-    assert ints(product_hstar) == [1, 1]
+    assert all(comp.sorted_bases() == ((1,), (2,)) for _, comp in po.decompose_direct_sum(bases))
 
     # direct oracle on the ambient polytope, restricted to its affine hull
-    necklace = po.necklace_from_bases(bases)
-    hrep = po.h_representation(necklace)
+    hrep = po.h_representation(po.necklace_from_bases(bases))
     dim = po.polytope_dimension(bases)
     assert dim == 2
     profile = eh.CountProfile(dim, tuple(eh.count_points(hrep, t) for t in range(dim + 1)))
     assert profile.counts == (1, 4, 9)
-    assert eh.hstar_from_counts(profile) == product_hstar == \
+    assert eh.hstar_from_counts(profile) == eh.hstar_of_positroid_by_counting(bases) == \
         ExactPolynomial.from_coefficients([1, 1])
     report(10, "direct sum splits into two segments; product h* equals ambient "
                "oracle h* (the unit square, 1+z)")

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from positroid_hstar import cli
+from positroid_hstar import ehrhart as eh
+from positroid_hstar import triangulation as tg
+from positroid_hstar.core import ExactPolynomial
 
 
 def run(capsys, *argv):
@@ -48,6 +51,11 @@ class TestParsing:
             cli.parse_input('{"unknown": 1}')
         with pytest.raises(cli.InputError):
             cli.parse_input('{"pi": [2,1,3], "colors": {}}')  # missing color for 3
+
+    def test_input_flag_belongs_to_verify_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hstar", "--input", "12,23,13,14"])
+        assert exc.value.code == 2 and "--input" in capsys.readouterr().err
 
 
 class TestConvert:
@@ -207,6 +215,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--scope", "random",
                            "--w0-samples", "4", "--subdivision-samples", "6")
         assert code == 0
+
+
+class TestExhaustiveWorker:
+    PYRAMID = ((1, 2), (2, 3), (1, 3), (1, 4))
+
+    def test_passes(self):
+        assert cli._exhaustive_worker(self.PYRAMID) == ("12,23,13,14", True, "")
+
+    def test_closed_disagreement_fails(self, monkeypatch):
+        monkeypatch.setattr(eh, "hstar_by_counting", lambda necklace: ExactPolynomial.one())
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok and detail.startswith("closed methods disagree")
+
+    def test_exception_names_its_innermost_frame(self, monkeypatch):
+        def broken(graph, base):
+            raise RuntimeError("window overflow")
+
+        monkeypatch.setattr(tg, "affine_consistency_check", broken)
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        line = broken.__code__.co_firstlineno + 1
+        assert not ok
+        assert detail == f"exception: RuntimeError('window overflow') at test_cli.py:{line} in broken"
 
 
 class TestReportShape:

@@ -5,9 +5,11 @@ from collections import defaultdict
 
 import pytest
 
+from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
 from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
+from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
 
 PRISM = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]]
@@ -19,7 +21,11 @@ SPIED = (
     (tg, "enumerate_labels"),
     (ho, "canonical_facets"),
     (eh, "count_constrained"),
+    (tr, "positroid_from_subdivision"),
+    (tr, "circular_extensions"),
 )
+PENTAGON = ('{"n": 5, "cells": [{"color": "black", "vertices": [1,2,3]},'
+            ' {"color": "white", "vertices": [1,3,4]}, {"color": "black", "vertices": [1,4,5]}]}')
 
 
 @pytest.fixture
@@ -63,6 +69,13 @@ def test_every_route_shares_one_derivation_per_fact(calls):
     dilates = [box for dim, constraints, box in calls["count_constrained"]
                if dim == n and len(constraints) == closed_size]
     assert dilates == list(range(n))
+
+
+def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):
+    assert cli.main(["tree", PENTAGON]) == 0
+    assert cli.verify_random(7, 0, 4)[1][1]
+    for name in ("positroid_from_subdivision", "circular_extensions", "enumerate_labels"):
+        assert len(calls[name]) == 1 + 4, name
 
 
 def test_facts_stay_out_of_equality_hash_and_repr():
