@@ -85,9 +85,9 @@ def cyclic_left_descents(word: Sequence[int], order: Sequence[int] | None = None
     """Cyclic left descent set of a word over a totally ordered ground set.
 
     ``order`` lists the ground set increasingly and defaults to sorted(word).
-    A non-maximal letter a is a descent when it appears to the right of its
-    successor; the maximal letter is a descent when the minimal letter
-    appears to its left.  Singleton words have no descents.
+    A letter is a descent when it appears to the right of its cyclic
+    successor (the minimal letter succeeds the maximal one), so singleton
+    words have no descents.
 
     >>> sorted(cyclic_left_descents((2, 4, 1, 3, 5)))
     [1, 3, 5]
@@ -97,13 +97,8 @@ def cyclic_left_descents(word: Sequence[int], order: Sequence[int] | None = None
     ground = tuple(sorted(word)) if order is None else tuple(order)
     if len(word) != len(ground) or set(word) != set(ground) or len(set(word)) != len(word):
         raise ValueError("word is not a permutation of the ground set")
-    if len(ground) <= 1:
-        return frozenset()
     pos = {v: p for p, v in enumerate(word)}
-    out = {a for a, b in zip(ground, ground[1:]) if pos[a] > pos[b]}
-    if pos[ground[0]] < pos[ground[-1]]:
-        out.add(ground[-1])
-    return frozenset(out)
+    return frozenset(a for a, b in zip(ground, ground[1:] + ground[:1]) if pos[a] > pos[b])
 
 
 def restriction(word: Sequence[int], i: int, j: int) -> tuple[Word, Word]:
@@ -124,10 +119,41 @@ def restriction(word: Sequence[int], i: int, j: int) -> tuple[Word, Word]:
     return tuple(v for v in word if v in members), ground
 
 
-def restricted_cdes(word: Sequence[int], i: int, j: int) -> int:
-    """Number of cyclic left descents of the restriction of word to [i, j]."""
-    sub, ground = restriction(word, i, j)
-    return len(cyclic_left_descents(sub, order=ground))
+def descent_bounded_words(n: int, rows: Iterable[tuple[Sequence[int], int]]) -> tuple[Word, ...]:
+    """Words w with w_n = n, in lexicographic order, whose restriction to each
+    row's ground (its letters in cyclic order) has at most the row's bound
+    (>= 0) of cyclic left descents.
+
+    Letters are placed left to right, n last, so placing v makes its
+    predecessor in a ground a descent exactly when that one is still
+    unplaced: counts only grow, and a prefix is cut once a row exceeds its
+    bound.
+
+    >>> descent_bounded_words(4, [((1, 3, 2), 1)])
+    ((1, 3, 2, 4), (2, 1, 3, 4), (3, 2, 1, 4))
+    """
+    preds: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+    bounds = []
+    for k, (ground, bound) in enumerate(rows):
+        for pred, v in zip(ground[-1:] + ground[:-1], ground):
+            if pred != v:
+                preds[v].append((k, pred))
+        bounds.append(bound)
+    out: list[Word] = []
+
+    def extend(prefix: Word, free: Word, room: list[int]) -> None:
+        if len(free) == 1:
+            out.append(prefix + free)
+        for v in free[:-1]:
+            left = list(room)
+            for k, pred in preds[v]:
+                if pred in free:
+                    left[k] -= 1
+            if min(left, default=0) >= 0:
+                extend(prefix + (v,), tuple(u for u in free if u != v), left)
+
+    extend((), tuple(range(1, n + 1)), bounds)
+    return tuple(out)
 
 
 def rotation_ending_at(word: Sequence[int], a: int) -> Word:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ExactPolynomial, Word
+from .core import ExactPolynomial, Word, descent_bounded_words
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
@@ -258,26 +258,13 @@ def tau_order(tau: BicoloredSubdivision) -> tuple[Word, ...]:
 
 
 def circular_extensions(chains: Sequence[Sequence[int]], n: int) -> tuple[Word, ...]:
-    """All words w with w_n = n whose cyclic order extends every chain.
+    """All words w with w_n = n whose cyclic order extends every chain, sorted.
 
     A chain is respected when reading its elements around the cycle of w,
-    starting from the chain's first element, reproduces the chain.  Plain
-    filtered enumeration over the (n-1)! cycles; fine at desk scale.
+    starting from the chain's first element, reproduces the chain: when the
+    restriction of w has at most one cyclic descent in the chain's order.
     """
-    chains = [tuple(c) for c in chains if len(c) >= 3]
-    out = []
-    for head in itertools.permutations(range(1, n)):
-        word = head + (n,)
-        pos = {v: k for k, v in enumerate(word)}
-        ok = True
-        for chain in chains:
-            anchor = pos[chain[0]]
-            if tuple(sorted(chain, key=lambda v: (pos[v] - anchor) % n)) != chain:
-                ok = False
-                break
-        if ok:
-            out.append(word)
-    return tuple(out)
+    return descent_bounded_words(n, [(chain, 1) for chain in chains])
 
 
 @dataclass(frozen=True)
@@ -306,7 +293,7 @@ def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
     ext = circular_extensions(chains, tau.n)
     if not ext:
         raise SubdivisionError("the chain order has no circular extension")
-    if tuple(lab.word for lab in necklace.fact(enumerate_labels)) != tuple(sorted(ext)):
+    if tuple(lab.word for lab in necklace.fact(enumerate_labels)) != ext:
         raise AssertionError("circular extensions differ from the triangulation labels")
     return TreePositroid(necklace, bases, chains, ext)
 

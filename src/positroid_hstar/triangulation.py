@@ -3,11 +3,13 @@
 A triangulation label is a permutation w ending in n; its simplex has the
 indicator vectors of the cyclic-descent sets of the rotations of w as
 vertices, listed in circuit order.  The labels whose circuit subsets are all
-bases triangulate the polytope.  Two simplices share a facet exactly when the
-cycles differ by one adjacent transposition of non-cyclically-adjacent
-values, and breadth-first search from any base label turns the dual graph
-into a shelling: summing z^(number of already-shelled neighbors) over labels
-gives the h*-polynomial.
+bases triangulate the polytope; a prefix-pruned search finds them by the
+equivalent bounds on the cyclic descents of restrictions, and
+`labels_by_bases` keeps the basis filter as a reference.  Two simplices
+share a facet exactly when the cycles differ by one adjacent transposition
+of non-cyclically-adjacent values, and breadth-first search from any base
+label turns the dual graph into a shelling: summing z^(number of
+already-shelled neighbors) over labels gives the h*-polynomial.
 
 The module also carries the affine-permutation relabeling of the dual graph
 (windows, produced by geometric wall-crossing in prefix-sum coordinates) and
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from ._linalg import determinant, hyperplane_through
-from .core import ExactPolynomial, Word, circuit_subsets, restricted_cdes
+from .core import ExactPolynomial, Word, circuit_subsets, cyclic_interval, descent_bounded_words
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
@@ -53,61 +55,42 @@ def label_from_word(word: Sequence[int]) -> TriangulationLabel:
     return TriangulationLabel(word, circuit_subsets(word))
 
 
-# Circuits and restriction descent counts depend only on (n, word), never on
-# the positroid, so they are memoized per ground-set size.
-_CIRCUITS: dict[int, dict[Word, tuple[frozenset[int], ...]]] = {}
-_RESTRICTED: dict[int, dict[Word, dict[tuple[int, int], int]]] = {}
-
-
-def _all_labels(n: int) -> dict[Word, tuple[frozenset[int], ...]]:
-    if n not in _CIRCUITS:
-        table = {}
-        for head in itertools.permutations(range(1, n)):
-            word = head + (n,)
-            table[word] = circuit_subsets(word)
-        _CIRCUITS[n] = table
-    return _CIRCUITS[n]
-
-
-def _restriction_table(n: int) -> dict[Word, dict[tuple[int, int], int]]:
-    if n not in _RESTRICTED:
-        table = {}
-        for word in _all_labels(n):
-            table[word] = {(i, j): restricted_cdes(word, i, j)
-                           for i in range(1, n + 1) for j in range(1, n + 1)}
-        _RESTRICTED[n] = table
-    return _RESTRICTED[n]
-
-
 def enumerate_labels(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, ...]:
     """Triangulation labels of a connected positroid polytope, sorted by word.
 
-    A word w with w_n = n qualifies when it has exactly r cyclic left
-    descents and every circuit subset is a basis.  The equivalent
-    restriction-descent criterion (every restriction of w to [i, a] with a
-    the j-th <_i-element of J_i has at most j-1 cyclic descents) is
-    evaluated too and any disagreement raises.
+    One prefix-pruned search keeps the words w with w_n = n that have r
+    cyclic left descents (at most r, and at most n-r in the reversed order)
+    and whose restriction to [i, a], a the j-th <_i-element of J_i, has at
+    most j-1.  Their circuit subsets must be bases (asserted);
+    `labels_by_bases` is the brute-force reference.
+    """
+    n, r = necklace.n, necklace.rank
+    if n == 1:
+        return (label_from_word((1,)),)
+    necklace.require_connected("triangulation")
+    rows = [(tuple(range(1, n + 1)), r), (tuple(range(n, 0, -1)), n - r)] + [
+        (cyclic_interval(i, a, n), j)
+        for i in range(1, n + 1) for j, a in enumerate(necklace.sorted_subset(i))]
+    labels = tuple(map(label_from_word, descent_bounded_words(n, rows)))
+    basis_set = necklace.fact(bases_from_necklace).bases
+    if not all(basis_set.issuperset(label.circuit) for label in labels):
+        raise AssertionError("a label has a circuit subset that is not a basis")
+    return labels
+
+
+def labels_by_bases(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, ...]:
+    """Reference for `enumerate_labels`: the (n-1)! words w with w_n = n
+    filtered by their circuit subsets being bases of rank r.  Uncached;
+    `verify` and the tests compare the two, no production path calls it.
     """
     n, r = necklace.n, necklace.rank
     if n == 1:
         return (label_from_word((1,)),)
     necklace.require_connected("triangulation")
     basis_set = necklace.fact(bases_from_necklace).bases
-    sorted_js = [necklace.sorted_subset(i) for i in range(1, n + 1)]
-    restricted = _restriction_table(n)
-    out = []
-    for word, circuit in _all_labels(n).items():
-        member = len(circuit[0]) == r and all(s in basis_set for s in circuit)
-        table = restricted[word]
-        alt = len(circuit[0]) == r and all(
-            table[(i, sorted_js[i - 1][j - 1])] <= j - 1
-            for i in range(1, n + 1) for j in range(1, r + 1))
-        if alt != member:
-            raise AssertionError(
-                f"label filters disagree on {word}: bases {member}, restriction {alt}")
-        if member:
-            out.append(TriangulationLabel(word, circuit))
-    return tuple(sorted(out, key=lambda lab: lab.word))
+    labels = (label_from_word(head + (n,)) for head in itertools.permutations(range(1, n)))
+    return tuple(label for label in labels
+                 if label.rank == r and basis_set.issuperset(label.circuit))
 
 
 def simplex_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:

@@ -52,6 +52,18 @@ class TestParsing:
         with pytest.raises(cli.InputError):
             cli.parse_input('{"pi": [2,1,3], "colors": {}}')  # missing color for 3
 
+    def test_non_object_colors_are_an_input_error(self, capsys):
+        with pytest.raises(cli.InputError, match="colors"):
+            cli.parse_input('{"pi": [2,1], "colors": []}')
+        code, _, err = run(capsys, "hstar", '{"pi": [2,1], "colors": []}')
+        assert code == 2 and err.startswith("error:")
+
+    def test_declared_n_is_kept_next_to_bases(self):
+        bases = "[[1,2],[1,3],[1,4],[2,3],[2,4]]"
+        assert cli.parse_input(f'{{"n": 5, "bases": {bases}}}')[1].n == 5
+        with pytest.raises(cli.InputError, match=r"outside 1\.\.0"):
+            cli.parse_input(f'{{"n": 0, "bases": {bases}}}')
+
     def test_input_flag_belongs_to_verify_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["hstar", "--input", "12,23,13,14"])
@@ -211,6 +223,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--scope", "exhaustive", "--max-n", "5")
         assert code == 0 and "46 connected positroids" in out
 
+    @pytest.mark.parametrize("argv", [("verify", "--scope", "exhaustive", "--max-n", "5"),
+                                      ("atlas", "--n", "4")])
+    def test_two_jobs_match_one(self, capsys, argv):
+        one = run(capsys, *argv, "--jobs", "1")
+        assert one[0] == 0 and run(capsys, *argv, "--jobs", "2") == one
+
     def test_random_scope_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--scope", "random",
                            "--w0-samples", "4", "--subdivision-samples", "6")
@@ -227,6 +245,12 @@ class TestExhaustiveWorker:
         monkeypatch.setattr(eh, "hstar_by_counting", lambda necklace: ExactPolynomial.one())
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok and detail.startswith("closed methods disagree")
+
+    def test_labels_are_checked_against_the_basis_reference(self, monkeypatch):
+        search = tg.enumerate_labels
+        monkeypatch.setattr(tg, "enumerate_labels", lambda necklace: search(necklace)[1:])
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok and detail == "labels differ from the basis-membership reference"
 
     def test_exception_names_its_innermost_frame(self, monkeypatch):
         def broken(graph, base):

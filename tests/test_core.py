@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from positroid_hstar.core import (
     circuit_subsets,
     cyclic_interval,
     cyclic_left_descents,
+    descent_bounded_words,
     descent_count,
     gale_leq,
     interval_support,
@@ -116,6 +119,47 @@ class TestRotations:
     def test_missing_letter_rejected(self):
         with pytest.raises(ValueError):
             rotation_ending_at((1, 2, 3), 5)
+
+
+def bounded_by_brute_force(n, rows):
+    """Filter all (n-1)! words w with w_n = n by the rows' descent bounds."""
+    words = (head + (n,) for head in itertools.permutations(range(1, n)))
+    return tuple(w for w in words if all(
+        len(cyclic_left_descents(tuple(v for v in w if v in ground), order=ground)) <= bound
+        for ground, bound in rows))
+
+
+class TestDescentBoundedWords:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_no_rows_give_every_word(self, n):
+        words = descent_bounded_words(n, [])
+        assert words == bounded_by_brute_force(n, []) and len(words) == math.factorial(n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_letter_grounds_impose_nothing(self, n):
+        rows = [((v,), 0) for v in range(1, n + 1)]
+        assert descent_bounded_words(n, rows) == bounded_by_brute_force(n, [])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chain_rows_keep_the_rotations_of_the_chain(self, n):
+        rng = random.Random(n)
+        for _ in range(10):
+            chain = tuple(rng.sample(range(1, n + 1), rng.randrange(2, n + 1)))
+            rotations = {chain[k:] + chain[:k] for k in range(len(chain))}
+            words = descent_bounded_words(n, [(chain, 1)])
+            assert words == bounded_by_brute_force(n, [(chain, 1)])
+            assert words == tuple(w for w in bounded_by_brute_force(n, [])
+                                  if tuple(v for v in w if v in chain) in rotations)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_random_rows_match_brute_force(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(20):
+            rows = []
+            for _ in range(rng.randrange(1, 5)):
+                ground = tuple(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
+                rows.append((ground, rng.randrange(len(ground))))
+            assert descent_bounded_words(n, rows) == bounded_by_brute_force(n, rows)
 
 
 class TestCircuits:

@@ -16,7 +16,7 @@ from positroid_hstar.tree import (
     validate_subdivision,
 )
 from positroid_hstar.positroid import zero_one_points
-from positroid_hstar.triangulation import enumerate_labels, hstar_shelling
+from positroid_hstar.triangulation import enumerate_labels
 
 SQUARE = validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])
 PENTAGON = validate_subdivision(
@@ -141,16 +141,6 @@ class TestHstarTree:
 
 
 class TestRandomSubdivisions:
-    def test_generator_agrees_with_necklace_pipeline(self):
-        rng = random.Random(123)
-        for _ in range(25):
-            n = rng.randrange(4, 8)
-            tau = random_subdivision(n, rng)
-            necklace, _ = positroid_from_subdivision(tau)
-            ext = tuple(sorted(circular_extensions(tau_order(tau), n)))
-            assert ext == tuple(lab.word for lab in enumerate_labels(necklace))
-            assert hstar_tree(tau) == hstar_shelling(necklace)
-
     def test_generator_produces_valid_subdivisions(self):
         rng = random.Random(99)
         seen_types = set()

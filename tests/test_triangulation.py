@@ -18,6 +18,7 @@ from positroid_hstar.triangulation import (
     hstar_from_covers,
     hstar_shelling,
     label_from_word,
+    labels_by_bases,
     phi_inverse_point,
     shelling_poset,
     simplex_facets,
@@ -58,6 +59,20 @@ class TestEnumerateLabels:
     def test_every_label_has_rank_many_descents(self):
         for lab in enumerate_labels(WHEEL):
             assert lab.rank == 3
+
+    @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
+    def test_search_matches_the_basis_reference(self, necklace):
+        assert enumerate_labels(necklace) == labels_by_bases(necklace)
+
+    @pytest.mark.parametrize("subsets", [[[]], [[1]]])
+    def test_one_element_ground_set_has_one_label(self, subsets):
+        necklace = validate_necklace(subsets)
+        assert enumerate_labels(necklace) == labels_by_bases(necklace) == (label_from_word((1,)),)
+
+    def test_reference_rejects_disconnected(self):
+        J = necklace_from_decorated(DecoratedPermutation((2, 1, 4, 3)))
+        with pytest.raises(DisconnectedPositroidError, match="decompose_direct_sum"):
+            labels_by_bases(J)
 
 
 class TestSimplexGeometry:
@@ -117,7 +132,7 @@ class TestSimplexGeometry:
     def test_sandwich_property(self, necklace):
         # over each simplex, every interval sum stays within a unit window
         # anchored at the restriction descent count
-        from positroid_hstar.core import interval_support, restricted_cdes
+        from positroid_hstar.core import cyclic_left_descents, interval_support, restriction
         n = necklace.n
         for lab in enumerate_labels(necklace):
             verts = simplex_vertices(lab)
@@ -125,7 +140,7 @@ class TestSimplexGeometry:
                 for j in range(1, n + 1):
                     if i == j:
                         continue
-                    cdes = restricted_cdes(lab.word, i, j)
+                    cdes = len(cyclic_left_descents(*restriction(lab.word, i, j)))
                     support = interval_support(i, j, n)
                     values = {sum(v[k - 1] for k in support) for v in verts}
                     assert min(values) >= cdes - 1 and max(values) <= cdes
