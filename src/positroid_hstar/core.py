@@ -172,16 +172,24 @@ def circuit_subsets(word: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Cyclic-descent sets of all rotations of ``word``, in circuit order.
 
     ``word`` must end with n.  Entry p is the descent set of the rotation
-    ending at word[p]; all n sets are distinct and have equal size.
+    ending at word[p]; all n sets are distinct and have equal size.  Moving
+    the first letter v of a rotation to the back makes v a descent and then
+    its cyclic predecessor v - 1 (mod n) not one.
 
     >>> [''.join(map(str, sorted(s))) for s in circuit_subsets((3, 2, 4, 1, 5))]
     ['135', '235', '245', '124', '125']
     """
     if not is_permutation_word(word):
         raise ValueError("not a permutation word")
-    if word[-1] != len(word):
+    n = len(word)
+    if word[-1] != n:
         raise ValueError("circuit labels must end with n")
-    return tuple(cyclic_left_descents(rotation_ending_at(word, a)) for a in word)
+    descents = cyclic_left_descents(word)
+    out = []
+    for v in word:
+        descents = (descents | {v}) - {(v - 2) % n + 1}
+        out.append(descents)
+    return tuple(out)
 
 
 def descent_count(word: Sequence[int]) -> int:

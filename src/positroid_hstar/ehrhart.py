@@ -1,22 +1,26 @@
 """Independent ground truth: exact lattice-point counting and transforms.
 
-Counting is a bounded depth-first search over coordinates with running
-interval-sum pruning.  Everything downstream of the counts is exact: Lagrange
-interpolation recovers Ehrhart polynomials, and the standard binomial
-alternating sum turns a count profile (E(0), ..., E(d)) into the h*-vector.
+Counting is a forward dynamic program over prefix sums: every interval bound
+of a positroid, a face or a half-open body bounds a difference of two prefix
+sums (these bodies are alcoved polytopes).  Everything downstream of the
+counts is exact: Lagrange interpolation recovers Ehrhart polynomials, and the
+standard binomial alternating sum turns a count profile (E(0), ..., E(d))
+into the h*-vector.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExactPolynomial, interval_support
+from .core import ExactPolynomial
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
+    IntervalInequality,
     PositroidBases,
     decompose_direct_sum,
     h_representation,
@@ -55,60 +59,55 @@ class EhrhartPolynomial:
         return self.poly.coefficients[-1]
 
 
-# A counting constraint is (support, lo, hi): 0-based coordinate indices and
-# inclusive integer bounds (use -_INF/_INF for one-sided constraints).
-Constraint = tuple[tuple[int, ...], int, int]
+# A counting row (a, b, lo, hi) asks lo <= z_b - z_a <= hi for the prefix sums
+# z_q = x_1 + ... + x_q (z_0 = 0); use -_INF/_INF for a one-sided row.
+Row = tuple[int, int, int, int]
 
 
-def count_constrained(dim: int, constraints: Sequence[Constraint], box: int) -> int:
-    """Integer vectors in [0, box]^dim meeting every constraint.
+def count_constrained(dim: int, rows: Sequence[Row], box: int) -> int:
+    """Integer vectors in [0, box]^dim whose prefix sums meet every row.
 
-    DFS over coordinates 0..dim-1; each constraint keeps an accumulated value
-    and the maximum amount its still-unassigned support can contribute, so
-    infeasible branches are cut as soon as a bound becomes unreachable.
+    Rows need 0 <= a <= b <= dim; an empty row (a == b) asks lo <= 0 <= hi.
+    A forward DP steps q = 1..dim and maps each state, the prefix sums that
+    some later step still reads ending with z_q, to its number of partial
+    vectors.  A row (a, b) also prunes every step q in a+1..b-1, where
+    z_q - z_a must stay within reach of [lo, hi] with b - q coordinates
+    left.  A step skips a row the box 0 <= x <= box already implies there,
+    so a row implied by the box reads nothing.
     """
     if box < 0:
         return 0
-    live = []
-    for support, lo, hi in constraints:
-        if not support:
-            if not lo <= 0 <= hi:
-                return 0
-            continue
-        live.append((tuple(support), lo, hi))
-    by_coord: list[list[int]] = [[] for _ in range(dim)]
-    for idx, (support, _, _) in enumerate(live):
-        for c in support:
-            by_coord[c].append(idx)
-    acc = [0] * len(live)
-    slack = [len(support) * box for support, _, _ in live]
-    lo_arr = [lo for _, lo, _ in live]
-    hi_arr = [hi for _, _, hi in live]
-
-    def feasible(idx: int) -> bool:
-        return acc[idx] <= hi_arr[idx] and acc[idx] + slack[idx] >= lo_arr[idx]
-
-    def rec(coord: int) -> int:
-        if coord == dim:
-            return 1
-        touched = by_coord[coord]
-        for idx in touched:
-            slack[idx] -= box
-        total = 0
-        for value in range(box + 1):
-            if value:
-                for idx in touched:
-                    acc[idx] += 1
-            if all(feasible(idx) for idx in touched):
-                total += rec(coord + 1)
-        for idx in touched:
-            acc[idx] -= box
-            slack[idx] += box
-        return total
-
-    if dim == 0:
-        return 1
-    return rec(0)
+    # checks[q][a] = (lo, hi): z_q - z_a must lie in [lo, hi] after step q.
+    checks: list[dict[int, tuple[int, int]]] = [{} for _ in range(dim + 1)]
+    last_read: dict[int, int] = {}
+    for a, b, lo, hi in rows:
+        if not 0 <= a <= b <= dim:
+            raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
+        if a == b and not lo <= 0 <= hi:
+            return 0
+        for q in range(a + 1, b + 1):
+            lo_q = lo - (b - q) * box
+            if lo_q > 0 or hi < (q - a) * box:
+                old_lo, old_hi = checks[q].get(a, (lo_q, hi))
+                checks[q][a] = max(lo_q, old_lo), min(hi, old_hi)
+                last_read[a] = max(q, last_read.get(a, 0))
+    live = [0]
+    states = {(0,): 1}
+    for q in range(1, dim + 1):
+        pos = {a: k for k, a in enumerate(live)}
+        reads = [(pos[a], lo, hi) for a, (lo, hi) in checks[q].items()]
+        live = [a for a in live if last_read.get(a, 0) > q] + [q]
+        keep = [pos[a] for a in live[:-1]]
+        step: dict[tuple[int, ...], int] = defaultdict(int)
+        for state, ways in states.items():
+            low, high = state[-1], state[-1] + box
+            for k, lo, hi in reads:
+                low, high = max(low, state[k] + lo), min(high, state[k] + hi)
+            head = tuple(state[k] for k in keep)
+            for z in range(low, high + 1):
+                step[head + (z,)] += ways
+        states = step
+    return sum(states.values())
 
 
 def _scaled_bounds(sense: str, bound: int, strict: bool, t: int) -> tuple[int, int]:
@@ -125,18 +124,20 @@ def count_points(hrep: HRepresentation, t: int,
     stored inequality scaled by t; strict inequalities tighten to
     f <= t*bound - 1 (resp. >= +1).  ``equalities`` are extra cyclic interval
     equalities (start, stop, value), also scaled by t; they carve faces.
+    Each bound becomes one row of prefix sums, a wrapping interval through
+    the sum equality (``IntervalInequality.unwrapped``).
     """
     if t < 0:
         raise ValueError("negative dilate")
-    n = hrep.n
-    constraints: list[Constraint] = [(tuple(range(n)), t * hrep.r, t * hrep.r)]
+    n, r = hrep.n, hrep.r
+    rows: list[Row] = [(0, n, t * r, t * r)]
     for ineq in hrep.inequalities:
-        lo, hi = _scaled_bounds(ineq.sense, ineq.bound, ineq.strict, t)
-        constraints.append((tuple(k - 1 for k in ineq.support(n)), lo, hi))
+        q = ineq.unwrapped(r)
+        rows.append((q.start - 1, q.stop - 1, *_scaled_bounds(q.sense, q.bound, q.strict, t)))
     for start, stop, value in equalities:
-        support = tuple(k - 1 for k in interval_support(start, stop, n))
-        constraints.append((support, t * value, t * value))
-    return count_constrained(n, constraints, t)
+        q = IntervalInequality(start, stop, value, "<=").unwrapped(r)
+        rows.append((q.start - 1, q.stop - 1, t * q.bound, t * q.bound))
+    return count_constrained(n, rows, t)
 
 
 def closed_profile(hrep: HRepresentation, dim: int) -> CountProfile:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._linalg import affine_rank
 from .core import ExactPolynomial, descent_count
-from .ehrhart import CountProfile, count_constrained, face_hstar, hstar_from_counts, _scaled_bounds
+from .ehrhart import CountProfile, count_points, face_hstar, hstar_from_counts
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
@@ -57,11 +57,8 @@ def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, boo
         cands.add((i, i + 1, 0, False))        # x_i >= 0
     cands.add((1, n, r, True))                 # x_n >= 0
     for ineq in hrep.inequalities:
-        upper = ineq.sense == "<="
-        if ineq.start < ineq.stop:
-            cands.add((ineq.start, ineq.stop, ineq.bound, upper))
-        else:
-            cands.add((ineq.stop, ineq.start, r - ineq.bound, not upper))
+        q = ineq.unwrapped(r)
+        cands.add((q.start, q.stop, q.bound, q.sense == "<="))
     return cands
 
 
@@ -129,20 +126,15 @@ def half_open_simplex(label: TriangulationLabel) -> HRepresentation:
 def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
     """Oracle counts of the half-open polytope at t = 0..n-1.
 
-    Counting happens in the projected coordinates: the canonical facets cut
-    out the projection exactly, and strict upper bounds tighten to
-    <= t*bound - 1 on lattice points.
+    The canonical facets cut out the projection exactly and never read x_n,
+    so they count the half-open body in all n coordinates, with the upper
+    facets strict as in ``half_open_simplex``.
     """
-    facets = necklace.fact(canonical_facets)
+    hrep = HRepresentation(necklace.n, necklace.rank, tuple(
+        IntervalInequality(f.lo, f.hi, f.bound, "<=" if f.upper else ">=", strict=f.upper)
+        for f in necklace.fact(canonical_facets)))
     dim = necklace.n - 1
-    counts = []
-    for t in range(dim + 1):
-        constraints = []
-        for f in facets:
-            lo, hi = _scaled_bounds("<=" if f.upper else ">=", f.bound, f.upper, t)
-            constraints.append((tuple(k - 1 for k in f.support()), lo, hi))
-        counts.append(count_constrained(dim, constraints, t))
-    return CountProfile(dim, tuple(counts))
+    return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
 
 
 def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> ExactPolynomial:

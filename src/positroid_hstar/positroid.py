@@ -353,6 +353,17 @@ class IntervalInequality:
     def support(self, n: int) -> tuple[int, ...]:
         return interval_support(self.start, self.stop, n)
 
+    def unwrapped(self, r: int) -> "IntervalInequality":
+        """The same bound on a block that does not wrap past n.
+
+        With x_1 + ... + x_n = r, a wrapping sum is r minus the sum over the
+        complementary block [stop, start), so bound and sense flip.
+        """
+        if self.start <= self.stop:
+            return self
+        return IntervalInequality(self.stop, self.start, r - self.bound,
+                                  ">=" if self.sense == "<=" else "<=", self.strict)
+
 
 @dataclass(frozen=True)
 class HRepresentation:
@@ -367,13 +378,10 @@ class HRepresentation:
     r: int
     inequalities: tuple[IntervalInequality, ...]
 
-    def contains(self, point: Sequence[int | Fraction], dilate: int = 1,
-                 integer_strict: bool = False) -> bool:
+    def contains(self, point: Sequence[int | Fraction], dilate: int = 1) -> bool:
         """Membership of a point in the ``dilate``-th dilate.
 
-        Strict inequalities are taken literally on rational points; with
-        ``integer_strict`` they are tightened to the integer form
-        f <= dilate*bound - 1 (resp. >= +1) instead.
+        Strict inequalities are taken literally on rational points.
         """
         x = [Fraction(v) for v in point]
         if len(x) != self.n:
@@ -385,11 +393,7 @@ class HRepresentation:
         for ineq in self.inequalities:
             total = sum(x[k - 1] for k in ineq.support(self.n))
             bound = Fraction(dilate * ineq.bound)
-            if ineq.strict and integer_strict:
-                bound += -1 if ineq.sense == "<=" else 1
-                if (total > bound) if ineq.sense == "<=" else (total < bound):
-                    return False
-            elif ineq.strict:
+            if ineq.strict:
                 if (total >= bound) if ineq.sense == "<=" else (total <= bound):
                     return False
             else:

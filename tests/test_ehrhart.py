@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from positroid_hstar.ehrhart import (
     CountProfile,
     EhrhartPolynomial,
     closed_profile,
+    count_constrained,
     count_points,
     ehrhart_interpolate,
     ehrhart_of_positroid,
@@ -19,6 +21,7 @@ from positroid_hstar.ehrhart import (
     hstar_from_counts,
     hstar_from_ehrhart,
 )
+from positroid_hstar.halfopen import hstar_half_open
 from positroid_hstar.positroid import (
     HRepresentation,
     IntervalInequality,
@@ -26,6 +29,7 @@ from positroid_hstar.positroid import (
     h_representation,
     validate_necklace,
 )
+from positroid_hstar.triangulation import hstar_shelling
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
@@ -57,6 +61,101 @@ class TestCountPoints:
             for q in H.inequalities))
         for t in range(4):
             assert count_points(strict, t) <= count_points(H, t)
+
+
+def brute_count(dim, rows, box):
+    """Points of [0, box]^dim whose prefix sums meet every row, one by one."""
+    total = 0
+    for x in itertools.product(range(box + 1), repeat=dim):
+        z = [0, *itertools.accumulate(x)]
+        total += all(lo <= z[b] - z[a] <= hi for a, b, lo, hi in rows)
+    return total
+
+
+@st.composite
+def counting_problems(draw):
+    dim = draw(st.integers(min_value=0, max_value=4))
+    box = draw(st.integers(min_value=0, max_value=3))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        a = draw(st.integers(min_value=0, max_value=dim))
+        b = draw(st.integers(min_value=a, max_value=dim))
+        span = (b - a) * box
+        lo = draw(st.integers(min_value=-1, max_value=span + 1))
+        kind = draw(st.sampled_from(["one-sided upper", "one-sided lower", "equality", "range"]))
+        if kind == "one-sided upper":
+            lo, hi = -(1 << 62), lo
+        elif kind == "one-sided lower":
+            hi = 1 << 62
+        elif kind == "equality":
+            hi = lo
+        else:
+            hi = draw(st.integers(min_value=-1, max_value=span + 1))
+        rows.append((a, b, lo, hi))
+    return dim, rows, box
+
+
+class TestCountConstrained:
+    @settings(max_examples=300, deadline=None)
+    @given(counting_problems())
+    def test_matches_brute_force(self, problem):
+        assert count_constrained(*problem) == brute_count(*problem)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([], 64),                                   # the whole box [0, 3]^3
+        ([(0, 3, -5, 9)], 64),                      # vacuous: implied by the box
+        ([(0, 3, 4, 4)], 12),                       # equality x_1 + x_2 + x_3 = 4
+        ([(1, 2, 2, 1 << 62)], 32),                 # one-sided x_2 >= 2
+        ([(0, 2, -(1 << 62), 1)], 12),              # one-sided x_1 + x_2 <= 1
+        ([(0, 1, 2, 1)], 0),                        # infeasible: lo > hi
+        ([(2, 3, 4, 5)], 0),                        # infeasible: x_3 >= 4 > box
+        ([(2, 2, 0, 0)], 64),                       # empty row, 0 in range
+        ([(2, 2, 1, 3)], 0),                        # empty row, 0 out of range
+        ([(0, 2, 3, 3), (1, 3, 3, 3)], 4),          # two overlapping equalities
+    ])
+    def test_row_kinds(self, rows, expected):
+        assert count_constrained(3, rows, 3) == brute_count(3, rows, 3) == expected
+
+    def test_negative_box_and_zero_dim(self):
+        assert count_constrained(2, [], -1) == 0
+        assert count_constrained(0, [(0, 0, 0, 0)], 2) == 1
+        assert count_constrained(0, [(0, 0, 1, 1)], 2) == 0
+
+    def test_row_outside_the_coordinates_rejected(self):
+        with pytest.raises(ValueError):
+            count_constrained(2, [(1, 3, 0, 0)], 1)
+
+
+def uniform(k, n):
+    return validate_necklace([[(i + s) % n + 1 for s in range(k)] for i in range(n)])
+
+
+def hypersimplex_hstar(k, n):
+    """h* of U(k, n) from Katzman's closed count, with no lattice counting:
+    #{x in [0, t]^n : sum x = kt} = sum_j (-1)^j C(n, j) C(kt - j(t+1) + n-1, n-1)."""
+    def count(t):
+        return sum((-1) ** j * math.comb(n, j) * math.comb(k * t - j * (t + 1) + n - 1, n - 1)
+                   for j in range(n + 1) if k * t - j * (t + 1) >= 0)
+    return hstar_from_counts(CountProfile(n - 1, tuple(count(t) for t in range(n))))
+
+
+class TestHypersimplexClosedForm:
+    """Independent check past the reach of the n <= 6 sweep."""
+
+    @pytest.mark.parametrize("k, n", [(k, 8) for k in range(1, 8)] + [(2, 9), (3, 9)])
+    def test_shelling_and_half_open_volume(self, k, n):
+        necklace = uniform(k, n)
+        expected = hypersimplex_hstar(k, n)
+        assert hstar_shelling(necklace) == expected
+        assert hstar_half_open(necklace)(1) == expected(1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_counting_oracle_at_n9(self, k):
+        assert hstar_by_counting(uniform(k, 9)) == hypersimplex_hstar(k, 9)
+
+    def test_small_values(self):
+        assert hypersimplex_hstar(2, 5) == ExactPolynomial.from_coefficients([1, 5, 5])
+        assert hypersimplex_hstar(1, 4) == ExactPolynomial.one()
 
 
 class TestInterpolation:
@@ -127,6 +226,11 @@ class TestProducts:
 class TestFaceHstar:
     def test_prism_facet(self):
         assert face_hstar(h_representation(PRISM), [(1, 4, 2)], 3) == \
+            ExactPolynomial.from_coefficients([1, 2])
+
+    def test_wrapping_equality_is_its_complement(self):
+        # x_4 + x_5 = 1 is the facet x_1 + x_2 + x_3 = 2 of the rank-3 prism
+        assert face_hstar(h_representation(PRISM), [(4, 1, 1)], 3) == \
             ExactPolynomial.from_coefficients([1, 2])
 
     def test_square_face(self):

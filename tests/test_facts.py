@@ -63,7 +63,7 @@ def test_every_route_shares_one_derivation_per_fact(calls):
                  "canonical_facets"):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
-    # necklace constraints; faces add equalities, the half-open body has n-1.
+    # necklace constraints; faces add equalities, the half-open body its canonical facets.
     n = necklace.n
     closed_size = 1 + len(necklace.fact(po.h_representation).inequalities)
     dilates = [box for dim, constraints, box in calls["count_constrained"]
