@@ -77,7 +77,6 @@ from .triangulation import (
     enumerate_labels,
     hstar_from_covers,
     hstar_shelling,
-    phi_inverse_point,
     shelling_poset,
     simplex_facets,
     simplex_vertices,

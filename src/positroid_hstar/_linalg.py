@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 
@@ -50,24 +49,3 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
     base = pts[0]
     return matrix_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
 
-
-def hyperplane_through(points: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Primitive integer (normal, offset) of the hyperplane spanned by the points.
-
-    The points have integer entries; raises unless they affinely span a
-    hyperplane (codimension 1).  The normal is the vector of signed maximal
-    minors of the spanning echelon rows, scaled to coprime entries with the
-    first nonzero one positive.
-    """
-    base = points[0]
-    dim = len(base)
-    echelon, _ = _eliminate([[a - b for a, b in zip(p, base)] for p in points[1:]])
-    if len(echelon) != dim - 1:
-        raise ValueError(f"points span codimension {dim - len(echelon)}, expected a hyperplane")
-    normal = [(-1) ** j * determinant([row[:j] + row[j + 1:] for row in echelon])
-              for j in range(dim)]
-    g = gcd(*normal)
-    if next(v for v in normal if v) < 0:
-        g = -g
-    normal = tuple(v // g for v in normal)
-    return normal, sum(a * b for a, b in zip(normal, base))

@@ -16,7 +16,6 @@ import argparse
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import sys
@@ -169,7 +168,10 @@ def emit(report: dict, args) -> None:
         if getattr(args, "format", "json") == "text":
             _emit_text(report, out)
         else:
-            json.dump(report, out, indent=2, sort_keys=True)
+            # a few thousand encoder chunks per write: stdout may be unbuffered
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+            while batch := list(itertools.islice(chunks, 4096)):
+                out.write("".join(batch))
             out.write("\n")
     finally:
         if out is not sys.stdout:
@@ -239,10 +241,15 @@ def all_decorated_permutations(n: int) -> Iterator[po.DecoratedPermutation]:
 
 
 def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
+    """Connected positroids on [n], in decorated-permutation order.
+
+    Selected without deriving bases: both colorings of a one-element ground
+    set, otherwise the stabilized-interval-free permutations without fixed
+    points (`verify_roundtrips` checks this against rank splits).
+    """
     for dec in all_decorated_permutations(n):
-        necklace = po.necklace_from_decorated(dec)
-        if necklace.fact(po.necklace_connected):
-            yield necklace
+        if n == 1 or (not dec.fixed_points and po.is_stabilized_interval_free(dec.perm)):
+            yield po.necklace_from_decorated(dec)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +455,7 @@ def cmd_atlas(args) -> int:
             continue
         selected.append((dec.perm, tuple(sorted(dec.white))))
     if jobs > 1:
+        import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(_atlas_worker, selected)
     else:
@@ -729,6 +737,7 @@ def verify_exhaustive(max_n: int, jobs: int = 1) -> list[Check]:
         for necklace in connected_necklaces(n):
             payloads.append(tuple(tuple(sorted(s)) for s in necklace.subsets))
     if jobs > 1:
+        import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_exhaustive_worker, payloads)
     else:

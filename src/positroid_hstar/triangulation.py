@@ -11,20 +11,21 @@ of non-cyclically-adjacent values, and breadth-first search from any base
 label turns the dual graph into a shelling: summing z^(number of
 already-shelled neighbors) over labels gives the h*-polynomial.
 
-The module also carries the affine-permutation relabeling of the dual graph
-(windows, produced by geometric wall-crossing in prefix-sum coordinates) and
-the fractional inverse of the volume-preserving cube map, both used purely as
-consistency checks.
+Every wall of a label simplex is read off its word: the wall opposite
+circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
+(Lam-Postnikov alcoves in prefix-sum coordinates), and is asserted on the
+simplex's vertices.  The module also carries the affine-permutation
+relabeling of the dual graph (windows, produced by crossing those walls in
+prefix-sum coordinates), used purely as a consistency check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._linalg import determinant, hyperplane_through
+from ._linalg import determinant
 from .core import ExactPolynomial, Word, circuit_subsets, cyclic_interval, descent_bounded_words
 from .positroid import (
     GrassmannNecklace,
@@ -102,47 +103,61 @@ def simplex_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
 def simplex_facets(label: TriangulationLabel) -> HRepresentation:
     """Facet inequalities of the projected simplex, one per circuit vertex.
 
-    The facet opposite circuit vertex p is the affine hull of the other n-1
-    projected vertices, computed exactly; every facet normal turns out to be
-    the indicator of a contiguous block inside coordinates 1..n-1, so the
-    inequality is stored in interval form.  Facets are listed in circuit
-    order (entry p is opposite vertex p).
+    The facet opposite circuit vertex p bounds the sum over the block
+    between the letters a = w_p and b = w_(p+1) (cyclically), that is
+    x_min(a,b) + ... + x_(max(a,b)-1), at its value at the next circuit
+    vertex; `_wall` asserts it on the vertices.  Facets are listed in
+    circuit order (entry p is opposite vertex p).
+
+    >>> for q in simplex_facets(label_from_word((3, 2, 4, 1, 5))).inequalities:
+    ...     print(q.start, q.stop, q.sense, q.bound)
+    2 3 <= 1
+    2 4 >= 1
+    1 4 <= 2
+    1 5 >= 2
+    3 5 <= 1
     """
     n = label.n
-    verts = [v[:-1] for v in simplex_vertices(label)]
     if n == 1:
         return HRepresentation(1, label.rank, ())
+    z = _z_vertices(label)
     inequalities = []
     for p in range(n):
-        others = [verts[q] for q in range(n) if q != p]
-        normal, offset = hyperplane_through(others)
-        lo, hi, sign = _as_interval_functional(normal)
-        if sign < 0:
-            normal = tuple(-c for c in normal)
-            offset = -offset
-        value_at_p = sum(a * b for a, b in zip(normal, verts[p]))
-        sense = "<=" if value_at_p < offset else ">="
-        if value_at_p == offset:
-            raise AssertionError("degenerate simplex: opposite vertex on facet")
-        inequalities.append(IntervalInequality(lo, hi, offset, sense))
+        lo, hi, m, at_p = _wall(label.word, z, p)
+        inequalities.append(IntervalInequality(lo + 1, hi + 1, m, "<=" if at_p < m else ">="))
     return HRepresentation(n, label.rank, tuple(inequalities))
 
 
-def _as_interval_functional(normal: Sequence[int]) -> tuple[int, int, int]:
-    """Recognize +-(indicator of a contiguous block) and return (lo, hi, sign).
+def _z_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
+    """Circuit vertices in prefix sums z_q = x_1 + ... + x_q, q = 0..n-1."""
+    out = []
+    for vert in simplex_vertices(label):
+        acc = 0
+        row = [0]
+        for v in vert[:-1]:
+            acc += v
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
-    lo/hi are 1-based with the block covering coordinates lo..hi-1.
+
+def _wall(word: Word, z: Sequence[tuple[int, ...]], p: int) -> tuple[int, int, int, int]:
+    """The wall opposite circuit vertex p, read off the word: (lo, hi, m, at_p).
+
+    With a = w_p and b = w_(p+1) (cyclically), lo = min(a, b) - 1 and
+    hi = max(a, b) - 1, the wall is z_hi - z_lo = m, its value at circuit
+    vertex p + 1; at_p is the value at vertex p.  Asserted on the simplex
+    (vertices ``z``): the value is m at the other n-1 vertices, which are
+    affinely independent, and differs at vertex p.
     """
-    support = [k for k, c in enumerate(normal) if c != 0]
-    if not support:
-        raise ValueError("zero functional")
-    values = {normal[k] for k in support}
-    if values not in ({1}, {-1}):
-        raise ValueError(f"facet normal {normal} is not an interval indicator")
-    lo, hi = support[0], support[-1]
-    if support != list(range(lo, hi + 1)):
-        raise ValueError(f"facet normal {normal} has non-contiguous support")
-    return lo + 1, hi + 2, 1 if values == {1} else -1
+    n = len(word)
+    a, b = word[p], word[(p + 1) % n]
+    lo, hi = min(a, b) - 1, max(a, b) - 1
+    m = z[(p + 1) % n][hi] - z[(p + 1) % n][lo]
+    at_p = z[p][hi] - z[p][lo]
+    if at_p == m or any(z[q][hi] - z[q][lo] != m for q in range(n) if q != p):
+        raise AssertionError(f"block {lo + 1}..{hi} is not the wall of {word} opposite vertex {p}")
+    return lo, hi, m, at_p
 
 
 def simplex_is_unimodular(label: TriangulationLabel) -> bool:
@@ -332,29 +347,6 @@ def is_valid_window(window: Window) -> bool:
     return len(residues) == n and sum(window) == n * (n + 1) // 2
 
 
-def _z_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for vert in simplex_vertices(label):
-        acc = 0
-        row = [0]
-        for v in vert[:-1]:
-            acc += v
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _wall_through(points_on: Sequence[tuple[int, ...]], point_off: tuple[int, ...]) -> _Hyperplane:
-    """The hyperplane z_p - z_q = m containing all of points_on but not point_off."""
-    n = len(points_on[0])
-    for p in range(1, n):
-        for q in range(p):
-            m = points_on[0][p] - points_on[0][q]
-            if all(pt[p] - pt[q] == m for pt in points_on[1:]) and point_off[p] - point_off[q] != m:
-                return (p, q, m)
-    raise AssertionError("no difference hyperplane through the facet")
-
-
 def _reflection(wall: _Hyperplane, n: int) -> _Transform:
     p, q, m = wall
     sigma = list(range(n))
@@ -410,11 +402,13 @@ def affine_consistency_check(graph: TriangulationGraph, base: Word) -> AffineLab
 
     The base label gets the identity window.  Walking an edge multiplies on
     the right by the simple affine transposition whose index is the type of
-    the wall crossed; wall types are read off by pulling the crossed
-    hyperplane back to the base alcove.  The check fails if a crossed
-    hyperplane does not pull back to a base wall, if any (non-tree) edge
-    relates its endpoint windows by the wrong generator, or if some window's
-    Coxeter length differs from its BFS distance.
+    the wall crossed.  The crossed wall is read off u's word at the edge's
+    swap position (and asserted on u's alcove); its type is found by pulling
+    it back to the base alcove, whose walls are read off the base word.  The
+    check fails if a crossed hyperplane does not pull back to a base wall,
+    if any (non-tree) edge relates its endpoint windows by the wrong
+    generator, or if some window's Coxeter length differs from its BFS
+    distance.
     """
     if base not in graph.neighbors:
         raise ValueError(f"{base} is not a label of the graph")
@@ -427,10 +421,7 @@ def affine_consistency_check(graph: TriangulationGraph, base: Word) -> AffineLab
     problems: list[str] = []
 
     base_z = _z_vertices(by_word[base])
-    base_walls: list[_Hyperplane] = []
-    for p in range(n):
-        others = [base_z[q] for q in range(n) if q != p]
-        base_walls.append(_wall_through(others, base_z[p]))
+    base_walls = [_hyperplane(base, base_z, p) for p in range(n)]
 
     identity: _Transform = (tuple(range(n)), (0,) * n)
     windows: dict[Word, Window] = {base: tuple(range(1, n + 1))}
@@ -444,9 +435,9 @@ def affine_consistency_check(graph: TriangulationGraph, base: Word) -> AffineLab
             for v in graph.neighbors[u]:
                 if v in windows:
                     continue
-                if v not in z_verts:
-                    z_verts[v] = _z_vertices(by_word[v])
-                generator = _edge_generator(u, v, z_verts, transforms[u], base_walls, problems)
+                z_verts[v] = _z_vertices(by_word[v])
+                generator = _edge_generator(graph, u, v, z_verts, transforms[u], base_walls,
+                                            problems)
                 if generator is None:
                     return AffineLabelingReport(base, windows, False, tuple(problems))
                 windows[v] = window_times_s(windows[u], generator)
@@ -459,9 +450,7 @@ def affine_consistency_check(graph: TriangulationGraph, base: Word) -> AffineLab
         frontier = nxt
 
     for u, v in sorted(graph.swap_position):
-        if v not in z_verts:
-            z_verts[v] = _z_vertices(by_word[v])
-        generator = _edge_generator(u, v, z_verts, transforms[u], base_walls, problems)
+        generator = _edge_generator(graph, u, v, z_verts, transforms[u], base_walls, problems)
         if generator is None:
             continue
         if windows[v] != window_times_s(windows[u], generator):
@@ -478,30 +467,17 @@ def affine_consistency_check(graph: TriangulationGraph, base: Word) -> AffineLab
     return AffineLabelingReport(base, windows, not problems, tuple(problems))
 
 
-def _edge_generator(u, v, z_verts, transform_u, base_walls, problems):
-    shared = set(z_verts[u]) & set(z_verts[v])
-    off = next(iter(set(z_verts[u]) - shared))
-    wall = _wall_through(sorted(shared), off)
+def _hyperplane(word: Word, z: Sequence[tuple[int, ...]], p: int) -> _Hyperplane:
+    lo, hi, m, _ = _wall(word, z, p)
+    return (hi, lo, m)
+
+
+def _edge_generator(graph, u, v, z_verts, transform_u, base_walls, problems):
+    """Type of the wall crossed from u to v: the one opposite the swapped vertex."""
+    wall = _hyperplane(u, z_verts[u], graph.swap_position[(u, v)] - 1)
     pulled = _pull_back(transform_u, wall)
     if pulled not in base_walls:
         problems.append(f"edge {u} -> {v}: crossed wall {wall} pulls back to "
                         f"{pulled}, not a base wall")
         return None
     return base_walls.index(pulled) + 1
-
-
-def phi_inverse_point(x: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-    """Fractional complement of the tail sums, landing in [0, 1)^n.
-
-    y_i is 1 + floor(s) - s for the tail s = x_i + ... + x_n, folded to 0
-    when s is an integer.  On a projected simplex this sorts interior points
-    along the label's chain order; see the tests.
-    """
-    xs = [Fraction(v) for v in x]
-    out = []
-    tail = Fraction(0)
-    for v in reversed(xs):
-        tail += v
-        frac = tail - (tail.numerator // tail.denominator)
-        out.append(Fraction(0) if frac == 0 else 1 - frac)
-    return tuple(reversed(out))

@@ -18,9 +18,9 @@ from positroid_hstar.positroid import validate_necklace
 from positroid_hstar.triangulation import (
     enumerate_labels,
     label_from_word,
-    phi_inverse_point,
     simplex_vertices,
 )
+from test_triangulation import phi_inverse_point
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -19,7 +20,6 @@ from positroid_hstar.triangulation import (
     hstar_shelling,
     label_from_word,
     labels_by_bases,
-    phi_inverse_point,
     shelling_poset,
     simplex_facets,
     simplex_is_unimodular,
@@ -36,6 +36,22 @@ WHEEL = validate_necklace([[1, 2, 3], [2, 3, 5], [3, 4, 5], [1, 4, 5], [1, 2, 5]
 
 def words(labels):
     return tuple(lab.word for lab in labels)
+
+
+def phi_inverse_point(x):
+    """Fractional complement of the tail sums, landing in [0, 1)^n.
+
+    y_i is 1 + floor(s) - s for the tail s = x_i + ... + x_n, folded to 0
+    when s is an integer.  On a projected simplex this sorts interior points
+    along the label's chain order.
+    """
+    out = []
+    tail = Fraction(0)
+    for v in reversed(x):
+        tail += Fraction(v)
+        frac = tail - (tail.numerator // tail.denominator)
+        out.append(Fraction(0) if frac == 0 else 1 - frac)
+    return tuple(reversed(out))
 
 
 class TestEnumerateLabels:
@@ -123,6 +139,17 @@ class TestSimplexGeometry:
             hits = {p for p in itertools.product((0, 1), repeat=n)
                     if sum(p) == r and H.contains(p)}
             assert hits == verts
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_facet_p_is_tight_exactly_off_vertex_p(self, n):
+        # every label with n <= 6 is a word ending in n
+        for head in itertools.permutations(range(1, n)):
+            lab = label_from_word(head + (n,))
+            verts = simplex_vertices(lab)
+            for p, q in enumerate(simplex_facets(lab).inequalities):
+                tight = {k for k, v in enumerate(verts)
+                         if sum(v[i - 1] for i in q.support(n)) == q.bound}
+                assert tight == set(range(n)) - {p}, (lab.word, p)
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
     def test_unimodular(self, necklace):
@@ -259,6 +286,22 @@ class TestAffineLabeling:
             poset = shelling_poset(graph, base)
             for w, win in report.windows.items():
                 assert window_length(win) == poset.dist[w]
+
+    @pytest.mark.parametrize("necklace", [UNIFORM25, PRISM, WHEEL])
+    def test_corrupted_swap_position_is_caught(self, necklace):
+        graph = build_graph(enumerate_labels(necklace))
+        n = necklace.n
+        for edge, p in sorted(graph.swap_position.items()):
+            for wrong in range(1, n + 1):
+                if wrong == p:
+                    continue
+                corrupted = dataclasses.replace(
+                    graph, swap_position={**graph.swap_position, edge: wrong})
+                try:
+                    report = affine_consistency_check(corrupted, graph.words[0])
+                except AssertionError:
+                    continue
+                assert not report.ok, (edge, wrong)
 
     def test_window_generators(self):
         e = (1, 2, 3, 4, 5)
