@@ -14,9 +14,10 @@ already-shelled neighbors) over labels gives the h*-polynomial.
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
 (Lam-Postnikov alcoves in prefix-sum coordinates), and is asserted on the
-simplex's vertices.  The module also carries the affine-permutation
-relabeling of the dual graph (windows, produced by crossing those walls in
-prefix-sum coordinates), used purely as a consistency check.
+simplex's vertices.  In those coordinates each simplex is an alcove, that
+is an affine permutation; read against the base alcove it gives the label's
+window, and a consistency check verifies that every dual-graph edge crosses
+one simple affine transposition and that Coxeter length is shelling distance.
 """
 
 from __future__ import annotations
@@ -190,17 +191,6 @@ class TriangulationGraph:
         out = {tuple(sorted((u, v))) for u, vs in self.neighbors.items() for v in vs}
         return tuple(sorted(out))
 
-    def is_connected(self) -> bool:
-        words = self.words
-        seen = {words[0]}
-        stack = [words[0]]
-        while stack:
-            for v in self.neighbors[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(words)
-
 
 def _canonical_cycle_word(cycle: Sequence[int]) -> Word:
     """Rotate a cyclic sequence so that it ends with its maximum (= n)."""
@@ -263,8 +253,6 @@ class ShellingPoset:
 def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
     if base not in graph.neighbors:
         raise ValueError(f"{base} is not a label of the graph")
-    if not graph.is_connected():
-        raise AssertionError("triangulation graph is disconnected")
     dist = {base: 0}
     frontier = [base]
     while frontier:
@@ -275,6 +263,8 @@ def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = sorted(nxt)
+    if len(dist) != len(graph.labels):
+        raise AssertionError("triangulation graph is disconnected")
     cover = {w: sum(1 for v in graph.neighbors[w] if dist[v] == dist[w] - 1)
              for w in dist}
     return ShellingPoset(base, dist, cover)
@@ -303,15 +293,14 @@ def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> Exa
 # ---------------------------------------------------------------------------
 # Affine relabeling.  Working coordinates are prefix sums z_q = x_1 + ... +
 # x_q for q = 0..n-1 (z_0 = 0); there the simplices are alcoves of the
-# arrangement z_p - z_q in Z, whose reflections are coordinate swaps with an
-# integer shift.  Wall types are fixed on the base alcove (wall p is the one
-# opposite circuit vertex p) and transported along BFS by pulling each
-# crossed hyperplane back through the alcove's transformation.
+# arrangement z_p - z_q in Z, and an alcove is an affine permutation whose
+# window orders the shifted centroid coordinates (`_alcove`).  A label's
+# window is its alcove read against the base alcove; the check confirms that
+# each dual-graph edge multiplies it by one simple affine transposition and
+# that its Coxeter length is the label's shelling distance.
 # ---------------------------------------------------------------------------
 
 Window = tuple[int, ...]
-_Hyperplane = tuple[int, int, int]  # (p, q, m) with p > q for z_p - z_q = m
-_Transform = tuple[tuple[int, ...], tuple[int, ...]]  # T(z)_j = z[sigma[j]] + shift[j]
 
 
 def window_times_s(window: Window, i: int) -> Window:
@@ -341,50 +330,35 @@ def window_length(window: Window) -> int:
     return total
 
 
-def is_valid_window(window: Window) -> bool:
-    n = len(window)
-    residues = {v % n for v in window}
-    return len(residues) == n and sum(window) == n * (n + 1) // 2
+def _at(g: Sequence[int], i: int) -> int:
+    """Evaluate the affine map with window g: g(i) = g[(i-1) mod n] + n*floor((i-1)/n)."""
+    q, r = divmod(i - 1, len(g))
+    return g[r] + len(g) * q
 
 
-def _reflection(wall: _Hyperplane, n: int) -> _Transform:
-    p, q, m = wall
-    sigma = list(range(n))
-    shift = [0] * n
-    sigma[p], sigma[q] = q, p
-    shift[p], shift[q] = m, -m
-    return tuple(sigma), tuple(shift)
+def _alcove(label: TriangulationLabel) -> Window:
+    """The alcove of a label's simplex, as the window g of an affine map.
 
-
-def _compose(t: _Transform, refl: _Transform) -> _Transform:
-    """(t o refl)(z), i.e. apply the reflection first."""
-    sigma_t, shift_t = t
-    sigma_r, shift_r = refl
-    sigma = tuple(sigma_r[sigma_t[j]] for j in range(len(sigma_t)))
-    shift = tuple(shift_r[sigma_t[j]] + shift_t[j] for j in range(len(sigma_t)))
-    return sigma, shift
-
-
-def _apply(t: _Transform, z: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply the map and renormalize to the z_0 = 0 section of the quotient.
-
-    The arrangement z_p - z_q in Z is invariant under diagonal translation,
-    so points are identified up to adding a constant to all coordinates.
+    With c_j the sum of z_j over the circuit vertices (n times the centroid)
+    and k_j = -floor(c_j / n), the indices j sorted by c_j + n*k_j give
+    g = [j + 1 + n*k_j], rotated to start at the word's first letter (entries
+    that wrap gain n).  Asserted: the residues of g read the word, the n
+    vertices are distinct, and every vertex lies in the closed alcove, i.e.
+    z_((a-1) mod n) + floor((a-1)/n) is non-decreasing along g(1), ...,
+    g(n), g(n+1) = g(1) + n (so its span is at most 1).  Together these say
+    the simplex is that alcove.
     """
-    sigma, shift = t
-    image = [z[sigma[j]] + shift[j] for j in range(len(sigma))]
-    return tuple(v - image[0] for v in image)
-
-
-def _pull_back(t: _Transform, wall: _Hyperplane) -> _Hyperplane:
-    """Preimage of a hyperplane under the transformation: T^{-1}(H)."""
-    sigma, shift = t
-    a, b, m = wall
-    p, q = sigma[a], sigma[b]
-    m2 = m - shift[a] + shift[b]
-    if p > q:
-        return (p, q, m2)
-    return (q, p, -m2)
+    n = label.n
+    z = _z_vertices(label)
+    c = [sum(v[j] for v in z) for j in range(n)]
+    g = [j + 1 - n * (c[j] // n) for j in sorted(range(n), key=lambda j: c[j] % n)]
+    start = next(i for i, a in enumerate(g) if (a - 1) % n + 1 == label.word[0])
+    g = g[start:] + [a + n for a in g[:start]]
+    inside = all(all(x <= y for x, y in zip(vals, vals[1:]))
+                 for vals in ([v[(a - 1) % n] + (a - 1) // n for a in g + [g[0] + n]] for v in z))
+    if [(a - 1) % n + 1 for a in g] != list(label.word) or len(set(z)) != n or not inside:
+        raise AssertionError(f"the simplex of {label.word} is not the alcove {g}")
+    return tuple(g)
 
 
 @dataclass(frozen=True)
@@ -397,87 +371,39 @@ class AffineLabelingReport:
     problems: tuple[str, ...]
 
 
-def affine_consistency_check(graph: TriangulationGraph, base: Word) -> AffineLabelingReport:
-    """Assign windows along a BFS tree and verify them on every edge.
+def affine_consistency_check(graph: TriangulationGraph,
+                             poset: ShellingPoset) -> AffineLabelingReport:
+    """Read every label's window off its alcove and verify it on the dual graph.
 
-    The base label gets the identity window.  Walking an edge multiplies on
-    the right by the simple affine transposition whose index is the type of
-    the wall crossed.  The crossed wall is read off u's word at the edge's
-    swap position (and asserted on u's alcove); its type is found by pulling
-    it back to the base alcove, whose walls are read off the base word.  The
-    check fails if a crossed hyperplane does not pull back to a base wall,
-    if any (non-tree) edge relates its endpoint windows by the wrong
-    generator, or if some window's Coxeter length differs from its BFS
-    distance.
+    With g0 the base alcove and g the label's, the window is
+    i -> g0^-1(g(i + k)), the shift k making the entries sum to n(n+1)/2; the
+    base gets the identity.  The check fails if an edge u -> v at swap
+    position p does not relate the windows by the simple transposition with
+    index (p - 1 - k_u) mod n + 1, or if a window's Coxeter length differs
+    from its distance in the shelling poset.
     """
-    if base not in graph.neighbors:
-        raise ValueError(f"{base} is not a label of the graph")
-    if not graph.is_connected():
-        raise AssertionError("triangulation graph is disconnected")
-    n = len(base)
-    if n == 1:
-        return AffineLabelingReport(base, {base: (1,)}, True, ())
-    by_word = {lab.word: lab for lab in graph.labels}
+    n = len(poset.base)
+    base_alcove = _alcove(next(lab for lab in graph.labels if lab.word == poset.base))
+    inverse = [0] * n  # the window of g0^-1
+    for r, a in enumerate(base_alcove):
+        inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
+    windows: dict[Word, Window] = {}
+    shifts: dict[Word, int] = {}
+    for label in graph.labels:
+        relative = [_at(inverse, a) for a in _alcove(label)]
+        k = (n * (n + 1) // 2 - sum(relative)) // n
+        windows[label.word] = tuple(_at(relative, i + k) for i in range(1, n + 1))
+        shifts[label.word] = k
+
     problems: list[str] = []
-
-    base_z = _z_vertices(by_word[base])
-    base_walls = [_hyperplane(base, base_z, p) for p in range(n)]
-
-    identity: _Transform = (tuple(range(n)), (0,) * n)
-    windows: dict[Word, Window] = {base: tuple(range(1, n + 1))}
-    transforms: dict[Word, _Transform] = {base: identity}
-    z_verts: dict[Word, tuple[tuple[int, ...], ...]] = {base: base_z}
-    dist = {base: 0}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for v in graph.neighbors[u]:
-                if v in windows:
-                    continue
-                z_verts[v] = _z_vertices(by_word[v])
-                generator = _edge_generator(graph, u, v, z_verts, transforms[u], base_walls,
-                                            problems)
-                if generator is None:
-                    return AffineLabelingReport(base, windows, False, tuple(problems))
-                windows[v] = window_times_s(windows[u], generator)
-                transforms[v] = _compose(transforms[u], _reflection(base_walls[generator - 1], n))
-                dist[v] = dist[u] + 1
-                expected = {_apply(transforms[v], z) for z in base_z}
-                if expected != set(z_verts[v]):
-                    problems.append(f"alcove of {v} does not match its transformation")
-                nxt.append(v)
-        frontier = nxt
-
-    for u, v in sorted(graph.swap_position):
-        generator = _edge_generator(graph, u, v, z_verts, transforms[u], base_walls, problems)
-        if generator is None:
-            continue
+    for (u, v), p in sorted(graph.swap_position.items()):
+        generator = (p - 1 - shifts[u]) % n + 1
         if windows[v] != window_times_s(windows[u], generator):
             problems.append(
                 f"edge {u} -> {v}: window {windows[v]} is not windows[{u}] * s_{generator}")
-
     for w, win in windows.items():
-        if not is_valid_window(win):
-            problems.append(f"window of {w} is not an affine permutation: {win}")
-        if window_length(win) != dist[w]:
+        if window_length(win) != poset.dist[w]:
             problems.append(
-                f"window length {window_length(win)} of {w} differs from BFS distance {dist[w]}")
-
-    return AffineLabelingReport(base, windows, not problems, tuple(problems))
-
-
-def _hyperplane(word: Word, z: Sequence[tuple[int, ...]], p: int) -> _Hyperplane:
-    lo, hi, m, _ = _wall(word, z, p)
-    return (hi, lo, m)
-
-
-def _edge_generator(graph, u, v, z_verts, transform_u, base_walls, problems):
-    """Type of the wall crossed from u to v: the one opposite the swapped vertex."""
-    wall = _hyperplane(u, z_verts[u], graph.swap_position[(u, v)] - 1)
-    pulled = _pull_back(transform_u, wall)
-    if pulled not in base_walls:
-        problems.append(f"edge {u} -> {v}: crossed wall {wall} pulls back to "
-                        f"{pulled}, not a base wall")
-        return None
-    return base_walls.index(pulled) + 1
+                f"window length {window_length(win)} of {w} differs from BFS distance "
+                f"{poset.dist[w]}")
+    return AffineLabelingReport(poset.base, windows, not problems, tuple(problems))

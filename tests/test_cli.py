@@ -64,6 +64,26 @@ class TestParsing:
         with pytest.raises(cli.InputError, match=r"outside 1\.\.0"):
             cli.parse_input(f'{{"n": 0, "bases": {bases}}}')
 
+    @pytest.mark.parametrize("doc,field,shown", [
+        ('{"bases": [[1,2]], "n": 4.0}', "n", "4.0"),
+        ('{"bases": [[1,2]], "n": 1e3}', "n", "1000.0"),
+        ('{"bases": [[true,2]]}', "bases", "true"),
+        ('{"bases": [[1.0,2]]}', "bases", "1.0"),
+        ('{"necklace": [[1,2],[2,3],[1,3],[1,4]], "n": 4.0}', "n", "4.0"),
+        ('{"necklace": [[true,2],[2,3],[1,3],[1,4]]}', "necklace", "true"),
+        ('{"necklace": [["1",2],[2,3],[1,3],[1,4]]}', "necklace", '"1"'),
+        ('{"pi": [3,1,4,2.0]}', "pi", "2.0"),
+        ('{"pi": [3,true,4,2]}', "pi", "true"),
+        ('{"n": 4, "cells": [{"color": "black", "vertices": [1,2,3.0]}]}', "vertices", "3.0"),
+        ('{"n": 4, "cells": [{"color": "black", "vertices": [true,2,3]}]}', "vertices", "true"),
+    ])
+    def test_non_integer_numbers_are_input_errors(self, capsys, doc, field, shown):
+        with pytest.raises(cli.InputError, match=f"^{field}: expected an integer, got {shown}$"):
+            cli.parse_input(doc)
+        code, out, err = run(capsys, "convert", doc)
+        assert code == 2 and out == ""
+        assert err == f"error: {field}: expected an integer, got {shown}\n"
+
     def test_input_flag_belongs_to_verify_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["hstar", "--input", "12,23,13,14"])

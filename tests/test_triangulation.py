@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.positroid import (
     DecoratedPermutation,
@@ -13,6 +14,7 @@ from positroid_hstar.positroid import (
     validate_necklace,
 )
 from positroid_hstar.triangulation import (
+    TriangulationLabel,
     affine_consistency_check,
     build_graph,
     enumerate_labels,
@@ -233,6 +235,13 @@ class TestShelling:
     def test_hstar_values(self, necklace, coeffs):
         assert hstar_shelling(necklace) == ExactPolynomial.from_coefficients(coeffs)
 
+    def test_disconnected_graph_is_rejected(self):
+        # the identity word has no swap neighbors, so no edge joins these two
+        graph = build_graph([label_from_word((1, 2, 3, 4)), label_from_word((2, 1, 3, 4))])
+        assert graph.edges() == ()
+        with pytest.raises(AssertionError, match="triangulation graph is disconnected"):
+            shelling_poset(graph, (1, 2, 3, 4))
+
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
     def test_edges_join_consecutive_layers(self, necklace):
         graph = build_graph(enumerate_labels(necklace))
@@ -260,7 +269,7 @@ class TestLabelPartition:
 class TestAffineLabeling:
     def test_uniform_windows_match_fixture(self):
         graph = build_graph(enumerate_labels(UNIFORM25))
-        report = affine_consistency_check(graph, (3, 1, 4, 2, 5))
+        report = affine_consistency_check(graph, shelling_poset(graph, (3, 1, 4, 2, 5)))
         assert report.ok
         assert report.windows[(1, 4, 2, 3, 5)] == (0, 2, 3, 4, 6)
         assert report.windows[(4, 1, 2, 3, 5)] == (0, 3, 2, 4, 6)
@@ -268,12 +277,12 @@ class TestAffineLabeling:
 
     def test_single_label_identity_window(self):
         graph = build_graph([label_from_word((1, 2, 3, 4))])
-        report = affine_consistency_check(graph, (1, 2, 3, 4))
+        report = affine_consistency_check(graph, shelling_poset(graph, (1, 2, 3, 4)))
         assert report.ok and report.windows == {(1, 2, 3, 4): (1, 2, 3, 4)}
 
     def test_pyramid_lengths(self):
         graph = build_graph(enumerate_labels(PYRAMID))
-        report = affine_consistency_check(graph, (1, 3, 2, 4))
+        report = affine_consistency_check(graph, shelling_poset(graph, (1, 3, 2, 4)))
         assert report.ok
         assert sorted(window_length(w) for w in report.windows.values()) == [0, 1]
 
@@ -281,9 +290,9 @@ class TestAffineLabeling:
     def test_consistency_for_every_base(self, necklace):
         graph = build_graph(enumerate_labels(necklace))
         for base in graph.words:
-            report = affine_consistency_check(graph, base)
-            assert report.ok, report.problems
             poset = shelling_poset(graph, base)
+            report = affine_consistency_check(graph, poset)
+            assert report.ok, report.problems
             for w, win in report.windows.items():
                 assert window_length(win) == poset.dist[w]
 
@@ -298,10 +307,46 @@ class TestAffineLabeling:
                 corrupted = dataclasses.replace(
                     graph, swap_position={**graph.swap_position, edge: wrong})
                 try:
-                    report = affine_consistency_check(corrupted, graph.words[0])
+                    report = affine_consistency_check(
+                        corrupted, shelling_poset(corrupted, graph.words[0]))
                 except AssertionError:
                     continue
                 assert not report.ok, (edge, wrong)
+
+    def test_length_is_checked_against_the_shelling_distance(self):
+        graph = build_graph(enumerate_labels(UNIFORM25))
+        poset = shelling_poset(graph, graph.words[0])
+        for w, d in poset.dist.items():
+            shifted = dataclasses.replace(poset, dist={**poset.dist, w: d + 1})
+            report = affine_consistency_check(graph, shifted)
+            assert not report.ok
+            assert any(str(w) in problem for problem in report.problems)
+
+    def test_cover_counts_the_cyclic_window_descents(self):
+        # cover(w) = #{i in 1..n : win(i) > win(i+1)} with win(n+1) = win(1) + n
+        for n in range(2, 7):
+            for necklace in connected_necklaces(n):
+                graph = build_graph(enumerate_labels(necklace))
+                for base in graph.words if n <= 5 else graph.words[:1]:
+                    poset = shelling_poset(graph, base)
+                    report = affine_consistency_check(graph, poset)
+                    for w, win in report.windows.items():
+                        cyclic = win + (win[0] + n,)
+                        descents = sum(cyclic[i] > cyclic[i + 1] for i in range(n))
+                        assert poset.cover[w] == descents, (necklace.compact(), base, w)
+
+    @pytest.mark.parametrize("word,circuit", [
+        # the alcove of 2134 read against the word 1234
+        ((1, 2, 3, 4), label_from_word((2, 1, 3, 4)).circuit),
+        # residues read the word, but vertex {2, 3} lies outside the alcove
+        ((1, 3, 2, 4), tuple(map(frozenset, ({1, 2}, {1, 3}, {1, 4}, {2, 3})))),
+        # one vertex repeated n times
+        ((1, 2, 3, 4), (frozenset({1, 2}),) * 4),
+    ])
+    def test_simplex_that_is_not_its_words_alcove_is_caught(self, word, circuit):
+        graph = build_graph([TriangulationLabel(word, circuit)])
+        with pytest.raises(AssertionError, match="alcove"):
+            affine_consistency_check(graph, shelling_poset(graph, word))
 
     def test_window_generators(self):
         e = (1, 2, 3, 4, 5)
