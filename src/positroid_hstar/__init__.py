@@ -8,8 +8,9 @@ others:
 - permutation descents for the half-open polytope plus Moebius
   inclusion-exclusion over the removed upper facets
   (``halfopen.hstar_closed_via_inclusion_exclusion``),
-- brute-force lattice-point counting and the binomial transform
-  (``ehrhart.hstar_by_counting``),
+- lattice-point counting and the binomial transform, for any positroid
+  (``ehrhart.hstar_by_counting``; a disconnected one is counted in its own
+  affine hull),
 - cover statistics over circular extensions of a bicolored subdivision's
   chain order, for tree positroids (``tree.hstar_tree``).
 """
@@ -25,13 +26,11 @@ from .ehrhart import (
     face_hstar,
     hstar_by_counting,
     hstar_from_counts,
-    hstar_of_positroid_by_counting,
 )
 from .halfopen import (
     CanonicalFacet,
     canonical_facets,
     face_poset_of_uppers,
-    half_open_simplex,
     hstar_closed_via_inclusion_exclusion,
     hstar_half_open,
     hstar_half_open_by_counting,

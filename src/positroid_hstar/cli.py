@@ -21,7 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import ehrhart as eh
 from . import halfopen as ho
@@ -90,6 +90,10 @@ def parse_input(text: str) -> tuple[str, object]:
                     raise InputError("colors must be an object keyed by fixed point")
                 if any(v not in ("black", "white") for v in colors.values()):
                     raise InputError("fixed-point colors must be 'black' or 'white'")
+                for k in colors:
+                    if not (k.isdecimal() and k == str(int(k))):
+                        raise InputError(f"colors: key {json.dumps(k)} is not a fixed point "
+                                         "in plain decimal")
                 white = frozenset(int(k) for k, v in colors.items() if v == "white")
                 fixed = frozenset(i for i, v in enumerate(perm, 1) if v == i)
                 declared = frozenset(int(k) for k in colors)
@@ -243,6 +247,15 @@ def agreement_verdict(results: dict[str, list[int]]) -> str:
     return "PASS" if len({tuple(v) for v in results.values()}) == 1 else "FAIL"
 
 
+def _map_jobs(worker: Callable, payloads: list, jobs: int) -> list:
+    """``worker`` over ``payloads`` in order; a process pool runs it when jobs > 1."""
+    if jobs > 1:
+        import multiprocessing
+        with multiprocessing.Pool(jobs) as pool:
+            return pool.map(worker, payloads)
+    return [worker(p) for p in payloads]
+
+
 def all_decorated_permutations(n: int) -> Iterator[po.DecoratedPermutation]:
     """All decorated permutations of 1..n, lexicographic in (word, white set)."""
     for perm in itertools.permutations(range(1, n + 1)):
@@ -321,19 +334,18 @@ def cmd_hstar(args) -> int:
         if method == "descents":
             raise InputError("the descent formula computes the half-open h*; "
                              "pass --half-open (or use inclusion-exclusion)")
+        methods = CLOSED_METHODS if method == "all" else (method,)
         if not connected:
             if method != "oracle" and method != "all":
                 print(f"error: method {method} needs a connected positroid; "
                       "split with decompose_direct_sum and multiply Ehrhart factors",
                       file=sys.stderr)
                 return EXIT_DISCONNECTED
+            methods = ("oracle",)
             bases = necklace.fact(po.bases_from_necklace)
-            results = {"oracle": poly_ints(eh.hstar_of_positroid_by_counting(bases))}
             report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
-        else:
-            methods = CLOSED_METHODS if method == "all" else (method,)
-            base = parse_word(args.w0) if args.w0 else None
-            results = hstar_closed_all_methods(necklace, methods, base)
+        base = parse_word(args.w0) if args.w0 else None
+        results = hstar_closed_all_methods(necklace, methods, base)
     if connected:
         report["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
     report["hstar"] = results
@@ -346,19 +358,17 @@ def cmd_ehrhart(args) -> int:
     start = time.perf_counter()
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
-    connected = necklace.fact(po.necklace_connected)
-    ehr = (eh.ehrhart_of_connected(necklace) if connected
-           else eh.ehrhart_of_positroid(necklace.fact(po.bases_from_necklace)))
+    ehr = eh.ehrhart_of_positroid(necklace)
     tmax = args.tmax if args.tmax is not None else ehr.dim
     report = {
         "input_kind": kind,
         "n": necklace.n,
         "rank": necklace.rank,
-        "connected": connected,
+        "connected": necklace.fact(po.necklace_connected),
         "dim": ehr.dim,
         "ehrhart": poly_rationals(ehr.poly),
         "counts": [int(ehr(t)) for t in range(tmax + 1)],
-        "hstar": poly_ints(eh.hstar_from_ehrhart(ehr)),
+        "hstar": poly_ints(eh.hstar_by_counting(necklace)),
     }
     emit(_maybe_time(report, args, start), args)
     return EXIT_OK
@@ -431,14 +441,11 @@ def _atlas_row(dec: po.DecoratedPermutation) -> dict:
         "connected": connected,
         "num_bases": len(bases.bases),
     }
+    results = hstar_closed_all_methods(necklace, CLOSED_METHODS if connected else ("oracle",))
     if connected:
-        results = hstar_closed_all_methods(necklace)
         row["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
-        row["hstar"] = results
-        row["verdict"] = agreement_verdict(results)
-    else:
-        row["hstar"] = {"oracle": poly_ints(eh.hstar_of_positroid_by_counting(bases))}
-        row["verdict"] = "PASS"
+    row["hstar"] = results
+    row["verdict"] = agreement_verdict(results)
     return row
 
 
@@ -459,19 +466,13 @@ def cmd_atlas(args) -> int:
         print(f"error: n = {args.n} exceeds the size cap {size_cap()} "
               "(override with POSITROID_MAX_N)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    jobs = max(1, args.jobs)
     selected = []
     for dec in all_decorated_permutations(args.n):
         necklace = po.necklace_from_decorated(dec)
         if args.rank is not None and necklace.rank != args.rank:
             continue
         selected.append((dec.perm, tuple(sorted(dec.white))))
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_atlas_worker, selected)
-    else:
-        rows = [_atlas_worker(p) for p in selected]
+    rows = _map_jobs(_atlas_worker, selected, args.jobs)
     if args.connected_only:
         rows = [r for r in rows if r["connected"]]
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
@@ -531,26 +532,18 @@ def verify_golden() -> list[Check]:
         tuple(l.word for l in tg.enumerate_labels(pyramid)) == ((1, 3, 2, 4), (2, 1, 3, 4)), ""))
     checks.append(_check(
         "pyramid h* closed",
-        poly_ints(tg.hstar_shelling(pyramid)) == [1, 1]
-        and poly_ints(ho.hstar_closed_via_inclusion_exclusion(pyramid)) == [1, 1]
-        and poly_ints(eh.hstar_by_counting(pyramid)) == [1, 1], "1+z"))
+        all(h == [1, 1] for h in hstar_closed_all_methods(pyramid).values()), "1+z"))
     checks.append(_check(
         "pyramid h* half-open",
-        poly_ints(ho.hstar_half_open(pyramid)) == [0, 0, 2]
-        and poly_ints(ho.hstar_half_open_by_counting(pyramid)) == [0, 0, 2], "2z^2"))
+        all(h == [0, 0, 2] for h in hstar_half_open_all_methods(pyramid).values()), "2z^2"))
     uppers = [str(f) for f in ho.canonical_facets(pyramid) if f.upper]
     checks.append(_check(
         "pyramid upper facets",
         uppers == ["x_1 <= 1", "x_1+x_2+x_3 <= 2", "x_2 <= 1"], "; ".join(uppers)))
-    poset = ho.face_poset_of_uppers(pyramid)
-    mu = ho.moebius(poset)
-    by_dim = {}
-    for node, value in mu.items():
-        by_dim.setdefault(node.dim, []).append(value)
+    mu = _moebius_by_dim(pyramid)
     checks.append(_check(
         "pyramid Moebius",
-        sorted(by_dim[2]) == [-1, -1, -1] and sorted(by_dim[1]) == [1, 1]
-        and by_dim[0] == [0], str({d: sorted(v) for d, v in by_dim.items()})))
+        mu[2] == [-1, -1, -1] and mu[1] == [1, 1] and mu[0] == [0], str(mu)))
 
     fig1 = po.validate_necklace([[1, 2, 3], [2, 3, 5], [3, 4, 5], [1, 4, 5], [1, 2, 5]])
     graph1 = tg.build_graph(tg.enumerate_labels(fig1))
@@ -611,13 +604,11 @@ def verify_golden() -> list[Check]:
                  (4, 1, 3, 2, 5): 1, (3, 4, 2, 1, 5): 2}, "cover(34215) = 2"))
     checks.append(_check(
         "rank-3 five-simplex h*",
-        poly_ints(tg.hstar_shelling(prism)) == [1, 3, 1]
-        and poly_ints(ho.hstar_closed_via_inclusion_exclusion(prism)) == [1, 3, 1]
-        and poly_ints(eh.hstar_by_counting(prism)) == [1, 3, 1], "1+3z+z^2"))
+        all(h == [1, 3, 1] for h in hstar_closed_all_methods(prism).values()), "1+3z+z^2"))
     checks.append(_check(
         "rank-3 five-simplex half-open",
-        poly_ints(ho.hstar_half_open(prism)) == [0, 0, 1, 4]
-        and poly_ints(ho.hstar_half_open_by_counting(prism)) == [0, 0, 1, 4], "z^2+4z^3"))
+        all(h == [0, 0, 1, 4] for h in hstar_half_open_all_methods(prism).values()),
+        "z^2+4z^3"))
     uppers3 = [str(f) for f in ho.canonical_facets(prism) if f.upper]
     checks.append(_check(
         "rank-3 five-simplex uppers",
@@ -637,16 +628,11 @@ def verify_golden() -> list[Check]:
         prism_ehr.poly == triangle_times_segment.poly, "C(t+2,2)(1+t)"))
     square_face = eh.face_hstar(hrep3, [(1, 2, 1), (1, 4, 2)], 2)
     checks.append(_check("square face h*", poly_ints(square_face) == [1, 1], "1+z"))
-    poset3 = ho.face_poset_of_uppers(prism)
-    mu3 = ho.moebius(poset3)
-    counts3 = {}
-    for node, value in mu3.items():
-        counts3.setdefault(node.dim, []).append(value)
+    mu3 = _moebius_by_dim(prism)
     checks.append(_check(
         "rank-3 five-simplex Moebius",
-        sorted(counts3[3]) == [-1, -1, -1, -1] and sorted(counts3[2]) == [1] * 5
-        and sorted(counts3[1]) == [-1, -1, 0] and counts3[0] == [0],
-        str({d: sorted(v) for d, v in sorted(counts3.items())})))
+        mu3[3] == [-1, -1, -1, -1] and mu3[2] == [1] * 5 and mu3[1] == [-1, -1, 0]
+        and mu3[0] == [0], str(dict(sorted(mu3.items())))))
 
     circuit = [''.join(map(str, sorted(s))) for s in tg.label_from_word((3, 2, 4, 1, 5)).circuit]
     checks.append(_check(
@@ -690,13 +676,25 @@ def verify_golden() -> list[Check]:
     disco = po.PositroidBases(4, 2, frozenset(
         frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
     parts = po.decompose_direct_sum(disco)
+    product = eh.ehrhart_product(
+        [eh.ehrhart_of_positroid(po.necklace_from_bases(comp)) for _, comp in parts])
+    disco_necklace = po.necklace_from_bases(disco)
     checks.append(_check(
         "direct sum split",
         [g for g, _ in parts] == [(1, 2), (3, 4)]
         and not po.is_connected(disco)
-        and poly_ints(eh.hstar_of_positroid_by_counting(disco)) == [1, 1],
+        and eh.ehrhart_of_positroid(disco_necklace) == product
+        and poly_ints(eh.hstar_by_counting(disco_necklace)) == [1, 1],
         "U(1,2) + U(1,2); product h* = 1+z"))
     return checks
+
+
+def _moebius_by_dim(necklace: po.GrassmannNecklace) -> dict[int, list[int]]:
+    """Sorted Moebius values of the upper-facet face poset, by face dimension."""
+    by_dim: dict[int, list[int]] = {}
+    for node, value in ho.moebius(ho.face_poset_of_uppers(necklace)).items():
+        by_dim.setdefault(node.dim, []).append(value)
+    return {d: sorted(v) for d, v in by_dim.items()}
 
 
 def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
@@ -725,7 +723,7 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         if sum(poset.cover.values()) != len(edges):
             return _check(name, False, "cover sum differs from edge count")
         hstar = tg.hstar_from_covers(poset)
-        ehr = eh.ehrhart_of_connected(necklace)
+        ehr = eh.ehrhart_of_positroid(necklace)
         volume = ehr.leading_coefficient * math.factorial(ehr.dim)
         if hstar(1) != len(labels) or volume != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")
@@ -748,12 +746,7 @@ def verify_exhaustive(max_n: int, jobs: int = 1) -> list[Check]:
     for n in range(1, max_n + 1):
         for necklace in connected_necklaces(n):
             payloads.append(tuple(tuple(sorted(s)) for s in necklace.subsets))
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_exhaustive_worker, payloads)
-    else:
-        results = [_exhaustive_worker(p) for p in payloads]
+    results = _map_jobs(_exhaustive_worker, payloads, jobs)
     summary = _check(f"exhaustive sweep n <= {max_n}",
                      all(ok for _, ok, _ in results),
                      f"{len(results)} connected positroids")
@@ -837,8 +830,7 @@ def verify_single_input(text: str) -> list[Check]:
         kind, value = parse_input(text)
         necklace = to_necklace(kind, value)
         if not necklace.fact(po.necklace_connected):
-            bases = necklace.fact(po.bases_from_necklace)
-            poly = poly_ints(eh.hstar_of_positroid_by_counting(bases))
+            poly = hstar_closed_all_methods(necklace, ("oracle",))["oracle"]
             return [_check("disconnected input oracle h*", poly[0] == 1, str(poly))]
         closed = hstar_closed_all_methods(necklace)
         checks = [_check("closed method agreement", agreement_verdict(closed) == "PASS",

@@ -101,24 +101,6 @@ def cyclic_left_descents(word: Sequence[int], order: Sequence[int] | None = None
     return frozenset(a for a, b in zip(ground, ground[1:] + ground[:1]) if pos[a] > pos[b])
 
 
-def restriction(word: Sequence[int], i: int, j: int) -> tuple[Word, Word]:
-    """Restrict a permutation of 1..n to the cyclic interval [i, j].
-
-    Returns (subword, ground) where the subword keeps the left-to-right order
-    of ``word`` and ``ground`` lists [i, j] in increasing <_i order.
-
-    >>> restriction((3, 2, 4, 1, 5), 1, 3)[0]
-    (3, 2, 1)
-    >>> restriction((3, 2, 4, 1, 5), 3, 1)[0]
-    (3, 4, 1, 5)
-    """
-    if not is_permutation_word(word):
-        raise ValueError("not a permutation word")
-    ground = cyclic_interval(i, j, len(word))
-    members = set(ground)
-    return tuple(v for v in word if v in members), ground
-
-
 def descent_bounded_words(n: int, rows: Iterable[tuple[Sequence[int], int]]) -> tuple[Word, ...]:
     """Words w with w_n = n, in lexicographic order, whose restriction to each
     row's ground (its letters in cyclic order) has at most the row's bound
@@ -154,18 +136,6 @@ def descent_bounded_words(n: int, rows: Iterable[tuple[Sequence[int], int]]) -> 
 
     extend((), tuple(range(1, n + 1)), bounds)
     return tuple(out)
-
-
-def rotation_ending_at(word: Sequence[int], a: int) -> Word:
-    """The cyclic rotation of ``word`` whose last letter is ``a``.
-
-    >>> rotation_ending_at((3, 2, 4, 1, 5), 3)
-    (2, 4, 1, 5, 3)
-    """
-    if a not in word:
-        raise ValueError(f"letter {a} does not occur in the word")
-    k = word.index(a)
-    return tuple(word[k + 1:]) + tuple(word[:k + 1])
 
 
 def circuit_subsets(word: Sequence[int]) -> tuple[frozenset[int], ...]:

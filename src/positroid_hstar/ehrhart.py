@@ -6,6 +6,11 @@ sums (these bodies are alcoved polytopes).  Everything downstream of the
 counts is exact: Lagrange interpolation recovers Ehrhart polynomials, and the
 standard binomial alternating sum turns a count profile (E(0), ..., E(d))
 into the h*-vector.
+
+The oracle takes any positroid: a disconnected one is counted in its own
+affine hull, whose dimension is n minus the number of direct-sum components.
+The product of the components' Ehrhart polynomials (``ehrhart_product``) is
+kept as the reference it must equal.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from .positroid import (
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
-    PositroidBases,
-    decompose_direct_sum,
+    bases_from_necklace,
     h_representation,
-    necklace_from_bases,
+    necklace_connected,
+    polytope_dimension,
 )
 
 _INF = 1 << 62
@@ -185,17 +190,6 @@ def hstar_from_counts(profile: CountProfile) -> ExactPolynomial:
     return ExactPolynomial.from_coefficients(coeffs)
 
 
-def hstar_from_ehrhart(ehr: EhrhartPolynomial) -> ExactPolynomial:
-    """h*-vector of a polytope given its Ehrhart polynomial."""
-    counts = []
-    for t in range(ehr.dim + 1):
-        value = ehr(t)
-        if value.denominator != 1:
-            raise ValueError(f"E({t}) = {value} is not an integer")
-        counts.append(int(value))
-    return hstar_from_counts(CountProfile(ehr.dim, tuple(counts)))
-
-
 def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
     """Ehrhart polynomial of a product of polytopes: multiply, add dimensions."""
     poly = ExactPolynomial.one()
@@ -216,33 +210,22 @@ def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, 
     return hstar_from_counts(CountProfile(face_dim, counts))
 
 
-def _connected_profile(necklace: GrassmannNecklace) -> CountProfile:
-    """Closed counts of a connected positroid polytope (dimension n - 1)."""
-    return closed_profile(necklace.fact(h_representation), necklace.n - 1)
+def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
+    """Closed counts of a positroid polytope in its own affine hull.
 
-
-def ehrhart_of_connected(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """Ehrhart polynomial of a connected positroid polytope, by counting."""
-    return ehrhart_interpolate(necklace.fact(_connected_profile))
-
-
-def ehrhart_of_positroid(bases: PositroidBases) -> EhrhartPolynomial:
-    """Ehrhart polynomial of any positroid polytope.
-
-    Disconnected positroids factor as products over their direct-sum
-    components, and the Ehrhart polynomial multiplies along the factorization.
+    The dimension is n - 1 for a connected positroid and n minus the number
+    of direct-sum components otherwise.
     """
-    parts = decompose_direct_sum(bases)
-    factors = [ehrhart_of_connected(necklace_from_bases(comp)) for _, comp in parts]
-    return ehrhart_product(factors)
+    dim = (necklace.n - 1 if necklace.fact(necklace_connected)
+           else polytope_dimension(necklace.fact(bases_from_necklace)))
+    return closed_profile(necklace.fact(h_representation), dim)
+
+
+def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
+    """Ehrhart polynomial of any positroid polytope, by counting."""
+    return ehrhart_interpolate(necklace.fact(_closed_profile))
 
 
 def hstar_by_counting(necklace: GrassmannNecklace) -> ExactPolynomial:
-    """Oracle h* of a connected positroid polytope: count, then transform."""
-    necklace.require_connected("counting oracle")
-    return hstar_from_counts(necklace.fact(_connected_profile))
-
-
-def hstar_of_positroid_by_counting(bases: PositroidBases) -> ExactPolynomial:
-    """Oracle h* of any positroid polytope, via the product Ehrhart polynomial."""
-    return hstar_from_ehrhart(ehrhart_of_positroid(bases))
+    """Oracle h* of any positroid polytope: count, then transform."""
+    return hstar_from_counts(necklace.fact(_closed_profile))

@@ -25,7 +25,7 @@ from .positroid import (
     h_representation,
     vertices,
 )
-from .triangulation import TriangulationLabel, enumerate_labels, simplex_facets
+from .triangulation import enumerate_labels
 
 
 @dataclass(frozen=True)
@@ -115,20 +115,12 @@ def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
     return ExactPolynomial.from_coefficients(coeffs)
 
 
-def half_open_simplex(label: TriangulationLabel) -> HRepresentation:
-    """The simplex facets with strict flags on the upper (<=) ones."""
-    closed = simplex_facets(label)
-    return HRepresentation(closed.n, closed.r, tuple(
-        IntervalInequality(q.start, q.stop, q.bound, q.sense, strict=(q.sense == "<="))
-        for q in closed.inequalities))
-
-
 def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
     """Oracle counts of the half-open polytope at t = 0..n-1.
 
     The canonical facets cut out the projection exactly and never read x_n,
     so they count the half-open body in all n coordinates, with the upper
-    facets strict as in ``half_open_simplex``.
+    facets strict.
     """
     hrep = HRepresentation(necklace.n, necklace.rank, tuple(
         IntervalInequality(f.lo, f.hi, f.bound, "<=" if f.upper else ">=", strict=f.upper)

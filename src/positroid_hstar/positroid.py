@@ -30,11 +30,11 @@ class NecklaceError(ValueError):
 
 
 class DisconnectedPositroidError(ValueError):
-    """Raised when a connected positroid is required.
+    """Raised when a connected-only route is given a disconnected positroid.
 
-    Callers holding a disconnected positroid should split it with
-    ``decompose_direct_sum`` and combine per-component results with
-    ``ehrhart.ehrhart_product``.
+    The counting oracle (``ehrhart.hstar_by_counting``) takes any positroid.
+    For the other routes, split with ``decompose_direct_sum`` and combine the
+    per-component results with ``ehrhart.ehrhart_product``.
     """
 
 

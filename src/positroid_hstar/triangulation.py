@@ -281,10 +281,7 @@ def hstar_from_covers(poset: ShellingPoset) -> ExactPolynomial:
 
 def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> ExactPolynomial:
     """h*-polynomial of a connected positroid polytope by the cover statistic."""
-    labels = necklace.fact(enumerate_labels)
-    if len(labels) == 1:
-        return ExactPolynomial.one()
-    graph = build_graph(labels)
+    graph = build_graph(necklace.fact(enumerate_labels))
     if base is None:
         base = graph.words[0]
     return hstar_from_covers(shelling_poset(graph, base))

@@ -119,12 +119,17 @@ def test_criterion_10_disconnected_handling(golden):
     assert all(comp.sorted_bases() == ((1,), (2,)) for _, comp in po.decompose_direct_sum(bases))
 
     # direct oracle on the ambient polytope, restricted to its affine hull
-    hrep = po.h_representation(po.necklace_from_bases(bases))
+    necklace = po.necklace_from_bases(bases)
+    hrep = po.h_representation(necklace)
     dim = po.polytope_dimension(bases)
     assert dim == 2
     profile = eh.CountProfile(dim, tuple(eh.count_points(hrep, t) for t in range(dim + 1)))
     assert profile.counts == (1, 4, 9)
-    assert eh.hstar_from_counts(profile) == eh.hstar_of_positroid_by_counting(bases) == \
+    # reference: the product of the components' Ehrhart polynomials
+    product = eh.ehrhart_product([eh.ehrhart_of_positroid(po.necklace_from_bases(comp))
+                                  for _, comp in po.decompose_direct_sum(bases)])
+    assert profile.counts == tuple(product(t) for t in range(dim + 1))
+    assert eh.hstar_from_counts(profile) == eh.hstar_by_counting(necklace) == \
         ExactPolynomial.from_coefficients([1, 1])
     report(10, "direct sum splits into two segments; product h* equals ambient "
                "oracle h* (the unit square, 1+z)")

@@ -58,6 +58,16 @@ class TestParsing:
         code, _, err = run(capsys, "hstar", '{"pi": [2,1], "colors": []}')
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("key", ["01", "+1"])
+    def test_color_keys_must_be_plain_decimal(self, capsys, key):
+        # "01" and "+1" would otherwise name fixed point 1 a second time
+        doc = f'{{"pi": [1], "colors": {{"1": "black", "{key}": "white"}}}}'
+        message = f'colors: key "{key}" is not a fixed point in plain decimal'
+        with pytest.raises(cli.InputError) as exc:
+            cli.parse_input(doc)
+        assert str(exc.value) == message
+        assert run(capsys, "convert", doc) == (2, "", f"error: {message}\n")
+
     def test_declared_n_is_kept_next_to_bases(self):
         bases = "[[1,2],[1,3],[1,4],[2,3],[2,4]]"
         assert cli.parse_input(f'{{"n": 5, "bases": {bases}}}')[1].n == 5
@@ -139,6 +149,12 @@ class TestHstar:
                           "--method", "oracle")
         assert report["hstar"]["oracle"] == [1, 1]
         assert report["components"] == [[1, 2], [3, 4]]
+
+    def test_w0_is_checked_with_a_single_label(self, capsys):
+        code, out, err = run(capsys, "hstar", "1,2,3", "--w0", "999")
+        assert (code, out) == (2, "")
+        assert err == "error: (9, 9, 9) is not a label of the graph\n"
+        assert run_json(capsys, "hstar", "1,2,3", "--w0", "123")["hstar"] == {"shelling": [1]}
 
     def test_w0_choice_does_not_change_hstar(self, capsys):
         a = run_json(capsys, "hstar", "12,23,34,45,15", "--w0", "31425")
@@ -230,6 +246,47 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--scope", "golden")
         assert code == 0
         assert "FAIL" not in out
+
+    GOLDEN_STDOUT = (
+        "PASS  pyramid bases                      necklace 12,23,13,14",
+        "PASS  pyramid labels                   ",
+        "PASS  pyramid h* closed                  1+z",
+        "PASS  pyramid h* half-open               2z^2",
+        "PASS  pyramid upper facets               x_1 <= 1; x_1+x_2+x_3 <= 2; x_2 <= 1",
+        "PASS  pyramid Moebius                    {3: [1], 2: [-1, -1, -1], 1: [1, 1], 0: [0]}",
+        "PASS  rank-3 wheel cover multiset        1+4z+3z^2",
+        "PASS  rank-2 uniform graph               11 labels, 15 edges",
+        "PASS  rank-2 uniform h*                  1+5z+5z^2",
+        "PASS  rank-2 uniform half-open           10z^2+z^3",
+        "PASS  affine windows                     base 31425; 14235 -> [0,2,3,4,6]",
+        "PASS  rank-3 five-simplex labels         24135 32415 34215 41325 42135",
+        "PASS  rank-3 five-simplex edges          5 edges",
+        "PASS  rank-3 five-simplex covers         cover(34215) = 2",
+        "PASS  rank-3 five-simplex h*             1+3z+z^2",
+        "PASS  rank-3 five-simplex half-open      z^2+4z^3",
+        "PASS  rank-3 five-simplex uppers         "
+        "x_1 <= 1; x_1+x_2+x_3 <= 2; x_2 <= 1; x_4 <= 1",
+        "PASS  prism facet h*                     1+2z",
+        "PASS  prism facet Ehrhart                C(t+2,2)(1+t)",
+        "PASS  square face h*                     1+z",
+        "PASS  rank-3 five-simplex Moebius        "
+        "{0: [0], 1: [-1, -1, 0], 2: [1, 1, 1, 1, 1], 3: [-1, -1, -1, -1], 4: [1]}",
+        "PASS  circuit of 32415                   135->235->245->124->125",
+        "PASS  vertices of 32415 simplex        ",
+        "PASS  facets of projected 32415 simplex",
+        "PASS  square subdivision                 chains (3,2,1), (1,3,4)",
+        "PASS  pentagon subdivision               1+3z+z^2",
+        "PASS  square arcs                        1->3 facet-defining, 2->4 not compatible",
+        "PASS  pyramid decorated permutation      3142",
+        "PASS  direct sum split                   U(1,2) + U(1,2); product h* = 1+z",
+        "29/29 checks passed",
+    )
+
+    def test_golden_stdout_is_pinned(self, capsys):
+        code, out, err = run(capsys, "verify", "--scope", "golden")
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in self.GOLDEN_STDOUT)
+        assert len(out.encode()) == 1755
 
     def test_single_input(self, capsys):
         code, out, _ = run(capsys, "verify", "--input", "12,23,13,14")

@@ -16,9 +16,29 @@ from positroid_hstar.core import (
     descent_count,
     gale_leq,
     interval_support,
-    restriction,
-    rotation_ending_at,
+    is_permutation_word,
 )
+
+
+def restriction(word, i, j):
+    """Restrict a permutation of 1..n to the cyclic interval [i, j].
+
+    Returns (subword, ground) where the subword keeps the left-to-right order
+    of ``word`` and ``ground`` lists [i, j] in increasing <_i order.
+    """
+    if not is_permutation_word(word):
+        raise ValueError("not a permutation word")
+    ground = cyclic_interval(i, j, len(word))
+    members = set(ground)
+    return tuple(v for v in word if v in members), ground
+
+
+def rotation_ending_at(word, a):
+    """The cyclic rotation of ``word`` whose last letter is ``a``."""
+    if a not in word:
+        raise ValueError(f"letter {a} does not occur in the word")
+    k = word.index(a)
+    return tuple(word[k + 1:]) + tuple(word[:k + 1])
 
 
 class TestGaleOrder:

@@ -19,7 +19,6 @@ from positroid_hstar.ehrhart import (
     face_hstar,
     hstar_by_counting,
     hstar_from_counts,
-    hstar_from_ehrhart,
 )
 from positroid_hstar.halfopen import hstar_half_open
 from positroid_hstar.positroid import (
@@ -27,6 +26,7 @@ from positroid_hstar.positroid import (
     IntervalInequality,
     PositroidBases,
     h_representation,
+    necklace_from_bases,
     validate_necklace,
 )
 from positroid_hstar.triangulation import hstar_shelling
@@ -34,6 +34,17 @@ from positroid_hstar.triangulation import hstar_shelling
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
+
+
+def hstar_from_ehrhart(ehr):
+    """h*-vector of a polytope given its Ehrhart polynomial."""
+    counts = []
+    for t in range(ehr.dim + 1):
+        value = ehr(t)
+        if value.denominator != 1:
+            raise ValueError(f"E({t}) = {value} is not an integer")
+        counts.append(int(value))
+    return hstar_from_counts(CountProfile(ehr.dim, tuple(counts)))
 
 
 class TestCountPoints:
@@ -259,7 +270,7 @@ class TestDrivers:
     def test_disconnected_product(self):
         B = PositroidBases(4, 2, frozenset(
             frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
-        ehr = ehrhart_of_positroid(B)
+        ehr = ehrhart_of_positroid(necklace_from_bases(B))
         assert ehr.dim == 2
         assert ehr.poly == ExactPolynomial.from_coefficients([1, 2, 1])
 
@@ -271,14 +282,13 @@ class TestDrivers:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_product_hstar_equals_ambient_count_for_every_direct_sum(self, n):
-        # the factored pipeline must agree with counting the ambient polytope
-        # on its own affine hull, for every disconnected positroid
-        import itertools
-
-        from positroid_hstar.ehrhart import hstar_of_positroid_by_counting
+        # counting the ambient polytope on its own affine hull must agree with
+        # the product of its components' Ehrhart polynomials, for every
+        # disconnected positroid
         from positroid_hstar.positroid import (
             DecoratedPermutation,
             bases_from_necklace,
+            decompose_direct_sum,
             is_connected,
             necklace_from_decorated,
             polytope_dimension,
@@ -291,11 +301,13 @@ class TestDrivers:
                 bases = bases_from_necklace(necklace)
                 if is_connected(bases):
                     continue
-                dim = polytope_dimension(bases)
-                profile = CountProfile(dim, tuple(
-                    count_points(h_representation(necklace), t) for t in range(dim + 1)))
-                assert hstar_from_counts(profile) == hstar_of_positroid_by_counting(bases), \
+                product = ehrhart_product([
+                    ehrhart_of_positroid(necklace_from_bases(comp))
+                    for _, comp in decompose_direct_sum(bases)])
+                assert product.dim == polytope_dimension(bases), necklace.compact()
+                assert hstar_by_counting(necklace) == hstar_from_ehrhart(product), \
                     necklace.compact()
+                assert ehrhart_of_positroid(necklace) == product, necklace.compact()
 
 
 @settings(max_examples=25, deadline=None)

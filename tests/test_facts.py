@@ -11,6 +11,7 @@ from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
 from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
+from positroid_hstar.core import ExactPolynomial
 
 PRISM = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]]
 DISCONNECTED = po.DecoratedPermutation((2, 1, 4, 3))
@@ -55,7 +56,7 @@ def test_every_route_shares_one_derivation_per_fact(calls):
               ho.hstar_closed_via_inclusion_exclusion(necklace),
               eh.hstar_by_counting(necklace)}
     half_open = {ho.hstar_half_open(necklace), ho.hstar_half_open_by_counting(necklace)}
-    ehr = eh.ehrhart_of_connected(necklace)
+    ehr = eh.ehrhart_of_positroid(necklace)
     assert len(closed) == 1 and len(half_open) == 1
     assert ehr.leading_coefficient * 24 == next(iter(closed))(1) == 5
 
@@ -85,9 +86,14 @@ def test_facts_stay_out_of_equality_hash_and_repr():
     assert a.fact(tg.enumerate_labels) is a.fact(tg.enumerate_labels)
 
 
-@pytest.mark.parametrize("route", [tg.enumerate_labels, ho.canonical_facets,
-                                   eh.hstar_by_counting])
+@pytest.mark.parametrize("route", [tg.enumerate_labels, ho.canonical_facets])
 def test_disconnected_guard_names_the_split(route):
     necklace = po.necklace_from_decorated(DISCONNECTED)
     with pytest.raises(po.DisconnectedPositroidError, match="decompose_direct_sum"):
         route(necklace)
+
+
+def test_counting_oracle_takes_a_disconnected_positroid():
+    # the unit square U(1,2) + U(1,2): the product h* of its two segments
+    necklace = po.necklace_from_decorated(DISCONNECTED)
+    assert eh.hstar_by_counting(necklace) == ExactPolynomial.from_coefficients([1, 1])

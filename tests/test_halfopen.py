@@ -8,16 +8,16 @@ from positroid_hstar.halfopen import (
     canonical_facets,
     face_poset_of_uppers,
     half_open_profile,
-    half_open_simplex,
     hstar_closed_via_inclusion_exclusion,
     hstar_half_open,
     hstar_half_open_by_counting,
     moebius,
 )
-from positroid_hstar.positroid import validate_necklace
+from positroid_hstar.positroid import HRepresentation, IntervalInequality, validate_necklace
 from positroid_hstar.triangulation import (
     enumerate_labels,
     label_from_word,
+    simplex_facets,
     simplex_vertices,
 )
 from test_triangulation import phi_inverse_point
@@ -25,6 +25,14 @@ from test_triangulation import phi_inverse_point
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
+
+
+def half_open_simplex(label):
+    """The simplex facets with strict flags on the upper (<=) ones."""
+    closed = simplex_facets(label)
+    return HRepresentation(closed.n, closed.r, tuple(
+        IntervalInequality(q.start, q.stop, q.bound, q.sense, strict=(q.sense == "<="))
+        for q in closed.inequalities))
 
 
 def facet_strings(necklace, upper):

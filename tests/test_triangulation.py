@@ -161,7 +161,8 @@ class TestSimplexGeometry:
     def test_sandwich_property(self, necklace):
         # over each simplex, every interval sum stays within a unit window
         # anchored at the restriction descent count
-        from positroid_hstar.core import cyclic_left_descents, interval_support, restriction
+        from positroid_hstar.core import cyclic_left_descents, interval_support
+        from test_core import restriction
         n = necklace.n
         for lab in enumerate_labels(necklace):
             verts = simplex_vertices(lab)
