@@ -85,6 +85,8 @@ def parse_input(text: str) -> tuple[str, object]:
                     [frozenset(_integers("necklace", s)) for s in doc["necklace"]], doc.get("n"))
             if "pi" in doc:
                 perm = tuple(_integers("pi", doc["pi"]))
+                if "n" in doc and doc["n"] != len(perm):
+                    raise InputError(f"pi: expected {doc['n']} entries, got {len(perm)}")
                 colors = doc.get("colors", {})
                 if not isinstance(colors, dict):
                     raise InputError("colors must be an object keyed by fixed point")
@@ -159,9 +161,12 @@ def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    if "," in text:
-        return tuple(int(p) for p in text.split(","))
-    return tuple(int(c) for c in text.strip())
+    """A --w0 word: comma-separated integers, or one digit per letter."""
+    letters = text.split(",") if "," in text else text.strip()
+    try:
+        return tuple(int(p) for p in letters)
+    except ValueError:
+        raise InputError(f"--w0: expected a word of integers, got {json.dumps(text)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +361,8 @@ def cmd_hstar(args) -> int:
 
 def cmd_ehrhart(args) -> int:
     start = time.perf_counter()
+    if args.tmax is not None and args.tmax < 0:
+        raise InputError("--tmax must be nonnegative")
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
     ehr = eh.ehrhart_of_positroid(necklace)
@@ -705,6 +712,10 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         labels = necklace.fact(tg.enumerate_labels)
         if labels != tg.labels_by_bases(necklace):
             return _check(name, False, "labels differ from the basis-membership reference")
+        reference = eh.closed_profile(necklace.fact(po.h_representation), n - 1)
+        if necklace.fact(eh._closed_profile) != reference:
+            return _check(name, False,
+                          "closed profile differs from the full H-representation count")
         closed = hstar_closed_all_methods(necklace)
         if agreement_verdict(closed) != "PASS":
             return _check(name, False, f"closed methods disagree: {closed}")

@@ -7,10 +7,16 @@ counts is exact: Lagrange interpolation recovers Ehrhart polynomials, and the
 standard binomial alternating sum turns a count profile (E(0), ..., E(d))
 into the h*-vector.
 
-The oracle takes any positroid: a disconnected one is counted in its own
-affine hull, whose dimension is n minus the number of direct-sum components.
-The product of the components' Ehrhart polynomials (``ehrhart_product``) is
-kept as the reference it must equal.
+A connected positroid, and every face that inclusion-exclusion counts, is
+counted from the irredundant canonical facets (``facet_representation``):
+the redundant necklace inequalities would each keep extra prefix sums alive
+in the counting state.  Counting the full necklace H-representation
+(``h_representation``) is kept as the reference that the exhaustive sweep
+compares against.  The oracle takes any positroid: a disconnected one has no
+full-dimensional projection to take facets from, so it is counted from
+``h_representation`` in its own affine hull, whose dimension is n minus the
+number of direct-sum components.  The product of the components' Ehrhart
+polynomials (``ehrhart_product``) is kept as the reference it must equal.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .positroid import (
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
+    facet_representation,
     h_representation,
     necklace_connected,
     polytope_dimension,
@@ -213,12 +220,14 @@ def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, 
 def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
     """Closed counts of a positroid polytope in its own affine hull.
 
-    The dimension is n - 1 for a connected positroid and n minus the number
-    of direct-sum components otherwise.
+    A connected positroid is counted in dimension n - 1 from its canonical
+    facets; a disconnected one from its necklace inequalities, in dimension
+    n minus the number of direct-sum components.
     """
-    dim = (necklace.n - 1 if necklace.fact(necklace_connected)
-           else polytope_dimension(necklace.fact(bases_from_necklace)))
-    return closed_profile(necklace.fact(h_representation), dim)
+    if necklace.fact(necklace_connected):
+        return closed_profile(necklace.fact(facet_representation), necklace.n - 1)
+    return closed_profile(necklace.fact(h_representation),
+                          polytope_dimension(necklace.fact(bases_from_necklace)))
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:

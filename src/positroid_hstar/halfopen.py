@@ -3,95 +3,31 @@
 Project the polytope onto the first n-1 coordinates (eliminating x_n through
 the sum equality) and write every facet as a bound on a contiguous block
 x_lo + ... + x_{hi-1}.  A facet is *upper* when its canonical sense is <=.
-Removing all upper facets leaves the half-open polytope, whose h*-polynomial
-is the descent generating function z^(des+1) over triangulation labels.  The
-closed h* is then recovered by Moebius inclusion-exclusion over the poset of
-intersections of upper facets, with each face's h* supplied by the lattice
-counting oracle.
+The facets are derived in ``positroid``, next to the full necklace
+H-representation, and re-exported here.  Removing all upper facets leaves
+the half-open polytope, whose h*-polynomial is the descent generating
+function z^(des+1) over triangulation labels.  The closed h* is then
+recovered by Moebius inclusion-exclusion over the poset of intersections of
+upper facets, with each face's h* supplied by the lattice counting oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._linalg import affine_rank
 from .core import ExactPolynomial, descent_count
 from .ehrhart import CountProfile, count_points, face_hstar, hstar_from_counts
-from .positroid import (
+from .positroid import (  # noqa: F401 - canonical_facets is re-exported
+    CanonicalFacet,
     GrassmannNecklace,
     HRepresentation,
-    IntervalInequality,
-    bases_from_necklace,
-    h_representation,
-    vertices,
+    _facet_vertex_sets,
+    _projected_vertices,
+    canonical_facets,
+    facet_representation,
 )
 from .triangulation import enumerate_labels
-
-
-@dataclass(frozen=True)
-class CanonicalFacet:
-    """A facet written as a bound on x_lo + ... + x_{hi-1} with 1 <= lo < hi <= n.
-
-    The block never touches x_n (wrapping sums are rewritten through the sum
-    equality first); ``upper`` records the canonical sense <=.
-    """
-
-    lo: int
-    hi: int
-    bound: int
-    upper: bool
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi))
-
-    def __str__(self):
-        func = "x_" + "+x_".join(str(k) for k in self.support())
-        return f"{func} {'<=' if self.upper else '>='} {self.bound}"
-
-
-def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, bool]]:
-    """All inequalities rewritten into non-wrapping (lo, hi, bound, upper) form."""
-    n, r = hrep.n, hrep.r
-    cands = set()
-    for i in range(1, n):
-        cands.add((i, i + 1, 0, False))        # x_i >= 0
-    cands.add((1, n, r, True))                 # x_n >= 0
-    for ineq in hrep.inequalities:
-        q = ineq.unwrapped(r)
-        cands.add((q.start, q.stop, q.bound, q.sense == "<="))
-    return cands
-
-
-def _projected_vertices(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], ...]:
-    """Vertices of the polytope with the last coordinate dropped."""
-    return tuple(v[:-1] for v in vertices(necklace.fact(bases_from_necklace)))
-
-
-def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, frozenset]:
-    """Canonical facets in sorted order, each with its set of projected vertices."""
-    n = necklace.n
-    if n == 1:
-        return {}
-    necklace.require_connected("canonical facet form")
-    proj = necklace.fact(_projected_vertices)
-    faces = {}
-    for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
-        block = range(lo - 1, hi - 1)
-        tight = frozenset(v for v in proj if sum(v[k] for k in block) == bound)
-        if affine_rank(tight) == n - 2:
-            faces[CanonicalFacet(lo, hi, bound, upper)] = tight
-    return faces
-
-
-def canonical_facets(necklace: GrassmannNecklace) -> tuple[CanonicalFacet, ...]:
-    """Facets of the projected polytope in canonical interval form.
-
-    Candidates come from the necklace inequalities plus nonnegativity; an
-    inequality survives exactly when its tight vertex set has affine
-    dimension one less than the polytope (this prunes redundant members of
-    the raw list).  Sorted by (lo, hi, bound, upper).
-    """
-    return tuple(necklace.fact(_facet_vertex_sets))
 
 
 def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
@@ -118,13 +54,11 @@ def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
 def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
     """Oracle counts of the half-open polytope at t = 0..n-1.
 
-    The canonical facets cut out the projection exactly and never read x_n,
-    so they count the half-open body in all n coordinates, with the upper
-    facets strict.
+    The closed body's facet representation, with the upper facets strict.
     """
-    hrep = HRepresentation(necklace.n, necklace.rank, tuple(
-        IntervalInequality(f.lo, f.hi, f.bound, "<=" if f.upper else ">=", strict=f.upper)
-        for f in necklace.fact(canonical_facets)))
+    closed = necklace.fact(facet_representation)
+    hrep = HRepresentation(closed.n, closed.r, tuple(
+        replace(f, strict=True) if f.sense == "<=" else f for f in closed.inequalities))
     dim = necklace.n - 1
     return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
 
@@ -192,15 +126,16 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> ExactPo
 
     h*(P) = h*(half-open) - sum over proper faces F of
     mu(F, P) (1-z)^(dim P - dim F) h*(F), where each face h* comes from the
-    lattice-point oracle.  The result must have nonnegative integer
-    coefficients and constant term 1.
+    lattice-point oracle, counted from the canonical facets plus the face's
+    equalities.  The result must have nonnegative integer coefficients and
+    constant term 1.
     """
     n = necklace.n
     if n == 1:
         return ExactPolynomial.one()
     poset = face_poset_of_uppers(necklace)
     mu = moebius(poset)
-    hrep = necklace.fact(h_representation)
+    hrep = necklace.fact(facet_representation)
     one_minus_z = ExactPolynomial.from_coefficients([1, -1])
     total = hstar_half_open(necklace)
     dim_p = n - 1

@@ -8,8 +8,10 @@ A positroid on 1..n can be handed around in three equivalent forms:
 - its set of bases.
 
 This module validates and converts between the three, computes matroid rank,
-connectivity and direct-sum decomposition, and produces the cyclic-interval
-inequality description of the polytope conv{e_B : B a basis}.
+connectivity and direct-sum decomposition, and produces two H-representations
+of the polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
+necklace (``h_representation``), and for a connected positroid its
+irredundant facets in canonical interval form (``canonical_facets``).
 """
 
 from __future__ import annotations
@@ -444,3 +446,81 @@ def zero_one_points(hrep: HRepresentation) -> tuple[tuple[int, ...], ...]:
 def polytope_dimension(bases: PositroidBases) -> int:
     """Affine dimension of the polytope (n-1 exactly when connected)."""
     return affine_rank(vertices(bases))
+
+
+@dataclass(frozen=True)
+class CanonicalFacet:
+    """A facet written as a bound on x_lo + ... + x_{hi-1} with 1 <= lo < hi <= n.
+
+    The block never touches x_n (wrapping sums are rewritten through the sum
+    equality first); ``upper`` records the canonical sense <=.
+    """
+
+    lo: int
+    hi: int
+    bound: int
+    upper: bool
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(range(self.lo, self.hi))
+
+    def __str__(self):
+        func = "x_" + "+x_".join(str(k) for k in self.support())
+        return f"{func} {'<=' if self.upper else '>='} {self.bound}"
+
+
+def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, bool]]:
+    """All inequalities rewritten into non-wrapping (lo, hi, bound, upper) form."""
+    n, r = hrep.n, hrep.r
+    cands = set()
+    for i in range(1, n):
+        cands.add((i, i + 1, 0, False))        # x_i >= 0
+    cands.add((1, n, r, True))                 # x_n >= 0
+    for ineq in hrep.inequalities:
+        q = ineq.unwrapped(r)
+        cands.add((q.start, q.stop, q.bound, q.sense == "<="))
+    return cands
+
+
+def _projected_vertices(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], ...]:
+    """Vertices of the polytope with the last coordinate dropped."""
+    return tuple(v[:-1] for v in vertices(necklace.fact(bases_from_necklace)))
+
+
+def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, frozenset]:
+    """Canonical facets in sorted order, each with its set of projected vertices."""
+    n = necklace.n
+    if n == 1:
+        return {}
+    necklace.require_connected("canonical facet form")
+    proj = necklace.fact(_projected_vertices)
+    faces = {}
+    for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
+        block = range(lo - 1, hi - 1)
+        tight = frozenset(v for v in proj if sum(v[k] for k in block) == bound)
+        if affine_rank(tight) == n - 2:
+            faces[CanonicalFacet(lo, hi, bound, upper)] = tight
+    return faces
+
+
+def canonical_facets(necklace: GrassmannNecklace) -> tuple[CanonicalFacet, ...]:
+    """Facets of the projected polytope in canonical interval form.
+
+    Candidates come from the necklace inequalities plus nonnegativity; an
+    inequality survives exactly when its tight vertex set has affine
+    dimension one less than the polytope (this prunes redundant members of
+    the raw list).  Sorted by (lo, hi, bound, upper).
+    """
+    return tuple(necklace.fact(_facet_vertex_sets))
+
+
+def facet_representation(necklace: GrassmannNecklace) -> HRepresentation:
+    """The canonical facets as an H-representation, all non-strict.
+
+    They cut out the projection exactly and never read x_n, so with the sum
+    equality they describe the polytope in all n coordinates, with none of
+    the redundant rows of ``h_representation``.  Needs a connected positroid.
+    """
+    return HRepresentation(necklace.n, necklace.rank, tuple(
+        IntervalInequality(f.lo, f.hi, f.bound, "<=" if f.upper else ">=")
+        for f in necklace.fact(canonical_facets)))

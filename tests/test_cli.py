@@ -4,6 +4,7 @@ import pytest
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
+from positroid_hstar import positroid as po
 from positroid_hstar import triangulation as tg
 from positroid_hstar.core import ExactPolynomial
 
@@ -73,6 +74,11 @@ class TestParsing:
         assert cli.parse_input(f'{{"n": 5, "bases": {bases}}}')[1].n == 5
         with pytest.raises(cli.InputError, match=r"outside 1\.\.0"):
             cli.parse_input(f'{{"n": 0, "bases": {bases}}}')
+
+    def test_declared_n_is_checked_next_to_pi(self, capsys):
+        assert cli.parse_input('{"pi": [2,1], "n": 2}')[1].n == 2
+        assert run(capsys, "convert", '{"pi": [2,1], "n": 7}') == (
+            2, "", "error: pi: expected 7 entries, got 2\n")
 
     @pytest.mark.parametrize("doc,field,shown", [
         ('{"bases": [[1,2]], "n": 4.0}', "n", "4.0"),
@@ -156,6 +162,12 @@ class TestHstar:
         assert err == "error: (9, 9, 9) is not a label of the graph\n"
         assert run_json(capsys, "hstar", "1,2,3", "--w0", "123")["hstar"] == {"shelling": [1]}
 
+    @pytest.mark.parametrize("command", ["hstar", "triangulate"])
+    @pytest.mark.parametrize("w0", ["x", "1,,2"])
+    def test_malformed_w0_is_named(self, capsys, command, w0):
+        assert run(capsys, command, "12,23,34,45,15", "--w0", w0) == (
+            2, "", f'error: --w0: expected a word of integers, got "{w0}"\n')
+
     def test_w0_choice_does_not_change_hstar(self, capsys):
         a = run_json(capsys, "hstar", "12,23,34,45,15", "--w0", "31425")
         b = run_json(capsys, "hstar", "12,23,34,45,15", "--w0", "14235")
@@ -168,6 +180,10 @@ class TestEhrhart:
         assert report["counts"] == [1, 5, 14, 30]
         assert report["ehrhart"] == ["1", "13/6", "3/2", "1/3"]
         assert report["hstar"] == [1, 1]
+
+    def test_negative_tmax_is_an_input_error(self, capsys):
+        assert run(capsys, "ehrhart", "12,23,34,45,15", "--tmax", "-1") == (
+            2, "", "error: --tmax must be nonnegative\n")
 
 
 class TestTriangulate:
@@ -322,6 +338,14 @@ class TestExhaustiveWorker:
         monkeypatch.setattr(eh, "hstar_by_counting", lambda necklace: ExactPolynomial.one())
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok and detail.startswith("closed methods disagree")
+
+    def test_closed_profile_is_checked_against_the_full_h_representation(self, monkeypatch):
+        facets = po.canonical_facets
+        monkeypatch.setattr(po, "canonical_facets", lambda necklace: tuple(
+            f for f in facets(necklace) if str(f) != "x_1+x_2 >= 1"))
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok
+        assert detail == "closed profile differs from the full H-representation count"
 
     def test_labels_are_checked_against_the_basis_reference(self, monkeypatch):
         search = tg.enumerate_labels

@@ -164,6 +164,10 @@ class TestHypersimplexClosedForm:
     def test_counting_oracle_at_n9(self, k):
         assert hstar_by_counting(uniform(k, 9)) == hypersimplex_hstar(k, 9)
 
+    @pytest.mark.parametrize("k, n", [(5, 10), (5, 11), (4, 12)])
+    def test_counting_oracle_past_n9(self, k, n):
+        assert hstar_by_counting(uniform(k, n)) == hypersimplex_hstar(k, n)
+
     def test_small_values(self):
         assert hypersimplex_hstar(2, 5) == ExactPolynomial.from_coefficients([1, 5, 5])
         assert hypersimplex_hstar(1, 4) == ExactPolynomial.one()

@@ -64,11 +64,14 @@ def test_every_route_shares_one_derivation_per_fact(calls):
                  "canonical_facets"):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
-    # necklace constraints; faces add equalities, the half-open body its canonical facets.
+    # canonical facets; faces add equalities, and the half-open body has the
+    # same rows with every upper facet tightened by one.
     n = necklace.n
-    closed_size = 1 + len(necklace.fact(po.h_representation).inequalities)
+    facets = necklace.fact(po.facet_representation).inequalities
     dilates = [box for dim, constraints, box in calls["count_constrained"]
-               if dim == n and len(constraints) == closed_size]
+               if dim == n and len(constraints) == 1 + len(facets)
+               and all(row[3] == box * f.bound
+                       for row, f in zip(constraints[1:], facets) if f.sense == "<=")]
     assert dilates == list(range(n))
 
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.core import ExactPolynomial
-from positroid_hstar.ehrhart import count_points
+from positroid_hstar.ehrhart import count_points, face_hstar
 from positroid_hstar.halfopen import (
     canonical_facets,
     face_poset_of_uppers,
@@ -13,7 +14,13 @@ from positroid_hstar.halfopen import (
     hstar_half_open_by_counting,
     moebius,
 )
-from positroid_hstar.positroid import HRepresentation, IntervalInequality, validate_necklace
+from positroid_hstar.positroid import (
+    HRepresentation,
+    IntervalInequality,
+    facet_representation,
+    h_representation,
+    validate_necklace,
+)
 from positroid_hstar.triangulation import (
     enumerate_labels,
     label_from_word,
@@ -175,6 +182,19 @@ class TestFacePoset:
             total = mu[node] + sum(mu[g] for g in poset.nodes
                                    if node.vertex_set < g.vertex_set)
             assert total == 0
+
+    def test_faces_count_alike_from_facets_and_full_h_representation(self):
+        # every face that inclusion-exclusion counts, with n <= 5
+        for n in range(2, 6):
+            for necklace in connected_necklaces(n):
+                poset = face_poset_of_uppers(necklace)
+                facets, full = facet_representation(necklace), h_representation(necklace)
+                for node, mu in moebius(poset).items():
+                    if node == poset.top or mu == 0:
+                        continue
+                    eqs = [(f.lo, f.hi, f.bound)
+                           for f in (poset.facet_list[i] for i in sorted(node.generators))]
+                    assert face_hstar(facets, eqs, node.dim) == face_hstar(full, eqs, node.dim)
 
 
 class TestInclusionExclusion:
