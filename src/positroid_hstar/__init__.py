@@ -3,16 +3,19 @@
 Four independent routes to the same polynomial, each cross-validating the
 others:
 
-- the cover statistic of a breadth-first shelling of the circuit
-  triangulation (``triangulation.hstar_shelling``),
+- the cover statistic of a shelling of the circuit triangulation, each
+  label's count of walls separating its alcove from the base alcove
+  (``triangulation.hstar_shelling``; the dual graph's breadth-first search
+  is the reference that ``verify`` compares against),
 - permutation descents for the half-open polytope plus Moebius
   inclusion-exclusion over the removed upper facets
   (``halfopen.hstar_closed_via_inclusion_exclusion``),
 - lattice-point counting and the binomial transform, for any positroid
   (``ehrhart.hstar_by_counting``; a disconnected one is counted in its own
   affine hull),
-- cover statistics over circular extensions of a bicolored subdivision's
-  chain order, for tree positroids (``tree.hstar_tree``).
+- the same cover statistic over the circular extensions of a bicolored
+  subdivision's chain order, for tree positroids; the extensions are
+  asserted to be the triangulation labels (``tree.hstar_tree``).
 """
 
 from .core import ExactPolynomial
@@ -79,6 +82,7 @@ from .triangulation import (
     shelling_poset,
     simplex_facets,
     simplex_vertices,
+    wall_covers,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,7 +7,9 @@ polynomial output lists coefficients in ascending degree, with rationals
 rendered as "p/q" strings.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 connectivity precondition violated.
+3 connectivity precondition violated.  A reader that closes stdout early
+(``| head``) ends any command quietly with exit code 0: the rest of the
+output goes to os.devnull and nothing is printed on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ EXIT_DISCONNECTED = 3
 
 CLOSED_METHODS = ("shelling", "inclusion-exclusion", "oracle")
 HALF_OPEN_METHODS = ("descents", "oracle")
+INPUT_KEYS = ("necklace", "pi", "bases", "cells")
 
 
 class InputError(ValueError):
@@ -77,6 +80,9 @@ def parse_input(text: str) -> tuple[str, object]:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InputError("JSON input must be an object")
+        present = [key for key in INPUT_KEYS if key in doc]
+        if len(present) > 1:
+            raise InputError(f"JSON object has more than one of the keys: {', '.join(present)}")
         try:
             if "n" in doc:
                 _integers("n", [doc["n"]])
@@ -118,7 +124,7 @@ def parse_input(text: str) -> tuple[str, object]:
                 return "subdivision", tr.validate_subdivision(doc["n"], cells)
         except (po.NecklaceError, tr.SubdivisionError, ValueError, KeyError, TypeError) as exc:
             raise InputError(str(exc)) from exc
-        raise InputError("JSON object needs one of the keys: necklace, pi, bases, cells")
+        raise InputError(f"JSON object needs one of the keys: {', '.join(INPUT_KEYS)}")
     return "necklace", parse_compact_necklace(text)
 
 
@@ -401,7 +407,7 @@ def cmd_triangulate(args) -> int:
         "covers": {"".join(map(str, w)): c for w, c in sorted(poset.cover.items())},
         "windows": {"".join(map(str, w)): list(win) for w, win in sorted(affine.windows.items())},
         "affine_consistent": affine.ok,
-        "hstar": poly_ints(tg.hstar_from_covers(poset)),
+        "hstar": poly_ints(tg.hstar_from_covers(poset.cover)),
     }
     if not affine.ok:
         report["affine_problems"] = list(affine.problems)
@@ -416,7 +422,7 @@ def cmd_tree(args) -> int:
         raise InputError("the tree command expects a subdivision "
                          '({"n": ..., "cells": [...]})')
     tree = tr.tree_positroid(tau)
-    poly = tree.hstar(parse_word(args.w0) if args.w0 else None)
+    poly = tg.hstar_shelling(tree.necklace, parse_word(args.w0) if args.w0 else None)
     arc_rows = [{"arc": [a.start, a.end], "facet_defining": a.facet_defining, "area": a.area}
                 for a in tr.arcs(tau) if a.compatible]
     report = {
@@ -712,6 +718,13 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         labels = necklace.fact(tg.enumerate_labels)
         if labels != tg.labels_by_bases(necklace):
             return _check(name, False, "labels differ from the basis-membership reference")
+        graph = tg.build_graph(labels)
+        poset = tg.shelling_poset(graph, graph.words[0])
+        walls = tg.wall_covers(labels, poset.base)
+        differing = next((w for w in graph.words if walls.get(w) != poset.cover[w]), None)
+        if differing is not None:
+            return _check(name, False, f"wall covers differ from the BFS covers from base "
+                                       f"{poset.base}, first at {differing}")
         reference = eh.closed_profile(necklace.fact(po.h_representation), n - 1)
         if necklace.fact(eh._closed_profile) != reference:
             return _check(name, False,
@@ -726,14 +739,12 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
             some = next(iter(closed.values()))
             if half["descents"][0] != 0 or sum(half["descents"]) != sum(some):
                 return _check(name, False, "half-open h* shape is wrong")
-        graph = tg.build_graph(labels)
-        poset = tg.shelling_poset(graph, graph.words[0])
         edges = graph.edges()
         if any(abs(poset.dist[u] - poset.dist[v]) != 1 for u, v in edges):
             return _check(name, False, "an edge does not join consecutive BFS layers")
         if sum(poset.cover.values()) != len(edges):
             return _check(name, False, "cover sum differs from edge count")
-        hstar = tg.hstar_from_covers(poset)
+        hstar = tg.hstar_from_covers(poset.cover)
         ehr = eh.ehrhart_of_positroid(necklace)
         volume = ehr.leading_coefficient * math.factorial(ehr.dim)
         if hstar(1) != len(labels) or volume != len(labels):
@@ -812,10 +823,13 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
     bad = 0
     for _ in range(w0_samples):
         necklace = sample_connected()
-        graph = tg.build_graph(necklace.fact(tg.enumerate_labels))
-        polys = {tg.hstar_from_covers(tg.shelling_poset(graph, w)).coefficients
-                 for w in graph.words}
-        if len(polys) != 1 or graph.labels != tg.labels_by_bases(necklace):
+        labels = necklace.fact(tg.enumerate_labels)
+        graph = tg.build_graph(labels)
+        covers = [tg.shelling_poset(graph, w).cover for w in graph.words]
+        polys = {tg.hstar_from_covers(cover).coefficients for cover in covers}
+        if (len(polys) != 1 or labels != tg.labels_by_bases(necklace)
+                or any(tg.wall_covers(labels, w) != cover
+                       for w, cover in zip(graph.words, covers))):
             bad += 1
     checks.append(_check(f"base-point independence ({w0_samples} samples, n <= {max_n})",
                          bad == 0, f"seed {seed}"))
@@ -826,7 +840,9 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
         tau = tr.random_subdivision(n, rng)
         try:
             tree = tr.tree_positroid(tau)
-            if tree.hstar() != tg.hstar_shelling(tree.necklace):
+            graph = tg.build_graph(tree.necklace.fact(tg.enumerate_labels))
+            graph_hstar = tg.hstar_from_covers(tg.shelling_poset(graph, graph.words[0]).cover)
+            if tg.hstar_shelling(tree.necklace) != graph_hstar:
                 bad += 1
         except Exception:  # noqa: BLE001 - a failed extensions/labels assertion counts as bad
             bad += 1
@@ -957,7 +973,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output, and the flush at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (InputError, po.NecklaceError, tr.SubdivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -7,8 +7,8 @@ vertices that stay inside one cell carry an "area" (black triangles to their
 left), and the two-sided area bounds cut out a positroid polytope with sum
 equality k+1.  Reading white cells clockwise and black cells
 counterclockwise produces chains whose circular extensions are exactly the
-triangulation labels of that polytope, so the cover statistic applies
-verbatim.
+triangulation labels of that polytope (asserted), so the shelling h* of its
+necklace, the wall covers summed over those labels, is the tree route's h*.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from .positroid import (
     necklace_from_bases,
     zero_one_points,
 )
-from .triangulation import (
-    build_graph,
-    enumerate_labels,
-    hstar_from_covers,
-    label_from_word,
-    shelling_poset,
-)
+from .triangulation import enumerate_labels, hstar_shelling
 
 
 class SubdivisionError(ValueError):
@@ -276,11 +270,6 @@ class TreePositroid:
     chains: tuple[Word, ...]
     extensions: tuple[Word, ...]
 
-    def hstar(self, base: Word | None = None) -> ExactPolynomial:
-        """h* by the cover statistic on the dual graph of the extensions."""
-        graph = build_graph([label_from_word(w) for w in self.extensions])
-        return hstar_from_covers(shelling_poset(graph, graph.words[0] if base is None else base))
-
 
 def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
     """The subdivision's positroid, chain order and circular extensions.
@@ -301,10 +290,10 @@ def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
 def hstar_tree(tau: BicoloredSubdivision, base: Word | None = None) -> ExactPolynomial:
     """h* of the subdivision's polytope by the cover statistic on extensions.
 
-    The dual graph is built from the circular extensions, which
-    `tree_positroid` checks against the necklace's triangulation labels.
+    The circular extensions are the necklace's triangulation labels
+    (`tree_positroid` asserts it), so this is the shelling h* of the necklace.
     """
-    return tree_positroid(tau).hstar(base)
+    return hstar_shelling(tree_positroid(tau).necklace, base)
 
 
 def random_subdivision(n: int, rng: random.Random) -> BicoloredSubdivision:

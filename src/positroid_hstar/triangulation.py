@@ -5,19 +5,24 @@ indicator vectors of the cyclic-descent sets of the rotations of w as
 vertices, listed in circuit order.  The labels whose circuit subsets are all
 bases triangulate the polytope; a prefix-pruned search finds them by the
 equivalent bounds on the cyclic descents of restrictions, and
-`labels_by_bases` keeps the basis filter as a reference.  Two simplices
-share a facet exactly when the cycles differ by one adjacent transposition
-of non-cyclically-adjacent values, and breadth-first search from any base
-label turns the dual graph into a shelling: summing z^(number of
-already-shelled neighbors) over labels gives the h*-polynomial.
+`labels_by_bases` keeps the basis filter as a reference.
 
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
 (Lam-Postnikov alcoves in prefix-sum coordinates), and is asserted on the
-simplex's vertices.  In those coordinates each simplex is an alcove, that
-is an affine permutation; read against the base alcove it gives the label's
+simplex's vertices.  Ordering the labels by distance from any base label
+shells the triangulation, and cover(w), the number of walls of w's alcove
+whose hyperplane separates it from the base alcove, counts the facets glued
+to earlier simplices; summing z^cover(w) over labels gives the
+h*-polynomial (`wall_covers`, `hstar_shelling`).
+
+The dual graph (two simplices share a facet exactly when the cycles differ
+by one adjacent transposition of non-cyclically-adjacent values) and its
+breadth-first search are the reference: `triangulate` reports them and
+`verify` compares their covers with the wall covers.  Each alcove is an
+affine permutation; read against the base alcove it gives the label's
 window, and a consistency check verifies that every dual-graph edge crosses
-one simple affine transposition and that Coxeter length is shelling distance.
+one simple affine transposition and that Coxeter length is BFS distance.
 """
 
 from __future__ import annotations
@@ -131,14 +136,14 @@ def simplex_facets(label: TriangulationLabel) -> HRepresentation:
 
 def _z_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
     """Circuit vertices in prefix sums z_q = x_1 + ... + x_q, q = 0..n-1."""
+    n = label.n
     out = []
-    for vert in simplex_vertices(label):
-        acc = 0
-        row = [0]
-        for v in vert[:-1]:
-            acc += v
-            row.append(acc)
-        out.append(tuple(row))
+    for s in label.circuit:
+        x = [0] * n  # x[k] = x_k for k = 1..n-1; x[0] = 0 starts the sums at z_0
+        for k in s:
+            if k < n:
+                x[k] = 1
+        out.append(tuple(itertools.accumulate(x)))
     return tuple(out)
 
 
@@ -154,9 +159,9 @@ def _wall(word: Word, z: Sequence[tuple[int, ...]], p: int) -> tuple[int, int, i
     n = len(word)
     a, b = word[p], word[(p + 1) % n]
     lo, hi = min(a, b) - 1, max(a, b) - 1
-    m = z[(p + 1) % n][hi] - z[(p + 1) % n][lo]
-    at_p = z[p][hi] - z[p][lo]
-    if at_p == m or any(z[q][hi] - z[q][lo] != m for q in range(n) if q != p):
+    values = [row[hi] - row[lo] for row in z]
+    m, at_p = values[(p + 1) % n], values[p]
+    if at_p == m or values.count(m) != n - 1:
         raise AssertionError(f"block {lo + 1}..{hi} is not the wall of {word} opposite vertex {p}")
     return lo, hi, m, at_p
 
@@ -270,21 +275,47 @@ def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
     return ShellingPoset(base, dist, cover)
 
 
-def hstar_from_covers(poset: ShellingPoset) -> ExactPolynomial:
-    """Sum of z^cover(w) over all labels."""
-    top = max(poset.cover.values())
-    coeffs = [0] * (top + 1)
-    for c in poset.cover.values():
+def wall_covers(labels: Sequence[TriangulationLabel], base: Word) -> dict[Word, int]:
+    """cover(w) of every label: the walls of its alcove that separate it from the base's.
+
+    With floor[lo][hi] the least value of z_hi - z_lo on the base alcove,
+    the wall z_hi - z_lo = m of a label (`_wall`, asserted) separates it
+    from the base alcove when floor >= m if the label lies below the wall
+    (at_p < m), and when floor < m if it lies above.  A separating wall is
+    never on the boundary of the polytope, which is convex and holds the
+    base alcove, so it is glued to a label closer to the base; the counts
+    equal the BFS covers of `shelling_poset` (Lam-Postnikov, "Alcoved
+    polytopes II"), which `verify` checks.
+    """
+    by_word = {label.word: label for label in labels}
+    if base not in by_word:
+        raise ValueError(f"{base} is not a label of the graph")
+    n = len(base)
+    if n == 1:
+        return {base: 0}
+    z0 = _z_vertices(by_word[base])
+    floor = [[min(v[hi] - v[lo] for v in z0) for hi in range(n)] for lo in range(n)]
+    covers = {}
+    for word, label in by_word.items():
+        z = _z_vertices(label)
+        walls = (_wall(word, z, p) for p in range(n))
+        covers[word] = sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
+                           for lo, hi, m, at_p in walls)
+    return covers
+
+
+def hstar_from_covers(cover: Mapping[Word, int]) -> ExactPolynomial:
+    """Sum of z^cover(w) over all labels, from `wall_covers` or `ShellingPoset.cover`."""
+    coeffs = [0] * (max(cover.values()) + 1)
+    for c in cover.values():
         coeffs[c] += 1
     return ExactPolynomial.from_coefficients(coeffs)
 
 
 def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> ExactPolynomial:
     """h*-polynomial of a connected positroid polytope by the cover statistic."""
-    graph = build_graph(necklace.fact(enumerate_labels))
-    if base is None:
-        base = graph.words[0]
-    return hstar_from_covers(shelling_poset(graph, base))
+    labels = necklace.fact(enumerate_labels)
+    return hstar_from_covers(wall_covers(labels, labels[0].word if base is None else base))
 
 
 # ---------------------------------------------------------------------------

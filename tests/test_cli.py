@@ -1,10 +1,12 @@
 import json
+import os
 
 import pytest
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
 from positroid_hstar import positroid as po
+from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
 from positroid_hstar.core import ExactPolynomial
 
@@ -99,6 +101,16 @@ class TestParsing:
         code, out, err = run(capsys, "convert", doc)
         assert code == 2 and out == ""
         assert err == f"error: {field}: expected an integer, got {shown}\n"
+
+    @pytest.mark.parametrize("doc,keys", [
+        ('{"necklace": [[1],[2]], "pi": [1,2,3]}', "necklace, pi"),
+        ('{"cells": [], "bases": [[1]], "pi": [1], "n": 1}', "pi, bases, cells"),
+    ])
+    def test_more_than_one_representation_is_an_input_error(self, capsys, doc, keys):
+        message = f"JSON object has more than one of the keys: {keys}"
+        with pytest.raises(cli.InputError, match=f"^{message}$"):
+            cli.parse_input(doc)
+        assert run(capsys, "convert", doc) == (2, "", f"error: {message}\n")
 
     def test_input_flag_belongs_to_verify_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -214,6 +226,20 @@ class TestTree:
         code, _, err = run(capsys, "tree", "12,23,13,14")
         assert code == 2
 
+    def test_shelling_routes_build_no_dual_graph(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dual graph is verify's reference only")
+
+        monkeypatch.setattr(tg, "build_graph", refuse)
+        monkeypatch.setattr(tg, "shelling_poset", refuse)
+        assert run_json(capsys, "hstar", "12,23,34,45,15")["hstar"] == {"shelling": [1, 5, 5]}
+        doc = ('{"n":5,"cells":[{"color":"black","vertices":[1,2,3]},'
+               '{"color":"white","vertices":[1,3,4]},{"color":"black","vertices":[1,4,5]}]}')
+        assert run_json(capsys, "tree", doc, "--w0", "41325")["hstar"] == [1, 3, 1]
+        assert cli.poly_ints(tr.hstar_tree(cli.parse_input(doc)[1])) == [1, 3, 1]
+        assert not {"build_graph", "shelling_poset", "hstar_from_covers",
+                    "label_from_word"} & set(vars(tr))
+
 
 class TestAtlas:
     def test_rank2_n4_connected(self, capsys):
@@ -327,6 +353,13 @@ class TestVerify:
                            "--w0-samples", "4", "--subdivision-samples", "6")
         assert code == 0
 
+    def test_random_scope_checks_wall_covers_against_bfs(self, monkeypatch):
+        walls = tg.wall_covers
+        monkeypatch.setattr(tg, "wall_covers", lambda labels, base: {
+            w: c + (w != base) for w, c in walls(labels, base).items()})
+        checks = cli.verify_random(3, 2, 2, max_n=5)
+        assert [ok for _, ok, _ in checks] == [False, False]
+
 
 class TestExhaustiveWorker:
     PYRAMID = ((1, 2), (2, 3), (1, 3), (1, 4))
@@ -353,6 +386,15 @@ class TestExhaustiveWorker:
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok and detail == "labels differ from the basis-membership reference"
 
+    def test_wall_covers_are_checked_against_the_bfs_covers(self, monkeypatch):
+        walls = tg.wall_covers
+        monkeypatch.setattr(tg, "wall_covers", lambda labels, base: {
+            w: c + (w == (2, 1, 3, 4)) for w, c in walls(labels, base).items()})
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok
+        assert detail == ("wall covers differ from the BFS covers from base (1, 3, 2, 4), "
+                          "first at (2, 1, 3, 4)")
+
     def test_exception_names_its_innermost_frame(self, monkeypatch):
         def broken(graph, base):
             raise RuntimeError("window overflow")
@@ -362,6 +404,40 @@ class TestExhaustiveWorker:
         line = broken.__code__.co_firstlineno + 1
         assert not ok
         assert detail == f"exception: RuntimeError('window overflow') at test_cli.py:{line} in broken"
+
+
+class TestBrokenPipe:
+    class ClosedPipe:
+        """A stdout whose reader has gone away, on the descriptor of a real file."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "12,23,13,14"],
+        ["hstar", "12,23,13,14", "--method", "all"],
+        ["tree", '{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
+                 '{"color":"white","vertices":[1,3,4]}]}'],
+        ["atlas", "--n", "3"],
+        ["verify"],
+    ])
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path, argv):
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr("sys.stdout", self.ClosedPipe(fh.fileno()))
+            code = cli.main(argv)
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestReportShape:

@@ -26,6 +26,7 @@ from positroid_hstar.triangulation import (
     simplex_facets,
     simplex_is_unimodular,
     simplex_vertices,
+    wall_covers,
     window_length,
     window_times_s,
 )
@@ -225,13 +226,13 @@ class TestShelling:
 
     def test_base_point_free(self):
         graph = build_graph(enumerate_labels(UNIFORM25))
-        polys = {hstar_from_covers(shelling_poset(graph, w)).coefficients
+        polys = {hstar_from_covers(shelling_poset(graph, w).cover).coefficients
                  for w in graph.words}
         assert polys == {(Fraction(1), Fraction(5), Fraction(5))}
 
     @pytest.mark.parametrize("necklace,coeffs", [
         (WHEEL, [1, 4, 3]), (UNIFORM25, [1, 5, 5]), (PRISM, [1, 3, 1]),
-        (PYRAMID, [1, 1]),
+        (PYRAMID, [1, 1]), (validate_necklace([[1]]), [1]),
     ])
     def test_hstar_values(self, necklace, coeffs):
         assert hstar_shelling(necklace) == ExactPolynomial.from_coefficients(coeffs)
@@ -324,17 +325,21 @@ class TestAffineLabeling:
             assert any(str(w) in problem for problem in report.problems)
 
     def test_cover_counts_the_cyclic_window_descents(self):
-        # cover(w) = #{i in 1..n : win(i) > win(i+1)} with win(n+1) = win(1) + n
+        # cover(w) = #{i in 1..n : win(i) > win(i+1)} with win(n+1) = win(1) + n,
+        # and it is the number of walls separating w's alcove from the base's
         for n in range(2, 7):
             for necklace in connected_necklaces(n):
-                graph = build_graph(enumerate_labels(necklace))
+                labels = enumerate_labels(necklace)
+                graph = build_graph(labels)
                 for base in graph.words if n <= 5 else graph.words[:1]:
                     poset = shelling_poset(graph, base)
                     report = affine_consistency_check(graph, poset)
+                    walls = wall_covers(labels, base)
                     for w, win in report.windows.items():
                         cyclic = win + (win[0] + n,)
                         descents = sum(cyclic[i] > cyclic[i + 1] for i in range(n))
                         assert poset.cover[w] == descents, (necklace.compact(), base, w)
+                        assert walls[w] == descents, (necklace.compact(), base, w)
 
     @pytest.mark.parametrize("word,circuit", [
         # the alcove of 2134 read against the word 1234
