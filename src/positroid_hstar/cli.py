@@ -40,6 +40,7 @@ EXIT_DISCONNECTED = 3
 CLOSED_METHODS = ("shelling", "inclusion-exclusion", "oracle")
 HALF_OPEN_METHODS = ("descents", "oracle")
 INPUT_KEYS = ("necklace", "pi", "bases", "cells")
+RANDOM_MAX_N = 7  # verify --scope random samples n <= 7 unless --max-n says otherwise
 
 
 class InputError(ValueError):
@@ -320,8 +321,8 @@ def cmd_hstar(args) -> int:
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
     connected = necklace.fact(po.necklace_connected)
-    method = args.method
     half_open = args.half_open
+    method = args.method or ("descents" if half_open else "shelling")
 
     report = {
         "input_kind": kind,
@@ -475,6 +476,8 @@ def size_cap() -> int:
 
 
 def cmd_atlas(args) -> int:
+    if args.n < 1:
+        raise InputError("--n must be positive")
     if args.n > size_cap():
         print(f"error: n = {args.n} exceeds the size cap {size_cap()} "
               "(override with POSITROID_MAX_N)", file=sys.stderr)
@@ -807,7 +810,7 @@ def verify_roundtrips(max_n: int) -> list[Check]:
 
 
 def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
-                  max_n: int = 7) -> list[Check]:
+                  max_n: int = RANDOM_MAX_N) -> list[Check]:
     rng = random.Random(seed)
     checks = []
 
@@ -827,8 +830,9 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
         graph = tg.build_graph(labels)
         covers = [tg.shelling_poset(graph, w).cover for w in graph.words]
         polys = {tg.hstar_from_covers(cover).coefficients for cover in covers}
+        walls = tg.label_walls(labels)
         if (len(polys) != 1 or labels != tg.labels_by_bases(necklace)
-                or any(tg.wall_covers(labels, w) != cover
+                or any(tg.wall_covers(walls, w) != cover
                        for w, cover in zip(graph.words, covers))):
             bad += 1
     checks.append(_check(f"base-point independence ({w0_samples} samples, n <= {max_n})",
@@ -878,6 +882,9 @@ def cmd_verify(args) -> int:
         checks += verify_single_input(read_input(args.input))
     else:
         scope = args.scope
+        if scope == "random" and args.max_n is not None and args.max_n < 4:
+            raise InputError("--max-n must be at least 4 for the random scope "
+                             "(subdivision sampling needs n >= 4)")
         max_n = args.max_n if args.max_n is not None else min(6, size_cap())
         if scope in ("golden", "all"):
             checks += verify_golden()
@@ -886,7 +893,10 @@ def cmd_verify(args) -> int:
         if scope in ("exhaustive", "all"):
             checks += verify_exhaustive(max_n, args.jobs)
         if scope in ("random", "all"):
-            checks += verify_random(args.seed, args.w0_samples, args.subdivision_samples)
+            # only --scope random reads --max-n: under all it bounds the sweeps alone
+            explicit = scope == "random" and args.max_n is not None
+            checks += verify_random(args.seed, args.w0_samples, args.subdivision_samples,
+                                    args.max_n if explicit else RANDOM_MAX_N)
     width = max(len(name) for name, _, _ in checks)
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:
@@ -925,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hstar", help="compute the h*-polynomial")
     add_io(p)
     p.add_argument("--method", choices=("shelling", "descents", "inclusion-exclusion",
-                                        "oracle", "all"), default="shelling")
+                                        "oracle", "all"))
     p.add_argument("--w0", help="base label for the shelling (one-line permutation)")
     p.add_argument("--half-open", action="store_true", dest="half_open")
 

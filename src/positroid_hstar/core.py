@@ -104,37 +104,53 @@ def cyclic_left_descents(word: Sequence[int], order: Sequence[int] | None = None
 def descent_bounded_words(n: int, rows: Iterable[tuple[Sequence[int], int]]) -> tuple[Word, ...]:
     """Words w with w_n = n, in lexicographic order, whose restriction to each
     row's ground (its letters in cyclic order) has at most the row's bound
-    (>= 0) of cyclic left descents.
+    of cyclic left descents; a negative bound is a ValueError.  Serves both
+    the label search and `tree.circular_extensions`.
 
     Letters are placed left to right, n last, so placing v makes its
     predecessor in a ground a descent exactly when that one is still
     unplaced: counts only grow, and a prefix is cut once a row exceeds its
-    bound.
+    bound.  The unplaced letters are a bitmask (bit v for letter v), the
+    prefix is one list filled by backtracking, and the remaining room per
+    row is copied only when a placement charges it.
 
     >>> descent_bounded_words(4, [((1, 3, 2), 1)])
     ((1, 3, 2, 4), (2, 1, 3, 4), (3, 2, 1, 4))
     """
-    preds: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+    charges: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     bounds = []
     for k, (ground, bound) in enumerate(rows):
+        if bound < 0:
+            raise ValueError(f"row {k} has negative bound {bound}")
         for pred, v in zip(ground[-1:] + ground[:-1], ground):
             if pred != v:
-                preds[v].append((k, pred))
+                charges[v].append((k, 1 << pred))
         bounds.append(bound)
     out: list[Word] = []
+    prefix = list(range(1, n + 1))  # prefix[n - 1] = n throughout
 
-    def extend(prefix: Word, free: Word, room: list[int]) -> None:
-        if len(free) == 1:
-            out.append(prefix + free)
-        for v in free[:-1]:
-            left = list(room)
-            for k, pred in preds[v]:
-                if pred in free:
+    def extend(depth: int, free: int, room: list[int]) -> None:
+        if depth == n - 1:
+            out.append(tuple(prefix))
+            return
+        for v in range(1, n):
+            bit = 1 << v
+            if not free & bit:
+                continue
+            rest = free ^ bit
+            left = room
+            for k, pred_bit in charges[v]:
+                if rest & pred_bit:
+                    if left is room:
+                        left = room.copy()
                     left[k] -= 1
-            if min(left, default=0) >= 0:
-                extend(prefix + (v,), tuple(u for u in free if u != v), left)
+                    if left[k] < 0:
+                        break
+            else:
+                prefix[depth] = v
+                extend(depth + 1, rest, left)
 
-    extend((), tuple(range(1, n + 1)), bounds)
+    extend(0, (1 << n + 1) - 2, bounds)
     return tuple(out)
 
 
@@ -142,9 +158,8 @@ def circuit_subsets(word: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Cyclic-descent sets of all rotations of ``word``, in circuit order.
 
     ``word`` must end with n.  Entry p is the descent set of the rotation
-    ending at word[p]; all n sets are distinct and have equal size.  Moving
-    the first letter v of a rotation to the back makes v a descent and then
-    its cyclic predecessor v - 1 (mod n) not one.
+    ending at word[p]; all n sets are distinct and have equal size.  The
+    sets are those of `circuit_masks`, checked and unpacked.
 
     >>> [''.join(map(str, sorted(s))) for s in circuit_subsets((3, 2, 4, 1, 5))]
     ['135', '235', '245', '124', '125']
@@ -154,12 +169,40 @@ def circuit_subsets(word: Sequence[int]) -> tuple[frozenset[int], ...]:
     n = len(word)
     if word[-1] != n:
         raise ValueError("circuit labels must end with n")
-    descents = cyclic_left_descents(word)
+    return tuple(mask_to_set(m, n) for m in circuit_masks(word))
+
+
+def circuit_masks(word: Sequence[int]) -> tuple[int, ...]:
+    """`circuit_subsets` as bitmasks (bit k for letter k), for a word already
+    known to be a permutation of 1..n ending with n; unchecked.
+
+    The word's cyclic left descents are the letters a whose cyclic
+    successor (a + 1, or 1 for a = n) stands left of them.  Moving the
+    first letter v of a rotation to the back makes v a descent and then
+    its cyclic predecessor v - 1 (mod n) not one.
+
+    >>> [bin(m) for m in circuit_masks((2, 3, 1, 4))]
+    ['0b10100', '0b11000', '0b1010', '0b10010']
+    """
+    n = len(word)
+    pos = [0] * (n + 2)
+    for p, v in enumerate(word):
+        pos[v] = p
+    pos[n + 1] = pos[1]
+    mask = 0
+    for a in range(1, n + 1):
+        if pos[a] > pos[a + 1]:
+            mask |= 1 << a
     out = []
     for v in word:
-        descents = (descents | {v}) - {(v - 2) % n + 1}
-        out.append(descents)
+        mask = (mask | 1 << v) & ~(1 << (v - 2) % n + 1)
+        out.append(mask)
     return tuple(out)
+
+
+def mask_to_set(mask: int, n: int) -> frozenset[int]:
+    """The letters k in 1..n with bit k of ``mask`` set."""
+    return frozenset(k for k in range(1, n + 1) if mask >> k & 1)
 
 
 def descent_count(word: Sequence[int]) -> int:

@@ -5,7 +5,10 @@ indicator vectors of the cyclic-descent sets of the rotations of w as
 vertices, listed in circuit order.  The labels whose circuit subsets are all
 bases triangulate the polytope; a prefix-pruned search finds them by the
 equivalent bounds on the cyclic descents of restrictions, and
-`labels_by_bases` keeps the basis filter as a reference.
+`labels_by_bases` keeps the basis filter as a reference.  Both read each
+word's circuit as integer bitmasks (`core.circuit_masks`) and turn every
+distinct subset into one frozenset per call, which all labels with that
+subset share and which is checked against the bases once.
 
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
@@ -14,7 +17,8 @@ simplex's vertices.  Ordering the labels by distance from any base label
 shells the triangulation, and cover(w), the number of walls of w's alcove
 whose hyperplane separates it from the base alcove, counts the facets glued
 to earlier simplices; summing z^cover(w) over labels gives the
-h*-polynomial (`wall_covers`, `hstar_shelling`).
+h*-polynomial (`wall_covers`, `hstar_shelling`).  The walls do not depend
+on the base: `label_walls` reads them once for scoring many bases.
 
 The dual graph (two simplices share a facet exactly when the cycles differ
 by one adjacent transposition of non-cyclically-adjacent values) and its
@@ -29,10 +33,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._linalg import determinant
-from .core import ExactPolynomial, Word, circuit_subsets, cyclic_interval, descent_bounded_words
+from .core import (
+    ExactPolynomial,
+    Word,
+    circuit_masks,
+    circuit_subsets,
+    cyclic_interval,
+    descent_bounded_words,
+    mask_to_set,
+)
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
@@ -68,7 +80,8 @@ def enumerate_labels(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, .
     One prefix-pruned search keeps the words w with w_n = n that have r
     cyclic left descents (at most r, and at most n-r in the reversed order)
     and whose restriction to [i, a], a the j-th <_i-element of J_i, has at
-    most j-1.  Their circuit subsets must be bases (asserted);
+    most j-1.  Their circuit subsets must be bases (asserted once per
+    distinct subset; the labels share one frozenset per subset);
     `labels_by_bases` is the brute-force reference.
     """
     n, r = necklace.n, necklace.rank
@@ -78,9 +91,9 @@ def enumerate_labels(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, .
     rows = [(tuple(range(1, n + 1)), r), (tuple(range(n, 0, -1)), n - r)] + [
         (cyclic_interval(i, a, n), j)
         for i in range(1, n + 1) for j, a in enumerate(necklace.sorted_subset(i))]
-    labels = tuple(map(label_from_word, descent_bounded_words(n, rows)))
-    basis_set = necklace.fact(bases_from_necklace).bases
-    if not all(basis_set.issuperset(label.circuit) for label in labels):
+    words = descent_bounded_words(n, rows)
+    labels = _labels_of_bases(words, n, necklace.fact(bases_from_necklace).bases)
+    if len(labels) != len(words):
         raise AssertionError("a label has a circuit subset that is not a basis")
     return labels
 
@@ -90,14 +103,34 @@ def labels_by_bases(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, ..
     filtered by their circuit subsets being bases of rank r.  Uncached;
     `verify` and the tests compare the two, no production path calls it.
     """
-    n, r = necklace.n, necklace.rank
+    n = necklace.n
     if n == 1:
         return (label_from_word((1,)),)
     necklace.require_connected("triangulation")
-    basis_set = necklace.fact(bases_from_necklace).bases
-    labels = (label_from_word(head + (n,)) for head in itertools.permutations(range(1, n)))
-    return tuple(label for label in labels
-                 if label.rank == r and basis_set.issuperset(label.circuit))
+    words = (head + (n,) for head in itertools.permutations(range(1, n)))
+    return _labels_of_bases(words, n, necklace.fact(bases_from_necklace).bases)
+
+
+def _labels_of_bases(words: Iterable[Word], n: int,
+                     basis_set: frozenset[frozenset[int]]) -> tuple[TriangulationLabel, ...]:
+    """Labels of the words whose circuit subsets are all bases, in order.
+
+    Each distinct circuit subset becomes one frozenset, shared by every
+    label that has it, and is looked up in the bases once; the table lives
+    for this call only.
+    """
+    subsets: dict[int, frozenset[int] | None] = {}
+    labels = []
+    for word in words:
+        masks = circuit_masks(word)
+        for m in masks:
+            if m not in subsets:
+                s = mask_to_set(m, n)
+                subsets[m] = s if s in basis_set else None
+        circuit = tuple(subsets[m] for m in masks)
+        if None not in circuit:
+            labels.append(TriangulationLabel(word, circuit))
+    return tuple(labels)
 
 
 def simplex_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
@@ -212,14 +245,14 @@ def build_graph(labels: Sequence[TriangulationLabel]) -> TriangulationGraph:
     exactly n-1 circuit subsets; asserted.
     """
     labels = tuple(sorted(labels, key=lambda lab: lab.word))
-    by_word = {lab.word: lab for lab in labels}
     ns = {lab.n for lab in labels}
     if len(ns) != 1:
         raise ValueError("labels have mixed ground-set sizes")
     n = ns.pop()
-    neighbors: dict[Word, list[Word]] = {w: [] for w in by_word}
+    circuits = {lab.word: frozenset(lab.circuit) for lab in labels}
+    neighbors: dict[Word, list[Word]] = {w: [] for w in circuits}
     swap_position: dict[tuple[Word, Word], int] = {}
-    for word, label in by_word.items():
+    for word, circuit in circuits.items():
         for p in range(n):
             a, b = word[p], word[(p + 1) % n]
             if (a - b) % n in (1, n - 1):
@@ -227,8 +260,8 @@ def build_graph(labels: Sequence[TriangulationLabel]) -> TriangulationGraph:
             cycle = list(word)
             cycle[p], cycle[(p + 1) % n] = cycle[(p + 1) % n], cycle[p]
             other = _canonical_cycle_word(cycle)
-            if other in by_word:
-                shared = set(label.circuit) & set(by_word[other].circuit)
+            if other in circuits:
+                shared = circuit & circuits[other]
                 if len(shared) != n - 1:
                     raise AssertionError(
                         f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
@@ -275,7 +308,25 @@ def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
     return ShellingPoset(base, dist, cover)
 
 
-def wall_covers(labels: Sequence[TriangulationLabel], base: Word) -> dict[Word, int]:
+Walls = tuple[tuple[int, int, int, int], ...]  # (lo, hi, m, at_p) per circuit vertex
+
+
+def label_walls(labels: Iterable[TriangulationLabel]) -> dict[TriangulationLabel, Walls]:
+    """Each label's walls (lo, hi, m, at_p) in circuit order, read by `_wall` (asserted).
+
+    They do not depend on a base, so `wall_covers` can score many bases
+    against one table.  A one-point simplex has no walls.
+    """
+    return {label: _walls(label) for label in labels}
+
+
+def _walls(label: TriangulationLabel) -> Walls:
+    z = _z_vertices(label)
+    return tuple(_wall(label.word, z, p) for p in range(label.n if label.n > 1 else 0))
+
+
+def wall_covers(labels: Sequence[TriangulationLabel] | Mapping[TriangulationLabel, Walls],
+                base: Word) -> dict[Word, int]:
     """cover(w) of every label: the walls of its alcove that separate it from the base's.
 
     With floor[lo][hi] the least value of z_hi - z_lo on the base alcove,
@@ -285,23 +336,20 @@ def wall_covers(labels: Sequence[TriangulationLabel], base: Word) -> dict[Word, 
     never on the boundary of the polytope, which is convex and holds the
     base alcove, so it is glued to a label closer to the base; the counts
     equal the BFS covers of `shelling_poset` (Lam-Postnikov, "Alcoved
-    polytopes II"), which `verify` checks.
+    polytopes II"), which `verify` checks.  ``labels`` may be their
+    `label_walls`, which are then not read again.
     """
     by_word = {label.word: label for label in labels}
     if base not in by_word:
         raise ValueError(f"{base} is not a label of the graph")
     n = len(base)
-    if n == 1:
-        return {base: 0}
     z0 = _z_vertices(by_word[base])
     floor = [[min(v[hi] - v[lo] for v in z0) for hi in range(n)] for lo in range(n)]
-    covers = {}
-    for word, label in by_word.items():
-        z = _z_vertices(label)
-        walls = (_wall(word, z, p) for p in range(n))
-        covers[word] = sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
-                           for lo, hi, m, at_p in walls)
-    return covers
+    walls = (labels.items() if isinstance(labels, Mapping)
+             else ((label, _walls(label)) for label in by_word.values()))
+    return {label.word: sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
+                            for lo, hi, m, at_p in its_walls)
+            for label, its_walls in walls}
 
 
 def hstar_from_covers(cover: Mapping[Word, int]) -> ExactPolynomial:
@@ -378,12 +426,19 @@ def _alcove(label: TriangulationLabel) -> Window:
     """
     n = label.n
     z = _z_vertices(label)
-    c = [sum(v[j] for v in z) for j in range(n)]
+    c = list(map(sum, zip(*z)))
     g = [j + 1 - n * (c[j] // n) for j in sorted(range(n), key=lambda j: c[j] % n)]
     start = next(i for i, a in enumerate(g) if (a - 1) % n + 1 == label.word[0])
     g = g[start:] + [a + n for a in g[:start]]
-    inside = all(all(x <= y for x, y in zip(vals, vals[1:]))
-                 for vals in ([v[(a - 1) % n] + (a - 1) // n for a in g + [g[0] + n]] for v in z))
+    steps = [divmod(a - 1, n) for a in g + [g[0] + n]]  # (shift, residue) pairs
+    inside = True
+    for v in z:
+        prev = v[steps[0][1]] + steps[0][0]
+        for shift, residue in steps:
+            value = v[residue] + shift
+            if value < prev:
+                inside = False
+            prev = value
     if [(a - 1) % n + 1 for a in g] != list(label.word) or len(set(z)) != n or not inside:
         raise AssertionError(f"the simplex of {label.word} is not the alcove {g}")
     return tuple(g)

@@ -153,6 +153,17 @@ class TestHstar:
                           "--method", "descents")
         assert report["hstar"]["descents"] == [0, 0, 2]
 
+    def test_half_open_defaults_to_descents(self, capsys):
+        default = run(capsys, "hstar", "12,23,13,14", "--half-open")
+        assert default == run(capsys, "hstar", "12,23,13,14", "--half-open",
+                              "--method", "descents")
+        assert default[0] == 0 and json.loads(default[1])["hstar"] == {"descents": [0, 0, 2]}
+
+    def test_explicit_shelling_with_half_open_rejected(self, capsys):
+        assert run(capsys, "hstar", "12,23,13,14", "--half-open", "--method", "shelling") == (
+            2, "", "error: method shelling does not apply to half-open polytopes; "
+                   "use descents or oracle\n")
+
     def test_descents_without_half_open_rejected(self, capsys):
         code, _, err = run(capsys, "hstar", "12,23,13,14", "--method", "descents")
         assert code == 2 and "half-open" in err
@@ -265,6 +276,10 @@ class TestAtlas:
         hstars = {tuple(r["hstar"]["shelling"]) for r in rows}
         assert (1, 5, 5) in hstars
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_is_named(self, capsys, n):
+        assert run(capsys, "atlas", "--n", n) == (2, "", "error: --n must be positive\n")
+
     def test_cap_exceeded(self, capsys, monkeypatch):
         monkeypatch.setenv("POSITROID_MAX_N", "5")
         code, _, err = run(capsys, "atlas", "--n", "6")
@@ -352,6 +367,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--scope", "random",
                            "--w0-samples", "4", "--subdivision-samples", "6")
         assert code == 0
+
+    def test_random_scope_honours_max_n(self, capsys):
+        code, out, _ = run(capsys, "verify", "--scope", "random", "--max-n", "5",
+                           "--w0-samples", "3", "--subdivision-samples", "3")
+        assert code == 0
+        assert "base-point independence (3 samples, n <= 5)" in out
+        assert "subdivision agreement (3 samples, n <= 5)" in out
+
+    @pytest.mark.parametrize("max_n", ["3", "0"])
+    def test_random_scope_rejects_max_n_below_4(self, capsys, max_n):
+        assert run(capsys, "verify", "--scope", "random", "--max-n", max_n) == (
+            2, "", "error: --max-n must be at least 4 for the random scope "
+                   "(subdivision sampling needs n >= 4)\n")
+
+    def test_random_scope_reads_each_labels_walls_once(self, monkeypatch):
+        # the walls do not depend on the base, so every label's n walls are
+        # read once however many bases are scored
+        search, wall = tg.enumerate_labels, tg._wall
+        searched, reads = [], []
+        monkeypatch.setattr(tg, "enumerate_labels",
+                            lambda necklace: searched.append(search(necklace)) or searched[-1])
+        monkeypatch.setattr(tg, "_wall", lambda *args: reads.append(args[0]) or wall(*args))
+        checks = cli.verify_random(20240814, 3, 0)
+        assert [ok for _, ok, _ in checks] == [True, True]
+        assert len(searched) == 3 and any(len(labels) > 1 for labels in searched)
+        assert len(reads) == sum(len(labels) * labels[0].n for labels in searched)
 
     def test_random_scope_checks_wall_covers_against_bfs(self, monkeypatch):
         walls = tg.wall_covers

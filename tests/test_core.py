@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from positroid_hstar.core import (
     ExactPolynomial,
+    circuit_masks,
     circuit_subsets,
     cyclic_interval,
     cyclic_left_descents,
@@ -171,7 +172,7 @@ class TestDescentBoundedWords:
             assert words == tuple(w for w in bounded_by_brute_force(n, [])
                                   if tuple(v for v in w if v in chain) in rotations)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_random_rows_match_brute_force(self, n):
         rng = random.Random(100 + n)
         for _ in range(20):
@@ -181,8 +182,22 @@ class TestDescentBoundedWords:
                 rows.append((ground, rng.randrange(len(ground))))
             assert descent_bounded_words(n, rows) == bounded_by_brute_force(n, rows)
 
+    def test_negative_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="negative bound"):
+            descent_bounded_words(4, [((1, 2, 3), 1), ((2, 4), -1)])
+
 
 class TestCircuits:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_masks_are_the_descent_sets_of_the_rotations(self, n):
+        for head in itertools.permutations(range(1, n)):
+            word = head + (n,)
+            expected = tuple(sum(1 << a for a in cyclic_left_descents(word[p + 1:] + word[:p + 1]))
+                             for p in range(n))
+            assert circuit_masks(word) == expected, word
+            assert circuit_subsets(word) == tuple(
+                frozenset(k for k in range(1, n + 1) if m >> k & 1) for m in expected)
+
     def test_circuit_of_32415(self):
         chain = [tuple(sorted(s)) for s in circuit_subsets((3, 2, 4, 1, 5))]
         assert chain == [(1, 3, 5), (2, 3, 5), (2, 4, 5), (1, 2, 4), (1, 2, 5)]

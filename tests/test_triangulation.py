@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from positroid_hstar import triangulation as tg
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.positroid import (
@@ -21,6 +22,7 @@ from positroid_hstar.triangulation import (
     hstar_from_covers,
     hstar_shelling,
     label_from_word,
+    label_walls,
     labels_by_bases,
     shelling_poset,
     simplex_facets,
@@ -82,6 +84,26 @@ class TestEnumerateLabels:
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
     def test_search_matches_the_basis_reference(self, necklace):
         assert enumerate_labels(necklace) == labels_by_bases(necklace)
+
+    @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
+    def test_labels_of_one_call_share_their_circuit_subsets(self, necklace):
+        labels = enumerate_labels(necklace)
+        first = {}
+        for lab in labels:
+            for s in lab.circuit:
+                assert first.setdefault(s, s) is s
+        assert len(first) < sum(len(lab.circuit) for lab in labels)
+        # the table lives for one call: a second call builds its own subsets
+        again = enumerate_labels(necklace)
+        assert again == labels and again[0].circuit[0] is not labels[0].circuit[0]
+
+    def test_a_circuit_subset_outside_the_bases_is_caught(self, monkeypatch):
+        # of the circuit subsets 24, 34, 13, 14 of 2314 only 34 is not a basis
+        search = tg.descent_bounded_words
+        monkeypatch.setattr(tg, "descent_bounded_words",
+                            lambda n, rows: search(n, rows) + ((2, 3, 1, 4),))
+        with pytest.raises(AssertionError, match="not a basis"):
+            enumerate_labels(PYRAMID)
 
     @pytest.mark.parametrize("subsets", [[[]], [[1]]])
     def test_one_element_ground_set_has_one_label(self, subsets):
@@ -205,12 +227,42 @@ class TestGraph:
             adjacent = tuple(sorted((a.word, b.word))) in edges
             assert adjacent == (shared == len(a.word) - 1)
 
+    def test_swap_neighbours_sharing_too_few_subsets_are_caught(self):
+        # 2134 given the circuit of 2314 (24, 34, 13, 14) shares only 13 and 24 with 1324
+        fake = TriangulationLabel((2, 1, 3, 4), label_from_word((2, 3, 1, 4)).circuit)
+        with pytest.raises(AssertionError, match=r"joined \(1, 3, 2, 4\) and \(2, 1, 3, 4\) "
+                                                 r"sharing 2 subsets"):
+            build_graph([label_from_word((1, 3, 2, 4)), fake])
+
 
 class TestShelling:
     def test_wheel_cover_multiset(self):
         graph = build_graph(enumerate_labels(WHEEL))
         poset = shelling_poset(graph, (2, 4, 1, 3, 5))
         assert sorted(poset.cover.values()) == [0, 1, 1, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("order", [
+        # block z_2 - z_0 by vertex: 1, 2, 1, 1 (only vertex 1 on the wall)
+        (1, 0, 2, 3),
+        # block z_2 - z_0 by vertex: 1, 1, 2, 1 (vertex 0 on the wall, vertex 2 off it)
+        (1, 2, 0, 3),
+    ])
+    def test_a_simplex_off_its_words_walls_is_caught(self, order):
+        circuit = label_from_word((1, 3, 2, 4)).circuit
+        label = TriangulationLabel((1, 3, 2, 4), tuple(circuit[i] for i in order))
+        with pytest.raises(AssertionError, match=r"wall of \(1, 3, 2, 4\) opposite vertex 0"):
+            label_walls([label])
+
+    @pytest.mark.parametrize("necklace", [PRISM, UNIFORM25])
+    def test_one_wall_table_scores_every_base(self, necklace):
+        labels = enumerate_labels(necklace)
+        graph = build_graph(labels)
+        walls = label_walls(labels)
+        for w in graph.words:
+            assert wall_covers(walls, w) == shelling_poset(graph, w).cover
+        point = label_from_word((1,))
+        assert label_walls([point]) == {point: ()}
+        assert wall_covers(label_walls([point]), (1,)) == {(1,): 0}
 
     def test_rank3_covers(self):
         graph = build_graph(enumerate_labels(PRISM))
@@ -353,6 +405,14 @@ class TestAffineLabeling:
         graph = build_graph([TriangulationLabel(word, circuit)])
         with pytest.raises(AssertionError, match="alcove"):
             affine_consistency_check(graph, shelling_poset(graph, word))
+
+    def test_vertex_falling_inside_the_window_is_caught(self):
+        # the alcove read off these vertices is g = [2, 5, 3, 4]; along g the
+        # vertex {3, 4} reads 0, 1, 0, 1, 1 and falls between g(2) and g(3)
+        circuit = tuple(map(frozenset, ({1, 2}, {1, 3}, {1, 4}, {3, 4})))
+        graph = build_graph([TriangulationLabel((2, 1, 3, 4), circuit)])
+        with pytest.raises(AssertionError, match=r"not the alcove \[2, 5, 3, 4\]"):
+            affine_consistency_check(graph, shelling_poset(graph, (2, 1, 3, 4)))
 
     def test_window_generators(self):
         e = (1, 2, 3, 4, 5)
