@@ -31,8 +31,6 @@ from .ehrhart import (
     hstar_from_counts,
 )
 from .halfopen import (
-    CanonicalFacet,
-    canonical_facets,
     face_poset_of_uppers,
     hstar_closed_via_inclusion_exclusion,
     hstar_half_open,
@@ -40,6 +38,7 @@ from .halfopen import (
     moebius,
 )
 from .positroid import (
+    CanonicalFacet,
     DecoratedPermutation,
     DisconnectedPositroidError,
     GrassmannNecklace,
@@ -48,6 +47,7 @@ from .positroid import (
     NecklaceError,
     PositroidBases,
     bases_from_necklace,
+    canonical_facets,
     decompose_direct_sum,
     decorated_from_necklace,
     h_representation,
@@ -73,7 +73,6 @@ from .triangulation import (
     AffineLabelingReport,
     ShellingPoset,
     TriangulationGraph,
-    TriangulationLabel,
     affine_consistency_check,
     build_graph,
     enumerate_labels,

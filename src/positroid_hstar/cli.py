@@ -30,7 +30,7 @@ from . import halfopen as ho
 from . import positroid as po
 from . import tree as tr
 from . import triangulation as tg
-from .core import ExactPolynomial
+from .core import ExactPolynomial, circuit_subsets
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -278,15 +278,12 @@ def all_decorated_permutations(n: int) -> Iterator[po.DecoratedPermutation]:
 
 
 def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
-    """Connected positroids on [n], in decorated-permutation order.
-
-    Selected without deriving bases: both colorings of a one-element ground
-    set, otherwise the stabilized-interval-free permutations without fixed
-    points (`verify_roundtrips` checks this against rank splits).
-    """
+    """Connected positroids on [n], in decorated-permutation order, selected
+    by `positroid.necklace_connected` (no bases are derived)."""
     for dec in all_decorated_permutations(n):
-        if n == 1 or (not dec.fixed_points and po.is_stabilized_interval_free(dec.perm)):
-            yield po.necklace_from_decorated(dec)
+        necklace = po.necklace_from_decorated(dec)
+        if necklace.fact(po.necklace_connected):
+            yield necklace
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +334,28 @@ def cmd_hstar(args) -> int:
             raise InputError(f"method {method} does not apply to half-open polytopes; "
                              "use descents or oracle")
         methods = HALF_OPEN_METHODS if method == "all" else (method,)
+    else:
+        if method == "descents":
+            raise InputError("the descent formula computes the half-open h*; "
+                             "pass --half-open (or use inclusion-exclusion)")
+        methods = CLOSED_METHODS if method == "all" else (method,)
+        if not connected and method == "all":
+            methods = ("oracle",)
+    if args.w0 and "shelling" not in methods:
+        raise InputError("--w0 applies only to the shelling method")
+    if half_open:
         if not connected:
             print("error: half-open h* needs a connected positroid; "
                   "split with decompose_direct_sum", file=sys.stderr)
             return EXIT_DISCONNECTED
         results = hstar_half_open_all_methods(necklace, methods)
     else:
-        if method == "descents":
-            raise InputError("the descent formula computes the half-open h*; "
-                             "pass --half-open (or use inclusion-exclusion)")
-        methods = CLOSED_METHODS if method == "all" else (method,)
         if not connected:
-            if method != "oracle" and method != "all":
+            if methods != ("oracle",):
                 print(f"error: method {method} needs a connected positroid; "
                       "split with decompose_direct_sum and multiply Ehrhart factors",
                       file=sys.stderr)
                 return EXIT_DISCONNECTED
-            methods = ("oracle",)
             bases = necklace.fact(po.bases_from_necklace)
             report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
         base = parse_word(args.w0) if args.w0 else None
@@ -402,7 +404,7 @@ def cmd_triangulate(args) -> int:
         "n": necklace.n,
         "rank": necklace.rank,
         "num_simplices": len(labels),
-        "labels": ["".join(map(str, lab.word)) for lab in labels],
+        "labels": ["".join(map(str, w)) for w in labels],
         "edges": [["".join(map(str, u)), "".join(map(str, v))] for u, v in graph.edges()],
         "base": "".join(map(str, base)),
         "covers": {"".join(map(str, w)): c for w, c in sorted(poset.cover.items())},
@@ -545,14 +547,14 @@ def verify_golden() -> list[Check]:
         ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)), "necklace 12,23,13,14"))
     checks.append(_check(
         "pyramid labels",
-        tuple(l.word for l in tg.enumerate_labels(pyramid)) == ((1, 3, 2, 4), (2, 1, 3, 4)), ""))
+        tg.enumerate_labels(pyramid) == ((1, 3, 2, 4), (2, 1, 3, 4)), ""))
     checks.append(_check(
         "pyramid h* closed",
         all(h == [1, 1] for h in hstar_closed_all_methods(pyramid).values()), "1+z"))
     checks.append(_check(
         "pyramid h* half-open",
         all(h == [0, 0, 2] for h in hstar_half_open_all_methods(pyramid).values()), "2z^2"))
-    uppers = [str(f) for f in ho.canonical_facets(pyramid) if f.upper]
+    uppers = [str(f) for f in po.canonical_facets(pyramid) if f.upper]
     checks.append(_check(
         "pyramid upper facets",
         uppers == ["x_1 <= 1", "x_1+x_2+x_3 <= 2", "x_2 <= 1"], "; ".join(uppers)))
@@ -604,7 +606,7 @@ def verify_golden() -> list[Check]:
     labels3 = tg.enumerate_labels(prism)
     checks.append(_check(
         "rank-3 five-simplex labels",
-        tuple(l.word for l in labels3) ==
+        labels3 ==
         ((2, 4, 1, 3, 5), (3, 2, 4, 1, 5), (3, 4, 2, 1, 5), (4, 1, 3, 2, 5), (4, 2, 1, 3, 5)),
         "24135 32415 34215 41325 42135"))
     graph3 = tg.build_graph(labels3)
@@ -625,7 +627,7 @@ def verify_golden() -> list[Check]:
         "rank-3 five-simplex half-open",
         all(h == [0, 0, 1, 4] for h in hstar_half_open_all_methods(prism).values()),
         "z^2+4z^3"))
-    uppers3 = [str(f) for f in ho.canonical_facets(prism) if f.upper]
+    uppers3 = [str(f) for f in po.canonical_facets(prism) if f.upper]
     checks.append(_check(
         "rank-3 five-simplex uppers",
         uppers3 == ["x_1 <= 1", "x_1+x_2+x_3 <= 2", "x_2 <= 1", "x_4 <= 1"],
@@ -650,17 +652,17 @@ def verify_golden() -> list[Check]:
         mu3[3] == [-1, -1, -1, -1] and mu3[2] == [1] * 5 and mu3[1] == [-1, -1, 0]
         and mu3[0] == [0], str(dict(sorted(mu3.items())))))
 
-    circuit = [''.join(map(str, sorted(s))) for s in tg.label_from_word((3, 2, 4, 1, 5)).circuit]
+    circuit = [''.join(map(str, sorted(s))) for s in circuit_subsets((3, 2, 4, 1, 5))]
     checks.append(_check(
         "circuit of 32415",
         circuit == ["135", "235", "245", "124", "125"], "->".join(circuit)))
-    verts = set(tg.simplex_vertices(tg.label_from_word((3, 2, 4, 1, 5))))
+    verts = set(tg.simplex_vertices((3, 2, 4, 1, 5)))
     checks.append(_check(
         "vertices of 32415 simplex",
         verts == {(1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1),
                   (0, 1, 0, 1, 1), (1, 1, 0, 1, 0)}, ""))
     facets = {(q.start, q.stop, q.sense, q.bound)
-              for q in tg.simplex_facets(tg.label_from_word((3, 2, 4, 1, 5))).inequalities}
+              for q in tg.simplex_facets((3, 2, 4, 1, 5)).inequalities}
     checks.append(_check(
         "facets of projected 32415 simplex",
         facets == {(1, 5, ">=", 2), (3, 5, "<=", 1), (2, 3, "<=", 1),
@@ -782,9 +784,9 @@ def verify_exhaustive(max_n: int, jobs: int = 1) -> list[Check]:
 def verify_roundtrips(max_n: int) -> list[Check]:
     """Round trips of the two bijections, plus the connectivity cross-check.
 
-    For every decorated permutation the rank-split connectivity answer must
-    match the stabilized-interval-free test of the permutation (singleton
-    ground sets are connected regardless of color).
+    For every decorated permutation the rank-split connectivity answer
+    (`positroid.is_connected` on the bases) must match the
+    stabilized-interval-free rule of `positroid.necklace_connected`.
     """
     bad_trip = 0
     bad_sif = 0
@@ -798,10 +800,8 @@ def verify_roundtrips(max_n: int) -> list[Check]:
                 continue
             if po.necklace_from_decorated(po.decorated_from_necklace(necklace)) != necklace:
                 bad_trip += 1
-            connected = necklace.fact(po.necklace_connected)
-            sif = n == 1 or (not dec.fixed_points
-                             and po.is_stabilized_interval_free(dec.perm))
-            if connected != sif:
+            connected = po.is_connected(necklace.fact(po.bases_from_necklace))
+            if connected != necklace.fact(po.necklace_connected):
                 bad_sif += 1
     return [_check(f"necklace/decorated round trips n <= {max_n}", bad_trip == 0,
                    f"{total} decorated permutations"),

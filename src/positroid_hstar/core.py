@@ -164,12 +164,19 @@ def circuit_subsets(word: Sequence[int]) -> tuple[frozenset[int], ...]:
     >>> [''.join(map(str, sorted(s))) for s in circuit_subsets((3, 2, 4, 1, 5))]
     ['135', '235', '245', '124', '125']
     """
+    n = len(label_word(word))
+    return tuple(frozenset(k for k in range(1, n + 1) if m >> k & 1)
+                 for m in circuit_masks(word))
+
+
+def label_word(word: Sequence[int]) -> Word:
+    """``word`` as a tuple; a ValueError unless it is a permutation of 1..n
+    ending with n, the form of a triangulation label."""
     if not is_permutation_word(word):
         raise ValueError("not a permutation word")
-    n = len(word)
-    if word[-1] != n:
+    if word[-1] != len(word):
         raise ValueError("circuit labels must end with n")
-    return tuple(mask_to_set(m, n) for m in circuit_masks(word))
+    return tuple(word)
 
 
 def circuit_masks(word: Sequence[int]) -> tuple[int, ...]:
@@ -198,11 +205,6 @@ def circuit_masks(word: Sequence[int]) -> tuple[int, ...]:
         mask = (mask | 1 << v) & ~(1 << (v - 2) % n + 1)
         out.append(mask)
     return tuple(out)
-
-
-def mask_to_set(mask: int, n: int) -> frozenset[int]:
-    """The letters k in 1..n with bit k of ``mask`` set."""
-    return frozenset(k for k in range(1, n + 1) if mask >> k & 1)
 
 
 def descent_count(word: Sequence[int]) -> int:

@@ -4,7 +4,7 @@ Project the polytope onto the first n-1 coordinates (eliminating x_n through
 the sum equality) and write every facet as a bound on a contiguous block
 x_lo + ... + x_{hi-1}.  A facet is *upper* when its canonical sense is <=.
 The facets are derived in ``positroid``, next to the full necklace
-H-representation, and re-exported here.  Removing all upper facets leaves
+H-representation.  Removing all upper facets leaves
 the half-open polytope, whose h*-polynomial is the descent generating
 function z^(des+1) over triangulation labels.  The closed h* is then
 recovered by Moebius inclusion-exclusion over the poset of intersections of
@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 from ._linalg import affine_rank
 from .core import ExactPolynomial, descent_count
 from .ehrhart import CountProfile, count_points, face_hstar, hstar_from_counts
-from .positroid import (  # noqa: F401 - canonical_facets is re-exported
+from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
     HRepresentation,
     _facet_vertex_sets,
     _projected_vertices,
-    canonical_facets,
     facet_representation,
 )
 from .triangulation import enumerate_labels
@@ -39,11 +38,10 @@ def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
     """
     if necklace.n == 1:
         raise ValueError("half-open form needs n >= 2")
-    labels = necklace.fact(enumerate_labels)
     top = 0
     coeffs = [0]
-    for lab in labels:
-        e = descent_count(lab.word[:-1]) + 1
+    for word in necklace.fact(enumerate_labels):
+        e = descent_count(word[:-1]) + 1
         if e > top:
             coeffs.extend([0] * (e - top))
             top = e

@@ -281,8 +281,13 @@ def is_connected(bases: PositroidBases) -> bool:
 
 
 def necklace_connected(necklace: GrassmannNecklace) -> bool:
-    """Connectivity of the positroid of a necklace (its ``is_connected`` fact)."""
-    return is_connected(necklace.fact(bases_from_necklace))
+    """Connectivity of the positroid of a necklace, read off its decorated
+    permutation: a one-element ground set, or no fixed points and no
+    stabilized interval.  Derives no bases; ``is_connected``, the rank-split
+    test, is the reference that ``verify_roundtrips`` compares it with.
+    """
+    dec = decorated_from_necklace(necklace)
+    return necklace.n == 1 or (not dec.fixed_points and is_stabilized_interval_free(dec.perm))
 
 
 def stabilized_intervals(perm: Sequence[int], wrapping: bool = True) -> list[tuple[int, ...]]:

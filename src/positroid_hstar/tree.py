@@ -205,6 +205,11 @@ def h_rep_from_subdivision(tau: BicoloredSubdivision) -> HRepresentation:
     plus the lower bound of each facet-defining arc) must select the same
     0/1 points; asserted.
     """
+    return _area_bounds(tau)[0]
+
+
+def _area_bounds(tau: BicoloredSubdivision) -> tuple[HRepresentation, tuple[tuple[int, ...], ...]]:
+    """`h_rep_from_subdivision` and its 0/1 points, each description enumerated once."""
     r = tau.rank
     ineqs = []
     facet_ineqs = []
@@ -217,14 +222,15 @@ def h_rep_from_subdivision(tau: BicoloredSubdivision) -> HRepresentation:
             facet_ineqs.append(IntervalInequality(arc.start, arc.end, arc.area, ">="))
     full = HRepresentation(tau.n, r, tuple(ineqs))
     facet_only = HRepresentation(tau.n, r, tuple(facet_ineqs))
-    if zero_one_points(full) != zero_one_points(facet_only):
+    points = zero_one_points(full)
+    if points != zero_one_points(facet_only):
         raise AssertionError("area-bound and facet-arc descriptions disagree on 0/1 points")
-    return full
+    return full, points
 
 
 def positroid_from_subdivision(tau: BicoloredSubdivision) -> tuple[GrassmannNecklace, PositroidBases]:
     """Necklace and bases of the positroid cut out by the subdivision."""
-    points = zero_one_points(h_rep_from_subdivision(tau))
+    points = _area_bounds(tau)[1]
     if not points:
         raise SubdivisionError("subdivision polytope has no 0/1 points")
     bases = PositroidBases(tau.n, tau.rank, frozenset(
@@ -282,7 +288,7 @@ def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
     ext = circular_extensions(chains, tau.n)
     if not ext:
         raise SubdivisionError("the chain order has no circular extension")
-    if tuple(lab.word for lab in necklace.fact(enumerate_labels)) != ext:
+    if necklace.fact(enumerate_labels) != ext:
         raise AssertionError("circular extensions differ from the triangulation labels")
     return TreePositroid(necklace, bases, chains, ext)
 

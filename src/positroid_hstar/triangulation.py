@@ -1,14 +1,14 @@
 """Circuit triangulations of connected positroid polytopes.
 
-A triangulation label is a permutation w ending in n; its simplex has the
-indicator vectors of the cyclic-descent sets of the rotations of w as
-vertices, listed in circuit order.  The labels whose circuit subsets are all
-bases triangulate the polytope; a prefix-pruned search finds them by the
-equivalent bounds on the cyclic descents of restrictions, and
-`labels_by_bases` keeps the basis filter as a reference.  Both read each
-word's circuit as integer bitmasks (`core.circuit_masks`) and turn every
-distinct subset into one frozenset per call, which all labels with that
-subset share and which is checked against the bases once.
+A triangulation label is a permutation w ending in n, kept as its word; its
+simplex has the indicator vectors of the cyclic-descent sets of the
+rotations of w as vertices, listed in circuit order.  Both the circuit
+(`core.circuit_masks`) and the vertices are read off the word whenever a
+function needs them, and a public function given a word that is not a
+permutation ending in n raises ValueError.  The labels whose circuit
+subsets are all bases triangulate the polytope; a prefix-pruned search
+finds them by the equivalent bounds on the cyclic descents of restrictions,
+and `labels_by_bases` keeps the basis filter as a reference.
 
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
@@ -40,10 +40,9 @@ from .core import (
     ExactPolynomial,
     Word,
     circuit_masks,
-    circuit_subsets,
     cyclic_interval,
     descent_bounded_words,
-    mask_to_set,
+    label_word,
 )
 from .positroid import (
     GrassmannNecklace,
@@ -53,93 +52,56 @@ from .positroid import (
 )
 
 
-@dataclass(frozen=True)
-class TriangulationLabel:
-    """A permutation w with w_n = n together with its cached circuit."""
-
-    word: Word
-    circuit: tuple[frozenset[int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
-    @property
-    def rank(self) -> int:
-        return len(self.circuit[0])
-
-
-def label_from_word(word: Sequence[int]) -> TriangulationLabel:
-    word = tuple(word)
-    return TriangulationLabel(word, circuit_subsets(word))
-
-
-def enumerate_labels(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, ...]:
-    """Triangulation labels of a connected positroid polytope, sorted by word.
+def enumerate_labels(necklace: GrassmannNecklace) -> tuple[Word, ...]:
+    """Triangulation labels of a connected positroid polytope, sorted.
 
     One prefix-pruned search keeps the words w with w_n = n that have r
     cyclic left descents (at most r, and at most n-r in the reversed order)
     and whose restriction to [i, a], a the j-th <_i-element of J_i, has at
-    most j-1.  Their circuit subsets must be bases (asserted once per
-    distinct subset; the labels share one frozenset per subset);
+    most j-1.  Their circuit subsets must be bases (asserted);
     `labels_by_bases` is the brute-force reference.
     """
     n, r = necklace.n, necklace.rank
     if n == 1:
-        return (label_from_word((1,)),)
+        return ((1,),)
     necklace.require_connected("triangulation")
     rows = [(tuple(range(1, n + 1)), r), (tuple(range(n, 0, -1)), n - r)] + [
         (cyclic_interval(i, a, n), j)
         for i in range(1, n + 1) for j, a in enumerate(necklace.sorted_subset(i))]
     words = descent_bounded_words(n, rows)
-    labels = _labels_of_bases(words, n, necklace.fact(bases_from_necklace).bases)
+    labels = _labels_of_bases(words, necklace)
     if len(labels) != len(words):
         raise AssertionError("a label has a circuit subset that is not a basis")
     return labels
 
 
-def labels_by_bases(necklace: GrassmannNecklace) -> tuple[TriangulationLabel, ...]:
+def labels_by_bases(necklace: GrassmannNecklace) -> tuple[Word, ...]:
     """Reference for `enumerate_labels`: the (n-1)! words w with w_n = n
     filtered by their circuit subsets being bases of rank r.  Uncached;
     `verify` and the tests compare the two, no production path calls it.
     """
     n = necklace.n
     if n == 1:
-        return (label_from_word((1,)),)
+        return ((1,),)
     necklace.require_connected("triangulation")
     words = (head + (n,) for head in itertools.permutations(range(1, n)))
-    return _labels_of_bases(words, n, necklace.fact(bases_from_necklace).bases)
+    return _labels_of_bases(words, necklace)
 
 
-def _labels_of_bases(words: Iterable[Word], n: int,
-                     basis_set: frozenset[frozenset[int]]) -> tuple[TriangulationLabel, ...]:
-    """Labels of the words whose circuit subsets are all bases, in order.
-
-    Each distinct circuit subset becomes one frozenset, shared by every
-    label that has it, and is looked up in the bases once; the table lives
-    for this call only.
-    """
-    subsets: dict[int, frozenset[int] | None] = {}
-    labels = []
-    for word in words:
-        masks = circuit_masks(word)
-        for m in masks:
-            if m not in subsets:
-                s = mask_to_set(m, n)
-                subsets[m] = s if s in basis_set else None
-        circuit = tuple(subsets[m] for m in masks)
-        if None not in circuit:
-            labels.append(TriangulationLabel(word, circuit))
-    return tuple(labels)
+def _labels_of_bases(words: Iterable[Word], necklace: GrassmannNecklace) -> tuple[Word, ...]:
+    """The words whose circuit subsets are all bases, in order (bases as bitmasks)."""
+    bases = {sum(1 << k for k in b) for b in necklace.fact(bases_from_necklace).bases}
+    return tuple(w for w in words if bases.issuperset(circuit_masks(w)))
 
 
-def simplex_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
+def simplex_vertices(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the circuit subsets, in circuit order."""
-    n = label.n
-    return tuple(tuple(1 if k in s else 0 for k in range(1, n + 1)) for s in label.circuit)
+    n = len(word)
+    return tuple(tuple(m >> k & 1 for k in range(1, n + 1))
+                 for m in circuit_masks(label_word(word)))
 
 
-def simplex_facets(label: TriangulationLabel) -> HRepresentation:
+def simplex_facets(word: Sequence[int]) -> HRepresentation:
     """Facet inequalities of the projected simplex, one per circuit vertex.
 
     The facet opposite circuit vertex p bounds the sum over the block
@@ -148,7 +110,7 @@ def simplex_facets(label: TriangulationLabel) -> HRepresentation:
     vertex; `_wall` asserts it on the vertices.  Facets are listed in
     circuit order (entry p is opposite vertex p).
 
-    >>> for q in simplex_facets(label_from_word((3, 2, 4, 1, 5))).inequalities:
+    >>> for q in simplex_facets((3, 2, 4, 1, 5)).inequalities:
     ...     print(q.start, q.stop, q.sense, q.bound)
     2 3 <= 1
     2 4 >= 1
@@ -156,27 +118,34 @@ def simplex_facets(label: TriangulationLabel) -> HRepresentation:
     1 5 >= 2
     3 5 <= 1
     """
-    n = label.n
-    if n == 1:
-        return HRepresentation(1, label.rank, ())
-    z = _z_vertices(label)
-    inequalities = []
-    for p in range(n):
-        lo, hi, m, at_p = _wall(label.word, z, p)
-        inequalities.append(IntervalInequality(lo + 1, hi + 1, m, "<=" if at_p < m else ">="))
-    return HRepresentation(n, label.rank, tuple(inequalities))
+    word = label_word(word)
+    inequalities = [IntervalInequality(lo + 1, hi + 1, m, "<=" if at_p < m else ">=")
+                    for lo, hi, m, at_p in _walls(word)]
+    return HRepresentation(len(word), circuit_masks(word)[0].bit_count(), tuple(inequalities))
 
 
-def _z_vertices(label: TriangulationLabel) -> tuple[tuple[int, ...], ...]:
-    """Circuit vertices in prefix sums z_q = x_1 + ... + x_q, q = 0..n-1."""
-    n = label.n
+def _z_vertices(word: Word) -> tuple[tuple[int, ...], ...]:
+    """Circuit vertices in prefix sums z_q = x_1 + ... + x_q, q = 0..n-1.
+
+    The last vertex is the word's own cyclic descent set; passing from one
+    vertex to the next places the next letter v of the word, which lowers
+    z_(v-1) by 1 for v >= 2 and raises z_1, ..., z_(n-1) by 1 for v = 1.
+    """
+    n = len(word)
+    pos = [0] * (n + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    z = [0] * n
+    for q in range(1, n):
+        z[q] = z[q - 1] + (pos[q] > pos[q + 1])
     out = []
-    for s in label.circuit:
-        x = [0] * n  # x[k] = x_k for k = 1..n-1; x[0] = 0 starts the sums at z_0
-        for k in s:
-            if k < n:
-                x[k] = 1
-        out.append(tuple(itertools.accumulate(x)))
+    for v in word:
+        if v == 1:
+            for q in range(1, n):
+                z[q] += 1
+        else:
+            z[v - 1] -= 1
+        out.append(tuple(z))
     return tuple(out)
 
 
@@ -199,10 +168,10 @@ def _wall(word: Word, z: Sequence[tuple[int, ...]], p: int) -> tuple[int, int, i
     return lo, hi, m, at_p
 
 
-def simplex_is_unimodular(label: TriangulationLabel) -> bool:
+def simplex_is_unimodular(word: Sequence[int]) -> bool:
     """Edge vectors from the first circuit vertex span the lattice (det +-1)."""
-    verts = simplex_vertices(label)
-    n = label.n
+    verts = simplex_vertices(word)
+    n = len(word)
     rows = [[verts[q][k] - verts[0][k] for k in range(n - 1)] for q in range(1, n)]
     return determinant(rows) in (1, -1)
 
@@ -217,13 +186,9 @@ class TriangulationGraph:
     different positions when the swap moves the letter n.
     """
 
-    labels: tuple[TriangulationLabel, ...]
+    words: tuple[Word, ...]
     neighbors: Mapping[Word, tuple[Word, ...]]
     swap_position: Mapping[tuple[Word, Word], int]
-
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(lab.word for lab in self.labels)
 
     def edges(self) -> tuple[tuple[Word, Word], ...]:
         out = {tuple(sorted((u, v))) for u, vs in self.neighbors.items() for v in vs}
@@ -236,7 +201,7 @@ def _canonical_cycle_word(cycle: Sequence[int]) -> Word:
     return tuple(cycle[k + 1:]) + tuple(cycle[:k + 1])
 
 
-def build_graph(labels: Sequence[TriangulationLabel]) -> TriangulationGraph:
+def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
     """Adjacency by the swap rule, restricted to the given label set.
 
     u and v are adjacent iff the cycle of v is that of u with entries at
@@ -244,12 +209,12 @@ def build_graph(labels: Sequence[TriangulationLabel]) -> TriangulationGraph:
     cyclically consecutive.  For each resulting edge the simplices must share
     exactly n-1 circuit subsets; asserted.
     """
-    labels = tuple(sorted(labels, key=lambda lab: lab.word))
-    ns = {lab.n for lab in labels}
+    words = tuple(sorted(map(label_word, words)))
+    ns = {len(w) for w in words}
     if len(ns) != 1:
         raise ValueError("labels have mixed ground-set sizes")
     n = ns.pop()
-    circuits = {lab.word: frozenset(lab.circuit) for lab in labels}
+    circuits = {w: frozenset(circuit_masks(w)) for w in words}
     neighbors: dict[Word, list[Word]] = {w: [] for w in circuits}
     swap_position: dict[tuple[Word, Word], int] = {}
     for word, circuit in circuits.items():
@@ -268,7 +233,7 @@ def build_graph(labels: Sequence[TriangulationLabel]) -> TriangulationGraph:
                 neighbors[word].append(other)
                 swap_position[(word, other)] = p + 1
     return TriangulationGraph(
-        labels,
+        words,
         {w: tuple(sorted(vs)) for w, vs in neighbors.items()},
         swap_position,
     )
@@ -301,7 +266,7 @@ def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = sorted(nxt)
-    if len(dist) != len(graph.labels):
+    if len(dist) != len(graph.words):
         raise AssertionError("triangulation graph is disconnected")
     cover = {w: sum(1 for v in graph.neighbors[w] if dist[v] == dist[w] - 1)
              for w in dist}
@@ -311,21 +276,22 @@ def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
 Walls = tuple[tuple[int, int, int, int], ...]  # (lo, hi, m, at_p) per circuit vertex
 
 
-def label_walls(labels: Iterable[TriangulationLabel]) -> dict[TriangulationLabel, Walls]:
+def label_walls(words: Iterable[Sequence[int]]) -> dict[Word, Walls]:
     """Each label's walls (lo, hi, m, at_p) in circuit order, read by `_wall` (asserted).
 
     They do not depend on a base, so `wall_covers` can score many bases
     against one table.  A one-point simplex has no walls.
     """
-    return {label: _walls(label) for label in labels}
+    return {w: _walls(w) for w in map(label_word, words)}
 
 
-def _walls(label: TriangulationLabel) -> Walls:
-    z = _z_vertices(label)
-    return tuple(_wall(label.word, z, p) for p in range(label.n if label.n > 1 else 0))
+def _walls(word: Word) -> Walls:
+    n = len(word)
+    z = _z_vertices(word)
+    return tuple(_wall(word, z, p) for p in range(n if n > 1 else 0))
 
 
-def wall_covers(labels: Sequence[TriangulationLabel] | Mapping[TriangulationLabel, Walls],
+def wall_covers(labels: Sequence[Word] | Mapping[Word, Walls],
                 base: Word) -> dict[Word, int]:
     """cover(w) of every label: the walls of its alcove that separate it from the base's.
 
@@ -339,17 +305,16 @@ def wall_covers(labels: Sequence[TriangulationLabel] | Mapping[TriangulationLabe
     polytopes II"), which `verify` checks.  ``labels`` may be their
     `label_walls`, which are then not read again.
     """
-    by_word = {label.word: label for label in labels}
-    if base not in by_word:
+    if base not in labels:
         raise ValueError(f"{base} is not a label of the graph")
     n = len(base)
-    z0 = _z_vertices(by_word[base])
+    z0 = _z_vertices(label_word(base))
     floor = [[min(v[hi] - v[lo] for v in z0) for hi in range(n)] for lo in range(n)]
     walls = (labels.items() if isinstance(labels, Mapping)
-             else ((label, _walls(label)) for label in by_word.values()))
-    return {label.word: sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
-                            for lo, hi, m, at_p in its_walls)
-            for label, its_walls in walls}
+             else ((w, _walls(w)) for w in map(label_word, labels)))
+    return {w: sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
+                   for lo, hi, m, at_p in its_walls)
+            for w, its_walls in walls}
 
 
 def hstar_from_covers(cover: Mapping[Word, int]) -> ExactPolynomial:
@@ -363,7 +328,7 @@ def hstar_from_covers(cover: Mapping[Word, int]) -> ExactPolynomial:
 def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> ExactPolynomial:
     """h*-polynomial of a connected positroid polytope by the cover statistic."""
     labels = necklace.fact(enumerate_labels)
-    return hstar_from_covers(wall_covers(labels, labels[0].word if base is None else base))
+    return hstar_from_covers(wall_covers(labels, labels[0] if base is None else base))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +377,7 @@ def _at(g: Sequence[int], i: int) -> int:
     return g[r] + len(g) * q
 
 
-def _alcove(label: TriangulationLabel) -> Window:
+def _alcove(word: Word) -> Window:
     """The alcove of a label's simplex, as the window g of an affine map.
 
     With c_j the sum of z_j over the circuit vertices (n times the centroid)
@@ -424,11 +389,11 @@ def _alcove(label: TriangulationLabel) -> Window:
     g(n), g(n+1) = g(1) + n (so its span is at most 1).  Together these say
     the simplex is that alcove.
     """
-    n = label.n
-    z = _z_vertices(label)
+    n = len(word)
+    z = _z_vertices(word)
     c = list(map(sum, zip(*z)))
     g = [j + 1 - n * (c[j] // n) for j in sorted(range(n), key=lambda j: c[j] % n)]
-    start = next(i for i, a in enumerate(g) if (a - 1) % n + 1 == label.word[0])
+    start = next(i for i, a in enumerate(g) if (a - 1) % n + 1 == word[0])
     g = g[start:] + [a + n for a in g[:start]]
     steps = [divmod(a - 1, n) for a in g + [g[0] + n]]  # (shift, residue) pairs
     inside = True
@@ -439,8 +404,8 @@ def _alcove(label: TriangulationLabel) -> Window:
             if value < prev:
                 inside = False
             prev = value
-    if [(a - 1) % n + 1 for a in g] != list(label.word) or len(set(z)) != n or not inside:
-        raise AssertionError(f"the simplex of {label.word} is not the alcove {g}")
+    if [(a - 1) % n + 1 for a in g] != list(word) or len(set(z)) != n or not inside:
+        raise AssertionError(f"the simplex of {word} is not the alcove {g}")
     return tuple(g)
 
 
@@ -466,17 +431,17 @@ def affine_consistency_check(graph: TriangulationGraph,
     from its distance in the shelling poset.
     """
     n = len(poset.base)
-    base_alcove = _alcove(next(lab for lab in graph.labels if lab.word == poset.base))
+    base_alcove = _alcove(poset.base)
     inverse = [0] * n  # the window of g0^-1
     for r, a in enumerate(base_alcove):
         inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
     windows: dict[Word, Window] = {}
     shifts: dict[Word, int] = {}
-    for label in graph.labels:
-        relative = [_at(inverse, a) for a in _alcove(label)]
+    for word in graph.words:
+        relative = [_at(inverse, a) for a in _alcove(word)]
         k = (n * (n + 1) // 2 - sum(relative)) // n
-        windows[label.word] = tuple(_at(relative, i + k) for i in range(1, n + 1))
-        shifts[label.word] = k
+        windows[word] = tuple(_at(relative, i + k) for i in range(1, n + 1))
+        shifts[word] = k
 
     problems: list[str] = []
     for (u, v), p in sorted(graph.swap_position.items()):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -185,6 +186,17 @@ class TestHstar:
         assert err == "error: (9, 9, 9) is not a label of the graph\n"
         assert run_json(capsys, "hstar", "1,2,3", "--w0", "123")["hstar"] == {"shelling": [1]}
 
+    @pytest.mark.parametrize("argv", [
+        ("12,23,13,14", "--half-open"),
+        ("12,23,13,14", "--method", "oracle"),
+        ("12,23,13,14", "--method", "inclusion-exclusion"),
+        ('{"pi": [2,1,4,3], "colors": {}}', "--method", "all"),
+        ('{"pi": [2,1,4,3], "colors": {}}', "--half-open"),
+    ])
+    def test_w0_without_the_shelling_route_is_an_input_error(self, capsys, argv):
+        assert run(capsys, "hstar", *argv, "--w0", "999") == (
+            2, "", "error: --w0 applies only to the shelling method\n")
+
     @pytest.mark.parametrize("command", ["hstar", "triangulate"])
     @pytest.mark.parametrize("w0", ["x", "1,,2"])
     def test_malformed_w0_is_named(self, capsys, command, w0):
@@ -248,8 +260,7 @@ class TestTree:
                '{"color":"white","vertices":[1,3,4]},{"color":"black","vertices":[1,4,5]}]}')
         assert run_json(capsys, "tree", doc, "--w0", "41325")["hstar"] == [1, 3, 1]
         assert cli.poly_ints(tr.hstar_tree(cli.parse_input(doc)[1])) == [1, 3, 1]
-        assert not {"build_graph", "shelling_poset", "hstar_from_covers",
-                    "label_from_word"} & set(vars(tr))
+        assert not {"build_graph", "shelling_poset", "hstar_from_covers"} & set(vars(tr))
 
 
 class TestAtlas:
@@ -392,7 +403,7 @@ class TestVerify:
         checks = cli.verify_random(20240814, 3, 0)
         assert [ok for _, ok, _ in checks] == [True, True]
         assert len(searched) == 3 and any(len(labels) > 1 for labels in searched)
-        assert len(reads) == sum(len(labels) * labels[0].n for labels in searched)
+        assert len(reads) == sum(len(labels) * len(labels[0]) for labels in searched)
 
     def test_random_scope_checks_wall_covers_against_bfs(self, monkeypatch):
         walls = tg.wall_covers
@@ -497,3 +508,22 @@ class TestReportShape:
                           "--method", "all")
         for coeffs in report["hstar"].values():
             assert coeffs[0] == 0
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("triangulate", "12,23,34,45,15", "--w0", "31425"),
+         "a9e521764a4e7d290babda7edcd1d63f51a6bb693a6b7693f984807cf5b9c5d5"),
+        (("triangulate", "124,234,134,145,125"),
+         "2c4d9c0fcfb5b190050bee536bac9611c12eed6e3277990f5f9911e71a33aee7"),
+        (("hstar", "12,23,13,14", "--method", "all"),
+         "e881e1d80dbed8f2fcbb03745b68d2052b9feb41fcd88d052aa445755dcb355e"),
+        (("hstar", "12,23,34,45,15", "--method", "all"),
+         "b1de567b8bb36effca9ab30b28bfc4e1fbcb9a654abf77f8cfa5b41e5190e9fe"),
+        (("hstar", "124,234,134,145,125", "--method", "all"),
+         "46b20e18910da52f02f440c2d53597814ccaf07c786a30899cd815e0a91d772e"),
+        (("hstar", "123,235,345,145,125", "--method", "all"),
+         "e7541ce45b93958f3583ebfc776355ccfa06b895c15389432e526083d4557aa0"),
+    ])
+    def test_golden_reports_are_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

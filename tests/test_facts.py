@@ -20,7 +20,7 @@ SPIED = (
     (po, "bases_from_necklace"),
     (po, "h_representation"),
     (tg, "enumerate_labels"),
-    (ho, "canonical_facets"),
+    (po, "canonical_facets"),
     (eh, "count_constrained"),
     (tr, "positroid_from_subdivision"),
     (tr, "circular_extensions"),
@@ -89,7 +89,7 @@ def test_facts_stay_out_of_equality_hash_and_repr():
     assert a.fact(tg.enumerate_labels) is a.fact(tg.enumerate_labels)
 
 
-@pytest.mark.parametrize("route", [tg.enumerate_labels, ho.canonical_facets])
+@pytest.mark.parametrize("route", [tg.enumerate_labels, po.canonical_facets])
 def test_disconnected_guard_names_the_split(route):
     necklace = po.necklace_from_decorated(DISCONNECTED)
     with pytest.raises(po.DisconnectedPositroidError, match="decompose_direct_sum"):

@@ -6,7 +6,6 @@ from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.ehrhart import count_points, face_hstar
 from positroid_hstar.halfopen import (
-    canonical_facets,
     face_poset_of_uppers,
     half_open_profile,
     hstar_closed_via_inclusion_exclusion,
@@ -17,13 +16,13 @@ from positroid_hstar.halfopen import (
 from positroid_hstar.positroid import (
     HRepresentation,
     IntervalInequality,
+    canonical_facets,
     facet_representation,
     h_representation,
     validate_necklace,
 )
 from positroid_hstar.triangulation import (
     enumerate_labels,
-    label_from_word,
     simplex_facets,
     simplex_vertices,
 )
@@ -89,16 +88,16 @@ class TestHalfOpenDescents:
 
 class TestHalfOpenSimplex:
     def test_identity_label_only_top_facet_strict(self):
-        H = half_open_simplex(label_from_word((1, 2, 3, 4)))
+        H = half_open_simplex((1, 2, 3, 4))
         strict = {(q.start, q.stop) for q in H.inequalities if q.strict}
         assert strict == {(1, 4)}
 
     def test_strictness_matches_chain_of_3241(self):
         # points of the projected simplex lie in the half-open simplex exactly
         # when their fractional image satisfies 0 < y_3 < y_2 <= y_4 < y_1 <= 1
-        lab = label_from_word((3, 2, 4, 1, 5))
-        H = half_open_simplex(lab)
-        verts = [v[:-1] for v in simplex_vertices(lab)]
+        word = (3, 2, 4, 1, 5)
+        H = half_open_simplex(word)
+        verts = [v[:-1] for v in simplex_vertices(word)]
         import random
         rng = random.Random(11)
         points = [tuple(v) for v in verts]
@@ -114,14 +113,14 @@ class TestHalfOpenSimplex:
             y = phi_inverse_point(p)
             y = [v if v != 0 else Fraction(1) for v in y]  # wrap 0 to 1 on the circle
             in_chain = (0 < y[2] < y[1] <= y[3] < y[0] <= 1)
-            lifted = p + (lab.rank - sum(p),)
+            lifted = p + (H.r - sum(p),)
             assert H.contains(lifted) == in_chain, p
 
     def test_half_open_simplices_partition_the_half_open_polytope(self):
         labels = enumerate_labels(PRISM)
         profile = half_open_profile(PRISM)
         for t in range(5):
-            total = sum(count_points(half_open_simplex(lab), t) for lab in labels)
+            total = sum(count_points(half_open_simplex(w), t) for w in labels)
             assert total == profile.counts[t]
 
     def test_pyramid_partition(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from positroid_hstar import positroid as po
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     NecklaceError,
@@ -15,6 +16,7 @@ from positroid_hstar.positroid import (
     is_connected,
     is_matroid,
     is_stabilized_interval_free,
+    necklace_connected,
     necklace_from_bases,
     necklace_from_decorated,
     polytope_dimension,
@@ -159,13 +161,21 @@ class TestRankAndConnectivity:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sif_agrees_with_rank_split(self, n):
         for dec in decorated_permutations(n):
-            B = bases_from_necklace(necklace_from_decorated(dec))
-            conn = is_connected(B)
-            if n == 1:
-                assert conn
-                continue
-            sif = not dec.fixed_points and is_stabilized_interval_free(dec.perm)
-            assert conn == sif, dec
+            J = necklace_from_decorated(dec)
+            conn = is_connected(bases_from_necklace(J))
+            assert conn == necklace_connected(J), dec
+
+    def test_connectivity_fact_derives_no_bases(self, monkeypatch):
+        def refuse(necklace):
+            raise AssertionError("connectivity is read off the decorated permutation")
+
+        monkeypatch.setattr(po, "bases_from_necklace", refuse)
+        pyramid = necklace_from_decorated(DecoratedPermutation((3, 1, 4, 2)))
+        disco = necklace_from_decorated(DecoratedPermutation((2, 1, 4, 3)))
+        assert pyramid.fact(necklace_connected) and not disco.fact(necklace_connected)
+        # U(6,12): a rank split would scan thousands of subsets against 924 bases
+        uniform = validate_necklace([[(i + k) % 12 + 1 for k in range(6)] for i in range(12)])
+        assert necklace_connected(uniform)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_sif_wrapping_convention_is_immaterial(self, n):

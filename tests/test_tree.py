@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from positroid_hstar import tree as tr
 from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.positroid import validate_necklace
 from positroid_hstar.tree import (
@@ -86,6 +87,22 @@ class TestHRep:
             [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
         assert len(bases.bases) == 8
 
+    def test_each_description_is_enumerated_once(self, monkeypatch):
+        # the area-bound points feed both the assertion and the bases
+        seen = []
+        monkeypatch.setattr(tr, "zero_one_points",
+                            lambda hrep: seen.append(hrep) or zero_one_points(hrep))
+        assert len(positroid_from_subdivision(PENTAGON)[1].bases) == 8
+        assert len(seen) == 2 and seen[0] == h_rep_from_subdivision(PENTAGON)
+        assert len(seen[1].inequalities) < len(seen[0].inequalities)
+
+    def test_descriptions_that_disagree_are_caught(self, monkeypatch):
+        full = h_rep_from_subdivision(PENTAGON)
+        monkeypatch.setattr(tr, "zero_one_points",
+                            lambda hrep: zero_one_points(hrep)[:-1 if hrep == full else None])
+        with pytest.raises(AssertionError, match="disagree on 0/1 points"):
+            positroid_from_subdivision(PENTAGON)
+
     def test_all_white_is_standard_simplex(self):
         tau = validate_subdivision(5, [("white", [1, 2, 3, 4, 5])])
         points = zero_one_points(h_rep_from_subdivision(tau))
@@ -114,7 +131,7 @@ class TestCircularExtensions:
     def test_pentagon_extensions_match_labels(self):
         necklace, _ = positroid_from_subdivision(PENTAGON)
         ext = tuple(sorted(circular_extensions(tau_order(PENTAGON), 5)))
-        assert ext == tuple(lab.word for lab in enumerate_labels(necklace))
+        assert ext == enumerate_labels(necklace)
 
     def test_empty_chain_set_gives_all_cycles(self):
         assert len(circular_extensions((), 5)) == 24

@@ -7,7 +7,12 @@ import pytest
 
 from positroid_hstar import triangulation as tg
 from positroid_hstar.cli import connected_necklaces
-from positroid_hstar.core import ExactPolynomial
+from positroid_hstar.core import (
+    ExactPolynomial,
+    circuit_masks,
+    circuit_subsets,
+    cyclic_left_descents,
+)
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     DisconnectedPositroidError,
@@ -15,13 +20,11 @@ from positroid_hstar.positroid import (
     validate_necklace,
 )
 from positroid_hstar.triangulation import (
-    TriangulationLabel,
     affine_consistency_check,
     build_graph,
     enumerate_labels,
     hstar_from_covers,
     hstar_shelling,
-    label_from_word,
     label_walls,
     labels_by_bases,
     shelling_poset,
@@ -39,8 +42,14 @@ PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]
 WHEEL = validate_necklace([[1, 2, 3], [2, 3, 5], [3, 4, 5], [1, 4, 5], [1, 2, 5]])
 
 
-def words(labels):
-    return tuple(lab.word for lab in labels)
+def inject_vertices(monkeypatch, word, circuit):
+    """Make `tg._z_vertices` read ``circuit`` (subsets, in circuit order) as
+    the simplex of ``word``, in prefix sums."""
+    n = len(word)
+    z = tuple(tuple(itertools.accumulate(int(1 <= k < n and k in s) for k in range(n)))
+              for s in circuit)
+    original = tg._z_vertices
+    monkeypatch.setattr(tg, "_z_vertices", lambda w: z if w == word else original(w))
 
 
 def phi_inverse_point(x):
@@ -61,15 +70,15 @@ def phi_inverse_point(x):
 
 class TestEnumerateLabels:
     def test_pyramid(self):
-        assert words(enumerate_labels(PYRAMID)) == ((1, 3, 2, 4), (2, 1, 3, 4))
+        assert enumerate_labels(PYRAMID) == ((1, 3, 2, 4), (2, 1, 3, 4))
 
     def test_rank3_example(self):
-        assert set(words(enumerate_labels(PRISM))) == {
+        assert set(enumerate_labels(PRISM)) == {
             (3, 4, 2, 1, 5), (4, 2, 1, 3, 5), (2, 4, 1, 3, 5),
             (3, 2, 4, 1, 5), (4, 1, 3, 2, 5)}
 
     def test_uniform_includes_center(self):
-        labs = words(enumerate_labels(UNIFORM25))
+        labs = enumerate_labels(UNIFORM25)
         assert len(labs) == 11 and (3, 1, 4, 2, 5) in labs
 
     def test_disconnected_rejected(self):
@@ -78,24 +87,12 @@ class TestEnumerateLabels:
             enumerate_labels(J)
 
     def test_every_label_has_rank_many_descents(self):
-        for lab in enumerate_labels(WHEEL):
-            assert lab.rank == 3
+        for word in enumerate_labels(WHEEL):
+            assert len(cyclic_left_descents(word)) == 3
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
     def test_search_matches_the_basis_reference(self, necklace):
         assert enumerate_labels(necklace) == labels_by_bases(necklace)
-
-    @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
-    def test_labels_of_one_call_share_their_circuit_subsets(self, necklace):
-        labels = enumerate_labels(necklace)
-        first = {}
-        for lab in labels:
-            for s in lab.circuit:
-                assert first.setdefault(s, s) is s
-        assert len(first) < sum(len(lab.circuit) for lab in labels)
-        # the table lives for one call: a second call builds its own subsets
-        again = enumerate_labels(necklace)
-        assert again == labels and again[0].circuit[0] is not labels[0].circuit[0]
 
     def test_a_circuit_subset_outside_the_bases_is_caught(self, monkeypatch):
         # of the circuit subsets 24, 34, 13, 14 of 2314 only 34 is not a basis
@@ -108,7 +105,7 @@ class TestEnumerateLabels:
     @pytest.mark.parametrize("subsets", [[[]], [[1]]])
     def test_one_element_ground_set_has_one_label(self, subsets):
         necklace = validate_necklace(subsets)
-        assert enumerate_labels(necklace) == labels_by_bases(necklace) == (label_from_word((1,)),)
+        assert enumerate_labels(necklace) == labels_by_bases(necklace) == ((1,),)
 
     def test_reference_rejects_disconnected(self):
         J = necklace_from_decorated(DecoratedPermutation((2, 1, 4, 3)))
@@ -117,50 +114,57 @@ class TestEnumerateLabels:
 
 
 class TestSimplexGeometry:
+    @pytest.mark.parametrize("word,message", [
+        ((2, 1, 3, 1), "not a permutation word"),
+        ((2, 3, 1), "circuit labels must end with n"),
+    ])
+    @pytest.mark.parametrize("call", [
+        simplex_vertices, simplex_facets, simplex_is_unimodular,
+        lambda w: label_walls([w]), lambda w: wall_covers([w], w), lambda w: build_graph([w]),
+    ])
+    def test_a_word_that_is_not_a_label_is_rejected(self, call, word, message):
+        with pytest.raises(ValueError, match=message):
+            call(word)
+
     def test_vertices_of_32415(self):
-        lab = label_from_word((3, 2, 4, 1, 5))
-        assert set(simplex_vertices(lab)) == {
+        assert set(simplex_vertices((3, 2, 4, 1, 5))) == {
             (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1),
             (0, 1, 0, 1, 1), (1, 1, 0, 1, 0)}
 
     def test_vertices_of_identity(self):
-        lab = label_from_word((1, 2, 3, 4))
-        assert simplex_vertices(lab) == (
+        assert simplex_vertices((1, 2, 3, 4)) == (
             (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
     def test_vertices_of_2314_in_circuit_order(self):
-        lab = label_from_word((2, 3, 1, 4))
-        assert simplex_vertices(lab) == (
+        assert simplex_vertices((2, 3, 1, 4)) == (
             (0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 1))
 
     def test_facets_of_32415(self):
         got = {(q.start, q.stop, q.sense, q.bound)
-               for q in simplex_facets(label_from_word((3, 2, 4, 1, 5))).inequalities}
+               for q in simplex_facets((3, 2, 4, 1, 5)).inequalities}
         assert got == {(1, 5, ">=", 2), (3, 5, "<=", 1), (2, 3, "<=", 1),
                        (2, 4, ">=", 1), (1, 4, "<=", 2)}
 
     def test_facets_of_identity_simplex(self):
         n = 5
         got = {(q.start, q.stop, q.sense, q.bound)
-               for q in simplex_facets(label_from_word(tuple(range(1, n + 1)))).inequalities}
+               for q in simplex_facets(tuple(range(1, n + 1))).inequalities}
         expected = {(i, i + 1, ">=", 0) for i in range(1, n)} | {(1, n, "<=", 1)}
         assert got == expected
 
     def test_facets_of_2134_cut_out_the_simplex(self):
-        lab = label_from_word((2, 1, 3, 4))
-        H = simplex_facets(lab)
-        assert len(H.inequalities) == 4
-        verts = set(simplex_vertices(lab))
-        hits = {p for p in itertools.product((0, 1), repeat=4)
-                if sum(p) == lab.rank and H.contains(p)}
+        H = simplex_facets((2, 1, 3, 4))
+        assert len(H.inequalities) == 4 and H.r == 2
+        verts = set(simplex_vertices((2, 1, 3, 4)))
+        hits = {p for p in itertools.product((0, 1), repeat=4) if H.contains(p)}
         assert hits == verts
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
     def test_simplices_contain_only_their_vertices(self, necklace):
         n, r = necklace.n, necklace.rank
-        for lab in enumerate_labels(necklace):
-            H = simplex_facets(lab)
-            verts = set(simplex_vertices(lab))
+        for word in enumerate_labels(necklace):
+            H = simplex_facets(word)
+            verts = set(simplex_vertices(word))
             hits = {p for p in itertools.product((0, 1), repeat=n)
                     if sum(p) == r and H.contains(p)}
             assert hits == verts
@@ -169,31 +173,31 @@ class TestSimplexGeometry:
     def test_facet_p_is_tight_exactly_off_vertex_p(self, n):
         # every label with n <= 6 is a word ending in n
         for head in itertools.permutations(range(1, n)):
-            lab = label_from_word(head + (n,))
-            verts = simplex_vertices(lab)
-            for p, q in enumerate(simplex_facets(lab).inequalities):
+            word = head + (n,)
+            verts = simplex_vertices(word)
+            for p, q in enumerate(simplex_facets(word).inequalities):
                 tight = {k for k, v in enumerate(verts)
                          if sum(v[i - 1] for i in q.support(n)) == q.bound}
-                assert tight == set(range(n)) - {p}, (lab.word, p)
+                assert tight == set(range(n)) - {p}, (word, p)
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
     def test_unimodular(self, necklace):
-        assert all(simplex_is_unimodular(lab) for lab in enumerate_labels(necklace))
+        assert all(simplex_is_unimodular(w) for w in enumerate_labels(necklace))
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM])
     def test_sandwich_property(self, necklace):
         # over each simplex, every interval sum stays within a unit window
         # anchored at the restriction descent count
-        from positroid_hstar.core import cyclic_left_descents, interval_support
+        from positroid_hstar.core import interval_support
         from test_core import restriction
         n = necklace.n
-        for lab in enumerate_labels(necklace):
-            verts = simplex_vertices(lab)
+        for word in enumerate_labels(necklace):
+            verts = simplex_vertices(word)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
                         continue
-                    cdes = len(cyclic_left_descents(*restriction(lab.word, i, j)))
+                    cdes = len(cyclic_left_descents(*restriction(word, i, j)))
                     support = interval_support(i, j, n)
                     values = {sum(v[k - 1] for k in support) for v in verts}
                     assert min(values) >= cdes - 1 and max(values) <= cdes
@@ -214,7 +218,7 @@ class TestGraph:
         assert len(graph.neighbors[(3, 1, 4, 2, 5)]) == 5
 
     def test_singleton_graph(self):
-        graph = build_graph([label_from_word((1, 2, 3))])
+        graph = build_graph([(1, 2, 3)])
         assert graph.edges() == ()
 
     @pytest.mark.parametrize("necklace", [PYRAMID, PRISM, WHEEL])
@@ -223,16 +227,17 @@ class TestGraph:
         graph = build_graph(labels)
         edges = set(graph.edges())
         for a, b in itertools.combinations(labels, 2):
-            shared = len(set(a.circuit) & set(b.circuit))
-            adjacent = tuple(sorted((a.word, b.word))) in edges
-            assert adjacent == (shared == len(a.word) - 1)
+            shared = len(set(circuit_subsets(a)) & set(circuit_subsets(b)))
+            adjacent = tuple(sorted((a, b))) in edges
+            assert adjacent == (shared == len(a) - 1)
 
-    def test_swap_neighbours_sharing_too_few_subsets_are_caught(self):
+    def test_swap_neighbours_sharing_too_few_subsets_are_caught(self, monkeypatch):
         # 2134 given the circuit of 2314 (24, 34, 13, 14) shares only 13 and 24 with 1324
-        fake = TriangulationLabel((2, 1, 3, 4), label_from_word((2, 3, 1, 4)).circuit)
+        monkeypatch.setattr(tg, "circuit_masks", lambda w: circuit_masks(
+            (2, 3, 1, 4) if w == (2, 1, 3, 4) else w))
         with pytest.raises(AssertionError, match=r"joined \(1, 3, 2, 4\) and \(2, 1, 3, 4\) "
                                                  r"sharing 2 subsets"):
-            build_graph([label_from_word((1, 3, 2, 4)), fake])
+            build_graph([(1, 3, 2, 4), (2, 1, 3, 4)])
 
 
 class TestShelling:
@@ -247,11 +252,11 @@ class TestShelling:
         # block z_2 - z_0 by vertex: 1, 1, 2, 1 (vertex 0 on the wall, vertex 2 off it)
         (1, 2, 0, 3),
     ])
-    def test_a_simplex_off_its_words_walls_is_caught(self, order):
-        circuit = label_from_word((1, 3, 2, 4)).circuit
-        label = TriangulationLabel((1, 3, 2, 4), tuple(circuit[i] for i in order))
+    def test_a_simplex_off_its_words_walls_is_caught(self, monkeypatch, order):
+        circuit = circuit_subsets((1, 3, 2, 4))
+        inject_vertices(monkeypatch, (1, 3, 2, 4), [circuit[i] for i in order])
         with pytest.raises(AssertionError, match=r"wall of \(1, 3, 2, 4\) opposite vertex 0"):
-            label_walls([label])
+            label_walls([(1, 3, 2, 4)])
 
     @pytest.mark.parametrize("necklace", [PRISM, UNIFORM25])
     def test_one_wall_table_scores_every_base(self, necklace):
@@ -260,7 +265,7 @@ class TestShelling:
         walls = label_walls(labels)
         for w in graph.words:
             assert wall_covers(walls, w) == shelling_poset(graph, w).cover
-        point = label_from_word((1,))
+        point = (1,)
         assert label_walls([point]) == {point: ()}
         assert wall_covers(label_walls([point]), (1,)) == {(1,): 0}
 
@@ -291,7 +296,7 @@ class TestShelling:
 
     def test_disconnected_graph_is_rejected(self):
         # the identity word has no swap neighbors, so no edge joins these two
-        graph = build_graph([label_from_word((1, 2, 3, 4)), label_from_word((2, 1, 3, 4))])
+        graph = build_graph([(1, 2, 3, 4), (2, 1, 3, 4)])
         assert graph.edges() == ()
         with pytest.raises(AssertionError, match="triangulation graph is disconnected"):
             shelling_poset(graph, (1, 2, 3, 4))
@@ -330,7 +335,7 @@ class TestAffineLabeling:
         assert report.windows[(1, 3, 2, 4, 5)] == (2, 1, 4, 3, 5)
 
     def test_single_label_identity_window(self):
-        graph = build_graph([label_from_word((1, 2, 3, 4))])
+        graph = build_graph([(1, 2, 3, 4)])
         report = affine_consistency_check(graph, shelling_poset(graph, (1, 2, 3, 4)))
         assert report.ok and report.windows == {(1, 2, 3, 4): (1, 2, 3, 4)}
 
@@ -395,22 +400,23 @@ class TestAffineLabeling:
 
     @pytest.mark.parametrize("word,circuit", [
         # the alcove of 2134 read against the word 1234
-        ((1, 2, 3, 4), label_from_word((2, 1, 3, 4)).circuit),
+        ((1, 2, 3, 4), circuit_subsets((2, 1, 3, 4))),
         # residues read the word, but vertex {2, 3} lies outside the alcove
         ((1, 3, 2, 4), tuple(map(frozenset, ({1, 2}, {1, 3}, {1, 4}, {2, 3})))),
         # one vertex repeated n times
         ((1, 2, 3, 4), (frozenset({1, 2}),) * 4),
     ])
-    def test_simplex_that_is_not_its_words_alcove_is_caught(self, word, circuit):
-        graph = build_graph([TriangulationLabel(word, circuit)])
+    def test_simplex_that_is_not_its_words_alcove_is_caught(self, monkeypatch, word, circuit):
+        inject_vertices(monkeypatch, word, circuit)
+        graph = build_graph([word])
         with pytest.raises(AssertionError, match="alcove"):
             affine_consistency_check(graph, shelling_poset(graph, word))
 
-    def test_vertex_falling_inside_the_window_is_caught(self):
+    def test_vertex_falling_inside_the_window_is_caught(self, monkeypatch):
         # the alcove read off these vertices is g = [2, 5, 3, 4]; along g the
         # vertex {3, 4} reads 0, 1, 0, 1, 1 and falls between g(2) and g(3)
-        circuit = tuple(map(frozenset, ({1, 2}, {1, 3}, {1, 4}, {3, 4})))
-        graph = build_graph([TriangulationLabel((2, 1, 3, 4), circuit)])
+        inject_vertices(monkeypatch, (2, 1, 3, 4), ({1, 2}, {1, 3}, {1, 4}, {3, 4}))
+        graph = build_graph([(2, 1, 3, 4)])
         with pytest.raises(AssertionError, match=r"not the alcove \[2, 5, 3, 4\]"):
             affine_consistency_check(graph, shelling_poset(graph, (2, 1, 3, 4)))
 
@@ -433,8 +439,7 @@ class TestPhiInverse:
     def test_interior_points_follow_the_chain(self):
         # interior rational points of the projected 32415-simplex sort as
         # 0 < y_3 < y_2 <= y_4 < y_1 < 1
-        lab = label_from_word((3, 2, 4, 1, 5))
-        verts = [v[:-1] for v in simplex_vertices(lab)]
+        verts = [v[:-1] for v in simplex_vertices((3, 2, 4, 1, 5))]
         rng = random.Random(5)
         for _ in range(10):
             weights = [Fraction(rng.randrange(1, 30)) for _ in verts]
