@@ -361,7 +361,10 @@ def cmd_hstar(args) -> int:
         base = parse_word(args.w0) if args.w0 else None
         results = hstar_closed_all_methods(necklace, methods, base)
     if connected:
-        report["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
+        # The oracle alone derives no labels; its h*(1), the normalized
+        # volume, is the label count.
+        report["num_simplices"] = (sum(results["oracle"]) if methods == ("oracle",)
+                                   else len(necklace.fact(tg.enumerate_labels)))
     report["hstar"] = results
     report["verdict"] = agreement_verdict(results) if len(results) > 1 else None
     emit(_maybe_time(report, args, start), args)
@@ -719,51 +722,59 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
     necklace = po.validate_necklace([frozenset(s) for s in subsets])
     name = necklace.compact()
     n = necklace.n
+    stage = "labels"
     try:
         labels = necklace.fact(tg.enumerate_labels)
         if labels != tg.labels_by_bases(necklace):
             return _check(name, False, "labels differ from the basis-membership reference")
+        stage = "graph"
         graph = tg.build_graph(labels)
         poset = tg.shelling_poset(graph, graph.words[0])
+        edges = graph.edges()
+        if any(abs(poset.dist[u] - poset.dist[v]) != 1 for u, v in edges):
+            return _check(name, False, "an edge does not join consecutive BFS layers")
+        if sum(poset.cover.values()) != len(edges):
+            return _check(name, False, "cover sum differs from edge count")
+        stage = "wall covers"
         walls = tg.wall_covers(labels, poset.base)
         differing = next((w for w in graph.words if walls.get(w) != poset.cover[w]), None)
         if differing is not None:
             return _check(name, False, f"wall covers differ from the BFS covers from base "
                                        f"{poset.base}, first at {differing}")
+        stage = "closed profile"
         reference = eh.closed_profile(necklace.fact(po.h_representation), n - 1)
         if necklace.fact(eh._closed_profile) != reference:
             return _check(name, False,
                           "closed profile differs from the full H-representation count")
+        ehr = eh.ehrhart_of_positroid(necklace)
+        volume = ehr.leading_coefficient * math.factorial(ehr.dim)
+        if tg.hstar_from_covers(poset.cover)(1) != len(labels) or volume != len(labels):
+            return _check(name, False, "h*(1), |D_J| and normalized volume differ")
+        stage = "closed routes"
         closed = hstar_closed_all_methods(necklace)
         if agreement_verdict(closed) != "PASS":
             return _check(name, False, f"closed methods disagree: {closed}")
         if n > 1:
+            stage = "half-open routes"
             half = hstar_half_open_all_methods(necklace)
             if agreement_verdict(half) != "PASS":
                 return _check(name, False, f"half-open methods disagree: {half}")
             some = next(iter(closed.values()))
             if half["descents"][0] != 0 or sum(half["descents"]) != sum(some):
                 return _check(name, False, "half-open h* shape is wrong")
-        edges = graph.edges()
-        if any(abs(poset.dist[u] - poset.dist[v]) != 1 for u, v in edges):
-            return _check(name, False, "an edge does not join consecutive BFS layers")
-        if sum(poset.cover.values()) != len(edges):
-            return _check(name, False, "cover sum differs from edge count")
-        hstar = tg.hstar_from_covers(poset.cover)
-        ehr = eh.ehrhart_of_positroid(necklace)
-        volume = ehr.leading_coefficient * math.factorial(ehr.dim)
-        if hstar(1) != len(labels) or volume != len(labels):
-            return _check(name, False, "h*(1), |D_J| and normalized volume differ")
+        stage = "affine windows"
         affine = tg.affine_consistency_check(graph, poset)
         if not affine.ok:
             return _check(name, False, f"affine labeling: {affine.problems[0]}")
+        stage = "unimodularity"
         if not all(tg.simplex_is_unimodular(lab) for lab in labels):
             return _check(name, False, "non-unimodular simplex")
     except Exception as exc:  # noqa: BLE001 - verification must report, not crash
         import traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return _check(name, False, f"exception: {exc!r} at "
-                      f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}")
+                      f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name} "
+                      f"during {stage}")
     return _check(name, True, "")
 
 

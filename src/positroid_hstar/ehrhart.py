@@ -7,32 +7,42 @@ counts is exact: Lagrange interpolation recovers Ehrhart polynomials, and the
 standard binomial alternating sum turns a count profile (E(0), ..., E(d))
 into the h*-vector.
 
-A connected positroid, and every face that inclusion-exclusion counts, is
-counted from the irredundant canonical facets (``facet_representation``):
-the redundant necklace inequalities would each keep extra prefix sums alive
-in the counting state.  Counting the full necklace H-representation
-(``h_representation``) is kept as the reference that the exhaustive sweep
-compares against.  The oracle takes any positroid: a disconnected one has no
-full-dimensional projection to take facets from, so it is counted from
-``h_representation`` in its own affine hull, whose dimension is n minus the
-number of direct-sum components.  The product of the components' Ehrhart
-polynomials (``ehrhart_product``) is kept as the reference it must equal.
+One DP body (``_tally``) does all counting.  Given tight rows, it also
+carries in its state the mask of rows a point meets with equality and
+returns the counts by mask; ``count_constrained`` is its plain total.
+``upper_tally`` counts a connected positroid once per dilate, tallied by
+the upper facets each point lies on, and inclusion-exclusion reads every
+face's counts off that table: a face cut out by upper facets G holds the
+points whose mask contains G.  Counting a face alone, with its facets as
+equalities (``face_hstar``), is kept as the reference.
+
+A connected positroid is counted from the irredundant canonical facets
+(``facet_representation``): the redundant necklace inequalities would each
+keep extra prefix sums alive in the counting state.  Counting the full
+necklace H-representation (``h_representation``) is kept as the reference
+that the exhaustive sweep compares against.  The oracle takes any
+positroid: a disconnected one has no full-dimensional projection to take
+facets from, so it is counted from ``h_representation`` in its own affine
+hull, whose dimension is n minus the number of direct-sum components.
+The product of the components' Ehrhart polynomials (``ehrhart_product``) is
+kept as the reference it must equal.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import ExactPolynomial
 from .positroid import (
+    CanonicalFacet,
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
+    canonical_facets,
     facet_representation,
     h_representation,
     necklace_connected,
@@ -74,58 +84,117 @@ class EhrhartPolynomial:
 # A counting row (a, b, lo, hi) asks lo <= z_b - z_a <= hi for the prefix sums
 # z_q = x_1 + ... + x_q (z_0 = 0); use -_INF/_INF for a one-sided row.
 Row = tuple[int, int, int, int]
+# A tight row (a, b, value, bit) sets ``bit`` in a vector's mask when
+# z_b - z_a == value; it constrains nothing.
+TightRow = tuple[int, int, int, int]
 
 
 def count_constrained(dim: int, rows: Sequence[Row], box: int) -> int:
-    """Integer vectors in [0, box]^dim whose prefix sums meet every row.
+    """Integer vectors in [0, box]^dim whose prefix sums meet every row."""
+    return sum(_tally(dim, rows, box).values())
+
+
+def _tally(dim: int, rows: Sequence[Row], box: int,
+           tight: Sequence[TightRow] = ()) -> dict[int, int]:
+    """Vectors of ``count_constrained``, tallied by the mask of tight rows they meet.
 
     Rows need 0 <= a <= b <= dim; an empty row (a == b) asks lo <= 0 <= hi.
-    A forward DP steps q = 1..dim and maps each state, the prefix sums that
-    some later step still reads ending with z_q, to its number of partial
-    vectors.  A row (a, b) also prunes every step q in a+1..b-1, where
-    z_q - z_a must stay within reach of [lo, hi] with b - q coordinates
-    left.  A step skips a row the box 0 <= x <= box already implies there,
-    so a row implied by the box reads nothing.
+    A forward DP steps q = 1..dim and maps each state, the mask so far and
+    the prefix sums that some later step still reads ending with z_q, to its
+    number of partial vectors.  A row (a, b) also prunes every step q in
+    a+1..b-1, where z_q - z_a must stay within reach of [lo, hi] with b - q
+    coordinates left.  A step skips a row the box 0 <= x <= box already
+    implies there, so a row implied by the box reads nothing.  A tight row
+    (a, b) is tested at step b.
     """
     if box < 0:
-        return 0
+        return {}
     # checks[q][a] = (lo, hi): z_q - z_a must lie in [lo, hi] after step q.
     checks: list[dict[int, tuple[int, int]]] = [{} for _ in range(dim + 1)]
+    # marks[q]: the tight rows (a, value, bit) tested after step q.
+    marks: list[list[tuple[int, int, int]]] = [[] for _ in range(dim + 1)]
     last_read: dict[int, int] = {}
     for a, b, lo, hi in rows:
         if not 0 <= a <= b <= dim:
             raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
         if a == b and not lo <= 0 <= hi:
-            return 0
+            return {}
         for q in range(a + 1, b + 1):
             lo_q = lo - (b - q) * box
             if lo_q > 0 or hi < (q - a) * box:
                 old_lo, old_hi = checks[q].get(a, (lo_q, hi))
                 checks[q][a] = max(lo_q, old_lo), min(hi, old_hi)
                 last_read[a] = max(q, last_read.get(a, 0))
+    mask = 0
+    for a, b, value, bit in tight:
+        if not 0 <= a <= b <= dim:
+            raise ValueError(f"tight row ({a}, {b}) outside 0 <= a <= b <= {dim}")
+        if a < b:
+            marks[b].append((a, value, bit))
+            last_read[a] = max(b, last_read.get(a, 0))
+        elif value == 0:
+            mask |= bit
+    # A state is (mask, z_a for each live a, z_q); live holds those a.
     live = [0]
-    states = {(0,): 1}
+    states = {(mask, 0): 1}
     for q in range(1, dim + 1):
-        pos = {a: k for k, a in enumerate(live)}
+        pos = {a: k for k, a in enumerate(live, start=1)}
         reads = [(pos[a], lo, hi) for a, (lo, hi) in checks[q].items()]
+        tests = [(pos[a], value, bit) for a, value, bit in marks[q]]
         live = [a for a in live if last_read.get(a, 0) > q] + [q]
-        keep = [pos[a] for a in live[:-1]]
-        step: dict[tuple[int, ...], int] = defaultdict(int)
+        keep = [0] + [pos[a] for a in live[:-1]]
+        step: dict[tuple[int, ...], int] = {}
+        get = step.get
         for state, ways in states.items():
-            low, high = state[-1], state[-1] + box
+            low = state[-1]
+            high = low + box
             for k, lo, hi in reads:
-                low, high = max(low, state[k] + lo), min(high, state[k] + hi)
-            head = tuple(state[k] for k in keep)
-            for z in range(low, high + 1):
-                step[head + (z,)] += ways
+                if state[k] + lo > low:
+                    low = state[k] + lo
+                if state[k] + hi < high:
+                    high = state[k] + hi
+            if low > high:
+                continue
+            head = tuple([state[k] for k in keep])
+            if tests:
+                rest = head[1:]
+                for z in range(low, high + 1):
+                    bits = state[0]
+                    for k, value, bit in tests:
+                        if z - state[k] == value:
+                            bits |= bit
+                    key = (bits, *rest, z)
+                    step[key] = get(key, 0) + ways
+            else:
+                for z in range(low, high + 1):
+                    key = (*head, z)
+                    step[key] = get(key, 0) + ways
         states = step
-    return sum(states.values())
+    histogram: dict[int, int] = {}
+    for state, ways in states.items():
+        histogram[state[0]] = histogram.get(state[0], 0) + ways
+    return histogram
 
 
 def _scaled_bounds(sense: str, bound: int, strict: bool, t: int) -> tuple[int, int]:
     if sense == "<=":
         return -_INF, t * bound - (1 if strict else 0)
     return t * bound + (1 if strict else 0), _INF
+
+
+def _dilate_rows(hrep: HRepresentation, t: int,
+                 equalities: Iterable[tuple[int, int, int]] = ()) -> list[Row]:
+    """Counting rows of the t-th dilate: the sum equality, every stored
+    inequality and every extra equality, each scaled by t."""
+    n, r = hrep.n, hrep.r
+    rows: list[Row] = [(0, n, t * r, t * r)]
+    for ineq in hrep.inequalities:
+        q = ineq.unwrapped(r)
+        rows.append((q.start - 1, q.stop - 1, *_scaled_bounds(q.sense, q.bound, q.strict, t)))
+    for start, stop, value in equalities:
+        q = IntervalInequality(start, stop, value, "<=").unwrapped(r)
+        rows.append((q.start - 1, q.stop - 1, t * q.bound, t * q.bound))
+    return rows
 
 
 def count_points(hrep: HRepresentation, t: int,
@@ -141,15 +210,7 @@ def count_points(hrep: HRepresentation, t: int,
     """
     if t < 0:
         raise ValueError("negative dilate")
-    n, r = hrep.n, hrep.r
-    rows: list[Row] = [(0, n, t * r, t * r)]
-    for ineq in hrep.inequalities:
-        q = ineq.unwrapped(r)
-        rows.append((q.start - 1, q.stop - 1, *_scaled_bounds(q.sense, q.bound, q.strict, t)))
-    for start, stop, value in equalities:
-        q = IntervalInequality(start, stop, value, "<=").unwrapped(r)
-        rows.append((q.start - 1, q.stop - 1, t * q.bound, t * q.bound))
-    return count_constrained(n, rows, t)
+    return count_constrained(hrep.n, _dilate_rows(hrep, t, equalities), t)
 
 
 def closed_profile(hrep: HRepresentation, dim: int) -> CountProfile:
@@ -210,11 +271,55 @@ def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
                face_dim: int) -> ExactPolynomial:
     """h*-polynomial of the face cut out by the given interval equalities."""
-    counts = tuple(count_points(hrep, t, equalities=face_equalities)
-                   for t in range(face_dim + 1))
+    return _face_hstar_from_counts(tuple(count_points(hrep, t, equalities=face_equalities)
+                                         for t in range(face_dim + 1)))
+
+
+def _face_hstar_from_counts(counts: tuple[int, ...]) -> ExactPolynomial:
+    """h* of a face from its counts at t = 0..dim, checked to be nonempty
+    and not of lower dimension."""
+    face_dim = len(counts) - 1
     if counts[0] != 1 or (face_dim > 0 and counts[1] == 0):
         raise ValueError("face is empty or not of the stated dimension")
     return hstar_from_counts(CountProfile(face_dim, counts))
+
+
+@dataclass(frozen=True)
+class UpperTally:
+    """Lattice points of the closed dilates t = 0..n-2 of a connected
+    positroid, tallied by the set of upper facets each point lies on.
+
+    Bit i of a mask stands for ``facets[i]``; ``counts[t]`` maps each mask
+    that occurs in the t-th dilate to its number of points.
+    """
+
+    facets: tuple[CanonicalFacet, ...]
+    counts: tuple[dict[int, int], ...]
+
+    def face_counts(self, generators: Iterable[int], dim: int) -> tuple[int, ...]:
+        """Counts at t = 0..dim of the face where every facet in
+        ``generators`` (indices into ``facets``) is tight: the points whose
+        mask contains all of them."""
+        need = sum(1 << i for i in set(generators))
+        return tuple(sum(ways for mask, ways in self.counts[t].items() if mask & need == need)
+                     for t in range(dim + 1))
+
+
+def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
+    """One closed count per dilate t = 0..n-2, tallied by tight upper facets.
+
+    A face cut out by upper facets G is P meet the hyperplanes of G, so its
+    t-th dilate holds exactly the points of tP whose mask contains G; every
+    such face has dimension at most n - 2.  Rows come from
+    ``facet_representation``, tight rows from the upper canonical facets.
+    """
+    hrep = necklace.fact(facet_representation)
+    uppers = tuple(f for f in necklace.fact(canonical_facets) if f.upper)
+    counts = []
+    for t in range(necklace.n - 1):
+        tight = [(f.lo - 1, f.hi - 1, t * f.bound, 1 << i) for i, f in enumerate(uppers)]
+        counts.append(_tally(hrep.n, _dilate_rows(hrep, t), t, tight))
+    return UpperTally(uppers, tuple(counts))
 
 
 def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:

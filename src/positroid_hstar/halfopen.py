@@ -8,7 +8,9 @@ H-representation.  Removing all upper facets leaves
 the half-open polytope, whose h*-polynomial is the descent generating
 function z^(des+1) over triangulation labels.  The closed h* is then
 recovered by Moebius inclusion-exclusion over the poset of intersections of
-upper facets, with each face's h* supplied by the lattice counting oracle.
+upper facets.  Each face's counts are read off one lattice count of the
+closed body per dilate, tallied by the upper facets each point lies on
+(``ehrhart.upper_tally``); the faces are not counted one by one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from dataclasses import dataclass, replace
 
 from ._linalg import affine_rank
 from .core import ExactPolynomial, descent_count
-from .ehrhart import CountProfile, count_points, face_hstar, hstar_from_counts
+from .ehrhart import (
+    CountProfile,
+    _face_hstar_from_counts,
+    count_points,
+    hstar_from_counts,
+    upper_tally,
+)
 from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
@@ -123,26 +131,25 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> ExactPo
     """Closed h* from the half-open one and the faces of the removed facets.
 
     h*(P) = h*(half-open) - sum over proper faces F of
-    mu(F, P) (1-z)^(dim P - dim F) h*(F), where each face h* comes from the
-    lattice-point oracle, counted from the canonical facets plus the face's
-    equalities.  The result must have nonnegative integer coefficients and
-    constant term 1.
+    mu(F, P) (1-z)^(dim P - dim F) h*(F), where each face's counts are read
+    off one tally of the closed body's points by the upper facets they lie
+    on (``ehrhart.upper_tally``).  The result must have nonnegative integer
+    coefficients and constant term 1.
     """
     n = necklace.n
     if n == 1:
         return ExactPolynomial.one()
     poset = face_poset_of_uppers(necklace)
     mu = moebius(poset)
-    hrep = necklace.fact(facet_representation)
+    tally = necklace.fact(upper_tally)
+    assert tally.facets == poset.facet_list, "tally bits and face generators disagree"
     one_minus_z = ExactPolynomial.from_coefficients([1, -1])
     total = hstar_half_open(necklace)
     dim_p = n - 1
     for node in poset.nodes:
         if node == poset.top or mu[node] == 0:
             continue
-        eqs = [(poset.facet_list[i].lo, poset.facet_list[i].hi, poset.facet_list[i].bound)
-               for i in sorted(node.generators)]
-        h_face = face_hstar(hrep, eqs, node.dim)
+        h_face = _face_hstar_from_counts(tally.face_counts(node.generators, node.dim))
         total = total - mu[node] * (one_minus_z ** (dim_p - node.dim)) * h_face
     coeffs = total.integer_coefficients()
     if any(c < 0 for c in coeffs) or (coeffs and coeffs[0] != 1):

@@ -6,6 +6,7 @@ import pytest
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
+from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
 from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
@@ -455,7 +456,28 @@ class TestExhaustiveWorker:
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         line = broken.__code__.co_firstlineno + 1
         assert not ok
-        assert detail == f"exception: RuntimeError('window overflow') at test_cli.py:{line} in broken"
+        assert detail == (f"exception: RuntimeError('window overflow') at test_cli.py:{line} "
+                          "in broken during affine windows")
+
+    @pytest.mark.parametrize("module, attr, stage", [
+        (tg, "labels_by_bases", "labels"),
+        (tg, "build_graph", "graph"),
+        (tg, "wall_covers", "wall covers"),
+        (eh, "closed_profile", "closed profile"),
+        (cli, "hstar_closed_all_methods", "closed routes"),
+        (cli, "hstar_half_open_all_methods", "half-open routes"),
+        (tg, "affine_consistency_check", "affine windows"),
+        (tg, "simplex_is_unimodular", "unimodularity"),
+    ])
+    def test_exception_names_its_stage(self, monkeypatch, module, attr, stage):
+        def broken(*args):
+            raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(module, attr, broken)
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok
+        assert detail.startswith("exception: RuntimeError('stage failed') at test_cli.py:")
+        assert detail.endswith(f" in broken during {stage}")
 
 
 class TestBrokenPipe:
@@ -508,6 +530,32 @@ class TestReportShape:
                           "--method", "all")
         for coeffs in report["hstar"].values():
             assert coeffs[0] == 0
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("hstar", "123,235,345,145,125", "--method", "oracle"),
+         "ecff51bd6ee6b8230962e29b0cd87837e797d57628e626f0c0faa72ef3a30b0e"),
+        (("hstar", "123,235,345,145,125", "--half-open", "--method", "oracle"),
+         "9d4152a1c2d7042b5a093bfb0184615a1f498920afe9b44fe89f6ab5029a5478"),
+        (("hstar", "123,234,345,456,156,126", "--method", "oracle"),
+         "2fd73d6c749476d6c608a3e7bf9c546350bbb980321d81f192d93a8ba7a6dd42"),
+        (("hstar", "123,234,345,456,156,126", "--half-open", "--method", "oracle"),
+         "88ad26285efa4450584246888ee2318638ffa70353dd63adf53d10bdf87bbee2"),
+    ])
+    def test_oracle_reports_enumerate_no_labels(self, capsys, monkeypatch, argv, digest):
+        # num_simplices is the oracle's h*(1); the report is the one the
+        # label count gave.
+        calls = []
+        search = tg.enumerate_labels
+
+        def spy(necklace):
+            calls.append(necklace)
+            return search(necklace)
+
+        monkeypatch.setattr(tg, "enumerate_labels", spy)
+        monkeypatch.setattr(ho, "enumerate_labels", spy)
+        code, out, err = run(capsys, *argv)
+        assert (code, err, calls) == (0, "", [])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv,digest", [
         (("triangulate", "12,23,34,45,15", "--w0", "31425"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.ehrhart import (
     CountProfile,
+    _tally,
     EhrhartPolynomial,
     closed_profile,
     count_constrained,
@@ -135,6 +136,48 @@ class TestCountConstrained:
     def test_row_outside_the_coordinates_rejected(self):
         with pytest.raises(ValueError):
             count_constrained(2, [(1, 3, 0, 0)], 1)
+
+
+def brute_tally(dim, rows, box, tight):
+    """Histogram of the tight masks of the points ``brute_count`` counts."""
+    histogram = {}
+    for x in itertools.product(range(box + 1), repeat=dim):
+        z = [0, *itertools.accumulate(x)]
+        if all(lo <= z[b] - z[a] <= hi for a, b, lo, hi in rows):
+            mask = sum(bit for a, b, value, bit in tight if z[b] - z[a] == value)
+            histogram[mask] = histogram.get(mask, 0) + 1
+    return histogram
+
+
+@st.composite
+def tallying_problems(draw):
+    dim, rows, box = draw(counting_problems())
+    tight = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        a = draw(st.integers(min_value=0, max_value=dim))
+        b = draw(st.integers(min_value=a, max_value=dim))
+        value = draw(st.integers(min_value=-1, max_value=(b - a) * box + 1))
+        tight.append((a, b, value, 1 << i))
+    return dim, rows, box, tight
+
+
+class TestTally:
+    @settings(max_examples=300, deadline=None)
+    @given(tallying_problems())
+    def test_matches_brute_force_mask_by_mask(self, problem):
+        dim, rows, box, tight = problem
+        histogram = _tally(dim, rows, box, tight)
+        assert histogram == brute_tally(dim, rows, box, tight)
+        assert sum(histogram.values()) == count_constrained(dim, rows, box)
+
+    def test_tight_rows_constrain_nothing(self):
+        # x_1 + x_2 == 2 on [0, 2]^2 tallied by x_1 == 0 (bit 1) and the
+        # empty row, always tight (bit 2)
+        assert _tally(2, [(0, 2, 2, 2)], 2, [(0, 1, 0, 1), (1, 1, 0, 2)]) == {3: 1, 2: 2}
+
+    def test_tight_row_outside_the_coordinates_rejected(self):
+        with pytest.raises(ValueError):
+            _tally(2, [], 1, [(1, 3, 0, 1)])
 
 
 def uniform(k, n):

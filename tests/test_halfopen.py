@@ -1,10 +1,19 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.core import ExactPolynomial
-from positroid_hstar.ehrhart import count_points, face_hstar
+from positroid_hstar.ehrhart import (
+    CountProfile,
+    _face_hstar_from_counts,
+    count_points,
+    face_hstar,
+    hstar_by_counting,
+    hstar_from_counts,
+    upper_tally,
+)
 from positroid_hstar.halfopen import (
     face_poset_of_uppers,
     half_open_profile,
@@ -16,21 +25,31 @@ from positroid_hstar.halfopen import (
 from positroid_hstar.positroid import (
     HRepresentation,
     IntervalInequality,
+    PositroidBases,
+    bases_from_necklace,
     canonical_facets,
     facet_representation,
     h_representation,
+    necklace_from_bases,
     validate_necklace,
 )
 from positroid_hstar.triangulation import (
     enumerate_labels,
+    hstar_shelling,
     simplex_facets,
     simplex_vertices,
 )
+from test_ehrhart import uniform
 from test_triangulation import phi_inverse_point
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
+# Three connected positroids with n = 7, of ranks 3, 4 and 5.
+SEVENS = tuple(validate_necklace([[int(c) for c in part] for part in text.split(",")])
+               for text in ("123,235,345,457,567,267,237",
+                            "1234,2345,3456,4567,1567,1367,1237",
+                            "12345,23456,13456,14567,12567,12467,12347"))
 
 
 def half_open_simplex(label):
@@ -194,6 +213,86 @@ class TestFacePoset:
                     eqs = [(f.lo, f.hi, f.bound)
                            for f in (poset.facet_list[i] for i in sorted(node.generators))]
                     assert face_hstar(facets, eqs, node.dim) == face_hstar(full, eqs, node.dim)
+
+
+class TestUpperTally:
+    def test_face_counts_equal_the_face_oracle(self):
+        # every face that inclusion-exclusion counts, with n <= 5 and at n = 7
+        necklaces = [nk for n in range(2, 6) for nk in connected_necklaces(n)]
+        for necklace in necklaces + list(SEVENS):
+            poset = face_poset_of_uppers(necklace)
+            tally = upper_tally(necklace)
+            assert tally.facets == poset.facet_list
+            facets = facet_representation(necklace)
+            for node, mu in moebius(poset).items():
+                if node == poset.top or mu == 0:
+                    continue
+                eqs = [(f.lo, f.hi, f.bound)
+                       for f in (poset.facet_list[i] for i in sorted(node.generators))]
+                counts = tally.face_counts(node.generators, node.dim)
+                assert _face_hstar_from_counts(counts) == face_hstar(facets, eqs, node.dim)
+
+    def test_pyramid_tally(self):
+        tally = upper_tally(PYRAMID)
+        everything = (1 << len(tally.facets)) - 1
+        assert tally.counts[0] == {everything: 1}
+        assert sum(tally.counts[1].values()) == count_points(facet_representation(PYRAMID), 1)
+        assert tally.face_counts((), 2) == tuple(
+            count_points(facet_representation(PYRAMID), t) for t in range(3))
+
+    def test_empty_or_flat_face_rejected(self):
+        with pytest.raises(ValueError):
+            _face_hstar_from_counts((0, 3))
+        with pytest.raises(ValueError):
+            _face_hstar_from_counts((1, 0, 0))
+
+
+def minimal_matroid(k, n):
+    """Ferroni's minimal matroid T_{k,n}: bases [k] and ([k] - {i}) + {p}, p > k."""
+    top = frozenset(range(1, k + 1))
+    bases = PositroidBases(n, k, frozenset(
+        {top} | {top - {i} | {p} for i in top for p in range(k + 1, n + 1)}))
+    necklace = necklace_from_bases(bases)
+    assert bases_from_necklace(necklace) == bases, "T_{k,n} is a positroid"
+    return necklace
+
+
+def half_open_hypersimplex_hstar(k, n):
+    """h* of U(k, n) with its upper facets removed, with no lattice counting:
+    #{y in [0, t-1]^n : sum y = kt - 1}
+    = sum_j (-1)^j C(n, j) C(kt - 1 - jt + n-1, n-1)."""
+    def count(t):
+        return sum((-1) ** j * math.comb(n, j) * math.comb(k * t - 1 - j * t + n - 1, n - 1)
+                   for j in range(n + 1) if k * t - 1 - j * t >= 0)
+    return hstar_from_counts(CountProfile(n - 1, tuple(count(t) for t in range(n))))
+
+
+class TestClosedForms:
+    """Independent answers for the routes at n <= 8, past the n <= 6 sweep."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_minimal_matroids(self, n):
+        # Ferroni (2022): h*(T_{k,n}) = sum_i C(k-1, i) C(n-k-1, i) z^i
+        for k in range(1, n):
+            necklace = minimal_matroid(k, n)
+            expected = ExactPolynomial.from_coefficients(
+                [math.comb(k - 1, i) * math.comb(n - k - 1, i) for i in range(k)])
+            assert hstar_shelling(necklace) == expected
+            assert hstar_closed_via_inclusion_exclusion(necklace) == expected
+            assert hstar_by_counting(necklace) == expected
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_half_open_hypersimplex(self, n):
+        for k in range(1, n):
+            necklace = uniform(k, n)
+            expected = half_open_hypersimplex_hstar(k, n)
+            assert hstar_half_open(necklace) == expected
+            assert hstar_half_open_by_counting(necklace) == expected
+
+    def test_small_values(self):
+        assert half_open_hypersimplex_hstar(2, 5) == hstar_half_open(UNIFORM25)
+        assert minimal_matroid(2, 4).subsets == validate_necklace(
+            [[1, 2], [2, 3], [1, 3], [1, 4]]).subsets
 
 
 class TestInclusionExclusion:
