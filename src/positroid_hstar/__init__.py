@@ -16,6 +16,10 @@ others:
 - the same cover statistic over the circular extensions of a bicolored
   subdivision's chain order, for tree positroids; the extensions are
   asserted to be the triangulation labels (``tree.hstar_tree``).
+
+Every route returns the h*-vector as a tuple of ints in ascending degree,
+trailing zeros trimmed; a half-open h* keeps its leading 0.  Only the
+Ehrhart polynomial has rational coefficients (``ExactPolynomial``).
 """
 
 from .core import ExactPolynomial

@@ -146,8 +146,11 @@ def read_input(value: str | None) -> str:
     if value == "-":
         return sys.stdin.read()
     if os.path.exists(value):
-        with open(value, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value, encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {value}: {exc.strerror}") from None
     return value
 
 
@@ -168,30 +171,41 @@ def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """A --w0 word: comma-separated integers, or one digit per letter."""
+    """A --w0 word: comma-separated integers, or one digit per letter; not empty."""
     letters = text.split(",") if "," in text else text.strip()
     try:
-        return tuple(int(p) for p in letters)
+        word = tuple(int(p) for p in letters)
     except ValueError:
-        raise InputError(f"--w0: expected a word of integers, got {json.dumps(text)}") from None
+        word = ()
+    if not word:
+        raise InputError(f"--w0: expected a word of integers, got {json.dumps(text)}")
+    return word
 
 
 # ---------------------------------------------------------------------------
 # report helpers
 # ---------------------------------------------------------------------------
 
-def poly_ints(poly: ExactPolynomial) -> list[int]:
-    return list(poly.integer_coefficients())
+def poly_ints(h: tuple[int, ...]) -> list[int]:
+    return list(h)
 
 
 def poly_rationals(poly: ExactPolynomial) -> list[str]:
     return [str(c) for c in poly.coefficients]
 
 
+def open_out(path: str):
+    """The --out file, opened for writing; an OS error is an input error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"--out: cannot write {path}: {exc.strerror}") from None
+
+
 def emit(report: dict, args) -> None:
     out = sys.stdout
     if getattr(args, "out", None):
-        out = open(args.out, "w", encoding="utf-8")
+        out = open_out(args.out)
     try:
         if getattr(args, "format", "json") == "text":
             _emit_text(report, out)
@@ -257,6 +271,13 @@ def hstar_half_open_all_methods(necklace: po.GrassmannNecklace,
 
 def agreement_verdict(results: dict[str, list[int]]) -> str:
     return "PASS" if len({tuple(v) for v in results.values()}) == 1 else "FAIL"
+
+
+def check_jobs(jobs: int) -> None:
+    """--jobs must lie in 1..os.cpu_count(); checked before any pool exists."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise InputError(f"--jobs must be between 1 and {cpus} (the CPU count), got {jobs}")
 
 
 def _map_jobs(worker: Callable, payloads: list, jobs: int) -> list:
@@ -341,7 +362,7 @@ def cmd_hstar(args) -> int:
         methods = CLOSED_METHODS if method == "all" else (method,)
         if not connected and method == "all":
             methods = ("oracle",)
-    if args.w0 and "shelling" not in methods:
+    if args.w0 is not None and "shelling" not in methods:
         raise InputError("--w0 applies only to the shelling method")
     if half_open:
         if not connected:
@@ -358,7 +379,7 @@ def cmd_hstar(args) -> int:
                 return EXIT_DISCONNECTED
             bases = necklace.fact(po.bases_from_necklace)
             report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
-        base = parse_word(args.w0) if args.w0 else None
+        base = parse_word(args.w0) if args.w0 is not None else None
         results = hstar_closed_all_methods(necklace, methods, base)
     if connected:
         # The oracle alone derives no labels; its h*(1), the normalized
@@ -399,7 +420,7 @@ def cmd_triangulate(args) -> int:
     necklace = to_necklace(kind, value)
     labels = necklace.fact(tg.enumerate_labels)
     graph = tg.build_graph(labels)
-    base = parse_word(args.w0) if args.w0 else graph.words[0]
+    base = parse_word(args.w0) if args.w0 is not None else graph.words[0]
     poset = tg.shelling_poset(graph, base)
     affine = tg.affine_consistency_check(graph, poset)
     report = {
@@ -428,7 +449,7 @@ def cmd_tree(args) -> int:
         raise InputError("the tree command expects a subdivision "
                          '({"n": ..., "cells": [...]})')
     tree = tr.tree_positroid(tau)
-    poly = tg.hstar_shelling(tree.necklace, parse_word(args.w0) if args.w0 else None)
+    poly = tg.hstar_shelling(tree.necklace, parse_word(args.w0) if args.w0 is not None else None)
     arc_rows = [{"arc": [a.start, a.end], "facet_defining": a.facet_defining, "area": a.area}
                 for a in tr.arcs(tau) if a.compatible]
     report = {
@@ -483,6 +504,7 @@ def size_cap() -> int:
 def cmd_atlas(args) -> int:
     if args.n < 1:
         raise InputError("--n must be positive")
+    check_jobs(args.jobs)
     if args.n > size_cap():
         print(f"error: n = {args.n} exceeds the size cap {size_cap()} "
               "(override with POSITROID_MAX_N)", file=sys.stderr)
@@ -496,7 +518,7 @@ def cmd_atlas(args) -> int:
     rows = _map_jobs(_atlas_worker, selected, args.jobs)
     if args.connected_only:
         rows = [r for r in rows if r["connected"]]
-    out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
+    out = sys.stdout if not args.out else open_out(args.out)
     try:
         if args.format == "csv":
             _write_atlas_csv(rows, out)
@@ -748,7 +770,7 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
                           "closed profile differs from the full H-representation count")
         ehr = eh.ehrhart_of_positroid(necklace)
         volume = ehr.leading_coefficient * math.factorial(ehr.dim)
-        if tg.hstar_from_covers(poset.cover)(1) != len(labels) or volume != len(labels):
+        if sum(tg.hstar_from_covers(poset.cover)) != len(labels) or volume != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")
         stage = "closed routes"
         closed = hstar_closed_all_methods(necklace)
@@ -840,7 +862,7 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
         labels = necklace.fact(tg.enumerate_labels)
         graph = tg.build_graph(labels)
         covers = [tg.shelling_poset(graph, w).cover for w in graph.words]
-        polys = {tg.hstar_from_covers(cover).coefficients for cover in covers}
+        polys = {tg.hstar_from_covers(cover) for cover in covers}
         walls = tg.label_walls(labels)
         if (len(polys) != 1 or labels != tg.labels_by_bases(necklace)
                 or any(tg.wall_covers(walls, w) != cover
@@ -888,6 +910,7 @@ def verify_single_input(text: str) -> list[Check]:
 
 
 def cmd_verify(args) -> int:
+    check_jobs(args.jobs)
     checks: list[Check] = []
     if args.input:
         checks += verify_single_input(read_input(args.input))

@@ -7,7 +7,9 @@ Conventions used package-wide:
 - the cyclic interval ``[i, j]`` is the totally ordered set {i, i+1, ..., j}
   taken mod n; it wraps through n exactly when i > j,
 - the interval sum ``x_[i,j]`` covers the coordinates i, i+1, ..., j-1 mod n,
-  so it is empty when j == i.
+  so it is empty when j == i,
+- an h*-vector is a tuple of ints in ascending degree, trailing zeros
+  trimmed (`_trim`); `ExactPolynomial` stores only Ehrhart polynomials.
 
 All arithmetic is exact (ints and Fractions); nothing here uses floats.
 """
@@ -218,7 +220,8 @@ def descent_count(word: Sequence[int]) -> int:
     return sum(1 for a, b in zip(word, word[1:]) if a > b)
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _trim(coeffs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
+    """``coeffs`` as a tuple without trailing zeros."""
     k = len(coeffs)
     while k > 0 and coeffs[k - 1] == 0:
         k -= 1
@@ -251,9 +254,6 @@ class ExactPolynomial:
         """Degree, with the convention that the zero polynomial has degree -1."""
         return len(self.coefficients) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -262,12 +262,6 @@ class ExactPolynomial:
         for k, c in enumerate(b):
             out[k] += c
         return ExactPolynomial(_trim(out))
-
-    def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -278,43 +272,8 @@ class ExactPolynomial:
                 out[k + m] += a * b
         return ExactPolynomial(_trim(out))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "ExactPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = ExactPolynomial.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __call__(self, t: int | Fraction) -> Fraction:
         value = Fraction(0)
         for c in reversed(self.coefficients):
             value = value * t + c
         return value
-
-    def integer_coefficients(self) -> tuple[int, ...]:
-        """Coefficients as ints; raises if any coefficient is non-integral."""
-        if any(c.denominator != 1 for c in self.coefficients):
-            raise ValueError(f"non-integer coefficients: {self.coefficients}")
-        return tuple(int(c) for c in self.coefficients)
-
-    def pretty(self, var: str = "z") -> str:
-        """Human-readable form like ``1 + 4z + 3z^2``."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            mag = "" if abs(c) == 1 else f"{abs(c)}"
-            term = f"{mag}{var}" if k == 1 else f"{mag}{var}^{k}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)

@@ -3,9 +3,10 @@
 Counting is a forward dynamic program over prefix sums: every interval bound
 of a positroid, a face or a half-open body bounds a difference of two prefix
 sums (these bodies are alcoved polytopes).  Everything downstream of the
-counts is exact: Lagrange interpolation recovers Ehrhart polynomials, and the
-standard binomial alternating sum turns a count profile (E(0), ..., E(d))
-into the h*-vector.
+counts is exact: Lagrange interpolation recovers Ehrhart polynomials, whose
+coefficients are rational (``ExactPolynomial``), and the standard binomial
+alternating sum turns a count profile (E(0), ..., E(d)) into the h*-vector,
+a tuple of ints.
 
 One DP body (``_tally``) does all counting.  Given tight rows, it also
 carries in its state the mask of rows a point meets with equality and
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ExactPolynomial
+from .core import ExactPolynomial, _trim
 from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
@@ -240,7 +241,7 @@ def ehrhart_interpolate(profile: CountProfile) -> EhrhartPolynomial:
     return EhrhartPolynomial(result, d)
 
 
-def hstar_from_counts(profile: CountProfile) -> ExactPolynomial:
+def hstar_from_counts(profile: CountProfile) -> tuple[int, ...]:
     """h*-vector from a count profile: h_j = sum_i (-1)^i C(d+1, i) E(j-i).
 
     The result must have nonnegative integer coefficients; a violation means
@@ -255,7 +256,7 @@ def hstar_from_counts(profile: CountProfile) -> ExactPolynomial:
         if h < 0:
             raise ArithmeticError(f"negative h*-coefficient {h} at degree {j}: counting bug")
         coeffs.append(h)
-    return ExactPolynomial.from_coefficients(coeffs)
+    return _trim(coeffs)
 
 
 def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
@@ -269,13 +270,13 @@ def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
 
 
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
-               face_dim: int) -> ExactPolynomial:
+               face_dim: int) -> tuple[int, ...]:
     """h*-polynomial of the face cut out by the given interval equalities."""
     return _face_hstar_from_counts(tuple(count_points(hrep, t, equalities=face_equalities)
                                          for t in range(face_dim + 1)))
 
 
-def _face_hstar_from_counts(counts: tuple[int, ...]) -> ExactPolynomial:
+def _face_hstar_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     """h* of a face from its counts at t = 0..dim, checked to be nonempty
     and not of lower dimension."""
     face_dim = len(counts) - 1
@@ -340,6 +341,6 @@ def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
     return ehrhart_interpolate(necklace.fact(_closed_profile))
 
 
-def hstar_by_counting(necklace: GrassmannNecklace) -> ExactPolynomial:
+def hstar_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """Oracle h* of any positroid polytope: count, then transform."""
     return hstar_from_counts(necklace.fact(_closed_profile))

@@ -8,17 +8,19 @@ H-representation.  Removing all upper facets leaves
 the half-open polytope, whose h*-polynomial is the descent generating
 function z^(des+1) over triangulation labels.  The closed h* is then
 recovered by Moebius inclusion-exclusion over the poset of intersections of
-upper facets.  Each face's counts are read off one lattice count of the
-closed body per dilate, tallied by the upper facets each point lies on
+upper facets, in integer arithmetic on the h*-vectors (tuples of ints).
+Each face's counts are read off one lattice count of the closed body per
+dilate, tallied by the upper facets each point lies on
 (``ehrhart.upper_tally``); the faces are not counted one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ._linalg import affine_rank
-from .core import ExactPolynomial, descent_count
+from .core import _trim, descent_count
 from .ehrhart import (
     CountProfile,
     _face_hstar_from_counts,
@@ -37,7 +39,7 @@ from .positroid import (
 from .triangulation import enumerate_labels
 
 
-def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
+def hstar_half_open(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """h* of the projected polytope with all upper facets removed.
 
     Equals the descent generating function sum of z^(des(w_1..w_{n-1}) + 1)
@@ -54,7 +56,7 @@ def hstar_half_open(necklace: GrassmannNecklace) -> ExactPolynomial:
             coeffs.extend([0] * (e - top))
             top = e
         coeffs[e] += 1
-    return ExactPolynomial.from_coefficients(coeffs)
+    return tuple(coeffs)
 
 
 def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
@@ -69,7 +71,7 @@ def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
     return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
 
 
-def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> ExactPolynomial:
+def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     return hstar_from_counts(half_open_profile(necklace))
 
 
@@ -127,31 +129,36 @@ def moebius(poset: FacePoset) -> dict[FaceNode, int]:
     return mu
 
 
-def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> ExactPolynomial:
+def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """Closed h* from the half-open one and the faces of the removed facets.
 
     h*(P) = h*(half-open) - sum over proper faces F of
     mu(F, P) (1-z)^(dim P - dim F) h*(F), where each face's counts are read
     off one tally of the closed body's points by the upper facets they lie
-    on (``ehrhart.upper_tally``).  The result must have nonnegative integer
+    on (``ehrhart.upper_tally``).  The sum runs in integers: every term has
+    degree at most dim P = n - 1.  The result must have nonnegative
     coefficients and constant term 1.
     """
     n = necklace.n
     if n == 1:
-        return ExactPolynomial.one()
+        return (1,)
     poset = face_poset_of_uppers(necklace)
     mu = moebius(poset)
     tally = necklace.fact(upper_tally)
     assert tally.facets == poset.facet_list, "tally bits and face generators disagree"
-    one_minus_z = ExactPolynomial.from_coefficients([1, -1])
-    total = hstar_half_open(necklace)
+    half = hstar_half_open(necklace)
+    total = list(half) + [0] * (n - len(half))
     dim_p = n - 1
     for node in poset.nodes:
         if node == poset.top or mu[node] == 0:
             continue
         h_face = _face_hstar_from_counts(tally.face_counts(node.generators, node.dim))
-        total = total - mu[node] * (one_minus_z ** (dim_p - node.dim)) * h_face
-    coeffs = total.integer_coefficients()
-    if any(c < 0 for c in coeffs) or (coeffs and coeffs[0] != 1):
+        k = dim_p - node.dim
+        for i in range(k + 1):
+            c = mu[node] * (-1) ** i * math.comb(k, i)
+            for j, h in enumerate(h_face):
+                total[i + j] -= c * h
+    coeffs = _trim(total)
+    if any(c < 0 for c in coeffs) or coeffs[:1] != (1,):
         raise ArithmeticError(f"inclusion-exclusion produced invalid h* {coeffs}")
-    return total
+    return coeffs

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import ExactPolynomial, Word, descent_bounded_words
+from .core import Word, descent_bounded_words
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
@@ -293,7 +293,7 @@ def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
     return TreePositroid(necklace, bases, chains, ext)
 
 
-def hstar_tree(tau: BicoloredSubdivision, base: Word | None = None) -> ExactPolynomial:
+def hstar_tree(tau: BicoloredSubdivision, base: Word | None = None) -> tuple[int, ...]:
     """h* of the subdivision's polytope by the cover statistic on extensions.
 
     The circular extensions are the necklace's triangulation labels

@@ -16,8 +16,8 @@ circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
 simplex's vertices.  Ordering the labels by distance from any base label
 shells the triangulation, and cover(w), the number of walls of w's alcove
 whose hyperplane separates it from the base alcove, counts the facets glued
-to earlier simplices; summing z^cover(w) over labels gives the
-h*-polynomial (`wall_covers`, `hstar_shelling`).  The walls do not depend
+to earlier simplices; counting the labels by cover gives the h*-vector,
+a tuple of ints (`wall_covers`, `hstar_shelling`).  The walls do not depend
 on the base: `label_walls` reads them once for scoring many bases.
 
 The dual graph (two simplices share a facet exactly when the cycles differ
@@ -37,7 +37,6 @@ from typing import Iterable, Mapping, Sequence
 
 from ._linalg import determinant
 from .core import (
-    ExactPolynomial,
     Word,
     circuit_masks,
     cyclic_interval,
@@ -317,15 +316,16 @@ def wall_covers(labels: Sequence[Word] | Mapping[Word, Walls],
             for w, its_walls in walls}
 
 
-def hstar_from_covers(cover: Mapping[Word, int]) -> ExactPolynomial:
-    """Sum of z^cover(w) over all labels, from `wall_covers` or `ShellingPoset.cover`."""
+def hstar_from_covers(cover: Mapping[Word, int]) -> tuple[int, ...]:
+    """Sum of z^cover(w) over all labels, from `wall_covers` or
+    `ShellingPoset.cover`, as an h*-vector: entry c counts the labels of cover c."""
     coeffs = [0] * (max(cover.values()) + 1)
     for c in cover.values():
         coeffs[c] += 1
-    return ExactPolynomial.from_coefficients(coeffs)
+    return tuple(coeffs)
 
 
-def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> ExactPolynomial:
+def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> tuple[int, ...]:
     """h*-polynomial of a connected positroid polytope by the cover statistic."""
     labels = necklace.fact(enumerate_labels)
     return hstar_from_covers(wall_covers(labels, labels[0] if base is None else base))

@@ -10,7 +10,10 @@ from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
 from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
-from positroid_hstar.core import ExactPolynomial
+
+
+SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
+          '{"color":"white","vertices":[1,3,4]}]}')
 
 
 def run(capsys, *argv):
@@ -198,10 +201,11 @@ class TestHstar:
         assert run(capsys, "hstar", *argv, "--w0", "999") == (
             2, "", "error: --w0 applies only to the shelling method\n")
 
-    @pytest.mark.parametrize("command", ["hstar", "triangulate"])
-    @pytest.mark.parametrize("w0", ["x", "1,,2"])
+    @pytest.mark.parametrize("command", ["hstar", "triangulate", "tree"])
+    @pytest.mark.parametrize("w0", ["x", "1,,2", ""])
     def test_malformed_w0_is_named(self, capsys, command, w0):
-        assert run(capsys, command, "12,23,34,45,15", "--w0", w0) == (
+        value = SQUARE if command == "tree" else "12,23,34,45,15"
+        assert run(capsys, command, value, "--w0", w0) == (
             2, "", f'error: --w0: expected a word of integers, got "{w0}"\n')
 
     def test_w0_choice_does_not_change_hstar(self, capsys):
@@ -421,7 +425,7 @@ class TestExhaustiveWorker:
         assert cli._exhaustive_worker(self.PYRAMID) == ("12,23,13,14", True, "")
 
     def test_closed_disagreement_fails(self, monkeypatch):
-        monkeypatch.setattr(eh, "hstar_by_counting", lambda necklace: ExactPolynomial.one())
+        monkeypatch.setattr(eh, "hstar_by_counting", lambda necklace: (1,))
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok and detail.startswith("closed methods disagree")
 
@@ -478,6 +482,52 @@ class TestExhaustiveWorker:
         assert not ok
         assert detail.startswith("exception: RuntimeError('stage failed') at test_cli.py:")
         assert detail.endswith(f" in broken during {stage}")
+
+
+class TestOSErrors:
+    """An unreadable input path or an unwritable --out exits 2 with one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["convert"], ["hstar"], ["ehrhart"], ["triangulate"], ["tree"], ["verify", "--input"]])
+    def test_directory_as_input_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", "12,23,13,14"], ["hstar", "12,23,13,14"], ["ehrhart", "12,23,13,14"],
+        ["triangulate", "12,23,13,14"], ["tree", SQUARE], ["atlas", "--n", "3"]])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --out: cannot write {target}: ")
+        assert err.count("\n") == 1 and not target.parent.exists()
+
+
+class TestJobsBounds:
+    """--jobs outside 1..os.cpu_count() exits 2 before any process pool exists."""
+
+    CPUS = os.cpu_count() or 1
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was requested")
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+
+    @pytest.mark.parametrize("argv", [("verify", "--scope", "exhaustive", "--max-n", "3"),
+                                      ("atlas", "--n", "3")])
+    @pytest.mark.parametrize("jobs", [0, -2, CPUS + 1, 10 ** 6])
+    def test_out_of_range_jobs_exit_2(self, capsys, argv, jobs):
+        message = f"error: --jobs must be between 1 and {self.CPUS} (the CPU count), got {jobs}\n"
+        assert run(capsys, *argv, "--jobs", str(jobs)) == (2, "", message)
+
+    def test_one_job_runs_without_a_pool(self, capsys):
+        assert run(capsys, "atlas", "--n", "3", "--jobs", "1")[0] == 0
 
 
 class TestBrokenPipe:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -254,16 +253,6 @@ class TestExactPolynomial:
         assert p.degree == 1
         assert ExactPolynomial.zero().degree == -1
 
-    def test_pretty(self):
-        p = ExactPolynomial.from_coefficients([1, 4, 3])
-        assert p.pretty() == "1 + 4z + 3z^2"
-        assert ExactPolynomial.from_coefficients([0, 0, 2]).pretty() == "2z^2"
-        assert ExactPolynomial.zero().pretty() == "0"
-
-    def test_integer_coefficients_guard(self):
-        with pytest.raises(ValueError):
-            ExactPolynomial.from_coefficients([Fraction(1, 2)]).integer_coefficients()
-
     @given(st.lists(small_fractions, max_size=5), st.lists(small_fractions, max_size=5),
            st.integers(min_value=-20, max_value=20))
     def test_product_evaluates_exactly(self, a, b, t):
@@ -271,7 +260,3 @@ class TestExactPolynomial:
         q = ExactPolynomial.from_coefficients(b)
         assert (p * q)(t) == p(t) * q(t)
         assert (p + q)(t) == p(t) + q(t)
-
-    def test_power_of_one_minus_z(self):
-        omz = ExactPolynomial.from_coefficients([1, -1])
-        assert (omz ** 2).coefficients == (Fraction(1), Fraction(-2), Fraction(1))

@@ -201,7 +201,7 @@ class TestHypersimplexClosedForm:
         necklace = uniform(k, n)
         expected = hypersimplex_hstar(k, n)
         assert hstar_shelling(necklace) == expected
-        assert hstar_half_open(necklace)(1) == expected(1)
+        assert sum(hstar_half_open(necklace)) == sum(expected)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_counting_oracle_at_n9(self, k):
@@ -212,8 +212,8 @@ class TestHypersimplexClosedForm:
         assert hstar_by_counting(uniform(k, n)) == hypersimplex_hstar(k, n)
 
     def test_small_values(self):
-        assert hypersimplex_hstar(2, 5) == ExactPolynomial.from_coefficients([1, 5, 5])
-        assert hypersimplex_hstar(1, 4) == ExactPolynomial.one()
+        assert hypersimplex_hstar(2, 5) == (1, 5, 5)
+        assert hypersimplex_hstar(1, 4) == (1,)
 
 
 class TestInterpolation:
@@ -246,15 +246,13 @@ class TestInterpolation:
 class TestHstarTransform:
     def test_standard_simplex_is_one(self):
         profile = CountProfile(3, tuple(math.comb(t + 3, 3) for t in range(4)))
-        assert hstar_from_counts(profile) == ExactPolynomial.one()
+        assert hstar_from_counts(profile) == (1,)
 
     def test_uniform(self):
-        assert hstar_from_counts(closed_profile(h_representation(UNIFORM25), 4)) == \
-            ExactPolynomial.from_coefficients([1, 5, 5])
+        assert hstar_from_counts(closed_profile(h_representation(UNIFORM25), 4)) == (1, 5, 5)
 
     def test_half_open_pyramid_profile(self):
-        assert hstar_from_counts(CountProfile(3, (0, 0, 2, 8))) == \
-            ExactPolynomial.from_coefficients([0, 0, 2])
+        assert hstar_from_counts(CountProfile(3, (0, 0, 2, 8))) == (0, 0, 2)
 
     def test_negative_coefficient_flagged(self):
         with pytest.raises(ArithmeticError):
@@ -268,7 +266,7 @@ class TestProducts:
         segment = EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)
         prism = ehrhart_product([triangle, segment])
         assert prism.dim == 3
-        assert hstar_from_ehrhart(prism) == ExactPolynomial.from_coefficients([1, 2])
+        assert hstar_from_ehrhart(prism) == (1, 2)
 
     def test_unit_factor(self):
         seg = EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)
@@ -277,28 +275,23 @@ class TestProducts:
 
     def test_square_from_two_segments(self):
         seg = EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)
-        assert hstar_from_ehrhart(ehrhart_product([seg, seg])) == \
-            ExactPolynomial.from_coefficients([1, 1])
+        assert hstar_from_ehrhart(ehrhart_product([seg, seg])) == (1, 1)
 
 
 class TestFaceHstar:
     def test_prism_facet(self):
-        assert face_hstar(h_representation(PRISM), [(1, 4, 2)], 3) == \
-            ExactPolynomial.from_coefficients([1, 2])
+        assert face_hstar(h_representation(PRISM), [(1, 4, 2)], 3) == (1, 2)
 
     def test_wrapping_equality_is_its_complement(self):
         # x_4 + x_5 = 1 is the facet x_1 + x_2 + x_3 = 2 of the rank-3 prism
-        assert face_hstar(h_representation(PRISM), [(4, 1, 1)], 3) == \
-            ExactPolynomial.from_coefficients([1, 2])
+        assert face_hstar(h_representation(PRISM), [(4, 1, 1)], 3) == (1, 2)
 
     def test_square_face(self):
-        assert face_hstar(h_representation(PRISM), [(1, 2, 1), (1, 4, 2)], 2) == \
-            ExactPolynomial.from_coefficients([1, 1])
+        assert face_hstar(h_representation(PRISM), [(1, 2, 1), (1, 4, 2)], 2) == (1, 1)
 
     def test_vertex_face(self):
         # apex of the pyramid: x_1 = 1 and x_2 = 1
-        assert face_hstar(h_representation(PYRAMID), [(1, 2, 1), (2, 3, 1)], 0) == \
-            ExactPolynomial.one()
+        assert face_hstar(h_representation(PYRAMID), [(1, 2, 1), (2, 3, 1)], 0) == (1,)
 
     def test_empty_face_rejected(self):
         with pytest.raises(ValueError):
@@ -307,8 +300,8 @@ class TestFaceHstar:
 
 class TestDrivers:
     def test_oracle_matches_known_values(self):
-        assert hstar_by_counting(PYRAMID) == ExactPolynomial.from_coefficients([1, 1])
-        assert hstar_by_counting(PRISM) == ExactPolynomial.from_coefficients([1, 3, 1])
+        assert hstar_by_counting(PYRAMID) == (1, 1)
+        assert hstar_by_counting(PRISM) == (1, 3, 1)
 
     def test_volume_counts_simplices(self):
         ehr = ehrhart_interpolate(closed_profile(h_representation(UNIFORM25), 4))
@@ -325,7 +318,7 @@ class TestDrivers:
         loop = validate_necklace([[]])
         coloop = validate_necklace([[1]])
         for J in (loop, coloop):
-            assert hstar_by_counting(J) == ExactPolynomial.one()
+            assert hstar_by_counting(J) == (1,)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_product_hstar_equals_ambient_count_for_every_direct_sum(self, n):
