@@ -20,72 +20,48 @@ others:
 Every route returns the h*-vector as a tuple of ints in ascending degree,
 trailing zeros trimmed; a half-open h* keeps its leading 0.  Only the
 Ehrhart polynomial has rational coefficients (``ExactPolynomial``).
+
+Names resolve lazily (PEP 562): ``from positroid_hstar import hstar_shelling``
+imports ``triangulation`` and what it needs, and nothing else, so a process
+that uses one route does not load the others.
 """
 
-from .core import ExactPolynomial
-from .ehrhart import (
-    CountProfile,
-    EhrhartPolynomial,
-    count_points,
-    ehrhart_interpolate,
-    ehrhart_of_positroid,
-    ehrhart_product,
-    face_hstar,
-    hstar_by_counting,
-    hstar_from_counts,
-)
-from .halfopen import (
-    face_poset_of_uppers,
-    hstar_closed_via_inclusion_exclusion,
-    hstar_half_open,
-    hstar_half_open_by_counting,
-    moebius,
-)
-from .positroid import (
-    CanonicalFacet,
-    DecoratedPermutation,
-    DisconnectedPositroidError,
-    GrassmannNecklace,
-    HRepresentation,
-    IntervalInequality,
-    NecklaceError,
-    PositroidBases,
-    bases_from_necklace,
-    canonical_facets,
-    decompose_direct_sum,
-    decorated_from_necklace,
-    h_representation,
-    is_connected,
-    necklace_from_bases,
-    necklace_from_decorated,
-    rank_of,
-    validate_necklace,
-    vertices,
-)
-from .tree import (
-    BicoloredSubdivision,
-    SubdivisionError,
-    arcs,
-    circular_extensions,
-    h_rep_from_subdivision,
-    hstar_tree,
-    random_subdivision,
-    tau_order,
-    validate_subdivision,
-)
-from .triangulation import (
-    AffineLabelingReport,
-    ShellingPoset,
-    TriangulationGraph,
-    affine_consistency_check,
-    build_graph,
-    enumerate_labels,
-    hstar_from_covers,
-    hstar_shelling,
-    shelling_poset,
-    simplex_facets,
-    simplex_vertices,
-    wall_covers,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names of each module, the module itself included.
+_EXPORTS = {
+    "core": "ExactPolynomial",
+    "ehrhart": """CountProfile EhrhartPolynomial count_points ehrhart_interpolate
+        ehrhart_of_positroid ehrhart_product face_hstar hstar_by_counting hstar_from_counts""",
+    "halfopen": """face_poset_of_uppers hstar_closed_via_inclusion_exclusion hstar_half_open
+        hstar_half_open_by_counting moebius""",
+    "positroid": """CanonicalFacet DecoratedPermutation DisconnectedPositroidError
+        GrassmannNecklace HRepresentation IntervalInequality NecklaceError PositroidBases
+        bases_from_necklace canonical_facets decompose_direct_sum decorated_from_necklace
+        h_representation is_connected necklace_from_bases necklace_from_decorated rank_of
+        validate_necklace vertices""",
+    "tree": """BicoloredSubdivision SubdivisionError arcs circular_extensions
+        h_rep_from_subdivision hstar_tree random_subdivision tau_order validate_subdivision""",
+    "triangulation": """AffineLabelingReport ShellingPoset TriangulationGraph
+        affine_consistency_check build_graph enumerate_labels hstar_from_covers hstar_shelling
+        shelling_poset simplex_facets simplex_vertices wall_covers""",
+}
+# Each public name -> the module that defines it (a module maps to itself).
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in (module, *names.split())}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

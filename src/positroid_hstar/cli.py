@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 connectivity precondition violated.  A reader that closes stdout early
 (``| head``) ends any command quietly with exit code 0: the rest of the
 output goes to os.devnull and nothing is printed on stderr.
+
+A process imports only what its command runs: ``ehrhart`` and ``halfopen``
+when a route needs them, ``tree`` for subdivision input, and the suites of
+``atlas`` and ``verify`` from ``verify``.
 """
 
 from __future__ import annotations
@@ -19,18 +23,13 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 import time
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import ehrhart as eh
-from . import halfopen as ho
 from . import positroid as po
-from . import tree as tr
 from . import triangulation as tg
-from .core import ExactPolynomial, circuit_subsets
+from .core import ExactPolynomial
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -40,7 +39,6 @@ EXIT_DISCONNECTED = 3
 CLOSED_METHODS = ("shelling", "inclusion-exclusion", "oracle")
 HALF_OPEN_METHODS = ("descents", "oracle")
 INPUT_KEYS = ("necklace", "pi", "bases", "cells")
-RANDOM_MAX_N = 7  # verify --scope random samples n <= 7 unless --max-n says otherwise
 
 
 class InputError(ValueError):
@@ -121,9 +119,11 @@ def parse_input(text: str) -> tuple[str, object]:
                     raise InputError("basis set fails the exchange axiom")
                 return "bases", bases
             if "cells" in doc:
+                from .tree import validate_subdivision
+
                 cells = [(c["color"], _integers("vertices", c["vertices"])) for c in doc["cells"]]
-                return "subdivision", tr.validate_subdivision(doc["n"], cells)
-        except (po.NecklaceError, tr.SubdivisionError, ValueError, KeyError, TypeError) as exc:
+                return "subdivision", validate_subdivision(doc["n"], cells)
+        except (ValueError, KeyError, TypeError) as exc:
             raise InputError(str(exc)) from exc
         raise InputError(f"JSON object needs one of the keys: {', '.join(INPUT_KEYS)}")
     return "necklace", parse_compact_necklace(text)
@@ -140,12 +140,19 @@ def _integers(field: str, values: Iterable[object]) -> list[int]:
 
 
 def read_input(value: str | None) -> str:
-    """Input text from an inline value or a file path; '-' reads stdin."""
+    """Input text from an inline value or a file path; '-' reads stdin.
+
+    A value that is not JSON and holds a path separator or ends in .json is
+    read as a path even when nothing is there, so a mistyped file name is
+    reported as unreadable rather than parsed as a necklace.
+    """
     if value is None:
         raise InputError("no input given")
     if value == "-":
         return sys.stdin.read()
-    if os.path.exists(value):
+    looks_like_path = not value.lstrip().startswith("{") and (
+        os.sep in value or value.endswith(".json"))
+    if looks_like_path or os.path.exists(value):
         try:
             with open(value, encoding="utf-8") as fh:
                 return fh.read()
@@ -166,7 +173,9 @@ def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
                              "(its necklace generates a strictly larger one)")
         return necklace
     if kind == "subdivision":
-        return tr.positroid_from_subdivision(value)[0]
+        from .tree import positroid_from_subdivision
+
+        return positroid_from_subdivision(value)[0]
     raise InputError(f"cannot build a necklace from {kind}")
 
 
@@ -194,12 +203,22 @@ def poly_rationals(poly: ExactPolynomial) -> list[str]:
     return [str(c) for c in poly.coefficients]
 
 
-def open_out(path: str):
+def open_out(path: str, mode: str = "w"):
     """The --out file, opened for writing; an OS error is an input error."""
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"--out: cannot write {path}: {exc.strerror}") from None
+
+
+def check_out(path: str) -> None:
+    """Fail on an unwritable --out before any work, and leave the path as it
+    was: an existing file is opened for appending, not truncated, and a file
+    created by the probe is removed again."""
+    existed = os.path.lexists(path)
+    open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def emit(report: dict, args) -> None:
@@ -248,8 +267,12 @@ def hstar_closed_all_methods(necklace: po.GrassmannNecklace,
         if method == "shelling":
             out[method] = poly_ints(tg.hstar_shelling(necklace, base))
         elif method == "inclusion-exclusion":
+            from . import halfopen as ho
+
             out[method] = poly_ints(ho.hstar_closed_via_inclusion_exclusion(necklace))
         elif method == "oracle":
+            from . import ehrhart as eh
+
             out[method] = poly_ints(eh.hstar_by_counting(necklace))
         else:
             raise InputError(f"method {method!r} does not compute a closed h*")
@@ -258,6 +281,8 @@ def hstar_closed_all_methods(necklace: po.GrassmannNecklace,
 
 def hstar_half_open_all_methods(necklace: po.GrassmannNecklace,
                                 methods: Sequence[str] = HALF_OPEN_METHODS) -> dict[str, list[int]]:
+    from . import halfopen as ho
+
     out = {}
     for method in methods:
         if method == "descents":
@@ -271,22 +296,6 @@ def hstar_half_open_all_methods(necklace: po.GrassmannNecklace,
 
 def agreement_verdict(results: dict[str, list[int]]) -> str:
     return "PASS" if len({tuple(v) for v in results.values()}) == 1 else "FAIL"
-
-
-def check_jobs(jobs: int) -> None:
-    """--jobs must lie in 1..os.cpu_count(); checked before any pool exists."""
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise InputError(f"--jobs must be between 1 and {cpus} (the CPU count), got {jobs}")
-
-
-def _map_jobs(worker: Callable, payloads: list, jobs: int) -> list:
-    """``worker`` over ``payloads`` in order; a process pool runs it when jobs > 1."""
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(worker, payloads)
-    return [worker(p) for p in payloads]
 
 
 def all_decorated_permutations(n: int) -> Iterator[po.DecoratedPermutation]:
@@ -393,6 +402,8 @@ def cmd_hstar(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
+    from . import ehrhart as eh
+
     start = time.perf_counter()
     if args.tmax is not None and args.tmax < 0:
         raise InputError("--tmax must be nonnegative")
@@ -443,6 +454,8 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    from . import tree as tr
+
     start = time.perf_counter()
     kind, tau = parse_input(read_input(args.input))
     if kind != "subdivision":
@@ -468,90 +481,20 @@ def cmd_tree(args) -> int:
     return EXIT_OK
 
 
-def _atlas_row(dec: po.DecoratedPermutation) -> dict:
-    necklace = po.necklace_from_decorated(dec)
-    bases = necklace.fact(po.bases_from_necklace)
-    connected = necklace.fact(po.necklace_connected)
-    row = {
-        "pi": list(dec.perm),
-        "white": sorted(dec.white),
-        "necklace": [sorted(s) for s in necklace.subsets],
-        "n": necklace.n,
-        "rank": necklace.rank,
-        "connected": connected,
-        "num_bases": len(bases.bases),
-    }
-    results = hstar_closed_all_methods(necklace, CLOSED_METHODS if connected else ("oracle",))
-    if connected:
-        row["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
-    row["hstar"] = results
-    row["verdict"] = agreement_verdict(results)
-    return row
-
-
-def _atlas_worker(payload: tuple[tuple[int, ...], tuple[int, ...]]) -> dict:
-    perm, white = payload
-    return _atlas_row(po.DecoratedPermutation(perm, frozenset(white)))
-
-
-def size_cap() -> int:
-    value = os.environ.get("POSITROID_MAX_N", "7")
-    if not value.isdigit():
-        raise InputError(f"POSITROID_MAX_N must be a nonnegative integer, got {value!r}")
-    return int(value)
-
-
 def cmd_atlas(args) -> int:
-    if args.n < 1:
-        raise InputError("--n must be positive")
-    check_jobs(args.jobs)
-    if args.n > size_cap():
-        print(f"error: n = {args.n} exceeds the size cap {size_cap()} "
-              "(override with POSITROID_MAX_N)", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    selected = []
-    for dec in all_decorated_permutations(args.n):
-        necklace = po.necklace_from_decorated(dec)
-        if args.rank is not None and necklace.rank != args.rank:
-            continue
-        selected.append((dec.perm, tuple(sorted(dec.white))))
-    rows = _map_jobs(_atlas_worker, selected, args.jobs)
-    if args.connected_only:
-        rows = [r for r in rows if r["connected"]]
-    out = sys.stdout if not args.out else open_out(args.out)
-    try:
-        if args.format == "csv":
-            _write_atlas_csv(rows, out)
-        else:
-            for row in rows:
-                out.write(json.dumps(row, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return EXIT_OK
+    from .verify import run_atlas
+
+    return run_atlas(args)
 
 
-def _write_atlas_csv(rows: list[dict], out) -> None:
-    import csv
+def cmd_verify(args) -> int:
+    from .verify import run_verify
 
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["pi", "white", "necklace", "n", "rank", "connected",
-                     "num_bases", "num_simplices", "hstar", "verdict"])
-    for r in rows:
-        hstar = r["hstar"].get("shelling") or r["hstar"]["oracle"]
-        writer.writerow([
-            "".join(map(str, r["pi"])),
-            "".join(map(str, r["white"])),
-            ",".join("".join(map(str, s)) for s in r["necklace"]),
-            r["n"], r["rank"], r["connected"], r["num_bases"],
-            r.get("num_simplices", ""),
-            " ".join(map(str, hstar)),
-            r["verdict"],
-        ])
+    return run_verify(args)
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# the per-positroid check of the exhaustive sweep (``verify.verify_exhaustive``)
 # ---------------------------------------------------------------------------
 
 Check = tuple[str, bool, str]
@@ -561,179 +504,10 @@ def _check(name: str, ok: bool, detail: str = "") -> Check:
     return (name, bool(ok), detail)
 
 
-def verify_golden() -> list[Check]:
-    """Golden fixtures: small instances with known values, every pipeline."""
-    checks: list[Check] = []
-
-    pyramid = po.validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
-    checks.append(_check(
-        "pyramid bases",
-        po.bases_from_necklace(pyramid).sorted_bases() ==
-        ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)), "necklace 12,23,13,14"))
-    checks.append(_check(
-        "pyramid labels",
-        tg.enumerate_labels(pyramid) == ((1, 3, 2, 4), (2, 1, 3, 4)), ""))
-    checks.append(_check(
-        "pyramid h* closed",
-        all(h == [1, 1] for h in hstar_closed_all_methods(pyramid).values()), "1+z"))
-    checks.append(_check(
-        "pyramid h* half-open",
-        all(h == [0, 0, 2] for h in hstar_half_open_all_methods(pyramid).values()), "2z^2"))
-    uppers = [str(f) for f in po.canonical_facets(pyramid) if f.upper]
-    checks.append(_check(
-        "pyramid upper facets",
-        uppers == ["x_1 <= 1", "x_1+x_2+x_3 <= 2", "x_2 <= 1"], "; ".join(uppers)))
-    mu = _moebius_by_dim(pyramid)
-    checks.append(_check(
-        "pyramid Moebius",
-        mu[2] == [-1, -1, -1] and mu[1] == [1, 1] and mu[0] == [0], str(mu)))
-
-    fig1 = po.validate_necklace([[1, 2, 3], [2, 3, 5], [3, 4, 5], [1, 4, 5], [1, 2, 5]])
-    graph1 = tg.build_graph(tg.enumerate_labels(fig1))
-    cov1 = tg.shelling_poset(graph1, (2, 4, 1, 3, 5)).cover
-    checks.append(_check(
-        "rank-3 wheel cover multiset",
-        sorted(cov1.values()) == [0, 1, 1, 1, 1, 2, 2, 2]
-        and poly_ints(tg.hstar_shelling(fig1)) == [1, 4, 3], "1+4z+3z^2"))
-
-    uniform = po.validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
-    graph_u = tg.build_graph(tg.enumerate_labels(uniform))
-    checks.append(_check(
-        "rank-2 uniform graph",
-        len(graph_u.words) == 11 and len(graph_u.edges()) == 15, "11 labels, 15 edges"))
-    checks.append(_check(
-        "rank-2 uniform h*",
-        poly_ints(tg.hstar_shelling(uniform)) == [1, 5, 5]
-        and poly_ints(ho.hstar_closed_via_inclusion_exclusion(uniform)) == [1, 5, 5], "1+5z+5z^2"))
-    checks.append(_check(
-        "rank-2 uniform half-open",
-        poly_ints(ho.hstar_half_open(uniform)) == [0, 0, 10, 1], "10z^2+z^3"))
-    affine = tg.affine_consistency_check(graph_u, tg.shelling_poset(graph_u, (3, 1, 4, 2, 5)))
-    expected_windows = {
-        (3, 1, 4, 2, 5): (1, 2, 3, 4, 5),
-        (1, 3, 4, 2, 5): (2, 1, 3, 4, 5),
-        (3, 4, 1, 2, 5): (1, 3, 2, 4, 5),
-        (3, 1, 2, 4, 5): (1, 2, 4, 3, 5),
-        (2, 3, 1, 4, 5): (1, 2, 3, 5, 4),
-        (1, 4, 2, 3, 5): (0, 2, 3, 4, 6),
-        (1, 3, 2, 4, 5): (2, 1, 4, 3, 5),
-        (2, 1, 3, 4, 5): (2, 1, 3, 5, 4),
-        (1, 2, 4, 3, 5): (0, 2, 4, 3, 6),
-        (2, 3, 4, 1, 5): (1, 3, 2, 5, 4),
-        (4, 1, 2, 3, 5): (0, 3, 2, 4, 6),
-    }
-    checks.append(_check(
-        "affine windows",
-        affine.ok and dict(affine.windows) == expected_windows,
-        "base 31425; 14235 -> [0,2,3,4,6]"))
-
-    prism = po.validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
-    labels3 = tg.enumerate_labels(prism)
-    checks.append(_check(
-        "rank-3 five-simplex labels",
-        labels3 ==
-        ((2, 4, 1, 3, 5), (3, 2, 4, 1, 5), (3, 4, 2, 1, 5), (4, 1, 3, 2, 5), (4, 2, 1, 3, 5)),
-        "24135 32415 34215 41325 42135"))
-    graph3 = tg.build_graph(labels3)
-    expected_edges = {((2, 4, 1, 3, 5), (3, 2, 4, 1, 5)), ((2, 4, 1, 3, 5), (4, 1, 3, 2, 5)),
-                      ((2, 4, 1, 3, 5), (4, 2, 1, 3, 5)), ((3, 2, 4, 1, 5), (3, 4, 2, 1, 5)),
-                      ((3, 4, 2, 1, 5), (4, 2, 1, 3, 5))}
-    checks.append(_check("rank-3 five-simplex edges", set(graph3.edges()) == expected_edges,
-                         "5 edges"))
-    cov3 = tg.shelling_poset(graph3, (2, 4, 1, 3, 5)).cover
-    checks.append(_check(
-        "rank-3 five-simplex covers",
-        cov3 == {(2, 4, 1, 3, 5): 0, (4, 2, 1, 3, 5): 1, (3, 2, 4, 1, 5): 1,
-                 (4, 1, 3, 2, 5): 1, (3, 4, 2, 1, 5): 2}, "cover(34215) = 2"))
-    checks.append(_check(
-        "rank-3 five-simplex h*",
-        all(h == [1, 3, 1] for h in hstar_closed_all_methods(prism).values()), "1+3z+z^2"))
-    checks.append(_check(
-        "rank-3 five-simplex half-open",
-        all(h == [0, 0, 1, 4] for h in hstar_half_open_all_methods(prism).values()),
-        "z^2+4z^3"))
-    uppers3 = [str(f) for f in po.canonical_facets(prism) if f.upper]
-    checks.append(_check(
-        "rank-3 five-simplex uppers",
-        uppers3 == ["x_1 <= 1", "x_1+x_2+x_3 <= 2", "x_2 <= 1", "x_4 <= 1"],
-        "; ".join(uppers3)))
-    hrep3 = po.h_representation(prism)
-    prism_face = eh.face_hstar(hrep3, [(1, 4, 2)], 3)
-    checks.append(_check("prism facet h*", poly_ints(prism_face) == [1, 2], "1+2z"))
-    prism_ehr = eh.ehrhart_interpolate(eh.CountProfile(
-        3, tuple(eh.count_points(hrep3, t, equalities=[(1, 4, 2)]) for t in range(4))))
-    triangle_times_segment = eh.ehrhart_product([
-        eh.EhrhartPolynomial(ExactPolynomial.from_coefficients(
-            [1, Fraction(3, 2), Fraction(1, 2)]), 2),
-        eh.EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)])
-    checks.append(_check(
-        "prism facet Ehrhart",
-        prism_ehr.poly == triangle_times_segment.poly, "C(t+2,2)(1+t)"))
-    square_face = eh.face_hstar(hrep3, [(1, 2, 1), (1, 4, 2)], 2)
-    checks.append(_check("square face h*", poly_ints(square_face) == [1, 1], "1+z"))
-    mu3 = _moebius_by_dim(prism)
-    checks.append(_check(
-        "rank-3 five-simplex Moebius",
-        mu3[3] == [-1, -1, -1, -1] and mu3[2] == [1] * 5 and mu3[1] == [-1, -1, 0]
-        and mu3[0] == [0], str(dict(sorted(mu3.items())))))
-
-    circuit = [''.join(map(str, sorted(s))) for s in circuit_subsets((3, 2, 4, 1, 5))]
-    checks.append(_check(
-        "circuit of 32415",
-        circuit == ["135", "235", "245", "124", "125"], "->".join(circuit)))
-    verts = set(tg.simplex_vertices((3, 2, 4, 1, 5)))
-    checks.append(_check(
-        "vertices of 32415 simplex",
-        verts == {(1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1),
-                  (0, 1, 0, 1, 1), (1, 1, 0, 1, 0)}, ""))
-    facets = {(q.start, q.stop, q.sense, q.bound)
-              for q in tg.simplex_facets((3, 2, 4, 1, 5)).inequalities}
-    checks.append(_check(
-        "facets of projected 32415 simplex",
-        facets == {(1, 5, ">=", 2), (3, 5, "<=", 1), (2, 3, "<=", 1),
-                   (2, 4, ">=", 1), (1, 4, "<=", 2)}, ""))
-
-    square = tr.validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])
-    pentagon = tr.validate_subdivision(
-        5, [("black", [1, 2, 3]), ("white", [1, 3, 4]), ("black", [1, 4, 5])])
-    checks.append(_check(
-        "square subdivision",
-        tr.tau_order(square) == ((1, 3, 4), (3, 2, 1))
-        and tr.circular_extensions(tr.tau_order(square), 4) == ((1, 3, 2, 4), (2, 1, 3, 4))
-        and poly_ints(tr.hstar_tree(square)) == [1, 1], "chains (3,2,1), (1,3,4)"))
-    checks.append(_check(
-        "pentagon subdivision",
-        tr.tau_order(pentagon) == ((1, 3, 4), (3, 2, 1), (5, 4, 1))
-        and poly_ints(tr.hstar_tree(pentagon)) == [1, 3, 1], "1+3z+z^2"))
-    arcs9 = {(a.start, a.end): a for a in tr.arcs(square)}
-    checks.append(_check(
-        "square arcs",
-        arcs9[(1, 3)].facet_defining and arcs9[(1, 3)].area == 1
-        and not arcs9[(2, 4)].compatible, "1->3 facet-defining, 2->4 not compatible"))
-
-    dec = po.decorated_from_necklace(pyramid)
-    checks.append(_check(
-        "pyramid decorated permutation",
-        dec.perm == (3, 1, 4, 2) and not dec.fixed_points
-        and po.necklace_from_decorated(dec) == pyramid, "3142"))
-    disco = po.PositroidBases(4, 2, frozenset(
-        frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
-    parts = po.decompose_direct_sum(disco)
-    product = eh.ehrhart_product(
-        [eh.ehrhart_of_positroid(po.necklace_from_bases(comp)) for _, comp in parts])
-    disco_necklace = po.necklace_from_bases(disco)
-    checks.append(_check(
-        "direct sum split",
-        [g for g, _ in parts] == [(1, 2), (3, 4)]
-        and not po.is_connected(disco)
-        and eh.ehrhart_of_positroid(disco_necklace) == product
-        and poly_ints(eh.hstar_by_counting(disco_necklace)) == [1, 1],
-        "U(1,2) + U(1,2); product h* = 1+z"))
-    return checks
-
-
 def _moebius_by_dim(necklace: po.GrassmannNecklace) -> dict[int, list[int]]:
     """Sorted Moebius values of the upper-facet face poset, by face dimension."""
+    from . import halfopen as ho
+
     by_dim: dict[int, list[int]] = {}
     for node, value in ho.moebius(ho.face_poset_of_uppers(necklace)).items():
         by_dim.setdefault(node.dim, []).append(value)
@@ -741,6 +515,8 @@ def _moebius_by_dim(necklace: po.GrassmannNecklace) -> dict[int, list[int]]:
 
 
 def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
+    from . import ehrhart as eh
+
     necklace = po.validate_necklace([frozenset(s) for s in subsets])
     name = necklace.compact()
     n = necklace.n
@@ -798,153 +574,6 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
                       f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name} "
                       f"during {stage}")
     return _check(name, True, "")
-
-
-def verify_exhaustive(max_n: int, jobs: int = 1) -> list[Check]:
-    """Cross-method agreement and shelling structure on every connected positroid."""
-    payloads = []
-    for n in range(1, max_n + 1):
-        for necklace in connected_necklaces(n):
-            payloads.append(tuple(tuple(sorted(s)) for s in necklace.subsets))
-    results = _map_jobs(_exhaustive_worker, payloads, jobs)
-    summary = _check(f"exhaustive sweep n <= {max_n}",
-                     all(ok for _, ok, _ in results),
-                     f"{len(results)} connected positroids")
-    failures = [c for c in results if not c[1]]
-    return [summary] + failures
-
-
-def verify_roundtrips(max_n: int) -> list[Check]:
-    """Round trips of the two bijections, plus the connectivity cross-check.
-
-    For every decorated permutation the rank-split connectivity answer
-    (`positroid.is_connected` on the bases) must match the
-    stabilized-interval-free rule of `positroid.necklace_connected`.
-    """
-    bad_trip = 0
-    bad_sif = 0
-    total = 0
-    for n in range(1, max_n + 1):
-        for dec in all_decorated_permutations(n):
-            total += 1
-            necklace = po.necklace_from_decorated(dec)
-            if po.decorated_from_necklace(necklace) != dec:
-                bad_trip += 1
-                continue
-            if po.necklace_from_decorated(po.decorated_from_necklace(necklace)) != necklace:
-                bad_trip += 1
-            connected = po.is_connected(necklace.fact(po.bases_from_necklace))
-            if connected != necklace.fact(po.necklace_connected):
-                bad_sif += 1
-    return [_check(f"necklace/decorated round trips n <= {max_n}", bad_trip == 0,
-                   f"{total} decorated permutations"),
-            _check(f"rank-split vs interval-free connectivity n <= {max_n}",
-                   bad_sif == 0, f"{total} decorated permutations")]
-
-
-def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
-                  max_n: int = RANDOM_MAX_N) -> list[Check]:
-    rng = random.Random(seed)
-    checks = []
-
-    def sample_connected() -> po.GrassmannNecklace:
-        while True:
-            n = rng.randrange(2, max_n + 1)
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            necklace = po.necklace_from_decorated(po.DecoratedPermutation(tuple(perm)))
-            if necklace.fact(po.necklace_connected):
-                return necklace
-
-    bad = 0
-    for _ in range(w0_samples):
-        necklace = sample_connected()
-        labels = necklace.fact(tg.enumerate_labels)
-        graph = tg.build_graph(labels)
-        covers = [tg.shelling_poset(graph, w).cover for w in graph.words]
-        polys = {tg.hstar_from_covers(cover) for cover in covers}
-        walls = tg.label_walls(labels)
-        if (len(polys) != 1 or labels != tg.labels_by_bases(necklace)
-                or any(tg.wall_covers(walls, w) != cover
-                       for w, cover in zip(graph.words, covers))):
-            bad += 1
-    checks.append(_check(f"base-point independence ({w0_samples} samples, n <= {max_n})",
-                         bad == 0, f"seed {seed}"))
-
-    bad = 0
-    for _ in range(subdivision_samples):
-        n = rng.randrange(4, max_n + 1)
-        tau = tr.random_subdivision(n, rng)
-        try:
-            tree = tr.tree_positroid(tau)
-            graph = tg.build_graph(tree.necklace.fact(tg.enumerate_labels))
-            graph_hstar = tg.hstar_from_covers(tg.shelling_poset(graph, graph.words[0]).cover)
-            if tg.hstar_shelling(tree.necklace) != graph_hstar:
-                bad += 1
-        except Exception:  # noqa: BLE001 - a failed extensions/labels assertion counts as bad
-            bad += 1
-    checks.append(_check(f"subdivision agreement ({subdivision_samples} samples, n <= {max_n})",
-                         bad == 0, f"seed {seed}"))
-    return checks
-
-
-def verify_single_input(text: str) -> list[Check]:
-    """Method agreement on one user-supplied positroid."""
-    try:
-        kind, value = parse_input(text)
-        necklace = to_necklace(kind, value)
-        if not necklace.fact(po.necklace_connected):
-            poly = hstar_closed_all_methods(necklace, ("oracle",))["oracle"]
-            return [_check("disconnected input oracle h*", poly[0] == 1, str(poly))]
-        closed = hstar_closed_all_methods(necklace)
-        checks = [_check("closed method agreement", agreement_verdict(closed) == "PASS",
-                         json.dumps(closed, sort_keys=True))]
-        if necklace.n > 1:
-            half = hstar_half_open_all_methods(necklace)
-            checks.append(_check("half-open method agreement",
-                                 agreement_verdict(half) == "PASS",
-                                 json.dumps(half, sort_keys=True)))
-        return checks
-    except (InputError, po.NecklaceError, tr.SubdivisionError, ValueError) as exc:
-        return [_check("input verification", False, str(exc))]
-
-
-def cmd_verify(args) -> int:
-    check_jobs(args.jobs)
-    checks: list[Check] = []
-    if args.input:
-        checks += verify_single_input(read_input(args.input))
-    else:
-        scope = args.scope
-        if scope == "random" and args.max_n is not None and args.max_n < 4:
-            raise InputError("--max-n must be at least 4 for the random scope "
-                             "(subdivision sampling needs n >= 4)")
-        max_n = args.max_n if args.max_n is not None else min(6, size_cap())
-        if scope in ("golden", "all"):
-            checks += verify_golden()
-        if scope in ("roundtrip", "exhaustive", "all"):
-            checks += verify_roundtrips(max_n)
-        if scope in ("exhaustive", "all"):
-            checks += verify_exhaustive(max_n, args.jobs)
-        if scope in ("random", "all"):
-            # only --scope random reads --max-n: under all it bounds the sweeps alone
-            explicit = scope == "random" and args.max_n is not None
-            checks += verify_random(args.seed, args.w0_samples, args.subdivision_samples,
-                                    args.max_n if explicit else RANDOM_MAX_N)
-    width = max(len(name) for name, _, _ in checks)
-    failed = [c for c in checks if not c[1]]
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        line = f"{status}  {name:<{width}}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    if failed:
-        print("first failure:", json.dumps(
-            {"name": failed[0][0], "detail": failed[0][2]}, sort_keys=True))
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +646,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        if getattr(args, "out", None):
+            check_out(args.out)
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
         return code
@@ -1026,13 +657,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (InputError, po.NecklaceError, tr.SubdivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except po.DisconnectedPositroidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except ValueError as exc:
+    except ValueError as exc:  # InputError, NecklaceError and SubdivisionError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -16,7 +16,6 @@ All arithmetic is exact (ints and Fractions); nothing here uses floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -228,14 +227,37 @@ def _trim(coeffs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
     return tuple(coeffs[:k])
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable records; their
+    ``__init__`` sets each slot once through ``object.__setattr__``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class ExactPolynomial:
     """Dense polynomial with exact rational coefficients, index = degree.
 
     The highest stored coefficient is nonzero unless the polynomial is zero.
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, coefficients: tuple[Fraction, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __repr__(self):
+        return f"ExactPolynomial(coefficients={self.coefficients!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __reduce__(self):
+        return ExactPolynomial, (self.coefficients,)
 
     @staticmethod
     def from_coefficients(coeffs: Iterable[int | Fraction]) -> "ExactPolynomial":

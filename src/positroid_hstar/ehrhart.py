@@ -32,11 +32,10 @@ kept as the reference it must equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import ExactPolynomial, _trim
+from .core import ExactPolynomial, _frozen, _trim
 from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
@@ -53,22 +52,36 @@ from .positroid import (
 _INF = 1 << 62
 
 
-@dataclass(frozen=True)
 class CountProfile:
     """Lattice counts E(0), ..., E(d) of the dilates of a d-dimensional body."""
 
-    dim: int
-    counts: tuple[int, ...]
+    __slots__ = ("dim", "counts")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if len(self.counts) != self.dim + 1:
-            raise ValueError(f"need {self.dim + 1} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
+    def __init__(self, dim: int, counts: tuple[int, ...]):
+        if len(counts) != dim + 1:
+            raise ValueError(f"need {dim + 1} counts, got {len(counts)}")
+        if any(c < 0 for c in counts):
             raise ValueError("negative count")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "counts", counts)
+
+    def __repr__(self):
+        return f"CountProfile(dim={self.dim!r}, counts={self.counts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.counts == other.counts
+
+    def __hash__(self):
+        return hash((self.dim, self.counts))
+
+    def __reduce__(self):
+        return CountProfile, (self.dim, self.counts)
 
 
-@dataclass(frozen=True)
-class EhrhartPolynomial:
+class EhrhartPolynomial(NamedTuple):
     """Exact Ehrhart polynomial of a d-dimensional lattice polytope."""
 
     poly: ExactPolynomial
@@ -285,8 +298,7 @@ def _face_hstar_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     return hstar_from_counts(CountProfile(face_dim, counts))
 
 
-@dataclass(frozen=True)
-class UpperTally:
+class UpperTally(NamedTuple):
     """Lattice points of the closed dilates t = 0..n-2 of a connected
     positroid, tallied by the set of upper facets each point lies on.
 

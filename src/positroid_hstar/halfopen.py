@@ -17,7 +17,7 @@ dilate, tallied by the upper facets each point lies on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ._linalg import affine_rank
 from .core import _trim, descent_count
@@ -32,6 +32,7 @@ from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
     HRepresentation,
+    IntervalInequality,
     _facet_vertex_sets,
     _projected_vertices,
     facet_representation,
@@ -66,7 +67,8 @@ def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
     """
     closed = necklace.fact(facet_representation)
     hrep = HRepresentation(closed.n, closed.r, tuple(
-        replace(f, strict=True) if f.sense == "<=" else f for f in closed.inequalities))
+        IntervalInequality(f.start, f.stop, f.bound, "<=", True) if f.sense == "<=" else f
+        for f in closed.inequalities))
     dim = necklace.n - 1
     return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
 
@@ -75,8 +77,7 @@ def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     return hstar_from_counts(half_open_profile(necklace))
 
 
-@dataclass(frozen=True)
-class FaceNode:
+class FaceNode(NamedTuple):
     """A nonempty intersection of upper facets, identified by its vertex set."""
 
     vertex_set: frozenset[tuple[int, ...]]
@@ -84,8 +85,7 @@ class FaceNode:
     generators: frozenset[int]
 
 
-@dataclass(frozen=True)
-class FacePoset:
+class FacePoset(NamedTuple):
     """All faces of P obtained by intersecting upper facets, plus P on top."""
 
     top: FaceNode

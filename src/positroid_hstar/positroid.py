@@ -17,12 +17,18 @@ irredundant facets in canonical interval form (``canonical_facets``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from ._linalg import affine_rank
-from .core import cyclic_interval, gale_leq, i_order_key, interval_support, is_permutation_word
+from .core import (
+    _frozen,
+    cyclic_interval,
+    gale_leq,
+    i_order_key,
+    interval_support,
+    is_permutation_word,
+)
 
 _T = TypeVar("_T")
 
@@ -40,7 +46,6 @@ class DisconnectedPositroidError(ValueError):
     """
 
 
-@dataclass(frozen=True)
 class GrassmannNecklace:
     """Sequence (J_1, ..., J_n) of equal-size subsets obeying the exchange rule.
 
@@ -51,31 +56,47 @@ class GrassmannNecklace:
     from it for as long as it lives, outside equality, hashing and repr.
     """
 
-    n: int
-    subsets: tuple[frozenset[int], ...]
-    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("n", "subsets", "_facts")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, subsets: tuple[frozenset[int], ...]):
+        if n < 1:
             raise NecklaceError("ground set must be nonempty")
-        if len(self.subsets) != self.n:
-            raise NecklaceError(f"expected {self.n} subsets, got {len(self.subsets)}")
-        sizes = {len(s) for s in self.subsets}
+        if len(subsets) != n:
+            raise NecklaceError(f"expected {n} subsets, got {len(subsets)}")
+        sizes = {len(s) for s in subsets}
         if len(sizes) != 1:
             raise NecklaceError(f"subsets have unequal sizes {sorted(sizes)}")
         r = sizes.pop()
-        if r > self.n:
-            raise NecklaceError(f"rank {r} exceeds ground set size {self.n}")
-        for i in range(1, self.n + 1):
-            cur = self.subsets[i - 1]
-            nxt = self.subsets[i % self.n]
-            if any(not 1 <= v <= self.n for v in cur):
-                raise NecklaceError(f"subset {i} has elements outside 1..{self.n}")
+        if r > n:
+            raise NecklaceError(f"rank {r} exceeds ground set size {n}")
+        for i in range(1, n + 1):
+            cur = subsets[i - 1]
+            nxt = subsets[i % n]
+            if any(not 1 <= v <= n for v in cur):
+                raise NecklaceError(f"subset {i} has elements outside 1..{n}")
             if i in cur:
                 if not cur - {i} <= nxt:
                     raise NecklaceError(f"exchange rule fails at index {i}")
             elif nxt != cur:
                 raise NecklaceError(f"exchange rule fails at index {i}: J_{i} must repeat")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "_facts", {})
+
+    def __repr__(self):
+        return f"GrassmannNecklace(n={self.n!r}, subsets={self.subsets!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.subsets == other.subsets
+
+    def __hash__(self):
+        return hash((self.n, self.subsets))
+
+    def __reduce__(self):
+        return GrassmannNecklace, (self.n, self.subsets)
 
     @property
     def rank(self) -> int:
@@ -114,22 +135,37 @@ def validate_necklace(raw: Sequence[Iterable[int]], n: int | None = None) -> Gra
     return GrassmannNecklace(len(subsets) if n is None else n, subsets)
 
 
-@dataclass(frozen=True)
 class PositroidBases:
     """Explicit basis collection of a matroid on 1..n, all of size r."""
 
-    n: int
-    r: int
-    bases: frozenset[frozenset[int]]
+    __slots__ = ("n", "r", "bases")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not self.bases:
+    def __init__(self, n: int, r: int, bases: frozenset[frozenset[int]]):
+        if not bases:
             raise ValueError("basis set must be nonempty")
-        for b in self.bases:
-            if len(b) != self.r:
-                raise ValueError(f"basis {sorted(b)} does not have size {self.r}")
-            if any(not 1 <= v <= self.n for v in b):
-                raise ValueError(f"basis {sorted(b)} has elements outside 1..{self.n}")
+        for b in bases:
+            if len(b) != r:
+                raise ValueError(f"basis {sorted(b)} does not have size {r}")
+            if any(not 1 <= v <= n for v in b):
+                raise ValueError(f"basis {sorted(b)} has elements outside 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "bases", bases)
+
+    def __repr__(self):
+        return f"PositroidBases(n={self.n!r}, r={self.r!r}, bases={self.bases!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.r == other.r and self.bases == other.bases
+
+    def __hash__(self):
+        return hash((self.n, self.r, self.bases))
+
+    def __reduce__(self):
+        return PositroidBases, (self.n, self.r, self.bases)
 
     def sorted_bases(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(tuple(sorted(b)) for b in self.bases))
@@ -182,18 +218,33 @@ def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
     return GrassmannNecklace(n, tuple(subsets))
 
 
-@dataclass(frozen=True)
 class DecoratedPermutation:
     """Permutation of 1..n with each fixed point colored black or white."""
 
-    perm: tuple[int, ...]
-    white: frozenset[int] = field(default=frozenset())
+    __slots__ = ("perm", "white")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not is_permutation_word(self.perm):
+    def __init__(self, perm: tuple[int, ...], white: frozenset[int] = frozenset()):
+        if not is_permutation_word(perm):
             raise ValueError("not a permutation in one-line notation")
-        if not self.white <= self.fixed_points:
+        object.__setattr__(self, "perm", perm)
+        if not white <= self.fixed_points:
             raise ValueError("white set contains non-fixed points")
+        object.__setattr__(self, "white", white)
+
+    def __repr__(self):
+        return f"DecoratedPermutation(perm={self.perm!r}, white={self.white!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perm == other.perm and self.white == other.white
+
+    def __hash__(self):
+        return hash((self.perm, self.white))
+
+    def __reduce__(self):
+        return DecoratedPermutation, (self.perm, self.white)
 
     @property
     def n(self) -> int:
@@ -343,19 +394,36 @@ def decompose_direct_sum(bases: PositroidBases) -> list[tuple[tuple[int, ...], P
     return sorted(parts, key=lambda p: p[0])
 
 
-@dataclass(frozen=True)
 class IntervalInequality:
     """A bound on the cyclic interval sum x_start + ... + x_{stop-1}."""
 
-    start: int
-    stop: int
-    bound: int
-    sense: str  # "<=" or ">="
-    strict: bool = False
+    __slots__ = ("start", "stop", "bound", "sense", "strict")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if self.sense not in ("<=", ">="):
-            raise ValueError(f"bad sense {self.sense!r}")
+    def __init__(self, start: int, stop: int, bound: int, sense: str, strict: bool = False):
+        if sense != "<=" and sense != ">=":
+            raise ValueError(f"bad sense {sense!r}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "sense", sense)  # "<=" or ">="
+        object.__setattr__(self, "strict", strict)
+
+    def __repr__(self):
+        return (f"IntervalInequality(start={self.start!r}, stop={self.stop!r}, "
+                f"bound={self.bound!r}, sense={self.sense!r}, strict={self.strict!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.stop, self.bound, self.sense, self.strict) == (
+            other.start, other.stop, other.bound, other.sense, other.strict)
+
+    def __hash__(self):
+        return hash((self.start, self.stop, self.bound, self.sense, self.strict))
+
+    def __reduce__(self):
+        return IntervalInequality, (self.start, self.stop, self.bound, self.sense, self.strict)
 
     def support(self, n: int) -> tuple[int, ...]:
         return interval_support(self.start, self.stop, n)
@@ -372,8 +440,7 @@ class IntervalInequality:
                                   ">=" if self.sense == "<=" else "<=", self.strict)
 
 
-@dataclass(frozen=True)
-class HRepresentation:
+class HRepresentation(NamedTuple):
     """Inequality description of a polytope in the simplex slice of [0,1]^n.
 
     The constraints x_1 + ... + x_n = r and x_i >= 0 are implicit; the listed
@@ -453,8 +520,7 @@ def polytope_dimension(bases: PositroidBases) -> int:
     return affine_rank(vertices(bases))
 
 
-@dataclass(frozen=True)
-class CanonicalFacet:
+class CanonicalFacet(NamedTuple):
     """A facet written as a bound on x_lo + ... + x_{hi-1} with 1 <= lo < hi <= n.
 
     The block never touches x_n (wrapping sums are rewritten through the sum

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Word, descent_bounded_words
 from .positroid import (
@@ -35,8 +34,7 @@ class SubdivisionError(ValueError):
     """Raised when cells do not form a bicolored subdivision."""
 
 
-@dataclass(frozen=True)
-class BicoloredSubdivision:
+class BicoloredSubdivision(NamedTuple):
     """Cells of a subdivision of the convex n-gon, each a colored vertex set.
 
     Cell vertex lists are stored sorted; the clockwise boundary order of a
@@ -154,8 +152,7 @@ def _left_area(tau: BicoloredSubdivision, i: int, j: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ArcInfo:
+class ArcInfo(NamedTuple):
     """Compatibility, facet status and left area of one directed arc."""
 
     start: int
@@ -267,8 +264,7 @@ def circular_extensions(chains: Sequence[Sequence[int]], n: int) -> tuple[Word, 
     return descent_bounded_words(n, [(chain, 1) for chain in chains])
 
 
-@dataclass(frozen=True)
-class TreePositroid:
+class TreePositroid(NamedTuple):
     """What the tree pipeline derives from one subdivision, each fact once."""
 
     necklace: GrassmannNecklace

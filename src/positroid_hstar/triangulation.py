@@ -32,8 +32,7 @@ one simple affine transposition and that Coxeter length is BFS distance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._linalg import determinant
 from .core import (
@@ -175,8 +174,7 @@ def simplex_is_unimodular(word: Sequence[int]) -> bool:
     return determinant(rows) in (1, -1)
 
 
-@dataclass(frozen=True)
-class TriangulationGraph:
+class TriangulationGraph(NamedTuple):
     """Dual graph of the triangulation, edges annotated with swap positions.
 
     ``swap_position[(u, v)]`` is the cyclic position p in u's word such that
@@ -238,8 +236,7 @@ def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
     )
 
 
-@dataclass(frozen=True)
-class ShellingPoset:
+class ShellingPoset(NamedTuple):
     """BFS distances and cover counts from a base label.
 
     cover(w) counts the neighbors of w one layer closer to the base; any
@@ -409,8 +406,7 @@ def _alcove(word: Word) -> Window:
     return tuple(g)
 
 
-@dataclass(frozen=True)
-class AffineLabelingReport:
+class AffineLabelingReport(NamedTuple):
     """Result of the affine-window consistency check on a triangulation graph."""
 
     base: Word

@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
 from positroid_hstar import positroid as po
+from positroid_hstar import verify
 
 MAX_SWEEP_N = 6
 SEED = 20240814
@@ -30,7 +30,7 @@ def report(criterion, detail):
 def golden():
     """The golden checks by name, and the seconds they took."""
     start = time.perf_counter()
-    checks = cli.verify_golden()
+    checks = verify.verify_golden()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"golden checks took {elapsed:.2f}s"
     by_name = {name: (ok, detail) for name, ok, detail in checks}
@@ -47,7 +47,7 @@ def assert_golden(golden, *names):
 @pytest.fixture(scope="module")
 def sweep():
     """The exhaustive sweep over every connected positroid with n <= 6."""
-    return cli.verify_exhaustive(MAX_SWEEP_N)
+    return verify.verify_exhaustive(MAX_SWEEP_N)
 
 
 SWEEP_PASSED = [(f"exhaustive sweep n <= {MAX_SWEEP_N}", True, "252 connected positroids")]
@@ -79,7 +79,7 @@ def test_criterion_4_oracle_equivalence(sweep):
 
 
 def test_criterion_5_base_point_independence():
-    assert cli.verify_random(SEED, 50, 0)[0] == (
+    assert verify.verify_random(SEED, 50, 0)[0] == (
         "base-point independence (50 samples, n <= 7)", True, f"seed {SEED}")
     report(5, "h* identical for every base label on 50 random positroids, n <= 7")
 
@@ -97,7 +97,7 @@ def test_criterion_7_affine_labeling(golden, sweep):
 
 def test_criterion_8_tree_positroid_agreement(golden):
     assert_golden(golden, "square subdivision", "pentagon subdivision")
-    assert cli.verify_random(SEED, 0, 200)[1] == (
+    assert verify.verify_random(SEED, 0, 200)[1] == (
         "subdivision agreement (200 samples, n <= 7)", True, f"seed {SEED}")
     report(8, "extensions equal labels and h* matches on 200 random subdivisions, "
               "n <= 7")
@@ -105,7 +105,7 @@ def test_criterion_8_tree_positroid_agreement(golden):
 
 def test_criterion_9_bijection_round_trips():
     total = "2371 decorated permutations"
-    assert cli.verify_roundtrips(MAX_SWEEP_N) == [
+    assert verify.verify_roundtrips(MAX_SWEEP_N) == [
         (f"necklace/decorated round trips n <= {MAX_SWEEP_N}", True, total),
         (f"rank-split vs interval-free connectivity n <= {MAX_SWEEP_N}", True, total)]
     report(9, f"necklace/decorated round trips on {total}, n <= {MAX_SWEEP_N}")

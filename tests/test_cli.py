@@ -10,6 +10,7 @@ from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
 from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
+from positroid_hstar import verify
 
 
 SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
@@ -405,7 +406,7 @@ class TestVerify:
         monkeypatch.setattr(tg, "enumerate_labels",
                             lambda necklace: searched.append(search(necklace)) or searched[-1])
         monkeypatch.setattr(tg, "_wall", lambda *args: reads.append(args[0]) or wall(*args))
-        checks = cli.verify_random(20240814, 3, 0)
+        checks = verify.verify_random(20240814, 3, 0)
         assert [ok for _, ok, _ in checks] == [True, True]
         assert len(searched) == 3 and any(len(labels) > 1 for labels in searched)
         assert len(reads) == sum(len(labels) * len(labels[0]) for labels in searched)
@@ -414,7 +415,7 @@ class TestVerify:
         walls = tg.wall_covers
         monkeypatch.setattr(tg, "wall_covers", lambda labels, base: {
             w: c + (w != base) for w, c in walls(labels, base).items()})
-        checks = cli.verify_random(3, 2, 2, max_n=5)
+        checks = verify.verify_random(3, 2, 2, max_n=5)
         assert [ok for _, ok, _ in checks] == [False, False]
 
 
@@ -503,6 +504,43 @@ class TestOSErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: --out: cannot write {target}: ")
         assert err.count("\n") == 1 and not target.parent.exists()
+
+    @pytest.mark.parametrize("argv", [["hstar", "123,234,345,456,567,167,127", "--method", "all"],
+                                      ["atlas", "--n", "6"]])
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(verify, "_map_jobs", refuse)
+        monkeypatch.setattr(tg, "enumerate_labels", refuse)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out: cannot write {target}: No such file or directory\n"
+
+    def test_failed_command_leaves_the_out_path_as_it_was(self, capsys, tmp_path):
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_text("earlier report\n")
+        for target in (kept, absent):
+            code, out, err = run(capsys, "hstar", "12,3x", "--out", str(target))
+            assert (code, out, err) == (2, "", "error: necklace entry '3x' is not a digit string\n")
+        assert kept.read_text() == "earlier report\n" and not absent.exists()
+        assert run(capsys, "hstar", "12,23,13,14", "--out", str(kept))[0] == 0
+        assert json.loads(kept.read_text())["hstar"] == {"shelling": [1, 1]}
+
+    @pytest.mark.parametrize("value", ["./missing.json", "missing.json",
+                                       os.path.join("no", "such", "input")])
+    def test_missing_input_path_is_named(self, capsys, value):
+        assert run(capsys, "hstar", value) == (
+            2, "", f"error: cannot read {value}: No such file or directory\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("12,3x", "necklace entry '3x' is not a digit string"),
+        ("missing", "necklace entry 'missing' is not a digit string"),
+        ('{"necklace": [[1, 2], "a/b.json"]}', "necklace: expected an integer, got \"a\""),
+    ])
+    def test_inline_values_keep_their_messages(self, capsys, value, message):
+        assert run(capsys, "hstar", value) == (2, "", f"error: {message}\n")
 
 
 class TestJobsBounds:

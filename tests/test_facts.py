@@ -11,6 +11,7 @@ from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
 from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
+from positroid_hstar import verify
 
 PRISM = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]]
 DISCONNECTED = po.DecoratedPermutation((2, 1, 4, 3))
@@ -76,7 +77,7 @@ def test_every_route_shares_one_derivation_per_fact(calls):
 
 def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):
     assert cli.main(["tree", PENTAGON]) == 0
-    assert cli.verify_random(7, 0, 4)[1][1]
+    assert verify.verify_random(7, 0, 4)[1][1]
     for name in ("positroid_from_subdivision", "circular_extensions", "enumerate_labels"):
         assert len(calls[name]) == 1 + 4, name
 

@@ -1,0 +1,180 @@
+"""What a process loads, what the package exports, and how its records behave."""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import positroid_hstar
+from positroid_hstar import ehrhart as eh
+from positroid_hstar import halfopen as ho
+from positroid_hstar import positroid as po
+from positroid_hstar import tree as tr
+from positroid_hstar import triangulation as tg
+from positroid_hstar.core import ExactPolynomial
+
+ROOT = Path(__file__).resolve().parent.parent
+U37 = "123,234,345,456,567,167,127"
+SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
+          '{"color":"white","vertices":[1,3,4]}]}')
+NOT_ON_THE_QUERY_PATH = ("dataclasses", "inspect", "positroid_hstar.tree", "positroid_hstar.verify")
+
+
+def loaded_after(argv):
+    """The watched modules that a fresh interpreter holds after ``cli.main(argv)``."""
+    code = ("import contextlib, json, os, sys\n"
+            "from positroid_hstar import cli\n"
+            "with open(os.devnull, 'w') as fh, contextlib.redirect_stdout(fh):\n"
+            f"    code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {NOT_ON_THE_QUERY_PATH!r} "
+            "if m in sys.modules]]))\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                            text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stdout)
+    assert code == 0
+    return loaded
+
+
+class TestColdStart:
+    def test_a_query_loads_no_dataclasses_tree_or_suites(self):
+        assert loaded_after(["hstar", U37, "--method", "all"]) == []
+
+    def test_a_subdivision_loads_the_tree_module(self):
+        assert loaded_after(["tree", SQUARE]) == ["positroid_hstar.tree"]
+
+
+class TestPublicNames:
+    # positroid_hstar.__all__ as it was when the package imported every module eagerly
+    PINNED = [
+        "AffineLabelingReport", "BicoloredSubdivision", "CanonicalFacet", "CountProfile",
+        "DecoratedPermutation", "DisconnectedPositroidError", "EhrhartPolynomial",
+        "ExactPolynomial", "GrassmannNecklace", "HRepresentation", "IntervalInequality",
+        "NecklaceError", "PositroidBases", "ShellingPoset", "SubdivisionError",
+        "TriangulationGraph", "affine_consistency_check", "arcs", "bases_from_necklace",
+        "build_graph", "canonical_facets", "circular_extensions", "core", "count_points",
+        "decompose_direct_sum", "decorated_from_necklace", "ehrhart", "ehrhart_interpolate",
+        "ehrhart_of_positroid", "ehrhart_product", "enumerate_labels", "face_hstar",
+        "face_poset_of_uppers", "h_rep_from_subdivision", "h_representation", "halfopen",
+        "hstar_by_counting", "hstar_closed_via_inclusion_exclusion", "hstar_from_counts",
+        "hstar_from_covers", "hstar_half_open", "hstar_half_open_by_counting",
+        "hstar_shelling", "hstar_tree", "is_connected", "moebius", "necklace_from_bases",
+        "necklace_from_decorated", "positroid", "random_subdivision", "rank_of",
+        "shelling_poset", "simplex_facets", "simplex_vertices", "tau_order", "tree",
+        "triangulation", "validate_necklace", "validate_subdivision", "vertices", "wall_covers",
+    ]
+
+    def test_every_pinned_name_resolves_to_its_definition(self):
+        assert sorted(positroid_hstar.__all__) == self.PINNED
+        for name in self.PINNED:
+            value = getattr(positroid_hstar, name)
+            home = sys.modules[f"positroid_hstar.{positroid_hstar._HOME[name]}"]
+            assert value is (home if name == home.__name__.rsplit(".", 1)[1]
+                             else getattr(home, name)), name
+
+    def test_unknown_names_raise_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'hstar'"):
+            positroid_hstar.hstar
+
+    def test_readme_library_snippet(self):
+        from positroid_hstar import (
+            hstar_by_counting, hstar_closed_via_inclusion_exclusion, hstar_half_open,
+            hstar_shelling, hstar_tree, validate_necklace, validate_subdivision,
+        )
+
+        J = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
+        assert hstar_shelling(J) == (1, 3, 1)
+        assert hstar_by_counting(J) == hstar_shelling(J)
+        assert hstar_closed_via_inclusion_exclusion(J) == (1, 3, 1)
+        assert hstar_half_open(J) == (0, 0, 1, 4)
+        tau = validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])
+        assert hstar_tree(tau) == (1, 1)
+
+
+PRISM = po.validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
+SQUARE_TAU = tr.validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])
+
+
+def build_records():
+    """One instance of every record type, built the way the pipelines build them."""
+    labels = tg.enumerate_labels(PRISM)
+    graph = tg.build_graph(labels)
+    poset = tg.shelling_poset(graph, labels[0])
+    face_poset = ho.face_poset_of_uppers(PRISM)
+    return {
+        "GrassmannNecklace": PRISM,
+        "PositroidBases": po.bases_from_necklace(PRISM),
+        "DecoratedPermutation": po.decorated_from_necklace(PRISM),
+        "IntervalInequality": po.h_representation(PRISM).inequalities[0],
+        "HRepresentation": po.h_representation(PRISM),
+        "CanonicalFacet": po.canonical_facets(PRISM)[0],
+        "CountProfile": eh.CountProfile(2, (1, 3, 6)),
+        "EhrhartPolynomial": eh.ehrhart_of_positroid(PRISM),
+        "ExactPolynomial": ExactPolynomial.from_coefficients([1, Fraction(3, 2)]),
+        "UpperTally": eh.upper_tally(PRISM),
+        "FaceNode": face_poset.top,
+        "FacePoset": face_poset,
+        "TriangulationGraph": graph,
+        "ShellingPoset": poset,
+        "AffineLabelingReport": tg.affine_consistency_check(graph, poset),
+        "BicoloredSubdivision": SQUARE_TAU,
+        "ArcInfo": tr.arcs(SQUARE_TAU)[0],
+        "TreePositroid": tr.tree_positroid(SQUARE_TAU),
+    }
+
+
+UNHASHABLE = {"UpperTally", "TriangulationGraph", "ShellingPoset", "AffineLabelingReport"}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(build_records()))
+    def test_equal_instances_compare_and_hash_equal(self, name):
+        first, second = build_records()[name], build_records()[name]
+        assert type(first).__name__ == name
+        assert first == second and not first != second
+        if name not in UNHASHABLE:  # these hold dicts, as their dataclasses did
+            assert hash(first) == hash(second)
+        assert repr(first) == repr(second)
+
+    @pytest.mark.parametrize("name", sorted(build_records()))
+    def test_fields_cannot_be_assigned(self, name):
+        record = build_records()[name]
+        field = next(iter(getattr(record, "_fields", None) or type(record).__slots__))
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    @pytest.mark.parametrize("name", sorted(build_records()))
+    def test_pickle_round_trip(self, name):
+        record = build_records()[name]
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_necklace_repr_and_facts(self):
+        assert repr(po.validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])) == (
+            "GrassmannNecklace(n=4, subsets=(frozenset({1, 2}), frozenset({2, 3}), "
+            "frozenset({1, 3}), frozenset({1, 4})))")
+        copy = pickle.loads(pickle.dumps(PRISM))
+        assert copy == PRISM and copy._facts == {}
+
+    def test_validating_records_still_validate(self):
+        with pytest.raises(po.NecklaceError):
+            po.GrassmannNecklace(2, (frozenset({1}),))
+        with pytest.raises(ValueError, match="bad sense"):
+            po.IntervalInequality(1, 2, 0, "<")
+        with pytest.raises(ValueError, match="white set"):
+            po.DecoratedPermutation((2, 1), frozenset({1}))
+        with pytest.raises(ValueError, match="does not have size"):
+            po.PositroidBases(3, 2, frozenset({frozenset({1})}))
+        with pytest.raises(ValueError, match="need 3 counts"):
+            eh.CountProfile(2, (1, 3))
+
+    def test_records_of_different_types_differ(self):
+        assert po.IntervalInequality(1, 2, 0, "<=") != (1, 2, 0, "<=", False)
+        assert eh.CountProfile(1, (1, 2)) != ExactPolynomial((1, 2))

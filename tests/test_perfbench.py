@@ -25,3 +25,29 @@ def test_sweep_child_runs_the_exhaustive_worker():
     doc = json.loads(result.stdout)
     assert doc["problems"] == {}
     assert doc["uniform_hstar"] == {"12,23,34,45,15": [1, 5, 5]}
+
+
+def test_tracing_still_wraps_every_layer():
+    # the traced run wraps the public functions of tracing.LAYERS, and the sweep
+    # child's root span is cli._exhaustive_worker, bound by its home module
+    code = """if True:
+        import importlib, json, sys
+        sys.path.insert(0, "perfbench")
+        import tracing
+        from positroid_hstar import cli
+        tracing.install(tracing.Recorder())
+        wrapped = {layer: sorted(
+            name for name, obj in vars(importlib.import_module("positroid_hstar." + layer)).items()
+            if not name.startswith("_") and hasattr(obj, "__wrapped__"))
+            for layer in tracing.LAYERS}
+        print(json.dumps({"worker": hasattr(cli._exhaustive_worker, "__wrapped__"),
+                          "wrapped": wrapped}))
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["worker"]
+    assert all(doc["wrapped"].values()), doc["wrapped"]
+    assert {"parse_input", "emit", "main"} <= set(doc["wrapped"]["cli"])

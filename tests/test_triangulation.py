@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -361,8 +360,7 @@ class TestAffineLabeling:
             for wrong in range(1, n + 1):
                 if wrong == p:
                     continue
-                corrupted = dataclasses.replace(
-                    graph, swap_position={**graph.swap_position, edge: wrong})
+                corrupted = graph._replace(swap_position={**graph.swap_position, edge: wrong})
                 try:
                     report = affine_consistency_check(
                         corrupted, shelling_poset(corrupted, graph.words[0]))
@@ -374,7 +372,7 @@ class TestAffineLabeling:
         graph = build_graph(enumerate_labels(UNIFORM25))
         poset = shelling_poset(graph, graph.words[0])
         for w, d in poset.dist.items():
-            shifted = dataclasses.replace(poset, dist={**poset.dist, w: d + 1})
+            shifted = poset._replace(dist={**poset.dist, w: d + 1})
             report = affine_consistency_check(graph, shifted)
             assert not report.ok
             assert any(str(w) in problem for problem in report.problems)
