@@ -534,22 +534,35 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         if sum(poset.cover.values()) != len(edges):
             return _check(name, False, "cover sum differs from edge count")
         stage = "wall covers"
-        walls = tg.wall_covers(labels, poset.base)
-        differing = next((w for w in graph.words if walls.get(w) != poset.cover[w]), None)
+        # poset.base is graph.words[0] == labels[0], the shelling route's base, so
+        # once checked these covers give that route's h*
+        covers = tg.wall_covers(labels, poset.base)
+        differing = next((w for w in graph.words if covers.get(w) != poset.cover[w]), None)
         if differing is not None:
             return _check(name, False, f"wall covers differ from the BFS covers from base "
                                        f"{poset.base}, first at {differing}")
+        shelling = poly_ints(tg.hstar_from_covers(covers))
         stage = "closed profile"
+        # the oracle stops at the h*-degree s; E(0..s) and the h* fix every dilate
         reference = eh.closed_profile(necklace.fact(po.h_representation), n - 1)
-        if necklace.fact(eh._closed_profile) != reference:
-            return _check(name, False,
-                          "closed profile differs from the full H-representation count")
+        differs = _check(name, False, "closed profile differs from the full H-representation count")
+        try:
+            oracle = necklace.fact(eh._oracle_counts)
+        except ArithmeticError:
+            # a wrong body fails its reciprocity check; name it when it is the body
+            if eh._closed_profile(necklace) != reference:
+                return differs
+            raise
+        if (reference.counts[:len(oracle.counts)] != oracle.counts
+                or eh.hstar_from_counts(reference) != oracle.hstar):
+            return differs
         ehr = eh.ehrhart_of_positroid(necklace)
         volume = ehr.leading_coefficient * math.factorial(ehr.dim)
-        if sum(tg.hstar_from_covers(poset.cover)) != len(labels) or volume != len(labels):
+        if sum(shelling) != len(labels) or volume != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")
         stage = "closed routes"
-        closed = hstar_closed_all_methods(necklace)
+        closed = {"shelling": shelling,
+                  **hstar_closed_all_methods(necklace, CLOSED_METHODS[1:])}
         if agreement_verdict(closed) != "PASS":
             return _check(name, False, f"closed methods disagree: {closed}")
         if n > 1:

@@ -12,12 +12,16 @@ Conventions used package-wide:
   trimmed (`_trim`); `ExactPolynomial` stores only Ehrhart polynomials.
 
 All arithmetic is exact (ints and Fractions); nothing here uses floats.
+``fractions`` is imported where an Ehrhart polynomial needs it, so a process
+that only computes h*-vectors never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Word = tuple[int, ...]
 
@@ -261,6 +265,8 @@ class ExactPolynomial:
 
     @staticmethod
     def from_coefficients(coeffs: Iterable[int | Fraction]) -> "ExactPolynomial":
+        from fractions import Fraction
+
         return ExactPolynomial(_trim([Fraction(c) for c in coeffs]))
 
     @staticmethod
@@ -269,6 +275,8 @@ class ExactPolynomial:
 
     @staticmethod
     def one() -> "ExactPolynomial":
+        from fractions import Fraction
+
         return ExactPolynomial((Fraction(1),))
 
     @property
@@ -286,6 +294,8 @@ class ExactPolynomial:
         return ExactPolynomial(_trim(out))
 
     def __mul__(self, other):
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             return ExactPolynomial(_trim([c * other for c in self.coefficients]))
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1 or 1)
@@ -295,6 +305,8 @@ class ExactPolynomial:
         return ExactPolynomial(_trim(out))
 
     def __call__(self, t: int | Fraction) -> Fraction:
+        from fractions import Fraction
+
         value = Fraction(0)
         for c in reversed(self.coefficients):
             value = value * t + c

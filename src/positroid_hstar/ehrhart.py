@@ -3,10 +3,10 @@
 Counting is a forward dynamic program over prefix sums: every interval bound
 of a positroid, a face or a half-open body bounds a difference of two prefix
 sums (these bodies are alcoved polytopes).  Everything downstream of the
-counts is exact: Lagrange interpolation recovers Ehrhart polynomials, whose
-coefficients are rational (``ExactPolynomial``), and the standard binomial
-alternating sum turns a count profile (E(0), ..., E(d)) into the h*-vector,
-a tuple of ints.
+counts is exact: the standard binomial alternating sum turns counts
+E(0), E(1), ... into the h*-vector, a tuple of ints, and the Ehrhart
+polynomial, whose coefficients are rational (``ExactPolynomial``), is
+sum_j h*_j C(t + d - j, d).
 
 One DP body (``_tally``) does all counting.  Given tight rows, it also
 carries in its state the mask of rows a point meets with equality and
@@ -17,23 +17,31 @@ face's counts off that table: a face cut out by upper facets G holds the
 points whose mask contains G.  Counting a face alone, with its facets as
 equalities (``face_hstar``), is kept as the reference.
 
-A connected positroid is counted from the irredundant canonical facets
-(``facet_representation``): the redundant necklace inequalities would each
-keep extra prefix sums alive in the counting state.  Counting the full
-necklace H-representation (``h_representation``) is kept as the reference
-that the exhaustive sweep compares against.  The oracle takes any
-positroid: a disconnected one has no full-dimensional projection to take
-facets from, so it is counted from ``h_representation`` in its own affine
-hull, whose dimension is n minus the number of direct-sum components.
-The product of the components' Ehrhart polynomials (``ehrhart_product``) is
-kept as the reference it must equal.
+A connected positroid is counted from the irredundant canonical facets,
+compiled once into prefix-sum rows (``_facet_rows``): the redundant
+necklace inequalities would each keep extra prefix sums alive in the
+counting state.  The closed body, its interior, the half-open body and its
+reciprocal differ only in which of these rows are strict.
+``count_to_degree`` counts a body only up to its h*-degree s, which
+Ehrhart-Macdonald reciprocity fixes: the reciprocal body (the facets the
+body keeps, made strict) first has lattice points at the dilate
+c = d + 1 - s, and has h*_s of them there (Beck-Robins, "Computing the
+Continuous Discretely", ch. 4; for half-open bodies Beck-Sanyal,
+"Combinatorial Reciprocity Theorems").  Every call checks that equality.
+Counting the full necklace H-representation at every dilate
+(``closed_profile`` of ``h_representation``) is kept as the reference that
+the exhaustive sweep compares against.  The oracle takes any positroid: a
+disconnected one has no full-dimensional projection to take facets from,
+so it is counted from ``h_representation`` at every dilate, in its own
+affine hull, whose dimension is n minus the number of direct-sum
+components.  The product of the components' Ehrhart polynomials
+(``ehrhart_product``) is kept as the reference it must equal.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .core import ExactPolynomial, _frozen, _trim
 from .positroid import (
@@ -48,6 +56,9 @@ from .positroid import (
     necklace_connected,
     polytope_dimension,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _INF = 1 << 62
 
@@ -238,6 +249,8 @@ def ehrhart_interpolate(profile: CountProfile) -> EhrhartPolynomial:
     The computed polynomial must actually have degree d (every body counted
     here is full-dimensional in its own affine hull); asserted.
     """
+    from fractions import Fraction
+
     d = profile.dim
     result = ExactPolynomial.zero()
     for k, value in enumerate(profile.counts):
@@ -261,15 +274,39 @@ def hstar_from_counts(profile: CountProfile) -> tuple[int, ...]:
     the counts do not come from a (half-open) lattice polytope of dimension d
     and is reported as an internal consistency failure.
     """
-    d = profile.dim
+    return _trim(_hstar_head(profile.dim, profile.counts))
+
+
+def _hstar_head(dim: int, counts: Sequence[int]) -> list[int]:
+    """h*_0, ..., h*_k of a ``dim``-dimensional body from its counts E(0..k):
+    h*_j reads only E(0..j).  A negative coefficient is an ArithmeticError."""
     coeffs = []
-    for j in range(d + 1):
-        h = sum((-1) ** i * math.comb(d + 1, i) * profile.counts[j - i]
-                for i in range(j + 1))
+    for j in range(len(counts)):
+        h = sum((-1) ** i * math.comb(dim + 1, i) * counts[j - i] for i in range(j + 1))
         if h < 0:
             raise ArithmeticError(f"negative h*-coefficient {h} at degree {j}: counting bug")
         coeffs.append(h)
-    return _trim(coeffs)
+    return coeffs
+
+
+def ehrhart_from_hstar(hstar: Sequence[int], dim: int) -> EhrhartPolynomial:
+    """Ehrhart polynomial L(t) = sum_j h*_j C(t + d - j, d) of a body of
+    dimension d = ``dim``: the integer polynomials
+    d! C(t + d - j, d) = (t + 1 - j)(t + 2 - j)...(t + d - j) are summed,
+    and the sum is divided by d! once."""
+    from fractions import Fraction
+
+    total = [0] * (dim + 1)
+    for j, h in enumerate(hstar):
+        if h:
+            poly = [1]
+            for m in range(1 - j, dim + 1 - j):  # multiply by (t + m)
+                poly = [m * c + below for c, below in zip(poly + [0], [0] + poly)]
+            for k, c in enumerate(poly):
+                total[k] += h * c
+    scale = math.factorial(dim)
+    return EhrhartPolynomial(
+        ExactPolynomial.from_coefficients([Fraction(c, scale) for c in total]), dim)
 
 
 def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
@@ -326,17 +363,88 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     such face has dimension at most n - 2.  Rows come from
     ``facet_representation``, tight rows from the upper canonical facets.
     """
-    hrep = necklace.fact(facet_representation)
     uppers = tuple(f for f in necklace.fact(canonical_facets) if f.upper)
     counts = []
     for t in range(necklace.n - 1):
         tight = [(f.lo - 1, f.hi - 1, t * f.bound, 1 << i) for i, f in enumerate(uppers)]
-        counts.append(_tally(hrep.n, _dilate_rows(hrep, t), t, tight))
+        counts.append(_tally(necklace.n, _body_rows(necklace, t, False, False), t, tight))
     return UpperTally(uppers, tuple(counts))
 
 
+# A facet row (a, b, bound, upper) bounds z_b - z_a by ``bound`` from above
+# when ``upper``, else from below.
+FacetRow = tuple[int, int, int, bool]
+
+
+def _facet_rows(necklace: GrassmannNecklace) -> tuple[FacetRow, ...]:
+    """A connected positroid's ``facet_representation`` as prefix-sum rows,
+    compiled once per necklace: every count of its closed, interior,
+    half-open and reciprocal bodies reads them (``_body_rows``).  No facet
+    wraps past x_n."""
+    return tuple((f.start - 1, f.stop - 1, f.bound, f.sense == "<=")
+                 for f in necklace.fact(facet_representation).inequalities)
+
+
+def _body_rows(necklace: GrassmannNecklace, t: int,
+               strict_upper: bool, strict_lower: bool) -> list[Row]:
+    """Counting rows of the t-th dilate of a connected positroid, with its
+    upper and/or lower facets strict: the sum equality and every facet row."""
+    r = necklace.rank
+    rows: list[Row] = [(0, necklace.n, t * r, t * r)]
+    for a, b, bound, upper in necklace.fact(_facet_rows):
+        if upper:
+            rows.append((a, b, -_INF, t * bound - strict_upper))
+        else:
+            rows.append((a, b, t * bound + strict_lower, _INF))
+    return rows
+
+
+def _count_body(necklace: GrassmannNecklace, t: int,
+                strict_upper: bool, strict_lower: bool) -> int:
+    """Lattice points of the t-th dilate of ``_body_rows``' body."""
+    return count_constrained(necklace.n, _body_rows(necklace, t, strict_upper, strict_lower), t)
+
+
+class DegreeCounts(NamedTuple):
+    """What the counting oracle counted: E(0..k) of a ``dim``-dimensional
+    body, k at least its h*-degree, and the h*-vector they fix."""
+
+    dim: int
+    counts: tuple[int, ...]
+    hstar: tuple[int, ...]
+
+
+def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> DegreeCounts:
+    """Counts of a connected positroid's closed (or half-open) body up to its
+    h*-degree s, and its h*.
+
+    The body is the canonical facets with none (half-open: the upper ones)
+    strict; its reciprocal has exactly the other facets strict.  The
+    codegree c is the least t >= 1 at which the reciprocal has a lattice
+    point; then s = d + 1 - c, the counts E(0..s) give h*_0..h*_s, and
+    h*_s must equal the reciprocal's count at c (an ArithmeticError
+    otherwise).
+    """
+    dim = necklace.n - 1
+    for codegree in range(1, dim + 2):
+        reciprocal = _count_body(necklace, codegree, not half_open, True)
+        if reciprocal:
+            break
+    else:
+        raise ArithmeticError(f"the reciprocal body has no lattice point up to dilate "
+                              f"{dim + 1}: counting bug")
+    degree = dim + 1 - codegree
+    counts = tuple(_count_body(necklace, t, half_open, False) for t in range(degree + 1))
+    hstar = _hstar_head(dim, counts)
+    if hstar[degree] != reciprocal:
+        raise ArithmeticError(f"h*_{degree} = {hstar[degree]}, but the reciprocal body has "
+                              f"{reciprocal} points at dilate {codegree}: counting bug")
+    return DegreeCounts(dim, counts, tuple(hstar))
+
+
 def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
-    """Closed counts of a positroid polytope in its own affine hull.
+    """Closed counts of a positroid polytope in its own affine hull, at
+    every dilate t = 0..dim: the reference for ``_oracle_counts``.
 
     A connected positroid is counted in dimension n - 1 from its canonical
     facets; a disconnected one from its necklace inequalities, in dimension
@@ -348,11 +456,28 @@ def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
                           polytope_dimension(necklace.fact(bases_from_necklace)))
 
 
+def _oracle_counts(necklace: GrassmannNecklace) -> DegreeCounts:
+    """The counting oracle's counts and h* of any positroid polytope.
+
+    A connected positroid is counted up to its h*-degree
+    (``count_to_degree``); a disconnected one at every dilate, from its
+    necklace inequalities, in dimension n minus the number of direct-sum
+    components.
+    """
+    if necklace.fact(necklace_connected):
+        return count_to_degree(necklace)
+    hrep = necklace.fact(h_representation)
+    dim = polytope_dimension(necklace.fact(bases_from_necklace))
+    counts = tuple(count_points(hrep, t) for t in range(dim + 1))
+    return DegreeCounts(dim, counts, hstar_from_counts(CountProfile(dim, counts)))
+
+
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """Ehrhart polynomial of any positroid polytope, by counting."""
-    return ehrhart_interpolate(necklace.fact(_closed_profile))
+    """Ehrhart polynomial of any positroid polytope, from its counted h*."""
+    oracle = necklace.fact(_oracle_counts)
+    return ehrhart_from_hstar(oracle.hstar, oracle.dim)
 
 
 def hstar_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """Oracle h* of any positroid polytope: count, then transform."""
-    return hstar_from_counts(necklace.fact(_closed_profile))
+    return necklace.fact(_oracle_counts).hstar

@@ -23,19 +23,16 @@ from ._linalg import affine_rank
 from .core import _trim, descent_count
 from .ehrhart import (
     CountProfile,
+    _count_body,
     _face_hstar_from_counts,
-    count_points,
-    hstar_from_counts,
+    count_to_degree,
     upper_tally,
 )
 from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
-    HRepresentation,
-    IntervalInequality,
     _facet_vertex_sets,
     _projected_vertices,
-    facet_representation,
 )
 from .triangulation import enumerate_labels
 
@@ -61,20 +58,18 @@ def hstar_half_open(necklace: GrassmannNecklace) -> tuple[int, ...]:
 
 
 def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
-    """Oracle counts of the half-open polytope at t = 0..n-1.
-
-    The closed body's facet representation, with the upper facets strict.
-    """
-    closed = necklace.fact(facet_representation)
-    hrep = HRepresentation(closed.n, closed.r, tuple(
-        IntervalInequality(f.start, f.stop, f.bound, "<=", True) if f.sense == "<=" else f
-        for f in closed.inequalities))
+    """Counts of the half-open polytope at every dilate t = 0..n-1: the
+    canonical facets with the upper ones strict.  The reference for
+    ``hstar_half_open_by_counting``, which stops at the h*-degree."""
     dim = necklace.n - 1
-    return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
+    return CountProfile(dim, tuple(_count_body(necklace, t, True, False)
+                                   for t in range(dim + 1)))
 
 
 def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
-    return hstar_from_counts(half_open_profile(necklace))
+    """Oracle half-open h*: counts up to the h*-degree, checked by reciprocity
+    against the body with the lower facets strict (``ehrhart.count_to_degree``)."""
+    return count_to_degree(necklace, half_open=True).hstar
 
 
 class FaceNode(NamedTuple):

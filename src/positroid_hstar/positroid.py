@@ -17,8 +17,7 @@ irredundant facets in canonical interval form (``canonical_facets``).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from ._linalg import affine_rank
 from .core import (
@@ -29,6 +28,9 @@ from .core import (
     interval_support,
     is_permutation_word,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _T = TypeVar("_T")
 
@@ -455,9 +457,14 @@ class HRepresentation(NamedTuple):
     def contains(self, point: Sequence[int | Fraction], dilate: int = 1) -> bool:
         """Membership of a point in the ``dilate``-th dilate.
 
-        Strict inequalities are taken literally on rational points.
+        Strict inequalities are taken literally on rational points.  A point
+        of ints is tested in ints; any other entries are read as Fractions.
         """
-        x = [Fraction(v) for v in point]
+        x = list(point)
+        if not all(type(v) is int for v in x):
+            from fractions import Fraction
+
+            x = [Fraction(v) for v in x]
         if len(x) != self.n:
             raise ValueError("wrong dimension")
         if sum(x) != dilate * self.r:
@@ -466,7 +473,7 @@ class HRepresentation(NamedTuple):
             return False
         for ineq in self.inequalities:
             total = sum(x[k - 1] for k in ineq.support(self.n))
-            bound = Fraction(dilate * ineq.bound)
+            bound = dilate * ineq.bound
             if ineq.strict:
                 if (total >= bound) if ineq.sense == "<=" else (total <= bound):
                     return False

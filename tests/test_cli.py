@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -430,10 +431,35 @@ class TestExhaustiveWorker:
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok and detail.startswith("closed methods disagree")
 
+    def test_seeded_sample_past_the_sweep(self):
+        # 30 connected positroids with n = 7, past the n <= 6 sweep: the oracle's
+        # truncation and reciprocity check run on each, beside every other route
+        rng = random.Random(20240814)
+        sample = []
+        while len(sample) < 30:
+            perm = list(range(1, 8))
+            rng.shuffle(perm)
+            necklace = po.necklace_from_decorated(po.DecoratedPermutation(tuple(perm)))
+            if necklace.fact(po.necklace_connected) and necklace not in sample:
+                sample.append(necklace)
+        for necklace in sample:
+            subsets = tuple(tuple(sorted(s)) for s in necklace.subsets)
+            assert cli._exhaustive_worker(subsets) == (necklace.compact(), True, "")
+
     def test_closed_profile_is_checked_against_the_full_h_representation(self, monkeypatch):
         facets = po.canonical_facets
         monkeypatch.setattr(po, "canonical_facets", lambda necklace: tuple(
             f for f in facets(necklace) if str(f) != "x_1+x_2 >= 1"))
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok
+        assert detail == "closed profile differs from the full H-representation count"
+
+    @pytest.mark.parametrize("counts, hstar", [((1, 6), (1, 1)), ((1, 5), (1, 1, 1))])
+    def test_oracle_counts_are_checked_against_the_full_h_representation(
+            self, monkeypatch, counts, hstar):
+        # the pyramid's oracle counts E(0), E(1) = 1, 5 and h* = 1 + z
+        monkeypatch.setattr(eh, "_oracle_counts",
+                            lambda necklace: eh.DegreeCounts(3, counts, hstar))
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
         assert detail == "closed profile differs from the full H-representation count"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from positroid_hstar import cli
+from positroid_hstar import ehrhart as eh
 from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.ehrhart import (
     CountProfile,
+    _closed_profile,
     _tally,
     EhrhartPolynomial,
     closed_profile,
     count_constrained,
     count_points,
+    count_to_degree,
+    ehrhart_from_hstar,
     ehrhart_interpolate,
     ehrhart_of_positroid,
     ehrhart_product,
@@ -26,8 +32,11 @@ from positroid_hstar.positroid import (
     HRepresentation,
     IntervalInequality,
     PositroidBases,
+    facet_representation,
     h_representation,
+    necklace_connected,
     necklace_from_bases,
+    necklace_from_decorated,
     validate_necklace,
 )
 from positroid_hstar.triangulation import hstar_shelling
@@ -355,3 +364,108 @@ class TestDrivers:
 def test_simplex_counts_match_binomial(t, n):
     J = validate_necklace([[i] for i in range(1, n + 1)])
     assert count_points(h_representation(J), t) == math.comb(t + n - 1, n - 1)
+
+
+def with_strict(necklace, upper, lower):
+    """``facet_representation`` with its upper and/or lower facets strict."""
+    hrep = facet_representation(necklace)
+    return HRepresentation(hrep.n, hrep.r, tuple(
+        IntervalInequality(q.start, q.stop, q.bound, q.sense,
+                           upper if q.sense == "<=" else lower)
+        for q in hrep.inequalities))
+
+
+def first_points(hrep, dim):
+    """(c, count): the least dilate 1 <= c <= dim + 1 holding lattice points, and their count."""
+    return next((t, count) for t in range(1, dim + 2) if (count := count_points(hrep, t)))
+
+
+def connected_up_to(max_n):
+    return [necklace for n in range(1, max_n + 1) for necklace in cli.connected_necklaces(n)]
+
+
+def disconnected_up_to(max_n):
+    return [necklace_from_decorated(dec) for n in range(1, max_n + 1)
+            for dec in cli.all_decorated_permutations(n)
+            if not necklace_connected(necklace_from_decorated(dec))]
+
+
+class TestCountToDegree:
+    """The oracle counts up to the h*-degree s and checks h*_s by reciprocity."""
+
+    def test_truncated_counts_agree_with_the_full_profile(self):
+        necklaces = connected_up_to(6)
+        assert len(necklaces) == 252
+        for necklace in necklaces:
+            dim = necklace.n - 1
+            full = closed_profile(facet_representation(necklace), dim)
+            got = count_to_degree(necklace)
+            degree = len(got.hstar) - 1
+            assert got.hstar == hstar_from_counts(full), necklace.compact()
+            assert got.counts == full.counts[:degree + 1]
+            # reciprocity, counted independently: h*_s interior points at dilate d + 1 - s
+            codegree, interior = first_points(with_strict(necklace, True, True), dim)
+            assert (codegree, interior) == (dim + 1 - degree, got.hstar[-1]), necklace.compact()
+
+    def test_prism_stops_at_degree_two(self):
+        # E(t) = C(t+4, 4) + 3 C(t+3, 4) + C(t+2, 4)
+        assert count_to_degree(PRISM) == (4, (1, 8, 31), (1, 3, 1))
+
+    def test_an_interior_count_off_by_one_is_caught(self, monkeypatch):
+        count = eh._count_body
+
+        def off_by_one(necklace, t, strict_upper, strict_lower):
+            points = count(necklace, t, strict_upper, strict_lower)
+            return points + 1 if strict_upper and strict_lower and points else points
+
+        monkeypatch.setattr(eh, "_count_body", off_by_one)
+        for necklace in (PYRAMID, PRISM, UNIFORM25):
+            with pytest.raises(ArithmeticError, match="reciprocal body"):
+                count_to_degree(validate_necklace(necklace.subsets))
+
+    def test_a_body_without_interior_points_is_caught(self, monkeypatch):
+        monkeypatch.setattr(eh, "_count_body", lambda necklace, t, upper, lower: 0 if lower else 1)
+        with pytest.raises(ArithmeticError, match="no lattice point up to dilate 5"):
+            count_to_degree(validate_necklace(PRISM.subsets))
+
+
+class TestEhrhartFromHstar:
+    @pytest.mark.parametrize("dim", range(5))
+    def test_unimodular_simplex(self, dim):
+        ehr = ehrhart_from_hstar((1,), dim)
+        assert ehr.dim == dim
+        assert [ehr(t) for t in range(8)] == [math.comb(t + dim, dim) for t in range(8)]
+
+    def test_equals_interpolation_on_every_connected_positroid(self):
+        for necklace in connected_up_to(6):
+            profile = closed_profile(facet_representation(necklace), necklace.n - 1)
+            assert ehrhart_of_positroid(necklace) == ehrhart_interpolate(profile), \
+                necklace.compact()
+
+    def test_equals_interpolation_on_disconnected_positroids(self):
+        necklaces = disconnected_up_to(5)
+        assert len(necklaces) > 100
+        for necklace in necklaces:
+            assert ehrhart_of_positroid(necklace) == ehrhart_interpolate(
+                _closed_profile(necklace)), necklace.compact()
+
+
+class TestEhrhartCommand:
+    @pytest.mark.parametrize("argv, report", [
+        (["12,23,13,14"],
+         {"connected": True, "counts": [1, 5, 14, 30], "dim": 3,
+          "ehrhart": ["1", "13/6", "3/2", "1/3"], "hstar": [1, 1],
+          "input_kind": "necklace", "n": 4, "rank": 2}),
+        (['{"pi":[2,1,4,3]}', "--tmax", "4"],
+         {"connected": False, "counts": [1, 4, 9, 16, 25], "dim": 2,
+          "ehrhart": ["1", "2", "1"], "hstar": [1, 1],
+          "input_kind": "decorated", "n": 4, "rank": 2}),
+        (["1"],
+         {"connected": True, "counts": [1], "dim": 0, "ehrhart": ["1"], "hstar": [1],
+          "input_kind": "necklace", "n": 1, "rank": 1}),
+    ])
+    def test_stdout_is_pinned(self, capsys, argv, report):
+        assert cli.main(["ehrhart", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"

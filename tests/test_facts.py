@@ -64,15 +64,22 @@ def test_every_route_shares_one_derivation_per_fact(calls):
                  "canonical_facets"):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
-    # canonical facets; faces add equalities, and the half-open body has the
-    # same rows with every upper facet tightened by one.
+    # canonical facets; faces add equalities, and the half-open body and the
+    # reciprocals have the same rows with some facets tightened by one.  The
+    # closed body is counted up to its h*-degree s = 2, and its interior, with
+    # every facet strict, up to its codegree d + 1 - s = 3; each dilate once.
     n = necklace.n
     facets = necklace.fact(po.facet_representation).inequalities
-    dilates = [box for dim, constraints, box in calls["count_constrained"]
-               if dim == n and len(constraints) == 1 + len(facets)
-               and all(row[3] == box * f.bound
-                       for row, f in zip(constraints[1:], facets) if f.sense == "<=")]
-    assert dilates == list(range(n))
+
+    def dilates(tightened):
+        return [box for dim, constraints, box in calls["count_constrained"]
+                if dim == n and len(constraints) == 1 + len(facets)
+                and all(row[3] == box * f.bound - tightened if f.sense == "<="
+                        else row[2] == box * f.bound + tightened
+                        for row, f in zip(constraints[1:], facets))]
+
+    assert dilates(0) == [0, 1, 2]
+    assert dilates(1) == [1, 2, 3]
 
 
 def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):

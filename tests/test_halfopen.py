@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from positroid_hstar import ehrhart as eh
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.ehrhart import (
     CountProfile,
     _face_hstar_from_counts,
     count_points,
+    count_to_degree,
     face_hstar,
     hstar_by_counting,
     hstar_from_counts,
@@ -102,6 +104,42 @@ class TestHalfOpenDescents:
 
     def test_half_open_profile_starts_at_zero(self):
         assert half_open_profile(PYRAMID).counts == (0, 0, 2, 8)
+
+
+class TestHalfOpenReciprocity:
+    """The half-open oracle counts up to the h*-degree s; its reciprocal, the
+    polytope with its lower facets strict, first has points at d + 1 - s,
+    h*_s of them (Beck-Sanyal)."""
+
+    def test_truncated_counts_agree_with_the_full_profile(self):
+        necklaces = [necklace for n in range(2, 7) for necklace in connected_necklaces(n)]
+        assert len(necklaces) == 250
+        for necklace in necklaces:
+            dim = necklace.n - 1
+            full = half_open_profile(necklace)
+            got = count_to_degree(necklace, half_open=True)
+            degree = len(got.hstar) - 1
+            assert got.hstar == hstar_half_open_by_counting(necklace) == hstar_from_counts(full)
+            assert got.counts == full.counts[:degree + 1]
+            closed = facet_representation(necklace)
+            reciprocal = HRepresentation(closed.n, closed.r, tuple(
+                IntervalInequality(q.start, q.stop, q.bound, q.sense, q.sense == ">=")
+                for q in closed.inequalities))
+            codegree, points = next((t, c) for t in range(1, dim + 2)
+                                    if (c := count_points(reciprocal, t)))
+            assert (codegree, points) == (dim + 1 - degree, got.hstar[-1]), necklace.compact()
+
+    def test_a_reciprocal_count_off_by_one_is_caught(self, monkeypatch):
+        count = eh._count_body
+
+        def off_by_one(necklace, t, strict_upper, strict_lower):
+            points = count(necklace, t, strict_upper, strict_lower)
+            return points + 1 if strict_lower and not strict_upper and points else points
+
+        monkeypatch.setattr(eh, "_count_body", off_by_one)
+        for necklace in (PYRAMID, PRISM, UNIFORM25):
+            with pytest.raises(ArithmeticError, match="reciprocal body"):
+                hstar_half_open_by_counting(validate_necklace(necklace.subsets))
 
 
 class TestHalfOpenSimplex:

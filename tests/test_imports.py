@@ -22,7 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 U37 = "123,234,345,456,567,167,127"
 SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
           '{"color":"white","vertices":[1,3,4]}]}')
-NOT_ON_THE_QUERY_PATH = ("dataclasses", "inspect", "positroid_hstar.tree", "positroid_hstar.verify")
+NOT_ON_THE_QUERY_PATH = ("dataclasses", "fractions", "inspect", "positroid_hstar.tree",
+                         "positroid_hstar.verify")
 
 
 def loaded_after(argv):
@@ -45,6 +46,9 @@ def loaded_after(argv):
 class TestColdStart:
     def test_a_query_loads_no_dataclasses_tree_or_suites(self):
         assert loaded_after(["hstar", U37, "--method", "all"]) == []
+
+    def test_a_half_open_query_loads_no_fractions(self):
+        assert loaded_after(["hstar", U37, "--half-open", "--method", "all"]) == []
 
     def test_a_subdivision_loads_the_tree_module(self):
         assert loaded_after(["tree", SQUARE]) == ["positroid_hstar.tree"]
