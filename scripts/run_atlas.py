@@ -35,20 +35,22 @@ def main() -> int:
         argv += ["--rank", str(args.rank)]
     if not args.all:
         argv += ["--connected-only"]
+    if args.out:
+        argv += ["--out", args.out]  # an unwritable path exits 2 before the sweep
     table = io.StringIO()
     with contextlib.redirect_stdout(table):
         code = cli.main(argv)
     if code != 0:
         return code
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table.getvalue())
+        text = pathlib.Path(args.out).read_text(encoding="utf-8")
     else:
-        sys.stdout.write(table.getvalue())
+        text = table.getvalue()
+        sys.stdout.write(text)
 
     histogram = collections.Counter(
         tuple(int(c) for c in row["hstar"].split())
-        for row in csv.DictReader(io.StringIO(table.getvalue()))
+        for row in csv.DictReader(io.StringIO(text))
         if row["connected"] == "True")
     print("\nh* distribution over connected instances:", file=sys.stderr)
     for coeffs, count in sorted(histogram.items()):

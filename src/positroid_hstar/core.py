@@ -11,6 +11,8 @@ Conventions used package-wide:
 - an h*-vector is a tuple of ints in ascending degree, trailing zeros
   trimmed (`_trim`); `ExactPolynomial` stores only Ehrhart polynomials.
 
+Every slotted record of the package derives from one immutable base, ``_Record``.
+
 All arithmetic is exact (ints and Fractions); nothing here uses floats.
 ``fractions`` is imported where an Ehrhart polynomial needs it, so a process
 that only computes h*-vectors never loads it.
@@ -231,37 +233,49 @@ def _trim(coeffs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
     return tuple(coeffs[:k])
 
 
-def _frozen(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable records; their
-    ``__init__`` sets each slot once through ``object.__setattr__``."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Record:
+    """Base of the immutable slotted records: equality (same type only), hash,
+    repr and pickling read the slots named in ``_fields``, in order; other
+    slots (a necklace's facts) stay out.  ``__init__`` sets each slot once
+    through ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
 
-class ExactPolynomial:
+class ExactPolynomial(_Record):
     """Dense polynomial with exact rational coefficients, index = degree.
 
     The highest stored coefficient is nonzero unless the polynomial is zero.
     """
 
-    __slots__ = ("coefficients",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("coefficients",)
 
     def __init__(self, coefficients: tuple[Fraction, ...]):
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __repr__(self):
-        return f"ExactPolynomial(coefficients={self.coefficients!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
-
-    def __reduce__(self):
-        return ExactPolynomial, (self.coefficients,)
 
     @staticmethod
     def from_coefficients(coeffs: Iterable[int | Fraction]) -> "ExactPolynomial":

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .core import ExactPolynomial, _frozen, _trim
+from .core import ExactPolynomial, _Record, _trim
 from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
@@ -63,11 +63,10 @@ if TYPE_CHECKING:
 _INF = 1 << 62
 
 
-class CountProfile:
+class CountProfile(_Record):
     """Lattice counts E(0), ..., E(d) of the dilates of a d-dimensional body."""
 
-    __slots__ = ("dim", "counts")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("dim", "counts")
 
     def __init__(self, dim: int, counts: tuple[int, ...]):
         if len(counts) != dim + 1:
@@ -76,20 +75,6 @@ class CountProfile:
             raise ValueError("negative count")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "counts", counts)
-
-    def __repr__(self):
-        return f"CountProfile(dim={self.dim!r}, counts={self.counts!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dim == other.dim and self.counts == other.counts
-
-    def __hash__(self):
-        return hash((self.dim, self.counts))
-
-    def __reduce__(self):
-        return CountProfile, (self.dim, self.counts)
 
 
 class EhrhartPolynomial(NamedTuple):
@@ -201,24 +186,28 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
     return histogram
 
 
-def _scaled_bounds(sense: str, bound: int, strict: bool, t: int) -> tuple[int, int]:
-    if sense == "<=":
-        return -_INF, t * bound - (1 if strict else 0)
-    return t * bound + (1 if strict else 0), _INF
+# A compiled row (a, b, bound, upper, strict) bounds z_b - z_a by t * bound at
+# dilate t, from above when ``upper``, else from below, tightened by one if strict.
+CompiledRow = tuple[int, int, int, bool, bool]
 
 
-def _dilate_rows(hrep: HRepresentation, t: int,
-                 equalities: Iterable[tuple[int, int, int]] = ()) -> list[Row]:
-    """Counting rows of the t-th dilate: the sum equality, every stored
-    inequality and every extra equality, each scaled by t."""
-    n, r = hrep.n, hrep.r
+def _compile(hrep: HRepresentation) -> tuple[CompiledRow, ...]:
+    """The inequalities of an H-representation as prefix-sum rows, each
+    unwrapped through the sum equality (``IntervalInequality.unwrapped``)."""
+    return tuple((q.start - 1, q.stop - 1, q.bound, q.sense == "<=", q.strict)
+                 for q in (ineq.unwrapped(hrep.r) for ineq in hrep.inequalities))
+
+
+def _dilate(n: int, r: int, compiled: Sequence[CompiledRow], t: int,
+            strict_upper: bool = False, strict_lower: bool = False) -> list[Row]:
+    """Counting rows of the t-th dilate: the sum equality and every compiled
+    row, with all upper and/or lower rows made strict on request."""
     rows: list[Row] = [(0, n, t * r, t * r)]
-    for ineq in hrep.inequalities:
-        q = ineq.unwrapped(r)
-        rows.append((q.start - 1, q.stop - 1, *_scaled_bounds(q.sense, q.bound, q.strict, t)))
-    for start, stop, value in equalities:
-        q = IntervalInequality(start, stop, value, "<=").unwrapped(r)
-        rows.append((q.start - 1, q.stop - 1, t * q.bound, t * q.bound))
+    for a, b, bound, upper, strict in compiled:
+        if upper:
+            rows.append((a, b, -_INF, t * bound - (strict or strict_upper)))
+        else:
+            rows.append((a, b, t * bound + (strict or strict_lower), _INF))
     return rows
 
 
@@ -230,12 +219,14 @@ def count_points(hrep: HRepresentation, t: int,
     stored inequality scaled by t; strict inequalities tighten to
     f <= t*bound - 1 (resp. >= +1).  ``equalities`` are extra cyclic interval
     equalities (start, stop, value), also scaled by t; they carve faces.
-    Each bound becomes one row of prefix sums, a wrapping interval through
-    the sum equality (``IntervalInequality.unwrapped``).
     """
     if t < 0:
         raise ValueError("negative dilate")
-    return count_constrained(hrep.n, _dilate_rows(hrep, t, equalities), t)
+    rows = _dilate(hrep.n, hrep.r, _compile(hrep), t)
+    for start, stop, value in equalities:
+        q = IntervalInequality(start, stop, value, "<=").unwrapped(hrep.r)
+        rows.append((q.start - 1, q.stop - 1, t * q.bound, t * q.bound))
+    return count_constrained(hrep.n, rows, t)
 
 
 def closed_profile(hrep: HRepresentation, dim: int) -> CountProfile:
@@ -371,32 +362,19 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     return UpperTally(uppers, tuple(counts))
 
 
-# A facet row (a, b, bound, upper) bounds z_b - z_a by ``bound`` from above
-# when ``upper``, else from below.
-FacetRow = tuple[int, int, int, bool]
-
-
-def _facet_rows(necklace: GrassmannNecklace) -> tuple[FacetRow, ...]:
-    """A connected positroid's ``facet_representation`` as prefix-sum rows,
-    compiled once per necklace: every count of its closed, interior,
-    half-open and reciprocal bodies reads them (``_body_rows``).  No facet
-    wraps past x_n."""
-    return tuple((f.start - 1, f.stop - 1, f.bound, f.sense == "<=")
-                 for f in necklace.fact(facet_representation).inequalities)
+def _facet_rows(necklace: GrassmannNecklace) -> tuple[CompiledRow, ...]:
+    """A connected positroid's compiled ``facet_representation``, kept once
+    per necklace: every count of its closed, interior, half-open and
+    reciprocal bodies reads it (``_body_rows``).  No facet wraps past x_n."""
+    return _compile(necklace.fact(facet_representation))
 
 
 def _body_rows(necklace: GrassmannNecklace, t: int,
                strict_upper: bool, strict_lower: bool) -> list[Row]:
     """Counting rows of the t-th dilate of a connected positroid, with its
     upper and/or lower facets strict: the sum equality and every facet row."""
-    r = necklace.rank
-    rows: list[Row] = [(0, necklace.n, t * r, t * r)]
-    for a, b, bound, upper in necklace.fact(_facet_rows):
-        if upper:
-            rows.append((a, b, -_INF, t * bound - strict_upper))
-        else:
-            rows.append((a, b, t * bound + strict_lower, _INF))
-    return rows
+    return _dilate(necklace.n, necklace.rank, necklace.fact(_facet_rows), t,
+                   strict_upper, strict_lower)
 
 
 def _count_body(necklace: GrassmannNecklace, t: int,

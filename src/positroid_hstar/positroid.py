@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Type
 
 from ._linalg import affine_rank
 from .core import (
-    _frozen,
+    _Record,
     cyclic_interval,
     gale_leq,
     i_order_key,
@@ -48,7 +48,7 @@ class DisconnectedPositroidError(ValueError):
     """
 
 
-class GrassmannNecklace:
+class GrassmannNecklace(_Record):
     """Sequence (J_1, ..., J_n) of equal-size subsets obeying the exchange rule.
 
     Rank 0 (all subsets empty) is admitted so that the loop-only positroid on
@@ -58,8 +58,8 @@ class GrassmannNecklace:
     from it for as long as it lives, outside equality, hashing and repr.
     """
 
-    __slots__ = ("n", "subsets", "_facts")
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("n", "subsets")
+    __slots__ = _fields + ("_facts",)
 
     def __init__(self, n: int, subsets: tuple[frozenset[int], ...]):
         if n < 1:
@@ -85,20 +85,6 @@ class GrassmannNecklace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "subsets", subsets)
         object.__setattr__(self, "_facts", {})
-
-    def __repr__(self):
-        return f"GrassmannNecklace(n={self.n!r}, subsets={self.subsets!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.subsets == other.subsets
-
-    def __hash__(self):
-        return hash((self.n, self.subsets))
-
-    def __reduce__(self):
-        return GrassmannNecklace, (self.n, self.subsets)
 
     @property
     def rank(self) -> int:
@@ -137,11 +123,10 @@ def validate_necklace(raw: Sequence[Iterable[int]], n: int | None = None) -> Gra
     return GrassmannNecklace(len(subsets) if n is None else n, subsets)
 
 
-class PositroidBases:
+class PositroidBases(_Record):
     """Explicit basis collection of a matroid on 1..n, all of size r."""
 
-    __slots__ = ("n", "r", "bases")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("n", "r", "bases")
 
     def __init__(self, n: int, r: int, bases: frozenset[frozenset[int]]):
         if not bases:
@@ -154,20 +139,6 @@ class PositroidBases:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "bases", bases)
-
-    def __repr__(self):
-        return f"PositroidBases(n={self.n!r}, r={self.r!r}, bases={self.bases!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.r == other.r and self.bases == other.bases
-
-    def __hash__(self):
-        return hash((self.n, self.r, self.bases))
-
-    def __reduce__(self):
-        return PositroidBases, (self.n, self.r, self.bases)
 
     def sorted_bases(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(tuple(sorted(b)) for b in self.bases))
@@ -220,11 +191,10 @@ def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
     return GrassmannNecklace(n, tuple(subsets))
 
 
-class DecoratedPermutation:
+class DecoratedPermutation(_Record):
     """Permutation of 1..n with each fixed point colored black or white."""
 
-    __slots__ = ("perm", "white")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("perm", "white")
 
     def __init__(self, perm: tuple[int, ...], white: frozenset[int] = frozenset()):
         if not is_permutation_word(perm):
@@ -233,20 +203,6 @@ class DecoratedPermutation:
         if not white <= self.fixed_points:
             raise ValueError("white set contains non-fixed points")
         object.__setattr__(self, "white", white)
-
-    def __repr__(self):
-        return f"DecoratedPermutation(perm={self.perm!r}, white={self.white!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.perm == other.perm and self.white == other.white
-
-    def __hash__(self):
-        return hash((self.perm, self.white))
-
-    def __reduce__(self):
-        return DecoratedPermutation, (self.perm, self.white)
 
     @property
     def n(self) -> int:
@@ -396,11 +352,10 @@ def decompose_direct_sum(bases: PositroidBases) -> list[tuple[tuple[int, ...], P
     return sorted(parts, key=lambda p: p[0])
 
 
-class IntervalInequality:
+class IntervalInequality(_Record):
     """A bound on the cyclic interval sum x_start + ... + x_{stop-1}."""
 
-    __slots__ = ("start", "stop", "bound", "sense", "strict")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _fields = ("start", "stop", "bound", "sense", "strict")
 
     def __init__(self, start: int, stop: int, bound: int, sense: str, strict: bool = False):
         if sense != "<=" and sense != ">=":
@@ -410,22 +365,6 @@ class IntervalInequality:
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "sense", sense)  # "<=" or ">="
         object.__setattr__(self, "strict", strict)
-
-    def __repr__(self):
-        return (f"IntervalInequality(start={self.start!r}, stop={self.stop!r}, "
-                f"bound={self.bound!r}, sense={self.sense!r}, strict={self.strict!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.stop, self.bound, self.sense, self.strict) == (
-            other.start, other.stop, other.bound, other.sense, other.strict)
-
-    def __hash__(self):
-        return hash((self.start, self.stop, self.bound, self.sense, self.strict))
-
-    def __reduce__(self):
-        return IntervalInequality, (self.start, self.stop, self.bound, self.sense, self.strict)
 
     def support(self, n: int) -> tuple[int, ...]:
         return interval_support(self.start, self.stop, n)

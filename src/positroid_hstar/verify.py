@@ -103,6 +103,8 @@ def run_atlas(args) -> int:
     """The atlas command."""
     if args.n < 1:
         raise InputError("--n must be positive")
+    if args.rank is not None and not 0 <= args.rank <= args.n:
+        raise InputError(f"--rank must be between 0 and {args.n}, got {args.rank}")
     check_jobs(args.jobs)
     if args.n > size_cap():
         print(f"error: n = {args.n} exceeds the size cap {size_cap()} "
@@ -436,14 +438,21 @@ def verify_single_input(text: str) -> list[Check]:
 def run_verify(args) -> int:
     """The verify command."""
     check_jobs(args.jobs)
+    scope = args.scope
+    if args.max_n is not None:
+        if scope == "random" and not args.input and args.max_n < 4:
+            raise InputError("--max-n must be at least 4 for the random scope "
+                             "(subdivision sampling needs n >= 4)")
+        if args.max_n < 1:
+            raise InputError(f"--max-n must be positive, got {args.max_n}")
+    for flag, samples in (("--w0-samples", args.w0_samples),
+                          ("--subdivision-samples", args.subdivision_samples)):
+        if samples < 0:
+            raise InputError(f"{flag} must be nonnegative, got {samples}")
     checks: list[Check] = []
     if args.input:
         checks += verify_single_input(read_input(args.input))
     else:
-        scope = args.scope
-        if scope == "random" and args.max_n is not None and args.max_n < 4:
-            raise InputError("--max-n must be at least 4 for the random scope "
-                             "(subdivision sampling needs n >= 4)")
         max_n = args.max_n if args.max_n is not None else min(6, size_cap())
         if scope in ("golden", "all"):
             checks += verify_golden()

@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +301,16 @@ class TestAtlas:
     def test_nonpositive_n_is_named(self, capsys, n):
         assert run(capsys, "atlas", "--n", n) == (2, "", "error: --n must be positive\n")
 
+    @pytest.mark.parametrize("rank", ["4", "-1"])
+    def test_rank_outside_0_to_n_exits_2(self, capsys, rank):
+        assert run(capsys, "atlas", "--n", "3", "--rank", rank) == (
+            2, "", f"error: --rank must be between 0 and 3, got {rank}\n")
+
+    @pytest.mark.parametrize("rank", ["0", "3"])
+    def test_ranks_0_and_n_hold_one_positroid(self, capsys, rank):
+        code, out, _ = run(capsys, "atlas", "--n", "3", "--rank", rank)
+        assert code == 0 and len(out.splitlines()) == 1
+
     def test_cap_exceeded(self, capsys, monkeypatch):
         monkeypatch.setenv("POSITROID_MAX_N", "5")
         code, _, err = run(capsys, "atlas", "--n", "6")
@@ -314,6 +327,30 @@ class TestAtlas:
         _, seq, _ = run(capsys, "atlas", "--n", "4", "--format", "csv")
         _, par, _ = run(capsys, "atlas", "--n", "4", "--format", "csv", "--jobs", "2")
         assert seq == par
+
+
+class TestRunAtlasScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_atlas.py"
+    HISTOGRAM = "\nh* distribution over connected instances:\n  [1, 1]: 4\n  [1, 2, 1]: 1\n"
+
+    def script(self, *argv):
+        result = subprocess.run([sys.executable, str(self.SCRIPT), *argv],
+                                capture_output=True, text=True, timeout=120)
+        return result.returncode, result.stdout, result.stderr
+
+    def test_csv_on_stdout_and_the_histogram_on_stderr(self, tmp_path):
+        code, out, err = self.script("--n", "4", "--rank", "2")
+        assert (code, err) == (0, self.HISTOGRAM)
+        assert out.splitlines()[0].startswith("pi,white,necklace,n,rank,connected,")
+        assert len(out.splitlines()) == 6
+        assert self.script("--n", "4", "--rank", "2", "--out", str(tmp_path / "a.csv")) == (
+            0, "", self.HISTOGRAM)
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8") == out
+
+    def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path):
+        path = tmp_path / "missing" / "a.csv"
+        assert self.script("--n", "4", "--out", str(path)) == (
+            2, "", f"error: --out: cannot write {path}: No such file or directory\n")
 
 
 class TestVerify:
@@ -392,6 +429,17 @@ class TestVerify:
         assert code == 0
         assert "base-point independence (3 samples, n <= 5)" in out
         assert "subdivision agreement (3 samples, n <= 5)" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--scope", "random", "--w0-samples", "-1", "--subdivision-samples", "-2"),
+         "--w0-samples must be nonnegative, got -1"),
+        (("--scope", "random", "--subdivision-samples", "-2"),
+         "--subdivision-samples must be nonnegative, got -2"),
+        (("--scope", "exhaustive", "--max-n", "-1"), "--max-n must be positive, got -1"),
+        (("--scope", "golden", "--max-n", "0"), "--max-n must be positive, got 0"),
+    ])
+    def test_out_of_range_counts_exit_2(self, capsys, argv, message):
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("max_n", ["3", "0"])
     def test_random_scope_rejects_max_n_below_4(self, capsys, max_n):

@@ -1,8 +1,10 @@
 """What a process loads, what the package exports, and how its records behave."""
 
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,6 +51,10 @@ class TestColdStart:
 
     def test_a_half_open_query_loads_no_fractions(self):
         assert loaded_after(["hstar", U37, "--half-open", "--method", "all"]) == []
+
+    @pytest.mark.parametrize("command", ["triangulate", "convert"])
+    def test_triangulate_and_convert_load_no_dataclasses_tree_or_suites(self, command):
+        assert loaded_after([command, U37]) == []
 
     def test_a_subdivision_loads_the_tree_module(self):
         assert loaded_after(["tree", SQUARE]) == ["positroid_hstar.tree"]
@@ -134,6 +140,16 @@ def build_records():
 
 
 UNHASHABLE = {"UpperTally", "TriangulationGraph", "ShellingPoset", "AffineLabelingReport"}
+# the slotted records and their fields, in order
+SLOTTED = {
+    "GrassmannNecklace": ("n", "subsets"),
+    "PositroidBases": ("n", "r", "bases"),
+    "DecoratedPermutation": ("perm", "white"),
+    "IntervalInequality": ("start", "stop", "bound", "sense", "strict"),
+    "CountProfile": ("dim", "counts"),
+    "ExactPolynomial": ("coefficients",),
+}
+PROTOCOL = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__")
 
 
 class TestRecords:
@@ -182,3 +198,36 @@ class TestRecords:
     def test_records_of_different_types_differ(self):
         assert po.IntervalInequality(1, 2, 0, "<=") != (1, 2, 0, "<=", False)
         assert eh.CountProfile(1, (1, 2)) != ExactPolynomial((1, 2))
+
+    def test_reprs_are_pinned(self):
+        records = [po.PositroidBases(2, 2, frozenset({frozenset({1, 2})})),
+                   po.DecoratedPermutation((2, 1, 3), frozenset({3})),
+                   po.IntervalInequality(3, 1, 2, ">=", True),
+                   eh.CountProfile(2, (1, 3, 6)),
+                   ExactPolynomial.from_coefficients([1, Fraction(3, 2)])]
+        assert [repr(r) for r in records] == [
+            "PositroidBases(n=2, r=2, bases=frozenset({frozenset({1, 2})}))",
+            "DecoratedPermutation(perm=(2, 1, 3), white=frozenset({3}))",
+            "IntervalInequality(start=3, stop=1, bound=2, sense='>=', strict=True)",
+            "CountProfile(dim=2, counts=(1, 3, 6))",
+            "ExactPolynomial(coefficients=(Fraction(1, 1), Fraction(3, 2)))",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(SLOTTED))
+    def test_a_record_hashes_as_the_tuple_of_its_fields(self, name):
+        record = build_records()[name]
+        assert hash(record) == hash(tuple(getattr(record, f) for f in SLOTTED[name]))
+
+    def test_only_the_record_base_writes_the_protocol(self):
+        from positroid_hstar import core
+
+        assert not hasattr(core, "_frozen")
+        slotted = []
+        for module in pkgutil.iter_modules(positroid_hstar.__path__):
+            home = importlib.import_module(f"positroid_hstar.{module.name}")
+            for cls in vars(home).values():
+                if (isinstance(cls, type) and cls.__module__ == home.__name__
+                        and cls is not core._Record and vars(cls).get("__slots__")):
+                    slotted.append(cls.__name__)
+                    assert not set(PROTOCOL) & set(vars(cls)), cls.__name__
+        assert sorted(slotted) == sorted(SLOTTED)
