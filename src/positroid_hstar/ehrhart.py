@@ -8,14 +8,14 @@ E(0), E(1), ... into the h*-vector, a tuple of ints, and the Ehrhart
 polynomial, whose coefficients are rational (``ExactPolynomial``), is
 sum_j h*_j C(t + d - j, d).
 
-One DP body (``_tally``) does all counting.  Given tight rows, it also
-carries in its state the mask of rows a point meets with equality and
-returns the counts by mask; ``count_constrained`` is its plain total.
+One DP body (``_tally``) does all counting.  Its state has two levels: a
+head (the mask of tight rows met and the older prefix sums still read)
+maps the current prefix sum to a count, and each successor range is filled
+at once.  It returns the counts by mask; ``count_constrained`` totals them.
 ``upper_tally`` counts a connected positroid once per dilate, tallied by
 the upper facets each point lies on, and inclusion-exclusion reads every
 face's counts off that table: a face cut out by upper facets G holds the
-points whose mask contains G.  Counting a face alone, with its facets as
-equalities (``face_hstar``), is kept as the reference.
+points whose mask contains G (``face_hstar``, one face alone, is the reference).
 
 A connected positroid is counted from the irredundant canonical facets,
 compiled once into prefix-sum rows (``_facet_rows``): the redundant
@@ -109,13 +109,17 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
     """Vectors of ``count_constrained``, tallied by the mask of tight rows they meet.
 
     Rows need 0 <= a <= b <= dim; an empty row (a == b) asks lo <= 0 <= hi.
-    A forward DP steps q = 1..dim and maps each state, the mask so far and
-    the prefix sums that some later step still reads ending with z_q, to its
-    number of partial vectors.  A row (a, b) also prunes every step q in
-    a+1..b-1, where z_q - z_a must stay within reach of [lo, hi] with b - q
-    coordinates left.  A step skips a row the box 0 <= x <= box already
-    implies there, so a row implied by the box reads nothing.  A tight row
-    (a, b) is tested at step b.
+    A forward DP steps q = 1..dim; each head (the mask so far and each z_a,
+    a < q, that a later step reads) maps z_q to its number of partial
+    vectors.  Step q bounds x_q once and z_q once per head, so the successors
+    of (head, z_{q-1}) are one range of ints, filled at once.  A row (a, b)
+    also prunes every step q in a+1..b-1, where z_q - z_a must stay within
+    reach of [lo, hi] with b - q coordinates left.  A step skips a row the
+    box 0 <= x <= box already implies there, so a row implied by the box
+    reads nothing.  A tight row (a, b) is tested at step b.
+
+    >>> sorted(_tally(2, [(0, 2, 2, 2)], 2, [(0, 1, 0, 1), (1, 1, 0, 2)]).items())
+    [(2, 2), (3, 1)]
     """
     if box < 0:
         return {}
@@ -144,45 +148,54 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
             last_read[a] = max(b, last_read.get(a, 0))
         elif value == 0:
             mask |= bit
-    # A state is (mask, z_a for each live a, z_q); live holds those a.
-    live = [0]
-    states = {(mask, 0): 1}
-    for q in range(1, dim + 1):
-        pos = {a: k for k, a in enumerate(live, start=1)}
-        reads = [(pos[a], lo, hi) for a, (lo, hi) in checks[q].items()]
-        tests = [(pos[a], value, bit) for a, value, bit in marks[q]]
-        live = [a for a in live if last_read.get(a, 0) > q] + [q]
-        keep = [0] + [pos[a] for a in live[:-1]]
-        step: dict[tuple[int, ...], int] = {}
-        get = step.get
-        for state, ways in states.items():
-            low = state[-1]
-            high = low + box
-            for k, lo, hi in reads:
-                if state[k] + lo > low:
-                    low = state[k] + lo
-                if state[k] + hi < high:
-                    high = state[k] + hi
-            if low > high:
-                continue
-            head = tuple([state[k] for k in keep])
-            if tests:
-                rest = head[1:]
-                for z in range(low, high + 1):
-                    bits = state[0]
-                    for k, value, bit in tests:
-                        if z - state[k] == value:
-                            bits |= bit
-                    key = (bits, *rest, z)
-                    step[key] = get(key, 0) + ways
-            else:
-                for z in range(low, high + 1):
-                    key = (*head, z)
-                    step[key] = get(key, 0) + ways
-        states = step
+    live: list[int] = []  # the a whose z_a the head holds after the mask
+    states = {(mask,): {0: 1}}
     histogram: dict[int, int] = {}
-    for state, ways in states.items():
-        histogram[state[0]] = histogram.get(state[0], 0) + ways
+    for q in range(1, dim + 1):
+        dlo, dhi = checks[q].pop(q - 1, (0, box))  # the window of x_q = z_q - z_{q-1}
+        dlo, dhi = max(dlo, 0), min(dhi, box)
+        reads = checks[q] and [(live.index(a) + 1, lo, hi) for a, (lo, hi) in checks[q].items()]
+        tests = marks[q] and [(a < q - 1 and live.index(a) + 1, v, bit) for a, v, bit in marks[q]]
+        keep = [0] + [k for k, a in enumerate(live, start=1) if last_read[a] > q]
+        cut = len(keep) if keep[-1] == len(keep) - 1 else 0  # keep is a prefix of the head
+        carry = last_read.get(q - 1, 0) > q  # z_{q-1} moves into the head
+        live = [a for a in live if last_read[a] > q] + [q - 1] * carry
+        step: dict[tuple[int, ...], dict[int, int]] = {}
+        for head, inner in states.items():
+            low_abs, high_abs = -_INF, _INF
+            for k, lo, hi in reads:
+                if head[k] + lo > low_abs:
+                    low_abs = head[k] + lo
+                if head[k] + hi < high_abs:
+                    high_abs = head[k] + hi
+            base = head[:cut] if cut else tuple([head[k] for k in keep])
+            for zp, ways in inner.items():
+                low = zp + dlo if zp + dlo > low_abs else low_abs
+                high = zp + dhi if zp + dhi < high_abs else high_abs
+                if low > high:
+                    continue
+                special: dict[int, int] = {}  # z_q -> mask, where a test holds
+                if tests:
+                    for k, value, bit in tests:  # k = 0 (False) tests x_q
+                        if low <= (z := (head[k] if k else zp) + value) <= high:
+                            special[z] = special.get(z, head[0]) | bit
+                if q == dim and not special:  # no later step reads z_dim
+                    histogram[head[0]] = histogram.get(head[0], 0) + (high - low + 1) * ways
+                    continue
+                key = (*base, zp) if carry else base
+                if special:
+                    for z in range(low, high + 1):
+                        target = step.setdefault((special.get(z, head[0]), *key[1:]), {})
+                        target[z] = target.get(z, 0) + ways
+                elif (target := step.get(key)) is None:
+                    step[key] = dict.fromkeys(range(low, high + 1), ways)
+                else:
+                    for z in range(low, high + 1):
+                        target[z] = target.get(z, 0) + ways
+        if not (states := step):
+            break
+    for head, inner in states.items():
+        histogram[head[0]] = histogram.get(head[0], 0) + sum(inner.values())
     return histogram
 
 
@@ -336,14 +349,15 @@ class UpperTally(NamedTuple):
 
     facets: tuple[CanonicalFacet, ...]
     counts: tuple[dict[int, int], ...]
+    masks: dict[int, list[int]]  # each mask that occurs -> its counts at every t
 
     def face_counts(self, generators: Iterable[int], dim: int) -> tuple[int, ...]:
         """Counts at t = 0..dim of the face where every facet in
         ``generators`` (indices into ``facets``) is tight: the points whose
-        mask contains all of them."""
+        mask contains all of them, summed over ``masks`` in one pass."""
         need = sum(1 << i for i in set(generators))
-        return tuple(sum(ways for mask, ways in self.counts[t].items() if mask & need == need)
-                     for t in range(dim + 1))
+        inside = [row for mask, row in self.masks.items() if mask & need == need]
+        return tuple(map(sum, zip(*inside)))[:dim + 1]
 
 
 def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
@@ -359,7 +373,8 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     for t in range(necklace.n - 1):
         tight = [(f.lo - 1, f.hi - 1, t * f.bound, 1 << i) for i, f in enumerate(uppers)]
         counts.append(_tally(necklace.n, _body_rows(necklace, t, False, False), t, tight))
-    return UpperTally(uppers, tuple(counts))
+    masks = {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
+    return UpperTally(uppers, tuple(counts), masks)
 
 
 def _facet_rows(necklace: GrassmannNecklace) -> tuple[CompiledRow, ...]:

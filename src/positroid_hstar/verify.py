@@ -99,6 +99,12 @@ def size_cap() -> int:
     return int(value)
 
 
+def _over_cap(n: int) -> int:
+    print(f"error: n = {n} exceeds the size cap {size_cap()} "
+          "(override with POSITROID_MAX_N)", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def run_atlas(args) -> int:
     """The atlas command."""
     if args.n < 1:
@@ -107,9 +113,7 @@ def run_atlas(args) -> int:
         raise InputError(f"--rank must be between 0 and {args.n}, got {args.rank}")
     check_jobs(args.jobs)
     if args.n > size_cap():
-        print(f"error: n = {args.n} exceeds the size cap {size_cap()} "
-              "(override with POSITROID_MAX_N)", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _over_cap(args.n)
     selected = []
     for dec in all_decorated_permutations(args.n):
         necklace = po.necklace_from_decorated(dec)
@@ -445,6 +449,8 @@ def run_verify(args) -> int:
                              "(subdivision sampling needs n >= 4)")
         if args.max_n < 1:
             raise InputError(f"--max-n must be positive, got {args.max_n}")
+        if args.max_n > size_cap():
+            return _over_cap(args.max_n)
     for flag, samples in (("--w0-samples", args.w0_samples),
                           ("--subdivision-samples", args.subdivision_samples)):
         if samples < 0:

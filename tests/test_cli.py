@@ -447,6 +447,35 @@ class TestVerify:
             2, "", "error: --max-n must be at least 4 for the random scope "
                    "(subdivision sampling needs n >= 4)\n")
 
+    @pytest.mark.parametrize("cap, argv", [
+        (None, ("--scope", "roundtrip", "--max-n", "11")),  # the default cap, 7
+        ("5", ("--scope", "roundtrip", "--max-n", "6")),
+        ("5", ("--scope", "exhaustive", "--max-n", "6")),
+        ("5", ("--scope", "random", "--max-n", "6")),
+        ("5", ("--input", "12,23,13,14", "--max-n", "6")),
+    ])
+    def test_max_n_above_the_size_cap_exits_2_before_any_work(self, capsys, monkeypatch,
+                                                               cap, argv):
+        if cap is None:
+            monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("POSITROID_MAX_N", cap)
+        for name in ("verify_golden", "verify_roundtrips", "verify_exhaustive",
+                     "verify_random", "verify_single_input"):
+            monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("work started"))
+        max_n = argv[-1]
+        assert run(capsys, "verify", *argv) == (
+            2, "", f"error: n = {max_n} exceeds the size cap {cap or 7} "
+                   "(override with POSITROID_MAX_N)\n")
+        # the same wording as atlas --n
+        assert run(capsys, "atlas", "--n", max_n)[2] == run(capsys, "verify", *argv)[2]
+
+    def test_max_n_at_the_size_cap_still_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSITROID_MAX_N", "5")
+        code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "5")
+        assert (code, err) == (0, "")
+        assert "necklace/decorated round trips n <= 5" in out
+
     def test_random_scope_reads_each_labels_walls_once(self, monkeypatch):
         # the walls do not depend on the base, so every label's n walls are
         # read once however many bases are scored

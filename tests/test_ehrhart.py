@@ -94,8 +94,8 @@ def brute_count(dim, rows, box):
 
 
 @st.composite
-def counting_problems(draw):
-    dim = draw(st.integers(min_value=0, max_value=4))
+def counting_problems(draw, max_dim=4):
+    dim = draw(st.integers(min_value=0, max_value=max_dim))
     box = draw(st.integers(min_value=0, max_value=3))
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
@@ -159,12 +159,20 @@ def brute_tally(dim, rows, box, tight):
 
 
 @st.composite
-def tallying_problems(draw):
-    dim, rows, box = draw(counting_problems())
+def tallying_problems(draw, max_dim=4):
+    dim, rows, box = draw(counting_problems(max_dim))
+    if dim >= 2 and draw(st.booleans()):
+        # an equality on z_b - z_a with b >= a + 2 is read at step b unless
+        # box == 0, so z_a stays in the DP state past step a + 1
+        a = draw(st.integers(min_value=0, max_value=dim - 2))
+        b = draw(st.integers(min_value=a + 2, max_value=dim))
+        value = draw(st.integers(min_value=0, max_value=(b - a) * box))
+        rows.append((a, b, value, value))
     tight = []
     for i in range(draw(st.integers(min_value=0, max_value=4))):
         a = draw(st.integers(min_value=0, max_value=dim))
-        b = draw(st.integers(min_value=a, max_value=dim))
+        # b = a + 1 often: a tight row on z_{b-1}, which tests x_b alone
+        b = draw(st.one_of(st.just(min(a + 1, dim)), st.integers(min_value=a, max_value=dim)))
         value = draw(st.integers(min_value=-1, max_value=(b - a) * box + 1))
         tight.append((a, b, value, 1 << i))
     return dim, rows, box, tight
@@ -187,6 +195,127 @@ class TestTally:
     def test_tight_row_outside_the_coordinates_rejected(self):
         with pytest.raises(ValueError):
             _tally(2, [], 1, [(1, 3, 0, 1)])
+
+
+def reference_tally(dim, rows, box, tight=()):
+    """``_tally`` as a one-level DP: each state is one tuple, the mask, the
+    live prefix sums and z_q, so every successor point is a fresh tuple key.
+    The differential reference for the two-level kernel."""
+    if box < 0:
+        return {}
+    checks = [{} for _ in range(dim + 1)]
+    marks = [[] for _ in range(dim + 1)]
+    last_read = {}
+    for a, b, lo, hi in rows:
+        if not 0 <= a <= b <= dim:
+            raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
+        if a == b and not lo <= 0 <= hi:
+            return {}
+        for q in range(a + 1, b + 1):
+            lo_q = lo - (b - q) * box
+            if lo_q > 0 or hi < (q - a) * box:
+                old_lo, old_hi = checks[q].get(a, (lo_q, hi))
+                checks[q][a] = max(lo_q, old_lo), min(hi, old_hi)
+                last_read[a] = max(q, last_read.get(a, 0))
+    mask = 0
+    for a, b, value, bit in tight:
+        if not 0 <= a <= b <= dim:
+            raise ValueError(f"tight row ({a}, {b}) outside 0 <= a <= b <= {dim}")
+        if a < b:
+            marks[b].append((a, value, bit))
+            last_read[a] = max(b, last_read.get(a, 0))
+        elif value == 0:
+            mask |= bit
+    # A state is (mask, z_a for each live a, z_q); live holds those a.
+    live = [0]
+    states = {(mask, 0): 1}
+    for q in range(1, dim + 1):
+        pos = {a: k for k, a in enumerate(live, start=1)}
+        reads = [(pos[a], lo, hi) for a, (lo, hi) in checks[q].items()]
+        tests = [(pos[a], value, bit) for a, value, bit in marks[q]]
+        live = [a for a in live if last_read.get(a, 0) > q] + [q]
+        keep = [0] + [pos[a] for a in live[:-1]]
+        step = {}
+        get = step.get
+        for state, ways in states.items():
+            low = state[-1]
+            high = low + box
+            for k, lo, hi in reads:
+                if state[k] + lo > low:
+                    low = state[k] + lo
+                if state[k] + hi < high:
+                    high = state[k] + hi
+            if low > high:
+                continue
+            head = tuple([state[k] for k in keep])
+            if tests:
+                rest = head[1:]
+                for z in range(low, high + 1):
+                    bits = state[0]
+                    for k, value, bit in tests:
+                        if z - state[k] == value:
+                            bits |= bit
+                    key = (bits, *rest, z)
+                    step[key] = get(key, 0) + ways
+            else:
+                for z in range(low, high + 1):
+                    key = (*head, z)
+                    step[key] = get(key, 0) + ways
+        states = step
+    histogram = {}
+    for state, ways in states.items():
+        histogram[state[0]] = histogram.get(state[0], 0) + ways
+    return histogram
+
+
+def crosscheck_references():
+    """The three connected n = 7 positroids of the crosscheck7 benchmark workload."""
+    return [validate_necklace([[int(c) for c in subset] for subset in text.split(",")])
+            for text in ("123,235,345,457,567,267,237",
+                         "1234,2345,3456,4567,1567,1367,1237",
+                         "12345,23456,13456,14567,12567,12467,12347")]
+
+
+class TestKernelDifferential:
+    """The two-level ``_tally`` against the one-level ``reference_tally``."""
+
+    def test_every_oracle_and_inclusion_exclusion_call(self, monkeypatch):
+        calls = []
+
+        def recording(dim, rows, box, tight=()):
+            histogram = _tally(dim, rows, box, tight)
+            calls.append(((dim, rows, box, tight), histogram))
+            return histogram
+
+        monkeypatch.setattr(eh, "_tally", recording)
+        necklaces = [nk for nk in connected_up_to(5) if nk.n > 1] + crosscheck_references()
+        for necklace in necklaces:
+            eh.count_to_degree(necklace)
+            eh.count_to_degree(necklace, half_open=True)
+            eh.upper_tally(necklace)
+        assert len(necklaces) == 44 + 3  # n = 1 has no half-open body
+        assert len(calls) > 500 and sum(1 for (*_, tight), _ in calls if tight) > 150
+        for args, histogram in calls:
+            assert histogram == reference_tally(*args), args
+
+    @settings(max_examples=300, deadline=None)
+    @given(tallying_problems(max_dim=7))
+    def test_matches_the_reference_past_brute_force(self, problem):
+        assert _tally(*problem) == reference_tally(*problem)
+
+    @pytest.mark.parametrize("rows, tight", [
+        # x_1 + x_2 + x_3 == 4 keeps z_0 past step 1; x_2 == 1 tested on z_1
+        ([(0, 3, 4, 4)], [(1, 2, 1, 1)]),
+        # z_1 is read at step 3, so it moves into the head at step 2
+        ([(1, 3, 2, 2), (0, 3, -(1 << 62), 5)], [(1, 3, 2, 1), (2, 3, 0, 2), (0, 1, 3, 4)]),
+        # two tests marking the same point, one on z_{q-1} and one older
+        ([(0, 3, 3, 3)], [(2, 3, 1, 1), (0, 3, 3, 2), (1, 3, 2, 4)]),
+        # a tight row at the last step on z_{dim-1}
+        ([], [(2, 3, 3, 1), (2, 3, 0, 2)]),
+    ])
+    def test_carried_prefix_sums_and_tests_on_the_last_one(self, rows, tight):
+        assert _tally(3, rows, 3, tight) == reference_tally(3, rows, 3, tight) \
+            == brute_tally(3, rows, 3, tight)
 
 
 def uniform(k, n):

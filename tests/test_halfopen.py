@@ -269,6 +269,18 @@ class TestUpperTally:
                 counts = tally.face_counts(node.generators, node.dim)
                 assert _face_hstar_from_counts(counts) == face_hstar(facets, eqs, node.dim)
 
+    def test_face_counts_read_the_merged_masks_as_the_dilates(self):
+        # every face, mu(F, P) = 0 included: the per-mask rows give what a scan
+        # of each dilate's histogram gives
+        for necklace in [nk for n in range(2, 6) for nk in connected_necklaces(n)]:
+            tally = upper_tally(necklace)
+            assert set(tally.masks) == set().union(*tally.counts)
+            for node in face_poset_of_uppers(necklace).nodes[1:]:
+                need = sum(1 << i for i in node.generators)
+                assert tally.face_counts(node.generators, node.dim) == tuple(
+                    sum(ways for mask, ways in tally.counts[t].items() if mask & need == need)
+                    for t in range(node.dim + 1))
+
     def test_pyramid_tally(self):
         tally = upper_tally(PYRAMID)
         everything = (1 << len(tally.facets)) - 1
@@ -326,6 +338,13 @@ class TestClosedForms:
             expected = half_open_hypersimplex_hstar(k, n)
             assert hstar_half_open(necklace) == expected
             assert hstar_half_open_by_counting(necklace) == expected
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_counting_oracle_at_n10(self, k):
+        # past the n <= 8 closed forms, by counting alone: T_{k,10} closed, U(k,10) half-open
+        expected = tuple(math.comb(k - 1, i) * math.comb(9 - k, i) for i in range(min(k, 10 - k)))
+        assert hstar_by_counting(minimal_matroid(k, 10)) == expected
+        assert hstar_half_open_by_counting(uniform(k, 10)) == half_open_hypersimplex_hstar(k, 10)
 
     def test_small_values(self):
         assert half_open_hypersimplex_hstar(2, 5) == hstar_half_open(UNIFORM25)
