@@ -31,10 +31,6 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return echelon, sign * prev
 
 
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_eliminate(rows)[0])
-
-
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix."""
     echelon, det = _eliminate(rows)
@@ -47,5 +43,5 @@ def affine_rank(points: Sequence[Sequence[int]]) -> int:
     if not pts:
         return -1
     base = pts[0]
-    return matrix_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
+    return len(_eliminate([[a - b for a, b in zip(p, base)] for p in pts[1:]])[0])
 

@@ -133,12 +133,27 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
             raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
         if a == b and not lo <= 0 <= hi:
             return {}
-        for q in range(a + 1, b + 1):
-            lo_q = lo - (b - q) * box
-            if lo_q > 0 or hi < (q - a) * box:
-                old_lo, old_hi = checks[q].get(a, (lo_q, hi))
-                checks[q][a] = max(lo_q, old_lo), min(hi, old_hi)
-                last_read[a] = max(q, last_read.get(a, 0))
+        # step q keeps the row if lo - (b - q) * box > 0 or hi < (q - a) * box:
+        # both grow with q, so the kept steps are first..b
+        if box:
+            first = b - (lo - 1) // box
+            if (other := a + hi // box + 1) < first:
+                first = other
+            if first <= a:
+                first = a + 1
+        else:
+            first = a + 1 if lo > 0 or hi < 0 else b + 1
+        if first > b:
+            continue
+        for q in range(first, b + 1):
+            lo_q, check = lo - (b - q) * box, checks[q]
+            if a in check:
+                old_lo, old_hi = check[a]
+                check[a] = max(lo_q, old_lo), min(hi, old_hi)
+            else:
+                check[a] = lo_q, hi
+        if last_read.get(a, 0) < b:
+            last_read[a] = b
     mask = 0
     for a, b, value, bit in tight:
         if not 0 <= a <= b <= dim:

@@ -9,6 +9,9 @@ the half-open polytope, whose h*-polynomial is the descent generating
 function z^(des+1) over triangulation labels.  The closed h* is then
 recovered by Moebius inclusion-exclusion over the poset of intersections of
 upper facets, in integer arithmetic on the h*-vectors (tuples of ints).
+A face is the set of its bases as bitmasks, so an intersection is a set
+intersection, and its dimension is read off its matroid's connected
+components (``positroid.dimension_of_bases``).
 Each face's counts are read off one lattice count of the closed body per
 dilate, tallied by the upper facets each point lies on
 (``ehrhart.upper_tally``); the faces are not counted one by one.
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._linalg import affine_rank
 from .core import _trim, descent_count
 from .ehrhart import (
     CountProfile,
@@ -32,7 +34,8 @@ from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
     _facet_vertex_sets,
-    _projected_vertices,
+    basis_masks,
+    dimension_of_bases,
 )
 from .triangulation import enumerate_labels
 
@@ -73,9 +76,9 @@ def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
 
 
 class FaceNode(NamedTuple):
-    """A nonempty intersection of upper facets, identified by its vertex set."""
+    """A nonempty intersection of upper facets, identified by its bases (as bitmasks)."""
 
-    vertex_set: frozenset[tuple[int, ...]]
+    vertex_set: frozenset[int]
     dim: int
     generators: frozenset[int]
 
@@ -93,7 +96,7 @@ def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     faces = necklace.fact(_facet_vertex_sets)
     uppers = tuple(f for f in faces if f.upper)
     tight = [faces[f] for f in uppers]
-    all_vertices = frozenset(necklace.fact(_projected_vertices))
+    all_vertices = necklace.fact(basis_masks)
     seen = {all_vertices}
     queue = [all_vertices]
     while queue:
@@ -106,7 +109,7 @@ def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     nodes = []
     for vs in seen:
         gens = frozenset(i for i, tf in enumerate(tight) if vs <= tf)
-        nodes.append(FaceNode(vs, affine_rank(sorted(vs)), gens))
+        nodes.append(FaceNode(vs, dimension_of_bases(vs, necklace.n), gens))
     nodes.sort(key=lambda f: (-f.dim, sorted(f.vertex_set)))
     top = next(f for f in nodes if f.vertex_set == all_vertices)
     return FacePoset(top, tuple(nodes), uppers)

@@ -12,6 +12,9 @@ connectivity and direct-sum decomposition, and produces two H-representations
 of the polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
 necklace (``h_representation``), and for a connected positroid its
 irredundant facets in canonical interval form (``canonical_facets``).
+A face is kept as the bitmasks of its bases (``basis_masks``); it is the
+polytope of a matroid, whose dimension (``dimension_of_bases``) is n minus
+the number of connected components, so facets need no linear algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from ._linalg import affine_rank
 from .core import (
     _Record,
     cyclic_interval,
@@ -461,9 +463,54 @@ def zero_one_points(hrep: HRepresentation) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def basis_masks(necklace: GrassmannNecklace) -> frozenset[int]:
+    """The bases as bitmasks, bit k for element k (as in ``core.circuit_masks``)."""
+    return _masks(necklace.fact(bases_from_necklace))
+
+
+def _masks(bases: PositroidBases) -> frozenset[int]:
+    return frozenset(sum(1 << k for k in b) for b in bases.bases)
+
+
+def dimension_of_bases(masks: frozenset[int], n: int) -> int:
+    """Dimension of conv{e_B} over the basis bitmasks of a matroid on 1..n.
+
+    It is n minus the number of connected components of the matroid, and
+    those are the components of the fundamental graph of any one basis B:
+    i in B and j not in B are joined when B - i + j is a basis
+    (Feichtner-Sturmfels 2005).  Each union that joins two components of a
+    union-find over 1..n raises the dimension by one.
+
+    >>> dimension_of_bases(frozenset({0b010, 0b100}), 2)  # a segment
+    1
+    >>> dimension_of_bases(frozenset({0b010}), 2)  # a coloop and a loop
+    0
+    >>> square = frozenset({0b01010, 0b01100, 0b10010, 0b10100})  # U(1,2) + U(1,2)
+    >>> dimension_of_bases(square, 4)
+    2
+    """
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    base = next(iter(masks))
+    outside = [j for j in range(1, n + 1) if not base >> j & 1]
+    dim = 0
+    for i in range(1, n + 1):
+        if base >> i & 1:
+            for j in outside:
+                if base ^ 1 << i | 1 << j in masks and (a := find(i)) != (b := find(j)):
+                    parent[a] = b
+                    dim += 1
+    return dim
+
+
 def polytope_dimension(bases: PositroidBases) -> int:
     """Affine dimension of the polytope (n-1 exactly when connected)."""
-    return affine_rank(vertices(bases))
+    return dimension_of_bases(_masks(bases), bases.n)
 
 
 class CanonicalFacet(NamedTuple):
@@ -499,23 +546,18 @@ def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, boo
     return cands
 
 
-def _projected_vertices(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], ...]:
-    """Vertices of the polytope with the last coordinate dropped."""
-    return tuple(v[:-1] for v in vertices(necklace.fact(bases_from_necklace)))
-
-
-def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, frozenset]:
-    """Canonical facets in sorted order, each with its set of projected vertices."""
+def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, frozenset[int]]:
+    """Canonical facets in sorted order, each with the bitmasks of its bases."""
     n = necklace.n
     if n == 1:
         return {}
     necklace.require_connected("canonical facet form")
-    proj = necklace.fact(_projected_vertices)
+    masks = necklace.fact(basis_masks)
     faces = {}
     for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
-        block = range(lo - 1, hi - 1)
-        tight = frozenset(v for v in proj if sum(v[k] for k in block) == bound)
-        if affine_rank(tight) == n - 2:
+        block = (1 << hi) - (1 << lo)  # the bits of x_lo, ..., x_{hi-1}
+        tight = frozenset(b for b in masks if (b & block).bit_count() == bound)
+        if dimension_of_bases(tight, n) == n - 2:
             faces[CanonicalFacet(lo, hi, bound, upper)] = tight
     return faces
 
@@ -524,7 +566,7 @@ def canonical_facets(necklace: GrassmannNecklace) -> tuple[CanonicalFacet, ...]:
     """Facets of the projected polytope in canonical interval form.
 
     Candidates come from the necklace inequalities plus nonnegativity; an
-    inequality survives exactly when its tight vertex set has affine
+    inequality survives exactly when its tight bases span a face of
     dimension one less than the polytope (this prunes redundant members of
     the raw list).  Sorted by (lo, hi, bound, upper).
     """

@@ -46,7 +46,7 @@ from .positroid import (
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
-    bases_from_necklace,
+    basis_masks,
 )
 
 
@@ -88,7 +88,7 @@ def labels_by_bases(necklace: GrassmannNecklace) -> tuple[Word, ...]:
 
 def _labels_of_bases(words: Iterable[Word], necklace: GrassmannNecklace) -> tuple[Word, ...]:
     """The words whose circuit subsets are all bases, in order (bases as bitmasks)."""
-    bases = {sum(1 << k for k in b) for b in necklace.fact(bases_from_necklace).bases}
+    bases = necklace.fact(basis_masks)
     return tuple(w for w in words if bases.issuperset(circuit_masks(w)))
 
 

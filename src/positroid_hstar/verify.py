@@ -43,7 +43,7 @@ from .cli import (
 )
 from .core import ExactPolynomial, circuit_subsets
 
-RANDOM_MAX_N = 7  # verify --scope random samples n <= 7 unless --max-n says otherwise
+RANDOM_MAX_N = 7  # verify --scope random samples n <= min(7, size cap) unless given --max-n
 
 
 def check_jobs(jobs: int) -> None:
@@ -443,10 +443,14 @@ def run_verify(args) -> int:
     """The verify command."""
     check_jobs(args.jobs)
     scope = args.scope
-    if args.max_n is not None:
-        if scope == "random" and not args.input and args.max_n < 4:
+    if scope in ("random", "all") and not args.input:
+        # only --scope random reads --max-n: under all it bounds the sweeps alone
+        random_max_n = (args.max_n if scope == "random" and args.max_n is not None
+                        else min(RANDOM_MAX_N, size_cap()))
+        if random_max_n < 4:
             raise InputError("--max-n must be at least 4 for the random scope "
                              "(subdivision sampling needs n >= 4)")
+    if args.max_n is not None:
         if args.max_n < 1:
             raise InputError(f"--max-n must be positive, got {args.max_n}")
         if args.max_n > size_cap():
@@ -467,10 +471,8 @@ def run_verify(args) -> int:
         if scope in ("exhaustive", "all"):
             checks += verify_exhaustive(max_n, args.jobs)
         if scope in ("random", "all"):
-            # only --scope random reads --max-n: under all it bounds the sweeps alone
-            explicit = scope == "random" and args.max_n is not None
             checks += verify_random(args.seed, args.w0_samples, args.subdivision_samples,
-                                    args.max_n if explicit else RANDOM_MAX_N)
+                                    random_max_n)
     width = max(len(name) for name, _, _ in checks)
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

@@ -430,6 +430,19 @@ class TestVerify:
         assert "base-point independence (3 samples, n <= 5)" in out
         assert "subdivision agreement (3 samples, n <= 5)" in out
 
+    def test_random_scope_defaults_to_the_size_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSITROID_MAX_N", "5")
+        code, out, _ = run(capsys, "verify", "--scope", "random",
+                           "--w0-samples", "3", "--subdivision-samples", "3")
+        assert code == 0
+        assert "base-point independence (3 samples, n <= 5)" in out
+        assert "subdivision agreement (3 samples, n <= 5)" in out
+        monkeypatch.setenv("POSITROID_MAX_N", "3")
+        for scope in ("random", "all"):
+            assert run(capsys, "verify", "--scope", scope) == (
+                2, "", "error: --max-n must be at least 4 for the random scope "
+                       "(subdivision sampling needs n >= 4)\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("--scope", "random", "--w0-samples", "-1", "--subdivision-samples", "-2"),
          "--w0-samples must be nonnegative, got -1"),

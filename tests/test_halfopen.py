@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from positroid_hstar import ehrhart as eh
+from positroid_hstar._linalg import affine_rank
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.ehrhart import (
     CountProfile,
@@ -24,15 +26,22 @@ from positroid_hstar.halfopen import (
     moebius,
 )
 from positroid_hstar.positroid import (
+    CanonicalFacet,
+    DecoratedPermutation,
     HRepresentation,
     IntervalInequality,
     PositroidBases,
+    _projected_candidates,
     bases_from_necklace,
     canonical_facets,
+    dimension_of_bases,
     facet_representation,
     h_representation,
+    necklace_connected,
     necklace_from_bases,
+    necklace_from_decorated,
     validate_necklace,
+    vertices,
 )
 from positroid_hstar.triangulation import (
     enumerate_labels,
@@ -84,6 +93,51 @@ class TestCanonicalFacets:
     def test_redundant_inequalities_pruned(self):
         # x_1+x_2+x_3 >= 1 holds on the pyramid but is not a facet
         assert "x_1+x_2+x_3 >= 1" not in facet_strings(PYRAMID, False)
+
+
+def tight_vertex_sets(necklace):
+    """Each candidate facet's tight vertices e_B, all n coordinates."""
+    verts = vertices(bases_from_necklace(necklace))
+    return {CanonicalFacet(*c): [v for v in verts if sum(v[c[0] - 1:c[1] - 1]) == c[2]]
+            for c in sorted(_projected_candidates(h_representation(necklace)))}
+
+
+def masks_of(verts):
+    return frozenset(sum(x << k for k, x in enumerate(v, start=1)) for v in verts)
+
+
+def random_connected(rng, n):
+    while True:
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        necklace = necklace_from_decorated(DecoratedPermutation(tuple(perm)))
+        if necklace.fact(necklace_connected):
+            return necklace
+
+
+class TestFaceDimensions:
+    """Dimensions read off the fundamental graph, against Bareiss elimination."""
+
+    NECKLACES = [*(necklace for n in range(2, 7) for necklace in connected_necklaces(n)),
+                 *SEVENS]
+
+    def test_every_candidate_and_upper_face(self):
+        assert len(self.NECKLACES) == 250 + 3  # every connected 2 <= n <= 6, and three n = 7
+        for necklace in self.NECKLACES:
+            n = necklace.n
+            for tight in tight_vertex_sets(necklace).values():
+                assert dimension_of_bases(masks_of(tight), n) == affine_rank(tight)
+            for node in face_poset_of_uppers(necklace).nodes:
+                verts = [tuple(m >> k & 1 for k in range(1, n + 1)) for m in node.vertex_set]
+                assert node.dim == affine_rank(verts), (necklace.compact(), node)
+
+    def test_canonical_facets_match_the_affine_rank_reference_past_the_sweep(self):
+        rng = random.Random(19)
+        for n in range(9, 13):
+            necklace = random_connected(rng, n)
+            reference = tuple(f for f, tight in tight_vertex_sets(necklace).items()
+                              if affine_rank(tight) == n - 2)
+            assert canonical_facets(necklace) == reference, necklace
 
 
 class TestHalfOpenDescents:

@@ -60,6 +60,14 @@ class TestColdStart:
         assert loaded_after(["tree", SQUARE]) == ["positroid_hstar.tree"]
 
 
+def test_only_the_linear_algebra_module_binds_affine_rank():
+    # face dimensions come from basis bitmasks; the elimination is the tests' reference
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        assert hasattr(home, "affine_rank") == (module.name == "_linalg"), module.name
+    assert not hasattr(po, "_projected_vertices")
+
+
 class TestPublicNames:
     # positroid_hstar.__all__ as it was when the package imported every module eagerly
     PINNED = [

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroid_hstar import positroid as po
+from positroid_hstar._linalg import affine_rank
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     NecklaceError,
@@ -157,6 +158,13 @@ class TestRankAndConnectivity:
                 B = bases_from_necklace(necklace_from_decorated(dec))
                 if is_connected(B):
                     assert polytope_dimension(B) == n - 1
+
+    def test_polytope_dimension_matches_the_affine_rank_of_the_vertices(self):
+        # disconnected positroids included: n minus the number of components
+        for n in range(1, 6):
+            for dec in decorated_permutations(n):
+                B = bases_from_necklace(necklace_from_decorated(dec))
+                assert polytope_dimension(B) == affine_rank(vertices(B)), dec
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sif_agrees_with_rank_split(self, n):
