@@ -6,10 +6,13 @@ Inputs are JSON objects keyed by representation ("necklace", "pi", "bases",
 polynomial output lists coefficients in ascending degree, with rationals
 rendered as "p/q" strings.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 connectivity precondition violated.  A reader that closes stdout early
-(``| head``) ends any command quietly with exit code 0: the rest of the
-output goes to os.devnull and nothing is printed on stderr.
+Each report command is a function from parsed arguments to its report dict.
+``main`` alone times it, emits the report and maps an exception to one
+``error:`` line on stderr and an exit code: 0 success, 1 verification
+failure, 2 invalid input, 3 connectivity precondition violated.  A reader
+that closes stdout early (``| head``) ends any command quietly with exit
+code 0: the rest of the output goes to os.devnull and nothing is printed on
+stderr.
 
 A process imports only what its command runs: ``ehrhart`` and ``halfopen``
 when a route needs them, ``tree`` for subdivision input, and the suites of
@@ -25,11 +28,10 @@ import math
 import os
 import sys
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import positroid as po
 from . import triangulation as tg
-from .core import ExactPolynomial
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -86,8 +88,9 @@ def parse_input(text: str) -> tuple[str, object]:
             if "n" in doc:
                 _integers("n", [doc["n"]])
             if "necklace" in doc:
-                return "necklace", po.validate_necklace(
-                    [frozenset(_integers("necklace", s)) for s in doc["necklace"]], doc.get("n"))
+                subsets = [frozenset(_integers("necklace", s))
+                           for s in _list("necklace", doc["necklace"])]
+                return "necklace", po.validate_necklace(subsets, doc.get("n"))
             if "pi" in doc:
                 perm = tuple(_integers("pi", doc["pi"]))
                 if "n" in doc and doc["n"] != len(perm):
@@ -109,10 +112,13 @@ def parse_input(text: str) -> tuple[str, object]:
                         f"colors must cover exactly the fixed points {sorted(fixed)}")
                 return "decorated", po.DecoratedPermutation(perm, white)
             if "bases" in doc:
-                subsets = frozenset(frozenset(_integers("bases", b)) for b in doc["bases"])
+                subsets = frozenset(frozenset(_integers("bases", b))
+                                    for b in _list("bases", doc["bases"]))
                 sizes = {len(b) for b in subsets}
                 if len(sizes) != 1:
                     raise InputError("bases must all have the same size")
+                if "n" not in doc and sizes == {0}:
+                    raise InputError('bases: the only basis is empty, so "n" must be given')
                 n = doc["n"] if "n" in doc else max(max(b) for b in subsets)
                 bases = po.PositroidBases(n, sizes.pop(), subsets)
                 if not po.is_matroid(bases):
@@ -121,7 +127,12 @@ def parse_input(text: str) -> tuple[str, object]:
             if "cells" in doc:
                 from .tree import validate_subdivision
 
-                cells = [(c["color"], _integers("vertices", c["vertices"])) for c in doc["cells"]]
+                if "n" not in doc:
+                    raise InputError('cells: a subdivision needs "n"')
+                cells = _list("cells", doc["cells"])
+                if not all(isinstance(c, dict) and "color" in c and "vertices" in c for c in cells):
+                    raise InputError('cells: each cell needs a "color" and "vertices"')
+                cells = [(c["color"], _integers("vertices", c["vertices"])) for c in cells]
                 return "subdivision", validate_subdivision(doc["n"], cells)
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(str(exc)) from exc
@@ -129,10 +140,18 @@ def parse_input(text: str) -> tuple[str, object]:
     return "necklace", parse_compact_necklace(text)
 
 
-def _integers(field: str, values: Iterable[object]) -> list[int]:
-    """The entries of an integer field, as a list; floats, booleans and the
-    like are input errors (``1.0`` and ``true`` would otherwise pass as 1)."""
-    out = list(values)
+def _list(field: str, value: object) -> list:
+    """A JSON list given for ``field``; any other value is an input error."""
+    if not isinstance(value, list):
+        raise InputError(f"{field}: expected a list, got {json.dumps(value)}")
+    return value
+
+
+def _integers(field: str, values: object) -> list[int]:
+    """The entries of an integer list field; floats, booleans and the like are
+    input errors (``1.0`` and ``true`` would otherwise pass as 1).  A string
+    is read as its characters, so its first one is the entry reported."""
+    out = list(values) if isinstance(values, str) else _list(field, values)
     for v in out:
         if isinstance(v, bool) or not isinstance(v, int):
             raise InputError(f"{field}: expected an integer, got {json.dumps(v)}")
@@ -199,10 +218,6 @@ def poly_ints(h: tuple[int, ...]) -> list[int]:
     return list(h)
 
 
-def poly_rationals(poly: ExactPolynomial) -> list[str]:
-    return [str(c) for c in poly.coefficients]
-
-
 def open_out(path: str, mode: str = "w"):
     """The --out file, opened for writing; an OS error is an input error."""
     try:
@@ -222,11 +237,9 @@ def check_out(path: str) -> None:
 
 
 def emit(report: dict, args) -> None:
-    out = sys.stdout
-    if getattr(args, "out", None):
-        out = open_out(args.out)
+    out = open_out(args.out) if args.out else sys.stdout
     try:
-        if getattr(args, "format", "json") == "text":
+        if args.format == "text":
             _emit_text(report, out)
         else:
             # a few thousand encoder chunks per write: stdout may be unbuffered
@@ -247,12 +260,6 @@ def _emit_text(report: dict, out, prefix: str = "") -> None:
             _emit_text(value, out, prefix + "  ")
         else:
             out.write(f"{prefix}{key}: {value}\n")
-
-
-def _maybe_time(report: dict, args, start: float) -> dict:
-    if getattr(args, "timing", False):
-        report["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +327,7 @@ def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_convert(args) -> int:
-    start = time.perf_counter()
+def cmd_convert(args) -> dict:
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
     bases = necklace.fact(po.bases_from_necklace)
@@ -339,17 +345,14 @@ def cmd_convert(args) -> int:
     }
     if not connected:
         report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
-    emit(_maybe_time(report, args, start), args)
-    return EXIT_OK
+    return report
 
 
-def cmd_hstar(args) -> int:
-    start = time.perf_counter()
+def cmd_hstar(args) -> dict:
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
     connected = necklace.fact(po.necklace_connected)
-    half_open = args.half_open
-    method = args.method or ("descents" if half_open else "shelling")
+    method = args.method or ("descents" if args.half_open else "shelling")
 
     report = {
         "input_kind": kind,
@@ -357,9 +360,9 @@ def cmd_hstar(args) -> int:
         "rank": necklace.rank,
         "necklace": [sorted(s) for s in necklace.subsets],
         "connected": connected,
-        "half_open": half_open,
+        "half_open": args.half_open,
     }
-    if half_open:
+    if args.half_open:
         if method in ("shelling", "inclusion-exclusion"):
             raise InputError(f"method {method} does not apply to half-open polytopes; "
                              "use descents or oracle")
@@ -373,19 +376,17 @@ def cmd_hstar(args) -> int:
             methods = ("oracle",)
     if args.w0 is not None and "shelling" not in methods:
         raise InputError("--w0 applies only to the shelling method")
-    if half_open:
+    if args.half_open:
         if not connected:
-            print("error: half-open h* needs a connected positroid; "
-                  "split with decompose_direct_sum", file=sys.stderr)
-            return EXIT_DISCONNECTED
+            raise po.DisconnectedPositroidError(
+                "half-open h* needs a connected positroid; split with decompose_direct_sum")
         results = hstar_half_open_all_methods(necklace, methods)
     else:
         if not connected:
             if methods != ("oracle",):
-                print(f"error: method {method} needs a connected positroid; "
-                      "split with decompose_direct_sum and multiply Ehrhart factors",
-                      file=sys.stderr)
-                return EXIT_DISCONNECTED
+                raise po.DisconnectedPositroidError(
+                    f"method {method} needs a connected positroid; "
+                    "split with decompose_direct_sum and multiply Ehrhart factors")
             bases = necklace.fact(po.bases_from_necklace)
             report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
         base = parse_word(args.w0) if args.w0 is not None else None
@@ -397,36 +398,31 @@ def cmd_hstar(args) -> int:
                                    else len(necklace.fact(tg.enumerate_labels)))
     report["hstar"] = results
     report["verdict"] = agreement_verdict(results) if len(results) > 1 else None
-    emit(_maybe_time(report, args, start), args)
-    return EXIT_OK
+    return report
 
 
-def cmd_ehrhart(args) -> int:
+def cmd_ehrhart(args) -> dict:
     from . import ehrhart as eh
 
-    start = time.perf_counter()
     if args.tmax is not None and args.tmax < 0:
         raise InputError("--tmax must be nonnegative")
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
     ehr = eh.ehrhart_of_positroid(necklace)
     tmax = args.tmax if args.tmax is not None else ehr.dim
-    report = {
+    return {
         "input_kind": kind,
         "n": necklace.n,
         "rank": necklace.rank,
         "connected": necklace.fact(po.necklace_connected),
         "dim": ehr.dim,
-        "ehrhart": poly_rationals(ehr.poly),
+        "ehrhart": [str(c) for c in ehr.poly.coefficients],
         "counts": [int(ehr(t)) for t in range(tmax + 1)],
         "hstar": poly_ints(eh.hstar_by_counting(necklace)),
     }
-    emit(_maybe_time(report, args, start), args)
-    return EXIT_OK
 
 
-def cmd_triangulate(args) -> int:
-    start = time.perf_counter()
+def cmd_triangulate(args) -> dict:
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
     labels = necklace.fact(tg.enumerate_labels)
@@ -449,14 +445,12 @@ def cmd_triangulate(args) -> int:
     }
     if not affine.ok:
         report["affine_problems"] = list(affine.problems)
-    emit(_maybe_time(report, args, start), args)
-    return EXIT_OK
+    return report
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args) -> dict:
     from . import tree as tr
 
-    start = time.perf_counter()
     kind, tau = parse_input(read_input(args.input))
     if kind != "subdivision":
         raise InputError("the tree command expects a subdivision "
@@ -465,7 +459,7 @@ def cmd_tree(args) -> int:
     poly = tg.hstar_shelling(tree.necklace, parse_word(args.w0) if args.w0 is not None else None)
     arc_rows = [{"arc": [a.start, a.end], "facet_defining": a.facet_defining, "area": a.area}
                 for a in tr.arcs(tau) if a.compatible]
-    report = {
+    return {
         "input_kind": kind,
         "n": tau.n,
         "type": tau.type_count,
@@ -477,20 +471,10 @@ def cmd_tree(args) -> int:
         "compatible_arcs": arc_rows,
         "hstar": poly_ints(poly),
     }
-    emit(_maybe_time(report, args, start), args)
-    return EXIT_OK
 
 
-def cmd_atlas(args) -> int:
-    from .verify import run_atlas
-
-    return run_atlas(args)
-
-
-def cmd_verify(args) -> int:
-    from .verify import run_verify
-
-    return run_verify(args)
+REPORTS = {"convert": cmd_convert, "hstar": cmd_hstar, "ehrhart": cmd_ehrhart,
+           "triangulate": cmd_triangulate, "tree": cmd_tree}
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +486,6 @@ Check = tuple[str, bool, str]
 
 def _check(name: str, ok: bool, detail: str = "") -> Check:
     return (name, bool(ok), detail)
-
-
-def _moebius_by_dim(necklace: po.GrassmannNecklace) -> dict[int, list[int]]:
-    """Sorted Moebius values of the upper-facet face poset, by face dimension."""
-    from . import halfopen as ho
-
-    by_dim: dict[int, list[int]] = {}
-    for node, value in ho.moebius(ho.face_poset_of_uppers(necklace)).items():
-        by_dim.setdefault(node.dim, []).append(value)
-    return {d: sorted(v) for d, v in by_dim.items()}
 
 
 def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
@@ -649,19 +623,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "convert": cmd_convert,
-        "hstar": cmd_hstar,
-        "ehrhart": cmd_ehrhart,
-        "triangulate": cmd_triangulate,
-        "tree": cmd_tree,
-        "atlas": cmd_atlas,
-        "verify": cmd_verify,
-    }
     try:
         if getattr(args, "out", None):
             check_out(args.out)
-        code = handlers[args.command](args)
+        if args.command in REPORTS:
+            start = time.perf_counter()
+            report = REPORTS[args.command](args)
+            if args.timing:
+                report["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)
+            emit(report, args)
+            code = EXIT_OK
+        else:
+            from . import verify
+
+            code = verify.run_atlas(args) if args.command == "atlas" else verify.run_verify(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
         return code
     except BrokenPipeError:

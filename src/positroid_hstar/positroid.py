@@ -272,8 +272,9 @@ def rank_of(subset: Iterable[int], bases: PositroidBases) -> int:
     return max(len(b & s) for b in bases.bases)
 
 
-def _rank_split(bases: PositroidBases) -> frozenset[int] | None:
-    """A proper nonempty subset whose rank and its complement's add up to r, if any."""
+def is_connected(bases: PositroidBases) -> bool:
+    """True iff no proper nonempty subset splits the rank additively; exponential
+    in n, it is the reference for ``necklace_connected`` and ``components_of_bases``."""
     n, r = bases.n, bases.r
     ground = frozenset(range(1, n + 1))
     for size in range(1, n // 2 + 1):
@@ -282,13 +283,8 @@ def _rank_split(bases: PositroidBases) -> frozenset[int] | None:
             if size == n - size and 1 not in s:
                 continue  # each half/complement pair once
             if rank_of(s, bases) + rank_of(ground - s, bases) == r:
-                return s
-    return None
-
-
-def is_connected(bases: PositroidBases) -> bool:
-    """True iff no proper nonempty subset splits the rank additively."""
-    return _rank_split(bases) is None
+                return False
+    return True
 
 
 def necklace_connected(necklace: GrassmannNecklace) -> bool:
@@ -333,25 +329,17 @@ def _restrict_bases(bases: PositroidBases, ground: tuple[int, ...]) -> Positroid
     relabel = {v: k for k, v in enumerate(ground, start=1)}
     restricted = frozenset(frozenset(relabel[v] for v in b & set(ground)) for b in bases.bases)
     sizes = {len(b) for b in restricted}
-    assert len(sizes) == 1, "rank split produced unequal restrictions"
+    assert len(sizes) == 1, "a component produced unequal restrictions"
     return PositroidBases(len(ground), sizes.pop(), restricted)
 
 
 def decompose_direct_sum(bases: PositroidBases) -> list[tuple[tuple[int, ...], PositroidBases]]:
     """Finest direct-sum decomposition, as (ground subset, relabeled component) pairs.
 
-    Components are ordered by their smallest ground element.  Loops and
-    coloops come out as singleton components of rank 0 and 1.
+    Components (those of ``components_of_bases``) are ordered by their smallest
+    ground element.  Loops and coloops come out as singleton components of rank 0 and 1.
     """
-    ground = frozenset(range(1, bases.n + 1))
-    split = _rank_split(bases)
-    if split is None:
-        return [(tuple(sorted(ground)), bases)]
-    parts = []
-    for g in (tuple(sorted(split)), tuple(sorted(ground - split))):
-        for sub_ground, sub_comp in decompose_direct_sum(_restrict_bases(bases, g)):
-            parts.append((tuple(g[k - 1] for k in sub_ground), sub_comp))
-    return sorted(parts, key=lambda p: p[0])
+    return [(g, _restrict_bases(bases, g)) for g in components_of_bases(_masks(bases), bases.n)]
 
 
 class IntervalInequality(_Record):
@@ -472,22 +460,12 @@ def _masks(bases: PositroidBases) -> frozenset[int]:
     return frozenset(sum(1 << k for k in b) for b in bases.bases)
 
 
-def dimension_of_bases(masks: frozenset[int], n: int) -> int:
-    """Dimension of conv{e_B} over the basis bitmasks of a matroid on 1..n.
-
-    It is n minus the number of connected components of the matroid, and
-    those are the components of the fundamental graph of any one basis B:
-    i in B and j not in B are joined when B - i + j is a basis
-    (Feichtner-Sturmfels 2005).  Each union that joins two components of a
-    union-find over 1..n raises the dimension by one.
-
-    >>> dimension_of_bases(frozenset({0b010, 0b100}), 2)  # a segment
-    1
-    >>> dimension_of_bases(frozenset({0b010}), 2)  # a coloop and a loop
-    0
-    >>> square = frozenset({0b01010, 0b01100, 0b10010, 0b10100})  # U(1,2) + U(1,2)
-    >>> dimension_of_bases(square, 4)
-    2
+def _fundamental_union_find(masks: frozenset[int], n: int) -> tuple[Callable[[int], int], int]:
+    """The components of a matroid on 1..n, given by its basis bitmasks, as a
+    union-find: they are those of the fundamental graph of any one basis B,
+    which joins i in B and j not in B when B - i + j is a basis
+    (Feichtner-Sturmfels 2005).  Returns its find and the number of unions
+    that joined two components.
     """
     parent = list(range(n + 1))
 
@@ -498,14 +476,48 @@ def dimension_of_bases(masks: frozenset[int], n: int) -> int:
 
     base = next(iter(masks))
     outside = [j for j in range(1, n + 1) if not base >> j & 1]
-    dim = 0
+    unions = 0
     for i in range(1, n + 1):
         if base >> i & 1:
             for j in outside:
                 if base ^ 1 << i | 1 << j in masks and (a := find(i)) != (b := find(j)):
                     parent[a] = b
-                    dim += 1
-    return dim
+                    unions += 1
+    return find, unions
+
+
+def components_of_bases(masks: frozenset[int], n: int) -> list[tuple[int, ...]]:
+    """The connected components of a matroid on 1..n, given by its basis
+    bitmasks, ordered by their least element.
+
+    >>> components_of_bases(frozenset({0b010, 0b100}), 2)  # a segment
+    [(1, 2)]
+    >>> components_of_bases(frozenset({0b010}), 2)  # a coloop and a loop
+    [(1,), (2,)]
+    >>> square = frozenset({0b01010, 0b01100, 0b10010, 0b10100})  # U(1,2) + U(1,2)
+    >>> components_of_bases(square, 4)
+    [(1, 2), (3, 4)]
+    """
+    find, _ = _fundamental_union_find(masks, n)
+    blocks: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        blocks.setdefault(find(x), []).append(x)
+    return [tuple(block) for block in blocks.values()]
+
+
+def dimension_of_bases(masks: frozenset[int], n: int) -> int:
+    """Dimension of conv{e_B} over the basis bitmasks of a matroid on 1..n: n
+    minus the number of components, so one per joining union.
+
+    >>> dimension_of_bases(frozenset({0b010, 0b100}), 2)  # a segment
+    1
+    >>> dimension_of_bases(frozenset({0b010}), 2)  # a coloop and a loop
+    0
+    >>> square = frozenset({0b01010, 0b01100, 0b10010, 0b10100})  # U(1,2) + U(1,2)
+    >>> dimension_of_bases(square, 4)
+    2
+    """
+    return _fundamental_union_find(masks, n)[1]
 
 
 def polytope_dimension(bases: PositroidBases) -> int:

@@ -22,14 +22,12 @@ from . import tree as tr
 from . import triangulation as tg
 from .cli import (
     CLOSED_METHODS,
-    EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     Check,
     InputError,
     _check,
     _exhaustive_worker,
-    _moebius_by_dim,
     agreement_verdict,
     all_decorated_permutations,
     connected_necklaces,
@@ -99,10 +97,9 @@ def size_cap() -> int:
     return int(value)
 
 
-def _over_cap(n: int) -> int:
-    print(f"error: n = {n} exceeds the size cap {size_cap()} "
-          "(override with POSITROID_MAX_N)", file=sys.stderr)
-    return EXIT_BAD_INPUT
+def check_cap(n: int) -> None:
+    if n > (cap := size_cap()):
+        raise InputError(f"n = {n} exceeds the size cap {cap} (override with POSITROID_MAX_N)")
 
 
 def run_atlas(args) -> int:
@@ -112,8 +109,7 @@ def run_atlas(args) -> int:
     if args.rank is not None and not 0 <= args.rank <= args.n:
         raise InputError(f"--rank must be between 0 and {args.n}, got {args.rank}")
     check_jobs(args.jobs)
-    if args.n > size_cap():
-        return _over_cap(args.n)
+    check_cap(args.n)
     selected = []
     for dec in all_decorated_permutations(args.n):
         necklace = po.necklace_from_decorated(dec)
@@ -158,6 +154,14 @@ def _write_atlas_csv(rows: list[dict], out) -> None:
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
+
+def _moebius_by_dim(necklace: po.GrassmannNecklace) -> dict[int, list[int]]:
+    """Sorted Moebius values of the upper-facet face poset, by face dimension."""
+    by_dim: dict[int, list[int]] = {}
+    for node, value in ho.moebius(ho.face_poset_of_uppers(necklace)).items():
+        by_dim.setdefault(node.dim, []).append(value)
+    return {d: sorted(v) for d, v in by_dim.items()}
+
 
 def verify_golden() -> list[Check]:
     """Golden fixtures: small instances with known values, every pipeline."""
@@ -453,8 +457,7 @@ def run_verify(args) -> int:
     if args.max_n is not None:
         if args.max_n < 1:
             raise InputError(f"--max-n must be positive, got {args.max_n}")
-        if args.max_n > size_cap():
-            return _over_cap(args.max_n)
+        check_cap(args.max_n)
     for flag, samples in (("--w0-samples", args.w0_samples),
                           ("--subdivision-samples", args.subdivision_samples)):
         if samples < 0:

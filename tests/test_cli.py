@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -122,6 +123,20 @@ class TestParsing:
             cli.parse_input(doc)
         assert run(capsys, "convert", doc) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("convert", '{"bases": [[]]}', 'bases: the only basis is empty, so "n" must be given'),
+        ("convert", '{"cells": []}', 'cells: a subdivision needs "n"'),
+        ("tree", '{"n": 4, "cells": [{"colour": "black"}]}',
+         'cells: each cell needs a "color" and "vertices"'),
+        ("tree", '{"n": 4, "cells": "abc"}', 'cells: expected a list, got "abc"'),
+        ("convert", '{"pi": 5}', "pi: expected a list, got 5"),
+        ("convert", '{"necklace": [1, 2]}', "necklace: expected a list, got 1"),
+        ("convert", '{"bases": [1, 2]}', "bases: expected a list, got 1"),
+        ("tree", '{"n": 4, "cells": [3]}', 'cells: each cell needs a "color" and "vertices"'),
+    ])
+    def test_json_shape_errors_name_their_field(self, capsys, command, doc, message):
+        assert run(capsys, command, doc) == (2, "", f"error: {message}\n")
+
     def test_input_flag_belongs_to_verify_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["hstar", "--input", "12,23,13,14"])
@@ -179,9 +194,14 @@ class TestHstar:
         assert code == 2 and "half-open" in err
 
     def test_disconnected_connected_only_method_exits_3(self, capsys):
-        code, _, err = run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}',
-                           "--method", "shelling")
-        assert code == 3 and "decompose_direct_sum" in err
+        assert run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}', "--method", "shelling") == (
+            3, "", "error: method shelling needs a connected positroid; split with "
+                   "decompose_direct_sum and multiply Ehrhart factors\n")
+
+    def test_disconnected_half_open_exits_3(self, capsys):
+        assert run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}', "--half-open") == (
+            3, "", "error: half-open h* needs a connected positroid; split with "
+                   "decompose_direct_sum\n")
 
     def test_disconnected_oracle_works(self, capsys):
         report = run_json(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}',
@@ -483,6 +503,12 @@ class TestVerify:
         # the same wording as atlas --n
         assert run(capsys, "atlas", "--n", max_n)[2] == run(capsys, "verify", *argv)[2]
 
+    @pytest.mark.parametrize("argv", [("atlas", "--n", "8"), ("verify", "--max-n", "8")])
+    def test_default_size_cap_is_named(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+        assert run(capsys, *argv) == (
+            2, "", "error: n = 8 exceeds the size cap 7 (override with POSITROID_MAX_N)\n")
+
     def test_max_n_at_the_size_cap_still_runs(self, capsys, monkeypatch):
         monkeypatch.setenv("POSITROID_MAX_N", "5")
         code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "5")
@@ -779,3 +805,54 @@ class TestReportShape:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+REPORT_ARGVS = [
+    ("convert", "124,234,134,145,125"),
+    ("convert", '{"pi": [2,1,4,3], "colors": {}}'),
+    ("hstar", "124,234,134,145,125", "--method", "all"),
+    ("hstar", "12,23,13,14", "--half-open", "--method", "all"),
+    ("hstar", '{"pi": [2,1,4,3], "colors": {}}', "--method", "oracle"),
+    ("ehrhart", "124,234,134,145,125", "--tmax", "4"),
+    ("triangulate", "12,23,34,45,15", "--w0", "31425"),
+    ("tree", SQUARE),
+]
+
+
+class TestCommandLayer:
+    """Report commands build dicts; ``main`` alone times, emits and exits."""
+
+    @pytest.mark.parametrize("argv", REPORT_ARGVS)
+    def test_timing_adds_only_elapsed_ms(self, capsys, argv):
+        timed = run_json(capsys, *argv, "--timing")
+        elapsed = timed.pop("elapsed_ms")
+        assert isinstance(elapsed, float) and elapsed >= 0
+        assert timed == run_json(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", REPORT_ARGVS)
+    def test_a_command_returns_the_report_main_emits(self, capsys, argv):
+        report = getattr(cli, f"cmd_{argv[0]}")(cli.build_parser().parse_args(argv))
+        assert capsys.readouterr() == ("", "")
+        assert report == run_json(capsys, *argv)
+
+    def test_only_main_writes_to_stderr(self):
+        found = set()
+
+        class Finder(ast.NodeVisitor):
+            def __init__(self, name):
+                self.name, self.scope = name, []
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            def visit_Attribute(self, node):
+                if isinstance(node.value, ast.Name) and (node.value.id, node.attr) == (
+                        "sys", "stderr"):
+                    found.add((self.name, ".".join(self.scope)))
+                self.generic_visit(node)
+
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            Finder(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
+        assert found == {("cli.py", "main")}

@@ -213,6 +213,24 @@ class TestDecomposition:
         assert [g for g, _ in parts] == [(1,), (2,), (3,), (4,)]
         assert all(comp.r == 1 for _, comp in parts)
 
+    def test_components_of_every_disconnected_positroid(self):
+        # n <= 6, against the rank-split reference: the components partition
+        # [n], each is connected, and the bases are the products of theirs
+        for n in range(2, 7):
+            for dec in decorated_permutations(n):
+                J = necklace_from_decorated(dec)
+                if necklace_connected(J):
+                    continue
+                B = bases_from_necklace(J)
+                parts = decompose_direct_sum(B)
+                grounds = [g for g, _ in parts]
+                assert len(parts) > 1 and grounds == sorted(grounds, key=min), dec
+                assert sorted(v for g in grounds for v in g) == list(range(1, n + 1)), dec
+                assert all(is_connected(comp) for _, comp in parts), dec
+                products = {frozenset(g[k - 1] for (g, _), b in zip(parts, choice) for k in b)
+                            for choice in itertools.product(*(comp.bases for _, comp in parts))}
+                assert products == B.bases, dec
+
     def test_loop_components_have_rank_zero(self):
         # 1 and 3 swapped, 2 is a black fixed point (a loop)
         dec = DecoratedPermutation((3, 2, 1), frozenset())
