@@ -114,16 +114,16 @@ def parse_input(text: str) -> tuple[str, object]:
             if "bases" in doc:
                 subsets = frozenset(frozenset(_integers("bases", b))
                                     for b in _list("bases", doc["bases"]))
+                if not subsets:
+                    raise InputError("bases: expected at least one basis, got []")
                 sizes = {len(b) for b in subsets}
                 if len(sizes) != 1:
                     raise InputError("bases must all have the same size")
                 if "n" not in doc and sizes == {0}:
                     raise InputError('bases: the only basis is empty, so "n" must be given')
                 n = doc["n"] if "n" in doc else max(max(b) for b in subsets)
-                bases = po.PositroidBases(n, sizes.pop(), subsets)
-                if not po.is_matroid(bases):
-                    raise InputError("basis set fails the exchange axiom")
-                return "bases", bases
+                # the matroid property is checked by ``to_necklace``'s round trip
+                return "bases", po.PositroidBases(n, sizes.pop(), subsets)
             if "cells" in doc:
                 from .tree import validate_subdivision
 
@@ -186,11 +186,18 @@ def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
     if kind == "decorated":
         return po.necklace_from_decorated(value)
     if kind == "bases":
-        necklace = po.necklace_from_bases(value)
-        if necklace.fact(po.bases_from_necklace).bases != value.bases:
-            raise InputError("basis set is a matroid but not a positroid "
-                             "(its necklace generates a strictly larger one)")
-        return necklace
+        # A positroid is its necklace's basis set, so the round trip alone
+        # proves the matroid property; the exchange scan only names a failure.
+        try:
+            necklace = po.necklace_from_bases(value)
+            if necklace.fact(po.bases_from_necklace).bases == value.bases:
+                return necklace
+        except ValueError:
+            pass
+        if not po.is_matroid(value):
+            raise InputError("basis set fails the exchange axiom")
+        raise InputError("basis set is a matroid but not a positroid "
+                         "(its necklace generates a strictly larger one)")
     if kind == "subdivision":
         from .tree import positroid_from_subdivision
 

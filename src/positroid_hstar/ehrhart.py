@@ -21,7 +21,14 @@ A connected positroid is counted from the irredundant canonical facets,
 compiled once into prefix-sum rows (``_facet_rows``): the redundant
 necklace inequalities would each keep extra prefix sums alive in the
 counting state.  The closed body, its interior, the half-open body and its
-reciprocal differ only in which of these rows are strict.
+reciprocal differ only in which of these rows are strict.  Every row bounds
+a cyclic interval sum, so the coordinates may be read from any cut of the
+cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
+n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
+estimate of the states the DP holds (``_cut_costs``), and stores the rows
+rotated to it, so every body above and ``upper_tally`` count in that cut.
+``count_points``, ``face_hstar`` and the sweep's ``closed_profile`` of
+``h_representation`` stay at the first cut, as references.
 ``count_to_degree`` counts a body only up to its h*-degree s, which
 Ehrhart-Macdonald reciprocity fixes: the reciprocal body (the facets the
 body keeps, made strict) first has lattice points at the dilate
@@ -198,45 +205,121 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
                     histogram[head[0]] = histogram.get(head[0], 0) + (high - low + 1) * ways
                     continue
                 key = (*base, zp) if carry else base
-                if special:
-                    for z in range(low, high + 1):
-                        target = step.setdefault((special.get(z, head[0]), *key[1:]), {})
-                        target[z] = target.get(z, 0) + ways
-                elif (target := step.get(key)) is None:
-                    step[key] = dict.fromkeys(range(low, high + 1), ways)
+                if (target := step.get(key)) is None:
+                    step[key] = target = dict.fromkeys(range(low, high + 1), ways)
                 else:
                     for z in range(low, high + 1):
                         target[z] = target.get(z, 0) + ways
+                if special:  # the range is filled at once; move the marked points
+                    for z, bits in special.items():
+                        if left := target[z] - ways:
+                            target[z] = left
+                        else:
+                            del target[z]
+                        marked = step.setdefault((bits, *key[1:]), {})
+                        marked[z] = marked.get(z, 0) + ways
         if not (states := step):
             break
     for head, inner in states.items():
-        histogram[head[0]] = histogram.get(head[0], 0) + sum(inner.values())
+        if ways := sum(inner.values()):  # moving marked points can empty a range
+            histogram[head[0]] = histogram.get(head[0], 0) + ways
     return histogram
 
 
-# A compiled row (a, b, bound, upper, strict) bounds z_b - z_a by t * bound at
-# dilate t, from above when ``upper``, else from below, tightened by one if strict.
-CompiledRow = tuple[int, int, int, bool, bool]
+# A compiled row (a, b, bound, upper, strict, side) bounds z_b - z_a by t * bound
+# at dilate t, from above when ``upper``, else from below, tightened by one if
+# strict.  ``side`` is the sense the row had before any rotation (``_rotate``):
+# it says which of the strict_upper/strict_lower requests of ``_dilate`` apply.
+CompiledRow = tuple[int, int, int, bool, bool, bool]
 
 
 def _compile(hrep: HRepresentation) -> tuple[CompiledRow, ...]:
     """The inequalities of an H-representation as prefix-sum rows, each
     unwrapped through the sum equality (``IntervalInequality.unwrapped``)."""
-    return tuple((q.start - 1, q.stop - 1, q.bound, q.sense == "<=", q.strict)
+    return tuple((q.start - 1, q.stop - 1, q.bound, q.sense == "<=", q.strict, q.sense == "<=")
                  for q in (ineq.unwrapped(hrep.r) for ineq in hrep.inequalities))
 
 
 def _dilate(n: int, r: int, compiled: Sequence[CompiledRow], t: int,
             strict_upper: bool = False, strict_lower: bool = False) -> list[Row]:
     """Counting rows of the t-th dilate: the sum equality and every compiled
-    row, with all upper and/or lower rows made strict on request."""
+    row, with the rows of the upper and/or lower side made strict on request."""
     rows: list[Row] = [(0, n, t * r, t * r)]
-    for a, b, bound, upper, strict in compiled:
+    for a, b, bound, upper, strict, side in compiled:
+        strict = strict or (strict_upper if side else strict_lower)
         if upper:
-            rows.append((a, b, -_INF, t * bound - (strict or strict_upper)))
+            rows.append((a, b, -_INF, t * bound - strict))
         else:
-            rows.append((a, b, t * bound + (strict or strict_lower), _INF))
+            rows.append((a, b, t * bound + strict, _INF))
     return rows
+
+
+def _rotate(n: int, r: int, compiled: Sequence[CompiledRow],
+            cut: int) -> tuple[CompiledRow, ...]:
+    """The same body in the coordinates x_{cut+1}, ..., x_n, x_1, ..., x_cut.
+
+    Every row is a cyclic interval sum, so it stays one; a row that now
+    wraps past the last coordinate, or ends at it, is rewritten through the
+    sum equality as its complementary block, with the bound r - bound and
+    the other sense: a block ending at x_cut becomes one that starts at
+    z_0, which the counting state need not hold.  Strictness and ``side``
+    go with the row.
+    """
+    out = []
+    for a, b, bound, upper, strict, side in compiled:
+        if a >= cut:
+            out.append((a - cut, b - cut, bound, upper, strict, side))
+        elif b < cut:
+            out.append((a - cut + n, b - cut + n, bound, upper, strict, side))
+        else:  # also at b == cut, where the complement starts at z_0, which is free
+            out.append((b - cut, a - cut + n, r - bound, not upper, strict, side))
+    return tuple(out)
+
+
+def _cut_costs(n: int, r: int, compiled: Sequence[CompiledRow]) -> list[int]:
+    """For each cut s (``_rotate``), an estimate of the states its counting
+    DP holds: the sum over the steps q = 1..n of (t+1)^(|live_q| + 1) at
+    t = n - 2, where live_q are the older prefix sums ``_tally`` holds
+    after step q.  ``_facet_rows`` counts in the first cut of least cost.
+
+    The estimate follows ``_tally``'s box pruning: at any t >= 1 a row on
+    z_b - z_a is read (at step b) unless the box implies it, that is, unless
+    an upper row's bound is at least b - a or a lower row's bound is at most
+    0.  Then z_a is held after the steps a+1..b-1.  In the cycle of prefix
+    sums, a row is one of two complementary blocks, the one that neither
+    wraps at the cut nor ends there (``_rotate``).  So every row offers two
+    arcs, each read from its first point, and the cut picks one; z_0,
+    always 0, costs nothing.
+    """
+    t = n - 2
+    if t < 1:
+        return [0] * n
+    arcs = []  # (a, b, the arc read when the cut is not in a+1..b, the arc when it is)
+    for a, b, bound, upper, strict, side in compiled:
+        length = b - a
+        kept = bound < length if upper else bound > 0
+        kept_flip = r - bound > 0 if upper else r - bound < n - length
+        arcs.append((a, b, (a, length) if kept else None, (b, n - length) if kept_flip else None))
+    weight = [(t + 1) ** (k + 1) for k in range(n)]
+    costs = []
+    for cut in range(n):
+        reach = [0] * n  # reach[p]: the longest arc read from the prefix sum at p
+        for a, b, plain, flipped in arcs:
+            arc = flipped if a < cut <= b else plain
+            if arc and arc[0] != cut and arc[1] > reach[arc[0]]:
+                reach[arc[0]] = arc[1]
+        live = [0] * (n + 1)  # live[q]: |live_q| - |live_{q-1}|, this cut's steps q
+        for p, length in enumerate(reach):
+            if length > 1:
+                q = (p - cut) % n
+                live[q + 1] += 1
+                live[q + length] -= 1
+        cost = held = 0
+        for change in live[1:]:
+            held += change
+            cost += weight[held]
+        costs.append(cost)
+    return costs
 
 
 def count_points(hrep: HRepresentation, t: int,
@@ -380,23 +463,34 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
 
     A face cut out by upper facets G is P meet the hyperplanes of G, so its
     t-th dilate holds exactly the points of tP whose mask contains G; every
-    such face has dimension at most n - 2.  Rows come from
-    ``facet_representation``, tight rows from the upper canonical facets.
+    such face has dimension at most n - 2.  Rows and tight rows both come
+    from ``_facet_rows``, so they are counted in its cut.
     """
-    uppers = tuple(f for f in necklace.fact(canonical_facets) if f.upper)
-    counts = []
-    for t in range(necklace.n - 1):
-        tight = [(f.lo - 1, f.hi - 1, t * f.bound, 1 << i) for i, f in enumerate(uppers)]
-        counts.append(_tally(necklace.n, _body_rows(necklace, t, False, False), t, tight))
+    n, r = necklace.n, necklace.rank
+    compiled = necklace.fact(_facet_rows)
+    counts = tuple(_tally(n, _dilate(n, r, compiled, t), t, _upper_marks(compiled, t))
+                   for t in range(n - 1))
     masks = {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
-    return UpperTally(uppers, tuple(counts), masks)
+    return UpperTally(tuple(f for f in necklace.fact(canonical_facets) if f.upper),
+                      counts, masks)
+
+
+def _upper_marks(compiled: Sequence[CompiledRow], t: int) -> list[TightRow]:
+    """Tight rows of the upper side's rows at dilate t, bit i for the i-th:
+    in any cut, bit i stands for the i-th upper canonical facet."""
+    uppers = [(a, b, bound) for a, b, bound, upper, strict, side in compiled if side]
+    return [(a, b, t * bound, 1 << i) for i, (a, b, bound) in enumerate(uppers)]
 
 
 def _facet_rows(necklace: GrassmannNecklace) -> tuple[CompiledRow, ...]:
-    """A connected positroid's compiled ``facet_representation``, kept once
-    per necklace: every count of its closed, interior, half-open and
-    reciprocal bodies reads it (``_body_rows``).  No facet wraps past x_n."""
-    return _compile(necklace.fact(facet_representation))
+    """A connected positroid's compiled ``facet_representation`` in its
+    cheapest cut (``_cut_costs``), kept once per necklace: every count of
+    its closed, interior, half-open and reciprocal bodies, and of
+    ``upper_tally``, reads it (``_body_rows``)."""
+    n, r = necklace.n, necklace.rank
+    compiled = _compile(necklace.fact(facet_representation))
+    costs = _cut_costs(n, r, compiled)
+    return _rotate(n, r, compiled, costs.index(min(costs)))
 
 
 def _body_rows(necklace: GrassmannNecklace, t: int,

@@ -116,14 +116,31 @@ def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
 
 
 def moebius(poset: FacePoset) -> dict[FaceNode, int]:
-    """Moebius values mu(F, P): 1 on top, and -sum over everything above."""
+    """Moebius values mu(F, P): 1 on top, and -sum over everything above.
+
+    A face is the intersection of the upper facets that contain it, so G lies
+    strictly above F exactly when G's generators are a proper subset of F's.
+    The nodes above F are those outside every generator's node set that F
+    lacks; their mu values are summed by popcount, one node set per value.
+    """
+    nodes = poset.nodes
+    holding: dict[int, int] = {}  # generator -> the nodes it generates, as a bitset
+    for k, node in enumerate(nodes):
+        for g in node.generators:
+            holding[g] = holding.get(g, 0) | 1 << k
     mu: dict[FaceNode, int] = {}
-    for node in poset.nodes:  # decreasing dimension, so everything above is done
+    valued: dict[int, int] = {}  # mu value -> the nodes done with it, as a bitset
+    for k, node in enumerate(nodes):  # decreasing dimension, so everything above is done
         if node == poset.top:
-            mu[node] = 1
+            value = 1
         else:
-            mu[node] = -sum(mu[g] for g in poset.nodes
-                            if node.vertex_set < g.vertex_set)
+            above = (1 << len(nodes)) - 1
+            for g, members in holding.items():
+                if g not in node.generators:
+                    above &= ~members
+            value = -sum(v * (above & done).bit_count() for v, done in valued.items())
+        mu[node] = value
+        valued[value] = valued.get(value, 0) | 1 << k
     return mu
 
 

@@ -137,6 +137,28 @@ class TestParsing:
     def test_json_shape_errors_name_their_field(self, capsys, command, doc, message):
         assert run(capsys, command, doc) == (2, "", f"error: {message}\n")
 
+    def test_an_empty_bases_list_is_named(self, capsys):
+        assert run(capsys, "convert", '{"bases": []}') == (
+            2, "", "error: bases: expected at least one basis, got []\n")
+
+    def test_the_exchange_scan_runs_only_to_name_a_failed_round_trip(self, capsys, monkeypatch):
+        scanned = []
+        scan = po.is_matroid
+        monkeypatch.setattr(po, "is_matroid", lambda bases: scanned.append(bases) or scan(bases))
+        uniform24 = '{"bases": [[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
+        assert run_json(capsys, "convert", uniform24)["necklace"] == [
+            [1, 2], [2, 3], [3, 4], [1, 4]]
+        assert run_json(capsys, "hstar", uniform24, "--method", "oracle")["hstar"] == {
+            "oracle": [1, 2, 1]}
+        assert scanned == []
+        assert run(capsys, "convert", '{"bases": [[1,2],[3,4]]}') == (
+            2, "", "error: basis set fails the exchange axiom\n")
+        # U(1,{1,3}) + U(1,{2,4}): a matroid, but the crossing split is no positroid
+        assert run(capsys, "convert", '{"bases": [[1,2],[1,4],[2,3],[3,4]]}') == (
+            2, "", "error: basis set is a matroid but not a positroid "
+                   "(its necklace generates a strictly larger one)\n")
+        assert len(scanned) == 2
+
     def test_input_flag_belongs_to_verify_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["hstar", "--input", "12,23,13,14"])

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from positroid_hstar.ehrhart import (
 )
 from positroid_hstar.halfopen import hstar_half_open
 from positroid_hstar.positroid import (
+    DecoratedPermutation,
     HRepresentation,
     IntervalInequality,
     PositroidBases,
@@ -513,6 +516,13 @@ def connected_up_to(max_n):
     return [necklace for n in range(1, max_n + 1) for necklace in cli.connected_necklaces(n)]
 
 
+@functools.cache
+def connected_through(max_n):
+    """Every connected positroid with 2 <= n <= max_n, built once per test
+    run, so that the tests that share it derive each one's facets once."""
+    return tuple(necklace for necklace in connected_up_to(max_n) if necklace.n > 1)
+
+
 def disconnected_up_to(max_n):
     return [necklace_from_decorated(dec) for n in range(1, max_n + 1)
             for dec in cli.all_decorated_permutations(n)
@@ -556,6 +566,93 @@ class TestCountToDegree:
         monkeypatch.setattr(eh, "_count_body", lambda necklace, t, upper, lower: 0 if lower else 1)
         with pytest.raises(ArithmeticError, match="no lattice point up to dilate 5"):
             count_to_degree(validate_necklace(PRISM.subsets))
+
+
+# The fifth of five successive draws of a seeded random connected positroid
+# (n = 8, 9, ..., 12): rank 5, h*(1) = 7,046,187.  Its closed count took
+# 3.4 s in its first cut and 0.03 s in the cut the estimate picks (2-core VM).
+SEED5_RAND12 = [[1, 2, 3, 5, 6], [2, 3, 5, 6, 7], [3, 4, 5, 6, 7], [4, 5, 6, 7, 12],
+                [5, 6, 7, 10, 12], [6, 7, 8, 10, 12], [3, 7, 8, 10, 12], [3, 8, 9, 10, 12],
+                [3, 9, 10, 11, 12], [1, 3, 10, 11, 12], [1, 3, 5, 11, 12], [1, 3, 5, 6, 12]]
+
+
+def rotated(subsets, shift):
+    """The necklace of the positroid relabelled by j -> j + shift (mod n)."""
+    n = len(subsets)
+    return validate_necklace([[(j - 1 + shift) % n + 1 for j in subsets[(m - shift) % n]]
+                              for m in range(n)])
+
+
+class TestCuts:
+    """Every cut of the cycle counts the same body (``ehrhart._rotate``)."""
+
+    @staticmethod
+    def bodies(necklace, compiled, t):
+        """``_tally`` arguments of the t-th dilate of the upper tally, the
+        closed body, its interior, the half-open body and its reciprocal."""
+        n, r = necklace.n, necklace.rank
+        return [(n, eh._dilate(n, r, compiled, t), t, eh._upper_marks(compiled, t)),
+                *((n, eh._dilate(n, r, compiled, t, upper, lower), t) for upper, lower
+                  in ((False, False), (True, True), (True, False), (False, True)))]
+
+    def check_every_cut(self, necklace, picked=range(5)):
+        """Each picked body's histogram at every cut equals the one at cut 0."""
+        n, r = necklace.n, necklace.rank
+        compiled = eh._compile(necklace.fact(facet_representation))
+        bodies = self.bodies(necklace, compiled, 2)
+        reference = {k: _tally(*bodies[k]) for k in picked}
+        for cut in range(1, n):
+            bodies = self.bodies(necklace, eh._rotate(n, r, compiled, cut), 2)
+            for k in picked:
+                assert _tally(*bodies[k]) == reference[k], (necklace.compact(), cut, k)
+
+    def test_every_cut_up_to_n7(self):
+        necklaces = connected_through(7)
+        assert len(necklaces) == 250 + 1476
+        for index, necklace in enumerate(necklaces):
+            # n = 7: one body per positroid, each body on a fifth of them
+            self.check_every_cut(necklace, [index % 5] if necklace.n == 7 else range(5))
+
+    def test_every_cut_of_n8_draws(self):
+        rng = random.Random(8)
+        found = 0
+        while found < 3:
+            perm = list(range(1, 9))
+            rng.shuffle(perm)
+            necklace = necklace_from_decorated(DecoratedPermutation(tuple(perm)))
+            if necklace_connected(necklace):
+                found += 1
+                self.check_every_cut(necklace)
+
+    def test_a_wrapped_facet_keeps_its_side(self):
+        # U(2,4) cut at 1: its upper facet x_1 + x_2 + x_3 <= 2 wraps, so it
+        # becomes the lower row x_4 >= 0, which the half-open body makes strict
+        rows = eh._compile(facet_representation(uniform(2, 4)))
+        k = rows.index((0, 3, 2, True, False, True))
+        turned = eh._rotate(4, 2, rows, 1)
+        assert turned[k] == (2, 3, 0, False, False, True)
+        assert eh._dilate(4, 2, turned, 3, True, False)[1 + k] == (2, 3, 1, eh._INF)
+        assert eh._dilate(4, 2, turned, 3, False, True)[1 + k] == (2, 3, 0, eh._INF)
+
+    def test_every_rotation_gives_one_hstar_each_in_its_own_cut(self):
+        n = len(SEED5_RAND12)
+        first = eh._cut_costs(n, 5, eh._compile(
+            facet_representation(validate_necklace(SEED5_RAND12))))
+        hstars, cuts, turned_back = set(), set(), set()
+        for shift in range(n):
+            necklace = rotated(SEED5_RAND12, shift)
+            compiled = eh._compile(necklace.fact(facet_representation))
+            costs = eh._cut_costs(n, necklace.rank, compiled)
+            # the estimate turns with the body: cut s here is cut s - shift there
+            assert costs == first[-shift:] + first[:-shift]
+            cut = costs.index(min(costs))
+            assert necklace.fact(eh._facet_rows) == eh._rotate(n, necklace.rank, compiled, cut)
+            cuts.add(cut)
+            turned_back.add((cut - shift) % n)
+            hstars.add(count_to_degree(necklace).hstar)
+        assert len(hstars) == 1 and sum(hstars.pop()) == 7046187
+        # one least cost here, so each rotation counts in the same cut of the cycle
+        assert len(cuts) == n and len(turned_back) == 1
 
 
 class TestEhrhartFromHstar:

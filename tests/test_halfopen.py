@@ -49,7 +49,7 @@ from positroid_hstar.triangulation import (
     simplex_facets,
     simplex_vertices,
 )
-from test_ehrhart import uniform
+from test_ehrhart import connected_through, hypersimplex_hstar, uniform
 from test_triangulation import phi_inverse_point
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
@@ -241,6 +241,16 @@ class TestHalfOpenSimplex:
                 == profile.counts[t]
 
 
+def reference_moebius(poset):
+    """``halfopen.moebius`` by its definition: mu is 1 on top, and minus the
+    sum over every node whose basis set strictly contains the node's."""
+    mu = {}
+    for node in poset.nodes:  # decreasing dimension
+        mu[node] = 1 if node == poset.top else -sum(
+            mu[g] for g in poset.nodes if node.vertex_set < g.vertex_set)
+    return mu
+
+
 class TestFacePoset:
     def test_pyramid_poset_shape(self):
         poset = face_poset_of_uppers(PYRAMID)
@@ -291,6 +301,13 @@ class TestFacePoset:
             total = mu[node] + sum(mu[g] for g in poset.nodes
                                    if node.vertex_set < g.vertex_set)
             assert total == 0
+
+    def test_moebius_matches_the_basis_set_reference_up_to_n7(self):
+        necklaces = connected_through(7)
+        assert len(necklaces) == 250 + 1476
+        for necklace in necklaces:
+            poset = face_poset_of_uppers(necklace)
+            assert moebius(poset) == reference_moebius(poset), necklace.compact()
 
     def test_faces_count_alike_from_facets_and_full_h_representation(self):
         # every face that inclusion-exclusion counts, with n <= 5
@@ -399,6 +416,16 @@ class TestClosedForms:
         expected = tuple(math.comb(k - 1, i) * math.comb(9 - k, i) for i in range(min(k, 10 - k)))
         assert hstar_by_counting(minimal_matroid(k, 10)) == expected
         assert hstar_half_open_by_counting(uniform(k, 10)) == half_open_hypersimplex_hstar(k, 10)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_counting_oracle_at_n11_and_n12(self, n):
+        # each body counted in its own cut: T_{k,n} and U(k,n) closed, U(k,n) half-open
+        for k in range(1, n):
+            expected = tuple(math.comb(k - 1, i) * math.comb(n - k - 1, i)
+                             for i in range(min(k, n - k)))
+            assert hstar_by_counting(minimal_matroid(k, n)) == expected
+            assert hstar_by_counting(uniform(k, n)) == hypersimplex_hstar(k, n)
+            assert hstar_half_open_by_counting(uniform(k, n)) == half_open_hypersimplex_hstar(k, n)
 
     def test_small_values(self):
         assert half_open_hypersimplex_hstar(2, 5) == hstar_half_open(UNIFORM25)
