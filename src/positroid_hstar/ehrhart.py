@@ -123,33 +123,37 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
     also prunes every step q in a+1..b-1, where z_q - z_a must stay within
     reach of [lo, hi] with b - q coordinates left.  A step skips a row the
     box 0 <= x <= box already implies there, so a row implied by the box
-    reads nothing.  A tight row (a, b) is tested at step b.
+    reads nothing.  A tight row (a, b) is tested at step b.  At box 0 the one
+    vector x = 0 is read off the rows without a DP (`_origin_tally`).
 
     >>> sorted(_tally(2, [(0, 2, 2, 2)], 2, [(0, 1, 0, 1), (1, 1, 0, 2)]).items())
     [(2, 2), (3, 1)]
     """
     if box < 0:
         return {}
+    for a, b, _, _ in rows:
+        if not 0 <= a <= b <= dim:
+            raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
+    for a, b, _, _ in tight:
+        if not 0 <= a <= b <= dim:
+            raise ValueError(f"tight row ({a}, {b}) outside 0 <= a <= b <= {dim}")
+    if box == 0:
+        return _origin_tally(rows, tight)
     # checks[q][a] = (lo, hi): z_q - z_a must lie in [lo, hi] after step q.
     checks: list[dict[int, tuple[int, int]]] = [{} for _ in range(dim + 1)]
     # marks[q]: the tight rows (a, value, bit) tested after step q.
     marks: list[list[tuple[int, int, int]]] = [[] for _ in range(dim + 1)]
     last_read: dict[int, int] = {}
     for a, b, lo, hi in rows:
-        if not 0 <= a <= b <= dim:
-            raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
         if a == b and not lo <= 0 <= hi:
             return {}
         # step q keeps the row if lo - (b - q) * box > 0 or hi < (q - a) * box:
         # both grow with q, so the kept steps are first..b
-        if box:
-            first = b - (lo - 1) // box
-            if (other := a + hi // box + 1) < first:
-                first = other
-            if first <= a:
-                first = a + 1
-        else:
-            first = a + 1 if lo > 0 or hi < 0 else b + 1
+        first = b - (lo - 1) // box
+        if (other := a + hi // box + 1) < first:
+            first = other
+        if first <= a:
+            first = a + 1
         if first > b:
             continue
         for q in range(first, b + 1):
@@ -163,8 +167,6 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
             last_read[a] = b
     mask = 0
     for a, b, value, bit in tight:
-        if not 0 <= a <= b <= dim:
-            raise ValueError(f"tight row ({a}, {b}) outside 0 <= a <= b <= {dim}")
         if a < b:
             marks[b].append((a, value, bit))
             last_read[a] = max(b, last_read.get(a, 0))
@@ -224,6 +226,22 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
         if ways := sum(inner.values()):  # moving marked points can empty a range
             histogram[head[0]] = histogram.get(head[0], 0) + ways
     return histogram
+
+
+def _origin_tally(rows: Sequence[Row], tight: Sequence[TightRow]) -> dict[int, int]:
+    """``_tally`` at box 0, whose one vector x = 0 has every prefix sum 0:
+    it meets a row, or a tight row, that admits 0.
+
+    >>> _origin_tally([(0, 2, 0, 0)], [(0, 1, 0, 1), (1, 2, 1, 2)])
+    {1: 1}
+    """
+    if not all(lo <= 0 <= hi for _, _, lo, hi in rows):
+        return {}
+    mask = 0
+    for _, _, value, bit in tight:
+        if value == 0:
+            mask |= bit
+    return {mask: 1}
 
 
 # A compiled row (a, b, bound, upper, strict, side) bounds z_b - z_a by t * bound

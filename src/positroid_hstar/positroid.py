@@ -157,20 +157,30 @@ def is_matroid(bases: PositroidBases) -> bool:
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
-    """All r-subsets Gale-above every J_i; the bases of the positroid of J."""
+    """All r-subsets Gale-above every J_i; the bases of the positroid of J.
+
+    J_i <=_i B in the Gale order exactly when every initial segment S of
+    <_i holds at most as many elements of B as of J_i: the k-th smallest
+    element of J_i is <=_i the k-th of B exactly when the segment ending at
+    the latter holds at least k elements of J_i.  So B is kept when
+    popcount(B & S) <= popcount(J_i & S) for every such S, on bitmasks (bit
+    k for element k); a pair (S, bound) that no r-subset can break is
+    dropped, and equal pairs are tested once.
+    """
     n, r = necklace.n, necklace.rank
-    keys = [i_order_key(i, n) for i in range(1, n + 1)]
-    sorted_js = [necklace.sorted_subset(i) for i in range(1, n + 1)]
+    limits: set[tuple[int, int]] = set()
+    for i, subset in enumerate(necklace.subsets, start=1):
+        j_mask = sum(1 << v for v in subset)
+        segment = 0
+        for k in range(n - 1):
+            segment |= 1 << (i - 1 + k) % n + 1
+            if (bound := (j_mask & segment).bit_count()) < min(k + 1, r):
+                limits.add((segment, bound))
     found = []
-    for comb in itertools.combinations(range(1, n + 1), r):
-        ok = True
-        for i in range(n):
-            key = keys[i]
-            cand = sorted(comb, key=key)
-            if any(key(a) > key(b) for a, b in zip(sorted_js[i], cand)):
-                ok = False
-                break
-        if ok:
+    for comb, bits in zip(itertools.combinations(range(1, n + 1), r),
+                          itertools.combinations([1 << v for v in range(1, n + 1)], r)):
+        mask = sum(bits)
+        if all((mask & segment).bit_count() <= bound for segment, bound in limits):
             found.append(frozenset(comb))
     return PositroidBases(n, r, frozenset(found))
 

@@ -27,6 +27,14 @@ breadth-first search are the reference: `triangulate` reports them and
 affine permutation; read against the base alcove it gives the label's
 window, and a consistency check verifies that every dual-graph edge crosses
 one simple affine transposition and that Coxeter length is BFS distance.
+
+Every label simplex is unimodular (`simplex_is_unimodular`), and the check
+needs no elimination: consecutive circuit vertices of a label differ by
+e_v - e_(v-1), so the simplex's edge matrix reduces to the incidence matrix
+of its cycle edges {v-1, v} with one vertex grounded, whose determinant is
++-1 exactly when those edges form a spanning tree of [n].  A union-find
+decides that; a step of any other form is a broken circuit and raises
+AssertionError.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._linalg import determinant
 from .core import (
     Word,
     circuit_masks,
@@ -167,11 +174,37 @@ def _wall(word: Word, z: Sequence[tuple[int, ...]], p: int) -> tuple[int, int, i
 
 
 def simplex_is_unimodular(word: Sequence[int]) -> bool:
-    """Edge vectors from the first circuit vertex span the lattice (det +-1)."""
-    verts = simplex_vertices(word)
-    n = len(word)
-    rows = [[verts[q][k] - verts[0][k] for k in range(n - 1)] for q in range(1, n)]
-    return determinant(rows) in (1, -1)
+    """Edge vectors from the first circuit vertex span the lattice (det +-1).
+
+    The rows are the edge vectors v_q - v_0, q = 1..n-1, without their last
+    coordinate.  Subtracting from each row the one before it keeps the
+    determinant and leaves the steps v_q - v_(q-1) between consecutive
+    circuit vertices.  When every step is one bit in and one bit out,
+    e_i - e_j, the rows form the incidence matrix of a graph on [n] with
+    n-1 edges and the column of vertex n deleted, whose determinant is +-1
+    exactly when the edges form a spanning tree; a union-find over the
+    steps decides that.  Edges that close a cycle are linearly dependent
+    rows, so a cycle means det 0.
+    The steps of a label word are its distinct cycle edges {v-1, v}, so a
+    step of any other form means `circuit_masks` is wrong: AssertionError.
+    """
+    masks = circuit_masks(label_word(word))
+    parent = list(range(len(masks) + 1))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for before, after in zip(masks, masks[1:]):
+        gained, lost = after & ~before, before & ~after
+        if gained.bit_count() != 1 or lost.bit_count() != 1:
+            raise AssertionError(f"a circuit step of {tuple(word)} is not e_i - e_j")
+        i, j = find(gained.bit_length() - 1), find(lost.bit_length() - 1)
+        if i == j:
+            return False
+        parent[i] = j
+    return True
 
 
 class TriangulationGraph(NamedTuple):
@@ -188,8 +221,9 @@ class TriangulationGraph(NamedTuple):
     swap_position: Mapping[tuple[Word, Word], int]
 
     def edges(self) -> tuple[tuple[Word, Word], ...]:
-        out = {tuple(sorted((u, v))) for u, vs in self.neighbors.items() for v in vs}
-        return tuple(sorted(out))
+        """Each edge once as (u, v) with u < v, sorted: ``words`` and every
+        neighbor tuple are sorted, and the adjacency is symmetric."""
+        return tuple((u, v) for u in self.words for v in self.neighbors[u] if u < v)
 
 
 def _canonical_cycle_word(cycle: Sequence[int]) -> Word:

@@ -225,7 +225,7 @@ class TestCircuits:
         circuit = circuit_subsets(word)
         assert len(set(circuit)) == 6
         assert len({len(s) for s in circuit}) == 1
-        from positroid_hstar._linalg import affine_rank
+        from references import affine_rank
         pts = [[1 if k in s else 0 for k in range(1, 7)] for s in circuit]
         assert affine_rank(pts) == 5
 

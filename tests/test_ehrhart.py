@@ -321,6 +321,39 @@ class TestKernelDifferential:
             == brute_tally(3, rows, 3, tight)
 
 
+class TestOriginTally:
+    """``_tally`` at box 0 reads its one vector x = 0 off the rows."""
+
+    def test_every_body_at_dilate_0_matches_the_reference(self):
+        nonempty = 0
+        for necklace in connected_through(7):
+            if necklace.n > 6:
+                continue
+            upper, *bodies = TestCuts.bodies(necklace, necklace.fact(eh._facet_rows), 0)
+            for args in (upper, upper[:3], *bodies):
+                histogram = _tally(*args)
+                assert histogram == reference_tally(*args), (necklace.compact(), args)
+                nonempty += bool(histogram)
+        # the upper tally with and without its tight rows and the closed body
+        # hold the origin; the interior, half-open and reciprocal bodies do not
+        assert nonempty == 3 * 250
+
+    @pytest.mark.parametrize("rows, tight, expected", [
+        ([(0, 2, 0, 0), (1, 2, -1, 5)], [(0, 1, 0, 1), (1, 2, 1, 2), (2, 2, 0, 4)], {5: 1}),
+        ([(0, 2, 1, 1)], [(0, 1, 0, 1)], {}),
+        ([(1, 1, 1, 2)], [(0, 1, 0, 1)], {}),
+        ([], [], {0: 1}),
+    ])
+    def test_origin_meets_the_rows_that_admit_0(self, rows, tight, expected):
+        assert _tally(2, rows, 0, tight) == reference_tally(2, rows, 0, tight) == expected
+
+    def test_rows_outside_the_coordinates_rejected(self):
+        with pytest.raises(ValueError):
+            _tally(2, [(0, 3, 0, 0)], 0)
+        with pytest.raises(ValueError):
+            _tally(2, [(0, 2, 1, 1)], 0, [(1, 3, 0, 1)])
+
+
 def uniform(k, n):
     return validate_necklace([[(i + s) % n + 1 for s in range(k)] for i in range(n)])
 

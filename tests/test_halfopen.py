@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from positroid_hstar import ehrhart as eh
-from positroid_hstar._linalg import affine_rank
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.ehrhart import (
     CountProfile,
@@ -49,6 +48,8 @@ from positroid_hstar.triangulation import (
     simplex_facets,
     simplex_vertices,
 )
+
+from references import affine_rank
 from test_ehrhart import connected_through, hypersimplex_hstar, uniform
 from test_triangulation import phi_inverse_point
 

@@ -1,11 +1,13 @@
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroid_hstar import positroid as po
-from positroid_hstar._linalg import affine_rank
+from positroid_hstar.core import i_order_key
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     NecklaceError,
@@ -26,6 +28,8 @@ from positroid_hstar.positroid import (
     vertices,
     zero_one_points,
 )
+
+from references import affine_rank
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
@@ -77,6 +81,47 @@ class TestBasesFromNecklace:
         assert bases_from_necklace(PRISM).sorted_bases() == (
             (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
             (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5))
+
+
+def gale_sorted_bases(necklace):
+    """Reference for `bases_from_necklace`: the r-subsets B such that, for
+    every i, J_i and B sorted by <_i compare entry by entry."""
+    n, r = necklace.n, necklace.rank
+    j_ranks = [sorted_ranks(necklace.subsets[i - 1], i, n) for i in range(1, n + 1)]
+    return frozenset(frozenset(comb) for comb, ranks in ranked_subsets(n, r)
+                     if all(a <= b for j_i, b_i in zip(j_ranks, ranks)
+                            for a, b in zip(j_i, b_i)))
+
+
+def sorted_ranks(subset, i, n):
+    """The positions of the elements of ``subset`` in <_i, sorted."""
+    return sorted(map(i_order_key(i, n), subset))
+
+
+@functools.cache
+def ranked_subsets(n, r):
+    """Each r-subset of 1..n with its `sorted_ranks` for i = 1..n."""
+    return tuple((comb, tuple(sorted_ranks(comb, i, n) for i in range(1, n + 1)))
+                 for comb in itertools.combinations(range(1, n + 1), r))
+
+
+class TestBasesByPrefixCounts:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_decorated_permutation(self, n):
+        for dec in decorated_permutations(n):
+            necklace = necklace_from_decorated(dec)
+            assert bases_from_necklace(necklace).bases == gale_sorted_bases(necklace), dec
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_seeded_draws(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            white = frozenset(v for v in range(1, n + 1)
+                              if perm[v - 1] == v and rng.random() < 0.5)
+            necklace = necklace_from_decorated(DecoratedPermutation(tuple(perm), white))
+            assert bases_from_necklace(necklace).bases == gale_sorted_bases(necklace), perm
 
 
 class TestNecklaceFromBases:

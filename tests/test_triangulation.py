@@ -34,6 +34,9 @@ from positroid_hstar.triangulation import (
     window_times_s,
 )
 
+from references import determinant
+from test_ehrhart import connected_through
+
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
@@ -48,6 +51,23 @@ def inject_vertices(monkeypatch, word, circuit):
               for s in circuit)
     original = tg._z_vertices
     monkeypatch.setattr(tg, "_z_vertices", lambda w: z if w == word else original(w))
+
+
+def inject_circuit(monkeypatch, circuit):
+    """Make `tg.circuit_masks` read ``circuit`` (subsets, in circuit order)
+    for the word 1, 2, ..., len(circuit), and return that word."""
+    word = tuple(range(1, len(circuit) + 1))
+    masks = tuple(sum(1 << k for k in s) for s in circuit)
+    monkeypatch.setattr(tg, "circuit_masks", lambda w: masks if w == word else circuit_masks(w))
+    return word
+
+
+def bareiss_unimodular(word):
+    """Reference for `simplex_is_unimodular`: the determinant of the edge
+    vectors from the first circuit vertex, last coordinate dropped."""
+    verts, n = simplex_vertices(word), len(word)
+    return determinant([[verts[q][k] - verts[0][k] for k in range(n - 1)]
+                        for q in range(1, n)]) in (1, -1)
 
 
 def phi_inverse_point(x):
@@ -182,6 +202,35 @@ class TestSimplexGeometry:
     def test_unimodular(self, necklace):
         assert all(simplex_is_unimodular(w) for w in enumerate_labels(necklace))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_spanning_tree_test_equals_bareiss_on_every_word(self, n):
+        for head in itertools.permutations(range(1, n)):
+            word = head + (n,)
+            assert simplex_is_unimodular(word) == bareiss_unimodular(word), word
+
+    @pytest.mark.parametrize("circuit, unimodular", [
+        # the steps 1-2, 2-3, 3-1 close a cycle: determinant 0
+        ([{1}, {2}, {3}, {1}], False),
+        # a cycle decides before a later step that is not e_i - e_j
+        ([{1}, {2}, {1}, {1, 2, 3}], False),
+        # the steps 1-2, 2-3 span [3]
+        ([{1}, {2}, {3}], True),
+    ])
+    def test_patched_circuits_decide_by_spanning_tree(self, monkeypatch, circuit, unimodular):
+        word = inject_circuit(monkeypatch, circuit)
+        assert bareiss_unimodular(word) == unimodular
+        assert simplex_is_unimodular(word) == unimodular
+
+    @pytest.mark.parametrize("circuit", [
+        # a first step that is not e_i - e_j: it gains two bits, or loses none
+        [{1}, {2, 3}, {3}],
+        [set(), {1, 2}, {1, 2, 3}],
+    ])
+    def test_a_step_of_another_form_is_a_broken_circuit(self, monkeypatch, circuit):
+        word = inject_circuit(monkeypatch, circuit)
+        with pytest.raises(AssertionError, match="not e_i - e_j"):
+            simplex_is_unimodular(word)
+
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM])
     def test_sandwich_property(self, necklace):
         # over each simplex, every interval sum stays within a unit window
@@ -214,6 +263,23 @@ class TestGraph:
         # 5 spokes from the center plus a 10-cycle through the others
         assert len(graph.edges()) == 15
         assert len(graph.neighbors[(3, 1, 4, 2, 5)]) == 5
+
+    def test_edges_list_the_symmetric_adjacency_once_in_order(self):
+        # Every label graph is the swap graph of all words ending in n, restricted
+        # to the labels.  Both are checked: every label graph with n <= 6 and
+        # every eighth with n = 7 (all 1,476 take about 10 s), and the swap
+        # graphs themselves for n <= 7.
+        necklaces = [necklace for necklace in connected_through(7) if necklace.n < 7]
+        necklaces += [necklace for necklace in connected_through(7) if necklace.n == 7][::8]
+        graphs = [build_graph(necklace.fact(enumerate_labels)) for necklace in necklaces]
+        graphs += [build_graph(head + (n,) for head in itertools.permutations(range(1, n)))
+                   for n in range(1, 8)]
+        for graph in graphs:
+            for u, vs in graph.neighbors.items():
+                assert all(u in graph.neighbors[v] for v in vs), u
+            by_set = {tuple(sorted((u, v))) for u, vs in graph.neighbors.items() for v in vs}
+            assert graph.edges() == tuple(sorted(by_set))
+        assert len(graphs[-1].edges()) == 1680
 
     def test_singleton_graph(self):
         graph = build_graph([(1, 2, 3)])
