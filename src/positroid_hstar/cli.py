@@ -379,7 +379,7 @@ def cmd_hstar(args) -> dict:
             raise InputError("the descent formula computes the half-open h*; "
                              "pass --half-open (or use inclusion-exclusion)")
         methods = CLOSED_METHODS if method == "all" else (method,)
-        if not connected and method == "all":
+        if not connected and method == "all" and args.w0 is None:
             methods = ("oracle",)
     if args.w0 is not None and "shelling" not in methods:
         raise InputError("--w0 applies only to the shelling method")

@@ -68,26 +68,6 @@ def interval_support(i: int, j: int, n: int) -> Word:
     return tuple((i - 1 + s) % n + 1 for s in range(span))
 
 
-def gale_leq(s: Iterable[int], t: Iterable[int], i: int, n: int) -> bool:
-    """Gale partial order on equal-size subsets of 1..n with respect to <_i.
-
-    S <= T holds iff, after sorting both sides by <_i, every element of S
-    is <=_i the element of T in the same position.
-
-    >>> gale_leq({1, 3}, {2, 3}, 1, 4)
-    True
-    >>> gale_leq({1, 2}, {1, 3}, 2, 3), gale_leq({1, 3}, {1, 2}, 2, 3)
-    (True, False)
-    """
-    s, t = frozenset(s), frozenset(t)
-    if len(s) != len(t):
-        raise ValueError(f"subsets have different sizes {len(s)} and {len(t)}")
-    if any(not 1 <= v <= n for v in s | t):
-        raise ValueError("subset elements outside 1..n")
-    key = i_order_key(i, n)
-    return all(key(a) <= key(b) for a, b in zip(sorted(s, key=key), sorted(t, key=key)))
-
-
 def cyclic_left_descents(word: Sequence[int], order: Sequence[int] | None = None) -> frozenset[int]:
     """Cyclic left descent set of a word over a totally ordered ground set.
 

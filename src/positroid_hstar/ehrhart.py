@@ -27,6 +27,8 @@ cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
 n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
 estimate of the states the DP holds (``_cut_costs``), and stores the rows
 rotated to it, so every body above and ``upper_tally`` count in that cut.
+The estimate reads the count's own plan: the rows rotated and dilated, and
+``_tally``'s rule for which rows it reads (``_first_read``).
 ``count_points``, ``face_hstar`` and the sweep's ``closed_profile`` of
 ``h_representation`` stay at the first cut, as references.
 ``count_to_degree`` counts a body only up to its h*-degree s, which
@@ -147,14 +149,7 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
     for a, b, lo, hi in rows:
         if a == b and not lo <= 0 <= hi:
             return {}
-        # step q keeps the row if lo - (b - q) * box > 0 or hi < (q - a) * box:
-        # both grow with q, so the kept steps are first..b
-        first = b - (lo - 1) // box
-        if (other := a + hi // box + 1) < first:
-            first = other
-        if first <= a:
-            first = a + 1
-        if first > b:
+        if (first := _first_read(a, b, lo, hi, box)) is None:
             continue
         for q in range(first, b + 1):
             lo_q, check = lo - (b - q) * box, checks[q]
@@ -226,6 +221,22 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
         if ways := sum(inner.values()):  # moving marked points can empty a range
             histogram[head[0]] = histogram.get(head[0], 0) + ways
     return histogram
+
+
+def _first_read(a: int, b: int, lo: int, hi: int, box: int) -> int | None:
+    """The first step of ``_tally`` (box >= 1) that reads the row; it reads
+    it up to step b.  Step q reads it if lo - (b - q) * box > 0 or
+    hi < (q - a) * box: both grow with q.  None if the box implies the row.
+
+    >>> _first_read(0, 3, 2, 2, 1), _first_read(0, 3, -_INF, 3, 1), _first_read(1, 1, 0, 0, 1)
+    (2, None, None)
+    """
+    first = b - (lo - 1) // box
+    if (other := a + hi // box + 1) < first:
+        first = other
+    if first <= a:
+        first = a + 1
+    return first if first <= b else None
 
 
 def _origin_tally(rows: Sequence[Row], tight: Sequence[TightRow]) -> dict[int, int]:
@@ -300,38 +311,24 @@ def _cut_costs(n: int, r: int, compiled: Sequence[CompiledRow]) -> list[int]:
     t = n - 2, where live_q are the older prefix sums ``_tally`` holds
     after step q.  ``_facet_rows`` counts in the first cut of least cost.
 
-    The estimate follows ``_tally``'s box pruning: at any t >= 1 a row on
-    z_b - z_a is read (at step b) unless the box implies it, that is, unless
-    an upper row's bound is at least b - a or a lower row's bound is at most
-    0.  Then z_a is held after the steps a+1..b-1.  In the cycle of prefix
-    sums, a row is one of two complementary blocks, the one that neither
-    wraps at the cut nor ends there (``_rotate``).  So every row offers two
-    arcs, each read from its first point, and the cut picks one; z_0,
-    always 0, costs nothing.
+    Each cut's rows are those ``_tally`` is given (``_rotate``, then
+    ``_dilate``), and each row it reads (``_first_read``) keeps z_a live
+    after the steps a+1..b-1; z_0, always 0, costs nothing.
     """
     t = n - 2
     if t < 1:
         return [0] * n
-    arcs = []  # (a, b, the arc read when the cut is not in a+1..b, the arc when it is)
-    for a, b, bound, upper, strict, side in compiled:
-        length = b - a
-        kept = bound < length if upper else bound > 0
-        kept_flip = r - bound > 0 if upper else r - bound < n - length
-        arcs.append((a, b, (a, length) if kept else None, (b, n - length) if kept_flip else None))
     weight = [(t + 1) ** (k + 1) for k in range(n)]
     costs = []
     for cut in range(n):
-        reach = [0] * n  # reach[p]: the longest arc read from the prefix sum at p
-        for a, b, plain, flipped in arcs:
-            arc = flipped if a < cut <= b else plain
-            if arc and arc[0] != cut and arc[1] > reach[arc[0]]:
-                reach[arc[0]] = arc[1]
-        live = [0] * (n + 1)  # live[q]: |live_q| - |live_{q-1}|, this cut's steps q
-        for p, length in enumerate(reach):
-            if length > 1:
-                q = (p - cut) % n
-                live[q + 1] += 1
-                live[q + length] -= 1
+        last_read: dict[int, int] = {}
+        for a, b, lo, hi in _dilate(n, r, _rotate(n, r, compiled, cut), t):
+            if a and last_read.get(a, 0) < b and _first_read(a, b, lo, hi, t) is not None:
+                last_read[a] = b
+        live = [0] * (n + 1)  # live[q]: |live_q| - |live_{q-1}|
+        for a, b in last_read.items():
+            live[a + 1] += 1
+            live[b] -= 1
         cost = held = 0
         for change in live[1:]:
             held += change

@@ -7,6 +7,9 @@ A positroid on 1..n can be handed around in three equivalent forms:
 - a decorated permutation: a permutation with black/white colored fixed points,
 - its set of bases.
 
+Both directions between necklace and bases read the Gale order one way,
+as prefix counts on bitmasks (``_gale_limits``).
+
 This module validates and converts between the three, computes matroid rank,
 connectivity and direct-sum decomposition, and produces two H-representations
 of the polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
@@ -25,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Type
 from .core import (
     _Record,
     cyclic_interval,
-    gale_leq,
     i_order_key,
     interval_support,
     is_permutation_word,
@@ -156,26 +158,30 @@ def is_matroid(bases: PositroidBases) -> bool:
     return True
 
 
-def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
-    """All r-subsets Gale-above every J_i; the bases of the positroid of J.
+def _gale_limits(subset: Iterable[int], i: int, n: int, r: int) -> list[tuple[int, int]]:
+    """An r-subset B (bit k for element k) is Gale-above ``subset`` = J in
+    <_i exactly when popcount(B & S) <= bound for each returned (S, bound):
+    the k-th element of J is <=_i the k-th of B exactly when the initial
+    segment S of <_i ending at the latter holds at least k elements of J.
+    Pairs that no r-subset can break are dropped.
 
-    J_i <=_i B in the Gale order exactly when every initial segment S of
-    <_i holds at most as many elements of B as of J_i: the k-th smallest
-    element of J_i is <=_i the k-th of B exactly when the segment ending at
-    the latter holds at least k elements of J_i.  So B is kept when
-    popcount(B & S) <= popcount(J_i & S) for every such S, on bitmasks (bit
-    k for element k); a pair (S, bound) that no r-subset can break is
-    dropped, and equal pairs are tested once.
+    >>> [(bin(segment), bound) for segment, bound in _gale_limits({2, 3}, 1, 4, 2)]
+    [('0b10', 0), ('0b110', 1)]
     """
+    j_mask, segment, limits = sum(1 << v for v in subset), 0, []
+    for k in range(n - 1):
+        segment |= 1 << (i - 1 + k) % n + 1
+        if (bound := (j_mask & segment).bit_count()) < min(k + 1, r):
+            limits.append((segment, bound))
+    return limits
+
+
+def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
+    """All r-subsets Gale-above every J_i (``_gale_limits``, equal pairs
+    tested once); the bases of the positroid of J."""
     n, r = necklace.n, necklace.rank
-    limits: set[tuple[int, int]] = set()
-    for i, subset in enumerate(necklace.subsets, start=1):
-        j_mask = sum(1 << v for v in subset)
-        segment = 0
-        for k in range(n - 1):
-            segment |= 1 << (i - 1 + k) % n + 1
-            if (bound := (j_mask & segment).bit_count()) < min(k + 1, r):
-                limits.add((segment, bound))
+    limits = {limit for i, subset in enumerate(necklace.subsets, start=1)
+              for limit in _gale_limits(subset, i, n, r)}
     found = []
     for comb, bits in zip(itertools.combinations(range(1, n + 1), r),
                           itertools.combinations([1 << v for v in range(1, n + 1)], r)):
@@ -188,16 +194,19 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
 def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
     """Necklace of Gale-minimal bases; requires the input to be a matroid.
 
-    J_i is the basis that is minimal in the Gale order for <_i.  For matroid
-    input the <_i-lexicographic minimum is that Gale minimum; this is checked
-    and a ValueError is raised if minimality fails (non-matroid input).
+    J_i is the <_i-lexicographic minimum, which for a matroid is the Gale
+    minimum for <_i; every basis is checked Gale-above it (``_gale_limits``),
+    and a ValueError is raised if one is not (non-matroid input).
     """
-    n = bases.n
+    n, r = bases.n, bases.r
+    masks = _masks(bases)
     subsets = []
     for i in range(1, n + 1):
         key = i_order_key(i, n)
         best = min(bases.bases, key=lambda b: tuple(sorted(key(v) for v in b)))
-        if not all(gale_leq(best, other, i, n) for other in bases.bases):
+        limits = _gale_limits(best, i, n, r)
+        if not all((mask & segment).bit_count() <= bound
+                   for mask in masks for segment, bound in limits):
             raise ValueError(f"no Gale minimum for <_{i}; input is not a matroid")
         subsets.append(best)
     return GrassmannNecklace(n, tuple(subsets))
@@ -427,22 +436,11 @@ def h_representation(necklace: GrassmannNecklace) -> HRepresentation:
 
     For each i and each j = 1..r the sum x_i + ... + x_{a-1} with a the j-th
     element of J_i in <_i order is at most j-1; empty sums (a == i) are
-    dropped as vacuous.
+    dropped as vacuous.  The pairs (i, a) are distinct, so no row repeats.
     """
-    n, r = necklace.n, necklace.rank
-    seen = set()
-    inequalities = []
-    for i in range(1, n + 1):
-        sorted_j = necklace.sorted_subset(i)
-        for j in range(1, r + 1):
-            a = sorted_j[j - 1]
-            if a == i:
-                continue
-            key = (i, a, j - 1)
-            if key not in seen:
-                seen.add(key)
-                inequalities.append(IntervalInequality(i, a, j - 1, "<="))
-    return HRepresentation(n, r, tuple(inequalities))
+    return HRepresentation(necklace.n, necklace.rank, tuple(
+        IntervalInequality(i, a, j, "<=") for i in range(1, necklace.n + 1)
+        for j, a in enumerate(necklace.sorted_subset(i)) if a != i))
 
 
 def vertices(bases: PositroidBases) -> tuple[tuple[int, ...], ...]:

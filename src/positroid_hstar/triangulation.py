@@ -8,7 +8,8 @@ function needs them, and a public function given a word that is not a
 permutation ending in n raises ValueError.  The labels whose circuit
 subsets are all bases triangulate the polytope; a prefix-pruned search
 finds them by the equivalent bounds on the cyclic descents of restrictions,
-and `labels_by_bases` keeps the basis filter as a reference.
+one per necklace inequality (`positroid.h_representation`), and
+`labels_by_bases` keeps the basis filter as a reference.
 
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
@@ -54,6 +55,7 @@ from .positroid import (
     HRepresentation,
     IntervalInequality,
     basis_masks,
+    h_representation,
 )
 
 
@@ -62,17 +64,17 @@ def enumerate_labels(necklace: GrassmannNecklace) -> tuple[Word, ...]:
 
     One prefix-pruned search keeps the words w with w_n = n that have r
     cyclic left descents (at most r, and at most n-r in the reversed order)
-    and whose restriction to [i, a], a the j-th <_i-element of J_i, has at
-    most j-1.  Their circuit subsets must be bases (asserted);
-    `labels_by_bases` is the brute-force reference.
+    and whose restriction to [i, a] has at most the bound of the necklace
+    inequality on x_[i,a] (`h_representation`).  Their circuit subsets must
+    be bases (asserted); `labels_by_bases` is the brute-force reference.
     """
     n, r = necklace.n, necklace.rank
     if n == 1:
         return ((1,),)
     necklace.require_connected("triangulation")
     rows = [(tuple(range(1, n + 1)), r), (tuple(range(n, 0, -1)), n - r)] + [
-        (cyclic_interval(i, a, n), j)
-        for i in range(1, n + 1) for j, a in enumerate(necklace.sorted_subset(i))]
+        (cyclic_interval(q.start, q.stop, n), q.bound)
+        for q in necklace.fact(h_representation).inequalities]
     words = descent_bounded_words(n, rows)
     labels = _labels_of_bases(words, necklace)
     if len(labels) != len(words):

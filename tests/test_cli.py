@@ -220,6 +220,14 @@ class TestHstar:
             3, "", "error: method shelling needs a connected positroid; split with "
                    "decompose_direct_sum and multiply Ehrhart factors\n")
 
+    @pytest.mark.parametrize("method", ["all", "shelling"])
+    def test_disconnected_w0_with_the_shelling_route_exits_3(self, capsys, method):
+        # --w0 is checked against the methods asked for, so a disconnected
+        # `all` is not first narrowed to the oracle
+        assert run(capsys, "hstar", "13,23,13,14", "--method", method, "--w0", "1234") == (
+            3, "", f"error: method {method} needs a connected positroid; split with "
+                   "decompose_direct_sum and multiply Ehrhart factors\n")
+
     def test_disconnected_half_open_exits_3(self, capsys):
         assert run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}', "--half-open") == (
             3, "", "error: half-open h* needs a connected positroid; split with "
@@ -241,7 +249,7 @@ class TestHstar:
         ("12,23,13,14", "--half-open"),
         ("12,23,13,14", "--method", "oracle"),
         ("12,23,13,14", "--method", "inclusion-exclusion"),
-        ('{"pi": [2,1,4,3], "colors": {}}', "--method", "all"),
+        ('{"pi": [2,1,4,3], "colors": {}}', "--method", "oracle"),
         ('{"pi": [2,1,4,3], "colors": {}}', "--half-open"),
     ])
     def test_w0_without_the_shelling_route_is_an_input_error(self, capsys, argv):

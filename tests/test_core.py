@@ -14,10 +14,10 @@ from positroid_hstar.core import (
     cyclic_left_descents,
     descent_bounded_words,
     descent_count,
-    gale_leq,
     interval_support,
     is_permutation_word,
 )
+from references import gale_leq
 
 
 def restriction(word, i, j):

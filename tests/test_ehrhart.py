@@ -44,6 +44,8 @@ from positroid_hstar.positroid import (
 )
 from positroid_hstar.triangulation import hstar_shelling
 
+from references import reference_cut_costs
+
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
@@ -666,6 +668,24 @@ class TestCuts:
         assert turned[k] == (2, 3, 0, False, False, True)
         assert eh._dilate(4, 2, turned, 3, True, False)[1 + k] == (2, 3, 1, eh._INF)
         assert eh._dilate(4, 2, turned, 3, False, True)[1 + k] == (2, 3, 0, eh._INF)
+
+    def test_cut_costs_equal_the_arc_model_up_to_n7(self):
+        for necklace in connected_through(7):
+            n, r = necklace.n, necklace.rank
+            compiled = eh._compile(necklace.fact(facet_representation))
+            assert eh._cut_costs(n, r, compiled) == reference_cut_costs(n, r, compiled), \
+                necklace.compact()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cut_costs_equal_the_arc_model_on_n11_to_13_draws(self, seed):
+        rng = random.Random(seed)
+        for n in (11, 12, 13):
+            while not necklace_connected(necklace := necklace_from_decorated(
+                    DecoratedPermutation(tuple(rng.sample(range(1, n + 1), n))))):
+                pass
+            compiled = eh._compile(necklace.fact(facet_representation))
+            assert eh._cut_costs(n, necklace.rank, compiled) == \
+                reference_cut_costs(n, necklace.rank, compiled), necklace.subsets
 
     def test_every_rotation_gives_one_hstar_each_in_its_own_cut(self):
         n = len(SEED5_RAND12)

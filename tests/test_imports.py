@@ -68,6 +68,14 @@ def test_no_module_binds_affine_rank():
     assert not hasattr(po, "_projected_vertices")
 
 
+def test_no_module_binds_gale_leq():
+    # the Gale order is tested as prefix counts (positroid._gale_limits); the
+    # sorted comparison is the tests' reference
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        assert not hasattr(home, "gale_leq"), module.name
+
+
 class TestPublicNames:
     # positroid_hstar.__all__ as it was when the package imported every module eagerly
     PINNED = [

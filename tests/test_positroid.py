@@ -29,7 +29,7 @@ from positroid_hstar.positroid import (
     zero_one_points,
 )
 
-from references import affine_rank
+from references import affine_rank, reference_necklace_from_bases
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
@@ -108,9 +108,13 @@ def ranked_subsets(n, r):
 class TestBasesByPrefixCounts:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_decorated_permutation(self, n):
-        for dec in decorated_permutations(n):
+        for k, dec in enumerate(decorated_permutations(n)):
             necklace = necklace_from_decorated(dec)
-            assert bases_from_necklace(necklace).bases == gale_sorted_bases(necklace), dec
+            bases = bases_from_necklace(necklace)
+            assert bases.bases == gale_sorted_bases(necklace), dec
+            if n < 7 or k % 8 == 0:  # and back, against the gale_leq form
+                assert necklace_from_bases(bases) == reference_necklace_from_bases(bases) \
+                    == necklace, dec
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_seeded_draws(self, n):
@@ -122,6 +126,14 @@ class TestBasesByPrefixCounts:
                               if perm[v - 1] == v and rng.random() < 0.5)
             necklace = necklace_from_decorated(DecoratedPermutation(tuple(perm), white))
             assert bases_from_necklace(necklace).bases == gale_sorted_bases(necklace), perm
+
+
+def necklace_or_message(bases, convert):
+    """``convert(bases)``, or the message of the ValueError it raises."""
+    try:
+        return convert(bases)
+    except ValueError as err:
+        return str(err)
 
 
 class TestNecklaceFromBases:
@@ -147,6 +159,20 @@ class TestNecklaceFromBases:
         assert is_matroid(B)
         J = necklace_from_bases(B)
         assert bases_from_necklace(J).bases > B.bases
+
+    def test_random_basis_sets_give_the_same_necklace_or_message(self):
+        rng = random.Random(23)
+        messages = 0
+        for _ in range(800):
+            n = rng.randint(2, 6)
+            r = rng.randint(1, n - 1)
+            subsets = list(itertools.combinations(range(1, n + 1), r))
+            bases = PositroidBases(n, r, frozenset(
+                frozenset(b) for b in rng.sample(subsets, rng.randint(1, len(subsets)))))
+            got = necklace_or_message(bases, necklace_from_bases)
+            assert got == necklace_or_message(bases, reference_necklace_from_bases), bases
+            messages += isinstance(got, str)
+        assert 50 < messages < 750  # both outcomes occur often
 
 
 class TestDecoratedBijection:

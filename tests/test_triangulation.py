@@ -112,6 +112,12 @@ class TestEnumerateLabels:
     def test_search_matches_the_basis_reference(self, necklace):
         assert enumerate_labels(necklace) == labels_by_bases(necklace)
 
+    def test_search_matches_the_basis_reference_on_every_8th_n7(self):
+        necklaces = [necklace for necklace in connected_through(7) if necklace.n == 7][::8]
+        assert len(necklaces) == 185
+        for necklace in necklaces:
+            assert enumerate_labels(necklace) == labels_by_bases(necklace), necklace.compact()
+
     def test_a_circuit_subset_outside_the_bases_is_caught(self, monkeypatch):
         # of the circuit subsets 24, 34, 13, 14 of 2314 only 34 is not a basis
         search = tg.descent_bounded_words
