@@ -437,16 +437,17 @@ def cmd_triangulate(args) -> dict:
     base = parse_word(args.w0) if args.w0 is not None else graph.words[0]
     poset = tg.shelling_poset(graph, base)
     affine = tg.affine_consistency_check(graph, poset)
+    text = {w: "".join(map(str, w)) for w in graph.words}  # sorted, one string per label
     report = {
         "input_kind": kind,
         "n": necklace.n,
         "rank": necklace.rank,
         "num_simplices": len(labels),
-        "labels": ["".join(map(str, w)) for w in labels],
-        "edges": [["".join(map(str, u)), "".join(map(str, v))] for u, v in graph.edges()],
-        "base": "".join(map(str, base)),
-        "covers": {"".join(map(str, w)): c for w, c in sorted(poset.cover.items())},
-        "windows": {"".join(map(str, w)): list(win) for w, win in sorted(affine.windows.items())},
+        "labels": list(text.values()),
+        "edges": [[text[u], text[v]] for u, v in graph.edges()],
+        "base": text[base],
+        "covers": {t: poset.cover[w] for w, t in text.items()},
+        "windows": {t: list(affine.windows[w]) for w, t in text.items()},
         "affine_consistent": affine.ok,
         "hstar": poly_ints(tg.hstar_from_covers(poset.cover)),
     }

@@ -196,14 +196,18 @@ def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
 
     J_i is the <_i-lexicographic minimum, which for a matroid is the Gale
     minimum for <_i; every basis is checked Gale-above it (``_gale_limits``),
-    and a ValueError is raised if one is not (non-matroid input).
+    and a ValueError is raised if one is not (non-matroid input).  With
+    element v at bit n - v, turning the mask left by i - 1 (within n bits)
+    puts the elements in <_i order from the top bit down, so the minimum is
+    the basis of largest turned mask.
     """
     n, r = bases.n, bases.r
     masks = _masks(bases)
+    full = (1 << n) - 1
+    reversed_masks = [(sum(1 << n - v for v in b), b) for b in bases.bases]
     subsets = []
     for i in range(1, n + 1):
-        key = i_order_key(i, n)
-        best = min(bases.bases, key=lambda b: tuple(sorted(key(v) for v in b)))
+        best = max(reversed_masks, key=lambda mb: (mb[0] << i - 1 | mb[0] >> n + 1 - i) & full)[1]
         limits = _gale_limits(best, i, n, r)
         if not all((mask & segment).bit_count() <= bound
                    for mask in masks for segment, bound in limits):

@@ -28,6 +28,10 @@ breadth-first search are the reference: `triangulate` reports them and
 affine permutation; read against the base alcove it gives the label's
 window, and a consistency check verifies that every dual-graph edge crosses
 one simple affine transposition and that Coxeter length is BFS distance.
+Each label and each edge is visited once: a swap away from the letter n
+is the word with two letters exchanged, the alcove's centroid is read off
+the word in O(n) (`_alcove`), and an edge compares only the window entries
+its transposition moves.
 
 Every label simplex is unimodular (`simplex_is_unimodular`), and the check
 needs no elimination: consecutive circuit vertices of a label differ by
@@ -131,20 +135,25 @@ def simplex_facets(word: Sequence[int]) -> HRepresentation:
     return HRepresentation(len(word), circuit_masks(word)[0].bit_count(), tuple(inequalities))
 
 
+def _descent_prefix(word: Word) -> list[int]:
+    """The word's own cyclic descent set in prefix sums z_0, ..., z_(n-1):
+    z_q counts the letters a <= q that stand right of a + 1."""
+    pos = [0] * (len(word) + 1)
+    for p, v in enumerate(word):
+        pos[v] = p
+    return list(itertools.accumulate(map(int.__gt__, pos[1:-1], pos[2:]), initial=0))
+
+
 def _z_vertices(word: Word) -> tuple[tuple[int, ...], ...]:
     """Circuit vertices in prefix sums z_q = x_1 + ... + x_q, q = 0..n-1.
 
-    The last vertex is the word's own cyclic descent set; passing from one
-    vertex to the next places the next letter v of the word, which lowers
-    z_(v-1) by 1 for v >= 2 and raises z_1, ..., z_(n-1) by 1 for v = 1.
+    The last vertex is the word's own cyclic descent set (`_descent_prefix`);
+    passing from one vertex to the next places the next letter v of the
+    word, which lowers z_(v-1) by 1 for v >= 2 and raises z_1, ..., z_(n-1)
+    by 1 for v = 1.
     """
     n = len(word)
-    pos = [0] * (n + 1)
-    for p, v in enumerate(word):
-        pos[v] = p
-    z = [0] * n
-    for q in range(1, n):
-        z[q] = z[q - 1] + (pos[q] > pos[q + 1])
+    z = _descent_prefix(word)
     out = []
     for v in word:
         if v == 1:
@@ -228,19 +237,16 @@ class TriangulationGraph(NamedTuple):
         return tuple((u, v) for u in self.words for v in self.neighbors[u] if u < v)
 
 
-def _canonical_cycle_word(cycle: Sequence[int]) -> Word:
-    """Rotate a cyclic sequence so that it ends with its maximum (= n)."""
-    k = cycle.index(max(cycle))
-    return tuple(cycle[k + 1:]) + tuple(cycle[:k + 1])
-
-
 def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
     """Adjacency by the swap rule, restricted to the given label set.
 
     u and v are adjacent iff the cycle of v is that of u with entries at
     cyclic positions p, p+1 exchanged and the exchanged values are not
-    cyclically consecutive.  For each resulting edge the simplices must share
-    exactly n-1 circuit subsets; asserted.
+    cyclically consecutive.  Away from the letter n the swap exchanges two
+    letters of the word; the two swaps beside n (positions n-1 and n) carry
+    a letter round to the other end.  The rule is symmetric, so each edge is
+    asserted once, from its smaller word: the simplices share exactly n-1
+    circuit subsets.
     """
     words = tuple(sorted(map(label_word, words)))
     ns = {len(w) for w in words}
@@ -248,28 +254,30 @@ def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
         raise ValueError("labels have mixed ground-set sizes")
     n = ns.pop()
     circuits = {w: frozenset(circuit_masks(w)) for w in words}
-    neighbors: dict[Word, list[Word]] = {w: [] for w in circuits}
+    neighbors: dict[Word, tuple[Word, ...]] = {}
     swap_position: dict[tuple[Word, Word], int] = {}
     for word, circuit in circuits.items():
+        adjacent = []
         for p in range(n):
             a, b = word[p], word[(p + 1) % n]
             if (a - b) % n in (1, n - 1):
                 continue
-            cycle = list(word)
-            cycle[p], cycle[(p + 1) % n] = cycle[(p + 1) % n], cycle[p]
-            other = _canonical_cycle_word(cycle)
-            if other in circuits:
-                shared = circuit & circuits[other]
-                if len(shared) != n - 1:
-                    raise AssertionError(
-                        f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
-                neighbors[word].append(other)
-                swap_position[(word, other)] = p + 1
-    return TriangulationGraph(
-        words,
-        {w: tuple(sorted(vs)) for w, vs in neighbors.items()},
-        swap_position,
-    )
+            if p < n - 2:
+                other = word[:p] + (b, a) + word[p + 2:]
+            elif p == n - 2:
+                other = (a,) + word[:p] + (b,)
+            else:
+                other = word[1:p] + (b, a)
+            shared = circuits.get(other)
+            if shared is None:
+                continue
+            if word < other and len(shared := circuit & shared) != n - 1:
+                raise AssertionError(
+                    f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
+            adjacent.append(other)
+            swap_position[(word, other)] = p + 1
+        neighbors[word] = tuple(sorted(adjacent))
+    return TriangulationGraph(words, neighbors, swap_position)
 
 
 class ShellingPoset(NamedTuple):
@@ -377,37 +385,11 @@ def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> tup
 Window = tuple[int, ...]
 
 
-def window_times_s(window: Window, i: int) -> Window:
-    """Right multiplication by the simple affine transposition with index i.
-
-    For i < n this swaps window entries i and i+1; i = n wraps affinely:
-    the first entry becomes w_n - n and the last w_1 + n.
-    """
-    n = len(window)
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} outside 1..{n}")
-    out = list(window)
-    if i < n:
-        out[i - 1], out[i] = out[i], out[i - 1]
-    else:
-        out[0], out[-1] = window[-1] - n, window[0] + n
-    return tuple(out)
-
-
 def window_length(window: Window) -> int:
-    """Coxeter length of an affine permutation from its window."""
+    """Coxeter length of an affine permutation from its window: the sum of
+    |floor((w_b - w_a) / n)| over the pairs a < b."""
     n = len(window)
-    total = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            total += abs((window[b] - window[a]) // n)
-    return total
-
-
-def _at(g: Sequence[int], i: int) -> int:
-    """Evaluate the affine map with window g: g(i) = g[(i-1) mod n] + n*floor((i-1)/n)."""
-    q, r = divmod(i - 1, len(g))
-    return g[r] + len(g) * q
+    return sum([abs((b - a) // n) for a, b in itertools.combinations(window, 2)])
 
 
 def _alcove(word: Word) -> Window:
@@ -416,7 +398,15 @@ def _alcove(word: Word) -> Window:
     With c_j the sum of z_j over the circuit vertices (n times the centroid)
     and k_j = -floor(c_j / n), the indices j sorted by c_j + n*k_j give
     g = [j + 1 + n*k_j], rotated to start at the word's first letter (entries
-    that wrap gain n).  Asserted: the residues of g read the word, the n
+    that wrap gain n).  The sum needs no vertex table.  Vertex p is the
+    descent-prefix vector z0 (`_descent_prefix`) after placing w_1, ..., w_p;
+    placing the letter 1 raises every z_j (j >= 1) and placing j+1 lowers
+    z_j, so over the n vertices, with pos the 0-based positions,
+    c_j = n*z0_j + pos(j+1) - pos(1).  Hence c_j mod n orders j by the
+    position of the letter j+1 read cyclically from the letter 1,
+    k_j = [pos(j+1) < pos(1)] - z0_j, and after the rotation
+    g_p = w_p + n*(e - z0_(w_p - 1)) with e = 0 if w_1 = 1, else 1.
+    Asserted on the vertex table: the residues of g read the word, the n
     vertices are distinct, and every vertex lies in the closed alcove, i.e.
     z_((a-1) mod n) + floor((a-1)/n) is non-decreasing along g(1), ...,
     g(n), g(n+1) = g(1) + n (so its span is at most 1).  Together these say
@@ -424,10 +414,8 @@ def _alcove(word: Word) -> Window:
     """
     n = len(word)
     z = _z_vertices(word)
-    c = list(map(sum, zip(*z)))
-    g = [j + 1 - n * (c[j] // n) for j in sorted(range(n), key=lambda j: c[j] % n)]
-    start = next(i for i, a in enumerate(g) if (a - 1) % n + 1 == word[0])
-    g = g[start:] + [a + n for a in g[:start]]
+    z0 = _descent_prefix(word)
+    g = [a + n * ((word[0] != 1) - z0[a - 1]) for a in word]
     steps = [divmod(a - 1, n) for a in g + [g[0] + n]]  # (shift, residue) pairs
     inside = True
     for v in z:
@@ -459,31 +447,41 @@ def affine_consistency_check(graph: TriangulationGraph,
     i -> g0^-1(g(i + k)), the shift k making the entries sum to n(n+1)/2; the
     base gets the identity.  The check fails if an edge u -> v at swap
     position p does not relate the windows by the simple transposition with
-    index (p - 1 - k_u) mod n + 1, or if a window's Coxeter length differs
-    from its distance in the shelling poset.
+    index i = (p - 1 - k_u) mod n + 1 (right multiplication swaps entries i
+    and i+1, or for i = n gives the first w_n - n and the last w_1 + n), or
+    if a window's Coxeter length differs from its distance in the shelling
+    poset.
+    Problems list the failed edges in sorted order, then the lengths.
     """
     n = len(poset.base)
-    base_alcove = _alcove(poset.base)
     inverse = [0] * n  # the window of g0^-1
-    for r, a in enumerate(base_alcove):
+    for r, a in enumerate(_alcove(poset.base)):
         inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
     windows: dict[Word, Window] = {}
     shifts: dict[Word, int] = {}
     for word in graph.words:
-        relative = [_at(inverse, a) for a in _alcove(word)]
+        relative = [inverse[(a - 1) % n] + n * ((a - 1) // n) for a in _alcove(word)]
         k = (n * (n + 1) // 2 - sum(relative)) // n
-        windows[word] = tuple(_at(relative, i + k) for i in range(1, n + 1))
+        q, r = divmod(k, n)
+        windows[word] = tuple([a + n * q for a in relative[r:]]
+                              + [a + n * (q + 1) for a in relative[:r]])
         shifts[word] = k
 
-    problems: list[str] = []
-    for (u, v), p in sorted(graph.swap_position.items()):
-        generator = (p - 1 - shifts[u]) % n + 1
-        if windows[v] != window_times_s(windows[u], generator):
-            problems.append(
-                f"edge {u} -> {v}: window {windows[v]} is not windows[{u}] * s_{generator}")
+    failed = []
+    for (u, v), p in graph.swap_position.items():
+        i = (p - 1 - shifts[u]) % n
+        wu, wv = windows[u], windows[v]
+        if i < n - 1:
+            moved = (wu[i] == wv[i + 1] and wu[i + 1] == wv[i]
+                     and wu[:i] == wv[:i] and wu[i + 2:] == wv[i + 2:])
+        else:
+            moved = wu[0] + n == wv[-1] and wu[-1] - n == wv[0] and wu[1:-1] == wv[1:-1]
+        if not moved:
+            failed.append(((u, v), i + 1))
+    problems = [f"edge {u} -> {v}: window {windows[v]} is not windows[{u}] * s_{generator}"
+                for (u, v), generator in sorted(failed)]
     for w, win in windows.items():
-        if window_length(win) != poset.dist[w]:
+        if (length := window_length(win)) != poset.dist[w]:
             problems.append(
-                f"window length {window_length(win)} of {w} differs from BFS distance "
-                f"{poset.dist[w]}")
+                f"window length {length} of {w} differs from BFS distance {poset.dist[w]}")
     return AffineLabelingReport(poset.base, windows, not problems, tuple(problems))

@@ -1,6 +1,7 @@
 """Exact references that only the tests use."""
 
-from positroid_hstar.core import i_order_key
+from positroid_hstar import triangulation as tg
+from positroid_hstar.core import circuit_masks, i_order_key, label_word
 from positroid_hstar.positroid import GrassmannNecklace
 
 
@@ -124,3 +125,132 @@ def reference_cut_costs(n, r, compiled):
             cost += weight[held]
         costs.append(cost)
     return costs
+
+
+def _canonical_cycle_word(cycle):
+    """Rotate a cyclic sequence so that it ends with its maximum (= n)."""
+    k = cycle.index(max(cycle))
+    return tuple(cycle[k + 1:]) + tuple(cycle[:k + 1])
+
+
+def reference_build_graph(words):
+    """``triangulation.build_graph`` by rotating every swapped cycle: each
+    swap copies the cycle, exchanges two entries and rotates n to the end,
+    and each edge direction asserts the shared circuit subsets."""
+    words = tuple(sorted(map(label_word, words)))
+    ns = {len(w) for w in words}
+    if len(ns) != 1:
+        raise ValueError("labels have mixed ground-set sizes")
+    n = ns.pop()
+    circuits = {w: frozenset(circuit_masks(w)) for w in words}
+    neighbors = {w: [] for w in circuits}
+    swap_position = {}
+    for word, circuit in circuits.items():
+        for p in range(n):
+            a, b = word[p], word[(p + 1) % n]
+            if (a - b) % n in (1, n - 1):
+                continue
+            cycle = list(word)
+            cycle[p], cycle[(p + 1) % n] = cycle[(p + 1) % n], cycle[p]
+            other = _canonical_cycle_word(cycle)
+            if other in circuits:
+                shared = circuit & circuits[other]
+                if len(shared) != n - 1:
+                    raise AssertionError(
+                        f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
+                neighbors[word].append(other)
+                swap_position[(word, other)] = p + 1
+    return tg.TriangulationGraph(
+        words,
+        {w: tuple(sorted(vs)) for w, vs in neighbors.items()},
+        swap_position,
+    )
+
+
+def reference_window_length(window):
+    """``triangulation.window_length`` as a double loop over the pairs."""
+    n = len(window)
+    total = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            total += abs((window[b] - window[a]) // n)
+    return total
+
+
+def _at(g, i):
+    """Evaluate the affine map with window g: g(i) = g[(i-1) mod n] + n*floor((i-1)/n)."""
+    q, r = divmod(i - 1, len(g))
+    return g[r] + len(g) * q
+
+
+def reference_alcove(word):
+    """``triangulation._alcove`` from the column sums c_j of the vertex table
+    (``tg._z_vertices``, so a test's injected vertices reach both): the
+    indices j sorted by c_j mod n, each lifted by -n*floor(c_j / n), rotated
+    to the word's first letter, then the same assertion."""
+    n = len(word)
+    z = tg._z_vertices(word)
+    c = list(map(sum, zip(*z)))
+    g = [j + 1 - n * (c[j] // n) for j in sorted(range(n), key=lambda j: c[j] % n)]
+    start = next(i for i, a in enumerate(g) if (a - 1) % n + 1 == word[0])
+    g = g[start:] + [a + n for a in g[:start]]
+    steps = [divmod(a - 1, n) for a in g + [g[0] + n]]  # (shift, residue) pairs
+    inside = True
+    for v in z:
+        prev = v[steps[0][1]] + steps[0][0]
+        for shift, residue in steps:
+            value = v[residue] + shift
+            if value < prev:
+                inside = False
+            prev = value
+    if [(a - 1) % n + 1 for a in g] != list(word) or len(set(z)) != n or not inside:
+        raise AssertionError(f"the simplex of {word} is not the alcove {g}")
+    return tuple(g)
+
+
+def window_times_s(window, i):
+    """Right multiplication by the simple affine transposition with index i.
+
+    For i < n this swaps window entries i and i+1; i = n wraps affinely:
+    the first entry becomes w_n - n and the last w_1 + n.
+    """
+    n = len(window)
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} outside 1..{n}")
+    out = list(window)
+    if i < n:
+        out[i - 1], out[i] = out[i], out[i - 1]
+    else:
+        out[0], out[-1] = window[-1] - n, window[0] + n
+    return tuple(out)
+
+
+def reference_affine_consistency_check(graph, poset):
+    """``triangulation.affine_consistency_check`` with every window built
+    by ``_at`` evaluations, every edge checked in sorted order against a
+    ``window_times_s`` product, and lengths by the pair loop."""
+    n = len(poset.base)
+    base_alcove = reference_alcove(poset.base)
+    inverse = [0] * n  # the window of g0^-1
+    for r, a in enumerate(base_alcove):
+        inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
+    windows = {}
+    shifts = {}
+    for word in graph.words:
+        relative = [_at(inverse, a) for a in reference_alcove(word)]
+        k = (n * (n + 1) // 2 - sum(relative)) // n
+        windows[word] = tuple(_at(relative, i + k) for i in range(1, n + 1))
+        shifts[word] = k
+
+    problems = []
+    for (u, v), p in sorted(graph.swap_position.items()):
+        generator = (p - 1 - shifts[u]) % n + 1
+        if windows[v] != window_times_s(windows[u], generator):
+            problems.append(
+                f"edge {u} -> {v}: window {windows[v]} is not windows[{u}] * s_{generator}")
+    for w, win in windows.items():
+        if reference_window_length(win) != poset.dist[w]:
+            problems.append(
+                f"window length {reference_window_length(win)} of {w} differs from BFS "
+                f"distance {poset.dist[w]}")
+    return tg.AffineLabelingReport(poset.base, windows, not problems, tuple(problems))

@@ -830,6 +830,11 @@ class TestReportShape:
          "46b20e18910da52f02f440c2d53597814ccaf07c786a30899cd815e0a91d772e"),
         (("hstar", "123,235,345,145,125", "--method", "all"),
          "e7541ce45b93958f3583ebfc776355ccfa06b895c15389432e526083d4557aa0"),
+        # U(4,8), frontier8's triangulate input: 2,416 labels, 7,248 edges
+        (("triangulate", "1234,2345,3456,4567,5678,1678,1278,1238"),
+         "d0e53cfe368e3b1862ec8737f074a41f999c5d3350007246d8527e49c60ce9c2"),
+        (("triangulate", "1234,2345,3456,4567,1567,1367,1237", "--w0", "3264517"),
+         "af479cb0245442007e821516190e5edc80c38c4948cb35bc72181cd84cee24eb"),
     ])
     def test_golden_reports_are_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, *argv)

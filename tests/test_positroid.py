@@ -174,6 +174,22 @@ class TestNecklaceFromBases:
             messages += isinstance(got, str)
         assert 50 < messages < 750  # both outcomes occur often
 
+    def test_the_700_bases_of_a_direct_sum_give_the_reference_necklace_or_message(self):
+        # U(3,7) + U(3,6) on 1..13, then without some of its bases: without
+        # J_1 no basis is Gale-least for <_1
+        left = [frozenset(c) for c in itertools.combinations(range(1, 8), 3)]
+        right = [frozenset(c) for c in itertools.combinations(range(8, 14), 3)]
+        bases = sorted((a | b for a in left for b in right), key=sorted)
+        assert len(bases) == 700
+        outcomes = []
+        for dropped in ([], bases[:1], bases[350:351], bases[-2:]):
+            basis_set = PositroidBases(13, 6, frozenset(bases) - frozenset(dropped))
+            got = necklace_or_message(basis_set, necklace_from_bases)
+            assert got == necklace_or_message(basis_set, reference_necklace_from_bases)
+            outcomes.append(got if isinstance(got, str) else "necklace")
+        assert outcomes == ["necklace", "no Gale minimum for <_1; input is not a matroid",
+                            "necklace", "necklace"]
+
 
 class TestDecoratedBijection:
     def test_pyramid_forward(self):

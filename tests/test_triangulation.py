@@ -14,6 +14,7 @@ from positroid_hstar.core import (
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     DisconnectedPositroidError,
+    necklace_connected,
     necklace_from_decorated,
     validate_necklace,
 )
@@ -31,16 +32,36 @@ from positroid_hstar.triangulation import (
     simplex_vertices,
     wall_covers,
     window_length,
-    window_times_s,
 )
 
-from references import determinant
+from references import (
+    determinant,
+    reference_affine_consistency_check,
+    reference_alcove,
+    reference_build_graph,
+    window_times_s,
+)
 from test_ehrhart import connected_through
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
 WHEEL = validate_necklace([[1, 2, 3], [2, 3, 5], [3, 4, 5], [1, 4, 5], [1, 2, 5]])
+UNIFORM36 = validate_necklace([[(i + k) % 6 + 1 for k in range(3)] for i in range(6)])
+UNIFORM48 = validate_necklace([[(i + k) % 8 + 1 for k in range(4)] for i in range(8)])
+
+
+def n8_draws(count=3, seed=8):
+    """The first ``count`` connected positroids with n = 8 drawn from ``seed``."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        perm = list(range(1, 9))
+        rng.shuffle(perm)
+        necklace = necklace_from_decorated(DecoratedPermutation(tuple(perm)))
+        if necklace.fact(necklace_connected):
+            found.append(necklace)
+    return found
 
 
 def inject_vertices(monkeypatch, word, circuit):
@@ -287,6 +308,14 @@ class TestGraph:
             assert graph.edges() == tuple(sorted(by_set))
         assert len(graphs[-1].edges()) == 1680
 
+    def test_swap_rule_is_symmetric_through_n7(self):
+        # build_graph asserts each edge's shared circuit once, from its smaller
+        # word; that covers both directions because every swap has its reverse.
+        # A label graph restricts the swap graph of all words ending in n.
+        for n in range(1, 8):
+            graph = build_graph(head + (n,) for head in itertools.permutations(range(1, n)))
+            assert all((v, u) in graph.swap_position for u, v in graph.swap_position), n
+
     def test_singleton_graph(self):
         graph = build_graph([(1, 2, 3)])
         assert graph.edges() == ()
@@ -518,3 +547,101 @@ class TestPhiInverse:
             chain = [y[2], y[1], y[3], y[0]]  # y_3, y_2, y_4, y_1
             assert all(a <= b for a, b in zip(chain, chain[1:]))
             assert Fraction(0) < chain[0] and chain[-1] < 1
+
+
+def same_graph(graph, reference):
+    assert graph.words == reference.words
+    assert list(graph.neighbors.items()) == list(reference.neighbors.items())
+    assert list(graph.swap_position.items()) == list(reference.swap_position.items())
+
+
+def outcome(check, graph, poset):
+    """The report of ``check``, its windows in order, or its AssertionError text."""
+    try:
+        report = check(graph, poset)
+    except AssertionError as err:
+        return str(err)
+    return report, list(report.windows.items())
+
+
+class TestAgainstReferences:
+    """The one-pass graph, alcove and window check against the bodies they
+    replaced (`tests/references.py`): equal graphs, windows, verdicts and
+    problems, in order."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_connected_positroid_through_n6(self, n):
+        for necklace in connected_necklaces(n):
+            labels = necklace.fact(enumerate_labels)
+            graph = build_graph(labels)
+            same_graph(graph, reference_build_graph(labels))
+            for base in graph.words if n <= 5 else graph.words[::max(1, len(graph.words) // 3)]:
+                poset = shelling_poset(graph, base)
+                assert outcome(affine_consistency_check, graph, poset) == outcome(
+                    reference_affine_consistency_check, graph, poset), (necklace.compact(), base)
+
+    @pytest.mark.parametrize("necklace", [UNIFORM48, *n8_draws()],
+                             ids=["U(4,8)", "draw1", "draw2", "draw3"])
+    def test_n8(self, necklace):
+        labels = necklace.fact(enumerate_labels)
+        graph = build_graph(labels)
+        same_graph(graph, reference_build_graph(labels))
+        poset = shelling_poset(graph, graph.words[-1])
+        report = outcome(affine_consistency_check, graph, poset)
+        assert report == outcome(reference_affine_consistency_check, graph, poset)
+        assert report[0].ok
+
+    @pytest.mark.parametrize("necklace", [UNIFORM25, PRISM, WHEEL])
+    def test_corrupted_swap_positions_and_distances(self, necklace):
+        graph = build_graph(enumerate_labels(necklace))
+        poset = shelling_poset(graph, graph.words[0])
+        n = necklace.n
+        cases = [(graph._replace(swap_position={**graph.swap_position, edge: wrong}), poset)
+                 for edge, p in graph.swap_position.items()
+                 for wrong in range(1, n + 1) if wrong != p]
+        cases += [(graph, poset._replace(dist={**poset.dist, w: d + 1}))
+                  for w, d in poset.dist.items()]
+        # every edge off by one at once, listed backwards: one problem per
+        # edge, sorted by edge
+        cases.append((graph._replace(swap_position={
+            edge: p % n + 1 for edge, p in reversed(graph.swap_position.items())}), poset))
+        for case in cases:
+            got = outcome(affine_consistency_check, *case)
+            assert got == outcome(reference_affine_consistency_check, *case)
+            assert not got[0].ok
+        assert len(got[0].problems) == len(graph.swap_position)
+
+    @pytest.mark.parametrize("necklace", [UNIFORM25, PRISM, WHEEL, UNIFORM36])
+    def test_every_pair_of_labels_at_every_position(self, necklace):
+        # the edge check on pairs the swap rule does not join, too
+        graph = build_graph(enumerate_labels(necklace))
+        poset = shelling_poset(graph, graph.words[0])
+        for p in range(1, necklace.n + 1):
+            every_pair = graph._replace(swap_position={
+                (u, v): p for u in graph.words for v in graph.words if u != v})
+            got = outcome(affine_consistency_check, every_pair, poset)
+            assert got == outcome(reference_affine_consistency_check, every_pair, poset)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_alcove_of_every_word_through_n7(self, n):
+        for head in itertools.permutations(range(1, n)):
+            word = head + (n,)
+            assert tg._alcove(word) == reference_alcove(word), word
+
+    @pytest.mark.parametrize("word,circuit,same_text", [
+        ((2, 1, 3, 4), tuple(map(frozenset, ({1, 2}, {1, 3}, {1, 4}, {3, 4}))), True),
+        ((1, 3, 2, 4), tuple(map(frozenset, ({1, 2}, {1, 3}, {1, 4}, {2, 3}))), True),
+        # column sums that are not the word's: the reference reads its alcove
+        # off them, the formula names the word's own
+        ((1, 2, 3, 4), circuit_subsets((2, 1, 3, 4)), False),
+        ((1, 2, 3, 4), (frozenset({1, 2}),) * 4, False),
+    ])
+    def test_alcove_of_a_wrong_simplex_raises_as_the_reference(self, monkeypatch, word,
+                                                                circuit, same_text):
+        inject_vertices(monkeypatch, word, circuit)
+        messages = []
+        for alcove in (tg._alcove, reference_alcove):
+            with pytest.raises(AssertionError, match="alcove") as caught:
+                alcove(word)
+            messages.append(str(caught.value))
+        assert (messages[0] == messages[1]) == same_text, messages
