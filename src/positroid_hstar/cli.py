@@ -334,6 +334,11 @@ def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
 # commands
 # ---------------------------------------------------------------------------
 
+def _components(necklace: po.GrassmannNecklace) -> list[list[int]]:
+    """Ground sets of the direct summands, ordered by their least element."""
+    return [list(g) for g in po.components_of_bases(necklace.fact(po.basis_masks), necklace.n)]
+
+
 def cmd_convert(args) -> dict:
     kind, value = parse_input(read_input(args.input))
     necklace = to_necklace(kind, value)
@@ -351,7 +356,7 @@ def cmd_convert(args) -> dict:
         "connected": connected,
     }
     if not connected:
-        report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
+        report["components"] = _components(necklace)
     return report
 
 
@@ -394,8 +399,7 @@ def cmd_hstar(args) -> dict:
                 raise po.DisconnectedPositroidError(
                     f"method {method} needs a connected positroid; "
                     "split with decompose_direct_sum and multiply Ehrhart factors")
-            bases = necklace.fact(po.bases_from_necklace)
-            report["components"] = [list(g) for g, _ in po.decompose_direct_sum(bases)]
+            report["components"] = _components(necklace)
         base = parse_word(args.w0) if args.w0 is not None else None
         results = hstar_closed_all_methods(necklace, methods, base)
     if connected:

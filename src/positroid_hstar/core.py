@@ -68,26 +68,6 @@ def interval_support(i: int, j: int, n: int) -> Word:
     return tuple((i - 1 + s) % n + 1 for s in range(span))
 
 
-def cyclic_left_descents(word: Sequence[int], order: Sequence[int] | None = None) -> frozenset[int]:
-    """Cyclic left descent set of a word over a totally ordered ground set.
-
-    ``order`` lists the ground set increasingly and defaults to sorted(word).
-    A letter is a descent when it appears to the right of its cyclic
-    successor (the minimal letter succeeds the maximal one), so singleton
-    words have no descents.
-
-    >>> sorted(cyclic_left_descents((2, 4, 1, 3, 5)))
-    [1, 3, 5]
-    >>> sorted(cyclic_left_descents((3, 4, 1, 5), order=(3, 4, 5, 1)))
-    [1, 5]
-    """
-    ground = tuple(sorted(word)) if order is None else tuple(order)
-    if len(word) != len(ground) or set(word) != set(ground) or len(set(word)) != len(word):
-        raise ValueError("word is not a permutation of the ground set")
-    pos = {v: p for p, v in enumerate(word)}
-    return frozenset(a for a, b in zip(ground, ground[1:] + ground[:1]) if pos[a] > pos[b])
-
-
 def descent_bounded_words(n: int, rows: Iterable[tuple[Sequence[int], int]]) -> tuple[Word, ...]:
     """Words w with w_n = n, in lexicographic order, whose restriction to each
     row's ground (its letters in cyclic order) has at most the row's bound

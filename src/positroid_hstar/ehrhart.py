@@ -54,12 +54,10 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .core import ExactPolynomial, _Record, _trim
 from .positroid import (
-    CanonicalFacet,
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
-    canonical_facets,
     facet_representation,
     h_representation,
     necklace_connected,
@@ -456,17 +454,17 @@ class UpperTally(NamedTuple):
     """Lattice points of the closed dilates t = 0..n-2 of a connected
     positroid, tallied by the set of upper facets each point lies on.
 
-    Bit i of a mask stands for ``facets[i]``; ``counts[t]`` maps each mask
-    that occurs in the t-th dilate to its number of points.
+    Bit i of a mask stands for the i-th upper canonical facet (as in
+    ``halfopen.FacePoset.facet_list``); ``counts[t]`` maps each mask that
+    occurs in the t-th dilate to its number of points.
     """
 
-    facets: tuple[CanonicalFacet, ...]
     counts: tuple[dict[int, int], ...]
     masks: dict[int, list[int]]  # each mask that occurs -> its counts at every t
 
     def face_counts(self, generators: Iterable[int], dim: int) -> tuple[int, ...]:
         """Counts at t = 0..dim of the face where every facet in
-        ``generators`` (indices into ``facets``) is tight: the points whose
+        ``generators`` (indices of upper facets) is tight: the points whose
         mask contains all of them, summed over ``masks`` in one pass."""
         need = sum(1 << i for i in set(generators))
         inside = [row for mask, row in self.masks.items() if mask & need == need]
@@ -486,8 +484,7 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     counts = tuple(_tally(n, _dilate(n, r, compiled, t), t, _upper_marks(compiled, t))
                    for t in range(n - 1))
     masks = {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
-    return UpperTally(tuple(f for f in necklace.fact(canonical_facets) if f.upper),
-                      counts, masks)
+    return UpperTally(counts, masks)
 
 
 def _upper_marks(compiled: Sequence[CompiledRow], t: int) -> list[TightRow]:

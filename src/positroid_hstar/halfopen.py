@@ -24,8 +24,6 @@ from typing import NamedTuple
 
 from .core import _trim, descent_count
 from .ehrhart import (
-    CountProfile,
-    _count_body,
     _face_hstar_from_counts,
     count_to_degree,
     upper_tally,
@@ -58,15 +56,6 @@ def hstar_half_open(necklace: GrassmannNecklace) -> tuple[int, ...]:
             top = e
         coeffs[e] += 1
     return tuple(coeffs)
-
-
-def half_open_profile(necklace: GrassmannNecklace) -> CountProfile:
-    """Counts of the half-open polytope at every dilate t = 0..n-1: the
-    canonical facets with the upper ones strict.  The reference for
-    ``hstar_half_open_by_counting``, which stops at the h*-degree."""
-    dim = necklace.n - 1
-    return CountProfile(dim, tuple(_count_body(necklace, t, True, False)
-                                   for t in range(dim + 1)))
 
 
 def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
@@ -160,7 +149,6 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[i
     poset = face_poset_of_uppers(necklace)
     mu = moebius(poset)
     tally = necklace.fact(upper_tally)
-    assert tally.facets == poset.facet_list, "tally bits and face generators disagree"
     half = hstar_half_open(necklace)
     total = list(half) + [0] * (n - len(half))
     dim_p = n - 1

@@ -2,6 +2,7 @@
 
 from positroid_hstar import triangulation as tg
 from positroid_hstar.core import circuit_masks, i_order_key, label_word
+from positroid_hstar.ehrhart import CountProfile, _count_body
 from positroid_hstar.positroid import GrassmannNecklace
 
 
@@ -70,6 +71,35 @@ def gale_leq(s, t, i, n):
         raise ValueError("subset elements outside 1..n")
     key = i_order_key(i, n)
     return all(key(a) <= key(b) for a, b in zip(sorted(s, key=key), sorted(t, key=key)))
+
+
+def cyclic_left_descents(word, order=None):
+    """Cyclic left descent set of a word over a totally ordered ground set.
+
+    ``order`` lists the ground set increasingly and defaults to sorted(word).
+    A letter is a descent when it appears to the right of its cyclic
+    successor (the minimal letter succeeds the maximal one), so singleton
+    words have no descents.
+
+    >>> sorted(cyclic_left_descents((2, 4, 1, 3, 5)))
+    [1, 3, 5]
+    >>> sorted(cyclic_left_descents((3, 4, 1, 5), order=(3, 4, 5, 1)))
+    [1, 5]
+    """
+    ground = tuple(sorted(word)) if order is None else tuple(order)
+    if len(word) != len(ground) or set(word) != set(ground) or len(set(word)) != len(word):
+        raise ValueError("word is not a permutation of the ground set")
+    pos = {v: p for p, v in enumerate(word)}
+    return frozenset(a for a, b in zip(ground, ground[1:] + ground[:1]) if pos[a] > pos[b])
+
+
+def half_open_profile(necklace):
+    """Counts of the half-open polytope at every dilate t = 0..n-1: the
+    canonical facets with the upper ones strict.  The reference for
+    ``halfopen.hstar_half_open_by_counting``, which stops at the h*-degree."""
+    dim = necklace.n - 1
+    return CountProfile(dim, tuple(_count_body(necklace, t, True, False)
+                                   for t in range(dim + 1)))
 
 
 def reference_necklace_from_bases(bases):

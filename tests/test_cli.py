@@ -450,6 +450,40 @@ class TestVerify:
         assert out == "".join(line + "\n" for line in self.GOLDEN_STDOUT)
         assert len(out.encode()) == 1755
 
+    def test_a_failing_golden_row_shows_expected_and_got(self, capsys, monkeypatch):
+        # a half-open oracle one point off at the prism's top degree fails
+        # that row alone, and its line shows both values
+        oracle = ho.hstar_half_open_by_counting
+
+        def off_on_the_prism(necklace):
+            h = oracle(necklace)
+            return h[:-1] + (h[-1] + 1,) if necklace.compact() == "124,234,134,145,125" else h
+
+        monkeypatch.setattr(ho, "hstar_half_open_by_counting", off_on_the_prism)
+        names = [name for name, _, _ in verify.verify_golden()]
+        assert len(set(names)) == len(names) == 29
+        code, out, err = run(capsys, "verify", "--scope", "golden")
+        assert (code, err) == (1, "")
+        failing = ("FAIL  rank-3 five-simplex half-open      expected "
+                   "{'descents': [0, 0, 1, 4], 'oracle': [0, 0, 1, 4]}, "
+                   "got {'descents': [0, 0, 1, 4], 'oracle': [0, 0, 1, 5]}")
+        lines, pinned = out.splitlines(), list(self.GOLDEN_STDOUT)
+        k = pinned.index("PASS  rank-3 five-simplex half-open      z^2+4z^3")
+        assert lines[k] == failing
+        assert lines[:k] + lines[k + 1:-2] == pinned[:k] + pinned[k + 1:-1]
+        assert lines[-2:] == ["28/29 checks passed", "first failure: " + json.dumps(
+            {"detail": failing.split("      ", 1)[1], "name": "rank-3 five-simplex half-open"})]
+
+    def test_a_wrong_count_of_a_disconnected_input_fails(self, capsys, monkeypatch):
+        # one point too many in the square U(1,2) + U(1,2) at t = 2 keeps
+        # E(0) = 1, but the Ehrhart polynomial is no longer its segments' product
+        count_points = eh.count_points
+        monkeypatch.setattr(eh, "count_points",
+                            lambda hrep, t, **kwargs: count_points(hrep, t, **kwargs) + (t == 2))
+        code, out, _ = run(capsys, "verify", "--input", "13,23,13,14")
+        assert code == 1
+        assert out.startswith("FAIL  disconnected input oracle h*  [1, 1, 1]\n")
+
     def test_single_input(self, capsys):
         code, out, _ = run(capsys, "verify", "--input", "12,23,13,14")
         assert code == 0 and "PASS" in out

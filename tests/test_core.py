@@ -11,13 +11,12 @@ from positroid_hstar.core import (
     circuit_masks,
     circuit_subsets,
     cyclic_interval,
-    cyclic_left_descents,
     descent_bounded_words,
     descent_count,
     interval_support,
     is_permutation_word,
 )
-from references import gale_leq
+from references import cyclic_left_descents, gale_leq
 
 
 def restriction(word, i, j):

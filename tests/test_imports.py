@@ -76,6 +76,16 @@ def test_no_module_binds_gale_leq():
         assert not hasattr(home, "gale_leq"), module.name
 
 
+def test_no_module_binds_the_descent_set_or_the_half_open_profile():
+    # the label search counts descents by bitmask (core.descent_bounded_words)
+    # and the oracle counts up to the h*-degree; the sets and the full
+    # profile are the tests' references
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        for name in ("cyclic_left_descents", "half_open_profile"):
+            assert not hasattr(home, name), (module.name, name)
+
+
 class TestPublicNames:
     # positroid_hstar.__all__ as it was when the package imported every module eagerly
     PINNED = [

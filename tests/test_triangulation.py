@@ -5,12 +5,9 @@ from fractions import Fraction
 import pytest
 
 from positroid_hstar import triangulation as tg
+from positroid_hstar import verify
 from positroid_hstar.cli import connected_necklaces
-from positroid_hstar.core import (
-    circuit_masks,
-    circuit_subsets,
-    cyclic_left_descents,
-)
+from positroid_hstar.core import circuit_masks, circuit_subsets
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     DisconnectedPositroidError,
@@ -35,6 +32,7 @@ from positroid_hstar.triangulation import (
 )
 
 from references import (
+    cyclic_left_descents,
     determinant,
     reference_affine_consistency_check,
     reference_alcove,
@@ -108,14 +106,6 @@ def phi_inverse_point(x):
 
 
 class TestEnumerateLabels:
-    def test_pyramid(self):
-        assert enumerate_labels(PYRAMID) == ((1, 3, 2, 4), (2, 1, 3, 4))
-
-    def test_rank3_example(self):
-        assert set(enumerate_labels(PRISM)) == {
-            (3, 4, 2, 1, 5), (4, 2, 1, 3, 5), (2, 4, 1, 3, 5),
-            (3, 2, 4, 1, 5), (4, 1, 3, 2, 5)}
-
     def test_uniform_includes_center(self):
         labs = enumerate_labels(UNIFORM25)
         assert len(labs) == 11 and (3, 1, 4, 2, 5) in labs
@@ -171,11 +161,6 @@ class TestSimplexGeometry:
         with pytest.raises(ValueError, match=message):
             call(word)
 
-    def test_vertices_of_32415(self):
-        assert set(simplex_vertices((3, 2, 4, 1, 5))) == {
-            (1, 1, 0, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 1),
-            (0, 1, 0, 1, 1), (1, 1, 0, 1, 0)}
-
     def test_vertices_of_identity(self):
         assert simplex_vertices((1, 2, 3, 4)) == (
             (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -183,12 +168,6 @@ class TestSimplexGeometry:
     def test_vertices_of_2314_in_circuit_order(self):
         assert simplex_vertices((2, 3, 1, 4)) == (
             (0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 0), (1, 0, 0, 1))
-
-    def test_facets_of_32415(self):
-        got = {(q.start, q.stop, q.sense, q.bound)
-               for q in simplex_facets((3, 2, 4, 1, 5)).inequalities}
-        assert got == {(1, 5, ">=", 2), (3, 5, "<=", 1), (2, 3, "<=", 1),
-                       (2, 4, ">=", 1), (1, 4, "<=", 2)}
 
     def test_facets_of_identity_simplex(self):
         n = 5
@@ -278,13 +257,6 @@ class TestSimplexGeometry:
 
 
 class TestGraph:
-    def test_rank3_edges(self):
-        graph = build_graph(enumerate_labels(PRISM))
-        assert set(graph.edges()) == {
-            ((2, 4, 1, 3, 5), (3, 2, 4, 1, 5)), ((2, 4, 1, 3, 5), (4, 1, 3, 2, 5)),
-            ((2, 4, 1, 3, 5), (4, 2, 1, 3, 5)), ((3, 2, 4, 1, 5), (3, 4, 2, 1, 5)),
-            ((3, 4, 2, 1, 5), (4, 2, 1, 3, 5))}
-
     def test_uniform_edge_count(self):
         graph = build_graph(enumerate_labels(UNIFORM25))
         # 5 spokes from the center plus a 10-cycle through the others
@@ -340,11 +312,6 @@ class TestGraph:
 
 
 class TestShelling:
-    def test_wheel_cover_multiset(self):
-        graph = build_graph(enumerate_labels(WHEEL))
-        poset = shelling_poset(graph, (2, 4, 1, 3, 5))
-        assert sorted(poset.cover.values()) == [0, 1, 1, 1, 1, 2, 2, 2]
-
     @pytest.mark.parametrize("order", [
         # block z_2 - z_0 by vertex: 1, 2, 1, 1 (only vertex 1 on the wall)
         (1, 0, 2, 3),
@@ -367,13 +334,6 @@ class TestShelling:
         point = (1,)
         assert label_walls([point]) == {point: ()}
         assert wall_covers(label_walls([point]), (1,)) == {(1,): 0}
-
-    def test_rank3_covers(self):
-        graph = build_graph(enumerate_labels(PRISM))
-        poset = shelling_poset(graph, (2, 4, 1, 3, 5))
-        assert poset.cover == {
-            (2, 4, 1, 3, 5): 0, (4, 2, 1, 3, 5): 1, (3, 2, 4, 1, 5): 1,
-            (4, 1, 3, 2, 5): 1, (3, 4, 2, 1, 5): 2}
 
     def test_base_has_cover_zero(self):
         graph = build_graph(enumerate_labels(UNIFORM25))
@@ -424,14 +384,6 @@ class TestLabelPartition:
 
 
 class TestAffineLabeling:
-    def test_uniform_windows_match_fixture(self):
-        graph = build_graph(enumerate_labels(UNIFORM25))
-        report = affine_consistency_check(graph, shelling_poset(graph, (3, 1, 4, 2, 5)))
-        assert report.ok
-        assert report.windows[(1, 4, 2, 3, 5)] == (0, 2, 3, 4, 6)
-        assert report.windows[(4, 1, 2, 3, 5)] == (0, 3, 2, 4, 6)
-        assert report.windows[(1, 3, 2, 4, 5)] == (2, 1, 4, 3, 5)
-
     def test_single_label_identity_window(self):
         graph = build_graph([(1, 2, 3, 4)])
         report = affine_consistency_check(graph, shelling_poset(graph, (1, 2, 3, 4)))
@@ -524,6 +476,77 @@ class TestAffineLabeling:
         for i in range(1, 6):
             assert window_times_s(window_times_s(e, i), i) == e
             assert window_length(window_times_s(e, i)) == 1
+
+
+def _pyramid_labels_reordered(labels, necklace):
+    return labels[::-1] if necklace.compact() == "12,23,13,14" else labels
+
+
+def _prism_label_dropped(labels, necklace):
+    return labels[:-1] if necklace.compact() == "124,234,134,145,125" else labels
+
+
+def _last_vertex_moved(vertices, word):
+    return vertices[:-1] + ((1, 0, 1, 1, 0),) if tuple(word) == (3, 2, 4, 1, 5) else vertices
+
+
+def _first_bound_raised(hrep, word):
+    if tuple(word) != (3, 2, 4, 1, 5):
+        return hrep
+    q, *rest = hrep.inequalities
+    return hrep._replace(inequalities=(type(q)(q.start, q.stop, q.bound + 1, q.sense), *rest))
+
+
+def _prism_edge_dropped(graph, words):
+    if len(graph.words) != 5:
+        return graph
+    u, v = graph.edges()[0]
+    neighbors = dict(graph.neighbors)
+    neighbors[u] = tuple(w for w in neighbors[u] if w != v)
+    neighbors[v] = tuple(w for w in neighbors[v] if w != u)
+    return graph._replace(neighbors=neighbors)
+
+
+def _cover_raised(size):
+    def corrupt(poset, graph, base):
+        if len(graph.words) != size:
+            return poset
+        last = graph.words[-1]
+        return poset._replace(cover={**poset.cover, last: poset.cover[last] + 1})
+    return corrupt
+
+
+def _uniform_window_shifted(report, graph, poset):
+    if len(graph.words) != 11:
+        return report
+    return report._replace(windows={**report.windows, (1, 4, 2, 3, 5): (0, 2, 3, 4, 7)})
+
+
+class TestGoldenRowsCatchFaults:
+    """Each golden row of `verify_golden` fails when the function it fixes
+    returns a wrong value on that row's instance: the rows replace unit tests
+    that pinned the same values, so they must catch the same faults."""
+
+    @pytest.mark.parametrize("name, corrupt, failing", [
+        ("enumerate_labels", _pyramid_labels_reordered, ["pyramid labels"]),
+        ("enumerate_labels", _prism_label_dropped, [
+            "rank-3 five-simplex labels", "rank-3 five-simplex edges",
+            "rank-3 five-simplex covers", "rank-3 five-simplex h*", "pentagon subdivision"]),
+        ("simplex_vertices", _last_vertex_moved, ["vertices of 32415 simplex"]),
+        ("simplex_facets", _first_bound_raised, ["facets of projected 32415 simplex"]),
+        ("build_graph", _prism_edge_dropped, [
+            "rank-3 five-simplex edges", "rank-3 five-simplex covers"]),
+        ("shelling_poset", _cover_raised(8), ["rank-3 wheel cover multiset"]),
+        ("shelling_poset", _cover_raised(5), ["rank-3 five-simplex covers"]),
+        ("affine_consistency_check", _uniform_window_shifted, ["affine windows"]),
+    ], ids=["pyramid-labels", "prism-labels", "vertices-32415", "facets-32415",
+            "prism-edges", "wheel-covers", "prism-covers", "uniform-windows"])
+    def test_a_wrong_value_fails_its_row(self, monkeypatch, name, corrupt, failing):
+        original = getattr(tg, name)
+        monkeypatch.setattr(tg, name, lambda arg, *rest: corrupt(original(arg, *rest), arg, *rest))
+        checks = verify.verify_golden()
+        assert len(checks) == 29
+        assert [check_name for check_name, ok, _ in checks if not ok] == failing
 
 
 class TestPhiInverse:
