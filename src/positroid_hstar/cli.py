@@ -2,9 +2,9 @@
 
 Inputs are JSON objects keyed by representation ("necklace", "pi", "bases",
 "cells") or, for necklaces with n <= 9, the compact digit form
-"123,235,345,145,125".  Reports are JSON by default (CSV for atlases); all
-polynomial output lists coefficients in ascending degree, with rationals
-rendered as "p/q" strings.
+"123,235,345,145,125" (an empty J_i is "-").  Reports are JSON by default
+(CSV for atlases); all polynomial output lists coefficients in ascending
+degree, with rationals rendered as "p/q" strings.
 
 Each report command is a function from parsed arguments to its report dict.
 ``main`` alone times it, emits the report and maps an exception to one
@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Sequence
 
 from . import positroid as po
@@ -249,14 +250,41 @@ def emit(report: dict, args) -> None:
         if args.format == "text":
             _emit_text(report, out)
         else:
-            # a few thousand encoder chunks per write: stdout may be unbuffered
-            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-            while batch := list(itertools.islice(chunks, 4096)):
-                out.write("".join(batch))
+            out.write(_json_text(report, "\n"))
             out.write("\n")
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+_SCALARS = {str: _quote, int: int.__repr__, float: json.dumps,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it,
+    for what reports hold: dicts with str keys, lists, str, int, float, bool
+    and None (by exact type); anything else is a TypeError.  Strings go
+    through the C escaper.  ``newline`` is a newline and the indent of the
+    line ``value`` starts on.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            raise TypeError("report keys must be str")
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"a report holds no {type(value).__name__}")
 
 
 def _emit_text(report: dict, out, prefix: str = "") -> None:
@@ -441,17 +469,18 @@ def cmd_triangulate(args) -> dict:
     base = parse_word(args.w0) if args.w0 is not None else graph.words[0]
     poset = tg.shelling_poset(graph, base)
     affine = tg.affine_consistency_check(graph, poset)
-    text = {w: "".join(map(str, w)) for w in graph.words}  # sorted, one string per label
+    text = ["".join(map(str, w)) for w in graph.words]  # sorted, one string per label
     report = {
         "input_kind": kind,
         "n": necklace.n,
         "rank": necklace.rank,
         "num_simplices": len(labels),
-        "labels": list(text.values()),
-        "edges": [[text[u], text[v]] for u, v in graph.edges()],
-        "base": text[base],
-        "covers": {t: poset.cover[w] for w, t in text.items()},
-        "windows": {t: list(affine.windows[w]) for w, t in text.items()},
+        "labels": text,
+        "edges": [[text[i], text[j]] for i, j in graph.index_edges()],
+        "base": "".join(map(str, base)),
+        # the poset and the windows list the labels in the order of graph.words
+        "covers": dict(zip(text, poset.cover.values())),
+        "windows": dict(zip(text, map(list, affine.windows.values()))),
         "affine_consistent": affine.ok,
         "hstar": poly_ints(tg.hstar_from_covers(poset.cover)),
     }

@@ -115,10 +115,11 @@ class GrassmannNecklace(_Record):
         return tuple(sorted(self.subsets[i - 1], key=i_order_key(i, self.n)))
 
     def compact(self) -> str:
-        """Digit-string form like '12,23,13,14' (only valid for n <= 9)."""
+        """Digit-string form like '12,23,13,14' (only valid for n <= 9); an
+        empty J_i is written "-", as `cli.parse_compact_necklace` reads it."""
         if self.n > 9:
             raise ValueError("compact form needs single-digit labels")
-        return ",".join("".join(str(v) for v in sorted(s)) for s in self.subsets)
+        return ",".join("".join(str(v) for v in sorted(s)) or "-" for s in self.subsets)
 
 
 def validate_necklace(raw: Sequence[Iterable[int]], n: int | None = None) -> GrassmannNecklace:

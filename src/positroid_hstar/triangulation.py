@@ -9,7 +9,8 @@ permutation ending in n raises ValueError.  The labels whose circuit
 subsets are all bases triangulate the polytope; a prefix-pruned search
 finds them by the equivalent bounds on the cyclic descents of restrictions,
 one per necklace inequality (`positroid.h_representation`), and
-`labels_by_bases` keeps the basis filter as a reference.
+`labels_by_bases` keeps the basis filter as a reference.  Both keep the
+circuit table their basis filter read (`Labels`).
 
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
@@ -31,7 +32,11 @@ one simple affine transposition and that Coxeter length is BFS distance.
 Each label and each edge is visited once: a swap away from the letter n
 is the word with two letters exchanged, the alcove's centroid is read off
 the word in O(n) (`_alcove`), and an edge compares only the window entries
-its transposition moves.
+its transposition moves.  The graph, the search and the check run over
+label indices: the sorted words are looked up once per swap, and every
+per-label table (circuits, neighbors and swap positions, distances,
+windows and shifts) is a list aligned with the words.  Word-keyed mappings
+are built once, for the results.
 
 Every label simplex is unimodular (`simplex_is_unimodular`), and the check
 needs no elimination: consecutive circuit vertices of a label differ by
@@ -44,8 +49,11 @@ AssertionError.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from array import array
+from types import MappingProxyType
+from typing import Iterable, Mapping, MutableSequence, NamedTuple, Sequence
 
 from .core import (
     Word,
@@ -63,6 +71,25 @@ from .positroid import (
 )
 
 
+class Labels(tuple):
+    """Sorted label words that carry their circuit masks.
+
+    ``circuits`` is the flat table the basis assertion read (`_mask_table`):
+    the `core.circuit_masks` of word i are ``circuits[i*n:(i+1)*n]``.
+    `build_graph` reuses it, so each label's circuit is computed once on the
+    way to the dual graph.  Slices and copies are plain tuples.
+    """
+
+    circuits: Sequence[int]
+
+
+def _mask_table(n: int) -> MutableSequence[int]:
+    """An empty flat table for the circuit masks of words of length n, which
+    have bits 1..n: an array of 2-byte or 8-byte items, so that a table costs
+    less memory than the words."""
+    return array("H") if n < 16 else array("Q") if n < 64 else []
+
+
 def enumerate_labels(necklace: GrassmannNecklace) -> tuple[Word, ...]:
     """Triangulation labels of a connected positroid polytope, sorted.
 
@@ -71,6 +98,7 @@ def enumerate_labels(necklace: GrassmannNecklace) -> tuple[Word, ...]:
     and whose restriction to [i, a] has at most the bound of the necklace
     inequality on x_[i,a] (`h_representation`).  Their circuit subsets must
     be bases (asserted); `labels_by_bases` is the brute-force reference.
+    Past n = 1 the result is `Labels`, with the circuit table the assertion read.
     """
     n, r = necklace.n, necklace.rank
     if n == 1:
@@ -99,10 +127,19 @@ def labels_by_bases(necklace: GrassmannNecklace) -> tuple[Word, ...]:
     return _labels_of_bases(words, necklace)
 
 
-def _labels_of_bases(words: Iterable[Word], necklace: GrassmannNecklace) -> tuple[Word, ...]:
-    """The words whose circuit subsets are all bases, in order (bases as bitmasks)."""
+def _labels_of_bases(words: Iterable[Word], necklace: GrassmannNecklace) -> Labels:
+    """The words whose circuit subsets are all bases, in order (bases as
+    bitmasks), with their circuits."""
     bases = necklace.fact(basis_masks)
-    return tuple(w for w in words if bases.issuperset(circuit_masks(w)))
+    kept, circuits = [], _mask_table(necklace.n)
+    for w in words:
+        masks = circuit_masks(w)
+        if bases.issuperset(masks):
+            kept.append(w)
+            circuits.extend(masks)
+    labels = Labels(kept)
+    labels.circuits = circuits
+    return labels
 
 
 def simplex_vertices(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -144,16 +181,16 @@ def _descent_prefix(word: Word) -> list[int]:
     return list(itertools.accumulate(map(int.__gt__, pos[1:-1], pos[2:]), initial=0))
 
 
-def _z_vertices(word: Word) -> tuple[tuple[int, ...], ...]:
+def _z_vertices(word: Word, z0: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
     """Circuit vertices in prefix sums z_q = x_1 + ... + x_q, q = 0..n-1.
 
-    The last vertex is the word's own cyclic descent set (`_descent_prefix`);
-    passing from one vertex to the next places the next letter v of the
-    word, which lowers z_(v-1) by 1 for v >= 2 and raises z_1, ..., z_(n-1)
-    by 1 for v = 1.
+    The last vertex is the word's own cyclic descent set z0
+    (`_descent_prefix`, computed unless given); passing from one vertex to
+    the next places the next letter v of the word, which lowers z_(v-1) by 1
+    for v >= 2 and raises z_1, ..., z_(n-1) by 1 for v = 1.
     """
     n = len(word)
-    z = _descent_prefix(word)
+    z = _descent_prefix(word) if z0 is None else list(z0)
     out = []
     for v in word:
         if v == 1:
@@ -219,22 +256,45 @@ def simplex_is_unimodular(word: Sequence[int]) -> bool:
 
 
 class TriangulationGraph(NamedTuple):
-    """Dual graph of the triangulation, edges annotated with swap positions.
+    """Dual graph of the triangulation over label indices.
 
-    ``swap_position[(u, v)]`` is the cyclic position p in u's word such that
-    exchanging the entries at positions p, p+1 (indices mod n) of the cycle
-    of u yields the cycle of v.  The two directions of an edge can carry
-    different positions when the swap moves the letter n.
+    ``words`` is sorted, and every per-label table is aligned with it:
+    ``adjacent[i]`` lists the indices of word i's neighbors and
+    ``positions[i]`` their swap positions, in increasing position.  The
+    neighbor at position p is reached by exchanging the entries at cyclic
+    positions p, p+1 (indices mod n) of the cycle of word i.  The two
+    directions of an edge can carry different positions when the swap moves
+    the letter n.  ``neighbors`` and ``swap_position`` are word-keyed
+    read-only views, built on each access.
     """
 
     words: tuple[Word, ...]
-    neighbors: Mapping[Word, tuple[Word, ...]]
-    swap_position: Mapping[tuple[Word, Word], int]
+    adjacent: tuple[tuple[int, ...], ...]
+    positions: tuple[tuple[int, ...], ...]
+
+    @property
+    def neighbors(self) -> Mapping[Word, tuple[Word, ...]]:
+        """Each word's neighbors, sorted."""
+        words = self.words
+        return MappingProxyType({w: tuple([words[j] for j in sorted(adj)])
+                                 for w, adj in zip(words, self.adjacent)})
+
+    @property
+    def swap_position(self) -> Mapping[tuple[Word, Word], int]:
+        """The position of each directed edge (u, v), by u and then by position."""
+        words = self.words
+        return MappingProxyType({(u, words[j]): p for u, adj, pos in
+                                 zip(words, self.adjacent, self.positions)
+                                 for j, p in zip(adj, pos)})
+
+    def index_edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (i, j) with i < j, sorted (the adjacency is symmetric)."""
+        return tuple((i, j) for i, adj in enumerate(self.adjacent) for j in sorted(adj) if i < j)
 
     def edges(self) -> tuple[tuple[Word, Word], ...]:
-        """Each edge once as (u, v) with u < v, sorted: ``words`` and every
-        neighbor tuple are sorted, and the adjacency is symmetric."""
-        return tuple((u, v) for u in self.words for v in self.neighbors[u] if u < v)
+        """`index_edges` as word pairs (u, v) with u < v, sorted like ``words``."""
+        words = self.words
+        return tuple((words[i], words[j]) for i, j in self.index_edges())
 
 
 def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
@@ -246,18 +306,24 @@ def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
     letters of the word; the two swaps beside n (positions n-1 and n) carry
     a letter round to the other end.  The rule is symmetric, so each edge is
     asserted once, from its smaller word: the simplices share exactly n-1
-    circuit subsets.
+    circuit subsets.  `Labels` bring their circuit table; other words are
+    checked (`core.label_word`) and sorted, and their circuits computed.
     """
-    words = tuple(sorted(map(label_word, words)))
+    circuits = words.circuits if isinstance(words, Labels) else None
+    words = tuple(words) if circuits is not None else tuple(sorted(map(label_word, words)))
     ns = {len(w) for w in words}
     if len(ns) != 1:
         raise ValueError("labels have mixed ground-set sizes")
     n = ns.pop()
-    circuits = {w: frozenset(circuit_masks(w)) for w in words}
-    neighbors: dict[Word, tuple[Word, ...]] = {}
-    swap_position: dict[tuple[Word, Word], int] = {}
-    for word, circuit in circuits.items():
-        adjacent = []
+    if circuits is None:
+        circuits = _mask_table(n)
+        for w in words:
+            circuits.extend(circuit_masks(w))
+    index = {w: i for i, w in enumerate(words)}
+    adjacent, positions = [], []
+    for i, word in enumerate(words):
+        adj, pos = [], []
+        circuit = None
         for p in range(n):
             a, b = word[p], word[(p + 1) % n]
             if (a - b) % n in (1, n - 1):
@@ -268,20 +334,25 @@ def build_graph(words: Iterable[Sequence[int]]) -> TriangulationGraph:
                 other = (a,) + word[:p] + (b,)
             else:
                 other = word[1:p] + (b, a)
-            shared = circuits.get(other)
-            if shared is None:
+            j = index.get(other)
+            if j is None:
                 continue
-            if word < other and len(shared := circuit & shared) != n - 1:
-                raise AssertionError(
-                    f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
-            adjacent.append(other)
-            swap_position[(word, other)] = p + 1
-        neighbors[word] = tuple(sorted(adjacent))
-    return TriangulationGraph(words, neighbors, swap_position)
+            if i < j:
+                if circuit is None:
+                    circuit = frozenset(circuits[i * n:i * n + n])
+                if len(shared := circuit.intersection(circuits[j * n:j * n + n])) != n - 1:
+                    raise AssertionError(
+                        f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
+            adj.append(j)
+            pos.append(p + 1)
+        adjacent.append(tuple(adj))
+        positions.append(tuple(pos))
+    return TriangulationGraph(words, tuple(adjacent), tuple(positions))
 
 
 class ShellingPoset(NamedTuple):
-    """BFS distances and cover counts from a base label.
+    """BFS distances and cover counts from a base label, keyed by word in
+    the order of the graph's ``words``.
 
     cover(w) counts the neighbors of w one layer closer to the base; any
     linear extension by distance shells the triangulation, and cover(w) is
@@ -294,23 +365,26 @@ class ShellingPoset(NamedTuple):
 
 
 def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
-    if base not in graph.neighbors:
+    words, adjacent = graph.words, graph.adjacent
+    b = bisect.bisect_left(words, base)
+    if b == len(words) or words[b] != base:
         raise ValueError(f"{base} is not a label of the graph")
-    dist = {base: 0}
-    frontier = [base]
+    dist = [-1] * len(words)
+    dist[b] = 0
+    frontier, layer = [b], 0
     while frontier:
+        layer += 1
         nxt = []
         for u in frontier:
-            for v in graph.neighbors[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
+            for v in adjacent[u]:
+                if dist[v] < 0:
+                    dist[v] = layer
                     nxt.append(v)
-        frontier = sorted(nxt)
-    if len(dist) != len(graph.words):
+        frontier = nxt
+    if -1 in dist:
         raise AssertionError("triangulation graph is disconnected")
-    cover = {w: sum(1 for v in graph.neighbors[w] if dist[v] == dist[w] - 1)
-             for w in dist}
-    return ShellingPoset(base, dist, cover)
+    cover = [sum([dist[v] == d - 1 for v in adj]) for d, adj in zip(dist, adjacent)]
+    return ShellingPoset(base, dict(zip(words, dist)), dict(zip(words, cover)))
 
 
 Walls = tuple[tuple[int, int, int, int], ...]  # (lo, hi, m, at_p) per circuit vertex
@@ -413,8 +487,8 @@ def _alcove(word: Word) -> Window:
     the simplex is that alcove.
     """
     n = len(word)
-    z = _z_vertices(word)
     z0 = _descent_prefix(word)
+    z = _z_vertices(word, z0)
     g = [a + n * ((word[0] != 1) - z0[a - 1]) for a in word]
     steps = [divmod(a - 1, n) for a in g + [g[0] + n]]  # (shift, residue) pairs
     inside = True
@@ -431,7 +505,8 @@ def _alcove(word: Word) -> Window:
 
 
 class AffineLabelingReport(NamedTuple):
-    """Result of the affine-window consistency check on a triangulation graph."""
+    """Result of the affine-window consistency check on a triangulation graph;
+    ``windows`` is keyed by word in the order of the graph's ``words``."""
 
     base: Word
     windows: Mapping[Word, Window]
@@ -454,34 +529,38 @@ def affine_consistency_check(graph: TriangulationGraph,
     Problems list the failed edges in sorted order, then the lengths.
     """
     n = len(poset.base)
+    words = graph.words
     inverse = [0] * n  # the window of g0^-1
     for r, a in enumerate(_alcove(poset.base)):
         inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
-    windows: dict[Word, Window] = {}
-    shifts: dict[Word, int] = {}
-    for word in graph.words:
+    windows, shifts = [], []
+    for word in words:
         relative = [inverse[(a - 1) % n] + n * ((a - 1) // n) for a in _alcove(word)]
         k = (n * (n + 1) // 2 - sum(relative)) // n
         q, r = divmod(k, n)
-        windows[word] = tuple([a + n * q for a in relative[r:]]
-                              + [a + n * (q + 1) for a in relative[:r]])
-        shifts[word] = k
+        windows.append(tuple([a + n * q for a in relative[r:]]
+                             + [a + n * (q + 1) for a in relative[:r]]))
+        shifts.append(k)
 
     failed = []
-    for (u, v), p in graph.swap_position.items():
-        i = (p - 1 - shifts[u]) % n
-        wu, wv = windows[u], windows[v]
-        if i < n - 1:
-            moved = (wu[i] == wv[i + 1] and wu[i + 1] == wv[i]
-                     and wu[:i] == wv[:i] and wu[i + 2:] == wv[i + 2:])
-        else:
-            moved = wu[0] + n == wv[-1] and wu[-1] - n == wv[0] and wu[1:-1] == wv[1:-1]
-        if not moved:
-            failed.append(((u, v), i + 1))
-    problems = [f"edge {u} -> {v}: window {windows[v]} is not windows[{u}] * s_{generator}"
-                for (u, v), generator in sorted(failed)]
-    for w, win in windows.items():
-        if (length := window_length(win)) != poset.dist[w]:
+    for u, (adj, pos) in enumerate(zip(graph.adjacent, graph.positions)):
+        wu, k = windows[u], shifts[u]
+        for v, p in zip(adj, pos):
+            i = (p - 1 - k) % n
+            wv = windows[v]
+            if i < n - 1:
+                moved = (wu[i] == wv[i + 1] and wu[i + 1] == wv[i]
+                         and wu[:i] == wv[:i] and wu[i + 2:] == wv[i + 2:])
+            else:
+                moved = wu[0] + n == wv[-1] and wu[-1] - n == wv[0] and wu[1:-1] == wv[1:-1]
+            if not moved:
+                failed.append((u, v, i + 1))
+    problems = [f"edge {words[u]} -> {words[v]}: window {windows[v]} is not "
+                f"windows[{words[u]}] * s_{generator}" for u, v, generator in sorted(failed)]
+    dist = poset.dist
+    for w, win in zip(words, windows):
+        if (length := window_length(win)) != dist[w]:
             problems.append(
-                f"window length {length} of {w} differs from BFS distance {poset.dist[w]}")
-    return AffineLabelingReport(poset.base, windows, not problems, tuple(problems))
+                f"window length {length} of {w} differs from BFS distance {dist[w]}")
+    return AffineLabelingReport(poset.base, dict(zip(words, windows)), not problems,
+                                tuple(problems))

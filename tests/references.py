@@ -166,7 +166,8 @@ def _canonical_cycle_word(cycle):
 def reference_build_graph(words):
     """``triangulation.build_graph`` by rotating every swapped cycle: each
     swap copies the cycle, exchanges two entries and rotates n to the end,
-    and each edge direction asserts the shared circuit subsets."""
+    and each edge direction asserts the shared circuit subsets.  Neighbors
+    are listed in the order of their swap positions."""
     words = tuple(sorted(map(label_word, words)))
     ns = {len(w) for w in words}
     if len(ns) != 1:
@@ -190,10 +191,11 @@ def reference_build_graph(words):
                         f"swap rule joined {word} and {other} sharing {len(shared)} subsets")
                 neighbors[word].append(other)
                 swap_position[(word, other)] = p + 1
+    index = {w: i for i, w in enumerate(words)}
     return tg.TriangulationGraph(
         words,
-        {w: tuple(sorted(vs)) for w, vs in neighbors.items()},
-        swap_position,
+        tuple(tuple(index[v] for v in neighbors[w]) for w in words),
+        tuple(tuple(swap_position[(w, v)] for v in neighbors[w]) for w in words),
     )
 
 

@@ -5,9 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
@@ -38,6 +41,18 @@ class TestParsing:
     def test_compact_necklace(self):
         kind, value = cli.parse_input("12,23,13,14")
         assert kind == "necklace" and value.rank == 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_compact_form_round_trips(self, n):
+        # every decorated permutation, rank 0 included: an empty J_i is "-"
+        for dec in cli.all_decorated_permutations(n):
+            necklace = po.necklace_from_decorated(dec)
+            assert cli.parse_compact_necklace(necklace.compact()) == necklace, dec
+
+    def test_rank_zero_compact_form_verifies(self, capsys):
+        necklace = po.validate_necklace([[], [], []])
+        assert necklace.compact() == "-,-,-"
+        assert run(capsys, "verify", f"--input={necklace.compact()}")[0] == 0
 
     def test_json_necklace(self):
         kind, value = cli.parse_input('{"n": 4, "necklace": [[1,2],[2,3],[1,3],[1,4]]}')
@@ -925,3 +940,56 @@ class TestCommandLayer:
         for path in sorted(Path(cli.__file__).parent.glob("*.py")):
             Finder(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
         assert found == {("cli.py", "main")}
+
+    @pytest.mark.parametrize("argv", REPORT_ARGVS)
+    def test_timed_reports_are_the_stdlib_encoders_bytes(self, capsys, argv):
+        # elapsed_ms is the one float a report holds
+        code, out, err = run(capsys, *argv, "--timing")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("necklace, labels", [
+        ("123,234,345,456,156,126", 66),
+        ("1234,2345,3456,4567,5678,1678,1278,1238", 2416),
+    ], ids=["U(3,6)", "U(4,8)"])
+    def test_triangulate_reads_each_circuit_once(self, monkeypatch, necklace, labels):
+        # the basis assertion's circuit table is the one the dual graph checks
+        calls = []
+        masks = tg.circuit_masks
+
+        def spy(word):
+            calls.append(word)
+            return masks(word)
+
+        monkeypatch.setattr(tg, "circuit_masks", spy)
+        report = cli.cmd_triangulate(cli.build_parser().parse_args(["triangulate", necklace]))
+        assert report["num_simplices"] == labels
+        assert len(calls) == labels
+
+
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(min_value=-2**80, max_value=2**80),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20)
+
+
+class TestReportWriter:
+    """`cli._json_text`, the JSON report writer, against the stdlib encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_report_values)
+    @example("café ☃ \U0001f600 tab\tquote\"back\\slash\x00\x1f")
+    @example([-2**70, 2**70, 0.1, -0.0, float("inf"), float("nan"), True, None])
+    @example({"b": [[], {}], "a": {"z": [1, [2, {"c": None}]], "": {}}})
+    def test_writes_what_the_stdlib_encoder_writes(self, value):
+        assert cli._json_text(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, (1, 2), Fraction(1, 2), {1: "a"}, {"a": 1, 2: "b"}, [{"a": {(1,): 2}}],
+        {"a": [1, (2, 3)]},
+    ], ids=["set", "tuple", "Fraction", "int key", "mixed keys", "tuple key", "nested tuple"])
+    def test_anything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value, "\n")

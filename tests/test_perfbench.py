@@ -51,3 +51,34 @@ def test_tracing_still_wraps_every_layer():
     assert doc["worker"]
     assert all(doc["wrapped"].values()), doc["wrapped"]
     assert {"parse_input", "emit", "main"} <= set(doc["wrapped"]["cli"])
+
+
+def test_traced_triangulate_records_its_stages_and_edges():
+    # the traced run counts graph edges through TriangulationGraph.neighbors and
+    # times the triangulate stages by these names
+    code = """if True:
+        import contextlib, io, json, sys
+        sys.path.insert(0, "perfbench")
+        import tracing
+        from positroid_hstar import cli
+        from positroid_hstar import triangulation as tg
+        pentagon = "12,23,34,45,15"
+        graph = tg.build_graph(tg.enumerate_labels(cli.parse_compact_necklace(pentagon)))
+        recorder = tracing.Recorder()
+        tracing.install(recorder)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["triangulate", pentagon])
+        print(json.dumps({"code": code, "edges": len(graph.edges()),
+                          "reported": len(json.loads(out.getvalue())["edges"]),
+                          "counts": dict(recorder.counts),
+                          "names": sorted({span[0] for span in recorder.spans})}))
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert (doc["code"], doc["edges"], doc["reported"]) == (0, 15, 15)
+    assert doc["counts"]["triangulation.graph_edges"] == doc["edges"]
+    assert {"triangulation.build_graph", "triangulation.shelling_poset",
+            "triangulation.affine_consistency_check", "cli.emit"} <= set(doc["names"])

@@ -69,7 +69,8 @@ def inject_vertices(monkeypatch, word, circuit):
     z = tuple(tuple(itertools.accumulate(int(1 <= k < n and k in s) for k in range(n)))
               for s in circuit)
     original = tg._z_vertices
-    monkeypatch.setattr(tg, "_z_vertices", lambda w: z if w == word else original(w))
+    monkeypatch.setattr(tg, "_z_vertices",
+                        lambda w, *z0: z if w == word else original(w, *z0))
 
 
 def inject_circuit(monkeypatch, circuit):
@@ -79,6 +80,15 @@ def inject_circuit(monkeypatch, circuit):
     masks = tuple(sum(1 << k for k in s) for s in circuit)
     monkeypatch.setattr(tg, "circuit_masks", lambda w: masks if w == word else circuit_masks(w))
     return word
+
+
+def reposition(graph, change):
+    """``graph`` with the swap position p of each directed edge (u, v)
+    replaced by ``change((u, v), p)``."""
+    words = graph.words
+    return graph._replace(positions=tuple(
+        tuple(change((u, words[j]), p) for j, p in zip(adj, pos))
+        for u, adj, pos in zip(words, graph.adjacent, graph.positions)))
 
 
 def bareiss_unimodular(word):
@@ -274,9 +284,10 @@ class TestGraph:
         graphs += [build_graph(head + (n,) for head in itertools.permutations(range(1, n)))
                    for n in range(1, 8)]
         for graph in graphs:
-            for u, vs in graph.neighbors.items():
-                assert all(u in graph.neighbors[v] for v in vs), u
-            by_set = {tuple(sorted((u, v))) for u, vs in graph.neighbors.items() for v in vs}
+            neighbors = graph.neighbors
+            for u, vs in neighbors.items():
+                assert all(u in neighbors[v] for v in vs), u
+            by_set = {tuple(sorted((u, v))) for u, vs in neighbors.items() for v in vs}
             assert graph.edges() == tuple(sorted(by_set))
         assert len(graphs[-1].edges()) == 1680
 
@@ -286,7 +297,8 @@ class TestGraph:
         # A label graph restricts the swap graph of all words ending in n.
         for n in range(1, 8):
             graph = build_graph(head + (n,) for head in itertools.permutations(range(1, n)))
-            assert all((v, u) in graph.swap_position for u, v in graph.swap_position), n
+            swap_position = graph.swap_position
+            assert all((v, u) in swap_position for u, v in swap_position), n
 
     def test_singleton_graph(self):
         graph = build_graph([(1, 2, 3)])
@@ -302,13 +314,40 @@ class TestGraph:
             adjacent = tuple(sorted((a, b))) in edges
             assert adjacent == (shared == len(a) - 1)
 
-    def test_swap_neighbours_sharing_too_few_subsets_are_caught(self, monkeypatch):
-        # 2134 given the circuit of 2314 (24, 34, 13, 14) shares only 13 and 24 with 1324
-        monkeypatch.setattr(tg, "circuit_masks", lambda w: circuit_masks(
-            (2, 3, 1, 4) if w == (2, 1, 3, 4) else w))
+    @pytest.mark.parametrize("n", [15, 16, 63, 64])
+    def test_circuit_tables_of_every_width(self, n):
+        # the circuit table holds 2-byte items through n = 15, 8-byte items
+        # through n = 63 and ints beyond: a word and its letter-swap neighbors
+        rng = random.Random(n)
+        head = list(range(1, n))
+        rng.shuffle(head)
+        word = (*head, n)
+        words = [word] + [word[:p] + (word[p + 1], word[p]) + word[p + 2:] for p in range(n - 2)]
+        graph = build_graph(words)
+        same_graph(graph, reference_build_graph(words))
+        assert len(graph.edges()) >= n - 4
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["computed", "carried"])
+    def test_swap_neighbours_sharing_too_few_subsets_are_caught(self, monkeypatch, carried):
+        # 2134 given the circuit of 2314 (24, 34, 13, 14) shares only 13 and 24
+        # with 1324, whether build_graph computes the circuits or reads the
+        # table `Labels` carry
+        words = [(1, 3, 2, 4), (2, 1, 3, 4)]
+
+        def masks(w):
+            return circuit_masks((2, 3, 1, 4) if w == (2, 1, 3, 4) else w)
+
+        if carried:
+            labels = tg.Labels(words)
+            labels.circuits = tg._mask_table(4)
+            for w in words:
+                labels.circuits.extend(masks(w))
+            words = labels
+        else:
+            monkeypatch.setattr(tg, "circuit_masks", masks)
         with pytest.raises(AssertionError, match=r"joined \(1, 3, 2, 4\) and \(2, 1, 3, 4\) "
                                                  r"sharing 2 subsets"):
-            build_graph([(1, 3, 2, 4), (2, 1, 3, 4)])
+            build_graph(words)
 
 
 class TestShelling:
@@ -413,7 +452,7 @@ class TestAffineLabeling:
             for wrong in range(1, n + 1):
                 if wrong == p:
                     continue
-                corrupted = graph._replace(swap_position={**graph.swap_position, edge: wrong})
+                corrupted = reposition(graph, lambda e, q: wrong if e == edge else q)
                 try:
                     report = affine_consistency_check(
                         corrupted, shelling_poset(corrupted, graph.words[0]))
@@ -500,11 +539,11 @@ def _first_bound_raised(hrep, word):
 def _prism_edge_dropped(graph, words):
     if len(graph.words) != 5:
         return graph
-    u, v = graph.edges()[0]
-    neighbors = dict(graph.neighbors)
-    neighbors[u] = tuple(w for w in neighbors[u] if w != v)
-    neighbors[v] = tuple(w for w in neighbors[v] if w != u)
-    return graph._replace(neighbors=neighbors)
+    edge = set(graph.index_edges()[0])
+    kept = [[(j, p) for j, p in zip(adj, pos) if {i, j} != edge]
+            for i, (adj, pos) in enumerate(zip(graph.adjacent, graph.positions))]
+    return graph._replace(adjacent=tuple(tuple(j for j, _ in row) for row in kept),
+                          positions=tuple(tuple(p for _, p in row) for row in kept))
 
 
 def _cover_raised(size):
@@ -573,7 +612,7 @@ class TestPhiInverse:
 
 
 def same_graph(graph, reference):
-    assert graph.words == reference.words
+    assert graph == reference
     assert list(graph.neighbors.items()) == list(reference.neighbors.items())
     assert list(graph.swap_position.items()) == list(reference.swap_position.items())
 
@@ -619,15 +658,16 @@ class TestAgainstReferences:
         graph = build_graph(enumerate_labels(necklace))
         poset = shelling_poset(graph, graph.words[0])
         n = necklace.n
-        cases = [(graph._replace(swap_position={**graph.swap_position, edge: wrong}), poset)
+        cases = [(reposition(graph, lambda e, q: wrong if e == edge else q), poset)
                  for edge, p in graph.swap_position.items()
                  for wrong in range(1, n + 1) if wrong != p]
         cases += [(graph, poset._replace(dist={**poset.dist, w: d + 1}))
                   for w, d in poset.dist.items()]
-        # every edge off by one at once, listed backwards: one problem per
-        # edge, sorted by edge
-        cases.append((graph._replace(swap_position={
-            edge: p % n + 1 for edge, p in reversed(graph.swap_position.items())}), poset))
+        # every edge off by one at once, each label's neighbors listed
+        # backwards: one problem per edge, sorted by edge
+        backwards = graph._replace(adjacent=tuple(adj[::-1] for adj in graph.adjacent),
+                                   positions=tuple(pos[::-1] for pos in graph.positions))
+        cases.append((reposition(backwards, lambda e, p: p % n + 1), poset))
         for case in cases:
             got = outcome(affine_consistency_check, *case)
             assert got == outcome(reference_affine_consistency_check, *case)
@@ -639,9 +679,11 @@ class TestAgainstReferences:
         # the edge check on pairs the swap rule does not join, too
         graph = build_graph(enumerate_labels(necklace))
         poset = shelling_poset(graph, graph.words[0])
+        size = len(graph.words)
         for p in range(1, necklace.n + 1):
-            every_pair = graph._replace(swap_position={
-                (u, v): p for u in graph.words for v in graph.words if u != v})
+            every_pair = graph._replace(
+                adjacent=tuple(tuple(j for j in range(size) if j != i) for i in range(size)),
+                positions=((p,) * (size - 1),) * size)
             got = outcome(affine_consistency_check, every_pair, poset)
             assert got == outcome(reference_affine_consistency_check, every_pair, poset)
 
