@@ -123,8 +123,12 @@ def parse_input(text: str) -> tuple[str, object]:
                 if "n" not in doc and sizes == {0}:
                     raise InputError('bases: the only basis is empty, so "n" must be given')
                 n = doc["n"] if "n" in doc else max(max(b) for b in subsets)
+                for b in subsets:  # checked before a negative element meets a shift
+                    if any(not 1 <= v <= n for v in b):
+                        raise InputError(f"basis {sorted(b)} has elements outside 1..{n}")
                 # the matroid property is checked by ``to_necklace``'s round trip
-                return "bases", po.PositroidBases(n, sizes.pop(), subsets)
+                return "bases", po.PositroidBases(n, sizes.pop(), frozenset(
+                    sum(1 << v for v in b) for b in subsets))
             if "cells" in doc:
                 from .tree import validate_subdivision
 
@@ -364,7 +368,8 @@ def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
 
 def _components(necklace: po.GrassmannNecklace) -> list[list[int]]:
     """Ground sets of the direct summands, ordered by their least element."""
-    return [list(g) for g in po.components_of_bases(necklace.fact(po.basis_masks), necklace.n)]
+    bases = necklace.fact(po.bases_from_necklace)
+    return [list(g) for g in po.components_of_bases(bases.bases, bases.n)]
 
 
 def cmd_convert(args) -> dict:

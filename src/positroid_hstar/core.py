@@ -131,9 +131,16 @@ def circuit_subsets(word: Sequence[int]) -> tuple[frozenset[int], ...]:
     >>> [''.join(map(str, sorted(s))) for s in circuit_subsets((3, 2, 4, 1, 5))]
     ['135', '235', '245', '124', '125']
     """
-    n = len(label_word(word))
-    return tuple(frozenset(k for k in range(1, n + 1) if m >> k & 1)
-                 for m in circuit_masks(word))
+    return tuple(frozenset(mask_elements(m)) for m in circuit_masks(label_word(word)))
+
+
+def mask_elements(mask: int) -> Word:
+    """The set bits of a bitmask in increasing order, bit k read as element k.
+
+    >>> mask_elements(0b10110)
+    (1, 2, 4)
+    """
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def label_word(word: Sequence[int]) -> Word:

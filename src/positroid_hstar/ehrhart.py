@@ -558,7 +558,8 @@ def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> Deg
 
 def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
     """Closed counts of a positroid polytope in its own affine hull, at
-    every dilate t = 0..dim: the reference for ``_oracle_counts``.
+    every dilate t = 0..dim: the reference for ``_oracle_counts`` on a
+    connected positroid, and its counts on a disconnected one.
 
     A connected positroid is counted in dimension n - 1 from its canonical
     facets; a disconnected one from its necklace inequalities, in dimension
@@ -574,16 +575,13 @@ def _oracle_counts(necklace: GrassmannNecklace) -> DegreeCounts:
     """The counting oracle's counts and h* of any positroid polytope.
 
     A connected positroid is counted up to its h*-degree
-    (``count_to_degree``); a disconnected one at every dilate, from its
-    necklace inequalities, in dimension n minus the number of direct-sum
-    components.
+    (``count_to_degree``); a disconnected one at every dilate
+    (``_closed_profile``).
     """
     if necklace.fact(necklace_connected):
         return count_to_degree(necklace)
-    hrep = necklace.fact(h_representation)
-    dim = polytope_dimension(necklace.fact(bases_from_necklace))
-    counts = tuple(count_points(hrep, t) for t in range(dim + 1))
-    return DegreeCounts(dim, counts, hstar_from_counts(CountProfile(dim, counts)))
+    profile = _closed_profile(necklace)
+    return DegreeCounts(profile.dim, profile.counts, hstar_from_counts(profile))
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:

@@ -32,7 +32,7 @@ from .positroid import (
     CanonicalFacet,
     GrassmannNecklace,
     _facet_vertex_sets,
-    basis_masks,
+    bases_from_necklace,
     dimension_of_bases,
 )
 from .triangulation import enumerate_labels
@@ -85,7 +85,7 @@ def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     faces = necklace.fact(_facet_vertex_sets)
     uppers = tuple(f for f in faces if f.upper)
     tight = [faces[f] for f in uppers]
-    all_vertices = necklace.fact(basis_masks)
+    all_vertices = necklace.fact(bases_from_necklace).bases
     seen = {all_vertices}
     queue = [all_vertices]
     while queue:

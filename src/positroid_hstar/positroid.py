@@ -15,9 +15,10 @@ connectivity and direct-sum decomposition, and produces two H-representations
 of the polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
 necklace (``h_representation``), and for a connected positroid its
 irredundant facets in canonical interval form (``canonical_facets``).
-A face is kept as the bitmasks of its bases (``basis_masks``); it is the
-polytope of a matroid, whose dimension (``dimension_of_bases``) is n minus
-the number of connected components, so facets need no linear algebra.
+Bases are bitmasks, bit k for element k: ``PositroidBases`` holds them so,
+and so does every face.  A face is the polytope of a matroid, whose
+dimension (``dimension_of_bases``) is n minus the number of connected
+components, so facets need no linear algebra.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Type
 
 from .core import (
     _Record,
-    cyclic_interval,
     i_order_key,
     interval_support,
     is_permutation_word,
+    mask_elements,
 )
 
 if TYPE_CHECKING:
@@ -129,32 +130,33 @@ def validate_necklace(raw: Sequence[Iterable[int]], n: int | None = None) -> Gra
 
 
 class PositroidBases(_Record):
-    """Explicit basis collection of a matroid on 1..n, all of size r."""
+    """Explicit basis collection of a matroid on 1..n, all of size r, each
+    basis a bitmask with bit k for element k."""
 
     __slots__ = _fields = ("n", "r", "bases")
 
-    def __init__(self, n: int, r: int, bases: frozenset[frozenset[int]]):
+    def __init__(self, n: int, r: int, bases: frozenset[int]):
         if not bases:
             raise ValueError("basis set must be nonempty")
         for b in bases:
-            if len(b) != r:
-                raise ValueError(f"basis {sorted(b)} does not have size {r}")
-            if any(not 1 <= v <= n for v in b):
-                raise ValueError(f"basis {sorted(b)} has elements outside 1..{n}")
+            if b.bit_count() != r:
+                raise ValueError(f"basis {list(mask_elements(b))} does not have size {r}")
+            if b & 1 or b >> max(n, 0) + 1:  # bit 0 or a bit above n
+                raise ValueError(f"basis {list(mask_elements(b))} has elements outside 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "bases", bases)
 
     def sorted_bases(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(tuple(sorted(b)) for b in self.bases))
+        return tuple(sorted(mask_elements(b) for b in self.bases))
 
 
 def is_matroid(bases: PositroidBases) -> bool:
     """Exhaustive basis-exchange check (fine at desk scale)."""
     coll = bases.bases
     for left, right in itertools.product(coll, repeat=2):
-        for i in left - right:
-            if not any(left - {i} | {j} in coll for j in right - left):
+        for i in mask_elements(left & ~right):
+            if not any(left ^ 1 << i | 1 << j in coll for j in mask_elements(right & ~left)):
                 return False
     return True
 
@@ -183,13 +185,10 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
     n, r = necklace.n, necklace.rank
     limits = {limit for i, subset in enumerate(necklace.subsets, start=1)
               for limit in _gale_limits(subset, i, n, r)}
-    found = []
-    for comb, bits in zip(itertools.combinations(range(1, n + 1), r),
-                          itertools.combinations([1 << v for v in range(1, n + 1)], r)):
-        mask = sum(bits)
-        if all((mask & segment).bit_count() <= bound for segment, bound in limits):
-            found.append(frozenset(comb))
-    return PositroidBases(n, r, frozenset(found))
+    masks = map(sum, itertools.combinations([1 << v for v in range(1, n + 1)], r))
+    return PositroidBases(n, r, frozenset(
+        mask for mask in masks
+        if all((mask & segment).bit_count() <= bound for segment, bound in limits)))
 
 
 def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
@@ -202,18 +201,18 @@ def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
     puts the elements in <_i order from the top bit down, so the minimum is
     the basis of largest turned mask.
     """
-    n, r = bases.n, bases.r
-    masks = _masks(bases)
+    n, r, masks = bases.n, bases.r, bases.bases
     full = (1 << n) - 1
-    reversed_masks = [(sum(1 << n - v for v in b), b) for b in bases.bases]
+    reversed_masks = [(sum(1 << n - v for v in mask_elements(b)), b) for b in masks]
     subsets = []
     for i in range(1, n + 1):
-        best = max(reversed_masks, key=lambda mb: (mb[0] << i - 1 | mb[0] >> n + 1 - i) & full)[1]
+        best = mask_elements(max(
+            reversed_masks, key=lambda mb: (mb[0] << i - 1 | mb[0] >> n + 1 - i) & full)[1])
         limits = _gale_limits(best, i, n, r)
         if not all((mask & segment).bit_count() <= bound
                    for mask in masks for segment, bound in limits):
             raise ValueError(f"no Gale minimum for <_{i}; input is not a matroid")
-        subsets.append(best)
+        subsets.append(frozenset(best))
     return GrassmannNecklace(n, tuple(subsets))
 
 
@@ -292,67 +291,57 @@ def necklace_from_decorated(dec: DecoratedPermutation) -> GrassmannNecklace:
 
 def rank_of(subset: Iterable[int], bases: PositroidBases) -> int:
     """Matroid rank of a subset: the largest overlap with any basis."""
-    s = frozenset(subset)
-    return max(len(b & s) for b in bases.bases)
+    s = sum(1 << v for v in set(subset))
+    return max((b & s).bit_count() for b in bases.bases)
 
 
 def is_connected(bases: PositroidBases) -> bool:
     """True iff no proper nonempty subset splits the rank additively; exponential
     in n, it is the reference for ``necklace_connected`` and ``components_of_bases``."""
-    n, r = bases.n, bases.r
-    ground = frozenset(range(1, n + 1))
-    for size in range(1, n // 2 + 1):
-        for sub in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(sub)
-            if size == n - size and 1 not in s:
-                continue  # each half/complement pair once
-            if rank_of(s, bases) + rank_of(ground - s, bases) == r:
-                return False
-    return True
+    full = (1 << bases.n + 1) - 2
+
+    def rank(s: int) -> int:
+        return max((b & s).bit_count() for b in bases.bases)
+
+    # the subsets that hold element 1 meet each split once
+    return all(rank(s) + rank(full ^ s) != bases.r for s in range(2, full, 4))
 
 
 def necklace_connected(necklace: GrassmannNecklace) -> bool:
     """Connectivity of the positroid of a necklace, read off its decorated
-    permutation: a one-element ground set, or no fixed points and no
-    stabilized interval.  Derives no bases; ``is_connected``, the rank-split
+    permutation (Ardila-Rincon-Williams): connected exactly when no block
+    i..j other than 1..n is mapped onto itself.  A fixed point is such a
+    block unless n = 1.  Derives no bases; ``is_connected``, the rank-split
     test, is the reference that ``verify_roundtrips`` compares it with.
     """
-    dec = decorated_from_necklace(necklace)
-    return necklace.n == 1 or (not dec.fixed_points and is_stabilized_interval_free(dec.perm))
+    return is_stabilized_interval_free(decorated_from_necklace(necklace).perm)
 
 
-def stabilized_intervals(perm: Sequence[int], wrapping: bool = True) -> list[tuple[int, ...]]:
-    """Proper cyclic (or plain, if wrapping=False) intervals I with perm(I) = I."""
-    n = len(perm)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            interval = cyclic_interval(i, j, n)
-            if len(interval) == n:
-                continue
-            if not wrapping and interval[-1] < interval[0]:
-                continue
-            members = set(interval)
-            if {perm[v - 1] for v in members} == members:
-                out.append(interval)
-    return out
+def is_stabilized_interval_free(perm: Sequence[int]) -> bool:
+    """No block i..j of 1..n other than 1..n itself is mapped onto itself.
 
-
-def is_stabilized_interval_free(perm: Sequence[int], wrapping: bool = True) -> bool:
-    """No proper interval of 1..n is mapped onto itself.
-
-    The cyclic and non-wrapping notions define the same class (a permutation
-    fixing a wrapped interval also fixes its complement, which does not wrap);
-    both are kept so the agreement can be asserted in tests.
+    A block is stabilized exactly when its least image is i and its
+    greatest is j, so one running min and max per start i decide it.  A
+    cyclic interval that wraps past n is stabilized exactly when its
+    complement, a block, is; so blocks decide the cyclic notion too.
     """
-    return not stabilized_intervals(perm, wrapping=wrapping)
+    n = len(perm)
+    for i in range(1, n + 1):
+        low, high = n, 1
+        for j in range(i, n + 1):
+            low, high = min(low, perm[j - 1]), max(high, perm[j - 1])
+            if low < i:
+                break
+            if high == j and j - i < n - 1:
+                return False
+    return True
 
 
 def _restrict_bases(bases: PositroidBases, ground: tuple[int, ...]) -> PositroidBases:
     """Component bases on ``ground``, relabeled order-preservingly to 1..m."""
-    relabel = {v: k for k, v in enumerate(ground, start=1)}
-    restricted = frozenset(frozenset(relabel[v] for v in b & set(ground)) for b in bases.bases)
-    sizes = {len(b) for b in restricted}
+    restricted = frozenset(sum(1 << k for k, v in enumerate(ground, start=1) if b >> v & 1)
+                           for b in bases.bases)
+    sizes = {b.bit_count() for b in restricted}
     assert len(sizes) == 1, "a component produced unequal restrictions"
     return PositroidBases(len(ground), sizes.pop(), restricted)
 
@@ -363,7 +352,7 @@ def decompose_direct_sum(bases: PositroidBases) -> list[tuple[tuple[int, ...], P
     Components (those of ``components_of_bases``) are ordered by their smallest
     ground element.  Loops and coloops come out as singleton components of rank 0 and 1.
     """
-    return [(g, _restrict_bases(bases, g)) for g in components_of_bases(_masks(bases), bases.n)]
+    return [(g, _restrict_bases(bases, g)) for g in components_of_bases(bases.bases, bases.n)]
 
 
 class IntervalInequality(_Record):
@@ -450,8 +439,7 @@ def h_representation(necklace: GrassmannNecklace) -> HRepresentation:
 
 def vertices(bases: PositroidBases) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the bases, sorted lexicographically."""
-    return tuple(sorted(tuple(1 if k in b else 0 for k in range(1, bases.n + 1))
-                        for b in bases.bases))
+    return tuple(sorted(tuple(b >> k & 1 for k in range(1, bases.n + 1)) for b in bases.bases))
 
 
 def zero_one_points(hrep: HRepresentation) -> tuple[tuple[int, ...], ...]:
@@ -462,15 +450,6 @@ def zero_one_points(hrep: HRepresentation) -> tuple[tuple[int, ...], ...]:
         if hrep.contains(point):
             out.append(point)
     return tuple(sorted(out))
-
-
-def basis_masks(necklace: GrassmannNecklace) -> frozenset[int]:
-    """The bases as bitmasks, bit k for element k (as in ``core.circuit_masks``)."""
-    return _masks(necklace.fact(bases_from_necklace))
-
-
-def _masks(bases: PositroidBases) -> frozenset[int]:
-    return frozenset(sum(1 << k for k in b) for b in bases.bases)
 
 
 def _fundamental_union_find(masks: frozenset[int], n: int) -> tuple[Callable[[int], int], int]:
@@ -535,7 +514,7 @@ def dimension_of_bases(masks: frozenset[int], n: int) -> int:
 
 def polytope_dimension(bases: PositroidBases) -> int:
     """Affine dimension of the polytope (n-1 exactly when connected)."""
-    return dimension_of_bases(_masks(bases), bases.n)
+    return dimension_of_bases(bases.bases, bases.n)
 
 
 class CanonicalFacet(NamedTuple):
@@ -577,7 +556,7 @@ def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, froz
     if n == 1:
         return {}
     necklace.require_connected("canonical facet form")
-    masks = necklace.fact(basis_masks)
+    masks = necklace.fact(bases_from_necklace).bases
     faces = {}
     for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
         block = (1 << hi) - (1 << lo)  # the bits of x_lo, ..., x_{hi-1}

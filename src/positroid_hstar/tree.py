@@ -231,7 +231,7 @@ def positroid_from_subdivision(tau: BicoloredSubdivision) -> tuple[GrassmannNeck
     if not points:
         raise SubdivisionError("subdivision polytope has no 0/1 points")
     bases = PositroidBases(tau.n, tau.rank, frozenset(
-        frozenset(k for k, v in enumerate(p, start=1) if v) for p in points))
+        sum(v << k for k, v in enumerate(p, start=1)) for p in points))
     necklace = necklace_from_bases(bases)
     if necklace.fact(bases_from_necklace).bases != bases.bases:
         raise AssertionError("subdivision polytope vertices are not a positroid")

@@ -66,7 +66,7 @@ from .positroid import (
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
-    basis_masks,
+    bases_from_necklace,
     h_representation,
 )
 
@@ -130,7 +130,7 @@ def labels_by_bases(necklace: GrassmannNecklace) -> tuple[Word, ...]:
 def _labels_of_bases(words: Iterable[Word], necklace: GrassmannNecklace) -> Labels:
     """The words whose circuit subsets are all bases, in order (bases as
     bitmasks), with their circuits."""
-    bases = necklace.fact(basis_masks)
+    bases = necklace.fact(bases_from_necklace).bases
     kept, circuits = [], _mask_table(necklace.n)
     for w in words:
         masks = circuit_masks(w)

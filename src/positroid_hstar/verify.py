@@ -204,7 +204,8 @@ def verify_golden() -> list[Check]:
         5, [("black", [1, 2, 3]), ("white", [1, 3, 4]), ("black", [1, 4, 5])])
     arcs = {(a.start, a.end): a for a in tr.arcs(square)}
     dec = po.decorated_from_necklace(pyramid)
-    disco = po.PositroidBases(4, 2, frozenset(map(frozenset, [(1, 3), (1, 4), (2, 3), (2, 4)])))
+    disco = po.PositroidBases(4, 2, frozenset(
+        sum(1 << v for v in b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
     parts = po.decompose_direct_sum(disco)
     disco_necklace = po.necklace_from_bases(disco)
     uppers = ["x_1 <= 1", "x_1+x_2+x_3 <= 2", "x_2 <= 1"]

@@ -1,9 +1,65 @@
 """Exact references that only the tests use."""
 
+import itertools
+
 from positroid_hstar import triangulation as tg
-from positroid_hstar.core import circuit_masks, i_order_key, label_word
+from positroid_hstar.core import (
+    circuit_masks,
+    cyclic_interval,
+    i_order_key,
+    label_word,
+    mask_elements,
+)
 from positroid_hstar.ehrhart import CountProfile, _count_body
-from positroid_hstar.positroid import GrassmannNecklace
+from positroid_hstar.positroid import GrassmannNecklace, PositroidBases
+
+
+def masks_of(subsets):
+    """Bases written as element lists, as bitmasks (bit k for element k).
+
+    >>> sorted(masks_of([(1, 3), (2,)]))
+    [4, 10]
+    """
+    return frozenset(sum(1 << v for v in b) for b in subsets)
+
+
+def element_bases(n, r, subsets):
+    """``PositroidBases`` on 1..n of rank r, from bases as element lists."""
+    return PositroidBases(n, r, masks_of(subsets))
+
+
+def element_sets(bases):
+    """The bases of a ``PositroidBases`` as element frozensets."""
+    return frozenset(frozenset(mask_elements(b)) for b in bases.bases)
+
+
+def reference_is_matroid(bases):
+    """``positroid.is_matroid`` in set algebra: the exhaustive basis-exchange
+    check on element sets."""
+    coll = element_sets(bases)
+    for left, right in itertools.product(coll, repeat=2):
+        for i in left - right:
+            if not any(left - {i} | {j} in coll for j in right - left):
+                return False
+    return True
+
+
+def reference_stabilized_intervals(perm):
+    """The proper cyclic intervals I of 1..n, wrapping ones included, with
+    perm(I) = I: the cyclic form of ``positroid.is_stabilized_interval_free``.
+
+    >>> reference_stabilized_intervals((2, 1, 3))
+    [(1, 2), (3,)]
+    """
+    n = len(perm)
+    out = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            interval = cyclic_interval(i, j, n)
+            members = set(interval)
+            if len(interval) < n and {perm[v - 1] for v in members} == members:
+                out.append(interval)
+    return out
 
 
 def determinant(rows):
@@ -106,12 +162,12 @@ def reference_necklace_from_bases(bases):
     """``positroid.necklace_from_bases`` by sorted comparisons: J_i is the
     <_i-lexicographically least basis, checked Gale-below every basis with
     ``gale_leq``, else the same ValueError."""
-    n = bases.n
+    n, coll = bases.n, element_sets(bases)
     subsets = []
     for i in range(1, n + 1):
         key = i_order_key(i, n)
-        best = min(bases.bases, key=lambda b: tuple(sorted(key(v) for v in b)))
-        if not all(gale_leq(best, other, i, n) for other in bases.bases):
+        best = min(coll, key=lambda b: tuple(sorted(key(v) for v in b)))
+        if not all(gale_leq(best, other, i, n) for other in coll):
             raise ValueError(f"no Gale minimum for <_{i}; input is not a matroid")
         subsets.append(best)
     return GrassmannNecklace(n, tuple(subsets))

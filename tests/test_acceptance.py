@@ -18,6 +18,8 @@ from positroid_hstar import ehrhart as eh
 from positroid_hstar import positroid as po
 from positroid_hstar import verify
 
+from references import element_bases
+
 MAX_SWEEP_N = 6
 SEED = 20240814
 
@@ -113,8 +115,7 @@ def test_criterion_9_bijection_round_trips():
 
 def test_criterion_10_disconnected_handling(golden):
     assert_golden(golden, "direct sum split")
-    bases = po.PositroidBases(4, 2, frozenset(
-        frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
+    bases = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
     assert all(comp.sorted_bases() == ((1,), (2,)) for _, comp in po.decompose_direct_sum(bases))
 
     # direct oracle on the ambient polytope, restricted to its affine hull

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -53,6 +55,15 @@ class TestParsing:
         necklace = po.validate_necklace([[], [], []])
         assert necklace.compact() == "-,-,-"
         assert run(capsys, "verify", f"--input={necklace.compact()}")[0] == 0
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rank_zero_compact_forms_pass_the_command_line(self, capsys, n):
+        # a leading "-" reads as an option: "--" ends them, or "--input=" binds it
+        compact = ",".join("-" * n)
+        report = run_json(capsys, "convert", "--", compact)
+        necklace = po.validate_necklace(report["necklace"])
+        assert necklace.rank == 0 and necklace.compact() == compact
+        assert run(capsys, "verify", f"--input={compact}")[0] == 0
 
     def test_json_necklace(self):
         kind, value = cli.parse_input('{"n": 4, "necklace": [[1,2],[2,3],[1,3],[1,4]]}')
@@ -155,6 +166,33 @@ class TestParsing:
     def test_an_empty_bases_list_is_named(self, capsys):
         assert run(capsys, "convert", '{"bases": []}') == (
             2, "", "error: bases: expected at least one basis, got []\n")
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"bases": [[0, 1], [1, 2]]}', "basis [0, 1] has elements outside 1..2"),
+        ('{"n": 3, "bases": [[1, -2]]}', "basis [-2, 1] has elements outside 1..3"),
+        ('{"n": 3, "bases": [[1, 4]]}', "basis [1, 4] has elements outside 1..3"),
+        ('{"bases": [[1, 2], [3]]}', "bases must all have the same size"),
+        ('{"bases": []}', "bases: expected at least one basis, got []"),
+        ('{"bases": [[1, 2], [3, 4]]}', "basis set fails the exchange axiom"),
+        ('{"bases": [[1, 2], [1, 4], [2, 3], [3, 4]]}',
+         "basis set is a matroid but not a positroid (its necklace generates a strictly "
+         "larger one)"),
+    ], ids=["zero", "negative", "above n", "unequal sizes", "empty", "non-matroid",
+            "non-positroid"])
+    def test_bases_input_errors_are_pinned(self, capsys, doc, message):
+        assert run(capsys, "convert", doc) == (2, "", f"error: {message}\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries(
+        {"bases": st.lists(st.lists(st.integers(-2, 8), max_size=6), max_size=8)},
+        optional={"n": st.integers(-2, 6)}))
+    def test_any_bases_document_converts_or_is_an_input_error(self, doc):
+        # an exception other than an input error would escape main as a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["convert", json.dumps(doc)])
+        outcome = code, bool(out.getvalue()), err.getvalue()[:7]
+        assert outcome in [(0, True, ""), (2, False, "error: ")], err.getvalue()
 
     def test_the_exchange_scan_runs_only_to_name_a_failed_round_trip(self, capsys, monkeypatch):
         scanned = []

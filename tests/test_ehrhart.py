@@ -34,7 +34,6 @@ from positroid_hstar.positroid import (
     DecoratedPermutation,
     HRepresentation,
     IntervalInequality,
-    PositroidBases,
     facet_representation,
     h_representation,
     necklace_connected,
@@ -44,7 +43,7 @@ from positroid_hstar.positroid import (
 )
 from positroid_hstar.triangulation import hstar_shelling
 
-from references import reference_cut_costs
+from references import element_bases, reference_cut_costs
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
@@ -484,8 +483,7 @@ class TestDrivers:
         assert ehr.leading_coefficient * math.factorial(4) == 11
 
     def test_disconnected_product(self):
-        B = PositroidBases(4, 2, frozenset(
-            frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
+        B = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
         ehr = ehrhart_of_positroid(necklace_from_bases(B))
         assert ehr.dim == 2
         assert ehr.poly == ExactPolynomial.from_coefficients([1, 2, 1])

@@ -28,7 +28,6 @@ from positroid_hstar.positroid import (
     DecoratedPermutation,
     HRepresentation,
     IntervalInequality,
-    PositroidBases,
     _projected_candidates,
     bases_from_necklace,
     canonical_facets,
@@ -48,7 +47,7 @@ from positroid_hstar.triangulation import (
     simplex_vertices,
 )
 
-from references import affine_rank, half_open_profile
+from references import affine_rank, element_bases, half_open_profile
 from test_ehrhart import connected_through, hypersimplex_hstar, uniform
 from test_triangulation import phi_inverse_point
 
@@ -369,8 +368,7 @@ class TestUpperTally:
 def minimal_matroid(k, n):
     """Ferroni's minimal matroid T_{k,n}: bases [k] and ([k] - {i}) + {p}, p > k."""
     top = frozenset(range(1, k + 1))
-    bases = PositroidBases(n, k, frozenset(
-        {top} | {top - {i} | {p} for i in top for p in range(k + 1, n + 1)}))
+    bases = element_bases(n, k, [top] + [top - {i} | {p} for i in top for p in range(k + 1, n + 1)])
     necklace = necklace_from_bases(bases)
     assert bases_from_necklace(necklace) == bases, "T_{k,n} is a positroid"
     return necklace

@@ -1,6 +1,7 @@
 """What a process loads, what the package exports, and how its records behave."""
 
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -66,6 +67,17 @@ def test_no_module_binds_affine_rank():
         home = importlib.import_module(f"positroid_hstar.{module.name}")
         assert not hasattr(home, "affine_rank"), module.name
     assert not hasattr(po, "_projected_vertices")
+
+
+def test_no_module_binds_a_second_form_of_bases_or_connectivity():
+    # bases are bitmasks in PositroidBases itself, and connectivity is one
+    # block scan; the set-based exchange check and the cyclic intervals are
+    # the tests' references
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        for name in ("basis_masks", "_masks", "stabilized_intervals"):
+            assert not hasattr(home, name), (module.name, name)
+    assert list(inspect.signature(po.is_stabilized_interval_free).parameters) == ["perm"]
 
 
 def test_no_module_binds_gale_leq():
@@ -217,7 +229,7 @@ class TestRecords:
         with pytest.raises(ValueError, match="white set"):
             po.DecoratedPermutation((2, 1), frozenset({1}))
         with pytest.raises(ValueError, match="does not have size"):
-            po.PositroidBases(3, 2, frozenset({frozenset({1})}))
+            po.PositroidBases(3, 2, frozenset({0b10}))
         with pytest.raises(ValueError, match="need 3 counts"):
             eh.CountProfile(2, (1, 3))
 
@@ -226,13 +238,13 @@ class TestRecords:
         assert eh.CountProfile(1, (1, 2)) != ExactPolynomial((1, 2))
 
     def test_reprs_are_pinned(self):
-        records = [po.PositroidBases(2, 2, frozenset({frozenset({1, 2})})),
+        records = [po.PositroidBases(2, 2, frozenset({0b110})),
                    po.DecoratedPermutation((2, 1, 3), frozenset({3})),
                    po.IntervalInequality(3, 1, 2, ">=", True),
                    eh.CountProfile(2, (1, 3, 6)),
                    ExactPolynomial.from_coefficients([1, Fraction(3, 2)])]
         assert [repr(r) for r in records] == [
-            "PositroidBases(n=2, r=2, bases=frozenset({frozenset({1, 2})}))",
+            "PositroidBases(n=2, r=2, bases=frozenset({6}))",
             "DecoratedPermutation(perm=(2, 1, 3), white=frozenset({3}))",
             "IntervalInequality(start=3, stop=1, bound=2, sense='>=', strict=True)",
             "CountProfile(dim=2, counts=(1, 3, 6))",

@@ -11,7 +11,6 @@ from positroid_hstar.core import i_order_key
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     NecklaceError,
-    PositroidBases,
     bases_from_necklace,
     decompose_direct_sum,
     decorated_from_necklace,
@@ -29,7 +28,15 @@ from positroid_hstar.positroid import (
     zero_one_points,
 )
 
-from references import affine_rank, reference_necklace_from_bases
+from references import (
+    affine_rank,
+    element_bases,
+    element_sets,
+    masks_of,
+    reference_is_matroid,
+    reference_necklace_from_bases,
+    reference_stabilized_intervals,
+)
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
@@ -88,9 +95,9 @@ def gale_sorted_bases(necklace):
     every i, J_i and B sorted by <_i compare entry by entry."""
     n, r = necklace.n, necklace.rank
     j_ranks = [sorted_ranks(necklace.subsets[i - 1], i, n) for i in range(1, n + 1)]
-    return frozenset(frozenset(comb) for comb, ranks in ranked_subsets(n, r)
-                     if all(a <= b for j_i, b_i in zip(j_ranks, ranks)
-                            for a, b in zip(j_i, b_i)))
+    return masks_of(comb for comb, ranks in ranked_subsets(n, r)
+                    if all(a <= b for j_i, b_i in zip(j_ranks, ranks)
+                           for a, b in zip(j_i, b_i)))
 
 
 def sorted_ranks(subset, i, n):
@@ -141,49 +148,49 @@ class TestNecklaceFromBases:
         assert necklace_from_bases(bases_from_necklace(PYRAMID)) == PYRAMID
 
     def test_uniform_gale_minima(self):
-        all_pairs = frozenset(frozenset(c) for c in itertools.combinations(range(1, 6), 2))
-        J = necklace_from_bases(PositroidBases(5, 2, all_pairs))
+        J = necklace_from_bases(element_bases(5, 2, itertools.combinations(range(1, 6), 2)))
         assert J == validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
         assert J.sorted_subset(5) == (5, 1)
 
     def test_direct_sum_round_trip(self):
-        B = PositroidBases(4, 2, frozenset(
-            frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
+        B = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
         J = necklace_from_bases(B)
         assert bases_from_necklace(J).bases == B.bases
 
     def test_non_positroid_matroid_grows(self):
         # direct sum over the crossing pair {1,3} | {2,4}: a matroid, not a positroid
-        B = PositroidBases(4, 2, frozenset(
-            frozenset(b) for b in [(1, 2), (1, 4), (2, 3), (3, 4)]))
+        B = element_bases(4, 2, [(1, 2), (1, 4), (2, 3), (3, 4)])
         assert is_matroid(B)
         J = necklace_from_bases(B)
         assert bases_from_necklace(J).bases > B.bases
 
     def test_random_basis_sets_give_the_same_necklace_or_message(self):
+        # and the exchange scan on bitmasks agrees with the one on element sets
         rng = random.Random(23)
-        messages = 0
+        messages = matroids = 0
         for _ in range(800):
             n = rng.randint(2, 6)
             r = rng.randint(1, n - 1)
             subsets = list(itertools.combinations(range(1, n + 1), r))
-            bases = PositroidBases(n, r, frozenset(
-                frozenset(b) for b in rng.sample(subsets, rng.randint(1, len(subsets)))))
+            bases = element_bases(n, r, rng.sample(subsets, rng.randint(1, len(subsets))))
             got = necklace_or_message(bases, necklace_from_bases)
             assert got == necklace_or_message(bases, reference_necklace_from_bases), bases
             messages += isinstance(got, str)
+            assert is_matroid(bases) == reference_is_matroid(bases), bases
+            matroids += is_matroid(bases)
         assert 50 < messages < 750  # both outcomes occur often
+        assert 50 < matroids < 750
 
     def test_the_700_bases_of_a_direct_sum_give_the_reference_necklace_or_message(self):
         # U(3,7) + U(3,6) on 1..13, then without some of its bases: without
         # J_1 no basis is Gale-least for <_1
-        left = [frozenset(c) for c in itertools.combinations(range(1, 8), 3)]
-        right = [frozenset(c) for c in itertools.combinations(range(8, 14), 3)]
-        bases = sorted((a | b for a in left for b in right), key=sorted)
+        left = itertools.combinations(range(1, 8), 3)
+        right = list(itertools.combinations(range(8, 14), 3))
+        bases = [a + b for a in left for b in right]  # sorted
         assert len(bases) == 700
         outcomes = []
         for dropped in ([], bases[:1], bases[350:351], bases[-2:]):
-            basis_set = PositroidBases(13, 6, frozenset(bases) - frozenset(dropped))
+            basis_set = element_bases(13, 6, [b for b in bases if b not in dropped])
             got = necklace_or_message(basis_set, necklace_from_bases)
             assert got == necklace_or_message(basis_set, reference_necklace_from_bases)
             outcomes.append(got if isinstance(got, str) else "necklace")
@@ -235,8 +242,7 @@ class TestRankAndConnectivity:
     def test_connected_examples(self):
         assert is_connected(bases_from_necklace(PYRAMID))
         assert is_connected(bases_from_necklace(UNIFORM25))
-        disco = PositroidBases(4, 2, frozenset(
-            frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
+        disco = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
         assert not is_connected(disco)
 
     def test_connected_polytopes_have_full_dimension(self):
@@ -272,17 +278,18 @@ class TestRankAndConnectivity:
         uniform = validate_necklace([[(i + k) % 12 + 1 for k in range(6)] for i in range(12)])
         assert necklace_connected(uniform)
 
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_sif_wrapping_convention_is_immaterial(self, n):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_block_scan_matches_the_cyclic_intervals(self, n):
+        # every permutation of 1..n, so every decorated permutation (the
+        # colors do not enter), against the cyclic rule that also tests the
+        # intervals wrapping past n
         for perm in itertools.permutations(range(1, n + 1)):
-            assert (is_stabilized_interval_free(perm, wrapping=True)
-                    == is_stabilized_interval_free(perm, wrapping=False))
+            assert is_stabilized_interval_free(perm) == (not reference_stabilized_intervals(perm))
 
 
 class TestDecomposition:
     def test_two_blocks(self):
-        B = PositroidBases(4, 2, frozenset(
-            frozenset(b) for b in [(1, 3), (1, 4), (2, 3), (2, 4)]))
+        B = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
         parts = decompose_direct_sum(B)
         assert [g for g, _ in parts] == [(1, 2), (3, 4)]
         for _, comp in parts:
@@ -315,8 +322,9 @@ class TestDecomposition:
                 assert sorted(v for g in grounds for v in g) == list(range(1, n + 1)), dec
                 assert all(is_connected(comp) for _, comp in parts), dec
                 products = {frozenset(g[k - 1] for (g, _), b in zip(parts, choice) for k in b)
-                            for choice in itertools.product(*(comp.bases for _, comp in parts))}
-                assert products == B.bases, dec
+                            for choice in itertools.product(
+                                *(element_sets(comp) for _, comp in parts))}
+                assert products == element_sets(B), dec
 
     def test_loop_components_have_rank_zero(self):
         # 1 and 3 swapped, 2 is a black fixed point (a loop)
@@ -367,7 +375,7 @@ class TestVertices:
         assert len(vertices(bases_from_necklace(UNIFORM25))) == 10
 
     def test_single_basis(self):
-        B = PositroidBases(4, 2, frozenset([frozenset({1, 2})]))
+        B = element_bases(4, 2, [(1, 2)])
         assert vertices(B) == ((1, 1, 0, 0),)
 
 
