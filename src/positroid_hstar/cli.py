@@ -6,6 +6,9 @@ Inputs are JSON objects keyed by representation ("necklace", "pi", "bases",
 (CSV for atlases); all polynomial output lists coefficients in ascending
 degree, with rationals rendered as "p/q" strings.
 
+Each job has one home.  ``input_necklace`` reads an input into its kind and
+necklace, ``hstar_routes`` runs the h* routes on a closed or half-open
+body, and ``output`` opens --out (or stdout) for every report and atlas.
 Each report command is a function from parsed arguments to its report dict.
 ``main`` alone times it, emits the report and maps an exception to one
 ``error:`` line on stderr and an exit code: 0 success, 1 verification
@@ -22,6 +25,7 @@ when a route needs them, ``tree`` for subdivision input, and the suites of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -126,7 +130,7 @@ def parse_input(text: str) -> tuple[str, object]:
                 for b in subsets:  # checked before a negative element meets a shift
                     if any(not 1 <= v <= n for v in b):
                         raise InputError(f"basis {sorted(b)} has elements outside 1..{n}")
-                # the matroid property is checked by ``to_necklace``'s round trip
+                # the matroid property is checked by ``input_necklace``'s round trip
                 return "bases", po.PositroidBases(n, sizes.pop(), frozenset(
                     sum(1 << v for v in b) for b in subsets))
             if "cells" in doc:
@@ -185,18 +189,18 @@ def read_input(value: str | None) -> str:
     return value
 
 
-def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
-    if kind == "necklace":
-        return value
+def input_necklace(text: str) -> tuple[str, po.GrassmannNecklace]:
+    """The kind of an input document (``parse_input``) and its necklace."""
+    kind, value = parse_input(text)
     if kind == "decorated":
-        return po.necklace_from_decorated(value)
+        return kind, po.necklace_from_decorated(value)
     if kind == "bases":
         # A positroid is its necklace's basis set, so the round trip alone
         # proves the matroid property; the exchange scan only names a failure.
         try:
             necklace = po.necklace_from_bases(value)
             if necklace.fact(po.bases_from_necklace).bases == value.bases:
-                return necklace
+                return kind, necklace
         except ValueError:
             pass
         if not po.is_matroid(value):
@@ -206,8 +210,8 @@ def to_necklace(kind: str, value: object) -> po.GrassmannNecklace:
     if kind == "subdivision":
         from .tree import positroid_from_subdivision
 
-        return positroid_from_subdivision(value)[0]
-    raise InputError(f"cannot build a necklace from {kind}")
+        return kind, positroid_from_subdivision(value)[0]
+    return kind, value
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -248,17 +252,23 @@ def check_out(path: str) -> None:
         os.remove(path)
 
 
+@contextlib.contextmanager
+def output(path: str | None):
+    """The --out file, closed on leaving, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open_out(path) as out:
+        yield out
+
+
 def emit(report: dict, args) -> None:
-    out = open_out(args.out) if args.out else sys.stdout
-    try:
+    with output(args.out) as out:
         if args.format == "text":
             _emit_text(report, out)
         else:
             out.write(_json_text(report, "\n"))
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 _SCALARS = {str: _quote, int: int.__repr__, float: json.dumps,
@@ -305,38 +315,33 @@ def _emit_text(report: dict, out, prefix: str = "") -> None:
 # computations shared by commands and the verifier
 # ---------------------------------------------------------------------------
 
-def hstar_closed_all_methods(necklace: po.GrassmannNecklace,
-                             methods: Sequence[str] = CLOSED_METHODS,
-                             base: tuple[int, ...] | None = None) -> dict[str, list[int]]:
+def hstar_routes(necklace: po.GrassmannNecklace, methods: Sequence[str],
+                 half_open: bool = False,
+                 base: tuple[int, ...] | None = None) -> dict[str, list[int]]:
+    """The h* of the closed body of ``necklace`` (or its half-open body) by
+    each of ``methods``; ``base`` is the shelling's base label.  A route
+    imports its module only when it runs."""
     out = {}
     for method in methods:
-        if method == "shelling":
-            out[method] = poly_ints(tg.hstar_shelling(necklace, base))
-        elif method == "inclusion-exclusion":
+        if half_open and method in HALF_OPEN_METHODS:
             from . import halfopen as ho
 
-            out[method] = poly_ints(ho.hstar_closed_via_inclusion_exclusion(necklace))
-        elif method == "oracle":
+            h = (ho.hstar_half_open(necklace) if method == "descents"
+                 else ho.hstar_half_open_by_counting(necklace))
+        elif not half_open and method == "shelling":
+            h = tg.hstar_shelling(necklace, base)
+        elif not half_open and method == "inclusion-exclusion":
+            from . import halfopen as ho
+
+            h = ho.hstar_closed_via_inclusion_exclusion(necklace)
+        elif not half_open and method == "oracle":
             from . import ehrhart as eh
 
-            out[method] = poly_ints(eh.hstar_by_counting(necklace))
+            h = eh.hstar_by_counting(necklace)
         else:
-            raise InputError(f"method {method!r} does not compute a closed h*")
-    return out
-
-
-def hstar_half_open_all_methods(necklace: po.GrassmannNecklace,
-                                methods: Sequence[str] = HALF_OPEN_METHODS) -> dict[str, list[int]]:
-    from . import halfopen as ho
-
-    out = {}
-    for method in methods:
-        if method == "descents":
-            out[method] = poly_ints(ho.hstar_half_open(necklace))
-        elif method == "oracle":
-            out[method] = poly_ints(ho.hstar_half_open_by_counting(necklace))
-        else:
-            raise InputError(f"method {method!r} does not compute a half-open h*")
+            body = "half-open" if half_open else "closed"
+            raise InputError(f"method {method!r} does not compute a {body} h*")
+        out[method] = poly_ints(h)
     return out
 
 
@@ -373,8 +378,7 @@ def _components(necklace: po.GrassmannNecklace) -> list[list[int]]:
 
 
 def cmd_convert(args) -> dict:
-    kind, value = parse_input(read_input(args.input))
-    necklace = to_necklace(kind, value)
+    kind, necklace = input_necklace(read_input(args.input))
     bases = necklace.fact(po.bases_from_necklace)
     dec = po.decorated_from_necklace(necklace)
     connected = necklace.fact(po.necklace_connected)
@@ -394,8 +398,7 @@ def cmd_convert(args) -> dict:
 
 
 def cmd_hstar(args) -> dict:
-    kind, value = parse_input(read_input(args.input))
-    necklace = to_necklace(kind, value)
+    kind, necklace = input_necklace(read_input(args.input))
     connected = necklace.fact(po.necklace_connected)
     method = args.method or ("descents" if args.half_open else "shelling")
 
@@ -421,20 +424,17 @@ def cmd_hstar(args) -> dict:
             methods = ("oracle",)
     if args.w0 is not None and "shelling" not in methods:
         raise InputError("--w0 applies only to the shelling method")
-    if args.half_open:
-        if not connected:
+    if not connected:
+        if args.half_open:
             raise po.DisconnectedPositroidError(
                 "half-open h* needs a connected positroid; split with decompose_direct_sum")
-        results = hstar_half_open_all_methods(necklace, methods)
-    else:
-        if not connected:
-            if methods != ("oracle",):
-                raise po.DisconnectedPositroidError(
-                    f"method {method} needs a connected positroid; "
-                    "split with decompose_direct_sum and multiply Ehrhart factors")
-            report["components"] = _components(necklace)
-        base = parse_word(args.w0) if args.w0 is not None else None
-        results = hstar_closed_all_methods(necklace, methods, base)
+        if methods != ("oracle",):
+            raise po.DisconnectedPositroidError(
+                f"method {method} needs a connected positroid; "
+                "split with decompose_direct_sum and multiply Ehrhart factors")
+        report["components"] = _components(necklace)
+    base = parse_word(args.w0) if args.w0 is not None else None
+    results = hstar_routes(necklace, methods, args.half_open, base)
     if connected:
         # The oracle alone derives no labels; its h*(1), the normalized
         # volume, is the label count.
@@ -450,8 +450,7 @@ def cmd_ehrhart(args) -> dict:
 
     if args.tmax is not None and args.tmax < 0:
         raise InputError("--tmax must be nonnegative")
-    kind, value = parse_input(read_input(args.input))
-    necklace = to_necklace(kind, value)
+    kind, necklace = input_necklace(read_input(args.input))
     ehr = eh.ehrhart_of_positroid(necklace)
     tmax = args.tmax if args.tmax is not None else ehr.dim
     return {
@@ -467,8 +466,7 @@ def cmd_ehrhart(args) -> dict:
 
 
 def cmd_triangulate(args) -> dict:
-    kind, value = parse_input(read_input(args.input))
-    necklace = to_necklace(kind, value)
+    kind, necklace = input_necklace(read_input(args.input))
     labels = necklace.fact(tg.enumerate_labels)
     graph = tg.build_graph(labels)
     base = parse_word(args.w0) if args.w0 is not None else graph.words[0]
@@ -581,13 +579,12 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         if sum(shelling) != len(labels) or volume != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")
         stage = "closed routes"
-        closed = {"shelling": shelling,
-                  **hstar_closed_all_methods(necklace, CLOSED_METHODS[1:])}
+        closed = {"shelling": shelling, **hstar_routes(necklace, CLOSED_METHODS[1:])}
         if agreement_verdict(closed) != "PASS":
             return _check(name, False, f"closed methods disagree: {closed}")
         if n > 1:
             stage = "half-open routes"
-            half = hstar_half_open_all_methods(necklace)
+            half = hstar_routes(necklace, HALF_OPEN_METHODS, half_open=True)
             if agreement_verdict(half) != "PASS":
                 return _check(name, False, f"half-open methods disagree: {half}")
             some = next(iter(closed.values()))

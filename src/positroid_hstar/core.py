@@ -7,7 +7,7 @@ Conventions used package-wide:
 - the cyclic interval ``[i, j]`` is the totally ordered set {i, i+1, ..., j}
   taken mod n; it wraps through n exactly when i > j,
 - the interval sum ``x_[i,j]`` covers the coordinates i, i+1, ..., j-1 mod n,
-  so it is empty when j == i,
+  ``cyclic_interval(i, j, n)[:-1]``, so it is empty when j == i,
 - an h*-vector is a tuple of ints in ascending degree, trailing zeros
   trimmed (`_trim`); `ExactPolynomial` stores only Ehrhart polynomials.
 
@@ -52,20 +52,6 @@ def cyclic_interval(i: int, j: int, n: int) -> Word:
         raise ValueError(f"interval endpoints ({i}, {j}) outside 1..{n}")
     span = (j - i) % n
     return tuple((i - 1 + s) % n + 1 for s in range(span + 1))
-
-
-def interval_support(i: int, j: int, n: int) -> Word:
-    """Coordinates of the sum x_i + ... + x_{j-1} (mod n); empty when j == i.
-
-    >>> interval_support(3, 1, 4)
-    (3, 4)
-    >>> interval_support(1, 1, 4)
-    ()
-    """
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"interval endpoints ({i}, {j}) outside 1..{n}")
-    span = (j - i) % n
-    return tuple((i - 1 + s) % n + 1 for s in range(span))
 
 
 def descent_bounded_words(n: int, rows: Iterable[tuple[Sequence[int], int]]) -> tuple[Word, ...]:

@@ -455,11 +455,9 @@ class UpperTally(NamedTuple):
     positroid, tallied by the set of upper facets each point lies on.
 
     Bit i of a mask stands for the i-th upper canonical facet (as in
-    ``halfopen.FacePoset.facet_list``); ``counts[t]`` maps each mask that
-    occurs in the t-th dilate to its number of points.
+    ``halfopen.FacePoset.facet_list``).
     """
 
-    counts: tuple[dict[int, int], ...]
     masks: dict[int, list[int]]  # each mask that occurs -> its counts at every t
 
     def face_counts(self, generators: Iterable[int], dim: int) -> tuple[int, ...]:
@@ -484,7 +482,7 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     counts = tuple(_tally(n, _dilate(n, r, compiled, t), t, _upper_marks(compiled, t))
                    for t in range(n - 1))
     masks = {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
-    return UpperTally(counts, masks)
+    return UpperTally(masks)
 
 
 def _upper_marks(compiled: Sequence[CompiledRow], t: int) -> list[TightRow]:
@@ -497,26 +495,21 @@ def _upper_marks(compiled: Sequence[CompiledRow], t: int) -> list[TightRow]:
 def _facet_rows(necklace: GrassmannNecklace) -> tuple[CompiledRow, ...]:
     """A connected positroid's compiled ``facet_representation`` in its
     cheapest cut (``_cut_costs``), kept once per necklace: every count of
-    its closed, interior, half-open and reciprocal bodies, and of
-    ``upper_tally``, reads it (``_body_rows``)."""
+    its closed, interior, half-open and reciprocal bodies (``_count_body``),
+    and of ``upper_tally``, reads it."""
     n, r = necklace.n, necklace.rank
     compiled = _compile(necklace.fact(facet_representation))
     costs = _cut_costs(n, r, compiled)
     return _rotate(n, r, compiled, costs.index(min(costs)))
 
 
-def _body_rows(necklace: GrassmannNecklace, t: int,
-               strict_upper: bool, strict_lower: bool) -> list[Row]:
-    """Counting rows of the t-th dilate of a connected positroid, with its
-    upper and/or lower facets strict: the sum equality and every facet row."""
-    return _dilate(necklace.n, necklace.rank, necklace.fact(_facet_rows), t,
-                   strict_upper, strict_lower)
-
-
 def _count_body(necklace: GrassmannNecklace, t: int,
                 strict_upper: bool, strict_lower: bool) -> int:
-    """Lattice points of the t-th dilate of ``_body_rows``' body."""
-    return count_constrained(necklace.n, _body_rows(necklace, t, strict_upper, strict_lower), t)
+    """Lattice points of the t-th dilate of a connected positroid, with its
+    upper and/or lower facets strict: the sum equality and every facet row."""
+    rows = _dilate(necklace.n, necklace.rank, necklace.fact(_facet_rows), t,
+                   strict_upper, strict_lower)
+    return count_constrained(necklace.n, rows, t)
 
 
 class DegreeCounts(NamedTuple):

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Type
 
 from .core import (
     _Record,
+    cyclic_interval,
     i_order_key,
-    interval_support,
     is_permutation_word,
     mask_elements,
 )
@@ -370,7 +370,7 @@ class IntervalInequality(_Record):
         object.__setattr__(self, "strict", strict)
 
     def support(self, n: int) -> tuple[int, ...]:
-        return interval_support(self.start, self.stop, n)
+        return cyclic_interval(self.start, self.stop, n)[:-1]
 
     def unwrapped(self, r: int) -> "IntervalInequality":
         """The same bound on a block that does not wrap past n.

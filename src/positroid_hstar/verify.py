@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import sys
 from fractions import Fraction
 from typing import Callable
 
@@ -32,12 +31,10 @@ from .cli import (
     agreement_verdict,
     all_decorated_permutations,
     connected_necklaces,
-    hstar_closed_all_methods,
-    hstar_half_open_all_methods,
-    open_out,
-    parse_input,
+    hstar_routes,
+    input_necklace,
+    output,
     read_input,
-    to_necklace,
 )
 from .core import ExactPolynomial, circuit_subsets
 
@@ -77,7 +74,7 @@ def _atlas_row(dec: po.DecoratedPermutation) -> dict:
         "connected": connected,
         "num_bases": len(bases.bases),
     }
-    results = hstar_closed_all_methods(necklace, CLOSED_METHODS if connected else ("oracle",))
+    results = hstar_routes(necklace, CLOSED_METHODS if connected else ("oracle",))
     if connected:
         row["num_simplices"] = len(necklace.fact(tg.enumerate_labels))
     row["hstar"] = results
@@ -110,25 +107,24 @@ def run_atlas(args) -> int:
         raise InputError(f"--rank must be between 0 and {args.n}, got {args.rank}")
     check_jobs(args.jobs)
     check_cap(args.n)
+    if args.format == "csv" and args.n > 9:
+        raise InputError("--format csv writes compact necklaces, which need --n <= 9, "
+                         f"got {args.n}")
     selected = []
     for dec in all_decorated_permutations(args.n):
         necklace = po.necklace_from_decorated(dec)
         if args.rank is not None and necklace.rank != args.rank:
             continue
+        if args.connected_only and not necklace.fact(po.necklace_connected):
+            continue
         selected.append((dec.perm, tuple(sorted(dec.white))))
     rows = _map_jobs(_atlas_worker, selected, args.jobs)
-    if args.connected_only:
-        rows = [r for r in rows if r["connected"]]
-    out = sys.stdout if not args.out else open_out(args.out)
-    try:
+    with output(args.out) as out:
         if args.format == "csv":
             _write_atlas_csv(rows, out)
         else:
             for row in rows:
                 out.write(json.dumps(row, sort_keys=True) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -143,7 +139,7 @@ def _write_atlas_csv(rows: list[dict], out) -> None:
         writer.writerow([
             "".join(map(str, r["pi"])),
             "".join(map(str, r["white"])),
-            ",".join("".join(map(str, s)) for s in r["necklace"]),
+            po.validate_necklace(r["necklace"]).compact(),
             r["n"], r["rank"], r["connected"], r["num_bases"],
             r.get("num_simplices", ""),
             " ".join(map(str, hstar)),
@@ -217,9 +213,9 @@ def verify_golden() -> list[Check]:
         ("pyramid bases", po.bases_from_necklace(pyramid).sorted_bases(),
          _words("12 13 14 23 24"), "necklace 12,23,13,14"),
         ("pyramid labels", tg.enumerate_labels(pyramid), _words("1324 2134"), ""),
-        ("pyramid h* closed", hstar_closed_all_methods(pyramid),
+        ("pyramid h* closed", hstar_routes(pyramid, CLOSED_METHODS),
          dict.fromkeys(CLOSED_METHODS, [1, 1]), "1+z"),
-        ("pyramid h* half-open", hstar_half_open_all_methods(pyramid),
+        ("pyramid h* half-open", hstar_routes(pyramid, HALF_OPEN_METHODS, half_open=True),
          dict.fromkeys(HALF_OPEN_METHODS, [0, 0, 2]), "2z^2"),
         ("pyramid upper facets", _uppers(pyramid), uppers, "; ".join(uppers)),
         ("pyramid Moebius", _moebius_by_dim(pyramid), mu1, str(mu1)),
@@ -240,9 +236,9 @@ def verify_golden() -> list[Check]:
         ("rank-3 five-simplex covers", tg.shelling_poset(graph3, (2, 4, 1, 3, 5)).cover,
          dict(zip(_words("24135 42135 32415 41325 34215"), (0, 1, 1, 1, 2))),
          "cover(34215) = 2"),
-        ("rank-3 five-simplex h*", hstar_closed_all_methods(prism),
+        ("rank-3 five-simplex h*", hstar_routes(prism, CLOSED_METHODS),
          dict.fromkeys(CLOSED_METHODS, [1, 3, 1]), "1+3z+z^2"),
-        ("rank-3 five-simplex half-open", hstar_half_open_all_methods(prism),
+        ("rank-3 five-simplex half-open", hstar_routes(prism, HALF_OPEN_METHODS, half_open=True),
          dict.fromkeys(HALF_OPEN_METHODS, [0, 0, 1, 4]), "z^2+4z^3"),
         ("rank-3 five-simplex uppers", _uppers(prism), uppers + ["x_4 <= 1"],
          "; ".join(uppers + ["x_4 <= 1"])),
@@ -373,22 +369,21 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
 def verify_single_input(text: str) -> list[Check]:
     """Method agreement on one user-supplied positroid."""
     try:
-        kind, value = parse_input(text)
-        necklace = to_necklace(kind, value)
+        necklace = input_necklace(text)[1]
         if not necklace.fact(po.necklace_connected):
             # the oracle counts the whole body; its components' Ehrhart
             # polynomials multiply to the reference
-            poly = hstar_closed_all_methods(necklace, ("oracle",))["oracle"]
+            poly = hstar_routes(necklace, ("oracle",))["oracle"]
             product = eh.ehrhart_product(
                 [eh.ehrhart_of_positroid(po.necklace_from_bases(comp)) for _, comp in
                  po.decompose_direct_sum(necklace.fact(po.bases_from_necklace))])
             return [_check("disconnected input oracle h*",
                            eh.ehrhart_of_positroid(necklace) == product, str(poly))]
-        closed = hstar_closed_all_methods(necklace)
+        closed = hstar_routes(necklace, CLOSED_METHODS)
         checks = [_check("closed method agreement", agreement_verdict(closed) == "PASS",
                          json.dumps(closed, sort_keys=True))]
         if necklace.n > 1:
-            half = hstar_half_open_all_methods(necklace)
+            half = hstar_routes(necklace, HALF_OPEN_METHODS, half_open=True)
             checks.append(_check("half-open method agreement",
                                  agreement_verdict(half) == "PASS",
                                  json.dumps(half, sort_keys=True)))

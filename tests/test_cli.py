@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -431,6 +432,52 @@ class TestAtlas:
         _, par, _ = run(capsys, "atlas", "--n", "4", "--format", "csv", "--jobs", "2")
         assert seq == par
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("atlas", "--n", "5"),
+         "405a2facb114fa3d2f905d41f112c0c2eb69fa8fd91bc3e93b7af5bc55102d6e"),
+        (("atlas", "--n", "5", "--connected-only"),
+         "1a55b77482a7ac3d43eafa671629e8410f5eab0b86d07820143754a18f4da37c"),
+        (("atlas", "--n", "5", "--format", "csv"),
+         "dbb6845da11c4841ad927c2f1da61e8427f4a40e9b3c31ff3362f404864ee675"),
+    ])
+    def test_atlas_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_connected_only_computes_only_the_rows_it_prints(self, capsys, monkeypatch):
+        calls = []
+        row = verify._atlas_row
+
+        def spy(dec):
+            calls.append(dec)
+            return row(dec)
+
+        monkeypatch.setattr(verify, "_atlas_row", spy)
+        code, out, _ = run(capsys, "atlas", "--n", "5", "--connected-only")
+        printed = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(calls) == len(printed) > 0
+        assert [list(dec.perm) for dec in calls] == [r["pi"] for r in printed]
+
+    def test_csv_necklaces_parse_back(self, capsys):
+        rows = [json.loads(line) for line in run(capsys, "atlas", "--n", "5")[1].splitlines()]
+        table = run(capsys, "atlas", "--n", "5", "--format", "csv")[1]
+        texts = [r["necklace"] for r in csv.DictReader(io.StringIO(table))]
+        assert len(texts) == len(rows) and "-,-,-,-,-" in texts
+        for text, row in zip(texts, rows):
+            kind, necklace = cli.parse_input(text)
+            assert [sorted(s) for s in necklace.subsets] == row["necklace"]
+
+    def test_csv_past_nine_elements_exits_2_before_the_sweep(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setenv("POSITROID_MAX_N", "10")
+        monkeypatch.setattr(verify, "all_decorated_permutations", refuse)
+        assert run(capsys, "atlas", "--n", "10", "--format", "csv") == (
+            2, "", "error: --format csv writes compact necklaces, which need --n <= 9, "
+                   "got 10\n")
+
 
 class TestRunAtlasScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_atlas.py"
@@ -728,8 +775,7 @@ class TestExhaustiveWorker:
         (tg, "build_graph", "graph"),
         (tg, "wall_covers", "wall covers"),
         (eh, "closed_profile", "closed profile"),
-        (cli, "hstar_closed_all_methods", "closed routes"),
-        (cli, "hstar_half_open_all_methods", "half-open routes"),
+        (cli, "hstar_routes", "closed routes"),
         (tg, "affine_consistency_check", "affine windows"),
         (tg, "simplex_is_unimodular", "unimodularity"),
     ])
@@ -742,6 +788,20 @@ class TestExhaustiveWorker:
         assert not ok
         assert detail.startswith("exception: RuntimeError('stage failed') at test_cli.py:")
         assert detail.endswith(f" in broken during {stage}")
+
+    def test_half_open_routes_are_their_own_stage(self, monkeypatch):
+        routes = cli.hstar_routes
+
+        def broken(necklace, methods, half_open=False, base=None):
+            if half_open:
+                raise RuntimeError("stage failed")
+            return routes(necklace, methods, half_open, base)
+
+        monkeypatch.setattr(cli, "hstar_routes", broken)
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok
+        assert detail.startswith("exception: RuntimeError('stage failed') at test_cli.py:")
+        assert detail.endswith(" in broken during half-open routes")
 
 
 class TestOSErrors:

@@ -13,9 +13,9 @@ from positroid_hstar.core import (
     cyclic_interval,
     descent_bounded_words,
     descent_count,
-    interval_support,
     is_permutation_word,
 )
+from positroid_hstar.positroid import IntervalInequality
 from references import cyclic_left_descents, gale_leq
 
 
@@ -116,9 +116,12 @@ class TestIntervals:
         assert cyclic_interval(2, 2, 5) == (2,)
 
     def test_support_drops_endpoint(self):
-        assert interval_support(1, 3, 5) == (1, 2)
-        assert interval_support(4, 2, 5) == (4, 5, 1)
-        assert interval_support(3, 3, 5) == ()
+        def support(i, j, n):
+            return IntervalInequality(i, j, 0, "<=").support(n)
+
+        assert support(1, 3, 5) == (1, 2)
+        assert support(4, 2, 5) == (4, 5, 1)
+        assert support(3, 3, 5) == ()
 
     def test_restrict_to_point(self):
         sub, ground = restriction((3, 2, 4, 1, 5), 2, 2)

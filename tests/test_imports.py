@@ -29,13 +29,13 @@ NOT_ON_THE_QUERY_PATH = ("dataclasses", "fractions", "inspect", "positroid_hstar
                          "positroid_hstar.verify")
 
 
-def loaded_after(argv):
-    """The watched modules that a fresh interpreter holds after ``cli.main(argv)``."""
+def loaded_after(argv, watched=NOT_ON_THE_QUERY_PATH):
+    """The ``watched`` modules that a fresh interpreter holds after ``cli.main(argv)``."""
     code = ("import contextlib, json, os, sys\n"
             "from positroid_hstar import cli\n"
             "with open(os.devnull, 'w') as fh, contextlib.redirect_stdout(fh):\n"
             f"    code = cli.main({argv!r})\n"
-            f"print(json.dumps([code, [m for m in {NOT_ON_THE_QUERY_PATH!r} "
+            f"print(json.dumps([code, [m for m in {tuple(watched)!r} "
             "if m in sys.modules]]))\n")
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                             text=True, timeout=120,
@@ -60,6 +60,18 @@ class TestColdStart:
     def test_a_subdivision_loads_the_tree_module(self):
         assert loaded_after(["tree", SQUARE]) == ["positroid_hstar.tree"]
 
+    # each route imports its module on its own branch, so the shelling
+    # queries pay for no counting and no inclusion-exclusion
+    ROUTE_MODULES = ("positroid_hstar.ehrhart", "positroid_hstar.halfopen")
+
+    @pytest.mark.parametrize("argv", [["hstar", U37, "--method", "shelling"], ["triangulate", U37]])
+    def test_shelling_loads_neither_counting_nor_halfopen(self, argv):
+        assert loaded_after(argv, self.ROUTE_MODULES) == []
+
+    def test_the_oracle_does_not_load_halfopen(self):
+        assert loaded_after(["hstar", U37, "--method", "oracle"], self.ROUTE_MODULES) == [
+            "positroid_hstar.ehrhart"]
+
 
 def test_no_module_binds_affine_rank():
     # face dimensions come from basis bitmasks; the elimination is the tests' reference
@@ -78,6 +90,18 @@ def test_no_module_binds_a_second_form_of_bases_or_connectivity():
         for name in ("basis_masks", "_masks", "stabilized_intervals"):
             assert not hasattr(home, name), (module.name, name)
     assert list(inspect.signature(po.is_stabilized_interval_free).parameters) == ["perm"]
+
+
+def test_no_module_binds_a_second_home_of_a_job():
+    # one route runner (cli.hstar_routes), one cyclic interval
+    # (core.cyclic_interval), one counting body (ehrhart._count_body) and one
+    # form of the upper tally (its merged masks)
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        for name in ("hstar_closed_all_methods", "hstar_half_open_all_methods",
+                     "interval_support", "_body_rows"):
+            assert not hasattr(home, name), (module.name, name)
+    assert eh.UpperTally._fields == ("masks",)
 
 
 def test_no_module_binds_gale_leq():

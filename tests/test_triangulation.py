@@ -251,7 +251,7 @@ class TestSimplexGeometry:
     def test_sandwich_property(self, necklace):
         # over each simplex, every interval sum stays within a unit window
         # anchored at the restriction descent count
-        from positroid_hstar.core import interval_support
+        from positroid_hstar.core import cyclic_interval
         from test_core import restriction
         n = necklace.n
         for word in enumerate_labels(necklace):
@@ -261,7 +261,7 @@ class TestSimplexGeometry:
                     if i == j:
                         continue
                     cdes = len(cyclic_left_descents(*restriction(word, i, j)))
-                    support = interval_support(i, j, n)
+                    support = cyclic_interval(i, j, n)[:-1]
                     values = {sum(v[k - 1] for k in support) for v in verts}
                     assert min(values) >= cdes - 1 and max(values) <= cdes
 
