@@ -18,8 +18,9 @@ others:
   asserted to be the triangulation labels (``tree.hstar_tree``).
 
 Every route returns the h*-vector as a tuple of ints in ascending degree,
-trailing zeros trimmed; a half-open h* keeps its leading 0.  Only the
-Ehrhart polynomial has rational coefficients (``ExactPolynomial``).
+trailing zeros trimmed; a half-open h* keeps its leading 0.  An Ehrhart
+polynomial is its h* and dimension (``EhrhartPolynomial``); only its
+coefficients, computed where they are printed, are rational.
 
 Names resolve lazily (PEP 562): ``from positroid_hstar import hstar_shelling``
 imports ``triangulation`` and what it needs, and nothing else, so a process
@@ -30,9 +31,9 @@ import importlib
 
 # The public names of each module, the module itself included.
 _EXPORTS = {
-    "core": "ExactPolynomial",
-    "ehrhart": """CountProfile EhrhartPolynomial count_points ehrhart_interpolate
-        ehrhart_of_positroid ehrhart_product face_hstar hstar_by_counting hstar_from_counts""",
+    "core": "",
+    "ehrhart": """CountProfile EhrhartPolynomial count_points ehrhart_of_positroid
+        ehrhart_product face_hstar hstar_by_counting hstar_from_counts""",
     "halfopen": """face_poset_of_uppers hstar_closed_via_inclusion_exclusion hstar_half_open
         hstar_half_open_by_counting moebius""",
     "positroid": """CanonicalFacet DecoratedPermutation DisconnectedPositroidError

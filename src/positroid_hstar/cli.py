@@ -459,9 +459,9 @@ def cmd_ehrhart(args) -> dict:
         "rank": necklace.rank,
         "connected": necklace.fact(po.necklace_connected),
         "dim": ehr.dim,
-        "ehrhart": [str(c) for c in ehr.poly.coefficients],
-        "counts": [int(ehr(t)) for t in range(tmax + 1)],
-        "hstar": poly_ints(eh.hstar_by_counting(necklace)),
+        "ehrhart": [str(c) for c in ehr.coefficients],
+        "counts": [ehr(t) for t in range(tmax + 1)],
+        "hstar": poly_ints(ehr.hstar),
     }
 
 

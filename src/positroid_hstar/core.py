@@ -1,4 +1,4 @@
-"""Permutation, cyclic-order and exact-polynomial primitives.
+"""Permutation, cyclic-order and record primitives.
 
 Conventions used package-wide:
 
@@ -9,13 +9,14 @@ Conventions used package-wide:
 - the interval sum ``x_[i,j]`` covers the coordinates i, i+1, ..., j-1 mod n,
   ``cyclic_interval(i, j, n)[:-1]``, so it is empty when j == i,
 - an h*-vector is a tuple of ints in ascending degree, trailing zeros
-  trimmed (`_trim`); `ExactPolynomial` stores only Ehrhart polynomials.
+  trimmed (`_trim`); with the dimension it is the Ehrhart polynomial
+  (`ehrhart.EhrhartPolynomial`).
 
 Every slotted record of the package derives from one immutable base, ``_Record``.
 
 All arithmetic is exact (ints and Fractions); nothing here uses floats.
-``fractions`` is imported where an Ehrhart polynomial needs it, so a process
-that only computes h*-vectors never loads it.
+``fractions`` is imported only for an Ehrhart polynomial's coefficients or a
+rational point, so a process that only computes h*-vectors never loads it.
 """
 
 from __future__ import annotations
@@ -217,64 +218,3 @@ class _Record:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
-
-
-class ExactPolynomial(_Record):
-    """Dense polynomial with exact rational coefficients, index = degree.
-
-    The highest stored coefficient is nonzero unless the polynomial is zero.
-    """
-
-    __slots__ = _fields = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[Fraction, ...]):
-        object.__setattr__(self, "coefficients", coefficients)
-
-    @staticmethod
-    def from_coefficients(coeffs: Iterable[int | Fraction]) -> "ExactPolynomial":
-        from fractions import Fraction
-
-        return ExactPolynomial(_trim([Fraction(c) for c in coeffs]))
-
-    @staticmethod
-    def zero() -> "ExactPolynomial":
-        return ExactPolynomial(())
-
-    @staticmethod
-    def one() -> "ExactPolynomial":
-        from fractions import Fraction
-
-        return ExactPolynomial((Fraction(1),))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coefficients) - 1
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return ExactPolynomial(_trim(out))
-
-    def __mul__(self, other):
-        from fractions import Fraction
-
-        if isinstance(other, (int, Fraction)):
-            return ExactPolynomial(_trim([c * other for c in self.coefficients]))
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1 or 1)
-        for k, a in enumerate(self.coefficients):
-            for m, b in enumerate(other.coefficients):
-                out[k + m] += a * b
-        return ExactPolynomial(_trim(out))
-
-    def __call__(self, t: int | Fraction) -> Fraction:
-        from fractions import Fraction
-
-        value = Fraction(0)
-        for c in reversed(self.coefficients):
-            value = value * t + c
-        return value

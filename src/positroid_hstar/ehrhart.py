@@ -4,9 +4,10 @@ Counting is a forward dynamic program over prefix sums: every interval bound
 of a positroid, a face or a half-open body bounds a difference of two prefix
 sums (these bodies are alcoved polytopes).  Everything downstream of the
 counts is exact: the standard binomial alternating sum turns counts
-E(0), E(1), ... into the h*-vector, a tuple of ints, and the Ehrhart
-polynomial, whose coefficients are rational (``ExactPolynomial``), is
-sum_j h*_j C(t + d - j, d).
+E(0), E(1), ... into the h*-vector, a tuple of ints.  An Ehrhart polynomial
+is its h*-vector and dimension d (``EhrhartPolynomial``):
+L(t) = sum_j h*_j C(t + d - j, d) (Beck-Robins, ch. 3), and its rational
+coefficients are computed only where a report prints them.
 
 One DP body (``_tally``) does all counting.  Its state has two levels: a
 head (the mask of tight rows met and the older prefix sums still read)
@@ -52,16 +53,16 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .core import ExactPolynomial, _Record, _trim
+from .core import _Record, _trim
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
+    dimension_of_bases,
     facet_representation,
     h_representation,
     necklace_connected,
-    polytope_dimension,
 )
 
 if TYPE_CHECKING:
@@ -85,17 +86,42 @@ class CountProfile(_Record):
 
 
 class EhrhartPolynomial(NamedTuple):
-    """Exact Ehrhart polynomial of a d-dimensional lattice polytope."""
+    """Ehrhart polynomial of a d-dimensional lattice polytope, stored as its
+    h*-vector and d: L(t) = sum_j h*_j C(t + d - j, d).
 
-    poly: ExactPolynomial
+    >>> pyramid = EhrhartPolynomial((1, 1), 3)
+    >>> [pyramid(t) for t in range(4)], [str(c) for c in pyramid.coefficients]
+    ([1, 5, 14, 30], ['1', '13/6', '3/2', '1/3'])
+    """
+
+    hstar: tuple[int, ...]
     dim: int
 
-    def __call__(self, t: int | Fraction) -> Fraction:
-        return self.poly(t)
+    def __call__(self, t: int) -> int:
+        """L(t) at an integer t >= 0 (deg h* <= d, so no binomial has a negative top)."""
+        return sum(h * math.comb(t + self.dim - j, self.dim) for j, h in enumerate(self.hstar))
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of L(t), in ascending degree: the integer
+        polynomials d! C(t + d - j, d) = (t + 1 - j)(t + 2 - j)...(t + d - j)
+        are summed, and the sum is divided by d! once."""
+        from fractions import Fraction
+
+        total = [0] * (self.dim + 1)
+        for j, h in enumerate(self.hstar):
+            if h:
+                poly = [1]
+                for m in range(1 - j, self.dim + 1 - j):  # multiply by (t + m)
+                    poly = [m * c + below for c, below in zip(poly + [0], [0] + poly)]
+                for k, c in enumerate(poly):
+                    total[k] += h * c
+        scale = math.factorial(self.dim)
+        return _trim([Fraction(c, scale) for c in total])
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.poly.coefficients[-1]
+        return self.coefficients[-1]
 
 
 # A counting row (a, b, lo, hi) asks lo <= z_b - z_a <= hi for the prefix sums
@@ -358,30 +384,6 @@ def closed_profile(hrep: HRepresentation, dim: int) -> CountProfile:
     return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
 
 
-def ehrhart_interpolate(profile: CountProfile) -> EhrhartPolynomial:
-    """Unique polynomial of degree <= d through (t, E(t)) for t = 0..d.
-
-    The computed polynomial must actually have degree d (every body counted
-    here is full-dimensional in its own affine hull); asserted.
-    """
-    from fractions import Fraction
-
-    d = profile.dim
-    result = ExactPolynomial.zero()
-    for k, value in enumerate(profile.counts):
-        if value == 0:
-            continue
-        term = ExactPolynomial.one() * Fraction(value)
-        for m in range(d + 1):
-            if m == k:
-                continue
-            term = term * ExactPolynomial.from_coefficients([Fraction(-m, k - m), Fraction(1, k - m)])
-        result = result + term
-    if result.degree != d:
-        raise ValueError(f"interpolant has degree {result.degree}, expected {d}")
-    return EhrhartPolynomial(result, d)
-
-
 def hstar_from_counts(profile: CountProfile) -> tuple[int, ...]:
     """h*-vector from a count profile: h_j = sum_i (-1)^i C(d+1, i) E(j-i).
 
@@ -404,34 +406,17 @@ def _hstar_head(dim: int, counts: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def ehrhart_from_hstar(hstar: Sequence[int], dim: int) -> EhrhartPolynomial:
-    """Ehrhart polynomial L(t) = sum_j h*_j C(t + d - j, d) of a body of
-    dimension d = ``dim``: the integer polynomials
-    d! C(t + d - j, d) = (t + 1 - j)(t + 2 - j)...(t + d - j) are summed,
-    and the sum is divided by d! once."""
-    from fractions import Fraction
-
-    total = [0] * (dim + 1)
-    for j, h in enumerate(hstar):
-        if h:
-            poly = [1]
-            for m in range(1 - j, dim + 1 - j):  # multiply by (t + m)
-                poly = [m * c + below for c, below in zip(poly + [0], [0] + poly)]
-            for k, c in enumerate(poly):
-                total[k] += h * c
-    scale = math.factorial(dim)
-    return EhrhartPolynomial(
-        ExactPolynomial.from_coefficients([Fraction(c, scale) for c in total]), dim)
-
-
 def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
-    """Ehrhart polynomial of a product of polytopes: multiply, add dimensions."""
-    poly = ExactPolynomial.one()
-    dim = 0
-    for f in factors:
-        poly = poly * f.poly
-        dim += f.dim
-    return EhrhartPolynomial(poly, dim)
+    """Ehrhart polynomial of a product of polytopes: the dimensions add, and
+    its counts at t = 0..dim, the products of the factors' counts, fix its h*.
+
+    >>> segment = EhrhartPolynomial((1,), 1)
+    >>> ehrhart_product([EhrhartPolynomial((1,), 2), segment])  # a triangular prism
+    EhrhartPolynomial(hstar=(1, 2), dim=3)
+    """
+    dim = sum(f.dim for f in factors)
+    counts = [math.prod(f(t) for f in factors) for t in range(dim + 1)]
+    return EhrhartPolynomial(_trim(_hstar_head(dim, counts)), dim)
 
 
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
@@ -561,7 +546,7 @@ def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
     if necklace.fact(necklace_connected):
         return closed_profile(necklace.fact(facet_representation), necklace.n - 1)
     return closed_profile(necklace.fact(h_representation),
-                          polytope_dimension(necklace.fact(bases_from_necklace)))
+                          dimension_of_bases(necklace.fact(bases_from_necklace).bases, necklace.n))
 
 
 def _oracle_counts(necklace: GrassmannNecklace) -> DegreeCounts:
@@ -580,7 +565,7 @@ def _oracle_counts(necklace: GrassmannNecklace) -> DegreeCounts:
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
     """Ehrhart polynomial of any positroid polytope, from its counted h*."""
     oracle = necklace.fact(_oracle_counts)
-    return ehrhart_from_hstar(oracle.hstar, oracle.dim)
+    return EhrhartPolynomial(oracle.hstar, oracle.dim)
 
 
 def hstar_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:

@@ -512,11 +512,6 @@ def dimension_of_bases(masks: frozenset[int], n: int) -> int:
     return _fundamental_union_find(masks, n)[1]
 
 
-def polytope_dimension(bases: PositroidBases) -> int:
-    """Affine dimension of the polytope (n-1 exactly when connected)."""
-    return dimension_of_bases(bases.bases, bases.n)
-
-
 class CanonicalFacet(NamedTuple):
     """A facet written as a bound on x_lo + ... + x_{hi-1} with 1 <= lo < hi <= n.
 

@@ -1,6 +1,7 @@
 """Exact references that only the tests use."""
 
 import itertools
+from fractions import Fraction
 
 from positroid_hstar import triangulation as tg
 from positroid_hstar.core import (
@@ -156,6 +157,28 @@ def half_open_profile(necklace):
     dim = necklace.n - 1
     return CountProfile(dim, tuple(_count_body(necklace, t, True, False)
                                    for t in range(dim + 1)))
+
+
+def reference_interpolate(profile):
+    """Coefficients, in ascending degree, of the polynomial of degree d
+    through (t, E(t)) for t = 0..d, by Lagrange interpolation over plain
+    Fraction lists.  The reference for ``EhrhartPolynomial.coefficients``;
+    every body counted is full-dimensional in its affine hull, so the
+    interpolant must have degree d (asserted).
+
+    >>> [str(c) for c in reference_interpolate(CountProfile(3, (1, 5, 14, 30)))]
+    ['1', '13/6', '3/2', '1/3']
+    """
+    d = profile.dim
+    total = [Fraction(0)] * (d + 1)
+    for k, value in enumerate(profile.counts):
+        term = [Fraction(value)]
+        for m in range(d + 1):
+            if m != k:  # multiply by (t - m) / (k - m)
+                term = [(below - m * c) / (k - m) for c, below in zip(term + [0], [0] + term)]
+        total = [a + b for a, b in zip(total, term)]
+    assert total[-1] != 0, f"interpolant of degree below {d}"
+    return tuple(total)
 
 
 def reference_necklace_from_bases(bases):

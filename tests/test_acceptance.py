@@ -121,7 +121,7 @@ def test_criterion_10_disconnected_handling(golden):
     # direct oracle on the ambient polytope, restricted to its affine hull
     necklace = po.necklace_from_bases(bases)
     hrep = po.h_representation(necklace)
-    dim = po.polytope_dimension(bases)
+    dim = po.dimension_of_bases(bases.bases, bases.n)
     assert dim == 2
     profile = eh.CountProfile(dim, tuple(eh.count_points(hrep, t) for t in range(dim + 1)))
     assert profile.counts == (1, 4, 9)

@@ -584,6 +584,34 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL  disconnected input oracle h*  [1, 1, 1]\n")
 
+    ROUNDTRIP = ("necklace/decorated round trips n <= 4            88 decorated permutations",
+                 "rank-split vs interval-free connectivity n <= 4  88 decorated permutations")
+
+    def test_a_broken_round_trip_fails(self, capsys, monkeypatch):
+        # recolouring the fixed point of the coloop breaks its round trip alone
+        decorate = po.decorated_from_necklace
+
+        def recolour(necklace):
+            dec = decorate(necklace)
+            if dec.perm == (1,) and not dec.white:
+                return po.DecoratedPermutation((1,), frozenset({1}))
+            return dec
+
+        monkeypatch.setattr(po, "decorated_from_necklace", recolour)
+        code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "4")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[:3] == ["FAIL  " + self.ROUNDTRIP[0], "PASS  " + self.ROUNDTRIP[1],
+                                        "1/2 checks passed"]
+
+    def test_a_wrong_connectivity_answer_fails(self, capsys, monkeypatch):
+        connected = po.necklace_connected
+        monkeypatch.setattr(po, "necklace_connected", lambda necklace: (
+            connected(necklace) != (necklace.compact() == "12,23,13,14")))
+        code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "4")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[:3] == ["PASS  " + self.ROUNDTRIP[0], "FAIL  " + self.ROUNDTRIP[1],
+                                        "1/2 checks passed"]
+
     def test_single_input(self, capsys):
         code, out, _ = run(capsys, "verify", "--input", "12,23,13,14")
         assert code == 0 and "PASS" in out

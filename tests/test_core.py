@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from positroid_hstar.core import (
-    ExactPolynomial,
     circuit_masks,
     circuit_subsets,
     cyclic_interval,
@@ -244,21 +243,3 @@ class TestDescentCount:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             descent_count(())
-
-
-small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
-
-
-class TestExactPolynomial:
-    def test_trim_and_degree(self):
-        p = ExactPolynomial.from_coefficients([1, 2, 0, 0])
-        assert p.degree == 1
-        assert ExactPolynomial.zero().degree == -1
-
-    @given(st.lists(small_fractions, max_size=5), st.lists(small_fractions, max_size=5),
-           st.integers(min_value=-20, max_value=20))
-    def test_product_evaluates_exactly(self, a, b, t):
-        p = ExactPolynomial.from_coefficients(a)
-        q = ExactPolynomial.from_coefficients(b)
-        assert (p * q)(t) == p(t) * q(t)
-        assert (p + q)(t) == p(t) + q(t)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
-from positroid_hstar.core import ExactPolynomial
 from positroid_hstar.ehrhart import (
     CountProfile,
     _closed_profile,
@@ -21,8 +20,6 @@ from positroid_hstar.ehrhart import (
     count_constrained,
     count_points,
     count_to_degree,
-    ehrhart_from_hstar,
-    ehrhart_interpolate,
     ehrhart_of_positroid,
     ehrhart_product,
     face_hstar,
@@ -43,22 +40,11 @@ from positroid_hstar.positroid import (
 )
 from positroid_hstar.triangulation import hstar_shelling
 
-from references import element_bases, reference_cut_costs
+from references import element_bases, reference_cut_costs, reference_interpolate
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
-
-
-def hstar_from_ehrhart(ehr):
-    """h*-vector of a polytope given its Ehrhart polynomial."""
-    counts = []
-    for t in range(ehr.dim + 1):
-        value = ehr(t)
-        if value.denominator != 1:
-            raise ValueError(f"E({t}) = {value} is not an integer")
-        counts.append(int(value))
-    return hstar_from_counts(CountProfile(ehr.dim, tuple(counts)))
 
 
 class TestCountPoints:
@@ -396,20 +382,21 @@ class TestInterpolation:
     def test_standard_simplex(self, n):
         # vertices e_1..e_n: E(t) = C(t+n-1, n-1)
         J = validate_necklace([[i] for i in range(1, n + 1)])
-        ehr = ehrhart_interpolate(closed_profile(h_representation(J), n - 1))
+        profile = closed_profile(h_representation(J), n - 1)
+        ehr = EhrhartPolynomial(hstar_from_counts(profile), n - 1)
+        assert ehr.coefficients == reference_interpolate(profile)
         for t in range(2 * n):
             assert ehr(t) == math.comb(t + n - 1, n - 1)
 
     def test_pyramid_cubic(self):
         profile = closed_profile(h_representation(PYRAMID), 3)
         assert profile.counts == (1, 5, 14, 30)
-        ehr = ehrhart_interpolate(profile)
-        expected = ExactPolynomial.from_coefficients(
-            [1, Fraction(13, 6), Fraction(3, 2), Fraction(1, 3)])
-        assert ehr.poly == expected
+        expected = (1, Fraction(13, 6), Fraction(3, 2), Fraction(1, 3))
+        assert EhrhartPolynomial(hstar_from_counts(profile), 3).coefficients == expected
+        assert reference_interpolate(profile) == expected
 
     def test_prism_face(self):
-        ehr = ehrhart_interpolate(CountProfile(3, (1, 6, 18, 40)))
+        ehr = EhrhartPolynomial(hstar_from_counts(CountProfile(3, (1, 6, 18, 40))), 3)
         for t in range(6):
             assert ehr(t) == math.comb(t + 2, 2) * (1 + t)
 
@@ -436,21 +423,21 @@ class TestHstarTransform:
 
 class TestProducts:
     def test_triangle_times_segment(self):
-        triangle = EhrhartPolynomial(
-            ExactPolynomial.from_coefficients([1, Fraction(3, 2), Fraction(1, 2)]), 2)
-        segment = EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)
+        triangle = EhrhartPolynomial((1,), 2)
+        segment = EhrhartPolynomial((1,), 1)
+        assert triangle.coefficients == (1, Fraction(3, 2), Fraction(1, 2))
         prism = ehrhart_product([triangle, segment])
-        assert prism.dim == 3
-        assert hstar_from_ehrhart(prism) == (1, 2)
+        assert prism == EhrhartPolynomial((1, 2), 3)
+        assert [prism(t) for t in range(6)] == [math.comb(t + 2, 2) * (1 + t) for t in range(6)]
 
     def test_unit_factor(self):
-        seg = EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)
-        point = EhrhartPolynomial(ExactPolynomial.one(), 0)
-        assert ehrhart_product([seg, point]).poly == seg.poly
+        seg = EhrhartPolynomial((1,), 1)
+        point = EhrhartPolynomial((1,), 0)
+        assert ehrhart_product([seg, point]) == seg
 
     def test_square_from_two_segments(self):
-        seg = EhrhartPolynomial(ExactPolynomial.from_coefficients([1, 1]), 1)
-        assert hstar_from_ehrhart(ehrhart_product([seg, seg])) == (1, 1)
+        seg = EhrhartPolynomial((1,), 1)
+        assert ehrhart_product([seg, seg]).hstar == (1, 1)
 
 
 class TestFaceHstar:
@@ -479,14 +466,15 @@ class TestDrivers:
         assert hstar_by_counting(PRISM) == (1, 3, 1)
 
     def test_volume_counts_simplices(self):
-        ehr = ehrhart_interpolate(closed_profile(h_representation(UNIFORM25), 4))
+        profile = closed_profile(h_representation(UNIFORM25), 4)
+        ehr = EhrhartPolynomial(hstar_from_counts(profile), 4)
         assert ehr.leading_coefficient * math.factorial(4) == 11
 
     def test_disconnected_product(self):
         B = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
         ehr = ehrhart_of_positroid(necklace_from_bases(B))
         assert ehr.dim == 2
-        assert ehr.poly == ExactPolynomial.from_coefficients([1, 2, 1])
+        assert ehr.coefficients == (1, 2, 1)
 
     def test_point_polytopes(self):
         loop = validate_necklace([[]])
@@ -503,9 +491,9 @@ class TestDrivers:
             DecoratedPermutation,
             bases_from_necklace,
             decompose_direct_sum,
+            dimension_of_bases,
             is_connected,
             necklace_from_decorated,
-            polytope_dimension,
         )
         for perm in itertools.permutations(range(1, n + 1)):
             fixed = [i for i, v in enumerate(perm, 1) if v == i]
@@ -518,9 +506,8 @@ class TestDrivers:
                 product = ehrhart_product([
                     ehrhart_of_positroid(necklace_from_bases(comp))
                     for _, comp in decompose_direct_sum(bases)])
-                assert product.dim == polytope_dimension(bases), necklace.compact()
-                assert hstar_by_counting(necklace) == hstar_from_ehrhart(product), \
-                    necklace.compact()
+                assert product.dim == dimension_of_bases(bases.bases, n), necklace.compact()
+                assert hstar_by_counting(necklace) == product.hstar, necklace.compact()
                 assert ehrhart_of_positroid(necklace) == product, necklace.compact()
 
 
@@ -706,25 +693,30 @@ class TestCuts:
         assert len(cuts) == n and len(turned_back) == 1
 
 
+def assert_is_the_interpolant(ehr, profile):
+    """``ehr`` is the polynomial of degree d through the counts of ``profile``."""
+    assert ehr.dim == profile.dim
+    assert ehr.coefficients == reference_interpolate(profile), ehr
+    assert tuple(ehr(t) for t in range(ehr.dim + 1)) == profile.counts, ehr
+
+
 class TestEhrhartFromHstar:
     @pytest.mark.parametrize("dim", range(5))
     def test_unimodular_simplex(self, dim):
-        ehr = ehrhart_from_hstar((1,), dim)
+        ehr = EhrhartPolynomial((1,), dim)
         assert ehr.dim == dim
         assert [ehr(t) for t in range(8)] == [math.comb(t + dim, dim) for t in range(8)]
 
     def test_equals_interpolation_on_every_connected_positroid(self):
         for necklace in connected_up_to(6):
             profile = closed_profile(facet_representation(necklace), necklace.n - 1)
-            assert ehrhart_of_positroid(necklace) == ehrhart_interpolate(profile), \
-                necklace.compact()
+            assert_is_the_interpolant(ehrhart_of_positroid(necklace), profile)
 
     def test_equals_interpolation_on_disconnected_positroids(self):
         necklaces = disconnected_up_to(5)
         assert len(necklaces) > 100
         for necklace in necklaces:
-            assert ehrhart_of_positroid(necklace) == ehrhart_interpolate(
-                _closed_profile(necklace)), necklace.compact()
+            assert_is_the_interpolant(ehrhart_of_positroid(necklace), _closed_profile(necklace))
 
 
 class TestEhrhartCommand:

@@ -14,6 +14,7 @@ from positroid_hstar.positroid import (
     bases_from_necklace,
     decompose_direct_sum,
     decorated_from_necklace,
+    dimension_of_bases,
     h_representation,
     is_connected,
     is_matroid,
@@ -21,7 +22,6 @@ from positroid_hstar.positroid import (
     necklace_connected,
     necklace_from_bases,
     necklace_from_decorated,
-    polytope_dimension,
     rank_of,
     validate_necklace,
     vertices,
@@ -250,14 +250,14 @@ class TestRankAndConnectivity:
             for dec in decorated_permutations(n):
                 B = bases_from_necklace(necklace_from_decorated(dec))
                 if is_connected(B):
-                    assert polytope_dimension(B) == n - 1
+                    assert dimension_of_bases(B.bases, n) == n - 1
 
     def test_polytope_dimension_matches_the_affine_rank_of_the_vertices(self):
         # disconnected positroids included: n minus the number of components
         for n in range(1, 6):
             for dec in decorated_permutations(n):
                 B = bases_from_necklace(necklace_from_decorated(dec))
-                assert polytope_dimension(B) == affine_rank(vertices(B)), dec
+                assert dimension_of_bases(B.bases, n) == affine_rank(vertices(B)), dec
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sif_agrees_with_rank_split(self, n):
