@@ -595,7 +595,7 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         if not affine.ok:
             return _check(name, False, f"affine labeling: {affine.problems[0]}")
         stage = "unimodularity"
-        if not all(tg.simplex_is_unimodular(lab) for lab in labels):
+        if not tg.labels_are_unimodular(labels):
             return _check(name, False, "non-unimodular simplex")
     except Exception as exc:  # noqa: BLE001 - verification must report, not crash
         import traceback

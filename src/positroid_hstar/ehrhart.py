@@ -9,10 +9,15 @@ is its h*-vector and dimension d (``EhrhartPolynomial``):
 L(t) = sum_j h*_j C(t + d - j, d) (Beck-Robins, ch. 3), and its rational
 coefficients are computed only where a report prints them.
 
-One DP body (``_tally``) does all counting.  Its state has two levels: a
-head (the mask of tight rows met and the older prefix sums still read)
-maps the current prefix sum to a count, and each successor range is filled
-at once.  It returns the counts by mask; ``count_constrained`` totals them.
+One DP body does all counting.  ``_plan`` fixes which rows each step reads
+(``_first_read``) and which prefix sums it keeps, each bound a form t*X + s;
+``_run(plan, t)`` runs the state loop at box t: a head (the mask of tight
+rows met and the older prefix sums still read) maps the current prefix sum
+to a count, and each successor range is filled at once.  The dilates tP
+share their facet normals, and each bound of a counted body is t times a
+facet's bound, moved by one where strict; with such unit offsets the plan is
+free of t >= 1, so each body is planned once and run at every dilate
+(``_tally`` plans and runs at one box; ``count_constrained`` totals it).
 ``upper_tally`` counts a connected positroid once per dilate, tallied by
 the upper facets each point lies on, and inclusion-exclusion reads every
 face's counts off that table: a face cut out by upper facets G holds the
@@ -28,8 +33,8 @@ cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
 n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
 estimate of the states the DP holds (``_cut_costs``), and stores the rows
 rotated to it, so every body above and ``upper_tally`` count in that cut.
-The estimate reads the count's own plan: the rows rotated and dilated, and
-``_tally``'s rule for which rows it reads (``_first_read``).
+The estimate asks the count's own read rule (``_first_read``) once per row
+as it stands and once as its complement, since that rule is free of t.
 ``count_points``, ``face_hstar`` and the sweep's ``closed_profile`` of
 ``h_representation`` stay at the first cut, as references.
 ``count_to_degree`` counts a body only up to its h*-degree s, which
@@ -128,8 +133,11 @@ class EhrhartPolynomial(NamedTuple):
 # z_q = x_1 + ... + x_q (z_0 = 0); use -_INF/_INF for a one-sided row.
 Row = tuple[int, int, int, int]
 # A tight row (a, b, value, bit) sets ``bit`` in a vector's mask when
-# z_b - z_a == value; it constrains nothing.
+# z_b - z_a == value; it constrains nothing.  Their linear forms hold pairs
+# (X, s), worth t * X + s at box t, in place of the ints.
 TightRow = tuple[int, int, int, int]
+LinearRow = tuple[int, int, tuple[int, int], tuple[int, int]]
+LinearTightRow = tuple[int, int, tuple[int, int], int]
 
 
 def count_constrained(dim: int, rows: Sequence[Row], box: int) -> int:
@@ -139,70 +147,84 @@ def count_constrained(dim: int, rows: Sequence[Row], box: int) -> int:
 
 def _tally(dim: int, rows: Sequence[Row], box: int,
            tight: Sequence[TightRow] = ()) -> dict[int, int]:
-    """Vectors of ``count_constrained``, tallied by the mask of tight rows they meet.
-
-    Rows need 0 <= a <= b <= dim; an empty row (a == b) asks lo <= 0 <= hi.
-    A forward DP steps q = 1..dim; each head (the mask so far and each z_a,
-    a < q, that a later step reads) maps z_q to its number of partial
-    vectors.  Step q bounds x_q once and z_q once per head, so the successors
-    of (head, z_{q-1}) are one range of ints, filled at once.  A row (a, b)
-    also prunes every step q in a+1..b-1, where z_q - z_a must stay within
-    reach of [lo, hi] with b - q coordinates left.  A step skips a row the
-    box 0 <= x <= box already implies there, so a row implied by the box
-    reads nothing.  A tight row (a, b) is tested at step b.  At box 0 the one
-    vector x = 0 is read off the rows without a DP (`_origin_tally`).
+    """Vectors of ``count_constrained``, tallied by the mask of tight rows they
+    meet: the rows planned and run at this one box.
 
     >>> sorted(_tally(2, [(0, 2, 2, 2)], 2, [(0, 1, 0, 1), (1, 1, 0, 2)]).items())
     [(2, 2), (3, 1)]
     """
-    if box < 0:
-        return {}
-    for a, b, _, _ in rows:
-        if not 0 <= a <= b <= dim:
-            raise ValueError(f"row ({a}, {b}) outside 0 <= a <= b <= {dim}")
-    for a, b, _, _ in tight:
-        if not 0 <= a <= b <= dim:
-            raise ValueError(f"tight row ({a}, {b}) outside 0 <= a <= b <= {dim}")
-    if box == 0:
-        return _origin_tally(rows, tight)
-    # checks[q][a] = (lo, hi): z_q - z_a must lie in [lo, hi] after step q.
-    checks: list[dict[int, tuple[int, int]]] = [{} for _ in range(dim + 1)]
-    # marks[q]: the tight rows (a, value, bit) tested after step q.
-    marks: list[list[tuple[int, int, int]]] = [[] for _ in range(dim + 1)]
+    return _run(_plan(dim, [(a, b, (0, lo), (0, hi)) for a, b, lo, hi in rows], max(box, 1),
+                      [(a, b, (0, value), bit) for a, b, value, bit in tight]), box)
+
+
+def _plan(dim: int, rows: Sequence[LinearRow], box: int,
+          tight: Sequence[LinearTightRow] = ()) -> tuple:
+    """The plan (dim, rows, tight, mask, steps) of the DP at ``box`` >= 1:
+    the mask of the empty tight rows and, per step q, the window of x_q, the
+    rows read (``_first_read`` to b: z_q - z_a stays within reach of
+    [lo, hi]) and tight rows (a, q) tested, with each z_a's head index, and
+    the head kept; no steps if an empty row (a == b) fails.  For bounds
+    t*X + (0 or 1) below, t*Y - (0 or 1) above and values t*V it holds at
+    every t >= 1: ``_first_read`` is free of t, and so are the greatest lower
+    bound at a step (ties to the greater X) and the least upper one."""
+    for kind, table in (("row", rows), ("tight row", tight)):
+        for a, b, _, _ in table:
+            if not 0 <= a <= b <= dim:
+                raise ValueError(f"{kind} ({a}, {b}) outside 0 <= a <= b <= {dim}")
+    # checks[q][a] = (lo, hi): z_q - z_a must lie in [lo, hi] after step q,
+    # each bound as (its value at box, X, s), so max and min merge them.
+    checks: list[dict[int, tuple]] = [{} for _ in range(dim + 1)]
+    # marks[q]: the tight rows (a, X, s, bit) tested after step q.
+    marks: list[list[tuple[int, int, int, int]]] = [[] for _ in range(dim + 1)]
     last_read: dict[int, int] = {}
-    for a, b, lo, hi in rows:
+    for a, b, (lx, ls), (hx, hs) in rows:
+        lo, hi = lx * box + ls, hx * box + hs
         if a == b and not lo <= 0 <= hi:
-            return {}
+            return dim, rows, tight, 0, None
         if (first := _first_read(a, b, lo, hi, box)) is None:
             continue
         for q in range(first, b + 1):
-            lo_q, check = lo - (b - q) * box, checks[q]
-            if a in check:
-                old_lo, old_hi = check[a]
-                check[a] = max(lo_q, old_lo), min(hi, old_hi)
-            else:
-                check[a] = lo_q, hi
+            lo_q, hi_q = (lo - (b - q) * box, lx - b + q, ls), (hi, hx, hs)
+            old_lo, old_hi = checks[q].get(a, (lo_q, hi_q))
+            checks[q][a] = max(lo_q, old_lo), min(hi_q, old_hi)
         if last_read.get(a, 0) < b:
             last_read[a] = b
     mask = 0
-    for a, b, value, bit in tight:
+    for a, b, (vx, vs), bit in tight:
         if a < b:
-            marks[b].append((a, value, bit))
+            marks[b].append((a, vx, vs, bit))
             last_read[a] = max(b, last_read.get(a, 0))
-        elif value == 0:
+        elif vx * box + vs == 0:
             mask |= bit
-    live: list[int] = []  # the a whose z_a the head holds after the mask
-    states = {(mask,): {0: 1}}
-    histogram: dict[int, int] = {}
+    live, steps = [], []  # live: the a whose z_a the head holds after the mask
     for q in range(1, dim + 1):
-        dlo, dhi = checks[q].pop(q - 1, (0, box))  # the window of x_q = z_q - z_{q-1}
-        dlo, dhi = max(dlo, 0), min(dhi, box)
-        reads = checks[q] and [(live.index(a) + 1, lo, hi) for a, (lo, hi) in checks[q].items()]
-        tests = marks[q] and [(a < q - 1 and live.index(a) + 1, v, bit) for a, v, bit in marks[q]]
+        (_, dlx, dls), (_, dhx, dhs) = checks[q].pop(q - 1, ((0, 0, 0), (box, 1, 0)))
+        reads = [(live.index(a) + 1, lx, ls, hx, hs)
+                 for a, ((_, lx, ls), (_, hx, hs)) in checks[q].items()]
+        tests = [(a < q - 1 and live.index(a) + 1, vx, vs, bit) for a, vx, vs, bit in marks[q]]
         keep = [0] + [k for k, a in enumerate(live, start=1) if last_read[a] > q]
         cut = len(keep) if keep[-1] == len(keep) - 1 else 0  # keep is a prefix of the head
         carry = last_read.get(q - 1, 0) > q  # z_{q-1} moves into the head
         live = [a for a in live if last_read[a] > q] + [q - 1] * carry
+        steps.append((dlx, dls, dhx, dhs, reads, tests, keep, cut, carry))
+    return dim, rows, tight, mask, steps
+
+
+def _run(plan: tuple, t: int) -> dict[int, int]:
+    """The planned vectors in [0, t]^dim by tight mask.  Each head (the mask
+    so far and each z_a, a < q, a later step reads) maps z_q to its number
+    of partial vectors; step q bounds x_q and z_q once per head, so the
+    successors of (head, z_{q-1}) are one range, filled at once.  Box 0 is
+    read off the rows (`_origin_tally`)."""
+    dim, rows, tight, mask, steps = plan
+    if t < 1 or steps is None:
+        return _origin_tally(rows, tight) if t == 0 else {}
+    states = {(mask,): {0: 1}}
+    histogram: dict[int, int] = {}
+    for q, (dlx, dls, dhx, dhs, reading, testing, keep, cut, carry) in enumerate(steps, 1):
+        dlo, dhi = max(dlx * t + dls, 0), min(dhx * t + dhs, t)  # the window of x_q
+        reads = [(k, lx * t + ls, hx * t + hs) for k, lx, ls, hx, hs in reading]
+        tests = [(k, vx * t + vs, bit) for k, vx, vs, bit in testing]
         step: dict[tuple[int, ...], dict[int, int]] = {}
         for head, inner in states.items():
             low_abs, high_abs = -_INF, _INF
@@ -248,8 +270,8 @@ def _tally(dim: int, rows: Sequence[Row], box: int,
 
 
 def _first_read(a: int, b: int, lo: int, hi: int, box: int) -> int | None:
-    """The first step of ``_tally`` (box >= 1) that reads the row; it reads
-    it up to step b.  Step q reads it if lo - (b - q) * box > 0 or
+    """The first step of the DP (box >= 1) that reads the row; it reads it
+    up to step b.  Step q reads it if lo - (b - q) * box > 0 or
     hi < (q - a) * box: both grow with q.  None if the box implies the row.
 
     >>> _first_read(0, 3, 2, 2, 1), _first_read(0, 3, -_INF, 3, 1), _first_read(1, 1, 0, 0, 1)
@@ -263,18 +285,18 @@ def _first_read(a: int, b: int, lo: int, hi: int, box: int) -> int | None:
     return first if first <= b else None
 
 
-def _origin_tally(rows: Sequence[Row], tight: Sequence[TightRow]) -> dict[int, int]:
-    """``_tally`` at box 0, whose one vector x = 0 has every prefix sum 0:
-    it meets a row, or a tight row, that admits 0.
+def _origin_tally(rows: Sequence[LinearRow], tight: Sequence[LinearTightRow]) -> dict[int, int]:
+    """The tally at box 0, whose one vector x = 0 has every prefix sum 0: it
+    meets a row, or a tight row, whose forms admit 0 at t = 0.
 
-    >>> _origin_tally([(0, 2, 0, 0)], [(0, 1, 0, 1), (1, 2, 1, 2)])
+    >>> _origin_tally([(0, 2, (1, 0), (1, 0))], [(0, 1, (0, 0), 1), (1, 2, (0, 1), 2)])
     {1: 1}
     """
-    if not all(lo <= 0 <= hi for _, _, lo, hi in rows):
+    if not all(lo[1] <= 0 <= hi[1] for _, _, lo, hi in rows):
         return {}
     mask = 0
     for _, _, value, bit in tight:
-        if value == 0:
+        if value[1] == 0:
             mask |= bit
     return {mask: 1}
 
@@ -282,7 +304,7 @@ def _origin_tally(rows: Sequence[Row], tight: Sequence[TightRow]) -> dict[int, i
 # A compiled row (a, b, bound, upper, strict, side) bounds z_b - z_a by t * bound
 # at dilate t, from above when ``upper``, else from below, tightened by one if
 # strict.  ``side`` is the sense the row had before any rotation (``_rotate``):
-# it says which of the strict_upper/strict_lower requests of ``_dilate`` apply.
+# it says which of the strict_upper/strict_lower requests of ``_linear`` apply.
 CompiledRow = tuple[int, int, int, bool, bool, bool]
 
 
@@ -293,17 +315,15 @@ def _compile(hrep: HRepresentation) -> tuple[CompiledRow, ...]:
                  for q in (ineq.unwrapped(hrep.r) for ineq in hrep.inequalities))
 
 
-def _dilate(n: int, r: int, compiled: Sequence[CompiledRow], t: int,
-            strict_upper: bool = False, strict_lower: bool = False) -> list[Row]:
-    """Counting rows of the t-th dilate: the sum equality and every compiled
-    row, with the rows of the upper and/or lower side made strict on request."""
-    rows: list[Row] = [(0, n, t * r, t * r)]
+def _linear(n: int, r: int, compiled: Sequence[CompiledRow],
+            strict_upper: bool = False, strict_lower: bool = False) -> list[LinearRow]:
+    """Linear rows of every dilate: the sum equality and every compiled row,
+    with the rows of the upper and/or lower side made strict on request."""
+    rows: list[LinearRow] = [(0, n, (r, 0), (r, 0))]
     for a, b, bound, upper, strict, side in compiled:
         strict = strict or (strict_upper if side else strict_lower)
-        if upper:
-            rows.append((a, b, -_INF, t * bound - strict))
-        else:
-            rows.append((a, b, t * bound + strict, _INF))
+        rows.append((a, b, (0, -_INF), (bound, -strict)) if upper
+                    else (a, b, (bound, +strict), (0, _INF)))
     return rows
 
 
@@ -318,47 +338,56 @@ def _rotate(n: int, r: int, compiled: Sequence[CompiledRow],
     z_0, which the counting state need not hold.  Strictness and ``side``
     go with the row.
     """
-    out = []
-    for a, b, bound, upper, strict, side in compiled:
-        if a >= cut:
-            out.append((a - cut, b - cut, bound, upper, strict, side))
-        elif b < cut:
-            out.append((a - cut + n, b - cut + n, bound, upper, strict, side))
-        else:  # also at b == cut, where the complement starts at z_0, which is free
-            out.append((b - cut, a - cut + n, r - bound, not upper, strict, side))
-    return tuple(out)
+    return tuple((b - cut, a - cut + n, r - bound, not upper, strict, side) if a < cut <= b
+                 else ((a - cut) % n, (a - cut) % n + b - a, bound, upper, strict, side)
+                 for a, b, bound, upper, strict, side in compiled)
 
 
 def _cut_costs(n: int, r: int, compiled: Sequence[CompiledRow]) -> list[int]:
     """For each cut s (``_rotate``), an estimate of the states its counting
     DP holds: the sum over the steps q = 1..n of (t+1)^(|live_q| + 1) at
-    t = n - 2, where live_q are the older prefix sums ``_tally`` holds
-    after step q.  ``_facet_rows`` counts in the first cut of least cost.
+    t = n - 2, where live_q are the older prefix sums the DP holds after
+    step q.  ``_facet_rows`` counts in the first cut of least cost.
 
-    Each cut's rows are those ``_tally`` is given (``_rotate``, then
-    ``_dilate``), and each row it reads (``_first_read``) keeps z_a live
-    after the steps a+1..b-1; z_0, always 0, costs nothing.
+    A row and its complement are two arcs of the cycle of prefix sums, and
+    the cut picks one as ``_rotate`` does; if read (``_first_read``, free of
+    t, so asked at box 1), it holds its first prefix sum over its length.
     """
     t = n - 2
     if t < 1:
         return [0] * n
     weight = [(t + 1) ** (k + 1) for k in range(n)]
+    complements = [(b, a + n, r - bound, not upper, strict, side)
+                   for a, b, bound, upper, strict, side in compiled]
+    read = [_first_read(a, b, lo[0] + lo[1], hi[0] + hi[1], 1) is not None
+            for a, b, lo, hi in _linear(n, r, [*compiled, *complements])[1:]]
+    arcs = [(a, b, read[i] and (a, b - a), read[i + len(compiled)] and (b % n, n - b + a))
+            for i, (a, b, *_) in enumerate(compiled)]
     costs = []
     for cut in range(n):
-        last_read: dict[int, int] = {}
-        for a, b, lo, hi in _dilate(n, r, _rotate(n, r, compiled, cut), t):
-            if a and last_read.get(a, 0) < b and _first_read(a, b, lo, hi, t) is not None:
-                last_read[a] = b
+        reach = [0] * n  # reach[p]: the longest arc read from the prefix sum at p
+        for a, b, plain, turned in arcs:
+            arc = turned if a < cut <= b else plain
+            if arc and arc[0] != cut and arc[1] > reach[arc[0]]:
+                reach[arc[0]] = arc[1]
         live = [0] * (n + 1)  # live[q]: |live_q| - |live_{q-1}|
-        for a, b in last_read.items():
-            live[a + 1] += 1
-            live[b] -= 1
+        for p, length in enumerate(reach):
+            if length:
+                live[(p - cut) % n + 1] += 1
+                live[(p - cut) % n + length] -= 1
         cost = held = 0
         for change in live[1:]:
             held += change
             cost += weight[held]
         costs.append(cost)
     return costs
+
+
+def _hrep_plan(hrep: HRepresentation, equalities: Iterable[tuple[int, int, int]] = ()) -> tuple:
+    """The plan of ``count_points``; each equality is its two inequalities."""
+    hrep = hrep._replace(inequalities=(*hrep.inequalities, *(
+        IntervalInequality(*equality, sense) for equality in equalities for sense in ("<=", ">="))))
+    return _plan(hrep.n, _linear(hrep.n, hrep.r, _compile(hrep)), 1)
 
 
 def count_points(hrep: HRepresentation, t: int,
@@ -372,16 +401,13 @@ def count_points(hrep: HRepresentation, t: int,
     """
     if t < 0:
         raise ValueError("negative dilate")
-    rows = _dilate(hrep.n, hrep.r, _compile(hrep), t)
-    for start, stop, value in equalities:
-        q = IntervalInequality(start, stop, value, "<=").unwrapped(hrep.r)
-        rows.append((q.start - 1, q.stop - 1, t * q.bound, t * q.bound))
-    return count_constrained(hrep.n, rows, t)
+    return sum(_run(_hrep_plan(hrep, equalities), t).values())
 
 
 def closed_profile(hrep: HRepresentation, dim: int) -> CountProfile:
-    """Counts of the closed polytope at t = 0..dim."""
-    return CountProfile(dim, tuple(count_points(hrep, t) for t in range(dim + 1)))
+    """Counts of the closed polytope at t = 0..dim, planned once."""
+    plan = _hrep_plan(hrep)
+    return CountProfile(dim, tuple(sum(_run(plan, t).values()) for t in range(dim + 1)))
 
 
 def hstar_from_counts(profile: CountProfile) -> tuple[int, ...]:
@@ -397,9 +423,10 @@ def hstar_from_counts(profile: CountProfile) -> tuple[int, ...]:
 def _hstar_head(dim: int, counts: Sequence[int]) -> list[int]:
     """h*_0, ..., h*_k of a ``dim``-dimensional body from its counts E(0..k):
     h*_j reads only E(0..j).  A negative coefficient is an ArithmeticError."""
+    signed = [(-1) ** i * math.comb(dim + 1, i) for i in range(len(counts))]
     coeffs = []
     for j in range(len(counts)):
-        h = sum((-1) ** i * math.comb(dim + 1, i) * counts[j - i] for i in range(j + 1))
+        h = sum(signed[i] * counts[j - i] for i in range(j + 1))
         if h < 0:
             raise ArithmeticError(f"negative h*-coefficient {h} at degree {j}: counting bug")
         coeffs.append(h)
@@ -422,8 +449,8 @@ def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
                face_dim: int) -> tuple[int, ...]:
     """h*-polynomial of the face cut out by the given interval equalities."""
-    return _face_hstar_from_counts(tuple(count_points(hrep, t, equalities=face_equalities)
-                                         for t in range(face_dim + 1)))
+    plan = _hrep_plan(hrep, face_equalities)
+    return _face_hstar_from_counts(tuple(sum(_run(plan, t).values()) for t in range(face_dim + 1)))
 
 
 def _face_hstar_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -460,41 +487,38 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     A face cut out by upper facets G is P meet the hyperplanes of G, so its
     t-th dilate holds exactly the points of tP whose mask contains G; every
     such face has dimension at most n - 2.  Rows and tight rows both come
-    from ``_facet_rows``, so they are counted in its cut.
+    from ``_facet_rows``, so they are counted in its cut, from one plan.
     """
-    n, r = necklace.n, necklace.rank
-    compiled = necklace.fact(_facet_rows)
-    counts = tuple(_tally(n, _dilate(n, r, compiled, t), t, _upper_marks(compiled, t))
-                   for t in range(n - 1))
+    n, compiled = necklace.n, necklace.fact(_facet_rows)
+    plan = _plan(n, _linear(n, necklace.rank, compiled), 1, _upper_marks(compiled))
+    counts = [_run(plan, t) for t in range(n - 1)]
     masks = {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
     return UpperTally(masks)
 
 
-def _upper_marks(compiled: Sequence[CompiledRow], t: int) -> list[TightRow]:
-    """Tight rows of the upper side's rows at dilate t, bit i for the i-th:
-    in any cut, bit i stands for the i-th upper canonical facet."""
+def _upper_marks(compiled: Sequence[CompiledRow]) -> list[LinearTightRow]:
+    """Tight rows of the upper side's rows, z_b - z_a == t * bound, bit i for
+    the i-th: in any cut, bit i stands for the i-th upper canonical facet."""
     uppers = [(a, b, bound) for a, b, bound, upper, strict, side in compiled if side]
-    return [(a, b, t * bound, 1 << i) for i, (a, b, bound) in enumerate(uppers)]
+    return [(a, b, (bound, 0), 1 << i) for i, (a, b, bound) in enumerate(uppers)]
 
 
 def _facet_rows(necklace: GrassmannNecklace) -> tuple[CompiledRow, ...]:
     """A connected positroid's compiled ``facet_representation`` in its
     cheapest cut (``_cut_costs``), kept once per necklace: every count of
-    its closed, interior, half-open and reciprocal bodies (``_count_body``),
-    and of ``upper_tally``, reads it."""
+    its closed, interior, half-open and reciprocal bodies (``_body``), and
+    of ``upper_tally``, reads it."""
     n, r = necklace.n, necklace.rank
     compiled = _compile(necklace.fact(facet_representation))
     costs = _cut_costs(n, r, compiled)
     return _rotate(n, r, compiled, costs.index(min(costs)))
 
 
-def _count_body(necklace: GrassmannNecklace, t: int,
-                strict_upper: bool, strict_lower: bool) -> int:
-    """Lattice points of the t-th dilate of a connected positroid, with its
-    upper and/or lower facets strict: the sum equality and every facet row."""
-    rows = _dilate(necklace.n, necklace.rank, necklace.fact(_facet_rows), t,
-                   strict_upper, strict_lower)
-    return count_constrained(necklace.n, rows, t)
+def _body(necklace: GrassmannNecklace, strict_upper: bool, strict_lower: bool) -> tuple:
+    """The plan of a connected positroid, its upper and/or lower facets strict."""
+    n = necklace.n
+    return _plan(n, _linear(n, necklace.rank, necklace.fact(_facet_rows),
+                            strict_upper, strict_lower), 1)
 
 
 class DegreeCounts(NamedTuple):
@@ -515,22 +539,23 @@ def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> Deg
     codegree c is the least t >= 1 at which the reciprocal has a lattice
     point; then s = d + 1 - c, the counts E(0..s) give h*_0..h*_s, and
     h*_s must equal the reciprocal's count at c (an ArithmeticError
-    otherwise).
+    otherwise).  Each body is planned once (``_body``).
     """
     dim = necklace.n - 1
+    reciprocal = _body(necklace, not half_open, True)
     for codegree in range(1, dim + 2):
-        reciprocal = _count_body(necklace, codegree, not half_open, True)
-        if reciprocal:
+        if points := sum(_run(reciprocal, codegree).values()):
             break
     else:
         raise ArithmeticError(f"the reciprocal body has no lattice point up to dilate "
                               f"{dim + 1}: counting bug")
     degree = dim + 1 - codegree
-    counts = tuple(_count_body(necklace, t, half_open, False) for t in range(degree + 1))
+    body = _body(necklace, half_open, False)
+    counts = tuple(sum(_run(body, t).values()) for t in range(degree + 1))
     hstar = _hstar_head(dim, counts)
-    if hstar[degree] != reciprocal:
+    if hstar[degree] != points:
         raise ArithmeticError(f"h*_{degree} = {hstar[degree]}, but the reciprocal body has "
-                              f"{reciprocal} points at dilate {codegree}: counting bug")
+                              f"{points} points at dilate {codegree}: counting bug")
     return DegreeCounts(dim, counts, tuple(hstar))
 
 

@@ -50,6 +50,7 @@ AssertionError.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from array import array
 from types import MappingProxyType
@@ -108,7 +109,7 @@ def enumerate_labels(necklace: GrassmannNecklace) -> tuple[Word, ...]:
         (cyclic_interval(q.start, q.stop, n), q.bound)
         for q in necklace.fact(h_representation).inequalities]
     words = descent_bounded_words(n, rows)
-    labels = _labels_of_bases(words, necklace)
+    labels = _labels_of_bases(zip(words, map(circuit_masks, words)), necklace)
     if len(labels) != len(words):
         raise AssertionError("a label has a circuit subset that is not a basis")
     return labels
@@ -116,29 +117,35 @@ def enumerate_labels(necklace: GrassmannNecklace) -> tuple[Word, ...]:
 
 def labels_by_bases(necklace: GrassmannNecklace) -> tuple[Word, ...]:
     """Reference for `enumerate_labels`: the (n-1)! words w with w_n = n
-    filtered by their circuit subsets being bases of rank r.  Uncached;
-    `verify` and the tests compare the two, no production path calls it.
+    filtered by their circuit subsets being bases of rank r.  `verify` and
+    the tests compare the two, no production path calls it.
     """
     n = necklace.n
     if n == 1:
         return ((1,),)
     necklace.require_connected("triangulation")
-    words = (head + (n,) for head in itertools.permutations(range(1, n)))
-    return _labels_of_bases(words, necklace)
+    return _labels_of_bases(_every_word(n), necklace)
 
 
-def _labels_of_bases(words: Iterable[Word], necklace: GrassmannNecklace) -> Labels:
+@functools.lru_cache(maxsize=1)
+def _every_word(n: int) -> tuple[tuple[Word, tuple[int, ...]], ...]:
+    """The (n-1)! words w with w_n = n, each with its circuit masks, kept for
+    the last n alone: they depend on n only, and one n at a time is bounded."""
+    return tuple((w, circuit_masks(w)) for w in
+                 (head + (n,) for head in itertools.permutations(range(1, n))))
+
+
+def _labels_of_bases(circuits: Iterable[tuple[Word, Sequence[int]]], necklace: GrassmannNecklace) -> Labels:
     """The words whose circuit subsets are all bases, in order (bases as
-    bitmasks), with their circuits."""
+    bitmasks), with their circuits, from (word, circuit masks) pairs."""
     bases = necklace.fact(bases_from_necklace).bases
-    kept, circuits = [], _mask_table(necklace.n)
-    for w in words:
-        masks = circuit_masks(w)
+    kept, table = [], _mask_table(necklace.n)
+    for w, masks in circuits:
         if bases.issuperset(masks):
             kept.append(w)
-            circuits.extend(masks)
+            table.extend(masks)
     labels = Labels(kept)
-    labels.circuits = circuits
+    labels.circuits = table
     return labels
 
 
@@ -236,22 +243,30 @@ def simplex_is_unimodular(word: Sequence[int]) -> bool:
     The steps of a label word are its distinct cycle edges {v-1, v}, so a
     step of any other form means `circuit_masks` is wrong: AssertionError.
     """
-    masks = circuit_masks(label_word(word))
-    parent = list(range(len(masks) + 1))
+    return labels_are_unimodular([label_word(word)])
+
+
+def labels_are_unimodular(labels: Sequence[Word]) -> bool:
+    """`simplex_is_unimodular` of every label, off the circuit table of `Labels`."""
+    table = (labels.circuits if isinstance(labels, Labels)
+             else [m for w in labels for m in circuit_masks(w)])
 
     def find(i: int) -> int:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for before, after in zip(masks, masks[1:]):
-        gained, lost = after & ~before, before & ~after
-        if gained.bit_count() != 1 or lost.bit_count() != 1:
-            raise AssertionError(f"a circuit step of {tuple(word)} is not e_i - e_j")
-        i, j = find(gained.bit_length() - 1), find(lost.bit_length() - 1)
-        if i == j:
-            return False
-        parent[i] = j
+    for k, word in enumerate(labels):
+        n = len(word)
+        masks, parent = table[k * n:(k + 1) * n], list(range(n + 1))
+        for before, after in zip(masks, masks[1:]):
+            gained, lost = after & ~before, before & ~after
+            if gained.bit_count() != 1 or lost.bit_count() != 1:
+                raise AssertionError(f"a circuit step of {tuple(word)} is not e_i - e_j")
+            i, j = find(gained.bit_length() - 1), find(lost.bit_length() - 1)
+            if i == j:
+                return False
+            parent[i] = j
     return True
 
 

@@ -11,7 +11,7 @@ from positroid_hstar.core import (
     label_word,
     mask_elements,
 )
-from positroid_hstar.ehrhart import CountProfile, _count_body
+from positroid_hstar.ehrhart import CountProfile, _body, _run
 from positroid_hstar.positroid import GrassmannNecklace, PositroidBases
 
 
@@ -154,9 +154,8 @@ def half_open_profile(necklace):
     """Counts of the half-open polytope at every dilate t = 0..n-1: the
     canonical facets with the upper ones strict.  The reference for
     ``halfopen.hstar_half_open_by_counting``, which stops at the h*-degree."""
-    dim = necklace.n - 1
-    return CountProfile(dim, tuple(_count_body(necklace, t, True, False)
-                                   for t in range(dim + 1)))
+    dim, body = necklace.n - 1, _body(necklace, True, False)
+    return CountProfile(dim, tuple(sum(_run(body, t).values()) for t in range(dim + 1)))
 
 
 def reference_interpolate(profile):

@@ -576,10 +576,15 @@ class TestVerify:
 
     def test_a_wrong_count_of_a_disconnected_input_fails(self, capsys, monkeypatch):
         # one point too many in the square U(1,2) + U(1,2) at t = 2 keeps
-        # E(0) = 1, but the Ehrhart polynomial is no longer its segments' product
-        count_points = eh.count_points
-        monkeypatch.setattr(eh, "count_points",
-                            lambda hrep, t, **kwargs: count_points(hrep, t, **kwargs) + (t == 2))
+        # E(0) = 1, but the Ehrhart polynomial is no longer its segments' product;
+        # the square's plan has its four coordinates, each segment's has two
+        tally = eh._run
+
+        def one_more(plan, t):
+            histogram = tally(plan, t)
+            return {0: histogram[0] + 1} if t == 2 and plan[0] == 4 else histogram
+
+        monkeypatch.setattr(eh, "_run", one_more)
         code, out, _ = run(capsys, "verify", "--input", "13,23,13,14")
         assert code == 1
         assert out.startswith("FAIL  disconnected input oracle h*  [1, 1, 1]\n")
@@ -805,7 +810,7 @@ class TestExhaustiveWorker:
         (eh, "closed_profile", "closed profile"),
         (cli, "hstar_routes", "closed routes"),
         (tg, "affine_consistency_check", "affine windows"),
-        (tg, "simplex_is_unimodular", "unimodularity"),
+        (tg, "labels_are_unimodular", "unimodularity"),
     ])
     def test_exception_names_its_stage(self, monkeypatch, module, attr, stage):
         def broken(*args):
@@ -816,6 +821,19 @@ class TestExhaustiveWorker:
         assert not ok
         assert detail.startswith("exception: RuntimeError('stage failed') at test_cli.py:")
         assert detail.endswith(f" in broken during {stage}")
+
+    def test_each_label_circuit_is_computed_once(self, monkeypatch):
+        # U(3,6): enumerate_labels computes its 66 labels' circuits, which the
+        # graph and the unimodularity stage read; labels_by_bases computes the
+        # circuits of the 5! words once for n = 6
+        subsets = ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6), (1, 2, 6))
+        calls, masks = [], tg.circuit_masks
+        tg._every_word.cache_clear()
+        monkeypatch.setattr(tg, "circuit_masks", lambda word: calls.append(word) or masks(word))
+        for expected in (66 + 120, 66):
+            calls.clear()
+            assert cli._exhaustive_worker(subsets)[1]
+            assert len(calls) == expected
 
     def test_half_open_routes_are_their_own_stage(self, monkeypatch):
         routes = cli.hstar_routes

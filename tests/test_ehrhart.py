@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from positroid_hstar import cli
@@ -258,6 +258,26 @@ def reference_tally(dim, rows, box, tight=()):
     return histogram
 
 
+@st.composite
+def linear_bodies(draw, max_dim=5):
+    """Rows as the counted bodies have them: the bounds t * X below and t * Y
+    above, each tightened by one or not, one-sided or both; tight values t * V."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    rows, tight = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        a = draw(st.integers(min_value=0, max_value=dim))
+        b = draw(st.integers(min_value=a, max_value=dim))
+        x, y = sorted(draw(st.integers(min_value=-1, max_value=b - a + 1)) for _ in range(2))
+        lo = (x, draw(st.integers(0, 1))) if draw(st.booleans()) else (0, -eh._INF)
+        hi = (y, -draw(st.integers(0, 1))) if draw(st.booleans()) else (0, eh._INF)
+        rows.append((a, b, lo, hi))
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        a = draw(st.integers(min_value=0, max_value=dim))
+        b = draw(st.integers(min_value=a, max_value=dim))
+        tight.append((a, b, (draw(st.integers(min_value=0, max_value=b - a)), 0), 1 << i))
+    return dim, rows, tight
+
+
 def crosscheck_references():
     """The three connected n = 7 positroids of the crosscheck7 benchmark workload."""
     return [validate_necklace([[int(c) for c in subset] for subset in text.split(",")])
@@ -266,18 +286,26 @@ def crosscheck_references():
                          "12345,23456,13456,14567,12567,12467,12347")]
 
 
+def dilated(rows, t):
+    """Linear rows or tight rows as the ints their forms (X, s) are worth at
+    box t: the ``_tally`` arguments a plan of them is run with."""
+    return [tuple(f[0] * t + f[1] if isinstance(f, tuple) else f for f in row) for row in rows]
+
+
 class TestKernelDifferential:
-    """The two-level ``_tally`` against the one-level ``reference_tally``."""
+    """The two-level kernel against the one-level ``reference_tally``."""
 
     def test_every_oracle_and_inclusion_exclusion_call(self, monkeypatch):
-        calls = []
+        # each run of each body's one plan, against its rows at that dilate
+        calls, run = [], eh._run
 
-        def recording(dim, rows, box, tight=()):
-            histogram = _tally(dim, rows, box, tight)
-            calls.append(((dim, rows, box, tight), histogram))
+        def recording(plan, t):
+            histogram = run(plan, t)
+            dim, rows, tight, _, _ = plan
+            calls.append(((dim, dilated(rows, t), t, dilated(tight, t)), histogram))
             return histogram
 
-        monkeypatch.setattr(eh, "_tally", recording)
+        monkeypatch.setattr(eh, "_run", recording)
         necklaces = [nk for nk in connected_up_to(5) if nk.n > 1] + crosscheck_references()
         for necklace in necklaces:
             eh.count_to_degree(necklace)
@@ -292,6 +320,31 @@ class TestKernelDifferential:
     @given(tallying_problems(max_dim=7))
     def test_matches_the_reference_past_brute_force(self, problem):
         assert _tally(*problem) == reference_tally(*problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_bodies())
+    # x_1 + x_2 >= 2t is read at step 1 as x_1 >= t
+    @example((2, [(0, 2, (2, 0), (0, 1 << 62))], []))
+    # t <= x_1 + x_2 <= t: at t = 1 the bounds t and 1 tie, and so do t and 2t - 1
+    @example((2, [(0, 2, (1, 0), (0, 1 << 62)), (0, 2, (0, 1), (0, 1 << 62))], []))
+    @example((2, [(0, 2, (0, -1 << 62), (1, 0)), (0, 2, (0, -1 << 62), (2, -1))], []))
+    def test_one_plan_runs_every_dilate(self, body):
+        # planned once at box 1, run at t = 0..6: the one-shot count of the
+        # rows at t, and the one-level reference
+        dim, rows, tight = body
+        plan = eh._plan(dim, rows, 1, tight)
+        for t in range(7):
+            args = dim, dilated(rows, t), t, dilated(tight, t)
+            assert eh._run(plan, t) == _tally(*args) == reference_tally(*args), t
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_bodies())
+    def test_a_unit_offset_row_is_first_read_at_one_step_for_every_box(self, body):
+        _, rows, _ = body
+        for a, b, lo, hi in rows:
+            at_1 = eh._first_read(a, b, lo[0] + lo[1], hi[0] + hi[1], 1)
+            for t in range(2, 13):
+                assert eh._first_read(a, b, lo[0] * t + lo[1], hi[0] * t + hi[1], t) == at_1
 
     @pytest.mark.parametrize("rows, tight", [
         # x_1 + x_2 + x_3 == 4 keeps z_0 past step 1; x_2 == 1 tested on z_1
@@ -549,6 +602,28 @@ def disconnected_up_to(max_n):
             if not necklace_connected(necklace_from_decorated(dec))]
 
 
+def faulty_bodies(monkeypatch, picked, fault):
+    """Make the per-dilate run ``eh._run`` count ``fault(points)`` points at
+    every dilate of each body ``eh._body(necklace, strict_upper,
+    strict_lower)`` plans where ``picked(strict_upper, strict_lower)``."""
+    body, run, faulty = eh._body, eh._run, []
+
+    def planning(necklace, strict_upper, strict_lower):
+        plan = body(necklace, strict_upper, strict_lower)
+        if picked(strict_upper, strict_lower):
+            faulty.append(plan)
+        return plan
+
+    def running(plan, t):
+        histogram = run(plan, t)
+        if any(plan is p for p in faulty):
+            return {0: fault(sum(histogram.values()))}
+        return histogram
+
+    monkeypatch.setattr(eh, "_body", planning)
+    monkeypatch.setattr(eh, "_run", running)
+
+
 class TestCountToDegree:
     """The oracle counts up to the h*-degree s and checks h*_s by reciprocity."""
 
@@ -571,19 +646,14 @@ class TestCountToDegree:
         assert count_to_degree(PRISM) == (4, (1, 8, 31), (1, 3, 1))
 
     def test_an_interior_count_off_by_one_is_caught(self, monkeypatch):
-        count = eh._count_body
-
-        def off_by_one(necklace, t, strict_upper, strict_lower):
-            points = count(necklace, t, strict_upper, strict_lower)
-            return points + 1 if strict_upper and strict_lower and points else points
-
-        monkeypatch.setattr(eh, "_count_body", off_by_one)
+        faulty_bodies(monkeypatch, lambda upper, lower: upper and lower,
+                      lambda points: points + bool(points))
         for necklace in (PYRAMID, PRISM, UNIFORM25):
             with pytest.raises(ArithmeticError, match="reciprocal body"):
                 count_to_degree(validate_necklace(necklace.subsets))
 
     def test_a_body_without_interior_points_is_caught(self, monkeypatch):
-        monkeypatch.setattr(eh, "_count_body", lambda necklace, t, upper, lower: 0 if lower else 1)
+        faulty_bodies(monkeypatch, lambda upper, lower: lower, lambda points: 0)
         with pytest.raises(ArithmeticError, match="no lattice point up to dilate 5"):
             count_to_degree(validate_necklace(PRISM.subsets))
 
@@ -611,8 +681,9 @@ class TestCuts:
         """``_tally`` arguments of the t-th dilate of the upper tally, the
         closed body, its interior, the half-open body and its reciprocal."""
         n, r = necklace.n, necklace.rank
-        return [(n, eh._dilate(n, r, compiled, t), t, eh._upper_marks(compiled, t)),
-                *((n, eh._dilate(n, r, compiled, t, upper, lower), t) for upper, lower
+        return [(n, dilated(eh._linear(n, r, compiled), t), t,
+                 dilated(eh._upper_marks(compiled), t)),
+                *((n, dilated(eh._linear(n, r, compiled, upper, lower), t), t) for upper, lower
                   in ((False, False), (True, True), (True, False), (False, True)))]
 
     def check_every_cut(self, necklace, picked=range(5)):
@@ -651,8 +722,8 @@ class TestCuts:
         k = rows.index((0, 3, 2, True, False, True))
         turned = eh._rotate(4, 2, rows, 1)
         assert turned[k] == (2, 3, 0, False, False, True)
-        assert eh._dilate(4, 2, turned, 3, True, False)[1 + k] == (2, 3, 1, eh._INF)
-        assert eh._dilate(4, 2, turned, 3, False, True)[1 + k] == (2, 3, 0, eh._INF)
+        assert eh._linear(4, 2, turned, True, False)[1 + k] == (2, 3, (0, 1), (0, eh._INF))
+        assert eh._linear(4, 2, turned, False, True)[1 + k] == (2, 3, (0, 0), (0, eh._INF))
 
     def test_cut_costs_equal_the_arc_model_up_to_n7(self):
         for necklace in connected_through(7):

@@ -21,7 +21,8 @@ SPIED = (
     (po, "h_representation"),
     (tg, "enumerate_labels"),
     (po, "canonical_facets"),
-    (eh, "count_constrained"),
+    (eh, "_plan"),
+    (eh, "_run"),
     (tr, "positroid_from_subdivision"),
     (tr, "circular_extensions"),
 )
@@ -31,7 +32,7 @@ PENTAGON = ('{"n": 5, "cells": [{"color": "black", "vertices": [1,2,3]},'
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Argument tuples of every call to the spied functions, by name.
+    """(arguments, result) of every call to the spied functions, by name.
 
     Each spy replaces the function in every package module that binds it,
     so calls through imported names are seen too.
@@ -41,8 +42,9 @@ def calls(monkeypatch):
         original = getattr(module, name)
 
         def spy(*args, _original=original, _name=name):
-            log[_name].append(args)
-            return _original(*args)
+            result = _original(*args)
+            log[_name].append((args, result))
+            return result
 
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "positroid_hstar" and getattr(mod, name, None) is original:
@@ -65,18 +67,21 @@ def test_every_route_shares_one_derivation_per_fact(calls):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
     # canonical facets; faces add equalities, and the half-open body and the
-    # reciprocals have the same rows with some facets tightened by one.  The
-    # closed body is counted up to its h*-degree s = 2, and its interior, with
-    # every facet strict, up to its codegree d + 1 - s = 3; each dilate once.
+    # reciprocals have the same rows with some facets tightened by one.  Each
+    # body is planned once.  The closed body is run up to its h*-degree s = 2,
+    # and its interior, with every facet strict, up to its codegree
+    # d + 1 - s = 3; each dilate once.
     n = necklace.n
     facets = necklace.fact(po.facet_representation).inequalities
 
     def dilates(tightened):
-        return [box for dim, constraints, box in calls["count_constrained"]
-                if dim == n and len(constraints) == 1 + len(facets)
-                and all(row[3] == box * f.bound - tightened if f.sense == "<="
-                        else row[2] == box * f.bound + tightened
-                        for row, f in zip(constraints[1:], facets))]
+        plans = [plan for (dim, rows, box, *tight), plan in calls["_plan"]
+                 if dim == n and len(rows) == 1 + len(facets) and not tight
+                 and all(row[3] == (f.bound, -tightened) if f.sense == "<="
+                         else row[2] == (f.bound, tightened)
+                         for row, f in zip(rows[1:], facets))]
+        assert len(plans) == 1, plans
+        return [t for (plan, t), _ in calls["_run"] if plan is plans[0]]
 
     assert dilates(0) == [0, 1, 2]
     assert dilates(1) == [1, 2, 3]

@@ -48,7 +48,7 @@ from positroid_hstar.triangulation import (
 )
 
 from references import affine_rank, element_bases, half_open_profile
-from test_ehrhart import connected_through, hypersimplex_hstar, uniform
+from test_ehrhart import connected_through, dilated, faulty_bodies, hypersimplex_hstar, uniform
 from test_triangulation import phi_inverse_point
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
@@ -183,13 +183,8 @@ class TestHalfOpenReciprocity:
             assert (codegree, points) == (dim + 1 - degree, got.hstar[-1]), necklace.compact()
 
     def test_a_reciprocal_count_off_by_one_is_caught(self, monkeypatch):
-        count = eh._count_body
-
-        def off_by_one(necklace, t, strict_upper, strict_lower):
-            points = count(necklace, t, strict_upper, strict_lower)
-            return points + 1 if strict_lower and not strict_upper and points else points
-
-        monkeypatch.setattr(eh, "_count_body", off_by_one)
+        faulty_bodies(monkeypatch, lambda upper, lower: lower and not upper,
+                      lambda points: points + bool(points))
         for necklace in (PYRAMID, PRISM, UNIFORM25):
             with pytest.raises(ArithmeticError, match="reciprocal body"):
                 hstar_half_open_by_counting(validate_necklace(necklace.subsets))
@@ -327,8 +322,8 @@ def dilate_histograms(necklace):
     facets: the histograms that ``UpperTally.masks`` merges."""
     n, r = necklace.n, necklace.rank
     compiled = necklace.fact(eh._facet_rows)
-    return [eh._tally(n, eh._dilate(n, r, compiled, t), t, eh._upper_marks(compiled, t))
-            for t in range(n - 1)]
+    return [eh._tally(n, dilated(eh._linear(n, r, compiled), t), t,
+                      dilated(eh._upper_marks(compiled), t)) for t in range(n - 1)]
 
 
 class TestUpperTally:

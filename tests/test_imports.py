@@ -97,12 +97,12 @@ def test_no_module_binds_a_second_form_of_bases_or_connectivity():
 
 def test_no_module_binds_a_second_home_of_a_job():
     # one route runner (cli.hstar_routes), one cyclic interval
-    # (core.cyclic_interval), one counting body (ehrhart._count_body) and one
-    # form of the upper tally (its merged masks)
+    # (core.cyclic_interval), one plan per counted body (ehrhart._body), one
+    # DP loop (ehrhart._run) and one form of the upper tally (its merged masks)
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
         for name in ("hstar_closed_all_methods", "hstar_half_open_all_methods",
-                     "interval_support", "_body_rows"):
+                     "interval_support", "_body_rows", "_count_body", "_dilate"):
             assert not hasattr(home, name), (module.name, name)
     assert eh.UpperTally._fields == ("masks",)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from positroid_hstar.core import circuit_masks, circuit_subsets
 from positroid_hstar.positroid import (
     DecoratedPermutation,
     DisconnectedPositroidError,
+    bases_from_necklace,
     necklace_connected,
     necklace_from_decorated,
     validate_necklace,
@@ -138,6 +140,24 @@ class TestEnumerateLabels:
         assert len(necklaces) == 185
         for necklace in necklaces:
             assert enumerate_labels(necklace) == labels_by_bases(necklace), necklace.compact()
+
+    def test_the_kept_words_give_the_uncached_filter(self):
+        # every connected positroid with 2 <= n <= 6, then n = 2 and n = 4
+        # again: each call keeps the words and circuits of its own n alone
+        tg._every_word.cache_clear()
+        necklaces = [nk for nk in connected_through(7) if nk.n <= 6]
+        for necklace in necklaces + necklaces[:1] + [validate_necklace(PYRAMID.subsets)]:
+            n, bases = necklace.n, bases_from_necklace(necklace).bases
+            kept = [head + (n,) for head in itertools.permutations(range(1, n))
+                    if bases.issuperset(circuit_masks(head + (n,)))]
+            labels = labels_by_bases(necklace)
+            assert labels == tuple(kept), necklace.compact()
+            assert list(labels.circuits) == [m for w in kept for m in circuit_masks(w)]
+            held = tg._every_word.cache_info()
+            assert (held.maxsize, held.currsize) == (1, 1)
+            assert sorted(w for w, _ in tg._every_word(n)) == sorted(
+                head + (n,) for head in itertools.permutations(range(1, n)))
+            assert tg._every_word.cache_info().hits == held.hits + 1  # n is the one held
 
     def test_a_circuit_subset_outside_the_bases_is_caught(self, monkeypatch):
         # of the circuit subsets 24, 34, 13, 14 of 2314 only 34 is not a basis
