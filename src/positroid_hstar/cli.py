@@ -326,7 +326,7 @@ def hstar_routes(necklace: po.GrassmannNecklace, methods: Sequence[str],
         if half_open and method in HALF_OPEN_METHODS:
             from . import halfopen as ho
 
-            h = (ho.hstar_half_open(necklace) if method == "descents"
+            h = (necklace.fact(ho.hstar_half_open) if method == "descents"
                  else ho.hstar_half_open_by_counting(necklace))
         elif not half_open and method == "shelling":
             h = tg.hstar_shelling(necklace, base)

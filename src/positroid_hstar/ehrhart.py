@@ -33,8 +33,6 @@ cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
 n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
 estimate of the states the DP holds (``_cut_costs``), and stores the rows
 rotated to it, so every body above and ``upper_tally`` count in that cut.
-The estimate asks the count's own read rule (``_first_read``) once per row
-as it stands and once as its complement, since that rule is free of t.
 ``count_points``, ``face_hstar`` and the sweep's ``closed_profile`` of
 ``h_representation`` stay at the first cut, as references.
 ``count_to_degree`` counts a body only up to its h*-degree s, which
@@ -350,25 +348,23 @@ def _cut_costs(n: int, r: int, compiled: Sequence[CompiledRow]) -> list[int]:
     step q.  ``_facet_rows`` counts in the first cut of least cost.
 
     A row and its complement are two arcs of the cycle of prefix sums, and
-    the cut picks one as ``_rotate`` does; if read (``_first_read``, free of
-    t, so asked at box 1), it holds its first prefix sum over its length.
+    the cut picks one as ``_rotate`` does; the arc holds its first prefix
+    sum over its length.  The DP skips a row the box implies
+    (``_first_read``), but on facet rows that never changes the cost: such a
+    facet is one coordinate, x_i >= 0 or x_i <= 1, whose arc holds nothing,
+    and whose complement is picked only by the cut that starts it at z_0.
     """
     t = n - 2
     if t < 1:
         return [0] * n
     weight = [(t + 1) ** (k + 1) for k in range(n)]
-    complements = [(b, a + n, r - bound, not upper, strict, side)
-                   for a, b, bound, upper, strict, side in compiled]
-    read = [_first_read(a, b, lo[0] + lo[1], hi[0] + hi[1], 1) is not None
-            for a, b, lo, hi in _linear(n, r, [*compiled, *complements])[1:]]
-    arcs = [(a, b, read[i] and (a, b - a), read[i + len(compiled)] and (b % n, n - b + a))
-            for i, (a, b, *_) in enumerate(compiled)]
+    arcs = [(a, b, (a, b - a), (b % n, n - b + a)) for a, b, *_ in compiled]
     costs = []
     for cut in range(n):
         reach = [0] * n  # reach[p]: the longest arc read from the prefix sum at p
         for a, b, plain, turned in arcs:
             arc = turned if a < cut <= b else plain
-            if arc and arc[0] != cut and arc[1] > reach[arc[0]]:
+            if arc[0] != cut and arc[1] > reach[arc[0]]:
                 reach[arc[0]] = arc[1]
         live = [0] * (n + 1)  # live[q]: |live_q| - |live_{q-1}|
         for p, length in enumerate(reach):

@@ -149,7 +149,7 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[i
     poset = face_poset_of_uppers(necklace)
     mu = moebius(poset)
     tally = necklace.fact(upper_tally)
-    half = hstar_half_open(necklace)
+    half = necklace.fact(hstar_half_open)
     total = list(half) + [0] * (n - len(half))
     dim_p = n - 1
     for node in poset.nodes:

@@ -19,8 +19,11 @@ simplex's vertices.  Ordering the labels by distance from any base label
 shells the triangulation, and cover(w), the number of walls of w's alcove
 whose hyperplane separates it from the base alcove, counts the facets glued
 to earlier simplices; counting the labels by cover gives the h*-vector,
-a tuple of ints (`wall_covers`, `hstar_shelling`).  The walls do not depend
-on the base: `label_walls` reads them once for scoring many bases.
+a tuple of ints (`wall_covers`, `hstar_shelling`).  A label's walls and
+its alcove depend on its word alone, not on the base or the positroid, so
+`_walls` and `_alcove` keep them in bounded memos (`_WORDS_KEPT`): a
+batch derives and asserts each word's once, however many bases score it
+and however many positroids have it as a label.
 
 The dual graph (two simplices share a facet exactly when the cycles differ
 by one adjacent transposition of non-cyclically-adjacent values) and its
@@ -127,10 +130,12 @@ def labels_by_bases(necklace: GrassmannNecklace) -> tuple[Word, ...]:
     return _labels_of_bases(_every_word(n), necklace)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _every_word(n: int) -> tuple[tuple[Word, tuple[int, ...]], ...]:
-    """The (n-1)! words w with w_n = n, each with its circuit masks, kept for
-    the last n alone: they depend on n only, and one n at a time is bounded."""
+    """The (n-1)! words w with w_n = n, each with its circuit masks.  They
+    depend on n only, so the tables of the last 8 values of n are kept: a
+    batch that interleaves n builds each n's table once, and every n <= 8
+    together holds 5,913 words."""
     return tuple((w, circuit_masks(w)) for w in
                  (head + (n,) for head in itertools.permutations(range(1, n))))
 
@@ -404,24 +409,22 @@ def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
 
 Walls = tuple[tuple[int, int, int, int], ...]  # (lo, hi, m, at_p) per circuit vertex
 
-
-def label_walls(words: Iterable[Sequence[int]]) -> dict[Word, Walls]:
-    """Each label's walls (lo, hi, m, at_p) in circuit order, read by `_wall` (asserted).
-
-    They do not depend on a base, so `wall_covers` can score many bases
-    against one table.  A one-point simplex has no walls.
-    """
-    return {w: _walls(w) for w in map(label_word, words)}
+# The words whose walls, and whose alcoves, are kept: every word with n <= 7
+# (874) and most of the 5,040 with n = 8.  A walls entry takes about 1 kB.
+_WORDS_KEPT = 4096
 
 
+@functools.lru_cache(maxsize=_WORDS_KEPT)
 def _walls(word: Word) -> Walls:
+    """The label's walls (lo, hi, m, at_p) in circuit order, read by `_wall`
+    (asserted on the word's first request; a failed assertion is not kept).
+    A one-point simplex has no walls."""
     n = len(word)
     z = _z_vertices(word)
     return tuple(_wall(word, z, p) for p in range(n if n > 1 else 0))
 
 
-def wall_covers(labels: Sequence[Word] | Mapping[Word, Walls],
-                base: Word) -> dict[Word, int]:
+def wall_covers(labels: Sequence[Word], base: Word) -> dict[Word, int]:
     """cover(w) of every label: the walls of its alcove that separate it from the base's.
 
     With floor[lo][hi] the least value of z_hi - z_lo on the base alcove,
@@ -431,19 +434,17 @@ def wall_covers(labels: Sequence[Word] | Mapping[Word, Walls],
     never on the boundary of the polytope, which is convex and holds the
     base alcove, so it is glued to a label closer to the base; the counts
     equal the BFS covers of `shelling_poset` (Lam-Postnikov, "Alcoved
-    polytopes II"), which `verify` checks.  ``labels`` may be their
-    `label_walls`, which are then not read again.
+    polytopes II"), which `verify` checks.  The walls do not depend on the
+    base, so scoring many bases reads each label's walls once (`_walls`).
     """
     if base not in labels:
         raise ValueError(f"{base} is not a label of the graph")
     n = len(base)
     z0 = _z_vertices(label_word(base))
     floor = [[min(v[hi] - v[lo] for v in z0) for hi in range(n)] for lo in range(n)]
-    walls = (labels.items() if isinstance(labels, Mapping)
-             else ((w, _walls(w)) for w in map(label_word, labels)))
     return {w: sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
-                   for lo, hi, m, at_p in its_walls)
-            for w, its_walls in walls}
+                   for lo, hi, m, at_p in _walls(w))
+            for w in map(label_word, labels)}
 
 
 def hstar_from_covers(cover: Mapping[Word, int]) -> tuple[int, ...]:
@@ -481,8 +482,10 @@ def window_length(window: Window) -> int:
     return sum([abs((b - a) // n) for a, b in itertools.combinations(window, 2)])
 
 
+@functools.lru_cache(maxsize=_WORDS_KEPT)
 def _alcove(word: Word) -> Window:
-    """The alcove of a label's simplex, as the window g of an affine map.
+    """The alcove of a label's simplex, as the window g of an affine map,
+    kept per word like `_walls`.
 
     With c_j the sum of z_j over the circuit vertices (n times the centroid)
     and k_j = -floor(c_j / n), the indices j sorted by c_j + n*k_j give

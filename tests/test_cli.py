@@ -23,6 +23,8 @@ from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
 from positroid_hstar import verify
 
+from conftest import forget_words
+
 
 SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
           '{"color":"white","vertices":[1,3,4]}]}')
@@ -713,17 +715,20 @@ class TestVerify:
         assert "necklace/decorated round trips n <= 5" in out
 
     def test_random_scope_reads_each_labels_walls_once(self, monkeypatch):
-        # the walls do not depend on the base, so every label's n walls are
-        # read once however many bases are scored
+        # the walls depend on the word alone, so every word's n walls are read
+        # once however many bases score it and however many samples have it
         search, wall = tg.enumerate_labels, tg._wall
         searched, reads = [], []
         monkeypatch.setattr(tg, "enumerate_labels",
                             lambda necklace: searched.append(search(necklace)) or searched[-1])
         monkeypatch.setattr(tg, "_wall", lambda *args: reads.append(args[0]) or wall(*args))
-        checks = verify.verify_random(20240814, 3, 0)
+        forget_words()
+        checks = verify.verify_random(20240814, 4, 0)
         assert [ok for _, ok, _ in checks] == [True, True]
-        assert len(searched) == 3 and any(len(labels) > 1 for labels in searched)
-        assert len(reads) == sum(len(labels) * len(labels[0]) for labels in searched)
+        assert len(searched) == 4 and any(len(labels) > 1 for labels in searched)
+        words = {w for labels in searched for w in labels}
+        assert sum(map(len, searched)) == 13 and len(words) == 8  # samples share words
+        assert sorted(reads) == sorted(w for w in words for _ in range(len(w)))
 
     def test_random_scope_checks_wall_covers_against_bfs(self, monkeypatch):
         walls = tg.wall_covers
@@ -828,7 +833,6 @@ class TestExhaustiveWorker:
         # circuits of the 5! words once for n = 6
         subsets = ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6), (1, 2, 6))
         calls, masks = [], tg.circuit_masks
-        tg._every_word.cache_clear()
         monkeypatch.setattr(tg, "circuit_masks", lambda word: calls.append(word) or masks(word))
         for expected in (66 + 120, 66):
             calls.clear()

@@ -20,6 +20,7 @@ SPIED = (
     (po, "bases_from_necklace"),
     (po, "h_representation"),
     (tg, "enumerate_labels"),
+    (ho, "hstar_half_open"),
     (po, "canonical_facets"),
     (eh, "_plan"),
     (eh, "_run"),
@@ -53,17 +54,18 @@ def calls(monkeypatch):
 
 
 def test_every_route_shares_one_derivation_per_fact(calls):
+    # every route of the sweep; inclusion-exclusion and the descents route
+    # share one walk of the labels' descents (the half-open h*)
     necklace = po.validate_necklace(PRISM)
-    closed = {tg.hstar_shelling(necklace),
-              ho.hstar_closed_via_inclusion_exclusion(necklace),
-              eh.hstar_by_counting(necklace)}
-    half_open = {ho.hstar_half_open(necklace), ho.hstar_half_open_by_counting(necklace)}
+    closed = {tuple(h) for h in cli.hstar_routes(necklace, cli.CLOSED_METHODS).values()}
+    half_open = {tuple(h) for h in
+                 cli.hstar_routes(necklace, cli.HALF_OPEN_METHODS, half_open=True).values()}
     ehr = eh.ehrhart_of_positroid(necklace)
     assert len(closed) == 1 and len(half_open) == 1
     assert ehr.leading_coefficient * 24 == sum(next(iter(closed))) == 5
 
     for name in ("bases_from_necklace", "h_representation", "enumerate_labels",
-                 "canonical_facets"):
+                 "hstar_half_open", "canonical_facets"):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
     # canonical facets; faces add equalities, and the half-open body and the

@@ -118,6 +118,15 @@ def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
     assert eh.EhrhartPolynomial._fields == ("hstar", "dim")
 
 
+def test_no_module_binds_a_second_table_of_walls():
+    # a label's walls are kept per word (triangulation._walls), so wall_covers
+    # takes the labels alone and no module builds a walls table of its own
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        assert not hasattr(home, "label_walls"), module.name
+    assert list(inspect.signature(tg.wall_covers).parameters) == ["labels", "base"]
+
+
 def test_no_module_binds_gale_leq():
     # the Gale order is tested as prefix counts (positroid._gale_limits); the
     # sorted comparison is the tests' reference

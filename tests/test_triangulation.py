@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from positroid_hstar import triangulation as tg
 from positroid_hstar import verify
-from positroid_hstar.cli import connected_necklaces
+from positroid_hstar.cli import _exhaustive_worker, connected_necklaces
 from positroid_hstar.core import circuit_masks, circuit_subsets
 from positroid_hstar.positroid import (
     DecoratedPermutation,
@@ -23,7 +24,6 @@ from positroid_hstar.triangulation import (
     enumerate_labels,
     hstar_from_covers,
     hstar_shelling,
-    label_walls,
     labels_by_bases,
     shelling_poset,
     simplex_facets,
@@ -33,6 +33,7 @@ from positroid_hstar.triangulation import (
     window_length,
 )
 
+from conftest import forget_words
 from references import (
     cyclic_left_descents,
     determinant,
@@ -64,15 +65,21 @@ def n8_draws(count=3, seed=8):
     return found
 
 
+def prefix_vertices(circuit):
+    """``circuit`` (subsets of 1..n, in circuit order) in prefix sums z_0..z_(n-1)."""
+    n = len(circuit)
+    return tuple(tuple(itertools.accumulate(int(1 <= k < n and k in s) for k in range(n)))
+                 for s in circuit)
+
+
 def inject_vertices(monkeypatch, word, circuit):
     """Make `tg._z_vertices` read ``circuit`` (subsets, in circuit order) as
-    the simplex of ``word``, in prefix sums."""
-    n = len(word)
-    z = tuple(tuple(itertools.accumulate(int(1 <= k < n and k in s) for k in range(n)))
-              for s in circuit)
-    original = tg._z_vertices
+    the simplex of ``word``, in prefix sums, with no word's walls or alcove
+    kept from before."""
+    z, original = prefix_vertices(circuit), tg._z_vertices
     monkeypatch.setattr(tg, "_z_vertices",
                         lambda w, *z0: z if w == word else original(w, *z0))
+    forget_words()
 
 
 def inject_circuit(monkeypatch, circuit):
@@ -142,11 +149,12 @@ class TestEnumerateLabels:
             assert enumerate_labels(necklace) == labels_by_bases(necklace), necklace.compact()
 
     def test_the_kept_words_give_the_uncached_filter(self):
-        # every connected positroid with 2 <= n <= 6, then n = 2 and n = 4
-        # again: each call keeps the words and circuits of its own n alone
-        tg._every_word.cache_clear()
+        # every connected positroid with 2 <= n <= 6 in a shuffled order, then
+        # n = 2 and n = 4 again: the table of each n is built once, with at
+        # most 8 tables held (every n <= 8 at once: 5,913 words)
         necklaces = [nk for nk in connected_through(7) if nk.n <= 6]
-        for necklace in necklaces + necklaces[:1] + [validate_necklace(PYRAMID.subsets)]:
+        random.Random(6).shuffle(necklaces)
+        for necklace in necklaces + [validate_necklace([[1], [2]]), PYRAMID]:
             n, bases = necklace.n, bases_from_necklace(necklace).bases
             kept = [head + (n,) for head in itertools.permutations(range(1, n))
                     if bases.issuperset(circuit_masks(head + (n,)))]
@@ -154,10 +162,11 @@ class TestEnumerateLabels:
             assert labels == tuple(kept), necklace.compact()
             assert list(labels.circuits) == [m for w in kept for m in circuit_masks(w)]
             held = tg._every_word.cache_info()
-            assert (held.maxsize, held.currsize) == (1, 1)
             assert sorted(w for w, _ in tg._every_word(n)) == sorted(
                 head + (n,) for head in itertools.permutations(range(1, n)))
-            assert tg._every_word.cache_info().hits == held.hits + 1  # n is the one held
+            assert tg._every_word.cache_info().hits == held.hits + 1  # n is held
+        held = tg._every_word.cache_info()
+        assert (held.maxsize, held.currsize, held.misses) == (8, 5, 5)
 
     def test_a_circuit_subset_outside_the_bases_is_caught(self, monkeypatch):
         # of the circuit subsets 24, 34, 13, 14 of 2314 only 34 is not a basis
@@ -185,7 +194,8 @@ class TestSimplexGeometry:
     ])
     @pytest.mark.parametrize("call", [
         simplex_vertices, simplex_facets, simplex_is_unimodular,
-        lambda w: label_walls([w]), lambda w: wall_covers([w], w), lambda w: build_graph([w]),
+        lambda w: wall_covers([(1, 2, 3, 4), w], (1, 2, 3, 4)), lambda w: wall_covers([w], w),
+        lambda w: build_graph([w]),
     ])
     def test_a_word_that_is_not_a_label_is_rejected(self, call, word, message):
         with pytest.raises(ValueError, match=message):
@@ -381,18 +391,17 @@ class TestShelling:
         circuit = circuit_subsets((1, 3, 2, 4))
         inject_vertices(monkeypatch, (1, 3, 2, 4), [circuit[i] for i in order])
         with pytest.raises(AssertionError, match=r"wall of \(1, 3, 2, 4\) opposite vertex 0"):
-            label_walls([(1, 3, 2, 4)])
+            tg._walls((1, 3, 2, 4))
 
     @pytest.mark.parametrize("necklace", [PRISM, UNIFORM25])
     def test_one_wall_table_scores_every_base(self, necklace):
         labels = enumerate_labels(necklace)
         graph = build_graph(labels)
-        walls = label_walls(labels)
         for w in graph.words:
-            assert wall_covers(walls, w) == shelling_poset(graph, w).cover
+            assert wall_covers(labels, w) == shelling_poset(graph, w).cover
         point = (1,)
-        assert label_walls([point]) == {point: ()}
-        assert wall_covers(label_walls([point]), (1,)) == {(1,): 0}
+        assert tg._walls(point) == ()
+        assert wall_covers([point], point) == {point: 0}
 
     def test_base_has_cover_zero(self):
         graph = build_graph(enumerate_labels(UNIFORM25))
@@ -425,6 +434,69 @@ class TestShelling:
         for u, v in graph.edges():
             assert abs(poset.dist[u] - poset.dist[v]) == 1
         assert sum(poset.cover.values()) == len(graph.edges())
+
+
+class TestWordMemos:
+    """A label's walls and alcove depend on its word alone, so a batch
+    derives each word's once (`tg._walls`, `tg._alcove`), and the reference
+    table of each n is built once however the batch interleaves n."""
+
+    def test_a_shuffled_sweep_derives_each_word_once(self, monkeypatch):
+        payloads = [tuple(tuple(sorted(s)) for s in necklace.subsets)
+                    for n in range(1, 7) for necklace in connected_necklaces(n)]
+        random.Random(2024).shuffle(payloads)
+        wall, reads = tg._wall, []
+        monkeypatch.setattr(tg, "_wall", lambda word, *rest: reads.append(word)
+                            or wall(word, *rest))
+        forget_words()
+        assert all(_exhaustive_worker(p)[1] for p in payloads)
+        assert len(payloads) == 252
+        # the 153 words w with w_n = n for 2 <= n <= 6 are all labels; each
+        # word's n walls are read once, and the one-point simplex has none
+        counts = collections.Counter(reads)
+        assert len(counts) == 153 and all(c == len(w) for w, c in counts.items())
+        assert len(reads) == sum(n * math.factorial(n - 1) for n in range(2, 7)) == 872
+        assert tg._alcove.cache_info().misses == tg._alcove.cache_info().currsize == 154
+        assert tg._every_word.cache_info().misses == 5  # n = 2..6
+
+    @pytest.mark.parametrize("memo", [tg._walls, tg._alcove], ids=["walls", "alcove"])
+    def test_a_memo_keeps_a_bounded_number_of_words(self, memo):
+        # every word with n <= 7 and most of n = 8; past the bound the least
+        # recently read words go
+        assert memo.cache_info().maxsize == tg._WORDS_KEPT == 4096
+        assert sum(math.factorial(n - 1) for n in range(1, 8)) < 4096 < math.factorial(7)
+        words = [head + (n,) for n in (7, 8) for head in itertools.permutations(range(1, n))]
+        for word in words:
+            memo(word)
+        info = memo.cache_info()
+        assert len(words) > info.maxsize and info.currsize == info.maxsize
+        assert memo(words[-1]) == memo.__wrapped__(words[-1])
+        assert memo.cache_info().hits == info.hits + 1
+
+    def test_a_fault_injected_after_a_word_is_cached_is_caught_once_forgotten(
+            self, monkeypatch):
+        # 1324 with its vertex 0 moved off the wall opposite it, and 2134
+        # with a vertex inside its window; both words are cached first
+        word, other = (1, 3, 2, 4), (2, 1, 3, 4)
+        walls, alcove = tg._walls(word), tg._alcove(other)
+        circuit = circuit_subsets(word)
+        faulty = {word: prefix_vertices([circuit[i] for i in (1, 0, 2, 3)]),
+                  other: prefix_vertices(({1, 2}, {1, 3}, {1, 4}, {3, 4}))}
+        original = tg._z_vertices
+        monkeypatch.setattr(tg, "_z_vertices",
+                            lambda w, *z0: faulty.get(w) or original(w, *z0))
+        # the memos answer from before the fault, as in a batch ...
+        assert tg._walls(word) == walls and tg._alcove(other) == alcove
+        # ... and once they are emptied, as before each test, the fault shows
+        forget_words()
+        with pytest.raises(AssertionError, match=r"wall of \(1, 3, 2, 4\) opposite vertex 0"):
+            tg._walls(word)
+        with pytest.raises(AssertionError, match=r"not the alcove \[2, 5, 3, 4\]"):
+            tg._alcove(other)
+        # a failed assertion is not kept: the word fails again
+        with pytest.raises(AssertionError):
+            tg._walls(word)
+        assert tg._walls.cache_info().currsize == tg._alcove.cache_info().currsize == 0
 
 
 class TestLabelPartition:
