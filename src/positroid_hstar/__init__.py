@@ -32,8 +32,8 @@ import importlib
 # The public names of each module, the module itself included.
 _EXPORTS = {
     "core": "",
-    "ehrhart": """CountProfile EhrhartPolynomial count_points ehrhart_of_positroid
-        ehrhart_product face_hstar hstar_by_counting hstar_from_counts""",
+    "ehrhart": """EhrhartPolynomial ehrhart_of_positroid ehrhart_product face_hstar
+        hstar_by_counting hstar_from_counts lattice_counts""",
     "halfopen": """face_poset_of_uppers hstar_closed_via_inclusion_exclusion hstar_half_open
         hstar_half_open_by_counting moebius""",
     "positroid": """CanonicalFacet DecoratedPermutation DisconnectedPositroidError

@@ -130,6 +130,8 @@ def parse_input(text: str) -> tuple[str, object]:
                 for b in subsets:  # checked before a negative element meets a shift
                     if any(not 1 <= v <= n for v in b):
                         raise InputError(f"basis {sorted(b)} has elements outside 1..{n}")
+                if n < 1:
+                    raise InputError("ground set must be nonempty")
                 # the matroid property is checked by ``input_necklace``'s round trip
                 return "bases", po.PositroidBases(n, sizes.pop(), frozenset(
                     sum(1 << v for v in b) for b in subsets))
@@ -561,20 +563,18 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
                                        f"{poset.base}, first at {differing}")
         shelling = poly_ints(tg.hstar_from_covers(covers))
         stage = "closed profile"
-        # the oracle stops at the h*-degree s; E(0..s) and the h* fix every dilate
-        reference = eh.closed_profile(necklace.fact(po.h_representation), n - 1)
+        # the oracle stops at the h*-degree s; its polynomial fixes every dilate
+        reference = eh.lattice_counts(necklace.fact(po.h_representation), n - 1)
         differs = _check(name, False, "closed profile differs from the full H-representation count")
         try:
-            oracle = necklace.fact(eh._oracle_counts)
+            ehr = eh.ehrhart_of_positroid(necklace)
         except ArithmeticError:
             # a wrong body fails its reciprocity check; name it when it is the body
-            if eh._closed_profile(necklace) != reference:
+            if eh.lattice_counts(necklace.fact(po.facet_representation), n - 1) != reference:
                 return differs
             raise
-        if (reference.counts[:len(oracle.counts)] != oracle.counts
-                or eh.hstar_from_counts(reference) != oracle.hstar):
+        if tuple(map(ehr, range(n))) != reference:
             return differs
-        ehr = eh.ehrhart_of_positroid(necklace)
         volume = ehr.leading_coefficient * math.factorial(ehr.dim)
         if sum(shelling) != len(labels) or volume != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")

@@ -2,12 +2,13 @@
 
 Counting is a forward dynamic program over prefix sums: every interval bound
 of a positroid, a face or a half-open body bounds a difference of two prefix
-sums (these bodies are alcoved polytopes).  Everything downstream of the
-counts is exact: the standard binomial alternating sum turns counts
-E(0), E(1), ... into the h*-vector, a tuple of ints.  An Ehrhart polynomial
-is its h*-vector and dimension d (``EhrhartPolynomial``):
-L(t) = sum_j h*_j C(t + d - j, d) (Beck-Robins, ch. 3), and its rational
-coefficients are computed only where a report prints them.
+sums (these bodies are alcoved polytopes).  A count has one of two forms:
+the tuple E(0), ..., E(k) of a body's dilates (``lattice_counts``), or the
+Ehrhart polynomial they fix, stored as its h*-vector and dimension d
+(``EhrhartPolynomial``): L(t) = sum_j h*_j C(t + d - j, d) (Beck-Robins,
+ch. 3).  The standard binomial alternating sum turns a tuple into h*
+(``hstar_from_counts``), in ints; rational coefficients are computed only
+where a report prints them.
 
 One DP body does all counting.  ``_plan`` fixes which rows each step reads
 (``_first_read``) and which prefix sums it keeps, each bound a form t*X + s;
@@ -16,8 +17,7 @@ rows met and the older prefix sums still read) maps the current prefix sum
 to a count, and each successor range is filled at once.  The dilates tP
 share their facet normals, and each bound of a counted body is t times a
 facet's bound, moved by one where strict; with such unit offsets the plan is
-free of t >= 1, so each body is planned once and run at every dilate
-(``_tally`` plans and runs at one box; ``count_constrained`` totals it).
+free of t >= 1, so each body is planned once and run at every dilate.
 ``upper_tally`` counts a connected positroid once per dilate, tallied by
 the upper facets each point lies on, and inclusion-exclusion reads every
 face's counts off that table: a face cut out by upper facets G holds the
@@ -33,22 +33,21 @@ cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
 n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
 estimate of the states the DP holds (``_cut_costs``), and stores the rows
 rotated to it, so every body above and ``upper_tally`` count in that cut.
-``count_points``, ``face_hstar`` and the sweep's ``closed_profile`` of
-``h_representation`` stay at the first cut, as references.
+``lattice_counts`` of any H-representation, and so ``face_hstar`` and the
+sweep's count of ``h_representation``, stays at the first cut, as a reference.
 ``count_to_degree`` counts a body only up to its h*-degree s, which
 Ehrhart-Macdonald reciprocity fixes: the reciprocal body (the facets the
 body keeps, made strict) first has lattice points at the dilate
 c = d + 1 - s, and has h*_s of them there (Beck-Robins, "Computing the
 Continuous Discretely", ch. 4; for half-open bodies Beck-Sanyal,
 "Combinatorial Reciprocity Theorems").  Every call checks that equality.
-Counting the full necklace H-representation at every dilate
-(``closed_profile`` of ``h_representation``) is kept as the reference that
-the exhaustive sweep compares against.  The oracle takes any positroid: a
-disconnected one has no full-dimensional projection to take facets from,
-so it is counted from ``h_representation`` at every dilate, in its own
-affine hull, whose dimension is n minus the number of direct-sum
-components.  The product of the components' Ehrhart polynomials
-(``ehrhart_product``) is kept as the reference it must equal.
+Counting the full necklace H-representation at every dilate is kept as the
+reference that the exhaustive sweep compares against.  The oracle takes any
+positroid: a disconnected one has no full-dimensional projection to take
+facets from, so it is counted by ``lattice_counts`` of ``h_representation``
+at every dilate, in its own affine hull, whose dimension is n minus the
+number of direct-sum components.  The product of the components' Ehrhart
+polynomials (``ehrhart_product``) is kept as the reference it must equal.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .core import _Record, _trim
+from .core import _trim
 from .positroid import (
     GrassmannNecklace,
     HRepresentation,
@@ -72,20 +71,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 _INF = 1 << 62
-
-
-class CountProfile(_Record):
-    """Lattice counts E(0), ..., E(d) of the dilates of a d-dimensional body."""
-
-    __slots__ = _fields = ("dim", "counts")
-
-    def __init__(self, dim: int, counts: tuple[int, ...]):
-        if len(counts) != dim + 1:
-            raise ValueError(f"need {dim + 1} counts, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ValueError("negative count")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "counts", counts)
 
 
 class EhrhartPolynomial(NamedTuple):
@@ -127,32 +112,13 @@ class EhrhartPolynomial(NamedTuple):
         return self.coefficients[-1]
 
 
-# A counting row (a, b, lo, hi) asks lo <= z_b - z_a <= hi for the prefix sums
-# z_q = x_1 + ... + x_q (z_0 = 0); use -_INF/_INF for a one-sided row.
-Row = tuple[int, int, int, int]
-# A tight row (a, b, value, bit) sets ``bit`` in a vector's mask when
-# z_b - z_a == value; it constrains nothing.  Their linear forms hold pairs
-# (X, s), worth t * X + s at box t, in place of the ints.
-TightRow = tuple[int, int, int, int]
+# A linear row (a, b, lo, hi) asks lo <= z_b - z_a <= hi of the prefix sums
+# z_q = x_1 + ... + x_q (z_0 = 0), each bound a pair (X, s) worth t * X + s at
+# box t; (0, -_INF) or (0, _INF) leaves a side open.  A tight row (a, b, value,
+# bit) sets ``bit`` in a vector's mask when z_b - z_a == value; it constrains
+# nothing.
 LinearRow = tuple[int, int, tuple[int, int], tuple[int, int]]
 LinearTightRow = tuple[int, int, tuple[int, int], int]
-
-
-def count_constrained(dim: int, rows: Sequence[Row], box: int) -> int:
-    """Integer vectors in [0, box]^dim whose prefix sums meet every row."""
-    return sum(_tally(dim, rows, box).values())
-
-
-def _tally(dim: int, rows: Sequence[Row], box: int,
-           tight: Sequence[TightRow] = ()) -> dict[int, int]:
-    """Vectors of ``count_constrained``, tallied by the mask of tight rows they
-    meet: the rows planned and run at this one box.
-
-    >>> sorted(_tally(2, [(0, 2, 2, 2)], 2, [(0, 1, 0, 1), (1, 1, 0, 2)]).items())
-    [(2, 2), (3, 1)]
-    """
-    return _run(_plan(dim, [(a, b, (0, lo), (0, hi)) for a, b, lo, hi in rows], max(box, 1),
-                      [(a, b, (0, value), bit) for a, b, value, bit in tight]), box)
 
 
 def _plan(dim: int, rows: Sequence[LinearRow], box: int,
@@ -379,41 +345,31 @@ def _cut_costs(n: int, r: int, compiled: Sequence[CompiledRow]) -> list[int]:
     return costs
 
 
-def _hrep_plan(hrep: HRepresentation, equalities: Iterable[tuple[int, int, int]] = ()) -> tuple:
-    """The plan of ``count_points``; each equality is its two inequalities."""
-    hrep = hrep._replace(inequalities=(*hrep.inequalities, *(
-        IntervalInequality(*equality, sense) for equality in equalities for sense in ("<=", ">="))))
-    return _plan(hrep.n, _linear(hrep.n, hrep.r, _compile(hrep)), 1)
+def lattice_counts(hrep: HRepresentation, tmax: int,
+                   equalities: Iterable[tuple[int, int, int]] = ()) -> tuple[int, ...]:
+    """Lattice points E(0), ..., E(tmax) of the dilates of an H-representation,
+    planned once.
 
-
-def count_points(hrep: HRepresentation, t: int,
-                 equalities: Iterable[tuple[int, int, int]] = ()) -> int:
-    """Lattice points of the t-th dilate of an H-representation.
-
-    Counts integer x with sum(x) = t*r and 0 <= x_i <= t satisfying every
+    E(t) counts integer x with sum(x) = t*r and 0 <= x_i <= t satisfying every
     stored inequality scaled by t; strict inequalities tighten to
     f <= t*bound - 1 (resp. >= +1).  ``equalities`` are extra cyclic interval
     equalities (start, stop, value), also scaled by t; they carve faces.
     """
-    if t < 0:
-        raise ValueError("negative dilate")
-    return sum(_run(_hrep_plan(hrep, equalities), t).values())
+    hrep = hrep._replace(inequalities=(*hrep.inequalities, *(
+        IntervalInequality(*equality, sense) for equality in equalities for sense in ("<=", ">="))))
+    plan = _plan(hrep.n, _linear(hrep.n, hrep.r, _compile(hrep)), 1)
+    return tuple(sum(_run(plan, t).values()) for t in range(tmax + 1))
 
 
-def closed_profile(hrep: HRepresentation, dim: int) -> CountProfile:
-    """Counts of the closed polytope at t = 0..dim, planned once."""
-    plan = _hrep_plan(hrep)
-    return CountProfile(dim, tuple(sum(_run(plan, t).values()) for t in range(dim + 1)))
-
-
-def hstar_from_counts(profile: CountProfile) -> tuple[int, ...]:
-    """h*-vector from a count profile: h_j = sum_i (-1)^i C(d+1, i) E(j-i).
+def hstar_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
+    """h*-vector from the counts E(0..d) of a d-dimensional body, d = len - 1:
+    h_j = sum_i (-1)^i C(d+1, i) E(j-i).
 
     The result must have nonnegative integer coefficients; a violation means
     the counts do not come from a (half-open) lattice polytope of dimension d
     and is reported as an internal consistency failure.
     """
-    return _trim(_hstar_head(profile.dim, profile.counts))
+    return _trim(_hstar_head(len(counts) - 1, counts))
 
 
 def _hstar_head(dim: int, counts: Sequence[int]) -> list[int]:
@@ -445,17 +401,15 @@ def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
                face_dim: int) -> tuple[int, ...]:
     """h*-polynomial of the face cut out by the given interval equalities."""
-    plan = _hrep_plan(hrep, face_equalities)
-    return _face_hstar_from_counts(tuple(sum(_run(plan, t).values()) for t in range(face_dim + 1)))
+    return _face_hstar_from_counts(lattice_counts(hrep, face_dim, face_equalities))
 
 
 def _face_hstar_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     """h* of a face from its counts at t = 0..dim, checked to be nonempty
     and not of lower dimension."""
-    face_dim = len(counts) - 1
-    if counts[0] != 1 or (face_dim > 0 and counts[1] == 0):
+    if counts[0] != 1 or (len(counts) > 1 and counts[1] == 0):
         raise ValueError("face is empty or not of the stated dimension")
-    return hstar_from_counts(CountProfile(face_dim, counts))
+    return hstar_from_counts(counts)
 
 
 class UpperTally(NamedTuple):
@@ -517,18 +471,9 @@ def _body(necklace: GrassmannNecklace, strict_upper: bool, strict_lower: bool) -
                             strict_upper, strict_lower), 1)
 
 
-class DegreeCounts(NamedTuple):
-    """What the counting oracle counted: E(0..k) of a ``dim``-dimensional
-    body, k at least its h*-degree, and the h*-vector they fix."""
-
-    dim: int
-    counts: tuple[int, ...]
-    hstar: tuple[int, ...]
-
-
-def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> DegreeCounts:
-    """Counts of a connected positroid's closed (or half-open) body up to its
-    h*-degree s, and its h*.
+def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> EhrhartPolynomial:
+    """Ehrhart polynomial of a connected positroid's closed (or half-open)
+    body, from its counts up to its h*-degree s.
 
     The body is the canonical facets with none (half-open: the upper ones)
     strict; its reciprocal has exactly the other facets strict.  The
@@ -547,48 +492,32 @@ def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> Deg
                               f"{dim + 1}: counting bug")
     degree = dim + 1 - codegree
     body = _body(necklace, half_open, False)
-    counts = tuple(sum(_run(body, t).values()) for t in range(degree + 1))
-    hstar = _hstar_head(dim, counts)
+    hstar = _hstar_head(dim, [sum(_run(body, t).values()) for t in range(degree + 1)])
     if hstar[degree] != points:
         raise ArithmeticError(f"h*_{degree} = {hstar[degree]}, but the reciprocal body has "
                               f"{points} points at dilate {codegree}: counting bug")
-    return DegreeCounts(dim, counts, tuple(hstar))
+    return EhrhartPolynomial(tuple(hstar), dim)
 
 
-def _closed_profile(necklace: GrassmannNecklace) -> CountProfile:
-    """Closed counts of a positroid polytope in its own affine hull, at
-    every dilate t = 0..dim: the reference for ``_oracle_counts`` on a
-    connected positroid, and its counts on a disconnected one.
+def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
+    """The counting oracle's Ehrhart polynomial of any positroid polytope.
 
-    A connected positroid is counted in dimension n - 1 from its canonical
-    facets; a disconnected one from its necklace inequalities, in dimension
-    n minus the number of direct-sum components.
-    """
-    if necklace.fact(necklace_connected):
-        return closed_profile(necklace.fact(facet_representation), necklace.n - 1)
-    return closed_profile(necklace.fact(h_representation),
-                          dimension_of_bases(necklace.fact(bases_from_necklace).bases, necklace.n))
-
-
-def _oracle_counts(necklace: GrassmannNecklace) -> DegreeCounts:
-    """The counting oracle's counts and h* of any positroid polytope.
-
-    A connected positroid is counted up to its h*-degree
-    (``count_to_degree``); a disconnected one at every dilate
-    (``_closed_profile``).
+    A connected positroid is counted up to its h*-degree (``count_to_degree``);
+    a disconnected one from its necklace inequalities at every dilate, in its
+    own affine hull, of dimension n minus the number of direct-sum components.
     """
     if necklace.fact(necklace_connected):
         return count_to_degree(necklace)
-    profile = _closed_profile(necklace)
-    return DegreeCounts(profile.dim, profile.counts, hstar_from_counts(profile))
+    dim = dimension_of_bases(necklace.fact(bases_from_necklace).bases, necklace.n)
+    return EhrhartPolynomial(
+        hstar_from_counts(lattice_counts(necklace.fact(h_representation), dim)), dim)
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
     """Ehrhart polynomial of any positroid polytope, from its counted h*."""
-    oracle = necklace.fact(_oracle_counts)
-    return EhrhartPolynomial(oracle.hstar, oracle.dim)
+    return necklace.fact(_oracle)
 
 
 def hstar_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """Oracle h* of any positroid polytope: count, then transform."""
-    return necklace.fact(_oracle_counts).hstar
+    return necklace.fact(_oracle).hstar

@@ -60,7 +60,10 @@ def hstar_half_open(necklace: GrassmannNecklace) -> tuple[int, ...]:
 
 def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """Oracle half-open h*: counts up to the h*-degree, checked by reciprocity
-    against the body with the lower facets strict (``ehrhart.count_to_degree``)."""
+    against the body with the lower facets strict (``ehrhart.count_to_degree``).
+    Defined for n >= 2, as ``hstar_half_open`` is."""
+    if necklace.n == 1:
+        raise ValueError("half-open form needs n >= 2")
     return count_to_degree(necklace, half_open=True).hstar
 
 

@@ -188,8 +188,8 @@ def verify_golden() -> list[Check]:
         _words("12345 21345 13245 12435 12354 02346 21435 21354 02436 13254 03246")))
     edges3 = _words("24135 32415 24135 41325 24135 42135 32415 34215 34215 42135")
     hrep3 = po.h_representation(prism)
-    prism_ehr = eh.EhrhartPolynomial(eh.hstar_from_counts(eh.CountProfile(
-        3, tuple(eh.count_points(hrep3, t, equalities=[(1, 4, 2)]) for t in range(4)))), 3)
+    prism_ehr = eh.EhrhartPolynomial(
+        eh.hstar_from_counts(eh.lattice_counts(hrep3, 3, [(1, 4, 2)])), 3)
     triangle_times_segment = eh.ehrhart_product([eh.EhrhartPolynomial((1,), 2),
                                                  eh.EhrhartPolynomial((1,), 1)])
     square = tr.validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])

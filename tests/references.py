@@ -11,7 +11,7 @@ from positroid_hstar.core import (
     label_word,
     mask_elements,
 )
-from positroid_hstar.ehrhart import CountProfile, _body, _run
+from positroid_hstar.ehrhart import _body, _run
 from positroid_hstar.positroid import GrassmannNecklace, PositroidBases
 
 
@@ -154,23 +154,24 @@ def half_open_profile(necklace):
     """Counts of the half-open polytope at every dilate t = 0..n-1: the
     canonical facets with the upper ones strict.  The reference for
     ``halfopen.hstar_half_open_by_counting``, which stops at the h*-degree."""
-    dim, body = necklace.n - 1, _body(necklace, True, False)
-    return CountProfile(dim, tuple(sum(_run(body, t).values()) for t in range(dim + 1)))
+    body = _body(necklace, True, False)
+    return tuple(sum(_run(body, t).values()) for t in range(necklace.n))
 
 
-def reference_interpolate(profile):
+def reference_interpolate(counts):
     """Coefficients, in ascending degree, of the polynomial of degree d
-    through (t, E(t)) for t = 0..d, by Lagrange interpolation over plain
-    Fraction lists.  The reference for ``EhrhartPolynomial.coefficients``;
-    every body counted is full-dimensional in its affine hull, so the
-    interpolant must have degree d (asserted).
+    through (t, E(t)) for t = 0..d, d = len(counts) - 1, by Lagrange
+    interpolation over plain Fraction lists.  The reference for
+    ``EhrhartPolynomial.coefficients``; every body counted is
+    full-dimensional in its affine hull, so the interpolant must have
+    degree d (asserted).
 
-    >>> [str(c) for c in reference_interpolate(CountProfile(3, (1, 5, 14, 30)))]
+    >>> [str(c) for c in reference_interpolate((1, 5, 14, 30))]
     ['1', '13/6', '3/2', '1/3']
     """
-    d = profile.dim
+    d = len(counts) - 1
     total = [Fraction(0)] * (d + 1)
-    for k, value in enumerate(profile.counts):
+    for k, value in enumerate(counts):
         term = [Fraction(value)]
         for m in range(d + 1):
             if m != k:  # multiply by (t - m) / (k - m)

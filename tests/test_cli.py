@@ -180,8 +180,10 @@ class TestParsing:
         ('{"bases": [[1, 2], [1, 4], [2, 3], [3, 4]]}',
          "basis set is a matroid but not a positroid (its necklace generates a strictly "
          "larger one)"),
+        ('{"n": 0, "bases": [[]]}', "ground set must be nonempty"),
+        ('{"n": -1, "bases": [[]]}', "ground set must be nonempty"),
     ], ids=["zero", "negative", "above n", "unequal sizes", "empty", "non-matroid",
-            "non-positroid"])
+            "non-positroid", "n is 0", "negative n"])
     def test_bases_input_errors_are_pinned(self, capsys, doc, message):
         assert run(capsys, "convert", doc) == (2, "", f"error: {message}\n")
 
@@ -288,6 +290,12 @@ class TestHstar:
         assert run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}', "--half-open") == (
             3, "", "error: half-open h* needs a connected positroid; split with "
                    "decompose_direct_sum\n")
+
+    @pytest.mark.parametrize("method", ["oracle", "descents", "all"])
+    def test_half_open_point_exits_2(self, capsys, method):
+        # a point has no projection to chop facets from, by any route
+        assert run(capsys, "hstar", "1", "--half-open", "--method", method) == (
+            2, "", "error: half-open form needs n >= 2\n")
 
     def test_disconnected_oracle_works(self, capsys):
         report = run_json(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}',
@@ -772,12 +780,12 @@ class TestExhaustiveWorker:
         assert not ok
         assert detail == "closed profile differs from the full H-representation count"
 
-    @pytest.mark.parametrize("counts, hstar", [((1, 6), (1, 1)), ((1, 5), (1, 1, 1))])
+    @pytest.mark.parametrize("hstar", [(1, 2), (1, 1, 1)])
     def test_oracle_counts_are_checked_against_the_full_h_representation(
-            self, monkeypatch, counts, hstar):
-        # the pyramid's oracle counts E(0), E(1) = 1, 5 and h* = 1 + z
-        monkeypatch.setattr(eh, "_oracle_counts",
-                            lambda necklace: eh.DegreeCounts(3, counts, hstar))
+            self, monkeypatch, hstar):
+        # the pyramid's h* is 1 + z, E(0..3) = 1, 5, 14, 30: 1 + 2z is off at
+        # E(1), and 1 + z + z^2 first at E(2), past the counts the oracle reads
+        monkeypatch.setattr(eh, "_oracle", lambda necklace: eh.EhrhartPolynomial(hstar, 3))
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
         assert detail == "closed profile differs from the full H-representation count"
@@ -812,7 +820,7 @@ class TestExhaustiveWorker:
         (tg, "labels_by_bases", "labels"),
         (tg, "build_graph", "graph"),
         (tg, "wall_covers", "wall covers"),
-        (eh, "closed_profile", "closed profile"),
+        (eh, "lattice_counts", "closed profile"),
         (cli, "hstar_routes", "closed routes"),
         (tg, "affine_consistency_check", "affine windows"),
         (tg, "labels_are_unimodular", "unimodularity"),

@@ -26,7 +26,8 @@ def test_every_producer_returns_a_tuple_of_ints():
                 "hstar_shelling": tg.hstar_shelling(necklace),
                 "hstar_closed_via_inclusion_exclusion":
                     ho.hstar_closed_via_inclusion_exclusion(necklace),
-                "hstar_from_counts": eh.hstar_from_counts(necklace.fact(eh._closed_profile)),
+                "hstar_from_counts": eh.hstar_from_counts(
+                    eh.lattice_counts(po.facet_representation(necklace), n - 1)),
                 "hstar_by_counting": eh.hstar_by_counting(necklace),
             }
             for route, h in closed.items():

@@ -7,13 +7,12 @@ import pytest
 from positroid_hstar import ehrhart as eh
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.ehrhart import (
-    CountProfile,
     _face_hstar_from_counts,
-    count_points,
     count_to_degree,
     face_hstar,
     hstar_by_counting,
     hstar_from_counts,
+    lattice_counts,
     upper_tally,
 )
 from positroid_hstar.halfopen import (
@@ -48,7 +47,14 @@ from positroid_hstar.triangulation import (
 )
 
 from references import affine_rank, element_bases, half_open_profile
-from test_ehrhart import connected_through, dilated, faulty_bodies, hypersimplex_hstar, uniform
+from test_ehrhart import (
+    connected_through,
+    dilated,
+    faulty_bodies,
+    hypersimplex_hstar,
+    one_box_tally,
+    uniform,
+)
 from test_triangulation import phi_inverse_point
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
@@ -156,7 +162,7 @@ class TestHalfOpenDescents:
             assert sum(h) == len(enumerate_labels(necklace))
 
     def test_half_open_profile_starts_at_zero(self):
-        assert half_open_profile(PYRAMID).counts == (0, 0, 2, 8)
+        assert half_open_profile(PYRAMID) == (0, 0, 2, 8)
 
 
 class TestHalfOpenReciprocity:
@@ -173,13 +179,13 @@ class TestHalfOpenReciprocity:
             got = count_to_degree(necklace, half_open=True)
             degree = len(got.hstar) - 1
             assert got.hstar == hstar_half_open_by_counting(necklace) == hstar_from_counts(full)
-            assert got.counts == full.counts[:degree + 1]
+            assert got.dim == dim and tuple(map(got, range(dim + 1))) == full
             closed = facet_representation(necklace)
             reciprocal = HRepresentation(closed.n, closed.r, tuple(
                 IntervalInequality(q.start, q.stop, q.bound, q.sense, q.sense == ">=")
                 for q in closed.inequalities))
-            codegree, points = next((t, c) for t in range(1, dim + 2)
-                                    if (c := count_points(reciprocal, t)))
+            counts = lattice_counts(reciprocal, dim + 1)
+            codegree, points = next((t, c) for t, c in enumerate(counts) if t and c)
             assert (codegree, points) == (dim + 1 - degree, got.hstar[-1]), necklace.compact()
 
     def test_a_reciprocal_count_off_by_one_is_caught(self, monkeypatch):
@@ -222,17 +228,13 @@ class TestHalfOpenSimplex:
 
     def test_half_open_simplices_partition_the_half_open_polytope(self):
         labels = enumerate_labels(PRISM)
-        profile = half_open_profile(PRISM)
-        for t in range(5):
-            total = sum(count_points(half_open_simplex(w), t) for w in labels)
-            assert total == profile.counts[t]
+        totals = map(sum, zip(*(lattice_counts(half_open_simplex(w), 4) for w in labels)))
+        assert tuple(totals) == half_open_profile(PRISM)
 
     def test_pyramid_partition(self):
         labels = enumerate_labels(PYRAMID)
-        profile = half_open_profile(PYRAMID)
-        for t in range(4):
-            assert sum(count_points(half_open_simplex(lab), t) for lab in labels) \
-                == profile.counts[t]
+        totals = map(sum, zip(*(lattice_counts(half_open_simplex(w), 3) for w in labels)))
+        assert tuple(totals) == half_open_profile(PYRAMID)
 
 
 def reference_moebius(poset):
@@ -322,8 +324,8 @@ def dilate_histograms(necklace):
     facets: the histograms that ``UpperTally.masks`` merges."""
     n, r = necklace.n, necklace.rank
     compiled = necklace.fact(eh._facet_rows)
-    return [eh._tally(n, dilated(eh._linear(n, r, compiled), t), t,
-                      dilated(eh._upper_marks(compiled), t)) for t in range(n - 1)]
+    return [one_box_tally(n, dilated(eh._linear(n, r, compiled), t), t,
+                          dilated(eh._upper_marks(compiled), t)) for t in range(n - 1)]
 
 
 class TestUpperTally:
@@ -360,9 +362,9 @@ class TestUpperTally:
         counts = dilate_histograms(PYRAMID)
         everything = (1 << len(face_poset_of_uppers(PYRAMID).facet_list)) - 1
         assert counts[0] == {everything: 1}
-        assert sum(counts[1].values()) == count_points(facet_representation(PYRAMID), 1)
-        assert tally.face_counts((), 2) == tuple(
-            count_points(facet_representation(PYRAMID), t) for t in range(3))
+        closed = lattice_counts(facet_representation(PYRAMID), 2)
+        assert sum(counts[1].values()) == closed[1]
+        assert tally.face_counts((), 2) == closed
 
     def test_empty_or_flat_face_rejected(self):
         with pytest.raises(ValueError):
@@ -387,7 +389,7 @@ def half_open_hypersimplex_hstar(k, n):
     def count(t):
         return sum((-1) ** j * math.comb(n, j) * math.comb(k * t - 1 - j * t + n - 1, n - 1)
                    for j in range(n + 1) if k * t - 1 - j * t >= 0)
-    return hstar_from_counts(CountProfile(n - 1, tuple(count(t) for t in range(n))))
+    return hstar_from_counts(tuple(count(t) for t in range(n)))
 
 
 class TestClosedForms:

@@ -118,6 +118,19 @@ def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
     assert eh.EhrhartPolynomial._fields == ("hstar", "dim")
 
 
+def test_no_module_binds_a_second_form_of_a_count():
+    # a count is a tuple E(0..k) (ehrhart.lattice_counts, hstar_from_counts)
+    # or an EhrhartPolynomial; the one-box count is the tests' helper, built
+    # from ehrhart._plan and ehrhart._run
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        for name in ("CountProfile", "DegreeCounts", "count_constrained", "_tally",
+                     "count_points", "closed_profile", "_hrep_plan", "_closed_profile",
+                     "_oracle_counts", "Row", "TightRow"):
+            assert not hasattr(home, name), (module.name, name)
+    assert list(inspect.signature(eh.hstar_from_counts).parameters) == ["counts"]
+
+
 def test_no_module_binds_a_second_table_of_walls():
     # a label's walls are kept per word (triangulation._walls), so wall_covers
     # takes the labels alone and no module builds a walls table of its own
@@ -148,18 +161,19 @@ def test_no_module_binds_the_descent_set_or_the_half_open_profile():
 class TestPublicNames:
     # positroid_hstar.__all__, pinned: a name leaves it only with its definition
     PINNED = [
-        "AffineLabelingReport", "BicoloredSubdivision", "CanonicalFacet", "CountProfile",
+        "AffineLabelingReport", "BicoloredSubdivision", "CanonicalFacet",
         "DecoratedPermutation", "DisconnectedPositroidError", "EhrhartPolynomial",
         "GrassmannNecklace", "HRepresentation", "IntervalInequality",
         "NecklaceError", "PositroidBases", "ShellingPoset", "SubdivisionError",
         "TriangulationGraph", "affine_consistency_check", "arcs", "bases_from_necklace",
-        "build_graph", "canonical_facets", "circular_extensions", "core", "count_points",
+        "build_graph", "canonical_facets", "circular_extensions", "core",
         "decompose_direct_sum", "decorated_from_necklace", "ehrhart",
         "ehrhart_of_positroid", "ehrhart_product", "enumerate_labels", "face_hstar",
         "face_poset_of_uppers", "h_rep_from_subdivision", "h_representation", "halfopen",
         "hstar_by_counting", "hstar_closed_via_inclusion_exclusion", "hstar_from_counts",
         "hstar_from_covers", "hstar_half_open", "hstar_half_open_by_counting",
-        "hstar_shelling", "hstar_tree", "is_connected", "moebius", "necklace_from_bases",
+        "hstar_shelling", "hstar_tree", "is_connected", "lattice_counts", "moebius",
+        "necklace_from_bases",
         "necklace_from_decorated", "positroid", "random_subdivision", "rank_of",
         "shelling_poset", "simplex_facets", "simplex_vertices", "tau_order", "tree",
         "triangulation", "validate_necklace", "validate_subdivision", "vertices", "wall_covers",
@@ -209,7 +223,6 @@ def build_records():
         "IntervalInequality": po.h_representation(PRISM).inequalities[0],
         "HRepresentation": po.h_representation(PRISM),
         "CanonicalFacet": po.canonical_facets(PRISM)[0],
-        "CountProfile": eh.CountProfile(2, (1, 3, 6)),
         "EhrhartPolynomial": eh.ehrhart_of_positroid(PRISM),
         "UpperTally": eh.upper_tally(PRISM),
         "FaceNode": face_poset.top,
@@ -230,7 +243,6 @@ SLOTTED = {
     "PositroidBases": ("n", "r", "bases"),
     "DecoratedPermutation": ("perm", "white"),
     "IntervalInequality": ("start", "stop", "bound", "sense", "strict"),
-    "CountProfile": ("dim", "counts"),
 }
 PROTOCOL = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__")
 
@@ -275,8 +287,6 @@ class TestRecords:
             po.DecoratedPermutation((2, 1), frozenset({1}))
         with pytest.raises(ValueError, match="does not have size"):
             po.PositroidBases(3, 2, frozenset({0b10}))
-        with pytest.raises(ValueError, match="need 3 counts"):
-            eh.CountProfile(2, (1, 3))
 
     def test_records_of_different_types_differ(self):
         assert po.IntervalInequality(1, 2, 0, "<=") != (1, 2, 0, "<=", False)
@@ -296,12 +306,12 @@ class TestRecords:
         records = [po.PositroidBases(2, 2, frozenset({0b110})),
                    po.DecoratedPermutation((2, 1, 3), frozenset({3})),
                    po.IntervalInequality(3, 1, 2, ">=", True),
-                   eh.CountProfile(2, (1, 3, 6))]
+                   eh.EhrhartPolynomial((1, 1), 3)]
         assert [repr(r) for r in records] == [
             "PositroidBases(n=2, r=2, bases=frozenset({6}))",
             "DecoratedPermutation(perm=(2, 1, 3), white=frozenset({3}))",
             "IntervalInequality(start=3, stop=1, bound=2, sense='>=', strict=True)",
-            "CountProfile(dim=2, counts=(1, 3, 6))",
+            "EhrhartPolynomial(hstar=(1, 1), dim=3)",
         ]
 
     @pytest.mark.parametrize("name", sorted(SLOTTED))
