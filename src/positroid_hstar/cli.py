@@ -504,7 +504,7 @@ def cmd_tree(args) -> dict:
     tree = tr.tree_positroid(tau)
     poly = tg.hstar_shelling(tree.necklace, parse_word(args.w0) if args.w0 is not None else None)
     arc_rows = [{"arc": [a.start, a.end], "facet_defining": a.facet_defining, "area": a.area}
-                for a in tr.arcs(tau) if a.compatible]
+                for a in tree.compatible_arcs]
     return {
         "input_kind": kind,
         "n": tau.n,
@@ -513,7 +513,7 @@ def cmd_tree(args) -> dict:
         "chains": [list(c) for c in tree.chains],
         "extensions": ["".join(map(str, w)) for w in tree.extensions],
         "necklace": [sorted(s) for s in tree.necklace.subsets],
-        "num_vertices": len(tree.bases.bases),
+        "num_vertices": len(tree.necklace.fact(po.bases_from_necklace).bases),
         "compatible_arcs": arc_rows,
         "hstar": poly_ints(poly),
     }

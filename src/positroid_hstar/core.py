@@ -15,8 +15,8 @@ Conventions used package-wide:
 Every slotted record of the package derives from one immutable base, ``_Record``.
 
 All arithmetic is exact (ints and Fractions); nothing here uses floats.
-``fractions`` is imported only for an Ehrhart polynomial's coefficients or a
-rational point, so a process that only computes h*-vectors never loads it.
+``fractions`` is imported only for an Ehrhart polynomial's coefficients,
+so a process that only computes h*-vectors never loads it.
 """
 
 from __future__ import annotations

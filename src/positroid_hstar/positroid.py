@@ -8,7 +8,10 @@ A positroid on 1..n can be handed around in three equivalent forms:
 - its set of bases.
 
 Both directions between necklace and bases read the Gale order one way,
-as prefix counts on bitmasks (``_gale_limits``).
+as prefix counts on bitmasks (``_gale_limits``).  Every interval bound on an
+r-subset takes one form, at most ``bound`` elements of a segment bitmask, so
+one filter (``_r_subsets_within``) yields both the bases of a necklace and
+the 0/1 points, as bitmasks, of any H-representation (``zero_one_points``).
 
 This module validates and converts between the three, computes matroid rank,
 connectivity and direct-sum decomposition, and produces two H-representations
@@ -24,7 +27,7 @@ components, so facets need no linear algebra.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .core import (
     _Record,
@@ -33,9 +36,6 @@ from .core import (
     is_permutation_word,
     mask_elements,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 _T = TypeVar("_T")
 
@@ -135,7 +135,8 @@ class PositroidBases(_Record):
 
     __slots__ = _fields = ("n", "r", "bases")
 
-    def __init__(self, n: int, r: int, bases: frozenset[int]):
+    def __init__(self, n: int, r: int, bases: Iterable[int]):
+        bases = frozenset(bases)
         if not bases:
             raise ValueError("basis set must be nonempty")
         for b in bases:
@@ -179,16 +180,23 @@ def _gale_limits(subset: Iterable[int], i: int, n: int, r: int) -> list[tuple[in
     return limits
 
 
-def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
-    """All r-subsets Gale-above every J_i (``_gale_limits``, equal pairs
-    tested once); the bases of the positroid of J."""
-    n, r = necklace.n, necklace.rank
-    limits = {limit for i, subset in enumerate(necklace.subsets, start=1)
-              for limit in _gale_limits(subset, i, n, r)}
+def _r_subsets_within(n: int, r: int, limits: Iterable[tuple[int, int]]) -> frozenset[int]:
+    """The r-subsets of 1..n (bit k for element k) with at most ``bound``
+    elements in ``segment`` for each (segment, bound) limit, equal limits
+    tested once: the one rule for 0/1 points, bases and H-representations alike."""
+    limits = set(limits)
     masks = map(sum, itertools.combinations([1 << v for v in range(1, n + 1)], r))
-    return PositroidBases(n, r, frozenset(
-        mask for mask in masks
-        if all((mask & segment).bit_count() <= bound for segment, bound in limits)))
+    return frozenset(mask for mask in masks
+                     if all((mask & segment).bit_count() <= bound for segment, bound in limits))
+
+
+def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
+    """All r-subsets Gale-above every J_i (``_gale_limits``); the bases of the
+    positroid of J."""
+    n, r = necklace.n, necklace.rank
+    return PositroidBases(n, r, _r_subsets_within(n, r, (
+        limit for i, subset in enumerate(necklace.subsets, start=1)
+        for limit in _gale_limits(subset, i, n, r))))
 
 
 def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
@@ -221,10 +229,11 @@ class DecoratedPermutation(_Record):
 
     __slots__ = _fields = ("perm", "white")
 
-    def __init__(self, perm: tuple[int, ...], white: frozenset[int] = frozenset()):
+    def __init__(self, perm: Sequence[int], white: Iterable[int] = frozenset()):
         if not is_permutation_word(perm):
             raise ValueError("not a permutation in one-line notation")
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", tuple(perm))
+        white = frozenset(white)
         if not white <= self.fixed_points:
             raise ValueError("white set contains non-fixed points")
         object.__setattr__(self, "white", white)
@@ -396,34 +405,6 @@ class HRepresentation(NamedTuple):
     r: int
     inequalities: tuple[IntervalInequality, ...]
 
-    def contains(self, point: Sequence[int | Fraction], dilate: int = 1) -> bool:
-        """Membership of a point in the ``dilate``-th dilate.
-
-        Strict inequalities are taken literally on rational points.  A point
-        of ints is tested in ints; any other entries are read as Fractions.
-        """
-        x = list(point)
-        if not all(type(v) is int for v in x):
-            from fractions import Fraction
-
-            x = [Fraction(v) for v in x]
-        if len(x) != self.n:
-            raise ValueError("wrong dimension")
-        if sum(x) != dilate * self.r:
-            return False
-        if any(v < 0 or v > dilate for v in x):
-            return False
-        for ineq in self.inequalities:
-            total = sum(x[k - 1] for k in ineq.support(self.n))
-            bound = dilate * ineq.bound
-            if ineq.strict:
-                if (total >= bound) if ineq.sense == "<=" else (total <= bound):
-                    return False
-            else:
-                if (total > bound) if ineq.sense == "<=" else (total < bound):
-                    return False
-        return True
-
 
 def h_representation(necklace: GrassmannNecklace) -> HRepresentation:
     """Interval-sum inequalities of the positroid polytope of a necklace.
@@ -442,14 +423,18 @@ def vertices(bases: PositroidBases) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(b >> k & 1 for k in range(1, bases.n + 1)) for b in bases.bases))
 
 
-def zero_one_points(hrep: HRepresentation) -> tuple[tuple[int, ...], ...]:
-    """All 0/1 vectors with coordinate sum r satisfying the representation."""
-    out = []
-    for comb in itertools.combinations(range(1, hrep.n + 1), hrep.r):
-        point = tuple(1 if k in comb else 0 for k in range(1, hrep.n + 1))
-        if hrep.contains(point):
-            out.append(point)
-    return tuple(sorted(out))
+def zero_one_points(hrep: HRepresentation) -> frozenset[int]:
+    """The 0/1 points, as r-subset bitmasks (bit k for x_k), by the one filter:
+    x(S) <= b is the limit (S, b), and x(S) >= b the limit (complement of S,
+    r - b), as every point has r ones; a strict row tightens its limit by one."""
+    n, r = hrep.n, hrep.r
+    full = (1 << n + 1) - 2
+    limits = []
+    for q in hrep.inequalities:
+        segment = sum(1 << k for k in q.support(n))
+        limits.append((segment, q.bound - q.strict) if q.sense == "<="
+                      else (full ^ segment, r - q.bound - q.strict))
+    return _r_subsets_within(n, r, limits)
 
 
 def _fundamental_union_find(masks: frozenset[int], n: int) -> tuple[Callable[[int], int], int]:

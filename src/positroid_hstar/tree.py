@@ -5,7 +5,9 @@ cells with alternating colors across shared edges; its type counts the black
 triangles in any triangulation of the black cells.  Arcs between polygon
 vertices that stay inside one cell carry an "area" (black triangles to their
 left), and the two-sided area bounds cut out a positroid polytope with sum
-equality k+1.  Reading white cells clockwise and black cells
+equality k+1.  Its 0/1 points, bitmasks from the one filter of
+``positroid.zero_one_points``, are the bases; the compatible arcs are read
+once per subdivision.  Reading white cells clockwise and black cells
 counterclockwise produces chains whose circular extensions are exactly the
 triangulation labels of that polytope (asserted), so the shelling h* of its
 necklace, the wall covers summed over those labels, is the tree route's h*.
@@ -145,93 +147,69 @@ def _left_area(tau: BicoloredSubdivision, i: int, j: int) -> int:
     most the two endpoints and contribute nothing.  This equals the triangle
     count for every triangulation in which no triangle straddles the chord.
     """
-    total = 0
-    for vs in tau.black_cells():
-        inside = sum(1 for v in vs if _in_closed_cyclic(v, i, j, tau.n))
-        total += max(0, inside - 2)
-    return total
+    return sum(max(0, sum(_in_closed_cyclic(v, i, j, tau.n) for v in vs) - 2)
+               for vs in tau.black_cells())
 
 
 class ArcInfo(NamedTuple):
-    """Compatibility, facet status and left area of one directed arc."""
+    """Facet status and left area of one compatible directed arc."""
 
     start: int
     end: int
-    compatible: bool
     facet_defining: bool
-    area: int | None
+    area: int
 
 
 def arcs(tau: BicoloredSubdivision) -> tuple[ArcInfo, ...]:
-    """Classify every ordered vertex pair of the polygon.
+    """The compatible arcs of the polygon, in (start, end) order.
 
     An arc is compatible when some cell contains both endpoints (edges and
     interior diagonals of cells); it is facet-defining when it is an edge of
     a black cell lying entirely on its left.  Areas of opposite arcs must
     add up to the type count (the chord splits the black triangles); checked.
     """
-    n = tau.n
-    k = tau.type_count
+    n, k = tau.n, tau.type_count
     cells = [set(vs) for _, vs in tau.cells]
-    black_edges = []
-    for vs in tau.black_cells():
-        if len(vs) >= 3:
-            black_edges.extend((set(e), set(vs)) for e in _cell_edges(vs))
+    black_edges = [(set(e), set(vs)) for vs in tau.black_cells() if len(vs) >= 3
+                   for e in _cell_edges(vs)]
     out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            compatible = any({i, j} <= c for c in cells)
-            if not compatible:
-                out.append(ArcInfo(i, j, False, False, None))
-                continue
-            area = _left_area(tau, i, j)
-            if area + _left_area(tau, j, i) != k:
-                raise AssertionError(f"areas of arcs {i}->{j} and {j}->{i} do not split {k}")
-            facet = any({i, j} == e and all(_in_closed_cyclic(v, i, j, n) for v in cell)
-                        for e, cell in black_edges)
-            out.append(ArcInfo(i, j, True, facet, area))
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        if not any({i, j} <= c for c in cells):
+            continue
+        area = _left_area(tau, i, j)
+        if area + _left_area(tau, j, i) != k:
+            raise AssertionError(f"areas of arcs {i}->{j} and {j}->{i} do not split {k}")
+        facet = any({i, j} == e and all(_in_closed_cyclic(v, i, j, n) for v in cell)
+                    for e, cell in black_edges)
+        out.append(ArcInfo(i, j, facet, area))
     return tuple(out)
 
 
-def h_rep_from_subdivision(tau: BicoloredSubdivision) -> HRepresentation:
-    """Two-sided area bounds over all compatible arcs, with sum equality k+1.
+def h_rep_from_subdivision(tau: BicoloredSubdivision,
+                           compatible: Sequence[ArcInfo] | None = None) -> HRepresentation:
+    """Two-sided area bounds over the compatible arcs (``arcs(tau)`` unless
+    given), with sum equality k+1."""
+    return HRepresentation(tau.n, tau.rank, tuple(
+        IntervalInequality(a.start, a.end, a.area + upper, "<=" if upper else ">=")
+        for a in (arcs(tau) if compatible is None else compatible) for upper in (0, 1)))
 
-    The alternative facet-only description (x_v >= 0 at white-cell vertices
-    plus the lower bound of each facet-defining arc) must select the same
-    0/1 points; asserted.
-    """
-    return _area_bounds(tau)[0]
 
-
-def _area_bounds(tau: BicoloredSubdivision) -> tuple[HRepresentation, tuple[tuple[int, ...], ...]]:
-    """`h_rep_from_subdivision` and its 0/1 points, each description enumerated once."""
-    r = tau.rank
-    ineqs = []
-    facet_ineqs = []
-    for arc in arcs(tau):
-        if not arc.compatible:
-            continue
-        ineqs.append(IntervalInequality(arc.start, arc.end, arc.area, ">="))
-        ineqs.append(IntervalInequality(arc.start, arc.end, arc.area + 1, "<="))
-        if arc.facet_defining:
-            facet_ineqs.append(IntervalInequality(arc.start, arc.end, arc.area, ">="))
-    full = HRepresentation(tau.n, r, tuple(ineqs))
-    facet_only = HRepresentation(tau.n, r, tuple(facet_ineqs))
-    points = zero_one_points(full)
+def positroid_from_subdivision(tau: BicoloredSubdivision,
+                               compatible: Sequence[ArcInfo] | None = None,
+                               ) -> tuple[GrassmannNecklace, PositroidBases]:
+    """Necklace and bases of the positroid that the compatible arcs
+    (``arcs(tau)`` unless given) cut out, by ``h_rep_from_subdivision`` and
+    by x_v >= 0 plus the lower bound of each facet-defining arc: the two
+    must select the same 0/1 points; asserted."""
+    compatible = arcs(tau) if compatible is None else compatible
+    points = zero_one_points(h_rep_from_subdivision(tau, compatible))
+    facet_only = HRepresentation(tau.n, tau.rank, tuple(
+        IntervalInequality(a.start, a.end, a.area, ">=") for a in compatible if a.facet_defining))
     if points != zero_one_points(facet_only):
         raise AssertionError("area-bound and facet-arc descriptions disagree on 0/1 points")
-    return full, points
-
-
-def positroid_from_subdivision(tau: BicoloredSubdivision) -> tuple[GrassmannNecklace, PositroidBases]:
-    """Necklace and bases of the positroid cut out by the subdivision."""
-    points = _area_bounds(tau)[1]
     if not points:
         raise SubdivisionError("subdivision polytope has no 0/1 points")
-    bases = PositroidBases(tau.n, tau.rank, frozenset(
-        sum(v << k for k, v in enumerate(p, start=1)) for p in points))
+    bases = PositroidBases(tau.n, tau.rank, points)
     necklace = necklace_from_bases(bases)
     if necklace.fact(bases_from_necklace).bases != bases.bases:
         raise AssertionError("subdivision polytope vertices are not a positroid")
@@ -246,12 +224,8 @@ def tau_order(tau: BicoloredSubdivision) -> tuple[Word, ...]:
     largest.  Cells of fewer than 3 vertices force no triples and are
     skipped.
     """
-    chains = []
-    for color, vs in tau.cells:
-        if len(vs) < 3:
-            continue
-        chains.append(vs if color == "white" else tuple(reversed(vs)))
-    return tuple(sorted(chains))
+    return tuple(sorted(vs if color == "white" else vs[::-1]
+                        for color, vs in tau.cells if len(vs) >= 3))
 
 
 def circular_extensions(chains: Sequence[Sequence[int]], n: int) -> tuple[Word, ...]:
@@ -265,31 +239,33 @@ def circular_extensions(chains: Sequence[Sequence[int]], n: int) -> tuple[Word, 
 
 
 class TreePositroid(NamedTuple):
-    """What the tree pipeline derives from one subdivision, each fact once."""
+    """What the tree pipeline derives from one subdivision, each fact once;
+    the bases are the necklace's ``bases_from_necklace`` fact."""
 
     necklace: GrassmannNecklace
-    bases: PositroidBases
+    compatible_arcs: tuple[ArcInfo, ...]
     chains: tuple[Word, ...]
     extensions: tuple[Word, ...]
 
 
 def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
-    """The subdivision's positroid, chain order and circular extensions.
+    """The subdivision's positroid, arcs, chain order and circular extensions.
 
     The extensions are exactly the triangulation labels of the positroid cut
     out by the subdivision; asserted on every call.
     """
-    necklace, bases = positroid_from_subdivision(tau)
+    compatible = arcs(tau)
+    necklace = positroid_from_subdivision(tau, compatible)[0]
     chains = tau_order(tau)
     ext = circular_extensions(chains, tau.n)
     if not ext:
         raise SubdivisionError("the chain order has no circular extension")
     if necklace.fact(enumerate_labels) != ext:
         raise AssertionError("circular extensions differ from the triangulation labels")
-    return TreePositroid(necklace, bases, chains, ext)
+    return TreePositroid(necklace, compatible, chains, ext)
 
 
-def hstar_tree(tau: BicoloredSubdivision, base: Word | None = None) -> tuple[int, ...]:
+def hstar_tree(tau: BicoloredSubdivision, base: Sequence[int] | None = None) -> tuple[int, ...]:
     """h* of the subdivision's polytope by the cover statistic on extensions.
 
     The circular extensions are the necklace's triangulation labels

@@ -384,8 +384,8 @@ class ShellingPoset(NamedTuple):
     cover: Mapping[Word, int]
 
 
-def shelling_poset(graph: TriangulationGraph, base: Word) -> ShellingPoset:
-    words, adjacent = graph.words, graph.adjacent
+def shelling_poset(graph: TriangulationGraph, base: Sequence[int]) -> ShellingPoset:
+    words, adjacent, base = graph.words, graph.adjacent, tuple(base)
     b = bisect.bisect_left(words, base)
     if b == len(words) or words[b] != base:
         raise ValueError(f"{base} is not a label of the graph")
@@ -424,7 +424,7 @@ def _walls(word: Word) -> Walls:
     return tuple(_wall(word, z, p) for p in range(n if n > 1 else 0))
 
 
-def wall_covers(labels: Sequence[Word], base: Word) -> dict[Word, int]:
+def wall_covers(labels: Sequence[Word], base: Sequence[int]) -> dict[Word, int]:
     """cover(w) of every label: the walls of its alcove that separate it from the base's.
 
     With floor[lo][hi] the least value of z_hi - z_lo on the base alcove,
@@ -437,6 +437,7 @@ def wall_covers(labels: Sequence[Word], base: Word) -> dict[Word, int]:
     polytopes II"), which `verify` checks.  The walls do not depend on the
     base, so scoring many bases reads each label's walls once (`_walls`).
     """
+    base = tuple(base)
     if base not in labels:
         raise ValueError(f"{base} is not a label of the graph")
     n = len(base)
@@ -456,7 +457,8 @@ def hstar_from_covers(cover: Mapping[Word, int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def hstar_shelling(necklace: GrassmannNecklace, base: Word | None = None) -> tuple[int, ...]:
+def hstar_shelling(necklace: GrassmannNecklace,
+                   base: Sequence[int] | None = None) -> tuple[int, ...]:
     """h*-polynomial of a connected positroid polytope by the cover statistic."""
     labels = necklace.fact(enumerate_labels)
     return hstar_from_covers(wall_covers(labels, labels[0] if base is None else base))

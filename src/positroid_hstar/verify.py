@@ -259,7 +259,7 @@ def verify_golden() -> list[Check]:
          (_words("134 321"), _words("1324 2134"), (1, 1)), "chains (3,2,1), (1,3,4)"),
         ("pentagon subdivision", (tr.tau_order(pentagon), tr.hstar_tree(pentagon)),
          (_words("134 321 541"), (1, 3, 1)), "1+3z+z^2"),
-        ("square arcs", (arcs[1, 3].facet_defining, arcs[1, 3].area, arcs[2, 4].compatible),
+        ("square arcs", (arcs[1, 3].facet_defining, arcs[1, 3].area, (2, 4) in arcs),
          (True, 1, False), "1->3 facet-defining, 2->4 not compatible"),
         ("pyramid decorated permutation",
          (dec.perm, dec.fixed_points, po.necklace_from_decorated(dec)),

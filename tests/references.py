@@ -130,6 +130,39 @@ def gale_leq(s, t, i, n):
     return all(key(a) <= key(b) for a, b in zip(sorted(s, key=key), sorted(t, key=key)))
 
 
+def contains(hrep, point, dilate=1):
+    """Membership of a point in the ``dilate``-th dilate of an
+    ``HRepresentation``: the reference for rational points and strict rows.
+
+    Strict inequalities are taken literally on rational points.  A point
+    of ints is tested in ints; any other entries are read as Fractions.
+
+    >>> from positroid_hstar.positroid import HRepresentation, IntervalInequality
+    >>> H = HRepresentation(3, 1, (IntervalInequality(1, 2, 1, "<=", strict=True),))
+    >>> contains(H, (0, 1, 0)), contains(H, (1, 0, 0)), contains(H, (Fraction(1, 2), 0, 0.5))
+    (True, False, True)
+    """
+    x = list(point)
+    if not all(type(v) is int for v in x):
+        x = [Fraction(v) for v in x]
+    if len(x) != hrep.n:
+        raise ValueError("wrong dimension")
+    if sum(x) != dilate * hrep.r:
+        return False
+    if any(v < 0 or v > dilate for v in x):
+        return False
+    for ineq in hrep.inequalities:
+        total = sum(x[k - 1] for k in ineq.support(hrep.n))
+        bound = dilate * ineq.bound
+        if ineq.strict:
+            if (total >= bound) if ineq.sense == "<=" else (total <= bound):
+                return False
+        else:
+            if (total > bound) if ineq.sense == "<=" else (total < bound):
+                return False
+    return True
+
+
 def cyclic_left_descents(word, order=None):
     """Cyclic left descent set of a word over a totally ordered ground set.
 

@@ -26,6 +26,8 @@ SPIED = (
     (eh, "_run"),
     (tr, "positroid_from_subdivision"),
     (tr, "circular_extensions"),
+    (tr, "arcs"),
+    (po, "zero_one_points"),
 )
 PENTAGON = ('{"n": 5, "cells": [{"color": "black", "vertices": [1,2,3]},'
             ' {"color": "white", "vertices": [1,3,4]}, {"color": "black", "vertices": [1,4,5]}]}')
@@ -91,9 +93,15 @@ def test_every_route_shares_one_derivation_per_fact(calls):
 
 def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):
     assert cli.main(["tree", PENTAGON]) == 0
+    assert len(calls["arcs"]) == 1
     assert verify.verify_random(7, 0, 4)[1][1]
-    for name in ("positroid_from_subdivision", "circular_extensions", "enumerate_labels"):
+    for name in ("positroid_from_subdivision", "circular_extensions", "enumerate_labels", "arcs"):
         assert len(calls[name]) == 1 + 4, name
+    # each subdivision scans its area-bound and its facet-arc description once
+    scans = [args[0] for args, _ in calls["zero_one_points"]]
+    assert len(scans) == 2 * (1 + 4)
+    assert all(len(facets.inequalities) < len(full.inequalities)
+               for full, facets in zip(scans[::2], scans[1::2]))
 
 
 def test_facts_stay_out_of_equality_hash_and_repr():

@@ -46,7 +46,7 @@ from positroid_hstar.triangulation import (
     simplex_vertices,
 )
 
-from references import affine_rank, element_bases, half_open_profile
+from references import affine_rank, contains, element_bases, half_open_profile
 from test_ehrhart import (
     connected_through,
     dilated,
@@ -224,7 +224,7 @@ class TestHalfOpenSimplex:
             y = [v if v != 0 else Fraction(1) for v in y]  # wrap 0 to 1 on the circle
             in_chain = (0 < y[2] < y[1] <= y[3] < y[0] <= 1)
             lifted = p + (H.r - sum(p),)
-            assert H.contains(lifted) == in_chain, p
+            assert contains(H, lifted) == in_chain, p
 
     def test_half_open_simplices_partition_the_half_open_polytope(self):
         labels = enumerate_labels(PRISM)

@@ -148,6 +148,18 @@ def test_no_module_binds_gale_leq():
         assert not hasattr(home, "gale_leq"), module.name
 
 
+def test_one_rule_for_zero_one_points_and_one_read_of_the_arcs():
+    # 0/1 points are bitmasks from the one filter (positroid.zero_one_points);
+    # membership of rational points is the tests' reference; the tree route
+    # reads the compatible arcs once and carries them
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        assert not hasattr(home, "_area_bounds"), module.name
+    assert not hasattr(po.HRepresentation, "contains")
+    assert tr.ArcInfo._fields == ("start", "end", "facet_defining", "area")
+    assert tr.TreePositroid._fields == ("necklace", "compatible_arcs", "chains", "extensions")
+
+
 def test_no_module_binds_the_descent_set_or_the_half_open_profile():
     # the label search counts descents by bitmask (core.descent_bounded_words)
     # and the oracle counts up to the h*-degree; the sets and the full

@@ -10,6 +10,8 @@ from positroid_hstar import positroid as po
 from positroid_hstar.core import i_order_key
 from positroid_hstar.positroid import (
     DecoratedPermutation,
+    HRepresentation,
+    IntervalInequality,
     NecklaceError,
     bases_from_necklace,
     decompose_direct_sum,
@@ -30,6 +32,7 @@ from positroid_hstar.positroid import (
 
 from references import (
     affine_rank,
+    contains,
     element_bases,
     element_sets,
     masks_of,
@@ -41,6 +44,13 @@ from references import (
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
 PRISM = validate_necklace([[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
+
+
+def contained_points(hrep):
+    """The 0/1 points of ``hrep`` as bitmasks, by the membership reference."""
+    n = hrep.n
+    return masks_of(b for b in itertools.combinations(range(1, n + 1), hrep.r)
+                    if contains(hrep, [int(k in b) for k in range(1, n + 1)]))
 
 
 def decorated_permutations(n):
@@ -232,6 +242,21 @@ class TestDecoratedBijection:
             DecoratedPermutation((2, 1, 3), frozenset({1}))
 
 
+class TestRecordsNormalizeTheirInputs:
+    @pytest.mark.parametrize("perm, white", [
+        ([2, 1, 3], frozenset({3})), ((2, 1, 3), {3}), ([2, 1, 3], [3])])
+    def test_decorated_permutation(self, perm, white):
+        normal = DecoratedPermutation((2, 1, 3), frozenset({3}))
+        dec = DecoratedPermutation(perm, white)
+        assert dec == normal and hash(dec) == hash(normal) and repr(dec) == repr(normal)
+
+    @pytest.mark.parametrize("form", [set, list, tuple])
+    def test_positroid_bases(self, form):
+        normal = bases_from_necklace(PYRAMID)
+        bases = po.PositroidBases(4, 2, form(normal.bases))
+        assert bases == normal and hash(bases) == hash(normal)
+
+
 class TestRankAndConnectivity:
     def test_rank_examples(self):
         B = bases_from_necklace(PYRAMID)
@@ -351,19 +376,33 @@ class TestHRepresentation:
         stored = {(q.start, q.stop, q.bound) for q in H.inequalities}
         assert (3, 1, 2) in stored  # x_3+x_4+x_5 <= 2, i.e. x_1+x_2 >= 1
         assert (1, 4, 2) in stored  # x_1+x_2+x_3 <= 2
-        assert zero_one_points(H) == vertices(bases_from_necklace(PRISM))
+        assert zero_one_points(H) == bases_from_necklace(PRISM).bases
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM])
     def test_zero_one_points_match_vertices(self, necklace):
         assert zero_one_points(h_representation(necklace)) == \
-            vertices(bases_from_necklace(necklace))
+            bases_from_necklace(necklace).bases
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_one_points_match_vertices_exhaustive(self, n):
+        # the bitmask filter against the necklace's bases and against the
+        # membership reference, point by point
         for dec in decorated_permutations(n):
             J = necklace_from_decorated(dec)
-            assert zero_one_points(h_representation(J)) == \
-                vertices(bases_from_necklace(J))
+            H = h_representation(J)
+            assert zero_one_points(H) == bases_from_necklace(J).bases == contained_points(H)
+
+    def test_lower_and_strict_rows_match_the_membership_reference(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            n = rng.randrange(2, 7)
+            r = rng.randrange(0, n + 1)
+            H = HRepresentation(n, r, tuple(
+                IntervalInequality(rng.randrange(1, n + 1), rng.randrange(1, n + 1),
+                                   rng.randrange(-1, r + 2), rng.choice(("<=", ">=")),
+                                   rng.random() < 0.5)
+                for _ in range(rng.randrange(0, 4))))
+            assert zero_one_points(H) == contained_points(H), H
 
 
 class TestVertices:

@@ -15,8 +15,10 @@ from positroid_hstar.tree import (
     tau_order,
     validate_subdivision,
 )
-from positroid_hstar.positroid import zero_one_points
+from positroid_hstar.positroid import IntervalInequality, bases_from_necklace, zero_one_points
 from positroid_hstar.triangulation import enumerate_labels
+
+from references import masks_of
 
 SQUARE = validate_subdivision(4, [("black", [1, 2, 3]), ("white", [1, 3, 4])])
 PENTAGON = validate_subdivision(
@@ -55,36 +57,48 @@ class TestValidation:
 class TestArcs:
     def test_square_arc_1_to_3(self):
         info = {(a.start, a.end): a for a in arcs(SQUARE)}
-        assert info[(1, 3)].compatible and info[(1, 3)].facet_defining
-        assert info[(1, 3)].area == 1
+        assert info[(1, 3)].facet_defining and info[(1, 3)].area == 1
 
     def test_square_arc_2_to_4_not_compatible(self):
         info = {(a.start, a.end): a for a in arcs(SQUARE)}
-        assert not info[(2, 4)].compatible and not info[(2, 4)].facet_defining
+        assert (2, 4) not in info and (4, 2) not in info
 
     def test_polygon_edge_of_white_cell(self):
         info = {(a.start, a.end): a for a in arcs(SQUARE)}
-        assert info[(3, 4)].compatible and info[(3, 4)].area == 0
+        assert not info[(3, 4)].facet_defining and info[(3, 4)].area == 0
+
+    def test_only_compatible_arcs_are_listed(self):
+        # an arc is listed exactly when some cell holds both its ends
+        for tau in (SQUARE, PENTAGON):
+            listed = [(a.start, a.end) for a in arcs(tau)]
+            assert listed == [(i, j) for i in range(1, tau.n + 1) for j in range(1, tau.n + 1)
+                              if i != j and any({i, j} <= set(vs) for _, vs in tau.cells)]
 
     def test_opposite_areas_split_the_type(self):
         for tau in (SQUARE, PENTAGON):
             info = {(a.start, a.end): a for a in arcs(tau)}
             for (i, j), a in info.items():
-                if a.compatible:
-                    assert a.area + info[(j, i)].area == tau.type_count
+                assert a.area + info[(j, i)].area == tau.type_count
 
 
 class TestHRep:
     def test_square_gives_pyramid(self):
-        points = set(zero_one_points(h_rep_from_subdivision(SQUARE)))
-        assert points == {(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
-                          (0, 1, 1, 0), (0, 1, 0, 1)}
+        points = zero_one_points(h_rep_from_subdivision(SQUARE))
+        assert points == masks_of([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+
+    def test_rows_are_read_off_the_arcs(self):
+        rows = h_rep_from_subdivision(PENTAGON).inequalities
+        assert rows == tuple(row for a in arcs(PENTAGON) for row in (
+            IntervalInequality(a.start, a.end, a.area, ">="),
+            IntervalInequality(a.start, a.end, a.area + 1, "<=")))
+        assert h_rep_from_subdivision(PENTAGON, arcs(PENTAGON)).inequalities == rows
 
     def test_pentagon_gives_eight_vertices(self):
         necklace, bases = positroid_from_subdivision(PENTAGON)
         assert necklace == validate_necklace(
             [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
         assert len(bases.bases) == 8
+        assert bases.bases == necklace.fact(bases_from_necklace).bases
 
     def test_each_description_is_enumerated_once(self, monkeypatch):
         # the area-bound points feed both the assertion and the bases
@@ -97,16 +111,19 @@ class TestHRep:
 
     def test_descriptions_that_disagree_are_caught(self, monkeypatch):
         full = h_rep_from_subdivision(PENTAGON)
-        monkeypatch.setattr(tr, "zero_one_points",
-                            lambda hrep: zero_one_points(hrep)[:-1 if hrep == full else None])
+
+        def drop_one(hrep):
+            points = zero_one_points(hrep)
+            return points - {max(points)} if hrep == full else points
+
+        monkeypatch.setattr(tr, "zero_one_points", drop_one)
         with pytest.raises(AssertionError, match="disagree on 0/1 points"):
             positroid_from_subdivision(PENTAGON)
 
     def test_all_white_is_standard_simplex(self):
         tau = validate_subdivision(5, [("white", [1, 2, 3, 4, 5])])
         points = zero_one_points(h_rep_from_subdivision(tau))
-        assert points == tuple(sorted(
-            tuple(1 if k == i else 0 for k in range(1, 6)) for i in range(1, 6)))
+        assert points == masks_of([(i,) for i in range(1, 6)])
 
 
 class TestTauOrder:
@@ -154,6 +171,9 @@ class TestHstarTree:
         ext = circular_extensions(tau_order(PENTAGON), 5)
         values = {hstar_tree(PENTAGON, base=w) for w in ext}
         assert values == {(1, 3, 1)}
+
+    def test_a_base_given_as_a_list(self):
+        assert hstar_tree(SQUARE, [2, 1, 3, 4]) == hstar_tree(SQUARE, (2, 1, 3, 4)) == (1, 1)
 
 
 class TestRandomSubdivisions:

@@ -35,6 +35,7 @@ from positroid_hstar.triangulation import (
 
 from conftest import forget_words
 from references import (
+    contains,
     cyclic_left_descents,
     determinant,
     reference_affine_consistency_check,
@@ -220,7 +221,7 @@ class TestSimplexGeometry:
         H = simplex_facets((2, 1, 3, 4))
         assert len(H.inequalities) == 4 and H.r == 2
         verts = set(simplex_vertices((2, 1, 3, 4)))
-        hits = {p for p in itertools.product((0, 1), repeat=4) if H.contains(p)}
+        hits = {p for p in itertools.product((0, 1), repeat=4) if contains(H, p)}
         assert hits == verts
 
     @pytest.mark.parametrize("necklace", [PYRAMID, UNIFORM25, PRISM, WHEEL])
@@ -230,7 +231,7 @@ class TestSimplexGeometry:
             H = simplex_facets(word)
             verts = set(simplex_vertices(word))
             hits = {p for p in itertools.product((0, 1), repeat=n)
-                    if sum(p) == r and H.contains(p)}
+                    if sum(p) == r and contains(H, p)}
             assert hits == verts
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -412,6 +413,12 @@ class TestShelling:
         graph = build_graph(enumerate_labels(UNIFORM25))
         polys = {hstar_from_covers(shelling_poset(graph, w).cover) for w in graph.words}
         assert polys == {(1, 5, 5)}
+
+    def test_a_base_given_as_a_list(self):
+        graph = build_graph(enumerate_labels(PYRAMID))
+        assert shelling_poset(graph, [2, 1, 3, 4]) == shelling_poset(graph, (2, 1, 3, 4))
+        assert wall_covers(graph.words, [2, 1, 3, 4]) == wall_covers(graph.words, (2, 1, 3, 4))
+        assert hstar_shelling(PYRAMID, [2, 1, 3, 4]) == hstar_shelling(PYRAMID, (2, 1, 3, 4))
 
     @pytest.mark.parametrize("necklace,coeffs", [
         (WHEEL, (1, 4, 3)), (UNIFORM25, (1, 5, 5)), (PRISM, (1, 3, 1)),
