@@ -36,11 +36,10 @@ _EXPORTS = {
         hstar_by_counting hstar_from_counts lattice_counts""",
     "halfopen": """face_poset_of_uppers hstar_closed_via_inclusion_exclusion hstar_half_open
         hstar_half_open_by_counting moebius""",
-    "positroid": """CanonicalFacet DecoratedPermutation DisconnectedPositroidError
-        GrassmannNecklace HRepresentation IntervalInequality NecklaceError PositroidBases
-        bases_from_necklace canonical_facets decompose_direct_sum decorated_from_necklace
-        h_representation is_connected necklace_from_bases necklace_from_decorated rank_of
-        validate_necklace vertices""",
+    "positroid": """DecoratedPermutation DisconnectedPositroidError GrassmannNecklace
+        HRepresentation IntervalInequality NecklaceError PositroidBases bases_from_necklace
+        decompose_direct_sum decorated_from_necklace facet_representation h_representation
+        is_connected necklace_from_bases necklace_from_decorated validate_necklace""",
     "tree": """BicoloredSubdivision SubdivisionError arcs circular_extensions
         h_rep_from_subdivision hstar_tree random_subdivision tau_order validate_subdivision""",
     "triangulation": """AffineLabelingReport ShellingPoset TriangulationGraph

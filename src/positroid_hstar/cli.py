@@ -28,7 +28,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -212,7 +211,7 @@ def input_necklace(text: str) -> tuple[str, po.GrassmannNecklace]:
     if kind == "subdivision":
         from .tree import positroid_from_subdivision
 
-        return kind, positroid_from_subdivision(value)[0]
+        return kind, positroid_from_subdivision(value)
     return kind, value
 
 
@@ -575,8 +574,7 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
             raise
         if tuple(map(ehr, range(n))) != reference:
             return differs
-        volume = ehr.leading_coefficient * math.factorial(ehr.dim)
-        if sum(shelling) != len(labels) or volume != len(labels):
+        if sum(shelling) != len(labels) or sum(ehr.hstar) != len(labels):
             return _check(name, False, "h*(1), |D_J| and normalized volume differ")
         stage = "closed routes"
         closed = {"shelling": shelling, **hstar_routes(necklace, CLOSED_METHODS[1:])}

@@ -200,7 +200,8 @@ class _Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_sorted_repr(getattr(self, name))}"
+                           for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
 
     def __eq__(self, other):
@@ -218,3 +219,17 @@ class _Record:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def _sorted_repr(value) -> str:
+    """``repr(value)`` with each frozenset's members in increasing order, also
+    inside a tuple, so equal records print alike.
+
+    >>> _sorted_repr((frozenset({8, 7}),)), _sorted_repr(frozenset())
+    ('(frozenset({7, 8}),)', 'frozenset()')
+    """
+    if type(value) is frozenset and value:
+        return f"frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+    if type(value) is tuple:
+        return f"({', '.join(map(_sorted_repr, value))}{',' * (len(value) == 1)})"
+    return repr(value)

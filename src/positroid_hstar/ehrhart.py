@@ -19,15 +19,16 @@ share their facet normals, and each bound of a counted body is t times a
 facet's bound, moved by one where strict; with such unit offsets the plan is
 free of t >= 1, so each body is planned once and run at every dilate.
 ``upper_tally`` counts a connected positroid once per dilate, tallied by
-the upper facets each point lies on, and inclusion-exclusion reads every
-face's counts off that table: a face cut out by upper facets G holds the
-points whose mask contains G (``face_hstar``, one face alone, is the reference).
+the upper (<=) facet rows each point lies on, as a dict from mask to counts,
+and inclusion-exclusion reads every face's counts off that table: a face cut
+out by upper facets G holds the points whose mask contains G (``face_hstar``,
+one face alone, is the reference).
 
-A connected positroid is counted from the irredundant canonical facets,
-compiled once into prefix-sum rows (``_facet_rows``): the redundant
-necklace inequalities would each keep extra prefix sums alive in the
-counting state.  The closed body, its interior, the half-open body and its
-reciprocal differ only in which of these rows are strict.  Every row bounds
+A connected positroid is counted from its irredundant facets, the rows of
+``facet_representation``, compiled once into prefix-sum rows
+(``_facet_rows``): the redundant necklace inequalities would each keep extra
+prefix sums alive in the counting state.  The closed body, its interior, the
+half-open body and its reciprocal differ only in which of these rows are strict.  Every row bounds
 a cyclic interval sum, so the coordinates may be read from any cut of the
 cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
 n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
@@ -106,10 +107,6 @@ class EhrhartPolynomial(NamedTuple):
                     total[k] += h * c
         scale = math.factorial(self.dim)
         return _trim([Fraction(c, scale) for c in total])
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficients[-1]
 
 
 # A linear row (a, b, lo, hi) asks lo <= z_b - z_a <= hi of the prefix sums
@@ -412,27 +409,11 @@ def _face_hstar_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
     return hstar_from_counts(counts)
 
 
-class UpperTally(NamedTuple):
-    """Lattice points of the closed dilates t = 0..n-2 of a connected
-    positroid, tallied by the set of upper facets each point lies on.
-
-    Bit i of a mask stands for the i-th upper canonical facet (as in
-    ``halfopen.FacePoset.facet_list``).
-    """
-
-    masks: dict[int, list[int]]  # each mask that occurs -> its counts at every t
-
-    def face_counts(self, generators: Iterable[int], dim: int) -> tuple[int, ...]:
-        """Counts at t = 0..dim of the face where every facet in
-        ``generators`` (indices of upper facets) is tight: the points whose
-        mask contains all of them, summed over ``masks`` in one pass."""
-        need = sum(1 << i for i in set(generators))
-        inside = [row for mask, row in self.masks.items() if mask & need == need]
-        return tuple(map(sum, zip(*inside)))[:dim + 1]
-
-
-def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
-    """One closed count per dilate t = 0..n-2, tallied by tight upper facets.
+def upper_tally(necklace: GrassmannNecklace) -> dict[int, list[int]]:
+    """The lattice points of the closed dilates t = 0..n-2 of a connected
+    positroid, tallied by the upper facets each lies on: {mask: [count at
+    t = 0..n-2]} over the masks that occur, bit i of a mask standing for
+    the i-th upper (<=) row of ``facet_representation``.
 
     A face cut out by upper facets G is P meet the hyperplanes of G, so its
     t-th dilate holds exactly the points of tP whose mask contains G; every
@@ -442,13 +423,12 @@ def upper_tally(necklace: GrassmannNecklace) -> UpperTally:
     n, compiled = necklace.n, necklace.fact(_facet_rows)
     plan = _plan(n, _linear(n, necklace.rank, compiled), 1, _upper_marks(compiled))
     counts = [_run(plan, t) for t in range(n - 1)]
-    masks = {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
-    return UpperTally(masks)
+    return {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
 
 
 def _upper_marks(compiled: Sequence[CompiledRow]) -> list[LinearTightRow]:
     """Tight rows of the upper side's rows, z_b - z_a == t * bound, bit i for
-    the i-th: in any cut, bit i stands for the i-th upper canonical facet."""
+    the i-th: in any cut, the bit of ``upper_tally``."""
     uppers = [(a, b, bound) for a, b, bound, upper, strict, side in compiled if side]
     return [(a, b, (bound, 0), 1 << i) for i, (a, b, bound) in enumerate(uppers)]
 
@@ -475,7 +455,7 @@ def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> Ehr
     """Ehrhart polynomial of a connected positroid's closed (or half-open)
     body, from its counts up to its h*-degree s.
 
-    The body is the canonical facets with none (half-open: the upper ones)
+    The body is the facets with none (half-open: the upper ones)
     strict; its reciprocal has exactly the other facets strict.  The
     codegree c is the least t >= 1 at which the reciprocal has a lattice
     point; then s = d + 1 - c, the counts E(0..s) give h*_0..h*_s, and

@@ -2,16 +2,16 @@
 
 Project the polytope onto the first n-1 coordinates (eliminating x_n through
 the sum equality) and write every facet as a bound on a contiguous block
-x_lo + ... + x_{hi-1}.  A facet is *upper* when its canonical sense is <=.
-The facets are derived in ``positroid``, next to the full necklace
-H-representation.  Removing all upper facets leaves
-the half-open polytope, whose h*-polynomial is the descent generating
-function z^(des+1) over triangulation labels.  The closed h* is then
+x_lo + ... + x_{hi-1}: the rows of ``positroid.facet_representation``.  A
+facet is *upper* when its sense is <=; upper facet i is the i-th such row.
+Removing all upper facets leaves the half-open polytope, whose h*-polynomial
+is the descent generating function z^(des+1) over triangulation labels.  The closed h* is then
 recovered by Moebius inclusion-exclusion over the poset of intersections of
 upper facets, in integer arithmetic on the h*-vectors (tuples of ints).
 A face is the set of its bases as bitmasks, so an intersection is a set
 intersection, and its dimension is read off its matroid's connected
-components (``positroid.dimension_of_bases``).
+components (``positroid.dimension_of_bases``); the upper facets that hold
+it are one bitmask too, bit i for upper facet i.
 Each face's counts are read off one lattice count of the closed body per
 dilate, tallied by the upper facets each point lies on
 (``ehrhart.upper_tally``); the faces are not counted one by one.
@@ -29,8 +29,8 @@ from .ehrhart import (
     upper_tally,
 )
 from .positroid import (
-    CanonicalFacet,
     GrassmannNecklace,
+    IntervalInequality,
     _facet_vertex_sets,
     bases_from_necklace,
     dimension_of_bases,
@@ -68,11 +68,12 @@ def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
 
 
 class FaceNode(NamedTuple):
-    """A nonempty intersection of upper facets, identified by its bases (as bitmasks)."""
+    """A nonempty intersection of upper facets, identified by its bases (as
+    bitmasks); ``generators`` has bit i set when upper facet i holds it."""
 
     vertex_set: frozenset[int]
     dim: int
-    generators: frozenset[int]
+    generators: int
 
 
 class FacePoset(NamedTuple):
@@ -80,13 +81,13 @@ class FacePoset(NamedTuple):
 
     top: FaceNode
     nodes: tuple[FaceNode, ...]  # includes top; sorted by (-dim, vertices)
-    facet_list: tuple[CanonicalFacet, ...]
+    facet_list: tuple[IntervalInequality, ...]  # the upper facets
 
 
 def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     """Distinct nonempty intersections of upper facets with P, ordered by inclusion."""
     faces = necklace.fact(_facet_vertex_sets)
-    uppers = tuple(f for f in faces if f.upper)
+    uppers = tuple(f for f in faces if f.sense == "<=")
     tight = [faces[f] for f in uppers]
     all_vertices = necklace.fact(bases_from_necklace).bases
     seen = {all_vertices}
@@ -100,7 +101,7 @@ def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
                 queue.append(child)
     nodes = []
     for vs in seen:
-        gens = frozenset(i for i, tf in enumerate(tight) if vs <= tf)
+        gens = sum(1 << i for i, tf in enumerate(tight) if vs <= tf)
         nodes.append(FaceNode(vs, dimension_of_bases(vs, necklace.n), gens))
     nodes.sort(key=lambda f: (-f.dim, sorted(f.vertex_set)))
     top = next(f for f in nodes if f.vertex_set == all_vertices)
@@ -116,10 +117,9 @@ def moebius(poset: FacePoset) -> dict[FaceNode, int]:
     lacks; their mu values are summed by popcount, one node set per value.
     """
     nodes = poset.nodes
-    holding: dict[int, int] = {}  # generator -> the nodes it generates, as a bitset
-    for k, node in enumerate(nodes):
-        for g in node.generators:
-            holding[g] = holding.get(g, 0) | 1 << k
+    # upper facet i -> the nodes it holds, as a bitset
+    holding = [sum(1 << k for k, node in enumerate(nodes) if node.generators >> i & 1)
+               for i in range(len(poset.facet_list))]
     mu: dict[FaceNode, int] = {}
     valued: dict[int, int] = {}  # mu value -> the nodes done with it, as a bitset
     for k, node in enumerate(nodes):  # decreasing dimension, so everything above is done
@@ -127,8 +127,8 @@ def moebius(poset: FacePoset) -> dict[FaceNode, int]:
             value = 1
         else:
             above = (1 << len(nodes)) - 1
-            for g, members in holding.items():
-                if g not in node.generators:
+            for i, members in enumerate(holding):
+                if not node.generators >> i & 1:
                     above &= ~members
             value = -sum(v * (above & done).bit_count() for v, done in valued.items())
         mu[node] = value
@@ -158,7 +158,8 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[i
     for node in poset.nodes:
         if node == poset.top or mu[node] == 0:
             continue
-        h_face = _face_hstar_from_counts(tally.face_counts(node.generators, node.dim))
+        rows = [row for mask, row in tally.items() if mask & node.generators == node.generators]
+        h_face = _face_hstar_from_counts(tuple(map(sum, zip(*rows)))[:node.dim + 1])
         k = dim_p - node.dim
         for i in range(k + 1):
             c = mu[node] * (-1) ** i * math.comb(k, i)

@@ -13,11 +13,12 @@ r-subset takes one form, at most ``bound`` elements of a segment bitmask, so
 one filter (``_r_subsets_within``) yields both the bases of a necklace and
 the 0/1 points, as bitmasks, of any H-representation (``zero_one_points``).
 
-This module validates and converts between the three, computes matroid rank,
-connectivity and direct-sum decomposition, and produces two H-representations
-of the polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
+This module validates and converts between the three, computes connectivity
+and direct-sum decomposition, and produces two H-representations of the
+polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
 necklace (``h_representation``), and for a connected positroid its
-irredundant facets in canonical interval form (``canonical_facets``).
+irredundant facets, each an ``IntervalInequality`` row on a block that
+never reads x_n (``facet_representation``).
 Bases are bitmasks, bit k for element k: ``PositroidBases`` holds them so,
 and so does every face.  A face is the polytope of a matroid, whose
 dimension (``dimension_of_bases``) is n minus the number of connected
@@ -246,10 +247,6 @@ class DecoratedPermutation(_Record):
     def fixed_points(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.perm, start=1) if v == i)
 
-    @property
-    def black(self) -> frozenset[int]:
-        return self.fixed_points - self.white
-
     def colors(self) -> dict[int, str]:
         return {i: ("white" if i in self.white else "black") for i in sorted(self.fixed_points)}
 
@@ -296,12 +293,6 @@ def necklace_from_decorated(dec: DecoratedPermutation) -> GrassmannNecklace:
                 members.add(j)
         subsets.append(frozenset(members))
     return GrassmannNecklace(n, tuple(subsets))
-
-
-def rank_of(subset: Iterable[int], bases: PositroidBases) -> int:
-    """Matroid rank of a subset: the largest overlap with any basis."""
-    s = sum(1 << v for v in set(subset))
-    return max((b & s).bit_count() for b in bases.bases)
 
 
 def is_connected(bases: PositroidBases) -> bool:
@@ -418,11 +409,6 @@ def h_representation(necklace: GrassmannNecklace) -> HRepresentation:
         for j, a in enumerate(necklace.sorted_subset(i)) if a != i))
 
 
-def vertices(bases: PositroidBases) -> tuple[tuple[int, ...], ...]:
-    """Indicator vectors of the bases, sorted lexicographically."""
-    return tuple(sorted(tuple(b >> k & 1 for k in range(1, bases.n + 1)) for b in bases.bases))
-
-
 def zero_one_points(hrep: HRepresentation) -> frozenset[int]:
     """The 0/1 points, as r-subset bitmasks (bit k for x_k), by the one filter:
     x(S) <= b is the limit (S, b), and x(S) >= b the limit (complement of S,
@@ -497,26 +483,6 @@ def dimension_of_bases(masks: frozenset[int], n: int) -> int:
     return _fundamental_union_find(masks, n)[1]
 
 
-class CanonicalFacet(NamedTuple):
-    """A facet written as a bound on x_lo + ... + x_{hi-1} with 1 <= lo < hi <= n.
-
-    The block never touches x_n (wrapping sums are rewritten through the sum
-    equality first); ``upper`` records the canonical sense <=.
-    """
-
-    lo: int
-    hi: int
-    bound: int
-    upper: bool
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi))
-
-    def __str__(self):
-        func = "x_" + "+x_".join(str(k) for k in self.support())
-        return f"{func} {'<=' if self.upper else '>='} {self.bound}"
-
-
 def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, bool]]:
     """All inequalities rewritten into non-wrapping (lo, hi, bound, upper) form."""
     n, r = hrep.n, hrep.r
@@ -530,40 +496,35 @@ def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, boo
     return cands
 
 
-def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[CanonicalFacet, frozenset[int]]:
-    """Canonical facets in sorted order, each with the bitmasks of its bases."""
+def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[IntervalInequality, frozenset[int]]:
+    """The facets of the projected polytope, each with the bitmasks of its bases.
+
+    A facet is a non-strict bound on a block x_lo + ... + x_{hi-1} with
+    1 <= lo < hi <= n, so it never reads x_n.  Candidates come from the
+    necklace inequalities plus nonnegativity; one survives exactly when its
+    tight bases span a face of dimension one less than the polytope (this
+    prunes redundant members of the raw list).  Sorted by (lo, hi, bound,
+    upper), upper meaning the sense <=.
+    """
     n = necklace.n
     if n == 1:
         return {}
-    necklace.require_connected("canonical facet form")
+    necklace.require_connected("facet representation")
     masks = necklace.fact(bases_from_necklace).bases
     faces = {}
     for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
         block = (1 << hi) - (1 << lo)  # the bits of x_lo, ..., x_{hi-1}
         tight = frozenset(b for b in masks if (b & block).bit_count() == bound)
         if dimension_of_bases(tight, n) == n - 2:
-            faces[CanonicalFacet(lo, hi, bound, upper)] = tight
+            faces[IntervalInequality(lo, hi, bound, "<=" if upper else ">=")] = tight
     return faces
 
 
-def canonical_facets(necklace: GrassmannNecklace) -> tuple[CanonicalFacet, ...]:
-    """Facets of the projected polytope in canonical interval form.
-
-    Candidates come from the necklace inequalities plus nonnegativity; an
-    inequality survives exactly when its tight bases span a face of
-    dimension one less than the polytope (this prunes redundant members of
-    the raw list).  Sorted by (lo, hi, bound, upper).
-    """
-    return tuple(necklace.fact(_facet_vertex_sets))
-
-
 def facet_representation(necklace: GrassmannNecklace) -> HRepresentation:
-    """The canonical facets as an H-representation, all non-strict.
+    """The facets (``_facet_vertex_sets``) as an H-representation.
 
     They cut out the projection exactly and never read x_n, so with the sum
     equality they describe the polytope in all n coordinates, with none of
     the redundant rows of ``h_representation``.  Needs a connected positroid.
     """
-    return HRepresentation(necklace.n, necklace.rank, tuple(
-        IntervalInequality(f.lo, f.hi, f.bound, "<=" if f.upper else ">=")
-        for f in necklace.fact(canonical_facets)))
+    return HRepresentation(necklace.n, necklace.rank, tuple(necklace.fact(_facet_vertex_sets)))

@@ -195,9 +195,8 @@ def h_rep_from_subdivision(tau: BicoloredSubdivision,
 
 
 def positroid_from_subdivision(tau: BicoloredSubdivision,
-                               compatible: Sequence[ArcInfo] | None = None,
-                               ) -> tuple[GrassmannNecklace, PositroidBases]:
-    """Necklace and bases of the positroid that the compatible arcs
+                               compatible: Sequence[ArcInfo] | None = None) -> GrassmannNecklace:
+    """Necklace of the positroid that the compatible arcs
     (``arcs(tau)`` unless given) cut out, by ``h_rep_from_subdivision`` and
     by x_v >= 0 plus the lower bound of each facet-defining arc: the two
     must select the same 0/1 points; asserted."""
@@ -213,7 +212,7 @@ def positroid_from_subdivision(tau: BicoloredSubdivision,
     necklace = necklace_from_bases(bases)
     if necklace.fact(bases_from_necklace).bases != bases.bases:
         raise AssertionError("subdivision polytope vertices are not a positroid")
-    return necklace, bases
+    return necklace
 
 
 def tau_order(tau: BicoloredSubdivision) -> tuple[Word, ...]:
@@ -255,7 +254,7 @@ def tree_positroid(tau: BicoloredSubdivision) -> TreePositroid:
     out by the subdivision; asserted on every call.
     """
     compatible = arcs(tau)
-    necklace = positroid_from_subdivision(tau, compatible)[0]
+    necklace = positroid_from_subdivision(tau, compatible)
     chains = tau_order(tau)
     ext = circular_extensions(chains, tau.n)
     if not ext:

@@ -165,7 +165,9 @@ def _moebius_by_dim(necklace: po.GrassmannNecklace) -> dict[int, list[int]]:
 
 
 def _uppers(necklace: po.GrassmannNecklace) -> list[str]:
-    return [str(f) for f in po.canonical_facets(necklace) if f.upper]
+    """The upper facets as text, "x_1+x_2+x_3 <= 2"; facet rows never wrap."""
+    return ["+".join(f"x_{k}" for k in range(f.start, f.stop)) + f" <= {f.bound}"
+            for f in po.facet_representation(necklace).inequalities if f.sense == "<="]
 
 
 def verify_golden() -> list[Check]:

@@ -34,6 +34,16 @@ def element_sets(bases):
     return frozenset(frozenset(mask_elements(b)) for b in bases.bases)
 
 
+def vertices(bases):
+    """Indicator vectors of the bases, sorted lexicographically: the tuple
+    form of a basis, the reference for face dimensions and tight sets.
+
+    >>> vertices(element_bases(3, 2, [(2, 3), (1, 3)]))
+    ((0, 1, 1), (1, 0, 1))
+    """
+    return tuple(sorted(tuple(b >> k & 1 for k in range(1, bases.n + 1)) for b in bases.bases))
+
+
 def reference_is_matroid(bases):
     """``positroid.is_matroid`` in set algebra: the exhaustive basis-exchange
     check on element sets."""
@@ -183,9 +193,24 @@ def cyclic_left_descents(word, order=None):
     return frozenset(a for a, b in zip(ground, ground[1:] + ground[:1]) if pos[a] > pos[b])
 
 
+def face_equalities(poset, node):
+    """The equalities (start, stop, bound) of the upper facets that cut out a
+    node of ``halfopen.face_poset_of_uppers``: bit i of its generators."""
+    return [(f.start, f.stop, f.bound)
+            for i, f in enumerate(poset.facet_list) if node.generators >> i & 1]
+
+
+def face_counts(tally, generators, dim):
+    """Counts at t = 0..dim of the face where the upper facets of the
+    ``generators`` mask are tight, read off ``ehrhart.upper_tally``: the
+    rows whose mask contains them, summed, as inclusion-exclusion reads them."""
+    rows = [row for mask, row in tally.items() if mask & generators == generators]
+    return tuple(map(sum, zip(*rows)))[:dim + 1]
+
+
 def half_open_profile(necklace):
     """Counts of the half-open polytope at every dilate t = 0..n-1: the
-    canonical facets with the upper ones strict.  The reference for
+    facets with the upper ones strict.  The reference for
     ``halfopen.hstar_half_open_by_counting``, which stops at the h*-degree."""
     body = _body(necklace, True, False)
     return tuple(sum(_run(body, t).values()) for t in range(necklace.n))

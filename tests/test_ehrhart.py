@@ -525,7 +525,7 @@ class TestDrivers:
     def test_volume_counts_simplices(self):
         counts = lattice_counts(h_representation(UNIFORM25), 4)
         ehr = EhrhartPolynomial(hstar_from_counts(counts), 4)
-        assert ehr.leading_coefficient * math.factorial(4) == 11
+        assert ehr.coefficients[-1] * math.factorial(4) == 11
 
     def test_disconnected_product(self):
         B = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])

@@ -21,7 +21,7 @@ SPIED = (
     (po, "h_representation"),
     (tg, "enumerate_labels"),
     (ho, "hstar_half_open"),
-    (po, "canonical_facets"),
+    (po, "_facet_vertex_sets"),
     (eh, "_plan"),
     (eh, "_run"),
     (tr, "positroid_from_subdivision"),
@@ -64,13 +64,13 @@ def test_every_route_shares_one_derivation_per_fact(calls):
                  cli.hstar_routes(necklace, cli.HALF_OPEN_METHODS, half_open=True).values()}
     ehr = eh.ehrhart_of_positroid(necklace)
     assert len(closed) == 1 and len(half_open) == 1
-    assert ehr.leading_coefficient * 24 == sum(next(iter(closed))) == 5
+    assert ehr.coefficients[-1] * 24 == sum(next(iter(closed))) == 5
 
     for name in ("bases_from_necklace", "h_representation", "enumerate_labels",
-                 "hstar_half_open", "canonical_facets"):
+                 "hstar_half_open", "_facet_vertex_sets"):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
-    # canonical facets; faces add equalities, and the half-open body and the
+    # facets; faces add equalities, and the half-open body and the
     # reciprocals have the same rows with some facets tightened by one.  Each
     # body is planned once.  The closed body is run up to its h*-degree s = 2,
     # and its interior, with every facet strict, up to its codegree
@@ -111,7 +111,7 @@ def test_facts_stay_out_of_equality_hash_and_repr():
     assert a.fact(tg.enumerate_labels) is a.fact(tg.enumerate_labels)
 
 
-@pytest.mark.parametrize("route", [tg.enumerate_labels, po.canonical_facets])
+@pytest.mark.parametrize("route", [tg.enumerate_labels, po.facet_representation])
 def test_disconnected_guard_names_the_split(route):
     necklace = po.necklace_from_decorated(DISCONNECTED)
     with pytest.raises(po.DisconnectedPositroidError, match="decompose_direct_sum"):

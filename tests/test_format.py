@@ -10,6 +10,8 @@ from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
 from positroid_hstar.cli import connected_necklaces
 
+from references import face_counts, face_equalities
+
 
 def assert_hstar(h, head, where):
     assert type(h) is tuple and all(type(c) is int for c in h), (where, h)
@@ -44,9 +46,8 @@ def test_every_producer_returns_a_tuple_of_ints():
             for node in poset.nodes:
                 if node == poset.top:
                     continue
-                eqs = [(f.lo, f.hi, f.bound)
-                       for f in (poset.facet_list[i] for i in sorted(node.generators))]
-                counts = tally.face_counts(node.generators, node.dim)
+                eqs = face_equalities(poset, node)
+                counts = face_counts(tally, node.generators, node.dim)
                 assert_hstar(eh._face_hstar_from_counts(counts), 1, (name, node.generators))
                 assert_hstar(eh.face_hstar(facets, eqs, node.dim), 1, (name, node.generators))
 

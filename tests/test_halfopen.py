@@ -23,13 +23,11 @@ from positroid_hstar.halfopen import (
     moebius,
 )
 from positroid_hstar.positroid import (
-    CanonicalFacet,
     DecoratedPermutation,
     HRepresentation,
     IntervalInequality,
     _projected_candidates,
     bases_from_necklace,
-    canonical_facets,
     dimension_of_bases,
     facet_representation,
     h_representation,
@@ -37,7 +35,6 @@ from positroid_hstar.positroid import (
     necklace_from_bases,
     necklace_from_decorated,
     validate_necklace,
-    vertices,
 )
 from positroid_hstar.triangulation import (
     enumerate_labels,
@@ -46,7 +43,15 @@ from positroid_hstar.triangulation import (
     simplex_vertices,
 )
 
-from references import affine_rank, contains, element_bases, half_open_profile
+from references import (
+    affine_rank,
+    contains,
+    element_bases,
+    face_counts,
+    face_equalities,
+    half_open_profile,
+    vertices,
+)
 from test_ehrhart import (
     connected_through,
     dilated,
@@ -76,7 +81,10 @@ def half_open_simplex(label):
 
 
 def facet_strings(necklace, upper):
-    return [str(f) for f in canonical_facets(necklace) if f.upper == upper]
+    """The facet rows of one sense as text, "x_1+x_2+x_3 <= 2"."""
+    sense = "<=" if upper else ">="
+    return ["+".join(f"x_{k}" for k in range(f.start, f.stop)) + f" {sense} {f.bound}"
+            for f in facet_representation(necklace).inequalities if f.sense == sense]
 
 
 class TestCanonicalFacets:
@@ -103,8 +111,9 @@ class TestCanonicalFacets:
 def tight_vertex_sets(necklace):
     """Each candidate facet's tight vertices e_B, all n coordinates."""
     verts = vertices(bases_from_necklace(necklace))
-    return {CanonicalFacet(*c): [v for v in verts if sum(v[c[0] - 1:c[1] - 1]) == c[2]]
-            for c in sorted(_projected_candidates(h_representation(necklace)))}
+    return {IntervalInequality(lo, hi, bound, "<=" if upper else ">="):
+            [v for v in verts if sum(v[lo - 1:hi - 1]) == bound]
+            for lo, hi, bound, upper in sorted(_projected_candidates(h_representation(necklace)))}
 
 
 def masks_of(verts):
@@ -142,7 +151,7 @@ class TestFaceDimensions:
             necklace = random_connected(rng, n)
             reference = tuple(f for f, tight in tight_vertex_sets(necklace).items()
                               if affine_rank(tight) == n - 2)
-            assert canonical_facets(necklace) == reference, necklace
+            assert facet_representation(necklace).inequalities == reference, necklace
 
 
 class TestHalfOpenDescents:
@@ -314,14 +323,13 @@ class TestFacePoset:
                 for node, mu in moebius(poset).items():
                     if node == poset.top or mu == 0:
                         continue
-                    eqs = [(f.lo, f.hi, f.bound)
-                           for f in (poset.facet_list[i] for i in sorted(node.generators))]
+                    eqs = face_equalities(poset, node)
                     assert face_hstar(facets, eqs, node.dim) == face_hstar(full, eqs, node.dim)
 
 
 def dilate_histograms(necklace):
     """Per dilate t = 0..n-2, the points of tP by their mask of tight upper
-    facets: the histograms that ``UpperTally.masks`` merges."""
+    facets: the histograms that ``upper_tally`` merges."""
     n, r = necklace.n, necklace.rank
     compiled = necklace.fact(eh._facet_rows)
     return [one_box_tally(n, dilated(eh._linear(n, r, compiled), t), t,
@@ -339,9 +347,8 @@ class TestUpperTally:
             for node, mu in moebius(poset).items():
                 if node == poset.top or mu == 0:
                     continue
-                eqs = [(f.lo, f.hi, f.bound)
-                       for f in (poset.facet_list[i] for i in sorted(node.generators))]
-                counts = tally.face_counts(node.generators, node.dim)
+                eqs = face_equalities(poset, node)
+                counts = face_counts(tally, node.generators, node.dim)
                 assert _face_hstar_from_counts(counts) == face_hstar(facets, eqs, node.dim)
 
     def test_face_counts_read_the_merged_masks_as_the_dilates(self):
@@ -350,10 +357,10 @@ class TestUpperTally:
         for necklace in [nk for n in range(2, 6) for nk in connected_necklaces(n)]:
             tally = upper_tally(necklace)
             counts = dilate_histograms(necklace)
-            assert set(tally.masks) == set().union(*counts)
+            assert set(tally) == set().union(*counts)
             for node in face_poset_of_uppers(necklace).nodes[1:]:
-                need = sum(1 << i for i in node.generators)
-                assert tally.face_counts(node.generators, node.dim) == tuple(
+                need = node.generators
+                assert face_counts(tally, need, node.dim) == tuple(
                     sum(ways for mask, ways in counts[t].items() if mask & need == need)
                     for t in range(node.dim + 1))
 
@@ -364,7 +371,7 @@ class TestUpperTally:
         assert counts[0] == {everything: 1}
         closed = lattice_counts(facet_representation(PYRAMID), 2)
         assert sum(counts[1].values()) == closed[1]
-        assert tally.face_counts((), 2) == closed
+        assert face_counts(tally, 0, 2) == closed
 
     def test_empty_or_flat_face_rejected(self):
         with pytest.raises(ValueError):

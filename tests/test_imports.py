@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import json
 import os
 import pickle
@@ -98,13 +99,28 @@ def test_no_module_binds_a_second_form_of_bases_or_connectivity():
 def test_no_module_binds_a_second_home_of_a_job():
     # one route runner (cli.hstar_routes), one cyclic interval
     # (core.cyclic_interval), one plan per counted body (ehrhart._body), one
-    # DP loop (ehrhart._run) and one form of the upper tally (its merged masks)
+    # DP loop (ehrhart._run)
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
         for name in ("hstar_closed_all_methods", "hstar_half_open_all_methods",
                      "interval_support", "_body_rows", "_count_body", "_dilate"):
             assert not hasattr(home, name), (module.name, name)
-    assert eh.UpperTally._fields == ("masks",)
+
+
+def test_one_form_of_a_facet_a_face_and_a_basis():
+    # a facet is an IntervalInequality row of facet_representation, a face's
+    # generators and a tally's keys are bitmasks of the upper rows, a basis is
+    # a bitmask (the tuple form is references.vertices), and the tree route
+    # returns the necklace alone
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        for name in ("CanonicalFacet", "canonical_facets", "UpperTally", "vertices", "rank_of"):
+            assert not hasattr(home, name), (module.name, name)
+    assert not hasattr(po.DecoratedPermutation, "black")
+    assert not hasattr(eh.EhrhartPolynomial, "leading_coefficient")
+    assert all(type(node.generators) is int for node in ho.face_poset_of_uppers(PRISM).nodes)
+    assert type(eh.upper_tally(PRISM)) is dict
+    assert type(tr.positroid_from_subdivision(SQUARE_TAU)) is po.GrassmannNecklace
 
 
 def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
@@ -173,22 +189,20 @@ def test_no_module_binds_the_descent_set_or_the_half_open_profile():
 class TestPublicNames:
     # positroid_hstar.__all__, pinned: a name leaves it only with its definition
     PINNED = [
-        "AffineLabelingReport", "BicoloredSubdivision", "CanonicalFacet",
-        "DecoratedPermutation", "DisconnectedPositroidError", "EhrhartPolynomial",
-        "GrassmannNecklace", "HRepresentation", "IntervalInequality",
-        "NecklaceError", "PositroidBases", "ShellingPoset", "SubdivisionError",
-        "TriangulationGraph", "affine_consistency_check", "arcs", "bases_from_necklace",
-        "build_graph", "canonical_facets", "circular_extensions", "core",
-        "decompose_direct_sum", "decorated_from_necklace", "ehrhart",
-        "ehrhart_of_positroid", "ehrhart_product", "enumerate_labels", "face_hstar",
-        "face_poset_of_uppers", "h_rep_from_subdivision", "h_representation", "halfopen",
+        "AffineLabelingReport", "BicoloredSubdivision", "DecoratedPermutation",
+        "DisconnectedPositroidError", "EhrhartPolynomial", "GrassmannNecklace",
+        "HRepresentation", "IntervalInequality", "NecklaceError", "PositroidBases",
+        "ShellingPoset", "SubdivisionError", "TriangulationGraph", "affine_consistency_check",
+        "arcs", "bases_from_necklace", "build_graph", "circular_extensions", "core",
+        "decompose_direct_sum", "decorated_from_necklace", "ehrhart", "ehrhart_of_positroid",
+        "ehrhart_product", "enumerate_labels", "face_hstar", "face_poset_of_uppers",
+        "facet_representation", "h_rep_from_subdivision", "h_representation", "halfopen",
         "hstar_by_counting", "hstar_closed_via_inclusion_exclusion", "hstar_from_counts",
-        "hstar_from_covers", "hstar_half_open", "hstar_half_open_by_counting",
-        "hstar_shelling", "hstar_tree", "is_connected", "lattice_counts", "moebius",
-        "necklace_from_bases",
-        "necklace_from_decorated", "positroid", "random_subdivision", "rank_of",
-        "shelling_poset", "simplex_facets", "simplex_vertices", "tau_order", "tree",
-        "triangulation", "validate_necklace", "validate_subdivision", "vertices", "wall_covers",
+        "hstar_from_covers", "hstar_half_open", "hstar_half_open_by_counting", "hstar_shelling",
+        "hstar_tree", "is_connected", "lattice_counts", "moebius", "necklace_from_bases",
+        "necklace_from_decorated", "positroid", "random_subdivision", "shelling_poset",
+        "simplex_facets", "simplex_vertices", "tau_order", "tree", "triangulation",
+        "validate_necklace", "validate_subdivision", "wall_covers",
     ]
 
     def test_every_pinned_name_resolves_to_its_definition(self):
@@ -234,9 +248,7 @@ def build_records():
         "DecoratedPermutation": po.decorated_from_necklace(PRISM),
         "IntervalInequality": po.h_representation(PRISM).inequalities[0],
         "HRepresentation": po.h_representation(PRISM),
-        "CanonicalFacet": po.canonical_facets(PRISM)[0],
         "EhrhartPolynomial": eh.ehrhart_of_positroid(PRISM),
-        "UpperTally": eh.upper_tally(PRISM),
         "FaceNode": face_poset.top,
         "FacePoset": face_poset,
         "TriangulationGraph": graph,
@@ -248,7 +260,7 @@ def build_records():
     }
 
 
-UNHASHABLE = {"UpperTally", "TriangulationGraph", "ShellingPoset", "AffineLabelingReport"}
+UNHASHABLE = {"TriangulationGraph", "ShellingPoset", "AffineLabelingReport"}
 # the slotted records and their fields, in order
 SLOTTED = {
     "GrassmannNecklace": ("n", "subsets"),
@@ -325,6 +337,16 @@ class TestRecords:
             "IntervalInequality(start=3, stop=1, bound=2, sense='>=', strict=True)",
             "EhrhartPolynomial(hstar=(1, 1), dim=3)",
         ]
+
+    def test_frozenset_members_print_in_increasing_order(self):
+        masks = [66, 34, 6, 10, 12, 18, 20]
+        assert {repr(po.PositroidBases(7, 2, order))
+                for order in itertools.permutations(masks)} == {
+            "PositroidBases(n=7, r=2, bases=frozenset({6, 10, 12, 18, 20, 34, 66}))"}
+        u28 = po.necklace_from_decorated(po.DecoratedPermutation((3, 4, 5, 6, 7, 8, 1, 2)))
+        assert "frozenset({7, 8}), frozenset({1, 8})))" in repr(u28)
+        assert repr(po.DecoratedPermutation((1,))) == (
+            "DecoratedPermutation(perm=(1,), white=frozenset())")
 
     @pytest.mark.parametrize("name", sorted(SLOTTED))
     def test_a_record_hashes_as_the_tuple_of_its_fields(self, name):

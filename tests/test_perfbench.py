@@ -82,3 +82,27 @@ def test_traced_triangulate_records_its_stages_and_edges():
     assert doc["counts"]["triangulation.graph_edges"] == doc["edges"]
     assert {"triangulation.build_graph", "triangulation.shelling_poset",
             "triangulation.affine_consistency_check", "cli.emit"} <= set(doc["names"])
+
+
+def test_every_name_the_harness_reads_resolves():
+    # perfbench calls, traces or reads these by name, so a rename or deletion
+    # must fail here and not only in a benchmark run
+    from positroid_hstar import cli, halfopen, positroid, tree, triangulation
+
+    names = {
+        cli: ("main", "build_parser", "parse_input", "emit", "poly_ints", "connected_necklaces",
+              "_exhaustive_worker"),
+        positroid: ("validate_necklace", "bases_from_necklace", "is_connected"),
+        triangulation: ("hstar_shelling", "build_graph"),
+        halfopen: ("enumerate_labels", "face_poset_of_uppers"),
+        tree: ("positroid_from_subdivision", "hstar_tree", "circular_extensions"),
+    }
+    for module, attrs in names.items():
+        for attr in attrs:
+            assert callable(getattr(module, attr, None)), (module.__name__, attr)
+    necklace = positroid.validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
+    graph = triangulation.build_graph(triangulation.enumerate_labels(necklace))
+    assert sum(map(len, graph.neighbors.values())) == 2 * len(graph.edges())
+    poset = halfopen.face_poset_of_uppers(necklace)
+    assert poset.top in poset.nodes
+    assert halfopen.enumerate_labels is triangulation.enumerate_labels

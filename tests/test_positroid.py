@@ -24,9 +24,7 @@ from positroid_hstar.positroid import (
     necklace_connected,
     necklace_from_bases,
     necklace_from_decorated,
-    rank_of,
     validate_necklace,
-    vertices,
     zero_one_points,
 )
 
@@ -39,6 +37,7 @@ from references import (
     reference_is_matroid,
     reference_necklace_from_bases,
     reference_stabilized_intervals,
+    vertices,
 )
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
@@ -258,12 +257,6 @@ class TestRecordsNormalizeTheirInputs:
 
 
 class TestRankAndConnectivity:
-    def test_rank_examples(self):
-        B = bases_from_necklace(PYRAMID)
-        assert rank_of(range(1, 5), B) == 2
-        assert rank_of((), B) == 0
-        assert rank_of({3, 4}, B) == 1
-
     def test_connected_examples(self):
         assert is_connected(bases_from_necklace(PYRAMID))
         assert is_connected(bases_from_necklace(UNIFORM25))

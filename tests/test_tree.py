@@ -94,18 +94,19 @@ class TestHRep:
         assert h_rep_from_subdivision(PENTAGON, arcs(PENTAGON)).inequalities == rows
 
     def test_pentagon_gives_eight_vertices(self):
-        necklace, bases = positroid_from_subdivision(PENTAGON)
+        necklace = positroid_from_subdivision(PENTAGON)
         assert necklace == validate_necklace(
             [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]])
-        assert len(bases.bases) == 8
-        assert bases.bases == necklace.fact(bases_from_necklace).bases
+        points = zero_one_points(h_rep_from_subdivision(PENTAGON))
+        assert len(points) == 8
+        assert points == necklace.fact(bases_from_necklace).bases
 
     def test_each_description_is_enumerated_once(self, monkeypatch):
         # the area-bound points feed both the assertion and the bases
         seen = []
         monkeypatch.setattr(tr, "zero_one_points",
                             lambda hrep: seen.append(hrep) or zero_one_points(hrep))
-        assert len(positroid_from_subdivision(PENTAGON)[1].bases) == 8
+        assert len(positroid_from_subdivision(PENTAGON).fact(bases_from_necklace).bases) == 8
         assert len(seen) == 2 and seen[0] == h_rep_from_subdivision(PENTAGON)
         assert len(seen[1].inequalities) < len(seen[0].inequalities)
 
@@ -145,7 +146,7 @@ class TestCircularExtensions:
             (2, 1, 3, 4), (1, 3, 2, 4)}
 
     def test_pentagon_extensions_match_labels(self):
-        necklace, _ = positroid_from_subdivision(PENTAGON)
+        necklace = positroid_from_subdivision(PENTAGON)
         ext = tuple(sorted(circular_extensions(tau_order(PENTAGON), 5)))
         assert ext == enumerate_labels(necklace)
 
