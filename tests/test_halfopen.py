@@ -1,4 +1,7 @@
+import collections
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -336,6 +339,13 @@ def dilate_histograms(necklace):
                           dilated(eh._upper_marks(compiled), t)) for t in range(n - 1)]
 
 
+def tight_upper_mask(basis, uppers):
+    """Bit i set when the 0/1 point of the ``basis`` bitmask is tight on the
+    i-th upper row, x_start + ... + x_{stop-1} == bound."""
+    return sum(1 << i for i, f in enumerate(uppers)
+               if sum(basis >> k & 1 for k in range(f.start, f.stop)) == f.bound)
+
+
 class TestUpperTally:
     def test_face_counts_equal_the_face_oracle(self):
         # every face that inclusion-exclusion counts, with n <= 5 and at n = 7
@@ -363,6 +373,35 @@ class TestUpperTally:
                 assert face_counts(tally, need, node.dim) == tuple(
                     sum(ways for mask, ways in counts[t].items() if mask & need == need)
                     for t in range(node.dim + 1))
+
+    def test_bit_i_is_the_ith_upper_row_of_the_facet_representation(self):
+        # a face's generators are the upper rows that hold all its bases, and
+        # its bases are those tight on every row of its generators
+        for necklace in [nk for n in range(2, 7) for nk in connected_necklaces(n)]:
+            uppers = [f for f in facet_representation(necklace).inequalities
+                      if f.sense == "<="]
+            poset = face_poset_of_uppers(necklace)
+            assert list(poset.facet_list) == uppers
+            tight = {b: tight_upper_mask(b, uppers)
+                     for b in bases_from_necklace(necklace).bases}
+            for node in poset.nodes:
+                assert node.vertex_set == {b for b, mask in tight.items()
+                                           if mask & node.generators == node.generators}
+                assert node.generators == functools.reduce(
+                    operator.and_, (tight[b] for b in node.vertex_set))
+
+    def test_the_first_dilate_tallies_the_bases_by_their_tight_upper_rows(self):
+        # a positroid polytope's lattice points are its 0/1 vertices e_B, and
+        # the origin is the only point of the zeroth dilate (n >= 3, so the
+        # tally's dilates t = 0..n-2 reach t = 1)
+        for necklace in [nk for n in range(3, 7) for nk in connected_necklaces(n)]:
+            uppers = [f for f in facet_representation(necklace).inequalities
+                      if f.sense == "<="]
+            tally = upper_tally(necklace)
+            assert {mask: row[0] for mask, row in tally.items() if row[0]} == {
+                (1 << len(uppers)) - 1: 1}
+            assert {mask: row[1] for mask, row in tally.items() if row[1]} == collections.Counter(
+                tight_upper_mask(b, uppers) for b in bases_from_necklace(necklace).bases)
 
     def test_pyramid_tally(self):
         tally = upper_tally(PYRAMID)
