@@ -22,7 +22,11 @@ free of t >= 1, so each body is planned once and run at every dilate.
 the upper (<=) facet rows each point lies on, as a dict from mask to counts,
 and inclusion-exclusion reads every face's counts off that table: a face cut
 out by upper facets G holds the points whose mask contains G (``face_hstar``,
-one face alone, is the reference).
+one face alone at t = 0..dim F, is the reference).  The tally stops at
+t = n - 3 (t = 1 from n = 3 on): a face F, of dimension at most n - 2, has
+its bases as its only lattice points at t = 1, none in its relative
+interior, so h*_{dim F}(F) = 0 by reciprocity, and E_F(0..dim F - 1) fix
+its h* (``_face_hstar_from_counts``, which checks E_F(1) against the bases).
 
 A connected positroid is counted from its irredundant facets, the rows of
 ``facet_representation``, compiled once into prefix-sum rows
@@ -397,32 +401,63 @@ def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
 
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
                face_dim: int) -> tuple[int, ...]:
-    """h*-polynomial of the face cut out by the given interval equalities."""
-    return _face_hstar_from_counts(lattice_counts(hrep, face_dim, face_equalities))
+    """h*-polynomial of the face cut out by the given interval equalities,
+    counted alone at every dilate t = 0..face_dim."""
+    return _face_hstar_from_counts(lattice_counts(hrep, face_dim, face_equalities), face_dim)
 
 
-def _face_hstar_from_counts(counts: tuple[int, ...]) -> tuple[int, ...]:
-    """h* of a face from its counts at t = 0..dim, checked to be nonempty
-    and not of lower dimension."""
-    if counts[0] != 1 or (len(counts) > 1 and counts[1] == 0):
+def _face_hstar_from_counts(counts: Sequence[int], dim: int,
+                            vertices: int | None = None) -> tuple[int, ...]:
+    """h* of a ``dim``-dimensional face of a 0/1 polytope from its counts
+    E(0), E(1), ... at t = 0..dim - 1 or further; counts past t = dim are
+    not read.
+
+    h*_j reads E(0..j), and h*_dim, which only E(dim) would give, is 0 when
+    dim >= 1: by Ehrhart-Macdonald reciprocity it is the number of lattice
+    points in the face's relative interior, and its only lattice points
+    are its vertices.  Checked: E(0) = 1 and E(1) > dim (a ValueError:
+    the face is empty or of lower dimension), and E(1) = ``vertices``, its
+    number of bases, where given (an ArithmeticError: the count at t = 1
+    holds a point other than a vertex, or misses one).
+
+    >>> _face_hstar_from_counts((1, 4), 2, 4), _face_hstar_from_counts((1, 4, 9), 2)
+    ((1, 1), (1, 1))
+    """
+    if len(counts) < max(dim, 1):
+        raise ValueError(f"a face of dimension {dim} needs its counts up to t = {dim - 1}")
+    if counts[0] != 1 or len(counts) > 1 and counts[1] <= dim:
         raise ValueError("face is empty or not of the stated dimension")
-    return hstar_from_counts(counts)
+    if vertices is not None and len(counts) > 1 and counts[1] != vertices:
+        raise ArithmeticError(f"a face with {vertices} bases has E(1) = {counts[1]} "
+                              f"lattice points: counting bug")
+    return _trim(_hstar_head(dim, counts[:dim + 1]))
 
 
 def upper_tally(necklace: GrassmannNecklace) -> dict[int, list[int]]:
-    """The lattice points of the closed dilates t = 0..n-2 of a connected
-    positroid, tallied by the upper facets each lies on: {mask: [count at
-    t = 0..n-2]} over the masks that occur, bit i of a mask standing for
-    the i-th upper (<=) row of ``facet_representation``.
+    """The lattice points of the closed dilates t = 0..max(1, n - 3) of a
+    connected positroid (t = 0 alone at n = 2), tallied by the upper facets
+    each lies on: {mask: [count at each t]} over the masks that occur, bit i
+    of a mask standing for the i-th upper (<=) row of
+    ``facet_representation``.
 
     A face cut out by upper facets G is P meet the hyperplanes of G, so its
-    t-th dilate holds exactly the points of tP whose mask contains G; every
-    such face has dimension at most n - 2.  Rows and tight rows both come
-    from ``_facet_rows``, so they are counted in its cut, from one plan.
+    t-th dilate holds exactly the points of tP whose mask contains G.  Such
+    a face F has dimension at most n - 2, and its h* needs E_F(0..dim F - 1)
+    only (``_face_hstar_from_counts``): h*_{dim F} is 0, as F has no lattice
+    point in its relative interior.  So the tally stops at t = n - 3, and
+    t = 1, where E_F(1) is checked against F's bases, is counted from n = 3
+    on.  Rows and tight rows both come from ``_facet_rows``, so they are
+    counted in its cut, from one plan.
+
+    >>> from .positroid import validate_necklace
+    >>> pyramid = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
+    >>> sorted(upper_tally(pyramid).items())  # n = 4: dilates 0 and 1
+    [(1, [0, 1]), (3, [0, 1]), (4, [0, 1]), (6, [0, 1]), (7, [1, 1])]
     """
     n, compiled = necklace.n, necklace.fact(_facet_rows)
     plan = _plan(n, _linear(n, necklace.rank, compiled), 1, _upper_marks(compiled))
-    counts = [_run(plan, t) for t in range(n - 1)]
+    top = min(n - 2, max(1, n - 3))  # t = 1 for the E_F(1) check, never past n - 2
+    counts = [_run(plan, t) for t in range(top + 1)]
     return {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
 
 

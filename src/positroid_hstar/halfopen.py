@@ -14,7 +14,11 @@ components (``positroid.dimension_of_bases``); the upper facets that hold
 it are one bitmask too, bit i for upper facet i.
 Each face's counts are read off one lattice count of the closed body per
 dilate, tallied by the upper facets each point lies on
-(``ehrhart.upper_tally``); the faces are not counted one by one.
+(``ehrhart.upper_tally``); the faces are not counted one by one.  A face F
+is read at t = 0..dim F - 1 only, since h*_{dim F}(F) = 0 (its lattice
+points at t = 1 are its bases, and none lies in its relative interior), and
+that premise is checked on every face: E_F(1) must equal its number of
+bases.  The faces of one codimension k are summed before (1-z)^k is applied.
 """
 
 from __future__ import annotations
@@ -90,19 +94,21 @@ def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     uppers = tuple(f for f in faces if f.sense == "<=")
     tight = [faces[f] for f in uppers]
     all_vertices = necklace.fact(bases_from_necklace).bases
-    seen = {all_vertices}
+    generators = {all_vertices: 0}  # each face found -> the upper facets that hold it
     queue = [all_vertices]
     while queue:
         cur = queue.pop()
-        for tf in tight:
+        for i, tf in enumerate(tight):
             child = cur & tf
-            if child and child not in seen:
-                seen.add(child)
+            if len(child) == len(cur):  # upper facet i holds cur
+                generators[cur] |= 1 << i
+            elif child and child not in generators:
+                generators[child] = 0
                 queue.append(child)
-    nodes = []
-    for vs in seen:
-        gens = sum(1 << i for i, tf in enumerate(tight) if vs <= tf)
-        nodes.append(FaceNode(vs, dimension_of_bases(vs, necklace.n), gens))
+    # P and its facets have known dimensions; the other faces are read off their bases
+    known = {all_vertices: necklace.n - 1, **dict.fromkeys(tight, necklace.n - 2)}
+    nodes = [FaceNode(vs, known[vs] if vs in known else dimension_of_bases(vs, necklace.n), gens)
+             for vs, gens in generators.items()]
     nodes.sort(key=lambda f: (-f.dim, sorted(f.vertex_set)))
     top = next(f for f in nodes if f.vertex_set == all_vertices)
     return FacePoset(top, tuple(nodes), uppers)
@@ -140,11 +146,14 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[i
     """Closed h* from the half-open one and the faces of the removed facets.
 
     h*(P) = h*(half-open) - sum over proper faces F of
-    mu(F, P) (1-z)^(dim P - dim F) h*(F), where each face's counts are read
-    off one tally of the closed body's points by the upper facets they lie
-    on (``ehrhart.upper_tally``).  The sum runs in integers: every term has
-    degree at most dim P = n - 1.  The result must have nonnegative
-    coefficients and constant term 1.
+    mu(F, P) (1-z)^(dim P - dim F) h*(F).  The faces of one codimension k
+    are summed first, and (1-z)^k applied once to their sum.  Each face's
+    counts are read off one tally of the closed body's points by the upper
+    facets they lie on (``ehrhart.upper_tally``), at t = 0..dim F - 1 (its
+    h*_{dim F} is 0), and checked: E_F(0) = 1 and E_F(1) = its number of
+    bases.  The sum runs in integers: every term has degree at most
+    dim P = n - 1.  The result must have nonnegative coefficients and
+    constant term 1.
     """
     n = necklace.n
     if n == 1:
@@ -155,15 +164,20 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[i
     half = necklace.fact(hstar_half_open)
     total = list(half) + [0] * (n - len(half))
     dim_p = n - 1
-    for node in poset.nodes:
-        if node == poset.top or mu[node] == 0:
+    by_dim = [[0] * (d + 1) for d in range(dim_p)]  # d -> sum of mu(F) h*(F), dim F = d
+    for node, value in mu.items():
+        if node == poset.top or value == 0:
             continue
         rows = [row for mask, row in tally.items() if mask & node.generators == node.generators]
-        h_face = _face_hstar_from_counts(tuple(map(sum, zip(*rows)))[:node.dim + 1])
-        k = dim_p - node.dim
+        counts = tuple(map(sum, zip(*rows)))
+        acc = by_dim[node.dim]
+        for j, h in enumerate(_face_hstar_from_counts(counts, node.dim, len(node.vertex_set))):
+            acc[j] += value * h
+    for d, acc in enumerate(by_dim):
+        k = dim_p - d  # the codimension: one factor (1-z)^k per d
         for i in range(k + 1):
-            c = mu[node] * (-1) ** i * math.comb(k, i)
-            for j, h in enumerate(h_face):
+            c = (-1) ** i * math.comb(k, i)
+            for j, h in enumerate(acc):
                 total[i + j] -= c * h
     coeffs = _trim(total)
     if any(c < 0 for c in coeffs) or coeffs[:1] != (1,):

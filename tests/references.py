@@ -200,12 +200,22 @@ def face_equalities(poset, node):
             for i, f in enumerate(poset.facet_list) if node.generators >> i & 1]
 
 
-def face_counts(tally, generators, dim):
-    """Counts at t = 0..dim of the face where the upper facets of the
-    ``generators`` mask are tight, read off ``ehrhart.upper_tally``: the
+def tally_dilates(n):
+    """The dilates ``ehrhart.upper_tally`` counts: t = 0..max(1, n - 3), and
+    t = 0 alone at n = 2, where every face of an upper facet is a vertex.
+
+    >>> [list(tally_dilates(n)) for n in range(2, 8)]
+    [[0], [0, 1], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
+    """
+    return range(1) if n == 2 else range(max(1, n - 3) + 1)
+
+
+def face_counts(tally, generators):
+    """Counts at the tally's dilates of the face where the upper facets of
+    the ``generators`` mask are tight, read off ``ehrhart.upper_tally``: the
     rows whose mask contains them, summed, as inclusion-exclusion reads them."""
     rows = [row for mask, row in tally.items() if mask & generators == generators]
-    return tuple(map(sum, zip(*rows)))[:dim + 1]
+    return tuple(map(sum, zip(*rows)))
 
 
 def half_open_profile(necklace):

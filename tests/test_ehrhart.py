@@ -315,12 +315,12 @@ class TestKernelDifferential:
             return histogram
 
         monkeypatch.setattr(eh, "_run", recording)
-        necklaces = [nk for nk in connected_up_to(5) if nk.n > 1] + crosscheck_references()
+        necklaces = [*connected_through(6), *crosscheck_references()]
         for necklace in necklaces:
             eh.count_to_degree(necklace)
             eh.count_to_degree(necklace, half_open=True)
             eh.upper_tally(necklace)
-        assert len(necklaces) == 44 + 3  # n = 1 has no half-open body
+        assert len(necklaces) == 250 + 3  # n = 1 has no half-open body
         assert len(calls) > 500 and sum(1 for (*_, tight), _ in calls if tight) > 150
         for args, histogram in calls:
             assert histogram == reference_tally(*args), args

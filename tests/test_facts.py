@@ -13,6 +13,8 @@ from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
 from positroid_hstar import verify
 
+from references import tally_dilates
+
 PRISM = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]]
 DISCONNECTED = po.DecoratedPermutation((2, 1, 4, 3))
 
@@ -89,6 +91,42 @@ def test_every_route_shares_one_derivation_per_fact(calls):
 
     assert dilates(0) == [0, 1, 2]
     assert dilates(1) == [1, 2, 3]
+
+
+SEVEN = "123,235,345,457,567,267,237"
+
+
+def tally_runs(calls):
+    """The dilates each tally plan ran at, in order, one list per plan: the
+    tally's plan is the one planned with tight rows."""
+    plans = [plan for args, plan in calls["_plan"] if len(args) == 4]
+    return [[t for (plan, t), _ in calls["_run"] if plan is tallied] for tallied in plans]
+
+
+def test_inclusion_exclusion_runs_the_tally_below_the_top_dilate(calls):
+    # each face F is read at t = 0..dim F - 1 <= n - 3, and at t = 1 for its
+    # bases; the tally never runs at t = n - 2
+    for n in range(2, 8):
+        necklace = (po.validate_necklace([[int(c) for c in s] for s in SEVEN.split(",")])
+                    if n == 7 else list(cli.connected_necklaces(n))[-1])
+        calls.clear()
+        ho.hstar_closed_via_inclusion_exclusion(necklace)
+        assert tally_runs(calls) == [list(tally_dilates(n))], n
+
+
+def test_one_sweep_pass_runs_945_tally_dilates(calls):
+    # one pass of the exhaustive sweep over the 252 connected positroids with
+    # n <= 6 (1,192 runs when the tally reached t = n - 2)
+    necklaces = [nk for n in range(1, 7) for nk in cli.connected_necklaces(n)]
+    assert len(necklaces) == 252
+    for necklace in necklaces:
+        subsets = tuple(tuple(sorted(s)) for s in necklace.subsets)
+        assert cli._exhaustive_worker(subsets)[1], necklace.compact()
+    runs = tally_runs(calls)
+    assert sorted(map(len, runs)) == sorted(len(tally_dilates(nk.n)) for nk in necklaces
+                                            if nk.n > 1)
+    assert all(run == list(range(len(run))) for run in runs)
+    assert sum(map(len, runs)) == 945
 
 
 def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):

@@ -47,8 +47,9 @@ def test_every_producer_returns_a_tuple_of_ints():
                 if node == poset.top:
                     continue
                 eqs = face_equalities(poset, node)
-                counts = face_counts(tally, node.generators, node.dim)
-                assert_hstar(eh._face_hstar_from_counts(counts), 1, (name, node.generators))
+                counts = face_counts(tally, node.generators)
+                assert_hstar(eh._face_hstar_from_counts(counts, node.dim, len(node.vertex_set)),
+                             1, (name, node.generators))
                 assert_hstar(eh.face_hstar(facets, eqs, node.dim), 1, (name, node.generators))
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from positroid_hstar import ehrhart as eh
+from positroid_hstar import halfopen as ho
 from positroid_hstar.cli import connected_necklaces
 from positroid_hstar.ehrhart import (
     _face_hstar_from_counts,
@@ -53,6 +54,7 @@ from references import (
     face_counts,
     face_equalities,
     half_open_profile,
+    tally_dilates,
     vertices,
 )
 from test_ehrhart import (
@@ -331,12 +333,12 @@ class TestFacePoset:
 
 
 def dilate_histograms(necklace):
-    """Per dilate t = 0..n-2, the points of tP by their mask of tight upper
-    facets: the histograms that ``upper_tally`` merges."""
+    """Per dilate t of ``tally_dilates``, the points of tP by their mask of
+    tight upper facets: the histograms that ``upper_tally`` merges."""
     n, r = necklace.n, necklace.rank
     compiled = necklace.fact(eh._facet_rows)
     return [one_box_tally(n, dilated(eh._linear(n, r, compiled), t), t,
-                          dilated(eh._upper_marks(compiled), t)) for t in range(n - 1)]
+                          dilated(eh._upper_marks(compiled), t)) for t in tally_dilates(n)]
 
 
 def tight_upper_mask(basis, uppers):
@@ -358,21 +360,23 @@ class TestUpperTally:
                 if node == poset.top or mu == 0:
                     continue
                 eqs = face_equalities(poset, node)
-                counts = face_counts(tally, node.generators, node.dim)
-                assert _face_hstar_from_counts(counts) == face_hstar(facets, eqs, node.dim)
+                counts = face_counts(tally, node.generators)
+                assert _face_hstar_from_counts(counts, node.dim, len(node.vertex_set)) \
+                    == face_hstar(facets, eqs, node.dim)
 
     def test_face_counts_read_the_merged_masks_as_the_dilates(self):
         # every face, mu(F, P) = 0 included: the per-mask rows give what a scan
-        # of each dilate's histogram gives
+        # of each dilate's histogram gives, at every dilate the tally counts
         for necklace in [nk for n in range(2, 6) for nk in connected_necklaces(n)]:
             tally = upper_tally(necklace)
             counts = dilate_histograms(necklace)
             assert set(tally) == set().union(*counts)
+            assert {len(row) for row in tally.values()} == {len(tally_dilates(necklace.n))}
             for node in face_poset_of_uppers(necklace).nodes[1:]:
                 need = node.generators
-                assert face_counts(tally, need, node.dim) == tuple(
-                    sum(ways for mask, ways in counts[t].items() if mask & need == need)
-                    for t in range(node.dim + 1))
+                assert face_counts(tally, need) == tuple(
+                    sum(ways for mask, ways in histogram.items() if mask & need == need)
+                    for histogram in counts)
 
     def test_bit_i_is_the_ith_upper_row_of_the_facet_representation(self):
         # a face's generators are the upper rows that hold all its bases, and
@@ -393,7 +397,7 @@ class TestUpperTally:
     def test_the_first_dilate_tallies_the_bases_by_their_tight_upper_rows(self):
         # a positroid polytope's lattice points are its 0/1 vertices e_B, and
         # the origin is the only point of the zeroth dilate (n >= 3, so the
-        # tally's dilates t = 0..n-2 reach t = 1)
+        # tally's dilates t = 0..max(1, n - 3) reach t = 1)
         for necklace in [nk for n in range(3, 7) for nk in connected_necklaces(n)]:
             uppers = [f for f in facet_representation(necklace).inequalities
                       if f.sense == "<="]
@@ -404,19 +408,66 @@ class TestUpperTally:
                 tight_upper_mask(b, uppers) for b in bases_from_necklace(necklace).bases)
 
     def test_pyramid_tally(self):
+        # n = 4: the dilates t = 0 and 1
         tally = upper_tally(PYRAMID)
         counts = dilate_histograms(PYRAMID)
         everything = (1 << len(face_poset_of_uppers(PYRAMID).facet_list)) - 1
-        assert counts[0] == {everything: 1}
-        closed = lattice_counts(facet_representation(PYRAMID), 2)
+        assert len(counts) == 2 and counts[0] == {everything: 1}
+        closed = lattice_counts(facet_representation(PYRAMID), 1)
         assert sum(counts[1].values()) == closed[1]
-        assert face_counts(tally, 0, 2) == closed
+        assert face_counts(tally, 0) == closed
+
+    def test_a_tally_one_off_at_t1_fails_inclusion_exclusion(self, monkeypatch):
+        # one point too many at t = 1 on the mask of one basis: every face
+        # that holds the basis, its upper facets among them, reads it
+        for necklace in (PYRAMID, PRISM, SEVENS[0]):
+            tally = upper_tally(necklace)
+            mask = max(mask for mask, row in tally.items() if row[1])
+            faulty = {m: [c + (m == mask and t == 1) for t, c in enumerate(row)]
+                      for m, row in tally.items()}
+            monkeypatch.setattr(ho, "upper_tally", lambda _, faulty=faulty: faulty)
+            fresh = validate_necklace([sorted(s) for s in necklace.subsets])
+            with pytest.raises(ArithmeticError, match="bases has E\\(1\\) = .* lattice points"):
+                hstar_closed_via_inclusion_exclusion(fresh)
 
     def test_empty_or_flat_face_rejected(self):
-        with pytest.raises(ValueError):
-            _face_hstar_from_counts((0, 3))
-        with pytest.raises(ValueError):
-            _face_hstar_from_counts((1, 0, 0))
+        with pytest.raises(ValueError, match="empty or not of the stated dimension"):
+            _face_hstar_from_counts((0, 3), 1)
+        with pytest.raises(ValueError, match="empty or not of the stated dimension"):
+            _face_hstar_from_counts((1, 0, 0), 2)
+        with pytest.raises(ValueError, match="empty or not of the stated dimension"):
+            _face_hstar_from_counts((1, 2, 9), 2)  # a segment's count, as a 2-face
+        with pytest.raises(ValueError, match="up to t = 2"):
+            _face_hstar_from_counts((1, 4), 3)
+
+    def test_a_count_at_t1_other_than_the_bases_is_rejected(self):
+        # a square (four bases, h* = 1 + z) at t = 0, 1 and at t = 0, 1, 2
+        assert _face_hstar_from_counts((1, 4), 2, 4) == (1, 1)
+        assert _face_hstar_from_counts((1, 4, 9), 2, 4) == (1, 1)
+        for counts in ((1, 5), (1, 3, 9)):
+            with pytest.raises(ArithmeticError, match="4 bases has E\\(1\\) = "):
+                _face_hstar_from_counts(counts, 2, 4)
+
+
+class TestFacesCountedAlone:
+    """The premise of the tally's last dilate, apart from the tally: a face
+    F of a 0/1 polytope has its bases as its only lattice points at t = 1,
+    none in its relative interior, so h*_{dim F}(F) = 0 when dim F >= 1."""
+
+    def test_the_top_coefficient_vanishes_and_t1_counts_the_bases(self):
+        # every face of every connected positroid with n <= 6, P and the
+        # faces with mu(F, P) = 0 included, counted alone up to t = dim F
+        faces = 0
+        for necklace in [nk for n in range(2, 7) for nk in connected_necklaces(n)]:
+            poset = face_poset_of_uppers(necklace)
+            facets = facet_representation(necklace)
+            for node in poset.nodes:
+                eqs = face_equalities(poset, node)
+                hstar = face_hstar(facets, eqs, node.dim)
+                assert len(hstar) <= max(node.dim, 1), (necklace.compact(), node)
+                assert lattice_counts(facets, 1, eqs)[1] == len(node.vertex_set), node
+                faces += 1
+        assert faces == 5959
 
 
 def minimal_matroid(k, n):
