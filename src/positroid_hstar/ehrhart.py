@@ -46,13 +46,18 @@ body keeps, made strict) first has lattice points at the dilate
 c = d + 1 - s, and has h*_s of them there (Beck-Robins, "Computing the
 Continuous Discretely", ch. 4; for half-open bodies Beck-Sanyal,
 "Combinatorial Reciprocity Theorems").  Every call checks that equality.
-Counting the full necklace H-representation at every dilate is kept as the
-reference that the exhaustive sweep compares against.  The oracle takes any
-positroid: a disconnected one has no full-dimensional projection to take
-facets from, so it is counted by ``lattice_counts`` of ``h_representation``
-at every dilate, in its own affine hull, whose dimension is n minus the
-number of direct-sum components.  The product of the components' Ehrhart
-polynomials (``ehrhart_product``) is kept as the reference it must equal.
+The exhaustive sweep compares the oracle against a count of the full
+necklace H-representation at t = 0..n - 2 (t = 0..n - 1 for n <= 2): a
+positroid polytope is a 0/1 polytope, so, as for a face above, its h*_{n-1}
+is 0 and these counts fix its h* (``_face_hstar_from_counts``, checking
+E(1) against the bases).  The oracle takes any positroid: a disconnected
+one has no full-dimensional projection to take facets from, so it is
+counted by ``lattice_counts`` of ``h_representation`` in its own affine
+hull, whose dimension d is n minus the number of direct-sum components, at
+t = 0..max(d - 1, min(d, 1)) by the same rule.  The product of the
+components' Ehrhart polynomials (``ehrhart_product``) is kept as the
+reference it must equal.  ``face_hstar`` alone counts a face to its top
+dilate, the reference that sees the vanishing coefficient.
 """
 
 from __future__ import annotations
@@ -375,14 +380,15 @@ def hstar_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
 
 def _hstar_head(dim: int, counts: Sequence[int]) -> list[int]:
     """h*_0, ..., h*_k of a ``dim``-dimensional body from its counts E(0..k):
-    h*_j reads only E(0..j).  A negative coefficient is an ArithmeticError."""
-    signed = [(-1) ** i * math.comb(dim + 1, i) for i in range(len(counts))]
-    coeffs = []
-    for j in range(len(counts)):
-        h = sum(signed[i] * counts[j - i] for i in range(j + 1))
+    the series sum_t E(t) z^t times (1 - z)^(dim + 1), cut at z^k, so h*_j
+    reads only E(0..j).  A negative coefficient is an ArithmeticError."""
+    coeffs = list(counts)
+    for _ in range(dim + 1):  # times 1 - z, in place from the top degree down
+        for j in range(len(coeffs) - 1, 0, -1):
+            coeffs[j] -= coeffs[j - 1]
+    for j, h in enumerate(coeffs):
         if h < 0:
             raise ArithmeticError(f"negative h*-coefficient {h} at degree {j}: counting bug")
-        coeffs.append(h)
     return coeffs
 
 
@@ -410,7 +416,10 @@ def _face_hstar_from_counts(counts: Sequence[int], dim: int,
                             vertices: int | None = None) -> tuple[int, ...]:
     """h* of a ``dim``-dimensional face of a 0/1 polytope from its counts
     E(0), E(1), ... at t = 0..dim - 1 or further; counts past t = dim are
-    not read.
+    not read.  A polytope is a face of itself: the oracle of a disconnected
+    positroid (``_oracle``) and the exhaustive sweep's count of the full
+    necklace H-representation read their h* here too, counted up to
+    ``_last_dilate(dim)``.
 
     h*_j reads E(0..j), and h*_dim, which only E(dim) would give, is 0 when
     dim >= 1: by Ehrhart-Macdonald reciprocity it is the number of lattice
@@ -431,6 +440,16 @@ def _face_hstar_from_counts(counts: Sequence[int], dim: int,
         raise ArithmeticError(f"a face with {vertices} bases has E(1) = {counts[1]} "
                               f"lattice points: counting bug")
     return _trim(_hstar_head(dim, counts[:dim + 1]))
+
+
+def _last_dilate(dim: int) -> int:
+    """The last dilate ``_face_hstar_from_counts`` needs counted for a
+    ``dim``-dimensional 0/1 polytope: t = dim - 1, and t = 1 for its check.
+
+    >>> [_last_dilate(dim) for dim in range(5)]
+    [0, 1, 1, 2, 3]
+    """
+    return max(dim - 1, min(dim, 1))
 
 
 def upper_tally(necklace: GrassmannNecklace) -> dict[int, list[int]]:
@@ -518,14 +537,18 @@ def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
     """The counting oracle's Ehrhart polynomial of any positroid polytope.
 
     A connected positroid is counted up to its h*-degree (``count_to_degree``);
-    a disconnected one from its necklace inequalities at every dilate, in its
-    own affine hull, of dimension n minus the number of direct-sum components.
+    a disconnected one from its necklace inequalities, in its own affine
+    hull, of dimension d = n minus the number of direct-sum components, at
+    t = 0..max(d - 1, min(d, 1)) (``_last_dilate``): a 0/1 polytope has
+    h*_d = 0, and E(1) is checked against its bases
+    (``_face_hstar_from_counts``).
     """
     if necklace.fact(necklace_connected):
         return count_to_degree(necklace)
-    dim = dimension_of_bases(necklace.fact(bases_from_necklace).bases, necklace.n)
-    return EhrhartPolynomial(
-        hstar_from_counts(lattice_counts(necklace.fact(h_representation), dim)), dim)
+    bases = necklace.fact(bases_from_necklace).bases
+    dim = dimension_of_bases(bases, necklace.n)
+    counts = lattice_counts(necklace.fact(h_representation), _last_dilate(dim))
+    return EhrhartPolynomial(_face_hstar_from_counts(counts, dim, len(bases)), dim)
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:

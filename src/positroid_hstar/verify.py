@@ -386,6 +386,8 @@ def verify_single_input(text: str) -> list[Check]:
         return checks
     except ValueError as exc:  # InputError, NecklaceError and SubdivisionError among them
         return [_check("input verification", False, str(exc))]
+    except ArithmeticError as exc:  # a count that fails its own check: a counting bug
+        return [_check("counting check", False, str(exc))]
 
 
 def run_verify(args) -> int:

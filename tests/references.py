@@ -210,6 +210,17 @@ def tally_dilates(n):
     return range(1) if n == 2 else range(max(1, n - 3) + 1)
 
 
+def below_the_top(dim):
+    """The dilates that fix the h* of a ``dim``-dimensional 0/1 polytope:
+    t = 0..dim - 1, as h*_dim = 0, and t = 1 for the check of E(1) against
+    its vertices; t = 0 alone for a point.
+
+    >>> [list(below_the_top(dim)) for dim in range(5)]
+    [[0], [0, 1], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
+    """
+    return range(max(dim - 1, min(dim, 1)) + 1)
+
+
 def face_counts(tally, generators):
     """Counts at the tally's dilates of the face where the upper facets of
     the ``generators`` mask are tight, read off ``ehrhart.upper_tally``: the

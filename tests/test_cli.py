@@ -30,6 +30,19 @@ SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
           '{"color":"white","vertices":[1,3,4]}]}')
 
 
+def one_more_point_in_the_square(monkeypatch):
+    """Count one point too many in the square U(1,2) + U(1,2) at t = 1, the
+    one dilate past t = 0 its oracle counts: E(1) = 5, but it has 4 bases.
+    The square's plan has its four coordinates, each segment's has two."""
+    tally = eh._run
+
+    def one_more(plan, t):
+        histogram = tally(plan, t)
+        return {0: histogram[0] + 1} if t == 1 and plan[0] == 4 else histogram
+
+    monkeypatch.setattr(eh, "_run", one_more)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -57,7 +70,22 @@ class TestParsing:
     def test_rank_zero_compact_form_verifies(self, capsys):
         necklace = po.validate_necklace([[], [], []])
         assert necklace.compact() == "-,-,-"
-        assert run(capsys, "verify", f"--input={necklace.compact()}")[0] == 0
+        assert run(capsys, "verify", f"--input={necklace.compact()}") == (
+            0, "PASS  disconnected input oracle h*  [1]\n1/1 checks passed\n", "")
+
+    def test_an_input_starting_with_a_dash_reads_as_an_option(self, capsys):
+        # argparse takes "-,-,-" for an option; options first and then "--"
+        # pass it as the input
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["hstar", "-,-,-"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: -,-,-\n")
+        assert run(capsys, "hstar", "--", "-,-,-") == (
+            3, "", "error: method shelling needs a connected positroid; split with "
+                   "decompose_direct_sum and multiply Ehrhart factors\n")
+        report = run_json(capsys, "hstar", "--method", "oracle", "--", "-,-,-")
+        assert report["hstar"] == {"oracle": [1]} and report["rank"] == 0
+        assert report["components"] == [[1], [2], [3]]
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rank_zero_compact_forms_pass_the_command_line(self, capsys, n):
@@ -296,6 +324,12 @@ class TestHstar:
         # a point has no projection to chop facets from, by any route
         assert run(capsys, "hstar", "1", "--half-open", "--method", method) == (
             2, "", "error: half-open form needs n >= 2\n")
+
+    def test_a_wrong_count_of_a_disconnected_input_exits_1(self, capsys, monkeypatch):
+        # one error line, no traceback
+        one_more_point_in_the_square(monkeypatch)
+        assert run(capsys, "hstar", "13,23,13,14", "--method", "oracle") == (
+            1, "", "error: a face with 4 bases has E(1) = 5 lattice points: counting bug\n")
 
     def test_disconnected_oracle_works(self, capsys):
         report = run_json(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}',
@@ -585,19 +619,18 @@ class TestVerify:
             {"detail": failing.split("      ", 1)[1], "name": "rank-3 five-simplex half-open"})]
 
     def test_a_wrong_count_of_a_disconnected_input_fails(self, capsys, monkeypatch):
-        # one point too many in the square U(1,2) + U(1,2) at t = 2 keeps
-        # E(0) = 1, but the Ehrhart polynomial is no longer its segments' product;
-        # the square's plan has its four coordinates, each segment's has two
-        tally = eh._run
+        one_more_point_in_the_square(monkeypatch)
+        detail = "a face with 4 bases has E(1) = 5 lattice points: counting bug"
+        assert run(capsys, "verify", "--input", "13,23,13,14") == (1, (
+            f"FAIL  counting check  {detail}\n0/1 checks passed\n"
+            f'first failure: {{"detail": "{detail}", "name": "counting check"}}\n'), "")
 
-        def one_more(plan, t):
-            histogram = tally(plan, t)
-            return {0: histogram[0] + 1} if t == 2 and plan[0] == 4 else histogram
-
-        monkeypatch.setattr(eh, "_run", one_more)
-        code, out, _ = run(capsys, "verify", "--input", "13,23,13,14")
-        assert code == 1
-        assert out.startswith("FAIL  disconnected input oracle h*  [1, 1, 1]\n")
+    def test_a_disconnected_oracle_off_its_components_product_fails(self, capsys, monkeypatch):
+        # the oracle of the square must equal the product of its segments'
+        monkeypatch.setattr(eh, "ehrhart_product", lambda factors: eh.EhrhartPolynomial((1,), 2))
+        code, out, err = run(capsys, "verify", "--input", "13,23,13,14")
+        assert (code, err) == (1, "")
+        assert out.startswith("FAIL  disconnected input oracle h*  [1, 1]\n")
 
     ROUNDTRIP = ("necklace/decorated round trips n <= 4            88 decorated permutations",
                  "rank-split vs interval-free connectivity n <= 4  88 decorated permutations")
@@ -781,12 +814,27 @@ class TestExhaustiveWorker:
         assert not ok
         assert detail == "closed profile differs from the full H-representation count"
 
-    @pytest.mark.parametrize("hstar", [(1, 2), (1, 1, 1)])
+    @pytest.mark.parametrize("hstar", [(1, 2), (1, 1, 1), (1, 1, 0, 1)])
     def test_oracle_counts_are_checked_against_the_full_h_representation(
             self, monkeypatch, hstar):
         # the pyramid's h* is 1 + z, E(0..3) = 1, 5, 14, 30: 1 + 2z is off at
-        # E(1), and 1 + z + z^2 first at E(2), past the counts the oracle reads
+        # E(1), and 1 + z + z^2 first at E(2), past the counts the oracle
+        # reads.  1 + z + z^3 has E(0..2) = 1, 5, 14, the reference's counts:
+        # only its degree, 3 = dim P, which no 0/1 polytope's h* has, differs
         monkeypatch.setattr(eh, "_oracle", lambda necklace: eh.EhrhartPolynomial(hstar, 3))
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok
+        assert detail == "closed profile differs from the full H-representation count"
+
+    def test_the_reference_count_is_checked_against_the_bases(self, monkeypatch):
+        # one point too many at t = 1 in the count of the full H-representation
+        counts = eh.lattice_counts
+
+        def one_more(hrep, tmax, *equalities):
+            found = counts(hrep, tmax, *equalities)
+            return (found[0], found[1] + 1, *found[2:])
+
+        monkeypatch.setattr(eh, "lattice_counts", one_more)
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
         assert detail == "closed profile differs from the full H-representation count"

@@ -818,6 +818,22 @@ class TestEhrhartFromHstar:
             counts = lattice_counts(h_representation(necklace), dim)
             assert_is_the_interpolant(ehrhart_of_positroid(necklace), counts)
 
+    def test_a_disconnected_positroid_counts_no_point_at_its_top_coefficient(self):
+        # the premise of the oracle's count below t = dim, from the full
+        # count E(0..dim) alone: E(1) is the bases and h*_dim = 0.  The
+        # oracle's polynomial meets that count at every t <= dim
+        necklaces = disconnected_up_to(6)
+        assert len(necklaces) == 2119
+        for necklace in necklaces:
+            bases = bases_from_necklace(necklace).bases
+            dim = dimension_of_bases(bases, necklace.n)
+            counts = lattice_counts(h_representation(necklace), dim)
+            if dim >= 1:
+                assert counts[1] == len(bases), necklace.compact()
+                assert len(hstar_from_counts(counts)) <= dim, necklace.compact()
+            ehr = ehrhart_of_positroid(necklace)
+            assert tuple(map(ehr, range(dim + 1))) == counts, necklace.compact()
+
 
 class TestEhrhartCommand:
     @pytest.mark.parametrize("argv, report", [

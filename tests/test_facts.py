@@ -13,7 +13,7 @@ from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
 from positroid_hstar import verify
 
-from references import tally_dilates
+from references import below_the_top, tally_dilates
 
 PRISM = [[1, 2, 4], [2, 3, 4], [1, 3, 4], [1, 4, 5], [1, 2, 5]]
 DISCONNECTED = po.DecoratedPermutation((2, 1, 4, 3))
@@ -127,6 +127,44 @@ def test_one_sweep_pass_runs_945_tally_dilates(calls):
                                             if nk.n > 1)
     assert all(run == list(range(len(run))) for run in runs)
     assert sum(map(len, runs)) == 945
+
+
+def test_one_sweep_pass_runs_1195_reference_dilates(calls):
+    # the sweep's count of the full necklace H-representation, the worker's
+    # first plan (its rows at the first cut), stops below the top dilate
+    # t = n - 1 (1,444 runs when it reached it)
+    runs = 0
+    for necklace in (nk for n in range(1, 7) for nk in cli.connected_necklaces(n)):
+        calls.clear()
+        subsets = tuple(tuple(sorted(s)) for s in necklace.subsets)
+        assert cli._exhaustive_worker(subsets)[1], necklace.compact()
+        n, rows = necklace.n, eh._linear(necklace.n, necklace.rank,
+                                          eh._compile(necklace.fact(po.h_representation)))
+        args, reference = calls["_plan"][0]
+        assert args == (n, rows, 1), necklace.compact()
+        dilates = [t for (plan, t), _ in calls["_run"] if plan is reference]
+        assert dilates == list(below_the_top(n - 1)), necklace.compact()
+        runs += len(dilates)
+    assert runs == 1195
+
+
+def test_the_disconnected_oracle_runs_below_the_top_dilate(calls):
+    # every disconnected positroid with n <= 6 is counted in its affine hull
+    # at t = 0..max(dim - 1, min(dim, 1)), from one plan
+    seen = 0
+    for n in range(1, 7):
+        for dec in cli.all_decorated_permutations(n):
+            necklace = po.necklace_from_decorated(dec)
+            if necklace.fact(po.necklace_connected):
+                continue
+            calls.clear()
+            ehr = eh.ehrhart_of_positroid(necklace)
+            assert len(calls["_plan"]) == 1
+            plan = calls["_plan"][0][1]
+            assert [t for (run, t), _ in calls["_run"] if run is plan] == list(
+                below_the_top(ehr.dim)), necklace.compact()
+            seen += 1
+    assert seen == 2119
 
 
 def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):
