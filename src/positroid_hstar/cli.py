@@ -57,11 +57,13 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_compact_necklace(text: str) -> po.GrassmannNecklace:
-    parts = [p.strip() for p in text.strip().split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
         raise InputError("empty necklace text")
     subsets = []
-    for p in parts:
+    for k, p in enumerate(parts, 1):
+        if not p:
+            raise InputError(f'necklace entry {k} is empty; write an empty J_i as "-"')
         if not p.isdigit() and p != "-":
             raise InputError(f"necklace entry {p!r} is not a digit string")
         subsets.append(frozenset(int(c) for c in p) if p != "-" else frozenset())
@@ -569,23 +571,26 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
         # oracle's must equal, degree and all
         top = eh._last_dilate(n - 1)
         reference = eh.lattice_counts(necklace.fact(po.h_representation), top)
-        differs = _check(name, False, "closed profile differs from the full H-representation count")
+        differs = "closed profile differs from the full H-representation count"
         try:
             ehr = eh.ehrhart_of_positroid(necklace)
         except ArithmeticError:
             # a wrong body fails its reciprocity check; name it when it is the body
-            if eh.lattice_counts(necklace.fact(po.facet_representation), top) != reference:
-                return differs
+            facets = eh.lattice_counts(necklace.fact(po.facet_representation), top)
+            if facets != reference:
+                return _check(name, False, f"{differs}: facet counts {facets}, "
+                                           f"full counts {reference}")
             raise
         try:
             counted = eh._face_hstar_from_counts(
                 reference, n - 1, len(necklace.fact(po.bases_from_necklace).bases))
-        except (ValueError, ArithmeticError):
-            return differs
+        except (ValueError, ArithmeticError) as exc:
+            return _check(name, False, f"{differs}: {exc}")
         if ehr != eh.EhrhartPolynomial(counted, n - 1):
-            return differs
+            return _check(name, False, f"{differs}: oracle h* {ehr.hstar}, counted h* {counted}")
         if sum(shelling) != len(labels) or sum(ehr.hstar) != len(labels):
-            return _check(name, False, "h*(1), |D_J| and normalized volume differ")
+            return _check(name, False, f"h*(1), |D_J| and normalized volume differ: "
+                                       f"{sum(shelling)}, {len(labels)}, {sum(ehr.hstar)}")
         stage = "closed routes"
         closed = {"shelling": shelling, **hstar_routes(necklace, CLOSED_METHODS[1:])}
         if agreement_verdict(closed) != "PASS":
@@ -597,7 +602,8 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
                 return _check(name, False, f"half-open methods disagree: {half}")
             some = next(iter(closed.values()))
             if half["descents"][0] != 0 or sum(half["descents"]) != sum(some):
-                return _check(name, False, "half-open h* shape is wrong")
+                return _check(name, False,
+                              f"half-open h* shape is wrong: descents {half['descents']}")
         stage = "affine windows"
         affine = tg.affine_consistency_check(graph, poset)
         if not affine.ok:

@@ -29,15 +29,16 @@ interior, so h*_{dim F}(F) = 0 by reciprocity, and E_F(0..dim F - 1) fix
 its h* (``_face_hstar_from_counts``, which checks E_F(1) against the bases).
 
 A connected positroid is counted from its irredundant facets, the rows of
-``facet_representation``, compiled once into prefix-sum rows
-(``_facet_rows``): the redundant necklace inequalities would each keep extra
-prefix sums alive in the counting state.  The closed body, its interior, the
-half-open body and its reciprocal differ only in which of these rows are strict.  Every row bounds
-a cyclic interval sum, so the coordinates may be read from any cut of the
-cycle (``_rotate``); the cost of the DP depends on the cut a hundredfold at
-n = 12-13.  ``_facet_rows`` picks one cut per necklace, the least by an
-estimate of the states the DP holds (``_cut_costs``), and stores the rows
-rotated to it, so every body above and ``upper_tally`` count in that cut.
+``facet_representation``, each an ``IntervalInequality`` until ``_linear``
+makes it a prefix-sum row (``_facet_rows``): the redundant necklace
+inequalities would each keep extra prefix sums alive in the counting state.
+The closed body, its interior, the half-open body and its reciprocal differ
+only in which senses of these rows are strict.  Every row bounds a cyclic
+interval sum, so a cut of the cycle only relabels its block (``_rotate``);
+the cost of the DP depends on the cut a hundredfold at n = 12-13.
+``_facet_rows`` picks one cut per necklace, the least by an estimate of the
+states the DP holds (``_cut_costs``), and keeps the rows relabelled to it,
+so every body above and ``upper_tally`` count in that cut.
 ``lattice_counts`` of any H-representation, and so ``face_hstar`` and the
 sweep's count of ``h_representation``, stays at the first cut, as a reference.
 ``count_to_degree`` counts a body only up to its h*-degree s, which
@@ -63,7 +64,7 @@ dilate, the reference that sees the vanishing coefficient.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
 from .core import _trim
 from .positroid import (
@@ -271,66 +272,61 @@ def _origin_tally(rows: Sequence[LinearRow], tight: Sequence[LinearTightRow]) ->
     return {mask: 1}
 
 
-# A compiled row (a, b, bound, upper, strict, side) bounds z_b - z_a by t * bound
-# at dilate t, from above when ``upper``, else from below, tightened by one if
-# strict.  ``side`` is the sense the row had before any rotation (``_rotate``):
-# it says which of the strict_upper/strict_lower requests of ``_linear`` apply.
-CompiledRow = tuple[int, int, int, bool, bool, bool]
-
-
-def _compile(hrep: HRepresentation) -> tuple[CompiledRow, ...]:
-    """The inequalities of an H-representation as prefix-sum rows, each
-    unwrapped through the sum equality (``IntervalInequality.unwrapped``)."""
-    return tuple((q.start - 1, q.stop - 1, q.bound, q.sense == "<=", q.strict, q.sense == "<=")
-                 for q in (ineq.unwrapped(hrep.r) for ineq in hrep.inequalities))
-
-
-def _linear(n: int, r: int, compiled: Sequence[CompiledRow],
-            strict_upper: bool = False, strict_lower: bool = False) -> list[LinearRow]:
-    """Linear rows of every dilate: the sum equality and every compiled row,
-    with the rows of the upper and/or lower side made strict on request."""
-    rows: list[LinearRow] = [(0, n, (r, 0), (r, 0))]
-    for a, b, bound, upper, strict, side in compiled:
-        strict = strict or (strict_upper if side else strict_lower)
-        rows.append((a, b, (0, -_INF), (bound, -strict)) if upper
-                    else (a, b, (bound, +strict), (0, _INF)))
+def _linear(hrep: HRepresentation, strict: Collection[str] = ()) -> list[LinearRow]:
+    """Linear rows of every dilate: the sum equality and every inequality,
+    unwrapped (``IntervalInequality.unwrapped``), strict where it is or where
+    its sense, read before the unwrapping, is in ``strict``."""
+    rows: list[LinearRow] = [(0, hrep.n, (hrep.r, 0), (hrep.r, 0))]
+    for row in hrep.inequalities:
+        made_strict = row.strict or row.sense in strict
+        q = row.unwrapped(hrep.r)
+        a, b = q.start - 1, q.stop - 1
+        rows.append((a, b, (0, -_INF), (q.bound, -made_strict)) if q.sense == "<="
+                    else (a, b, (q.bound, +made_strict), (0, _INF)))
     return rows
 
 
-def _rotate(n: int, r: int, compiled: Sequence[CompiledRow],
-            cut: int) -> tuple[CompiledRow, ...]:
-    """The same body in the coordinates x_{cut+1}, ..., x_n, x_1, ..., x_cut.
+def _rotate(n: int, rows: Iterable[IntervalInequality], cut: int) -> tuple[IntervalInequality, ...]:
+    """The same rows in the coordinates x_{cut+1}, ..., x_n, x_1, ..., x_cut:
+    each cyclic block is relabelled; sense, bound and strictness stay.  A
+    block that now wraps past x_n, or ends at it, is read as its complement
+    by ``_linear``, so one that ends at x_cut starts at z_0, which the
+    counting state need not hold.  U(2,4)'s upper facet x_1 + x_2 + x_3 <= 2
+    wraps at cut 1 and is read as x_4 >= 0, z_3 - z_2 >= 0 in the new
+    coordinates, strict when "<=" is:
 
-    Every row is a cyclic interval sum, so it stays one; a row that now
-    wraps past the last coordinate, or ends at it, is rewritten through the
-    sum equality as its complementary block, with the bound r - bound and
-    the other sense: a block ending at x_cut becomes one that starts at
-    z_0, which the counting state need not hold.  Strictness and ``side``
-    go with the row.
+    >>> turned = _rotate(4, [IntervalInequality(1, 4, 2, "<=")], 1)
+    >>> turned[0].start, turned[0].stop, turned[0].sense
+    (4, 3, '<=')
+    >>> [_linear(HRepresentation(4, 2, turned), strict)[1] for strict in ({"<="}, {">="})] == [
+    ...     (2, 3, (0, 1), (0, _INF)), (2, 3, (0, 0), (0, _INF))]
+    True
     """
-    return tuple((b - cut, a - cut + n, r - bound, not upper, strict, side) if a < cut <= b
-                 else ((a - cut) % n, (a - cut) % n + b - a, bound, upper, strict, side)
-                 for a, b, bound, upper, strict, side in compiled)
+    return tuple(IntervalInequality((q.start - 1 - cut) % n + 1, (q.stop - 1 - cut) % n + 1,
+                                    q.bound, q.sense, q.strict) for q in rows)
 
 
-def _cut_costs(n: int, r: int, compiled: Sequence[CompiledRow]) -> list[int]:
-    """For each cut s (``_rotate``), an estimate of the states its counting
-    DP holds: the sum over the steps q = 1..n of (t+1)^(|live_q| + 1) at
-    t = n - 2, where live_q are the older prefix sums the DP holds after
-    step q.  ``_facet_rows`` counts in the first cut of least cost.
+def _cut_costs(hrep: HRepresentation) -> list[int]:
+    """For each cut s (``_rotate``) of the facet rows, an estimate of the
+    states its counting DP holds: the sum over the steps q = 1..n of
+    (t+1)^(|live_q| + 1) at t = n - 2, where live_q are the older prefix
+    sums the DP holds after step q.  ``_facet_rows`` takes the first least.
 
-    A row and its complement are two arcs of the cycle of prefix sums, and
-    the cut picks one as ``_rotate`` does; the arc holds its first prefix
-    sum over its length.  The DP skips a row the box implies
-    (``_first_read``), but on facet rows that never changes the cost: such a
-    facet is one coordinate, x_i >= 0 or x_i <= 1, whose arc holds nothing,
-    and whose complement is picked only by the cut that starts it at z_0.
+    A facet and its complement are two arcs of the cycle of prefix sums; the
+    cut picks one as ``_linear`` unwraps the relabelled row, restated here in
+    arithmetic, and the arc holds its first prefix sum over its length.  The
+    DP skips a row the box implies (``_first_read``), but on facets that
+    never changes the cost: such a facet is one coordinate, x_i >= 0 or
+    x_i <= 1, whose arc holds nothing, and whose complement is picked only
+    by the cut that starts it at z_0.
     """
+    n = hrep.n
     t = n - 2
     if t < 1:
         return [0] * n
     weight = [(t + 1) ** (k + 1) for k in range(n)]
-    arcs = [(a, b, (a, b - a), (b % n, n - b + a)) for a, b, *_ in compiled]
+    arcs = [(a, b, (a, b - a), (b % n, n - b + a))
+            for a, b in ((q.start - 1, q.stop - 1) for q in hrep.inequalities)]
     costs = []
     for cut in range(n):
         reach = [0] * n  # reach[p]: the longest arc read from the prefix sum at p
@@ -357,13 +353,13 @@ def lattice_counts(hrep: HRepresentation, tmax: int,
     planned once.
 
     E(t) counts integer x with sum(x) = t*r and 0 <= x_i <= t satisfying every
-    stored inequality scaled by t; strict inequalities tighten to
+    stored inequality scaled by t, as rows of ``_linear``: a strict one is
     f <= t*bound - 1 (resp. >= +1).  ``equalities`` are extra cyclic interval
     equalities (start, stop, value), also scaled by t; they carve faces.
     """
     hrep = hrep._replace(inequalities=(*hrep.inequalities, *(
         IntervalInequality(*equality, sense) for equality in equalities for sense in ("<=", ">="))))
-    plan = _plan(hrep.n, _linear(hrep.n, hrep.r, _compile(hrep)), 1)
+    plan = _plan(hrep.n, _linear(hrep), 1)
     return tuple(sum(_run(plan, t).values()) for t in range(tmax + 1))
 
 
@@ -465,59 +461,57 @@ def upper_tally(necklace: GrassmannNecklace) -> dict[int, list[int]]:
     only (``_face_hstar_from_counts``): h*_{dim F} is 0, as F has no lattice
     point in its relative interior.  So the tally stops at t = n - 3, and
     t = 1, where E_F(1) is checked against F's bases, is counted from n = 3
-    on.  Rows and tight rows both come from ``_facet_rows``, so they are
-    counted in its cut, from one plan.
+    on.  Rows and tight rows (``_upper_marks``) both come from
+    ``_facet_rows``, so they are counted in its cut, from one plan.
 
     >>> from .positroid import validate_necklace
     >>> pyramid = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
     >>> sorted(upper_tally(pyramid).items())  # n = 4: dilates 0 and 1
     [(1, [0, 1]), (3, [0, 1]), (4, [0, 1]), (6, [0, 1]), (7, [1, 1])]
     """
-    n, compiled = necklace.n, necklace.fact(_facet_rows)
-    plan = _plan(n, _linear(n, necklace.rank, compiled), 1, _upper_marks(compiled))
-    top = min(n - 2, max(1, n - 3))  # t = 1 for the E_F(1) check, never past n - 2
-    counts = [_run(plan, t) for t in range(top + 1)]
+    facets = necklace.fact(_facet_rows)
+    plan = _plan(necklace.n, _linear(facets), 1, _upper_marks(facets))
+    counts = [_run(plan, t) for t in range(_last_dilate(necklace.n - 2) + 1)]
     return {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
 
 
-def _upper_marks(compiled: Sequence[CompiledRow]) -> list[LinearTightRow]:
-    """Tight rows of the upper side's rows, z_b - z_a == t * bound, bit i for
-    the i-th: in any cut, the bit of ``upper_tally``."""
-    uppers = [(a, b, bound) for a, b, bound, upper, strict, side in compiled if side]
-    return [(a, b, (bound, 0), 1 << i) for i, (a, b, bound) in enumerate(uppers)]
+def _upper_marks(hrep: HRepresentation) -> list[LinearTightRow]:
+    """Tight rows of the upper (<=) rows, unwrapped, z_b - z_a == t * bound,
+    bit i for the i-th: in any cut, the bit of ``upper_tally``."""
+    uppers = [q.unwrapped(hrep.r) for q in hrep.inequalities if q.sense == "<="]
+    return [(q.start - 1, q.stop - 1, (q.bound, 0), 1 << i) for i, q in enumerate(uppers)]
 
 
-def _facet_rows(necklace: GrassmannNecklace) -> tuple[CompiledRow, ...]:
-    """A connected positroid's compiled ``facet_representation`` in its
+def _facet_rows(necklace: GrassmannNecklace) -> HRepresentation:
+    """A connected positroid's ``facet_representation`` relabelled to its
     cheapest cut (``_cut_costs``), kept once per necklace: every count of
     its closed, interior, half-open and reciprocal bodies (``_body``), and
     of ``upper_tally``, reads it."""
-    n, r = necklace.n, necklace.rank
-    compiled = _compile(necklace.fact(facet_representation))
-    costs = _cut_costs(n, r, compiled)
-    return _rotate(n, r, compiled, costs.index(min(costs)))
+    facets = necklace.fact(facet_representation)
+    costs = _cut_costs(facets)
+    return facets._replace(inequalities=_rotate(
+        facets.n, facets.inequalities, costs.index(min(costs))))
 
 
-def _body(necklace: GrassmannNecklace, strict_upper: bool, strict_lower: bool) -> tuple:
-    """The plan of a connected positroid, its upper and/or lower facets strict."""
-    n = necklace.n
-    return _plan(n, _linear(n, necklace.rank, necklace.fact(_facet_rows),
-                            strict_upper, strict_lower), 1)
+def _body(necklace: GrassmannNecklace, strict: Collection[str]) -> tuple:
+    """The plan of a connected positroid, its facets of the senses in ``strict`` strict."""
+    return _plan(necklace.n, _linear(necklace.fact(_facet_rows), strict), 1)
 
 
 def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> EhrhartPolynomial:
     """Ehrhart polynomial of a connected positroid's closed (or half-open)
     body, from its counts up to its h*-degree s.
 
-    The body is the facets with none (half-open: the upper ones)
-    strict; its reciprocal has exactly the other facets strict.  The
+    The body has no facets strict (half-open: those of sense "<=", the
+    upper ones); its reciprocal has exactly the other facets strict.  The
     codegree c is the least t >= 1 at which the reciprocal has a lattice
     point; then s = d + 1 - c, the counts E(0..s) give h*_0..h*_s, and
     h*_s must equal the reciprocal's count at c (an ArithmeticError
     otherwise).  Each body is planned once (``_body``).
     """
     dim = necklace.n - 1
-    reciprocal = _body(necklace, not half_open, True)
+    removed = {"<="} if half_open else set()
+    reciprocal = _body(necklace, {"<=", ">="} - removed)
     for codegree in range(1, dim + 2):
         if points := sum(_run(reciprocal, codegree).values()):
             break
@@ -525,7 +519,7 @@ def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> Ehr
         raise ArithmeticError(f"the reciprocal body has no lattice point up to dilate "
                               f"{dim + 1}: counting bug")
     degree = dim + 1 - codegree
-    body = _body(necklace, half_open, False)
+    body = _body(necklace, removed)
     hstar = _hstar_head(dim, [sum(_run(body, t).values()) for t in range(degree + 1)])
     if hstar[degree] != points:
         raise ArithmeticError(f"h*_{degree} = {hstar[degree]}, but the reciprocal body has "

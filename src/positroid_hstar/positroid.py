@@ -483,40 +483,30 @@ def dimension_of_bases(masks: frozenset[int], n: int) -> int:
     return _fundamental_union_find(masks, n)[1]
 
 
-def _projected_candidates(hrep: HRepresentation) -> set[tuple[int, int, int, bool]]:
-    """All inequalities rewritten into non-wrapping (lo, hi, bound, upper) form."""
-    n, r = hrep.n, hrep.r
-    cands = set()
-    for i in range(1, n):
-        cands.add((i, i + 1, 0, False))        # x_i >= 0
-    cands.add((1, n, r, True))                 # x_n >= 0
-    for ineq in hrep.inequalities:
-        q = ineq.unwrapped(r)
-        cands.add((q.start, q.stop, q.bound, q.sense == "<="))
-    return cands
-
-
 def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[IntervalInequality, frozenset[int]]:
     """The facets of the projected polytope, each with the bitmasks of its bases.
 
     A facet is a non-strict bound on a block x_lo + ... + x_{hi-1} with
-    1 <= lo < hi <= n, so it never reads x_n.  Candidates come from the
-    necklace inequalities plus nonnegativity; one survives exactly when its
-    tight bases span a face of dimension one less than the polytope (this
-    prunes redundant members of the raw list).  Sorted by (lo, hi, bound,
-    upper), upper meaning the sense <=.
+    1 <= lo < hi <= n, so it never reads x_n.  Candidates are the necklace
+    inequalities and x_i >= 0, each unwrapped (``IntervalInequality.unwrapped``);
+    one survives exactly when its tight bases span a face of dimension one
+    less than the polytope (this prunes redundant members of the raw list).
+    Sorted by (lo, hi, bound, upper), upper meaning the sense <=.
     """
-    n = necklace.n
+    n, r = necklace.n, necklace.rank
     if n == 1:
         return {}
     necklace.require_connected("facet representation")
     masks = necklace.fact(bases_from_necklace).bases
+    rows = (*(IntervalInequality(i, i % n + 1, 0, ">=") for i in range(1, n + 1)),
+            *necklace.fact(h_representation).inequalities)
     faces = {}
-    for lo, hi, bound, upper in sorted(_projected_candidates(necklace.fact(h_representation))):
-        block = (1 << hi) - (1 << lo)  # the bits of x_lo, ..., x_{hi-1}
-        tight = frozenset(b for b in masks if (b & block).bit_count() == bound)
+    for q in sorted({q.unwrapped(r) for q in rows},
+                    key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")):
+        block = (1 << q.stop) - (1 << q.start)  # the bits of x_start, ..., x_{stop-1}
+        tight = frozenset(b for b in masks if (b & block).bit_count() == q.bound)
         if dimension_of_bases(tight, n) == n - 2:
-            faces[IntervalInequality(lo, hi, bound, "<=" if upper else ">=")] = tight
+            faces[q] = tight
     return faces
 
 

@@ -233,7 +233,7 @@ def half_open_profile(necklace):
     """Counts of the half-open polytope at every dilate t = 0..n-1: the
     facets with the upper ones strict.  The reference for
     ``halfopen.hstar_half_open_by_counting``, which stops at the h*-degree."""
-    body = _body(necklace, True, False)
+    body = _body(necklace, {"<="})
     return tuple(sum(_run(body, t).values()) for t in range(necklace.n))
 
 
@@ -275,7 +275,7 @@ def reference_necklace_from_bases(bases):
     return GrassmannNecklace(n, tuple(subsets))
 
 
-def reference_cut_costs(n, r, compiled):
+def reference_cut_costs(hrep):
     """``ehrhart._cut_costs`` in its arc model, which restates the kernel's
     rules by hand.  At any t >= 1 a row on z_b - z_a is read unless the box
     implies it: an upper row's bound is at least b - a, or a lower row's is
@@ -284,11 +284,13 @@ def reference_cut_costs(n, r, compiled):
     neither wraps at the cut nor ends there, so every row offers two arcs,
     each read from its first point, and the cut picks one; z_0 costs
     nothing."""
+    n, r = hrep.n, hrep.r
     t = n - 2
     if t < 1:
         return [0] * n
     arcs = []  # (a, b, the arc read when the cut is not in a+1..b, the arc when it is)
-    for a, b, bound, upper, _, _ in compiled:
+    for q in hrep.inequalities:
+        a, b, bound, upper = q.start - 1, q.stop - 1, q.bound, q.sense == "<="
         length = b - a
         kept = bound < length if upper else bound > 0
         kept_flip = r - bound > 0 if upper else r - bound < n - length

@@ -96,6 +96,29 @@ class TestParsing:
         assert necklace.rank == 0 and necklace.compact() == compact
         assert run(capsys, "verify", f"--input={compact}")[0] == 0
 
+    @pytest.mark.parametrize("text, entry", [
+        ("12,23,,13,14", 3), ("12,23,13,14,", 5), (",12,23,13,14", 1), ("12, ,23,13,14", 2),
+        (",,", 1),
+    ])
+    def test_an_empty_entry_is_named(self, capsys, text, entry):
+        # "-" is the one way to write an empty J_i, so an empty entry is not dropped
+        assert run(capsys, "convert", "--", text) == (
+            2, "", f'error: necklace entry {entry} is empty; write an empty J_i as "-"\n')
+
+    @pytest.mark.parametrize("text", [" 12,23,13,14 ", "12 , 23,13 ,14", "12,23,13,14\n",
+                                      "\t12,23,13,14\n\n"])
+    def test_whitespace_around_entries_is_accepted(self, text):
+        assert cli.parse_compact_necklace(text).compact() == "12,23,13,14"
+
+    def test_a_final_newline_from_a_file_or_stdin_is_accepted(self, capsys, monkeypatch,
+                                                              tmp_path):
+        path = tmp_path / "necklace.txt"
+        path.write_text("12,23,13,14\n")
+        pyramid = [[1, 2], [2, 3], [1, 3], [1, 4]]
+        assert run_json(capsys, "convert", str(path))["necklace"] == pyramid
+        monkeypatch.setattr(sys, "stdin", io.StringIO("12,23,13,14\n"))
+        assert run_json(capsys, "convert", "-")["necklace"] == pyramid
+
     def test_json_necklace(self):
         kind, value = cli.parse_input('{"n": 4, "necklace": [[1,2],[2,3],[1,3],[1,4]]}')
         assert kind == "necklace" and value.n == 4
@@ -812,7 +835,8 @@ class TestExhaustiveWorker:
             f: tight for f, tight in facets(necklace).items() if f != dropped})
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
-        assert detail == "closed profile differs from the full H-representation count"
+        assert detail == ("closed profile differs from the full H-representation count: "
+                          "facet counts (1, 6, 19), full counts (1, 5, 14)")
 
     @pytest.mark.parametrize("hstar", [(1, 2), (1, 1, 1), (1, 1, 0, 1)])
     def test_oracle_counts_are_checked_against_the_full_h_representation(
@@ -824,7 +848,8 @@ class TestExhaustiveWorker:
         monkeypatch.setattr(eh, "_oracle", lambda necklace: eh.EhrhartPolynomial(hstar, 3))
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
-        assert detail == "closed profile differs from the full H-representation count"
+        assert detail == ("closed profile differs from the full H-representation count: "
+                          f"oracle h* {hstar}, counted h* (1, 1)")
 
     def test_the_reference_count_is_checked_against_the_bases(self, monkeypatch):
         # one point too many at t = 1 in the count of the full H-representation
@@ -837,7 +862,22 @@ class TestExhaustiveWorker:
         monkeypatch.setattr(eh, "lattice_counts", one_more)
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
-        assert detail == "closed profile differs from the full H-representation count"
+        assert detail == ("closed profile differs from the full H-representation count: "
+                          "a face with 5 bases has E(1) = 6 lattice points: counting bug")
+
+    def test_the_label_count_is_checked_against_h_star_at_one(self, monkeypatch):
+        # the pyramid has 2 labels and h* = 1 + z; a shelling h* of 1 + 2z is off
+        monkeypatch.setattr(tg, "hstar_from_covers", lambda covers: (1, 2))
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok and detail == "h*(1), |D_J| and normalized volume differ: 3, 2, 2"
+
+    def test_the_half_open_shape_names_the_descents(self, monkeypatch):
+        # both half-open routes agree on 1 + z, whose constant term is not 0
+        routes = cli.hstar_routes
+        monkeypatch.setattr(cli, "hstar_routes", lambda necklace, methods, half_open=False: (
+            {method: [1, 1] for method in methods} if half_open else routes(necklace, methods)))
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok and detail == "half-open h* shape is wrong: descents [1, 1]"
 
     def test_labels_are_checked_against_the_basis_reference(self, monkeypatch):
         search = tg.enumerate_labels

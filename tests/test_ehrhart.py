@@ -378,7 +378,7 @@ class TestOriginTally:
         for necklace in connected_through(7):
             if necklace.n > 6:
                 continue
-            upper, *bodies = TestCuts.bodies(necklace, necklace.fact(eh._facet_rows), 0)
+            upper, *bodies = TestCuts.bodies(necklace.fact(eh._facet_rows), 0)
             for args in (upper, upper[:3], *bodies):
                 histogram = one_box_tally(*args)
                 assert histogram == reference_tally(*args), (necklace.compact(), args)
@@ -609,13 +609,13 @@ def disconnected_up_to(max_n):
 
 def faulty_bodies(monkeypatch, picked, fault):
     """Make the per-dilate run ``eh._run`` count ``fault(points)`` points at
-    every dilate of each body ``eh._body(necklace, strict_upper,
-    strict_lower)`` plans where ``picked(strict_upper, strict_lower)``."""
+    every dilate of each body ``eh._body(necklace, strict)`` plans where
+    ``picked(strict)``, ``strict`` the senses of the facets made strict."""
     body, run, faulty = eh._body, eh._run, []
 
-    def planning(necklace, strict_upper, strict_lower):
-        plan = body(necklace, strict_upper, strict_lower)
-        if picked(strict_upper, strict_lower):
+    def planning(necklace, strict):
+        plan = body(necklace, strict)
+        if picked(strict):
             faulty.append(plan)
         return plan
 
@@ -657,14 +657,14 @@ class TestCountToDegree:
         assert dilates == [1, 2, 3, 0, 1, 2]
 
     def test_an_interior_count_off_by_one_is_caught(self, monkeypatch):
-        faulty_bodies(monkeypatch, lambda upper, lower: upper and lower,
+        faulty_bodies(monkeypatch, lambda strict: strict == {"<=", ">="},
                       lambda points: points + bool(points))
         for necklace in (PYRAMID, PRISM, UNIFORM25):
             with pytest.raises(ArithmeticError, match="reciprocal body"):
                 count_to_degree(validate_necklace(necklace.subsets))
 
     def test_a_body_without_interior_points_is_caught(self, monkeypatch):
-        faulty_bodies(monkeypatch, lambda upper, lower: lower, lambda points: 0)
+        faulty_bodies(monkeypatch, lambda strict: ">=" in strict, lambda points: 0)
         with pytest.raises(ArithmeticError, match="no lattice point up to dilate 5"):
             count_to_degree(validate_necklace(PRISM.subsets))
 
@@ -704,23 +704,26 @@ class TestCuts:
     """Every cut of the cycle counts the same body (``ehrhart._rotate``)."""
 
     @staticmethod
-    def bodies(necklace, compiled, t):
+    def bodies(facets, t):
         """``one_box_tally`` arguments of the t-th dilate of the upper tally, the
         closed body, its interior, the half-open body and its reciprocal."""
-        n, r = necklace.n, necklace.rank
-        return [(n, dilated(eh._linear(n, r, compiled), t), t,
-                 dilated(eh._upper_marks(compiled), t)),
-                *((n, dilated(eh._linear(n, r, compiled, upper, lower), t), t) for upper, lower
-                  in ((False, False), (True, True), (True, False), (False, True)))]
+        n = facets.n
+        return [(n, dilated(eh._linear(facets), t), t, dilated(eh._upper_marks(facets), t)),
+                *((n, dilated(eh._linear(facets, strict), t), t)
+                  for strict in ((), {"<=", ">="}, {"<="}, {">="}))]
+
+    @staticmethod
+    def turned(facets, cut):
+        """The H-representation with its rows relabelled to the cut (``eh._rotate``)."""
+        return facets._replace(inequalities=eh._rotate(facets.n, facets.inequalities, cut))
 
     def check_every_cut(self, necklace, picked=range(5)):
         """Each picked body's histogram at every cut equals the one at cut 0."""
-        n, r = necklace.n, necklace.rank
-        compiled = eh._compile(necklace.fact(facet_representation))
-        bodies = self.bodies(necklace, compiled, 2)
+        facets = necklace.fact(facet_representation)
+        bodies = self.bodies(facets, 2)
         reference = {k: one_box_tally(*bodies[k]) for k in picked}
-        for cut in range(1, n):
-            bodies = self.bodies(necklace, eh._rotate(n, r, compiled, cut), 2)
+        for cut in range(1, necklace.n):
+            bodies = self.bodies(self.turned(facets, cut), 2)
             for k in picked:
                 assert one_box_tally(*bodies[k]) == reference[k], (necklace.compact(), cut, k)
 
@@ -744,20 +747,29 @@ class TestCuts:
 
     def test_a_wrapped_facet_keeps_its_side(self):
         # U(2,4) cut at 1: its upper facet x_1 + x_2 + x_3 <= 2 wraps, so it
-        # becomes the lower row x_4 >= 0, which the half-open body makes strict
-        rows = eh._compile(facet_representation(uniform(2, 4)))
-        k = rows.index((0, 3, 2, True, False, True))
-        turned = eh._rotate(4, 2, rows, 1)
-        assert turned[k] == (2, 3, 0, False, False, True)
-        assert eh._linear(4, 2, turned, True, False)[1 + k] == (2, 3, (0, 1), (0, eh._INF))
-        assert eh._linear(4, 2, turned, False, True)[1 + k] == (2, 3, (0, 0), (0, eh._INF))
+        # is read as the lower row x_4 >= 0, which the half-open body makes strict
+        facets = facet_representation(uniform(2, 4))
+        k = facets.inequalities.index(IntervalInequality(1, 4, 2, "<="))
+        turned = self.turned(facets, 1)
+        assert turned.inequalities[k] == IntervalInequality(4, 3, 2, "<=")
+        assert turned.inequalities[k].unwrapped(2) == IntervalInequality(3, 4, 0, ">=")
+        assert eh._linear(turned, {"<="})[1 + k] == (2, 3, (0, 1), (0, eh._INF))
+        assert eh._linear(turned, {">="})[1 + k] == (2, 3, (0, 0), (0, eh._INF))
+
+    def test_every_cut_makes_the_facets_of_the_strict_senses_strict(self):
+        # the counts cannot show it: with the "<=" rows of the relabelled frame
+        # strict, the half-open body counts alike at every cut checked above
+        for necklace in connected_through(7):
+            facets = necklace.fact(facet_representation)
+            for cut, strict in itertools.product(range(necklace.n), ((), {"<="}, {">="})):
+                rows = eh._linear(self.turned(facets, cut), strict)[1:]
+                assert [lo[1] == 1 or hi[1] == -1 for _, _, lo, hi in rows] == \
+                    [q.sense in strict for q in facets.inequalities], (necklace.compact(), cut)
 
     def test_cut_costs_equal_the_arc_model_up_to_n7(self):
         for necklace in connected_through(7):
-            n, r = necklace.n, necklace.rank
-            compiled = eh._compile(necklace.fact(facet_representation))
-            assert eh._cut_costs(n, r, compiled) == reference_cut_costs(n, r, compiled), \
-                necklace.compact()
+            facets = necklace.fact(facet_representation)
+            assert eh._cut_costs(facets) == reference_cut_costs(facets), necklace.compact()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_cut_costs_equal_the_arc_model_on_n11_to_13_draws(self, seed):
@@ -766,23 +778,21 @@ class TestCuts:
             while not necklace_connected(necklace := necklace_from_decorated(
                     DecoratedPermutation(tuple(rng.sample(range(1, n + 1), n))))):
                 pass
-            compiled = eh._compile(necklace.fact(facet_representation))
-            assert eh._cut_costs(n, necklace.rank, compiled) == \
-                reference_cut_costs(n, necklace.rank, compiled), necklace.subsets
+            facets = necklace.fact(facet_representation)
+            assert eh._cut_costs(facets) == reference_cut_costs(facets), necklace.subsets
 
     def test_every_rotation_gives_one_hstar_each_in_its_own_cut(self):
         n = len(SEED5_RAND12)
-        first = eh._cut_costs(n, 5, eh._compile(
-            facet_representation(validate_necklace(SEED5_RAND12))))
+        first = eh._cut_costs(facet_representation(validate_necklace(SEED5_RAND12)))
         hstars, cuts, turned_back = set(), set(), set()
         for shift in range(n):
             necklace = rotated(SEED5_RAND12, shift)
-            compiled = eh._compile(necklace.fact(facet_representation))
-            costs = eh._cut_costs(n, necklace.rank, compiled)
+            facets = necklace.fact(facet_representation)
+            costs = eh._cut_costs(facets)
             # the estimate turns with the body: cut s here is cut s - shift there
             assert costs == first[-shift:] + first[:-shift]
             cut = costs.index(min(costs))
-            assert necklace.fact(eh._facet_rows) == eh._rotate(n, necklace.rank, compiled, cut)
+            assert necklace.fact(eh._facet_rows) == self.turned(facets, cut)
             cuts.add(cut)
             turned_back.add((cut - shift) % n)
             hstars.add(count_to_degree(necklace).hstar)

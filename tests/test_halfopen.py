@@ -30,7 +30,6 @@ from positroid_hstar.positroid import (
     DecoratedPermutation,
     HRepresentation,
     IntervalInequality,
-    _projected_candidates,
     bases_from_necklace,
     dimension_of_bases,
     facet_representation,
@@ -114,11 +113,20 @@ class TestCanonicalFacets:
 
 
 def tight_vertex_sets(necklace):
-    """Each candidate facet's tight vertices e_B, all n coordinates."""
+    """Each candidate facet's tight vertices e_B, all n coordinates.  The
+    candidates, as (lo, hi, bound, upper): x_i >= 0 and the necklace
+    inequalities, each on a block x_lo + ... + x_{hi-1} that does not wrap
+    (x_n >= 0 is x_1 + ... + x_{n-1} <= r), in the order of
+    ``_facet_vertex_sets``."""
+    n, r = necklace.n, necklace.rank
+    candidates = {(i, i + 1, 0, False) for i in range(1, n)} | {(1, n, r, True)}
+    for q in h_representation(necklace).inequalities:
+        candidates.add((q.start, q.stop, q.bound, q.sense == "<=") if q.start < q.stop
+                       else (q.stop, q.start, r - q.bound, q.sense == ">="))
     verts = vertices(bases_from_necklace(necklace))
     return {IntervalInequality(lo, hi, bound, "<=" if upper else ">="):
             [v for v in verts if sum(v[lo - 1:hi - 1]) == bound]
-            for lo, hi, bound, upper in sorted(_projected_candidates(h_representation(necklace)))}
+            for lo, hi, bound, upper in sorted(candidates)}
 
 
 def masks_of(verts):
@@ -203,7 +211,7 @@ class TestHalfOpenReciprocity:
             assert (codegree, points) == (dim + 1 - degree, got.hstar[-1]), necklace.compact()
 
     def test_a_reciprocal_count_off_by_one_is_caught(self, monkeypatch):
-        faulty_bodies(monkeypatch, lambda upper, lower: lower and not upper,
+        faulty_bodies(monkeypatch, lambda strict: strict == {">="},
                       lambda points: points + bool(points))
         for necklace in (PYRAMID, PRISM, UNIFORM25):
             with pytest.raises(ArithmeticError, match="reciprocal body"):
@@ -335,10 +343,9 @@ class TestFacePoset:
 def dilate_histograms(necklace):
     """Per dilate t of ``tally_dilates``, the points of tP by their mask of
     tight upper facets: the histograms that ``upper_tally`` merges."""
-    n, r = necklace.n, necklace.rank
-    compiled = necklace.fact(eh._facet_rows)
-    return [one_box_tally(n, dilated(eh._linear(n, r, compiled), t), t,
-                          dilated(eh._upper_marks(compiled), t)) for t in tally_dilates(n)]
+    facets = necklace.fact(eh._facet_rows)
+    return [one_box_tally(necklace.n, dilated(eh._linear(facets), t), t,
+                          dilated(eh._upper_marks(facets), t)) for t in tally_dilates(necklace.n)]
 
 
 def tight_upper_mask(basis, uppers):

@@ -123,6 +123,19 @@ def test_one_form_of_a_facet_a_face_and_a_basis():
     assert type(tr.positroid_from_subdivision(SQUARE_TAU)) is po.GrassmannNecklace
 
 
+def test_one_form_of_a_counting_row():
+    # a facet row stays an IntervalInequality until ehrhart._linear makes it
+    # a linear row, IntervalInequality.unwrapped is its one complement rule,
+    # and a counted body names the senses it makes strict
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        for name in ("_compile", "CompiledRow", "_projected_candidates"):
+            assert not hasattr(home, name), (module.name, name)
+    for function in (eh._linear, eh._body):
+        parameters = inspect.signature(function).parameters
+        assert not {"strict_upper", "strict_lower"} & set(parameters), function.__name__
+
+
 def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
     # an Ehrhart polynomial is its h* and dimension; the Lagrange form is the
     # tests' reference (references.reference_interpolate)
