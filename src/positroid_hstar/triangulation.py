@@ -14,16 +14,16 @@ circuit table their basis filter read (`Labels`).
 
 Every wall of a label simplex is read off its word: the wall opposite
 circuit vertex p bounds the block sum between the letters w_p and w_(p+1)
-(Lam-Postnikov alcoves in prefix-sum coordinates), and is asserted on the
-simplex's vertices.  Ordering the labels by distance from any base label
-shells the triangulation, and cover(w), the number of walls of w's alcove
-whose hyperplane separates it from the base alcove, counts the facets glued
-to earlier simplices; counting the labels by cover gives the h*-vector,
-a tuple of ints (`wall_covers`, `hstar_shelling`).  A label's walls and
-its alcove depend on its word alone, not on the base or the positroid, so
-`_walls` and `_alcove` keep them in bounded memos (`_WORDS_KEPT`): a
-batch derives and asserts each word's once, however many bases score it
-and however many positroids have it as a label.
+(Lam-Postnikov alcoves in prefix-sum coordinates), and `simplex_facets`
+asserts it on the simplex's vertices.  Ordering the labels by distance from
+any base label shells the triangulation, and cover(w), the number of walls
+of w's alcove that separate it from the base alcove, counts the facets
+glued to earlier simplices.  It is the number of cyclic descents of w's
+window read against the base alcove, so `wall_covers` reads no wall;
+counting the labels by cover gives the h*-vector, a tuple of ints
+(`hstar_shelling`).  A label's alcove depends on its word alone, so
+`_alcove` keeps it in a bounded memo (`_WORDS_KEPT`): a batch derives and
+asserts each word's once, however many positroids have it as a label.
 
 The dual graph (two simplices share a facet exactly when the cycles differ
 by one adjacent transposition of non-cyclically-adjacent values) and its
@@ -168,7 +168,7 @@ def simplex_facets(word: Sequence[int]) -> HRepresentation:
     between the letters a = w_p and b = w_(p+1) (cyclically), that is
     x_min(a,b) + ... + x_(max(a,b)-1), at its value at the next circuit
     vertex; `_wall` asserts it on the vertices.  Facets are listed in
-    circuit order (entry p is opposite vertex p).
+    circuit order (entry p is opposite vertex p); a one-point simplex has none.
 
     >>> for q in simplex_facets((3, 2, 4, 1, 5)).inequalities:
     ...     print(q.start, q.stop, q.sense, q.bound)
@@ -179,9 +179,10 @@ def simplex_facets(word: Sequence[int]) -> HRepresentation:
     3 5 <= 1
     """
     word = label_word(word)
+    n, z = len(word), _z_vertices(word)
     inequalities = [IntervalInequality(lo + 1, hi + 1, m, "<=" if at_p < m else ">=")
-                    for lo, hi, m, at_p in _walls(word)]
-    return HRepresentation(len(word), circuit_masks(word)[0].bit_count(), tuple(inequalities))
+                    for lo, hi, m, at_p in (_wall(word, z, p) for p in range(n if n > 1 else 0))]
+    return HRepresentation(n, circuit_masks(word)[0].bit_count(), tuple(inequalities))
 
 
 def _descent_prefix(word: Word) -> list[int]:
@@ -407,45 +408,33 @@ def shelling_poset(graph: TriangulationGraph, base: Sequence[int]) -> ShellingPo
     return ShellingPoset(base, dict(zip(words, dist)), dict(zip(words, cover)))
 
 
-Walls = tuple[tuple[int, int, int, int], ...]  # (lo, hi, m, at_p) per circuit vertex
-
-# The words whose walls, and whose alcoves, are kept: every word with n <= 7
-# (874) and most of the 5,040 with n = 8.  A walls entry takes about 1 kB.
-_WORDS_KEPT = 4096
-
-
-@functools.lru_cache(maxsize=_WORDS_KEPT)
-def _walls(word: Word) -> Walls:
-    """The label's walls (lo, hi, m, at_p) in circuit order, read by `_wall`
-    (asserted on the word's first request; a failed assertion is not kept).
-    A one-point simplex has no walls."""
-    n = len(word)
-    z = _z_vertices(word)
-    return tuple(_wall(word, z, p) for p in range(n if n > 1 else 0))
-
-
 def wall_covers(labels: Sequence[Word], base: Sequence[int]) -> dict[Word, int]:
     """cover(w) of every label: the walls of its alcove that separate it from the base's.
 
-    With floor[lo][hi] the least value of z_hi - z_lo on the base alcove,
-    the wall z_hi - z_lo = m of a label (`_wall`, asserted) separates it
-    from the base alcove when floor >= m if the label lies below the wall
-    (at_p < m), and when floor < m if it lies above.  A separating wall is
-    never on the boundary of the polytope, which is convex and holds the
-    base alcove, so it is glued to a label closer to the base; the counts
-    equal the BFS covers of `shelling_poset` (Lam-Postnikov, "Alcoved
-    polytopes II"), which `verify` checks.  The walls do not depend on the
-    base, so scoring many bases reads each label's walls once (`_walls`).
+    With g the label's alcove and g0 the base's, those walls are the right
+    descents of g0^-1 g (Bjorner-Brenti, "Combinatorics of Coxeter Groups",
+    ch. 8; Lam-Postnikov, "Alcoved polytopes II"): the p in 1..n where its
+    window x has x_p > x_(p+1), with x_(n+1) = x_1 + n.  By `_alcove`'s
+    formula that window is x_p = inverse[w_p - 1] - n*z0_(w_p - 1) up to a
+    constant shift (`_inverse_window`, z0 the label's `_descent_prefix`), so
+    no wall is read.  A separating wall is never on the boundary of the
+    polytope, which holds the base alcove, so it is glued to a label closer
+    to the base: the counts equal the BFS covers of `shelling_poset`, which
+    `verify` checks.
     """
     base = tuple(base)
     if base not in labels:
         raise ValueError(f"{base} is not a label of the graph")
     n = len(base)
-    z0 = _z_vertices(label_word(base))
-    floor = [[min(v[hi] - v[lo] for v in z0) for hi in range(n)] for lo in range(n)]
-    return {w: sum(floor[lo][hi] >= m if at_p < m else floor[lo][hi] < m
-                   for lo, hi, m, at_p in _walls(w))
-            for w in map(label_word, labels)}
+    inverse = _inverse_window(label_word(base))
+    covers = {}
+    for w in map(label_word, labels):
+        if len(w) != n:
+            raise ValueError("labels have mixed ground-set sizes")
+        z0 = _descent_prefix(w)
+        x = [inverse[a - 1] - n * z0[a - 1] for a in w]
+        covers[w] = sum(map(int.__gt__, x, x[1:] + [x[0] + n]))
+    return covers
 
 
 def hstar_from_covers(cover: Mapping[Word, int]) -> tuple[int, ...]:
@@ -484,10 +473,14 @@ def window_length(window: Window) -> int:
     return sum([abs((b - a) // n) for a, b in itertools.combinations(window, 2)])
 
 
+# Alcoves kept: every word with n <= 7 (874) and most of the 5,040 with n = 8.
+_WORDS_KEPT = 4096
+
+
 @functools.lru_cache(maxsize=_WORDS_KEPT)
 def _alcove(word: Word) -> Window:
     """The alcove of a label's simplex, as the window g of an affine map,
-    kept per word like `_walls`.
+    kept per word (`_WORDS_KEPT`).
 
     With c_j the sum of z_j over the circuit vertices (n times the centroid)
     and k_j = -floor(c_j / n), the indices j sorted by c_j + n*k_j give
@@ -524,6 +517,15 @@ def _alcove(word: Word) -> Window:
     return tuple(g)
 
 
+def _inverse_window(base: Word) -> list[int]:
+    """The window of g0^-1, g0 the base label's alcove (`_alcove`)."""
+    n = len(base)
+    inverse = [0] * n
+    for r, a in enumerate(_alcove(base)):
+        inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
+    return inverse
+
+
 class AffineLabelingReport(NamedTuple):
     """Result of the affine-window consistency check on a triangulation graph;
     ``windows`` is keyed by word in the order of the graph's ``words``."""
@@ -550,9 +552,7 @@ def affine_consistency_check(graph: TriangulationGraph,
     """
     n = len(poset.base)
     words = graph.words
-    inverse = [0] * n  # the window of g0^-1
-    for r, a in enumerate(_alcove(poset.base)):
-        inverse[(a - 1) % n] = r + 1 - n * ((a - 1) // n)
+    inverse = _inverse_window(poset.base)
     windows, shifts = [], []
     for word in words:
         relative = [inverse[(a - 1) % n] + n * ((a - 1) // n) for a in _alcove(word)]

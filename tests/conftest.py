@@ -11,13 +11,13 @@ from positroid_hstar import triangulation as tg  # noqa: E402
 
 def forget_words():
     """Empty the per-word memos of `triangulation`.  A test that patches what
-    they read (`_z_vertices`, `_descent_prefix`, `_wall`) calls it after
-    patching, so that a word cached before the patch is derived again."""
-    for memo in (tg._walls, tg._alcove, tg._every_word):
+    they read (`_z_vertices`, `_descent_prefix`) calls it after patching, so
+    that a word cached before the patch is derived again."""
+    for memo in (tg._alcove, tg._every_word):
         memo.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_word_memos():
-    """Each test starts with no word's walls, alcove or reference table kept."""
+    """Each test starts with no word's alcove or reference table kept."""
     forget_words()

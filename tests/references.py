@@ -400,6 +400,21 @@ def reference_alcove(word):
     return tuple(g)
 
 
+def reference_wall_covers(facets, base):
+    """``triangulation.wall_covers`` wall by wall.  ``facets`` maps each label
+    to its ``simplex_facets`` (one wall z_hi - z_lo = m per circuit vertex,
+    asserted), which do not depend on the base.  With floor[lo][hi] the least
+    value of z_hi - z_lo on the base alcove, a wall separates its label from
+    the base alcove when floor >= m if the label lies below it (sense "<="),
+    and when floor < m if it lies above."""
+    n = len(base)
+    z0 = tg._z_vertices(label_word(base))
+    floor = [[min(v[hi] - v[lo] for v in z0) for hi in range(n)] for lo in range(n)]
+    return {w: sum(floor[q.start - 1][q.stop - 1] >= q.bound if q.sense == "<="
+                   else floor[q.start - 1][q.stop - 1] < q.bound for q in hrep.inequalities)
+            for w, hrep in facets.items()}
+
+
 def window_times_s(window, i):
     """Right multiplication by the simple affine transposition with index i.
 

@@ -161,11 +161,13 @@ def test_no_module_binds_a_second_form_of_a_count():
 
 
 def test_no_module_binds_a_second_table_of_walls():
-    # a label's walls are kept per word (triangulation._walls), so wall_covers
-    # takes the labels alone and no module builds a walls table of its own
+    # wall_covers counts the descents of the label windows and reads no wall,
+    # so it takes the labels alone, no module builds a walls table of its own
+    # and triangulation keeps no walls memo
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
         assert not hasattr(home, "label_walls"), module.name
+    assert not hasattr(getattr(tg, "_walls", None), "cache_info")
     assert list(inspect.signature(tg.wall_covers).parameters) == ["labels", "base"]
 
 

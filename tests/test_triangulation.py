@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import random
@@ -41,6 +40,7 @@ from references import (
     reference_affine_consistency_check,
     reference_alcove,
     reference_build_graph,
+    reference_wall_covers,
     window_times_s,
 )
 from test_ehrhart import connected_through
@@ -75,8 +75,8 @@ def prefix_vertices(circuit):
 
 def inject_vertices(monkeypatch, word, circuit):
     """Make `tg._z_vertices` read ``circuit`` (subsets, in circuit order) as
-    the simplex of ``word``, in prefix sums, with no word's walls or alcove
-    kept from before."""
+    the simplex of ``word``, in prefix sums, with no word's alcove kept from
+    before."""
     z, original = prefix_vertices(circuit), tg._z_vertices
     monkeypatch.setattr(tg, "_z_vertices",
                         lambda w, *z0: z if w == word else original(w, *z0))
@@ -392,7 +392,7 @@ class TestShelling:
         circuit = circuit_subsets((1, 3, 2, 4))
         inject_vertices(monkeypatch, (1, 3, 2, 4), [circuit[i] for i in order])
         with pytest.raises(AssertionError, match=r"wall of \(1, 3, 2, 4\) opposite vertex 0"):
-            tg._walls((1, 3, 2, 4))
+            simplex_facets((1, 3, 2, 4))
 
     @pytest.mark.parametrize("necklace", [PRISM, UNIFORM25])
     def test_one_wall_table_scores_every_base(self, necklace):
@@ -401,8 +401,21 @@ class TestShelling:
         for w in graph.words:
             assert wall_covers(labels, w) == shelling_poset(graph, w).cover
         point = (1,)
-        assert tg._walls(point) == ()
+        assert simplex_facets(point).inequalities == ()
         assert wall_covers([point], point) == {point: 0}
+
+    def test_labels_of_mixed_length_are_rejected(self):
+        for labels in ([(1, 2, 3), (2, 1, 3, 4), (1, 3, 2, 4)], [(2, 1, 3, 4), (1, 2, 3, 4, 5)]):
+            with pytest.raises(ValueError, match="labels have mixed ground-set sizes"):
+                wall_covers(labels, (2, 1, 3, 4))
+
+    def test_the_shelling_route_reads_no_wall_and_one_alcove(self, monkeypatch):
+        # the covers are read off the label windows against the base alcove,
+        # so a cold query derives the base's alcove alone and asserts no wall
+        reads = []
+        monkeypatch.setattr(tg, "_wall", lambda *args: reads.append(args[0]))
+        assert hstar_shelling(UNIFORM48) == (1, 62, 575, 1140, 575, 62, 1)
+        assert reads == [] and tg._alcove.cache_info().misses == 1
 
     def test_base_has_cover_zero(self):
         graph = build_graph(enumerate_labels(UNIFORM25))
@@ -444,9 +457,9 @@ class TestShelling:
 
 
 class TestWordMemos:
-    """A label's walls and alcove depend on its word alone, so a batch
-    derives each word's once (`tg._walls`, `tg._alcove`), and the reference
-    table of each n is built once however the batch interleaves n."""
+    """A label's alcove depends on its word alone, so a batch derives each
+    word's once (`tg._alcove`), and the reference table of each n is built
+    once however the batch interleaves n."""
 
     def test_a_shuffled_sweep_derives_each_word_once(self, monkeypatch):
         payloads = [tuple(tuple(sorted(s)) for s in necklace.subsets)
@@ -458,18 +471,16 @@ class TestWordMemos:
         forget_words()
         assert all(_exhaustive_worker(p)[1] for p in payloads)
         assert len(payloads) == 252
-        # the 153 words w with w_n = n for 2 <= n <= 6 are all labels; each
-        # word's n walls are read once, and the one-point simplex has none
-        counts = collections.Counter(reads)
-        assert len(counts) == 153 and all(c == len(w) for w, c in counts.items())
-        assert len(reads) == sum(n * math.factorial(n - 1) for n in range(2, 7)) == 872
+        # the covers read no wall; the 154 words w with w_n = n for n <= 6 are
+        # all labels, and each word's alcove is derived once
+        assert reads == []
         assert tg._alcove.cache_info().misses == tg._alcove.cache_info().currsize == 154
         assert tg._every_word.cache_info().misses == 5  # n = 2..6
 
-    @pytest.mark.parametrize("memo", [tg._walls, tg._alcove], ids=["walls", "alcove"])
-    def test_a_memo_keeps_a_bounded_number_of_words(self, memo):
+    def test_a_memo_keeps_a_bounded_number_of_words(self):
         # every word with n <= 7 and most of n = 8; past the bound the least
         # recently read words go
+        memo = tg._alcove
         assert memo.cache_info().maxsize == tg._WORDS_KEPT == 4096
         assert sum(math.factorial(n - 1) for n in range(1, 8)) < 4096 < math.factorial(7)
         words = [head + (n,) for n in (7, 8) for head in itertools.permutations(range(1, n))]
@@ -482,28 +493,30 @@ class TestWordMemos:
 
     def test_a_fault_injected_after_a_word_is_cached_is_caught_once_forgotten(
             self, monkeypatch):
-        # 1324 with its vertex 0 moved off the wall opposite it, and 2134
-        # with a vertex inside its window; both words are cached first
+        # 2134 with a vertex inside its window, cached first; and 1324 with
+        # its vertex 0 moved off the wall opposite it, whose walls no memo keeps
         word, other = (1, 3, 2, 4), (2, 1, 3, 4)
-        walls, alcove = tg._walls(word), tg._alcove(other)
+        simplex_facets(word)
+        alcove = tg._alcove(other)
         circuit = circuit_subsets(word)
         faulty = {word: prefix_vertices([circuit[i] for i in (1, 0, 2, 3)]),
                   other: prefix_vertices(({1, 2}, {1, 3}, {1, 4}, {3, 4}))}
         original = tg._z_vertices
         monkeypatch.setattr(tg, "_z_vertices",
                             lambda w, *z0: faulty.get(w) or original(w, *z0))
-        # the memos answer from before the fault, as in a batch ...
-        assert tg._walls(word) == walls and tg._alcove(other) == alcove
-        # ... and once they are emptied, as before each test, the fault shows
-        forget_words()
+        # a wall fault shows on the next call ...
         with pytest.raises(AssertionError, match=r"wall of \(1, 3, 2, 4\) opposite vertex 0"):
-            tg._walls(word)
+            simplex_facets(word)
+        # ... the alcove memo answers from before the fault, as in a batch,
+        # and once it is emptied, as before each test, the fault shows
+        assert tg._alcove(other) == alcove
+        forget_words()
         with pytest.raises(AssertionError, match=r"not the alcove \[2, 5, 3, 4\]"):
             tg._alcove(other)
         # a failed assertion is not kept: the word fails again
         with pytest.raises(AssertionError):
-            tg._walls(word)
-        assert tg._walls.cache_info().currsize == tg._alcove.cache_info().currsize == 0
+            tg._alcove(other)
+        assert tg._alcove.cache_info().currsize == 0
 
 
 class TestLabelPartition:
@@ -570,15 +583,21 @@ class TestAffineLabeling:
 
     def test_cover_counts_the_cyclic_window_descents(self):
         # cover(w) = #{i in 1..n : win(i) > win(i+1)} with win(n+1) = win(1) + n,
-        # and it is the number of walls separating w's alcove from the base's
+        # and it is the number of walls separating w's alcove from the base's,
+        # which the reference counts wall by wall on every base; at n = 6 the
+        # BFS and the affine check run from the first base only
         for n in range(2, 7):
             for necklace in connected_necklaces(n):
                 labels = enumerate_labels(necklace)
                 graph = build_graph(labels)
-                for base in graph.words if n <= 5 else graph.words[:1]:
+                facets = {w: simplex_facets(w) for w in labels}
+                for base in graph.words:
+                    walls = wall_covers(labels, base)
+                    assert walls == reference_wall_covers(facets, base), (necklace.compact(), base)
+                    if n == 6 and base != graph.words[0]:
+                        continue
                     poset = shelling_poset(graph, base)
                     report = affine_consistency_check(graph, poset)
-                    walls = wall_covers(labels, base)
                     for w, win in report.windows.items():
                         cyclic = win + (win[0] + n,)
                         descents = sum(cyclic[i] > cyclic[i + 1] for i in range(n))
