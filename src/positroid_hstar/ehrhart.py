@@ -28,10 +28,11 @@ its bases as its only lattice points at t = 1, none in its relative
 interior, so h*_{dim F}(F) = 0 by reciprocity, and E_F(0..dim F - 1) fix
 its h* (``_face_hstar_from_counts``, which checks E_F(1) against the bases).
 
-A connected positroid is counted from its irredundant facets, the rows of
-``facet_representation``, each an ``IntervalInequality`` until ``_linear``
-makes it a prefix-sum row (``_facet_rows``): the redundant necklace
-inequalities would each keep extra prefix sums alive in the counting state.
+A connected positroid is counted, with no bases derived, from its
+irredundant facets, the rows of ``facet_representation``, each an
+``IntervalInequality`` until ``_linear`` makes it a prefix-sum row
+(``_facet_rows``): the redundant necklace inequalities would each keep
+extra prefix sums alive in the counting state.
 The closed body, its interior, the half-open body and its reciprocal differ
 only in which senses of these rows are strict.  Every row bounds a cyclic
 interval sum, so a cut of the cycle only relabels its block (``_rotate``);

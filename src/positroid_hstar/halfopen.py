@@ -11,7 +11,7 @@ upper facets, in integer arithmetic on the h*-vectors (tuples of ints).
 A face is the set of its bases as bitmasks, so an intersection is a set
 intersection, and its dimension is read off its matroid's connected
 components (``positroid.dimension_of_bases``); the upper facets that hold
-it are one bitmask too, bit i for upper facet i.
+it are one bitmask too, bit i for upper facet i, whose bases are those on its row.
 Each face's counts are read off one lattice count of the closed body per
 dilate, tallied by the upper facets each point lies on
 (``ehrhart.upper_tally``); the faces are not counted one by one.  A face F
@@ -35,9 +35,9 @@ from .ehrhart import (
 from .positroid import (
     GrassmannNecklace,
     IntervalInequality,
-    _facet_vertex_sets,
     bases_from_necklace,
     dimension_of_bases,
+    facet_representation,
 )
 from .triangulation import enumerate_labels
 
@@ -90,10 +90,11 @@ class FacePoset(NamedTuple):
 
 def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     """Distinct nonempty intersections of upper facets with P, ordered by inclusion."""
-    faces = necklace.fact(_facet_vertex_sets)
-    uppers = tuple(f for f in faces if f.sense == "<=")
-    tight = [faces[f] for f in uppers]
+    uppers = tuple(f for f in necklace.fact(facet_representation).inequalities if f.sense == "<=")
     all_vertices = necklace.fact(bases_from_necklace).bases
+    tight = [frozenset(b for b in all_vertices  # x_start + ... + x_(stop-1) = bound
+                       if (b & (1 << f.stop) - (1 << f.start)).bit_count() == f.bound)
+             for f in uppers]
     generators = {all_vertices: 0}  # each face found -> the upper facets that hold it
     queue = [all_vertices]
     while queue:

@@ -18,11 +18,12 @@ and direct-sum decomposition, and produces two H-representations of the
 polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
 necklace (``h_representation``), and for a connected positroid its
 irredundant facets, each an ``IntervalInequality`` row on a block that
-never reads x_n (``facet_representation``).
+never reads x_n, read off a shortest-path closure of the necklace with no
+bases (``facet_representation``).
 Bases are bitmasks, bit k for element k: ``PositroidBases`` holds them so,
 and so does every face.  A face is the polytope of a matroid, whose
 dimension (``dimension_of_bases``) is n minus the number of connected
-components, so facets need no linear algebra.
+components, so faces need no linear algebra.
 """
 
 from __future__ import annotations
@@ -483,38 +484,35 @@ def dimension_of_bases(masks: frozenset[int], n: int) -> int:
     return _fundamental_union_find(masks, n)[1]
 
 
-def _facet_vertex_sets(necklace: GrassmannNecklace) -> dict[IntervalInequality, frozenset[int]]:
-    """The facets of the projected polytope, each with the bitmasks of its bases.
+def facet_representation(necklace: GrassmannNecklace) -> HRepresentation:
+    """The facets of the projected polytope, read off the necklace with no bases.
 
-    A facet is a non-strict bound on a block x_lo + ... + x_{hi-1} with
-    1 <= lo < hi <= n, so it never reads x_n.  Candidates are the necklace
-    inequalities and x_i >= 0, each unwrapped (``IntervalInequality.unwrapped``);
-    one survives exactly when its tight bases span a face of dimension one
-    less than the polytope (this prunes redundant members of the raw list).
-    Sorted by (lo, hi, bound, upper), upper meaning the sense <=.
+    In prefix sums z_q = x_1 + ... + x_q, x_i >= 0 says
+    0 = z_0 <= z_1 <= ... <= z_(n-1) <= r, and each necklace inequality,
+    ``unwrapped``, bounds a difference: the polytope is alcoved
+    (Lam-Postnikov, "Alcoved polytopes I").  So z_v - z_u <= c[u][v] on the
+    nodes 0..n-1, from 0 for v < u and r for u < v; shortest paths close the
+    bounds, and c[u][v] is a facet unless a third node w has
+    c[u][w] + c[w][v] = c[u][v].  For u < v it is x_(u+1) + ... + x_v <= c[u][v],
+    and c[v][u] is x_(u+1) + ... + x_v >= -c[v][u]: blocks that never read x_n,
+    so with the sum equality they cut out the polytope, with no redundant
+    row.  Sorted by (start, stop, bound, upper).  Needs a connected positroid.
     """
     n, r = necklace.n, necklace.rank
-    if n == 1:
-        return {}
     necklace.require_connected("facet representation")
-    masks = necklace.fact(bases_from_necklace).bases
-    rows = (*(IntervalInequality(i, i % n + 1, 0, ">=") for i in range(1, n + 1)),
-            *necklace.fact(h_representation).inequalities)
-    faces = {}
-    for q in sorted({q.unwrapped(r) for q in rows},
-                    key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")):
-        block = (1 << q.stop) - (1 << q.start)  # the bits of x_start, ..., x_{stop-1}
-        tight = frozenset(b for b in masks if (b & block).bit_count() == q.bound)
-        if dimension_of_bases(tight, n) == n - 2:
-            faces[q] = tight
-    return faces
-
-
-def facet_representation(necklace: GrassmannNecklace) -> HRepresentation:
-    """The facets (``_facet_vertex_sets``) as an H-representation.
-
-    They cut out the projection exactly and never read x_n, so with the sum
-    equality they describe the polytope in all n coordinates, with none of
-    the redundant rows of ``h_representation``.  Needs a connected positroid.
-    """
-    return HRepresentation(necklace.n, necklace.rank, tuple(necklace.fact(_facet_vertex_sets)))
+    nodes = range(n)
+    c = [[0 if v <= u else r for v in nodes] for u in nodes]
+    for q in necklace.fact(h_representation).inequalities:
+        q = q.unwrapped(r)
+        u, v, bound = ((q.start - 1, q.stop - 1, q.bound) if q.sense == "<="
+                       else (q.stop - 1, q.start - 1, -q.bound))
+        c[u][v] = min(c[u][v], bound)
+    for w in nodes:
+        for row in c:
+            row[:] = [min(a, row[w] + b) for a, b in zip(row, c[w])]
+    rows = [IntervalInequality(u + 1, v + 1, c[u][v], "<=") if u < v
+            else IntervalInequality(v + 1, u + 1, -c[u][v], ">=")
+            for u in nodes for v in nodes
+            if u != v and all(c[u][w] + c[w][v] != c[u][v] for w in nodes if w != u and w != v)]
+    return HRepresentation(n, r, tuple(sorted(
+        rows, key=lambda q: (q.start, q.stop, q.bound, q.sense == "<="))))

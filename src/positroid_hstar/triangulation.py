@@ -422,18 +422,26 @@ def wall_covers(labels: Sequence[Word], base: Sequence[int]) -> dict[Word, int]:
     to the base: the counts equal the BFS covers of `shelling_poset`, which
     `verify` checks.
     """
-    base = tuple(base)
-    if base not in labels:
-        raise ValueError(f"{base} is not a label of the graph")
-    n = len(base)
-    inverse = _inverse_window(label_word(base))
-    covers = {}
+    return _covers_by_base(labels, [base])[0]
+
+
+def _covers_by_base(labels: Sequence[Word], bases: Sequence[Sequence[int]]) -> list[dict[Word, int]]:
+    """`wall_covers` from each base, in one pass over the labels: each label
+    is checked and its descent prefix z0 derived once, for every base."""
+    bases = [tuple(base) for base in bases]
+    for base in bases:
+        if base not in labels:
+            raise ValueError(f"{base} is not a label of the graph")
+    n = len(bases[0])
+    inverses = [_inverse_window(label_word(base)) for base in bases]
+    covers = [{} for _ in bases]
     for w in map(label_word, labels):
         if len(w) != n:
             raise ValueError("labels have mixed ground-set sizes")
         z0 = _descent_prefix(w)
-        x = [inverse[a - 1] - n * z0[a - 1] for a in w]
-        covers[w] = sum(map(int.__gt__, x, x[1:] + [x[0] + n]))
+        for inverse, cover in zip(inverses, covers):
+            x = [inverse[a - 1] - n * z0[a - 1] for a in w]
+            cover[w] = sum(map(int.__gt__, x, x[1:] + [x[0] + n]))
     return covers
 
 

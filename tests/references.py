@@ -12,7 +12,14 @@ from positroid_hstar.core import (
     mask_elements,
 )
 from positroid_hstar.ehrhart import _body, _run
-from positroid_hstar.positroid import GrassmannNecklace, PositroidBases
+from positroid_hstar.positroid import (
+    GrassmannNecklace,
+    IntervalInequality,
+    PositroidBases,
+    bases_from_necklace,
+    dimension_of_bases,
+    h_representation,
+)
 
 
 def masks_of(subsets):
@@ -138,6 +145,25 @@ def gale_leq(s, t, i, n):
         raise ValueError("subset elements outside 1..n")
     key = i_order_key(i, n)
     return all(key(a) <= key(b) for a, b in zip(sorted(s, key=key), sorted(t, key=key)))
+
+
+def reference_facets(necklace):
+    """The facet rows of ``positroid.facet_representation`` by the bases: a
+    candidate row, a necklace inequality or x_i >= 0, each ``unwrapped``, is
+    a facet when its tight bases span a face of dimension n - 2
+    (``dimension_of_bases``).  Sorted by (start, stop, bound, upper)."""
+    n, r = necklace.n, necklace.rank
+    masks = bases_from_necklace(necklace).bases
+    rows = (*(IntervalInequality(i, i % n + 1, 0, ">=") for i in range(1, n + 1)),
+            *h_representation(necklace).inequalities)
+    facets = []
+    for q in sorted({q.unwrapped(r) for q in rows},
+                    key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")):
+        block = (1 << q.stop) - (1 << q.start)  # the bits of x_start, ..., x_(stop-1)
+        if dimension_of_bases(frozenset(b for b in masks if (b & block).bit_count() == q.bound),
+                              n) == n - 2:
+            facets.append(q)
+    return tuple(facets)
 
 
 def contains(hrep, point, dilate=1):

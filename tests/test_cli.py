@@ -795,9 +795,12 @@ class TestVerify:
         assert reads == []
 
     def test_random_scope_checks_wall_covers_against_bfs(self, monkeypatch):
-        walls = tg.wall_covers
-        monkeypatch.setattr(tg, "wall_covers", lambda labels, base: {
-            w: c + (w != base) for w, c in walls(labels, base).items()})
+        # the sample scores every base in one pass, and wall_covers reads
+        # the same pass, so the fault reaches both checks
+        walls = tg._covers_by_base
+        monkeypatch.setattr(tg, "_covers_by_base", lambda labels, bases: [
+            {w: c + (w != tuple(base)) for w, c in cover.items()}
+            for base, cover in zip(bases, walls(labels, bases))])
         checks = verify.verify_random(3, 2, 2, max_n=5)
         assert [ok for _, ok, _ in checks] == [False, False]
 
@@ -829,10 +832,17 @@ class TestExhaustiveWorker:
             assert cli._exhaustive_worker(subsets) == (necklace.compact(), True, "")
 
     def test_closed_profile_is_checked_against_the_full_h_representation(self, monkeypatch):
-        facets = po._facet_vertex_sets
+        facets = po.facet_representation
         dropped = po.IntervalInequality(1, 3, 1, ">=")  # x_1+x_2 >= 1
-        monkeypatch.setattr(po, "_facet_vertex_sets", lambda necklace: {
-            f: tight for f, tight in facets(necklace).items() if f != dropped})
+
+        def without(necklace):
+            hrep = facets(necklace)
+            return hrep._replace(inequalities=tuple(f for f in hrep.inequalities if f != dropped))
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "positroid_hstar" and getattr(module, "facet_representation",
+                                                                   None) is facets:
+                monkeypatch.setattr(module, "facet_representation", without)
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
         assert detail == ("closed profile differs from the full H-representation count: "

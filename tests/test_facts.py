@@ -1,5 +1,6 @@
 """Per-necklace facts: every route shares one derivation of each fact."""
 
+import json
 import sys
 from collections import defaultdict
 
@@ -23,7 +24,7 @@ SPIED = (
     (po, "h_representation"),
     (tg, "enumerate_labels"),
     (ho, "hstar_half_open"),
-    (po, "_facet_vertex_sets"),
+    (po, "facet_representation"),
     (eh, "_plan"),
     (eh, "_run"),
     (tr, "positroid_from_subdivision"),
@@ -69,7 +70,7 @@ def test_every_route_shares_one_derivation_per_fact(calls):
     assert ehr.coefficients[-1] * 24 == sum(next(iter(closed))) == 5
 
     for name in ("bases_from_necklace", "h_representation", "enumerate_labels",
-                 "hstar_half_open", "_facet_vertex_sets"):
+                 "hstar_half_open", "facet_representation"):
         assert len(calls[name]) == 1, name
     # Closed counting runs in all n coordinates with exactly the sum and the
     # facets; faces add equalities, and the half-open body and the
@@ -177,6 +178,17 @@ def test_tree_query_and_subdivision_sample_derive_each_fact_once(calls, capsys):
     assert len(scans) == 2 * (1 + 4)
     assert all(len(facets.inequalities) < len(full.inequalities)
                for full, facets in zip(scans[::2], scans[1::2]))
+
+
+@pytest.mark.parametrize("argv", [("ehrhart",), ("hstar", "--method", "oracle"),
+                                  ("hstar", "--half-open", "--method", "oracle")])
+def test_a_connected_oracle_query_derives_no_bases(calls, capsys, argv):
+    # connectivity is read off the decorated permutation and the facets off
+    # the necklace's shortest-path closure, so counting reads no basis
+    assert cli.main([*argv, SEVEN]) == 0
+    assert json.loads(capsys.readouterr().out)["connected"]
+    assert calls["bases_from_necklace"] == []
+    assert len(calls["facet_representation"]) == 1
 
 
 def test_facts_stay_out_of_equality_hash_and_repr():

@@ -53,6 +53,7 @@ from references import (
     face_counts,
     face_equalities,
     half_open_profile,
+    reference_facets,
     tally_dilates,
     vertices,
 )
@@ -117,7 +118,7 @@ def tight_vertex_sets(necklace):
     candidates, as (lo, hi, bound, upper): x_i >= 0 and the necklace
     inequalities, each on a block x_lo + ... + x_{hi-1} that does not wrap
     (x_n >= 0 is x_1 + ... + x_{n-1} <= r), in the order of
-    ``_facet_vertex_sets``."""
+    ``facet_representation``."""
     n, r = necklace.n, necklace.rank
     candidates = {(i, i + 1, 0, False) for i in range(1, n)} | {(1, n, r, True)}
     for q in h_representation(necklace).inequalities:
@@ -159,12 +160,23 @@ class TestFaceDimensions:
                 assert node.dim == affine_rank(verts), (necklace.compact(), node)
 
     def test_canonical_facets_match_the_affine_rank_reference_past_the_sweep(self):
+        # the affine rank of the tight vertices through n = 12; past it, the
+        # dimension of the tight bases (``reference_facets``)
         rng = random.Random(19)
-        for n in range(9, 13):
+        for n in range(9, 17):
             necklace = random_connected(rng, n)
-            reference = tuple(f for f, tight in tight_vertex_sets(necklace).items()
-                              if affine_rank(tight) == n - 2)
+            reference = (tuple(f for f, tight in tight_vertex_sets(necklace).items()
+                               if affine_rank(tight) == n - 2) if n <= 12
+                         else reference_facets(necklace))
             assert facet_representation(necklace).inequalities == reference, necklace
+
+    def test_closure_facets_match_the_bases_reference_through_n7(self):
+        # rows and order: a dropped facet, or a redundant row kept, is seen
+        necklaces = connected_through(7)
+        assert len(necklaces) == 1726
+        for necklace in necklaces:
+            assert facet_representation(necklace).inequalities == reference_facets(necklace), (
+                necklace.compact())
 
 
 class TestHalfOpenDescents:

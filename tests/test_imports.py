@@ -171,6 +171,16 @@ def test_no_module_binds_a_second_table_of_walls():
     assert list(inspect.signature(tg.wall_covers).parameters) == ["labels", "base"]
 
 
+def test_no_module_binds_the_facets_with_their_bases():
+    # the facets are read off a shortest-path closure of the necklace
+    # (positroid.facet_representation); the bases test is the tests'
+    # reference (references.reference_facets), and halfopen filters the
+    # bases on its upper facets itself
+    for module in pkgutil.iter_modules(positroid_hstar.__path__):
+        home = importlib.import_module(f"positroid_hstar.{module.name}")
+        assert not hasattr(home, "_facet_vertex_sets"), module.name
+
+
 def test_no_module_binds_gale_leq():
     # the Gale order is tested as prefix counts (positroid._gale_limits); the
     # sorted comparison is the tests' reference
