@@ -544,17 +544,22 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
     n = necklace.n
     stage = "labels"
     try:
-        labels = necklace.fact(tg.enumerate_labels)
-        if labels != tg.labels_by_bases(necklace):
-            return _check(name, False, "labels differ from the basis-membership reference")
+        labels, reference = necklace.fact(tg.enumerate_labels), tg.labels_by_bases(necklace)
+        if labels != reference:
+            return _check(name, False, f"labels differ from the basis-membership reference: "
+                                       f"{len(labels)} vs {len(reference)} labels, first at "
+                                       f"{min(set(labels) ^ set(reference), default=None)}")
         stage = "graph"
         graph = tg.build_graph(labels)
         poset = tg.shelling_poset(graph, graph.words[0])
         edges = graph.edges()
-        if any(abs(poset.dist[u] - poset.dist[v]) != 1 for u, v in edges):
-            return _check(name, False, "an edge does not join consecutive BFS layers")
-        if sum(poset.cover.values()) != len(edges):
-            return _check(name, False, "cover sum differs from edge count")
+        for u, v in edges:
+            if abs(poset.dist[u] - poset.dist[v]) != 1:
+                return _check(name, False, f"an edge does not join consecutive BFS layers: "
+                                           f"{u} at {poset.dist[u]}, {v} at {poset.dist[v]}")
+        if (cover_sum := sum(poset.cover.values())) != len(edges):
+            return _check(name, False, f"cover sum differs from edge count: "
+                                       f"{cover_sum} vs {len(edges)}")
         stage = "wall covers"
         # poset.base is graph.words[0] == labels[0], the shelling route's base, so
         # once checked these covers give that route's h*

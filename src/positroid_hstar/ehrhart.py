@@ -29,16 +29,18 @@ interior, so h*_{dim F}(F) = 0 by reciprocity, and E_F(0..dim F - 1) fix
 its h* (``_face_hstar_from_counts``, which checks E_F(1) against the bases).
 
 A connected positroid is counted, with no bases derived, from its
-irredundant facets, the rows of ``facet_representation``, each an
-``IntervalInequality`` until ``_linear`` makes it a prefix-sum row
+irredundant facets, the rows of ``facet_representation``, each read once as
+a bound z_v - z_u <= c on two prefix sums
+(``IntervalInequality.difference_bound``) and kept with its sense
 (``_facet_rows``): the redundant necklace inequalities would each keep
 extra prefix sums alive in the counting state.
 The closed body, its interior, the half-open body and its reciprocal differ
-only in which senses of these rows are strict.  Every row bounds a cyclic
-interval sum, so a cut of the cycle only relabels its block (``_rotate``);
-the cost of the DP depends on the cut a hundredfold at n = 12-13.
+only in which senses of these bounds are strict; ``_linear`` orients each
+bound into a prefix-sum row.  A cut of the cycle, to the coordinates
+x_(cut+1), ..., x_n, x_1, ..., x_cut, only relabels the nodes; the cost of
+the DP depends on the cut a hundredfold at n = 12-13.
 ``_facet_rows`` picks one cut per necklace, the least by an estimate of the
-states the DP holds (``_cut_costs``), and keeps the rows relabelled to it,
+states the DP holds (``_cut_costs``), and keeps the bounds relabelled to it,
 so every body above and ``upper_tally`` count in that cut.
 ``lattice_counts`` of any H-representation, and so ``face_hstar`` and the
 sweep's count of ``h_representation``, stays at the first cut, as a reference.
@@ -273,78 +275,41 @@ def _origin_tally(rows: Sequence[LinearRow], tight: Sequence[LinearTightRow]) ->
     return {mask: 1}
 
 
-def _linear(hrep: HRepresentation, strict: Collection[str] = ()) -> list[LinearRow]:
-    """Linear rows of every dilate: the sum equality and every inequality,
-    unwrapped (``IntervalInequality.unwrapped``), strict where it is or where
-    its sense, read before the unwrapping, is in ``strict``."""
-    rows: list[LinearRow] = [(0, hrep.n, (hrep.r, 0), (hrep.r, 0))]
-    for row in hrep.inequalities:
-        made_strict = row.strict or row.sense in strict
-        q = row.unwrapped(hrep.r)
-        a, b = q.start - 1, q.stop - 1
-        rows.append((a, b, (0, -_INF), (q.bound, -made_strict)) if q.sense == "<="
-                    else (a, b, (q.bound, +made_strict), (0, _INF)))
+def _linear(n: int, r: int, bounds: Iterable[tuple[int, int, int, bool]]) -> list[LinearRow]:
+    """Linear rows of every dilate: the sum equality z_n = r and each bound
+    (u, v, c, strict), z_v - z_u <= c, oriented to a row on z_b - z_a with
+    a <= b and moved by one where strict."""
+    rows: list[LinearRow] = [(0, n, (r, 0), (r, 0))]
+    for u, v, c, strict in bounds:
+        rows.append((u, v, (0, -_INF), (c, -strict)) if u < v
+                    else (v, u, (-c, +strict), (0, _INF)))
     return rows
 
 
-def _rotate(n: int, rows: Iterable[IntervalInequality], cut: int) -> tuple[IntervalInequality, ...]:
-    """The same rows in the coordinates x_{cut+1}, ..., x_n, x_1, ..., x_cut:
-    each cyclic block is relabelled; sense, bound and strictness stay.  A
-    block that now wraps past x_n, or ends at it, is read as its complement
-    by ``_linear``, so one that ends at x_cut starts at z_0, which the
-    counting state need not hold.  U(2,4)'s upper facet x_1 + x_2 + x_3 <= 2
-    wraps at cut 1 and is read as x_4 >= 0, z_3 - z_2 >= 0 in the new
-    coordinates, strict when "<=" is:
+def _cut_costs(n: int, bounds: Sequence[tuple]) -> list[int]:
+    """For each cut of the facet bounds (u, v, ...) (``_facet_rows``), an
+    estimate of the states its counting DP holds: the sum over the steps
+    q = 1..n of (t+1)^(|live_q| + 1) at t = n - 2, where live_q are the older
+    prefix sums the DP holds after step q.  ``_facet_rows`` takes the first
+    least.
 
-    >>> turned = _rotate(4, [IntervalInequality(1, 4, 2, "<=")], 1)
-    >>> turned[0].start, turned[0].stop, turned[0].sense
-    (4, 3, '<=')
-    >>> [_linear(HRepresentation(4, 2, turned), strict)[1] for strict in ({"<="}, {">="})] == [
-    ...     (2, 3, (0, 1), (0, _INF)), (2, 3, (0, 0), (0, _INF))]
-    True
-    """
-    return tuple(IntervalInequality((q.start - 1 - cut) % n + 1, (q.stop - 1 - cut) % n + 1,
-                                    q.bound, q.sense, q.strict) for q in rows)
-
-
-def _cut_costs(hrep: HRepresentation) -> list[int]:
-    """For each cut s (``_rotate``) of the facet rows, an estimate of the
-    states its counting DP holds: the sum over the steps q = 1..n of
-    (t+1)^(|live_q| + 1) at t = n - 2, where live_q are the older prefix
-    sums the DP holds after step q.  ``_facet_rows`` takes the first least.
-
-    A facet and its complement are two arcs of the cycle of prefix sums; the
-    cut picks one as ``_linear`` unwraps the relabelled row, restated here in
-    arithmetic, and the arc holds its first prefix sum over its length.  The
-    DP skips a row the box implies (``_first_read``), but on facets that
+    A bound's two relabelled nodes p < p' make an arc, whose row the DP
+    reads from z_p, held over the steps p + 1..p' - 1; z_0 costs nothing.
+    The DP skips a row the box implies (``_first_read``), but on facets that
     never changes the cost: such a facet is one coordinate, x_i >= 0 or
-    x_i <= 1, whose arc holds nothing, and whose complement is picked only
-    by the cut that starts it at z_0.
+    x_i <= 1, whose nodes are adjacent, or 0 and n - 1 in the cut between them.
     """
-    n = hrep.n
     t = n - 2
     if t < 1:
         return [0] * n
     weight = [(t + 1) ** (k + 1) for k in range(n)]
-    arcs = [(a, b, (a, b - a), (b % n, n - b + a))
-            for a, b in ((q.start - 1, q.stop - 1) for q in hrep.inequalities)]
     costs = []
     for cut in range(n):
-        reach = [0] * n  # reach[p]: the longest arc read from the prefix sum at p
-        for a, b, plain, turned in arcs:
-            arc = turned if a < cut <= b else plain
-            if arc[0] != cut and arc[1] > reach[arc[0]]:
-                reach[arc[0]] = arc[1]
-        live = [0] * (n + 1)  # live[q]: |live_q| - |live_{q-1}|
-        for p, length in enumerate(reach):
-            if length:
-                live[(p - cut) % n + 1] += 1
-                live[(p - cut) % n + length] -= 1
-        cost = held = 0
-        for change in live[1:]:
-            held += change
-            cost += weight[held]
-        costs.append(cost)
+        reach = [0] * n  # reach[p]: the furthest node an arc from z_p reads
+        for u, v, *_ in bounds:
+            p, end = sorted(((u - cut) % n, (v - cut) % n))
+            reach[p] = max(reach[p], end)
+        costs.append(sum(weight[sum(end > q for end in reach[1:q])] for q in range(1, n + 1)))
     return costs
 
 
@@ -358,9 +323,10 @@ def lattice_counts(hrep: HRepresentation, tmax: int,
     f <= t*bound - 1 (resp. >= +1).  ``equalities`` are extra cyclic interval
     equalities (start, stop, value), also scaled by t; they carve faces.
     """
-    hrep = hrep._replace(inequalities=(*hrep.inequalities, *(
-        IntervalInequality(*equality, sense) for equality in equalities for sense in ("<=", ">="))))
-    plan = _plan(hrep.n, _linear(hrep), 1)
+    rows = (*hrep.inequalities, *(IntervalInequality(*equality, sense)
+                                  for equality in equalities for sense in ("<=", ">=")))
+    bounds = ((*q.difference_bound(hrep.r), q.strict) for q in rows)
+    plan = _plan(hrep.n, _linear(hrep.n, hrep.r, bounds), 1)
     return tuple(sum(_run(plan, t).values()) for t in range(tmax + 1))
 
 
@@ -471,32 +437,45 @@ def upper_tally(necklace: GrassmannNecklace) -> dict[int, list[int]]:
     [(1, [0, 1]), (3, [0, 1]), (4, [0, 1]), (6, [0, 1]), (7, [1, 1])]
     """
     facets = necklace.fact(_facet_rows)
-    plan = _plan(necklace.n, _linear(facets), 1, _upper_marks(facets))
+    plan = _plan(necklace.n, _linear(necklace.n, necklace.rank, (
+        (u, v, c, False) for u, v, c, _ in facets)), 1, _upper_marks(facets))
     counts = [_run(plan, t) for t in range(_last_dilate(necklace.n - 2) + 1)]
     return {mask: [c.get(mask, 0) for c in counts] for mask in set().union(*counts)}
 
 
-def _upper_marks(hrep: HRepresentation) -> list[LinearTightRow]:
-    """Tight rows of the upper (<=) rows, unwrapped, z_b - z_a == t * bound,
-    bit i for the i-th: in any cut, the bit of ``upper_tally``."""
-    uppers = [q.unwrapped(hrep.r) for q in hrep.inequalities if q.sense == "<="]
-    return [(q.start - 1, q.stop - 1, (q.bound, 0), 1 << i) for i, q in enumerate(uppers)]
+def _upper_marks(bounds: Iterable[tuple[int, int, int, str]]) -> list[LinearTightRow]:
+    """Tight rows of the upper (<=) bounds, z_v - z_u == t * c oriented as
+    ``_linear`` orients them, bit i for the i-th: in any cut, the bit of
+    ``upper_tally``."""
+    uppers = [(u, v, c) for u, v, c, sense in bounds if sense == "<="]
+    return [(u, v, (c, 0), 1 << i) if u < v else (v, u, (-c, 0), 1 << i)
+            for i, (u, v, c) in enumerate(uppers)]
 
 
-def _facet_rows(necklace: GrassmannNecklace) -> HRepresentation:
-    """A connected positroid's ``facet_representation`` relabelled to its
-    cheapest cut (``_cut_costs``), kept once per necklace: every count of
-    its closed, interior, half-open and reciprocal bodies (``_body``), and
-    of ``upper_tally``, reads it."""
+def _facet_rows(necklace: GrassmannNecklace) -> tuple[tuple[int, int, int, str], ...]:
+    """A connected positroid's facets as bounds (u, v, c, sense),
+    z_v - z_u <= c, in the order of ``facet_representation``, relabelled to
+    the cheapest cut (``_cut_costs``) and kept once per necklace: every
+    count of its closed, interior, half-open and reciprocal bodies
+    (``_body``), and of ``upper_tally``, reads them.
+
+    In the coordinates x_(cut+1), ..., x_n, x_1, ..., x_cut, node p is
+    (p - cut) mod n, and z_p is the new prefix sum there plus the old z_cut,
+    less r when p < cut; so c gains r for v < cut and loses it for u < cut.
+    """
     facets = necklace.fact(facet_representation)
-    costs = _cut_costs(facets)
-    return facets._replace(inequalities=_rotate(
-        facets.n, facets.inequalities, costs.index(min(costs))))
+    n, r = facets.n, facets.r
+    bounds = [(*q.difference_bound(r), q.sense) for q in facets.inequalities]
+    costs = _cut_costs(n, bounds)
+    cut = costs.index(min(costs))
+    return tuple(((u - cut) % n, (v - cut) % n, c + r * ((v < cut) - (u < cut)), sense)
+                 for u, v, c, sense in bounds)
 
 
 def _body(necklace: GrassmannNecklace, strict: Collection[str]) -> tuple:
     """The plan of a connected positroid, its facets of the senses in ``strict`` strict."""
-    return _plan(necklace.n, _linear(necklace.fact(_facet_rows), strict), 1)
+    return _plan(necklace.n, _linear(necklace.n, necklace.rank, (
+        (u, v, c, sense in strict) for u, v, c, sense in necklace.fact(_facet_rows))), 1)
 
 
 def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> EhrhartPolynomial:

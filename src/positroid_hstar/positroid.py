@@ -19,7 +19,9 @@ polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
 necklace (``h_representation``), and for a connected positroid its
 irredundant facets, each an ``IntervalInequality`` row on a block that
 never reads x_n, read off a shortest-path closure of the necklace with no
-bases (``facet_representation``).
+bases (``facet_representation``).  Any row, wrapping or not, reads as a
+bound z_v - z_u <= c on two prefix sums (``difference_bound``): the closure
+and the counting DP take every row that way.
 Bases are bitmasks, bit k for element k: ``PositroidBases`` holds them so,
 and so does every face.  A face is the polytope of a matroid, whose
 dimension (``dimension_of_bases``) is n minus the number of connected
@@ -373,16 +375,18 @@ class IntervalInequality(_Record):
     def support(self, n: int) -> tuple[int, ...]:
         return cyclic_interval(self.start, self.stop, n)[:-1]
 
-    def unwrapped(self, r: int) -> "IntervalInequality":
-        """The same bound on a block that does not wrap past n.
+    def difference_bound(self, r: int) -> tuple[int, int, int]:
+        """The row as a bound z_v - z_u <= c on the prefix sums
+        z_q = x_1 + ... + x_q, returned as (u, v, c).
 
-        With x_1 + ... + x_n = r, a wrapping sum is r minus the sum over the
-        complementary block [stop, start), so bound and sense flip.
+        With x_1 + ... + x_n = r the block sum is z_(stop-1) - z_(start-1),
+        plus r when the block wraps past x_n; a ">=" row bounds its negation.
+
+        >>> IntervalInequality(4, 1, 0, ">=").difference_bound(2)  # x_4 >= 0 at n = 4
+        (0, 3, 2)
         """
-        if self.start <= self.stop:
-            return self
-        return IntervalInequality(self.stop, self.start, r - self.bound,
-                                  ">=" if self.sense == "<=" else "<=", self.strict)
+        u, v, c = self.start - 1, self.stop - 1, self.bound - r * (self.start > self.stop)
+        return (u, v, c) if self.sense == "<=" else (v, u, -c)
 
 
 class HRepresentation(NamedTuple):
@@ -488,8 +492,8 @@ def facet_representation(necklace: GrassmannNecklace) -> HRepresentation:
     """The facets of the projected polytope, read off the necklace with no bases.
 
     In prefix sums z_q = x_1 + ... + x_q, x_i >= 0 says
-    0 = z_0 <= z_1 <= ... <= z_(n-1) <= r, and each necklace inequality,
-    ``unwrapped``, bounds a difference: the polytope is alcoved
+    0 = z_0 <= z_1 <= ... <= z_(n-1) <= r, and each necklace inequality
+    bounds a difference (``difference_bound``): the polytope is alcoved
     (Lam-Postnikov, "Alcoved polytopes I").  So z_v - z_u <= c[u][v] on the
     nodes 0..n-1, from 0 for v < u and r for u < v; shortest paths close the
     bounds, and c[u][v] is a facet unless a third node w has
@@ -503,9 +507,7 @@ def facet_representation(necklace: GrassmannNecklace) -> HRepresentation:
     nodes = range(n)
     c = [[0 if v <= u else r for v in nodes] for u in nodes]
     for q in necklace.fact(h_representation).inequalities:
-        q = q.unwrapped(r)
-        u, v, bound = ((q.start - 1, q.stop - 1, q.bound) if q.sense == "<="
-                       else (q.stop - 1, q.start - 1, -q.bound))
+        u, v, bound = q.difference_bound(r)
         c[u][v] = min(c[u][v], bound)
     for w in nodes:
         for row in c:

@@ -291,16 +291,39 @@ def verify_exhaustive(max_n: int, jobs: int = 1) -> list[Check]:
     return [summary] + failures
 
 
+def _facets_by_bases(necklace: po.GrassmannNecklace) -> tuple[po.IntervalInequality, ...]:
+    """The rows of ``positroid.facet_representation`` by the bases: each
+    candidate, a necklace inequality or x_i >= 0 read as a bound
+    z_v - z_u <= c (``difference_bound``), is a facet when the bases tight
+    on it span a face of dimension n - 2 (``dimension_of_bases``).  Written
+    on the block x_(a+1) + ... + x_b, a < b the two nodes, and sorted by
+    (start, stop, bound, upper)."""
+    n, r = necklace.n, necklace.rank
+    masks = necklace.fact(po.bases_from_necklace).bases
+    rows = (*(po.IntervalInequality(i, i % n + 1, 0, ">=") for i in range(1, n + 1)),
+            *necklace.fact(po.h_representation).inequalities)
+    facets = []
+    for u, v, c in {q.difference_bound(r) for q in rows}:
+        (a, b), bound = sorted((u, v)), c if u < v else -c
+        block = (1 << b + 1) - (1 << a + 1)  # the bits of x_(a+1), ..., x_b
+        tight = frozenset(m for m in masks if (m & block).bit_count() == bound)
+        if po.dimension_of_bases(tight, n) == n - 2:
+            facets.append(po.IntervalInequality(a + 1, b + 1, bound, "<=" if u < v else ">="))
+    return tuple(sorted(facets, key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")))
+
+
 def verify_roundtrips(max_n: int) -> list[Check]:
-    """Round trips of the two bijections, plus the connectivity cross-check.
+    """Round trips of the two bijections, plus the connectivity and facet
+    cross-checks.
 
     For every decorated permutation the rank-split connectivity answer
     (`positroid.is_connected` on the bases) must match the
-    stabilized-interval-free rule of `positroid.necklace_connected`.
+    stabilized-interval-free rule of `positroid.necklace_connected`, and
+    for every connected one the closure's facets
+    (`positroid.facet_representation`) must equal the bases rule's.
     """
-    bad_trip = 0
-    bad_sif = 0
-    total = 0
+    bad_trip = bad_sif = bad_facets = 0
+    total = connected_total = 0
     for n in range(1, max_n + 1):
         for dec in all_decorated_permutations(n):
             total += 1
@@ -311,10 +334,16 @@ def verify_roundtrips(max_n: int) -> list[Check]:
             connected = po.is_connected(necklace.fact(po.bases_from_necklace))
             if connected != necklace.fact(po.necklace_connected):
                 bad_sif += 1
+            elif connected:
+                connected_total += 1
+                bad_facets += (necklace.fact(po.facet_representation).inequalities
+                               != _facets_by_bases(necklace))
     return [_check(f"necklace/decorated round trips n <= {max_n}", bad_trip == 0,
                    f"{total} decorated permutations"),
             _check(f"rank-split vs interval-free connectivity n <= {max_n}",
-                   bad_sif == 0, f"{total} decorated permutations")]
+                   bad_sif == 0, f"{total} decorated permutations"),
+            _check(f"closure vs bases facets n <= {max_n}", bad_facets == 0,
+                   f"{connected_total} connected positroids")]
 
 
 def verify_random(seed: int, w0_samples: int, subdivision_samples: int,

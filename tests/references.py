@@ -16,9 +16,6 @@ from positroid_hstar.positroid import (
     GrassmannNecklace,
     IntervalInequality,
     PositroidBases,
-    bases_from_necklace,
-    dimension_of_bases,
-    h_representation,
 )
 
 
@@ -147,23 +144,39 @@ def gale_leq(s, t, i, n):
     return all(key(a) <= key(b) for a, b in zip(sorted(s, key=key), sorted(t, key=key)))
 
 
-def reference_facets(necklace):
-    """The facet rows of ``positroid.facet_representation`` by the bases: a
-    candidate row, a necklace inequality or x_i >= 0, each ``unwrapped``, is
-    a facet when its tight bases span a face of dimension n - 2
-    (``dimension_of_bases``).  Sorted by (start, stop, bound, upper)."""
-    n, r = necklace.n, necklace.rank
-    masks = bases_from_necklace(necklace).bases
-    rows = (*(IntervalInequality(i, i % n + 1, 0, ">=") for i in range(1, n + 1)),
-            *h_representation(necklace).inequalities)
-    facets = []
-    for q in sorted({q.unwrapped(r) for q in rows},
-                    key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")):
-        block = (1 << q.stop) - (1 << q.start)  # the bits of x_start, ..., x_(stop-1)
-        if dimension_of_bases(frozenset(b for b in masks if (b & block).bit_count() == q.bound),
-                              n) == n - 2:
-            facets.append(q)
-    return tuple(facets)
+def unwrapped(q, r):
+    """The same row on a block that does not wrap past n: with
+    x_1 + ... + x_n = r, a wrapping sum is r minus the sum over the
+    complementary block [stop, start), so bound and sense flip.  The
+    complement rule that ``IntervalInequality.difference_bound`` replaced."""
+    if q.start <= q.stop:
+        return q
+    return IntervalInequality(q.stop, q.start, r - q.bound, ">=" if q.sense == "<=" else "<=",
+                              q.strict)
+
+
+def reference_difference_bound(q, r):
+    """``IntervalInequality.difference_bound`` by unwrapping and flipping: a
+    "<=" row on x_start, ..., x_(stop-1) bounds z_(stop-1) - z_(start-1), a
+    ">=" row the reverse difference.
+
+    >>> reference_difference_bound(IntervalInequality(4, 3, 2, "<="), 2)
+    (3, 2, 0)
+    """
+    q = unwrapped(q, r)
+    return ((q.start - 1, q.stop - 1, q.bound) if q.sense == "<="
+            else (q.stop - 1, q.start - 1, -q.bound))
+
+
+def reference_turned(hrep, cut):
+    """The rows of an H-representation as bounds (u, v, c, sense) in the
+    coordinates x_(cut+1), ..., x_n, x_1, ..., x_cut: each cyclic block
+    relabelled, then read by ``reference_difference_bound``; the sense is
+    the row's own.  ``ehrhart._facet_rows`` keeps the facets so."""
+    n, r = hrep.n, hrep.r
+    return tuple((*reference_difference_bound(IntervalInequality(
+        (q.start - 1 - cut) % n + 1, (q.stop - 1 - cut) % n + 1, q.bound, q.sense), r), q.sense)
+        for q in hrep.inequalities)
 
 
 def contains(hrep, point, dilate=1):

@@ -109,7 +109,8 @@ def test_criterion_9_bijection_round_trips():
     total = "2371 decorated permutations"
     assert verify.verify_roundtrips(MAX_SWEEP_N) == [
         (f"necklace/decorated round trips n <= {MAX_SWEEP_N}", True, total),
-        (f"rank-split vs interval-free connectivity n <= {MAX_SWEEP_N}", True, total)]
+        (f"rank-split vs interval-free connectivity n <= {MAX_SWEEP_N}", True, total),
+        (f"closure vs bases facets n <= {MAX_SWEEP_N}", True, "252 connected positroids")]
     report(9, f"necklace/decorated round trips on {total}, n <= {MAX_SWEEP_N}")
 
 

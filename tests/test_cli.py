@@ -656,7 +656,8 @@ class TestVerify:
         assert out.startswith("FAIL  disconnected input oracle h*  [1, 1]\n")
 
     ROUNDTRIP = ("necklace/decorated round trips n <= 4            88 decorated permutations",
-                 "rank-split vs interval-free connectivity n <= 4  88 decorated permutations")
+                 "rank-split vs interval-free connectivity n <= 4  88 decorated permutations",
+                 "closure vs bases facets n <= 4                   {} connected positroids")
 
     def test_a_broken_round_trip_fails(self, capsys, monkeypatch):
         # recolouring the fixed point of the coloop breaks its round trip alone
@@ -671,8 +672,10 @@ class TestVerify:
         monkeypatch.setattr(po, "decorated_from_necklace", recolour)
         code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "4")
         assert (code, err) == (1, "")
-        assert out.splitlines()[:3] == ["FAIL  " + self.ROUNDTRIP[0], "PASS  " + self.ROUNDTRIP[1],
-                                        "1/2 checks passed"]
+        # the facets are compared on the connected positroids whose round trip holds
+        assert out.splitlines()[:4] == ["FAIL  " + self.ROUNDTRIP[0], "PASS  " + self.ROUNDTRIP[1],
+                                        "PASS  " + self.ROUNDTRIP[2].format(11),
+                                        "2/3 checks passed"]
 
     def test_a_wrong_connectivity_answer_fails(self, capsys, monkeypatch):
         connected = po.necklace_connected
@@ -680,8 +683,29 @@ class TestVerify:
             connected(necklace) != (necklace.compact() == "12,23,13,14")))
         code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "4")
         assert (code, err) == (1, "")
-        assert out.splitlines()[:3] == ["PASS  " + self.ROUNDTRIP[0], "FAIL  " + self.ROUNDTRIP[1],
-                                        "1/2 checks passed"]
+        # and on those whose two connectivity answers agree
+        assert out.splitlines()[:4] == ["PASS  " + self.ROUNDTRIP[0], "FAIL  " + self.ROUNDTRIP[1],
+                                        "PASS  " + self.ROUNDTRIP[2].format(11),
+                                        "2/3 checks passed"]
+
+    def test_a_redundant_facet_row_fails(self, capsys, monkeypatch):
+        # x_1 + x_2 >= 0 holds on every polytope but is a facet of none with n >= 3
+        facets = po.facet_representation
+
+        def with_redundant_row(necklace):
+            hrep = facets(necklace)
+            if necklace.n < 3:
+                return hrep
+            return hrep._replace(inequalities=tuple(sorted(
+                (*hrep.inequalities, po.IntervalInequality(1, 3, 0, ">=")),
+                key=lambda q: (q.start, q.stop, q.bound, q.sense == "<="))))
+
+        monkeypatch.setattr(po, "facet_representation", with_redundant_row)
+        code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "4")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[:4] == ["PASS  " + self.ROUNDTRIP[0], "PASS  " + self.ROUNDTRIP[1],
+                                        "FAIL  " + self.ROUNDTRIP[2].format(12),
+                                        "2/3 checks passed"]
 
     def test_single_input(self, capsys):
         code, out, _ = run(capsys, "verify", "--input", "12,23,13,14")
@@ -893,7 +917,33 @@ class TestExhaustiveWorker:
         search = tg.enumerate_labels
         monkeypatch.setattr(tg, "enumerate_labels", lambda necklace: search(necklace)[1:])
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
-        assert not ok and detail == "labels differ from the basis-membership reference"
+        assert not ok and detail == ("labels differ from the basis-membership reference: "
+                                     "1 vs 2 labels, first at (1, 3, 2, 4)")
+
+    def test_bfs_layers_are_checked_on_every_edge(self, monkeypatch):
+        # the pyramid's one edge joins layers 0 and 2 once each distance doubles
+        shelling = tg.shelling_poset
+
+        def doubled(graph, base):
+            poset = shelling(graph, base)
+            return poset._replace(dist={w: 2 * d for w, d in poset.dist.items()})
+
+        monkeypatch.setattr(tg, "shelling_poset", doubled)
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok and detail == ("an edge does not join consecutive BFS layers: "
+                                     "(1, 3, 2, 4) at 0, (2, 1, 3, 4) at 2")
+
+    def test_the_cover_sum_is_checked_against_the_edge_count(self, monkeypatch):
+        # the pyramid's covers 0 and 1, each one more, against its one edge
+        shelling = tg.shelling_poset
+
+        def raised(graph, base):
+            poset = shelling(graph, base)
+            return poset._replace(cover={w: c + 1 for w, c in poset.cover.items()})
+
+        monkeypatch.setattr(tg, "shelling_poset", raised)
+        name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
+        assert not ok and detail == "cover sum differs from edge count: 3 vs 1"
 
     def test_wall_covers_are_checked_against_the_bfs_covers(self, monkeypatch):
         walls = tg.wall_covers

@@ -37,7 +37,14 @@ from positroid_hstar.positroid import (
 )
 from positroid_hstar.triangulation import hstar_shelling
 
-from references import element_bases, reference_cut_costs, reference_interpolate
+from references import (
+    element_bases,
+    reference_cut_costs,
+    reference_difference_bound,
+    reference_interpolate,
+    reference_turned,
+    unwrapped,
+)
 
 PYRAMID = validate_necklace([[1, 2], [2, 3], [1, 3], [1, 4]])
 UNIFORM25 = validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
@@ -295,6 +302,13 @@ def crosscheck_references():
                          "12345,23456,13456,14567,12567,12467,12347")]
 
 
+def body_rows(necklace, bounds, strict=()):
+    """``ehrhart._linear`` of facet bounds (u, v, c, sense), those of the
+    senses in ``strict`` strict, as ``ehrhart._body`` reads them."""
+    return eh._linear(necklace.n, necklace.rank,
+                      [(u, v, c, sense in strict) for u, v, c, sense in bounds])
+
+
 def dilated(rows, t):
     """Linear rows or tight rows as the ints their forms (X, s) are worth at
     box t: the ``one_box_tally`` arguments a plan of them is run with."""
@@ -378,7 +392,7 @@ class TestOriginTally:
         for necklace in connected_through(7):
             if necklace.n > 6:
                 continue
-            upper, *bodies = TestCuts.bodies(necklace.fact(eh._facet_rows), 0)
+            upper, *bodies = TestCuts.bodies(necklace, necklace.fact(eh._facet_rows), 0)
             for args in (upper, upper[:3], *bodies):
                 histogram = one_box_tally(*args)
                 assert histogram == reference_tally(*args), (necklace.compact(), args)
@@ -700,30 +714,66 @@ def rotated(subsets, shift):
                               for m in range(n)])
 
 
-class TestCuts:
-    """Every cut of the cycle counts the same body (``ehrhart._rotate``)."""
+class TestDifferenceBound:
+    """``IntervalInequality.difference_bound`` against the unwrap-and-flip
+    rule (``references.reference_difference_bound``)."""
 
     @staticmethod
-    def bodies(facets, t):
+    def check(necklace, rows):
+        for q in rows:
+            assert q.difference_bound(necklace.rank) == \
+                reference_difference_bound(q, necklace.rank), (necklace.subsets, q)
+
+    def test_every_necklace_and_facet_row_up_to_n7(self):
+        for necklace in connected_through(7):
+            self.check(necklace, necklace.fact(h_representation).inequalities)
+            self.check(necklace, necklace.fact(facet_representation).inequalities)
+        for necklace in disconnected_up_to(7):
+            self.check(necklace, necklace.fact(h_representation).inequalities)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_necklace_and_facet_row_of_n11_to_13_draws(self, seed):
+        for necklace in TestCuts.n11_to_13_draws(seed):
+            self.check(necklace, h_representation(necklace).inequalities)
+            self.check(necklace, facet_representation(necklace).inequalities)
+
+    def test_any_block_bound_and_sense(self):
+        for n, r in ((1, 0), (1, 1), (4, 2), (5, 3)):
+            necklace = uniform(r, n)
+            self.check(necklace, [
+                IntervalInequality(start, stop, bound, sense, strict)
+                for start, stop in itertools.product(range(1, n + 1), repeat=2)
+                for bound, sense, strict in itertools.product(range(-1, r + 2), ("<=", ">="),
+                                                              (False, True))])
+
+
+class TestCuts:
+    """Every cut of the cycle counts the same body (``ehrhart._facet_rows``)."""
+
+    @staticmethod
+    def bodies(necklace, bounds, t):
         """``one_box_tally`` arguments of the t-th dilate of the upper tally, the
-        closed body, its interior, the half-open body and its reciprocal."""
-        n = facets.n
-        return [(n, dilated(eh._linear(facets), t), t, dilated(eh._upper_marks(facets), t)),
-                *((n, dilated(eh._linear(facets, strict), t), t)
+        closed body, its interior, the half-open body and its reciprocal, from
+        facet bounds (u, v, c, sense)."""
+        n = necklace.n
+        return [(n, dilated(body_rows(necklace, bounds), t), t,
+                 dilated(eh._upper_marks(bounds), t)),
+                *((n, dilated(body_rows(necklace, bounds, strict), t), t)
                   for strict in ((), {"<=", ">="}, {"<="}, {">="}))]
 
     @staticmethod
-    def turned(facets, cut):
-        """The H-representation with its rows relabelled to the cut (``eh._rotate``)."""
-        return facets._replace(inequalities=eh._rotate(facets.n, facets.inequalities, cut))
+    def facet_rows_at(monkeypatch, necklace, cut):
+        """``ehrhart._facet_rows`` with the estimate made least at ``cut``."""
+        monkeypatch.setattr(eh, "_cut_costs", lambda n, bounds: [k != cut for k in range(n)])
+        return eh._facet_rows(necklace)
 
     def check_every_cut(self, necklace, picked=range(5)):
         """Each picked body's histogram at every cut equals the one at cut 0."""
         facets = necklace.fact(facet_representation)
-        bodies = self.bodies(facets, 2)
+        bodies = self.bodies(necklace, reference_turned(facets, 0), 2)
         reference = {k: one_box_tally(*bodies[k]) for k in picked}
         for cut in range(1, necklace.n):
-            bodies = self.bodies(self.turned(facets, cut), 2)
+            bodies = self.bodies(necklace, reference_turned(facets, cut), 2)
             for k in picked:
                 assert one_box_tally(*bodies[k]) == reference[k], (necklace.compact(), cut, k)
 
@@ -745,16 +795,18 @@ class TestCuts:
                 found += 1
                 self.check_every_cut(necklace)
 
-    def test_a_wrapped_facet_keeps_its_side(self):
-        # U(2,4) cut at 1: its upper facet x_1 + x_2 + x_3 <= 2 wraps, so it
-        # is read as the lower row x_4 >= 0, which the half-open body makes strict
-        facets = facet_representation(uniform(2, 4))
-        k = facets.inequalities.index(IntervalInequality(1, 4, 2, "<="))
-        turned = self.turned(facets, 1)
-        assert turned.inequalities[k] == IntervalInequality(4, 3, 2, "<=")
-        assert turned.inequalities[k].unwrapped(2) == IntervalInequality(3, 4, 0, ">=")
-        assert eh._linear(turned, {"<="})[1 + k] == (2, 3, (0, 1), (0, eh._INF))
-        assert eh._linear(turned, {">="})[1 + k] == (2, 3, (0, 0), (0, eh._INF))
+    def test_a_wrapped_facet_keeps_its_side(self, monkeypatch):
+        # U(2,4) cut at 1: its upper facet x_1 + x_2 + x_3 <= 2 becomes the
+        # bound z_2 - z_3 <= 0, read as the lower row x_4 >= 0 (z_3 - z_2 >= 0
+        # in the new coordinates), which the half-open body makes strict
+        necklace = uniform(2, 4)
+        k = facet_representation(necklace).inequalities.index(IntervalInequality(1, 4, 2, "<="))
+        turned = self.facet_rows_at(monkeypatch, necklace, 1)
+        assert turned[k] == (3, 2, 0, "<=")
+        # the relabelled block x_4 + x_1 + x_2 wraps; unwrapped, it flips
+        assert unwrapped(IntervalInequality(4, 3, 2, "<="), 2) == IntervalInequality(3, 4, 0, ">=")
+        assert body_rows(necklace, turned, {"<="})[1 + k] == (2, 3, (0, 1), (0, eh._INF))
+        assert body_rows(necklace, turned, {">="})[1 + k] == (2, 3, (0, 0), (0, eh._INF))
 
     def test_every_cut_makes_the_facets_of_the_strict_senses_strict(self):
         # the counts cannot show it: with the "<=" rows of the relabelled frame
@@ -762,37 +814,64 @@ class TestCuts:
         for necklace in connected_through(7):
             facets = necklace.fact(facet_representation)
             for cut, strict in itertools.product(range(necklace.n), ((), {"<="}, {">="})):
-                rows = eh._linear(self.turned(facets, cut), strict)[1:]
+                rows = body_rows(necklace, reference_turned(facets, cut), strict)[1:]
                 assert [lo[1] == 1 or hi[1] == -1 for _, _, lo, hi in rows] == \
                     [q.sense in strict for q in facets.inequalities], (necklace.compact(), cut)
 
-    def test_cut_costs_equal_the_arc_model_up_to_n7(self):
-        for necklace in connected_through(7):
-            facets = necklace.fact(facet_representation)
-            assert eh._cut_costs(facets) == reference_cut_costs(facets), necklace.compact()
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_cut_costs_equal_the_arc_model_on_n11_to_13_draws(self, seed):
+    @staticmethod
+    def n11_to_13_draws(seed):
+        """The first connected draw at each n = 11, 12, 13 from ``seed``."""
         rng = random.Random(seed)
         for n in (11, 12, 13):
             while not necklace_connected(necklace := necklace_from_decorated(
                     DecoratedPermutation(tuple(rng.sample(range(1, n + 1), n))))):
                 pass
+            yield necklace
+
+    def check_the_relabelling(self, monkeypatch, necklace):
+        """At every cut, ``_facet_rows`` relabels each bound as the unwrap-and-flip
+        rule reads the relabelled block."""
+        facets = necklace.fact(facet_representation)
+        for cut in range(necklace.n):
+            turned = self.facet_rows_at(monkeypatch, necklace, cut)
+            assert turned == reference_turned(facets, cut), (necklace.subsets, cut)
+
+    def test_every_cut_relabels_as_the_unwrapped_blocks_up_to_n7(self, monkeypatch):
+        for necklace in connected_through(7):
+            self.check_the_relabelling(monkeypatch, necklace)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_cut_relabels_as_the_unwrapped_blocks_on_n11_to_13_draws(
+            self, monkeypatch, seed):
+        for necklace in self.n11_to_13_draws(seed):
+            self.check_the_relabelling(monkeypatch, necklace)
+
+    def test_cut_costs_equal_the_arc_model_up_to_n7(self):
+        for necklace in connected_through(7):
             facets = necklace.fact(facet_representation)
-            assert eh._cut_costs(facets) == reference_cut_costs(facets), necklace.subsets
+            assert eh._cut_costs(necklace.n, reference_turned(facets, 0)) == \
+                reference_cut_costs(facets), necklace.compact()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cut_costs_equal_the_arc_model_on_n11_to_13_draws(self, seed):
+        for necklace in self.n11_to_13_draws(seed):
+            facets = necklace.fact(facet_representation)
+            assert eh._cut_costs(necklace.n, reference_turned(facets, 0)) == \
+                reference_cut_costs(facets), necklace.subsets
 
     def test_every_rotation_gives_one_hstar_each_in_its_own_cut(self):
         n = len(SEED5_RAND12)
-        first = eh._cut_costs(facet_representation(validate_necklace(SEED5_RAND12)))
+        first = eh._cut_costs(n, reference_turned(facet_representation(validate_necklace(
+            SEED5_RAND12)), 0))
         hstars, cuts, turned_back = set(), set(), set()
         for shift in range(n):
             necklace = rotated(SEED5_RAND12, shift)
             facets = necklace.fact(facet_representation)
-            costs = eh._cut_costs(facets)
+            costs = eh._cut_costs(n, reference_turned(facets, 0))
             # the estimate turns with the body: cut s here is cut s - shift there
             assert costs == first[-shift:] + first[:-shift]
             cut = costs.index(min(costs))
-            assert necklace.fact(eh._facet_rows) == self.turned(facets, cut)
+            assert necklace.fact(eh._facet_rows) == reference_turned(facets, cut)
             cuts.add(cut)
             turned_back.add((cut - shift) % n)
             hstars.add(count_to_degree(necklace).hstar)

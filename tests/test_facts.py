@@ -139,7 +139,9 @@ def test_one_sweep_pass_runs_1195_reference_dilates(calls):
         calls.clear()
         subsets = tuple(tuple(sorted(s)) for s in necklace.subsets)
         assert cli._exhaustive_worker(subsets)[1], necklace.compact()
-        n, rows = necklace.n, eh._linear(necklace.fact(po.h_representation))
+        n, r = necklace.n, necklace.rank
+        rows = eh._linear(n, r, [(*q.difference_bound(r), q.strict)
+                                 for q in necklace.fact(po.h_representation).inequalities])
         args, reference = calls["_plan"][0]
         assert args == (n, rows, 1), necklace.compact()
         dilates = [t for (plan, t), _ in calls["_run"] if plan is reference]

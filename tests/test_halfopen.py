@@ -45,6 +45,7 @@ from positroid_hstar.triangulation import (
     simplex_facets,
     simplex_vertices,
 )
+from positroid_hstar.verify import _facets_by_bases
 
 from references import (
     affine_rank,
@@ -53,11 +54,11 @@ from references import (
     face_counts,
     face_equalities,
     half_open_profile,
-    reference_facets,
     tally_dilates,
     vertices,
 )
 from test_ehrhart import (
+    body_rows,
     connected_through,
     dilated,
     faulty_bodies,
@@ -161,13 +162,13 @@ class TestFaceDimensions:
 
     def test_canonical_facets_match_the_affine_rank_reference_past_the_sweep(self):
         # the affine rank of the tight vertices through n = 12; past it, the
-        # dimension of the tight bases (``reference_facets``)
+        # dimension of the tight bases (``verify._facets_by_bases``)
         rng = random.Random(19)
         for n in range(9, 17):
             necklace = random_connected(rng, n)
             reference = (tuple(f for f, tight in tight_vertex_sets(necklace).items()
                                if affine_rank(tight) == n - 2) if n <= 12
-                         else reference_facets(necklace))
+                         else _facets_by_bases(necklace))
             assert facet_representation(necklace).inequalities == reference, necklace
 
     def test_closure_facets_match_the_bases_reference_through_n7(self):
@@ -175,7 +176,7 @@ class TestFaceDimensions:
         necklaces = connected_through(7)
         assert len(necklaces) == 1726
         for necklace in necklaces:
-            assert facet_representation(necklace).inequalities == reference_facets(necklace), (
+            assert facet_representation(necklace).inequalities == _facets_by_bases(necklace), (
                 necklace.compact())
 
 
@@ -356,7 +357,7 @@ def dilate_histograms(necklace):
     """Per dilate t of ``tally_dilates``, the points of tP by their mask of
     tight upper facets: the histograms that ``upper_tally`` merges."""
     facets = necklace.fact(eh._facet_rows)
-    return [one_box_tally(necklace.n, dilated(eh._linear(facets), t), t,
+    return [one_box_tally(necklace.n, dilated(body_rows(necklace, facets), t), t,
                           dilated(eh._upper_marks(facets), t)) for t in tally_dilates(necklace.n)]
 
 

@@ -123,17 +123,34 @@ def test_one_form_of_a_facet_a_face_and_a_basis():
     assert type(tr.positroid_from_subdivision(SQUARE_TAU)) is po.GrassmannNecklace
 
 
-def test_one_form_of_a_counting_row():
-    # a facet row stays an IntervalInequality until ehrhart._linear makes it
-    # a linear row, IntervalInequality.unwrapped is its one complement rule,
+def test_one_form_of_a_counting_row(monkeypatch):
+    # every row reads as a difference bound (IntervalInequality.difference_bound,
+    # its one complement rule), a cut relabels the bounds' prefix-sum nodes,
     # and a counted body names the senses it makes strict
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
-        for name in ("_compile", "CompiledRow", "_projected_candidates"):
+        for name in ("_compile", "CompiledRow", "_projected_candidates", "_rotate"):
             assert not hasattr(home, name), (module.name, name)
+    assert not hasattr(po.IntervalInequality, "unwrapped")
     for function in (eh._linear, eh._body):
         parameters = inspect.signature(function).parameters
         assert not {"strict_upper", "strict_lower"} & set(parameters), function.__name__
+    # past facet_representation a connected count builds no IntervalInequality
+    necklace = po.validate_necklace(PRISM.subsets)
+    necklace.fact(po.facet_representation)
+    built, init = [], po.IntervalInequality.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(po.IntervalInequality, "__init__", spy)
+    eh.count_to_degree(necklace)
+    eh.count_to_degree(necklace, half_open=True)
+    eh.upper_tally(necklace)
+    assert built == []
+    po.h_representation(po.validate_necklace(PRISM.subsets))  # the spy sees a row built
+    assert built
 
 
 def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
@@ -173,9 +190,9 @@ def test_no_module_binds_a_second_table_of_walls():
 
 def test_no_module_binds_the_facets_with_their_bases():
     # the facets are read off a shortest-path closure of the necklace
-    # (positroid.facet_representation); the bases test is the tests'
-    # reference (references.reference_facets), and halfopen filters the
-    # bases on its upper facets itself
+    # (positroid.facet_representation); the bases test is the reference
+    # that verify compares it with (verify._facets_by_bases), and halfopen
+    # filters the bases on its upper facets itself
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
         assert not hasattr(home, "_facet_vertex_sets"), module.name
