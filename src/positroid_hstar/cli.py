@@ -570,29 +570,25 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
                                        f"{poset.base}, first at {differing}")
         shelling = poly_ints(tg.hstar_from_covers(covers))
         stage = "closed profile"
-        # P is a 0/1 polytope of dimension n - 1: its only lattice points at
-        # t = 1 are its bases, none interior, so h*_{n-1} = 0 and its counts
-        # E(0..n - 2) (t = 1 checked against the bases) fix its h*, which the
-        # oracle's must equal, degree and all
-        top = eh._last_dilate(n - 1)
-        reference = eh.lattice_counts(necklace.fact(po.h_representation), top)
+        # the full necklace H-representation, read as a 0/1 polytope's
+        # (``ehrhart._hrep_ehrhart``), fixes the oracle's h*, degree and all
         differs = "closed profile differs from the full H-representation count"
+        try:
+            reference, counted = eh._hrep_ehrhart(necklace)
+        except (ValueError, ArithmeticError) as exc:
+            return _check(name, False, f"{differs}: {exc}")
         try:
             ehr = eh.ehrhart_of_positroid(necklace)
         except ArithmeticError:
             # a wrong body fails its reciprocity check; name it when it is the body
-            facets = eh.lattice_counts(necklace.fact(po.facet_representation), top)
+            facets = eh.lattice_counts(necklace.fact(po.facet_representation), len(reference) - 1)
             if facets != reference:
                 return _check(name, False, f"{differs}: facet counts {facets}, "
                                            f"full counts {reference}")
             raise
-        try:
-            counted = eh._face_hstar_from_counts(
-                reference, n - 1, len(necklace.fact(po.bases_from_necklace).bases))
-        except (ValueError, ArithmeticError) as exc:
-            return _check(name, False, f"{differs}: {exc}")
-        if ehr != eh.EhrhartPolynomial(counted, n - 1):
-            return _check(name, False, f"{differs}: oracle h* {ehr.hstar}, counted h* {counted}")
+        if ehr != counted:
+            return _check(name, False, f"{differs}: oracle h* {ehr.hstar}, "
+                                       f"counted h* {counted.hstar}")
         if sum(shelling) != len(labels) or sum(ehr.hstar) != len(labels):
             return _check(name, False, f"h*(1), |D_J| and normalized volume differ: "
                                        f"{sum(shelling)}, {len(labels)}, {sum(ehr.hstar)}")

@@ -6,9 +6,23 @@ sums (these bodies are alcoved polytopes).  A count has one of two forms:
 the tuple E(0), ..., E(k) of a body's dilates (``lattice_counts``), or the
 Ehrhart polynomial they fix, stored as its h*-vector and dimension d
 (``EhrhartPolynomial``): L(t) = sum_j h*_j C(t + d - j, d) (Beck-Robins,
-ch. 3).  The standard binomial alternating sum turns a tuple into h*
-(``hstar_from_counts``), in ints; rational coefficients are computed only
-where a report prints them.
+ch. 3).  Every h* is read by one rule, in ints (``_hstar_from_ends``):
+E(0..a) give h*_0..h*_a and the reciprocal body's counts R(1..b) give
+h*_d down to h*_(d-b+1), as sum_t R(t) z^(t-1) = sum_j h*_(d-j) z^j /
+(1 - z)^(d+1) by Ehrhart-Macdonald reciprocity (Beck-Robins, "Computing the
+Continuous Discretely", ch. 4; Beck-Sanyal, "Combinatorial Reciprocity
+Theorems", for a half-open body, whose reciprocal has the facets it keeps
+made strict).  With a + b >= d they fix h*; where they overlap they must
+agree.  ``count_to_degree`` runs the reciprocal up to its first nonempty
+dilate c and the body up to s = d + 1 - c, overlapping in h*_s.  A 0/1
+polytope, or a face of one, has only its vertices at t = 1, so R(1) = 0
+for d >= 1 and E(0..d - 1) fix h* (``_face_hstar_from_counts``, E(1)
+checked against the bases): the faces of ``upper_tally``, and any
+positroid's full necklace H-representation in its own affine hull
+(``_hrep_ehrhart``), the disconnected oracle and the sweep's reference.
+``face_hstar`` counts a face up to t = dim F, so its ends overlap in
+h*_{dim F} = 0.  Rational coefficients are computed only where a report
+prints them.
 
 One DP body does all counting.  ``_plan`` fixes which rows each step reads
 (``_first_read``) and which prefix sums it keeps, each bound a form t*X + s;
@@ -22,11 +36,7 @@ free of t >= 1, so each body is planned once and run at every dilate.
 the upper (<=) facet rows each point lies on, as a dict from mask to counts,
 and inclusion-exclusion reads every face's counts off that table: a face cut
 out by upper facets G holds the points whose mask contains G (``face_hstar``,
-one face alone at t = 0..dim F, is the reference).  The tally stops at
-t = n - 3 (t = 1 from n = 3 on): a face F, of dimension at most n - 2, has
-its bases as its only lattice points at t = 1, none in its relative
-interior, so h*_{dim F}(F) = 0 by reciprocity, and E_F(0..dim F - 1) fix
-its h* (``_face_hstar_from_counts``, which checks E_F(1) against the bases).
+one face alone at t = 0..dim F, is the reference).
 
 A connected positroid is counted, with no bases derived, from its
 irredundant facets, the rows of ``facet_representation``, each read once as
@@ -43,25 +53,9 @@ the DP depends on the cut a hundredfold at n = 12-13.
 states the DP holds (``_cut_costs``), and keeps the bounds relabelled to it,
 so every body above and ``upper_tally`` count in that cut.
 ``lattice_counts`` of any H-representation, and so ``face_hstar`` and the
-sweep's count of ``h_representation``, stays at the first cut, as a reference.
-``count_to_degree`` counts a body only up to its h*-degree s, which
-Ehrhart-Macdonald reciprocity fixes: the reciprocal body (the facets the
-body keeps, made strict) first has lattice points at the dilate
-c = d + 1 - s, and has h*_s of them there (Beck-Robins, "Computing the
-Continuous Discretely", ch. 4; for half-open bodies Beck-Sanyal,
-"Combinatorial Reciprocity Theorems").  Every call checks that equality.
-The exhaustive sweep compares the oracle against a count of the full
-necklace H-representation at t = 0..n - 2 (t = 0..n - 1 for n <= 2): a
-positroid polytope is a 0/1 polytope, so, as for a face above, its h*_{n-1}
-is 0 and these counts fix its h* (``_face_hstar_from_counts``, checking
-E(1) against the bases).  The oracle takes any positroid: a disconnected
-one has no full-dimensional projection to take facets from, so it is
-counted by ``lattice_counts`` of ``h_representation`` in its own affine
-hull, whose dimension d is n minus the number of direct-sum components, at
-t = 0..max(d - 1, min(d, 1)) by the same rule.  The product of the
-components' Ehrhart polynomials (``ehrhart_product``) is kept as the
-reference it must equal.  ``face_hstar`` alone counts a face to its top
-dilate, the reference that sees the vanishing coefficient.
+sweep's count of ``h_representation``, stays at the first cut, as a
+reference; so does a disconnected positroid's, whose reference is the
+product of its components' Ehrhart polynomials (``ehrhart_product``).
 """
 
 from __future__ import annotations
@@ -332,26 +326,45 @@ def lattice_counts(hrep: HRepresentation, tmax: int,
 
 def hstar_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
     """h*-vector from the counts E(0..d) of a d-dimensional body, d = len - 1:
-    h_j = sum_i (-1)^i C(d+1, i) E(j-i).
+    h_j = sum_i (-1)^i C(d+1, i) E(j-i).  A negative coefficient, from counts
+    of no (half-open) lattice polytope of dimension d, is an ArithmeticError."""
+    return _hstar_from_ends(len(counts) - 1, counts)
 
-    The result must have nonnegative integer coefficients; a violation means
-    the counts do not come from a (half-open) lattice polytope of dimension d
-    and is reported as an internal consistency failure.
+
+def _hstar_from_ends(dim: int, counts: Sequence[int],
+                     interior: Sequence[int] = ()) -> tuple[int, ...]:
+    """h* of a ``dim``-dimensional body from its counts E(0..a) and its
+    reciprocal body's counts R(1..b), a + b >= dim, by the module
+    docstring's one reading rule (``_hstar_head`` at each end).  Two ends
+    that overlap must agree, and no coefficient may be negative (an
+    ArithmeticError); a + b < dim is a ValueError.
+
+    >>> _hstar_from_ends(4, (1, 8, 31), (0, 0, 1))  # a prism: s = 2, codegree 3
+    (1, 3, 1)
     """
-    return _trim(_hstar_head(len(counts) - 1, counts))
+    head = _hstar_head(dim, counts[:dim + 1])
+    tail = _hstar_head(dim, interior[:dim + 1])[::-1]
+    start = dim + 1 - len(tail)  # the tail's first coefficient
+    if len(head) < start:
+        raise ValueError(f"a body of dimension {dim} needs its counts up to t = {start - 1}")
+    for j in range(start, len(head)):
+        if head[j] != tail[j - start]:
+            raise ArithmeticError(f"h*_{j} = {head[j]} by the body's counts but "
+                                  f"{tail[j - start]} by the reciprocal body's: counting bug")
+    for j, h in enumerate(hstar := head[:start] + tail):
+        if h < 0:
+            raise ArithmeticError(f"negative h*-coefficient {h} at degree {j}: counting bug")
+    return _trim(hstar)
 
 
 def _hstar_head(dim: int, counts: Sequence[int]) -> list[int]:
     """h*_0, ..., h*_k of a ``dim``-dimensional body from its counts E(0..k):
     the series sum_t E(t) z^t times (1 - z)^(dim + 1), cut at z^k, so h*_j
-    reads only E(0..j).  A negative coefficient is an ArithmeticError."""
+    reads only E(0..j)."""
     coeffs = list(counts)
     for _ in range(dim + 1):  # times 1 - z, in place from the top degree down
         for j in range(len(coeffs) - 1, 0, -1):
             coeffs[j] -= coeffs[j - 1]
-    for j, h in enumerate(coeffs):
-        if h < 0:
-            raise ArithmeticError(f"negative h*-coefficient {h} at degree {j}: counting bug")
     return coeffs
 
 
@@ -365,7 +378,7 @@ def ehrhart_product(factors: Sequence[EhrhartPolynomial]) -> EhrhartPolynomial:
     """
     dim = sum(f.dim for f in factors)
     counts = [math.prod(f(t) for f in factors) for t in range(dim + 1)]
-    return EhrhartPolynomial(_trim(_hstar_head(dim, counts)), dim)
+    return EhrhartPolynomial(_hstar_from_ends(dim, counts), dim)
 
 
 def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, int]],
@@ -377,37 +390,28 @@ def face_hstar(hrep: HRepresentation, face_equalities: Sequence[tuple[int, int, 
 
 def _face_hstar_from_counts(counts: Sequence[int], dim: int,
                             vertices: int | None = None) -> tuple[int, ...]:
-    """h* of a ``dim``-dimensional face of a 0/1 polytope from its counts
-    E(0), E(1), ... at t = 0..dim - 1 or further; counts past t = dim are
-    not read.  A polytope is a face of itself: the oracle of a disconnected
-    positroid (``_oracle``) and the exhaustive sweep's count of the full
-    necklace H-representation read their h* here too, counted up to
-    ``_last_dilate(dim)``.
-
-    h*_j reads E(0..j), and h*_dim, which only E(dim) would give, is 0 when
-    dim >= 1: by Ehrhart-Macdonald reciprocity it is the number of lattice
-    points in the face's relative interior, and its only lattice points
-    are its vertices.  Checked: E(0) = 1 and E(1) > dim (a ValueError:
-    the face is empty or of lower dimension), and E(1) = ``vertices``, its
-    number of bases, where given (an ArithmeticError: the count at t = 1
-    holds a point other than a vertex, or misses one).
+    """h* of a ``dim``-dimensional face of a 0/1 polytope, or of the polytope,
+    from its counts E(0), E(1), ... at t = 0..``_last_dilate(dim)`` or
+    further: the reading rule with R(1) = 0 when dim >= 1 (a point is its
+    own relative interior, so dim 0 reads no R).  Checked: E(0) = 1 and
+    E(1) > dim (a ValueError: the face is empty or of lower dimension), and
+    E(1) = ``vertices``, its number of bases, where given (an
+    ArithmeticError: a point other than a vertex at t = 1, or one missed).
 
     >>> _face_hstar_from_counts((1, 4), 2, 4), _face_hstar_from_counts((1, 4, 9), 2)
     ((1, 1), (1, 1))
     """
-    if len(counts) < max(dim, 1):
-        raise ValueError(f"a face of dimension {dim} needs its counts up to t = {dim - 1}")
-    if counts[0] != 1 or len(counts) > 1 and counts[1] <= dim:
+    if not counts or counts[0] != 1 or len(counts) > 1 and counts[1] <= dim:
         raise ValueError("face is empty or not of the stated dimension")
     if vertices is not None and len(counts) > 1 and counts[1] != vertices:
         raise ArithmeticError(f"a face with {vertices} bases has E(1) = {counts[1]} "
                               f"lattice points: counting bug")
-    return _trim(_hstar_head(dim, counts[:dim + 1]))
+    return _hstar_from_ends(dim, counts, [0] * (dim >= 1))
 
 
 def _last_dilate(dim: int) -> int:
-    """The last dilate ``_face_hstar_from_counts`` needs counted for a
-    ``dim``-dimensional 0/1 polytope: t = dim - 1, and t = 1 for its check.
+    """The last dilate a ``dim``-dimensional 0/1 polytope is counted at for
+    ``_face_hstar_from_counts``: t = dim - 1, and t = 1 for its check.
 
     >>> [_last_dilate(dim) for dim in range(5)]
     [0, 1, 1, 2, 3]
@@ -424,11 +428,9 @@ def upper_tally(necklace: GrassmannNecklace) -> dict[int, list[int]]:
 
     A face cut out by upper facets G is P meet the hyperplanes of G, so its
     t-th dilate holds exactly the points of tP whose mask contains G.  Such
-    a face F has dimension at most n - 2, and its h* needs E_F(0..dim F - 1)
-    only (``_face_hstar_from_counts``): h*_{dim F} is 0, as F has no lattice
-    point in its relative interior.  So the tally stops at t = n - 3, and
-    t = 1, where E_F(1) is checked against F's bases, is counted from n = 3
-    on.  Rows and tight rows (``_upper_marks``) both come from
+    a face F has dimension at most n - 2, and is read as a 0/1 polytope
+    (``_face_hstar_from_counts``), so the tally stops at ``_last_dilate``
+    of n - 2.  Rows and tight rows (``_upper_marks``) both come from
     ``_facet_rows``, so they are counted in its cut, from one plan.
 
     >>> from .positroid import validate_necklace
@@ -480,49 +482,46 @@ def _body(necklace: GrassmannNecklace, strict: Collection[str]) -> tuple:
 
 def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> EhrhartPolynomial:
     """Ehrhart polynomial of a connected positroid's closed (or half-open)
-    body, from its counts up to its h*-degree s.
-
-    The body has no facets strict (half-open: those of sense "<=", the
-    upper ones); its reciprocal has exactly the other facets strict.  The
-    codegree c is the least t >= 1 at which the reciprocal has a lattice
-    point; then s = d + 1 - c, the counts E(0..s) give h*_0..h*_s, and
-    h*_s must equal the reciprocal's count at c (an ArithmeticError
-    otherwise).  Each body is planned once (``_body``).
+    body, from its counts up to its h*-degree s and its reciprocal's up to
+    the codegree d + 1 - s, by the module docstring's reading rule.  The
+    body has no facets strict (half-open: the upper ones, of sense "<=");
+    its reciprocal exactly the other facets.  Each is planned once (``_body``).
     """
     dim = necklace.n - 1
     removed = {"<="} if half_open else set()
     reciprocal = _body(necklace, {"<=", ">="} - removed)
+    interior = []
     for codegree in range(1, dim + 2):
-        if points := sum(_run(reciprocal, codegree).values()):
+        interior.append(sum(_run(reciprocal, codegree).values()))
+        if interior[-1]:
             break
     else:
         raise ArithmeticError(f"the reciprocal body has no lattice point up to dilate "
                               f"{dim + 1}: counting bug")
-    degree = dim + 1 - codegree
     body = _body(necklace, removed)
-    hstar = _hstar_head(dim, [sum(_run(body, t).values()) for t in range(degree + 1)])
-    if hstar[degree] != points:
-        raise ArithmeticError(f"h*_{degree} = {hstar[degree]}, but the reciprocal body has "
-                              f"{points} points at dilate {codegree}: counting bug")
-    return EhrhartPolynomial(tuple(hstar), dim)
+    counts = [sum(_run(body, t).values()) for t in range(dim + 2 - codegree)]
+    return EhrhartPolynomial(_hstar_from_ends(dim, counts, interior), dim)
 
 
-def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """The counting oracle's Ehrhart polynomial of any positroid polytope.
-
-    A connected positroid is counted up to its h*-degree (``count_to_degree``);
-    a disconnected one from its necklace inequalities, in its own affine
-    hull, of dimension d = n minus the number of direct-sum components, at
-    t = 0..max(d - 1, min(d, 1)) (``_last_dilate``): a 0/1 polytope has
-    h*_d = 0, and E(1) is checked against its bases
-    (``_face_hstar_from_counts``).
-    """
-    if necklace.fact(necklace_connected):
-        return count_to_degree(necklace)
+def _hrep_ehrhart(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], EhrhartPolynomial]:
+    """Any positroid's full necklace H-representation (``h_representation``)
+    counted in its own affine hull, of dimension d = n minus its direct-sum
+    components, at t = 0..``_last_dilate(d)``, and the Ehrhart polynomial
+    the counts fix (``_face_hstar_from_counts``, E(1) against the bases):
+    the disconnected oracle, and the sweep's reference for a connected one."""
     bases = necklace.fact(bases_from_necklace).bases
     dim = dimension_of_bases(bases, necklace.n)
     counts = lattice_counts(necklace.fact(h_representation), _last_dilate(dim))
-    return EhrhartPolynomial(_face_hstar_from_counts(counts, dim, len(bases)), dim)
+    return counts, EhrhartPolynomial(_face_hstar_from_counts(counts, dim, len(bases)), dim)
+
+
+def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
+    """The counting oracle's Ehrhart polynomial of any positroid polytope:
+    a connected one counted up to its h*-degree (``count_to_degree``), a
+    disconnected one from its necklace inequalities (``_hrep_ehrhart``)."""
+    if necklace.fact(necklace_connected):
+        return count_to_degree(necklace)
+    return _hrep_ehrhart(necklace)[1]
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:

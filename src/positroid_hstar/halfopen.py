@@ -14,11 +14,10 @@ components (``positroid.dimension_of_bases``); the upper facets that hold
 it are one bitmask too, bit i for upper facet i, whose bases are those on its row.
 Each face's counts are read off one lattice count of the closed body per
 dilate, tallied by the upper facets each point lies on
-(``ehrhart.upper_tally``); the faces are not counted one by one.  A face F
-is read at t = 0..dim F - 1 only, since h*_{dim F}(F) = 0 (its lattice
-points at t = 1 are its bases, and none lies in its relative interior), and
-that premise is checked on every face: E_F(1) must equal its number of
-bases.  The faces of one codimension k are summed before (1-z)^k is applied.
+(``ehrhart.upper_tally``), and read as a 0/1 polytope's, E_F(1) checked
+against its bases (``ehrhart._face_hstar_from_counts``); the faces are not
+counted one by one.  The faces of one codimension k are summed before
+(1-z)^k is applied.
 """
 
 from __future__ import annotations
@@ -150,11 +149,9 @@ def hstar_closed_via_inclusion_exclusion(necklace: GrassmannNecklace) -> tuple[i
     mu(F, P) (1-z)^(dim P - dim F) h*(F).  The faces of one codimension k
     are summed first, and (1-z)^k applied once to their sum.  Each face's
     counts are read off one tally of the closed body's points by the upper
-    facets they lie on (``ehrhart.upper_tally``), at t = 0..dim F - 1 (its
-    h*_{dim F} is 0), and checked: E_F(0) = 1 and E_F(1) = its number of
-    bases.  The sum runs in integers: every term has degree at most
-    dim P = n - 1.  The result must have nonnegative coefficients and
-    constant term 1.
+    facets they lie on, as the module docstring says.  The sum runs in
+    integers: every term has degree at most dim P = n - 1.  The result must
+    have nonnegative coefficients and constant term 1.
     """
     n = necklace.n
     if n == 1:

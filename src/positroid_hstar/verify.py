@@ -312,6 +312,11 @@ def _facets_by_bases(necklace: po.GrassmannNecklace) -> tuple[po.IntervalInequal
     return tuple(sorted(facets, key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")))
 
 
+def _facets_differ(necklace: po.GrassmannNecklace) -> bool:
+    """The closure's facets (``positroid.facet_representation``) differ from the bases rule's."""
+    return necklace.fact(po.facet_representation).inequalities != _facets_by_bases(necklace)
+
+
 def verify_roundtrips(max_n: int) -> list[Check]:
     """Round trips of the two bijections, plus the connectivity and facet
     cross-checks.
@@ -336,8 +341,7 @@ def verify_roundtrips(max_n: int) -> list[Check]:
                 bad_sif += 1
             elif connected:
                 connected_total += 1
-                bad_facets += (necklace.fact(po.facet_representation).inequalities
-                               != _facets_by_bases(necklace))
+                bad_facets += _facets_differ(necklace)
     return [_check(f"necklace/decorated round trips n <= {max_n}", bad_trip == 0,
                    f"{total} decorated permutations"),
             _check(f"rank-split vs interval-free connectivity n <= {max_n}",
@@ -360,9 +364,10 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
             if necklace.fact(po.necklace_connected):
                 return necklace
 
-    bad = 0
+    bad = bad_facets = 0
     for _ in range(w0_samples):
         necklace = sample_connected()
+        bad_facets += _facets_differ(necklace)
         labels = necklace.fact(tg.enumerate_labels)
         graph = tg.build_graph(labels)
         covers = [tg.shelling_poset(graph, w).cover for w in graph.words]
@@ -379,6 +384,7 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
         tau = tr.random_subdivision(n, rng)
         try:
             tree = tr.tree_positroid(tau)
+            bad_facets += _facets_differ(tree.necklace)
             graph = tg.build_graph(tree.necklace.fact(tg.enumerate_labels))
             graph_hstar = tg.hstar_from_covers(tg.shelling_poset(graph, graph.words[0]).cover)
             if tg.hstar_shelling(tree.necklace) != graph_hstar:
@@ -387,6 +393,8 @@ def verify_random(seed: int, w0_samples: int, subdivision_samples: int,
             bad += 1
     checks.append(_check(f"subdivision agreement ({subdivision_samples} samples, n <= {max_n})",
                          bad == 0, f"seed {seed}"))
+    checks.append(_check(f"closure vs bases facets (random, n <= {max_n})", bad_facets == 0,
+                         f"{w0_samples + subdivision_samples} samples, seed {seed}"))
     return checks
 
 

@@ -43,6 +43,22 @@ def one_more_point_in_the_square(monkeypatch):
     monkeypatch.setattr(eh, "_run", one_more)
 
 
+def keep_a_redundant_facet_row(monkeypatch):
+    """Keep x_1 + x_2 >= 0, which holds on every polytope but is a facet of
+    none with n >= 3, among the closure's facets."""
+    facets = po.facet_representation
+
+    def with_redundant_row(necklace):
+        hrep = facets(necklace)
+        if necklace.n < 3:
+            return hrep
+        return hrep._replace(inequalities=tuple(sorted(
+            (*hrep.inequalities, po.IntervalInequality(1, 3, 0, ">=")),
+            key=lambda q: (q.start, q.stop, q.bound, q.sense == "<="))))
+
+    monkeypatch.setattr(po, "facet_representation", with_redundant_row)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -689,18 +705,7 @@ class TestVerify:
                                         "2/3 checks passed"]
 
     def test_a_redundant_facet_row_fails(self, capsys, monkeypatch):
-        # x_1 + x_2 >= 0 holds on every polytope but is a facet of none with n >= 3
-        facets = po.facet_representation
-
-        def with_redundant_row(necklace):
-            hrep = facets(necklace)
-            if necklace.n < 3:
-                return hrep
-            return hrep._replace(inequalities=tuple(sorted(
-                (*hrep.inequalities, po.IntervalInequality(1, 3, 0, ">=")),
-                key=lambda q: (q.start, q.stop, q.bound, q.sense == "<="))))
-
-        monkeypatch.setattr(po, "facet_representation", with_redundant_row)
+        keep_a_redundant_facet_row(monkeypatch)
         code, out, err = run(capsys, "verify", "--scope", "roundtrip", "--max-n", "4")
         assert (code, err) == (1, "")
         assert out.splitlines()[:4] == ["PASS  " + self.ROUNDTRIP[0], "PASS  " + self.ROUNDTRIP[1],
@@ -729,6 +734,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--scope", "random",
                            "--w0-samples", "4", "--subdivision-samples", "6")
         assert code == 0
+
+    RANDOM = ("verify", "--scope", "random", "--seed", "3", "--max-n", "5",
+              "--w0-samples", "4", "--subdivision-samples", "6")
+    RANDOM_LINES = ["base-point independence (4 samples, n <= 5)  seed 3",
+                    "subdivision agreement (6 samples, n <= 5)    seed 3",
+                    "closure vs bases facets (random, n <= 5)     10 samples, seed 3"]
+
+    def test_random_scope_compares_the_facets_on_every_sample(self, capsys):
+        # the closure's facets against the bases rule's, on the 4 + 6 samples
+        assert run(capsys, *self.RANDOM) == (0, "".join(
+            f"PASS  {line}\n" for line in self.RANDOM_LINES) + "3/3 checks passed\n", "")
+
+    def test_a_redundant_facet_row_fails_the_random_scope(self, capsys, monkeypatch):
+        keep_a_redundant_facet_row(monkeypatch)
+        code, out, err = run(capsys, *self.RANDOM)
+        assert (code, err) == (1, "")
+        assert out.splitlines()[:4] == ["PASS  " + self.RANDOM_LINES[0],
+                                        "PASS  " + self.RANDOM_LINES[1],
+                                        "FAIL  " + self.RANDOM_LINES[2], "2/3 checks passed"]
 
     def test_random_scope_honours_max_n(self, capsys):
         code, out, _ = run(capsys, "verify", "--scope", "random", "--max-n", "5",
@@ -812,7 +836,7 @@ class TestVerify:
         monkeypatch.setattr(tg, "_wall", lambda *args: reads.append(args[0]) or wall(*args))
         forget_words()
         checks = verify.verify_random(20240814, 4, 0)
-        assert [ok for _, ok, _ in checks] == [True, True]
+        assert [ok for _, ok, _ in checks] == [True, True, True]
         assert len(searched) == 4 and any(len(labels) > 1 for labels in searched)
         words = {w for labels in searched for w in labels}
         assert sum(map(len, searched)) == 13 and len(words) == 8  # samples share words
@@ -826,7 +850,7 @@ class TestVerify:
             {w: c + (w != tuple(base)) for w, c in cover.items()}
             for base, cover in zip(bases, walls(labels, bases))])
         checks = verify.verify_random(3, 2, 2, max_n=5)
-        assert [ok for _, ok, _ in checks] == [False, False]
+        assert [ok for _, ok, _ in checks] == [False, False, True]
 
 
 class TestExhaustiveWorker:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
+from positroid_hstar import halfopen as ho
 from positroid_hstar.ehrhart import (
     EhrhartPolynomial,
     count_to_degree,
@@ -681,6 +682,96 @@ class TestCountToDegree:
         faulty_bodies(monkeypatch, lambda strict: ">=" in strict, lambda points: 0)
         with pytest.raises(ArithmeticError, match="no lattice point up to dilate 5"):
             count_to_degree(validate_necklace(PRISM.subsets))
+
+
+class TestReadingRule:
+    """Every h* is read by one rule (``eh._hstar_from_ends``): a d-dimensional
+    body's counts E(0..a) give h*_0..h*_a, and its reciprocal body's counts
+    R(1..b), read backwards, h*_d down to h*_(d-b+1), since
+    sum_t R(t) z^(t-1) = sum_j h*_(d-j) z^j / (1 - z)^(d+1); where the two
+    ends overlap they must agree."""
+
+    def test_the_reciprocal_counts_alone_give_the_hstar(self):
+        # the closed and half-open bodies of every connected positroid with
+        # 2 <= n <= 7: R(1..n) fix h*, with no count of the body itself
+        bodies = 0
+        for necklace in connected_through(7):
+            dim = necklace.n - 1
+            for half_open in (False, True):
+                reciprocal = eh._body(necklace, {">="} if half_open else {"<=", ">="})
+                interior = [sum(eh._run(reciprocal, t).values()) for t in range(1, dim + 2)]
+                hstar = count_to_degree(necklace, half_open).hstar
+                assert eh._hstar_from_ends(dim, (), interior) == hstar, necklace.compact()
+                padded = [*hstar, *[0] * (dim + 1 - len(hstar))]
+                assert eh._hstar_head(dim, interior)[::-1] == padded
+                bodies += 1
+        assert bodies == 3452
+
+    def test_the_ends_may_meet_or_overlap(self):
+        # the prism: E(0..2) = 1, 8, 31 and R(1..4) = 0, 0, 1, 8 for h* = 1 + 3z + z^2
+        for a in range(3):
+            for b in range(4 - a, 5):
+                got = eh._hstar_from_ends(4, (1, 8, 31)[:a + 1], (0, 0, 1, 8)[:b])
+                assert got == (1, 3, 1), (a, b)
+
+    def test_two_ends_that_disagree_raise(self):
+        with pytest.raises(ArithmeticError, match="h\\*_2 = 1 by the body's counts but 2 by "
+                                                  "the reciprocal body's"):
+            eh._hstar_from_ends(4, (1, 8, 31), (0, 0, 2))
+        with pytest.raises(ArithmeticError, match="h\\*_1 = 3 by the body's counts but 4"):
+            eh._hstar_from_ends(4, (1, 8, 31), (0, 0, 1, 9))
+        # R(1..4) = 1, 0, 0, 0 gives h*_0 = -4 read backwards
+        with pytest.raises(ArithmeticError, match="negative h\\*-coefficient -4 at degree 0"):
+            eh._hstar_from_ends(3, (), (1, 0, 0, 0))
+
+    def test_too_few_counts_raise(self):
+        with pytest.raises(ValueError, match="dimension 4 needs its counts up to t = 1"):
+            eh._hstar_from_ends(4, (1,), (0, 0, 1))
+        with pytest.raises(ValueError, match="up to t = 2"):
+            eh._face_hstar_from_counts((1, 4), 3)
+
+    def test_a_face_counted_to_its_top_dilate_checks_that_its_top_coefficient_vanishes(
+            self, monkeypatch):
+        # a 0/1 polytope has R(1) = 0, so h*_dim = 0; one point too many at
+        # t = dim makes it 1
+        assert eh._face_hstar_from_counts((1, 4, 9), 2) == (1, 1)
+        with pytest.raises(ArithmeticError, match="h\\*_2 = 1 by the body's counts but 0"):
+            eh._face_hstar_from_counts((1, 4, 10), 2)
+        counts = eh.lattice_counts
+        monkeypatch.setattr(eh, "lattice_counts", lambda hrep, tmax, equalities=(): (
+            *counts(hrep, tmax, equalities)[:-1], counts(hrep, tmax, equalities)[-1] + 1))
+        with pytest.raises(ArithmeticError, match="h\\*_3 = 1 by the body's counts but 0"):
+            face_hstar(h_representation(PRISM), [(1, 4, 2)], 3)
+
+    def test_every_reading_goes_through_the_rule(self, monkeypatch):
+        reads, rule, hrep = [], eh._hstar_from_ends, eh._hrep_ehrhart
+        monkeypatch.setattr(eh, "_hstar_from_ends", lambda dim, counts, interior=(): (
+            reads.append((dim, tuple(counts), tuple(interior))) or rule(dim, counts, interior)))
+        prism = lambda: validate_necklace(PRISM.subsets)  # a fresh necklace: no facts kept
+        count_to_degree(prism())
+        count_to_degree(prism(), half_open=True)
+        assert reads == [(4, (1, 8, 31), (0, 0, 1)), (4, (0, 0, 1, 9), (0, 4))]
+        reads.clear()
+        necklace = prism()
+        mu = ho.moebius(ho.face_poset_of_uppers(necklace))
+        ho.hstar_closed_via_inclusion_exclusion(necklace)
+        faces = [node for node, value in mu.items() if value and node.dim < 4]
+        assert [(dim, interior) for dim, _, interior in reads] == [
+            (node.dim, (0,) * (node.dim > 0)) for node in faces]
+        reads.clear()
+        face_hstar(h_representation(PRISM), [(1, 4, 2)], 3)
+        assert reads == [(3, (1, 6, 18, 40), (0,))]  # a triangle times a segment
+        # the disconnected oracle and the sweep's reference read one count
+        # of the full necklace H-representation (eh._hrep_ehrhart)
+        counted = []
+        monkeypatch.setattr(eh, "_hrep_ehrhart", lambda necklace: counted.append(
+            necklace.compact()) or hrep(necklace))
+        reads.clear()
+        assert eh.ehrhart_of_positroid(necklace_from_decorated(DecoratedPermutation(
+            (2, 1, 4, 3)))).hstar == (1, 1)
+        assert cli._exhaustive_worker(((1, 2), (2, 3), (1, 3), (1, 4)))[1]
+        assert counted == ["13,23,13,14", "12,23,13,14"]
+        assert (2, (1, 4), (0,)) in reads and (3, (1, 5, 14), (0,)) in reads
 
 
 class TestFactsOfTheBases:

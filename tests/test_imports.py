@@ -177,6 +177,19 @@ def test_no_module_binds_a_second_form_of_a_count():
     assert list(inspect.signature(eh.hstar_from_counts).parameters) == ["counts"]
 
 
+def test_one_reading_rule_for_every_h_star():
+    # every h* is read from counts at both ends of reciprocity
+    # (ehrhart._hstar_from_ends): no hand-written check of h*_s, and the
+    # sweep's reference reads the full H-representation through the same
+    # function as the disconnected oracle (ehrhart._hrep_ehrhart)
+    cli_source = (ROOT / "src" / "positroid_hstar" / "cli.py").read_text()
+    for name in ("_last_dilate", "_face_hstar_from_counts", "_hstar_head"):
+        assert name not in cli_source, name
+    assert "_hstar_head" not in inspect.getsource(eh.count_to_degree)
+    assert list(inspect.signature(eh._hstar_from_ends).parameters) == [
+        "dim", "counts", "interior"]
+
+
 def test_no_module_binds_a_second_table_of_walls():
     # wall_covers counts the descents of the label windows and reads no wall,
     # so it takes the labels alone, no module builds a walls table of its own
