@@ -64,7 +64,7 @@ def parse_compact_necklace(text: str) -> po.GrassmannNecklace:
     for k, p in enumerate(parts, 1):
         if not p:
             raise InputError(f'necklace entry {k} is empty; write an empty J_i as "-"')
-        if not p.isdigit() and p != "-":
+        if not (p.isascii() and p.isdigit()) and p != "-":
             raise InputError(f"necklace entry {p!r} is not a digit string")
         subsets.append(frozenset(int(c) for c in p) if p != "-" else frozenset())
     try:
@@ -375,12 +375,6 @@ def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
 # commands
 # ---------------------------------------------------------------------------
 
-def _components(necklace: po.GrassmannNecklace) -> list[list[int]]:
-    """Ground sets of the direct summands, ordered by their least element."""
-    bases = necklace.fact(po.bases_from_necklace)
-    return [list(g) for g in po.components_of_bases(bases.bases, bases.n)]
-
-
 def cmd_convert(args) -> dict:
     kind, necklace = input_necklace(read_input(args.input))
     bases = necklace.fact(po.bases_from_necklace)
@@ -397,7 +391,7 @@ def cmd_convert(args) -> dict:
         "connected": connected,
     }
     if not connected:
-        report["components"] = _components(necklace)
+        report["components"] = [list(g) for g in necklace.fact(po.necklace_components)]
     return report
 
 
@@ -436,7 +430,7 @@ def cmd_hstar(args) -> dict:
             raise po.DisconnectedPositroidError(
                 f"method {method} needs a connected positroid; "
                 "split with decompose_direct_sum and multiply Ehrhart factors")
-        report["components"] = _components(necklace)
+        report["components"] = [list(g) for g in necklace.fact(po.necklace_components)]
     base = parse_word(args.w0) if args.w0 is not None else None
     results = hstar_routes(necklace, methods, args.half_open, base)
     if connected:

@@ -69,9 +69,9 @@ from .positroid import (
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
-    dimension_of_bases,
     facet_representation,
     h_representation,
+    necklace_components,
     necklace_connected,
 )
 
@@ -505,12 +505,13 @@ def count_to_degree(necklace: GrassmannNecklace, half_open: bool = False) -> Ehr
 
 def _hrep_ehrhart(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], EhrhartPolynomial]:
     """Any positroid's full necklace H-representation (``h_representation``)
-    counted in its own affine hull, of dimension d = n minus its direct-sum
-    components, at t = 0..``_last_dilate(d)``, and the Ehrhart polynomial
-    the counts fix (``_face_hstar_from_counts``, E(1) against the bases):
-    the disconnected oracle, and the sweep's reference for a connected one."""
+    counted in its own affine hull, of dimension d = n minus its direct
+    summands (``necklace_components``), at t = 0..``_last_dilate(d)``, and
+    the Ehrhart polynomial the counts fix (``_face_hstar_from_counts``, E(1)
+    against the bases): the disconnected oracle, and the sweep's reference
+    for a connected one."""
     bases = necklace.fact(bases_from_necklace).bases
-    dim = dimension_of_bases(bases, necklace.n)
+    dim = necklace.n - len(necklace.fact(necklace_components))
     counts = lattice_counts(necklace.fact(h_representation), _last_dilate(dim))
     return counts, EhrhartPolynomial(_face_hstar_from_counts(counts, dim, len(bases)), dim)
 

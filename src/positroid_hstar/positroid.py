@@ -13,8 +13,9 @@ r-subset takes one form, at most ``bound`` elements of a segment bitmask, so
 one filter (``_r_subsets_within``) yields both the bases of a necklace and
 the 0/1 points, as bitmasks, of any H-representation (``zero_one_points``).
 
-This module validates and converts between the three, computes connectivity
-and direct-sum decomposition, and produces two H-representations of the
+This module validates and converts between the three, reads a positroid's
+direct sum off its decorated permutation with no bases
+(``necklace_components``), and produces two H-representations of the
 polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
 necklace (``h_representation``), and for a connected positroid its
 irredundant facets, each an ``IntervalInequality`` row on a block that
@@ -25,7 +26,7 @@ and the counting DP take every row that way.
 Bases are bitmasks, bit k for element k: ``PositroidBases`` holds them so,
 and so does every face.  A face is the polytope of a matroid, whose
 dimension (``dimension_of_bases``) is n minus the number of connected
-components, so faces need no linear algebra.
+components of its fundamental graph, so faces need no linear algebra.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ class DisconnectedPositroidError(ValueError):
     """Raised when a connected-only route is given a disconnected positroid.
 
     The counting oracle (``ehrhart.hstar_by_counting``) takes any positroid.
-    For the other routes, split with ``decompose_direct_sum`` and combine the
+    For the other routes, split it into its summands (``necklace_components``
+    on the necklace, ``decompose_direct_sum`` on the bases) and combine the
     per-component results with ``ehrhart.ehrhart_product``.
     """
 
@@ -300,7 +302,7 @@ def necklace_from_decorated(dec: DecoratedPermutation) -> GrassmannNecklace:
 
 def is_connected(bases: PositroidBases) -> bool:
     """True iff no proper nonempty subset splits the rank additively; exponential
-    in n, it is the reference for ``necklace_connected`` and ``components_of_bases``."""
+    in n, it is the reference for ``necklace_connected``."""
     full = (1 << bases.n + 1) - 2
 
     def rank(s: int) -> int:
@@ -310,34 +312,43 @@ def is_connected(bases: PositroidBases) -> bool:
     return all(rank(s) + rank(full ^ s) != bases.r for s in range(2, full, 4))
 
 
+def necklace_components(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], ...]:
+    """The ground sets of the direct summands, ordered by their least element,
+    read off the decorated permutation with no bases (Ardila-Rincon-Williams,
+    "Positroids and non-crossing partitions"): the blocks of the finest
+    non-crossing partition that keeps each cycle of pi, so each pair v, pi(v),
+    in one block.  ``decompose_direct_sum``, on the bases, is the reference.
+
+    One left-to-right scan keeps the open blocks on a stack.  Meeting v, whose
+    lesser partner pi(v) or pi^-1(v) lies in an open block, merges every block
+    opened since, as each crosses it; a block closes at its farthest partner.
+
+    >>> necklace_components(necklace_from_decorated(DecoratedPermutation((3, 2, 1, 5, 4))))
+    ((1, 3), (2,), (4, 5))
+    """
+    perm = decorated_from_necklace(necklace).perm
+    inverse = {v: i for i, v in enumerate(perm, start=1)}
+    blocks, stack = [], []  # the open blocks: [farthest partner of a member, members]
+    for v, image in enumerate(perm, start=1):
+        near, far = (image, source) if image < (source := inverse[v]) else (source, image)
+        if near >= v:
+            stack.append([far, [v]])
+        else:
+            while stack[-1][1][0] > near:  # opened since near's block, so crossing it
+                last, members = stack.pop()
+                stack[-1][0] = max(stack[-1][0], last)
+                stack[-1][1] += members
+            stack[-1][0] = max(stack[-1][0], far)
+            stack[-1][1].append(v)
+        if stack[-1][0] == v:
+            blocks.append(tuple(stack.pop()[1]))
+    return tuple(sorted(blocks))
+
+
 def necklace_connected(necklace: GrassmannNecklace) -> bool:
-    """Connectivity of the positroid of a necklace, read off its decorated
-    permutation (Ardila-Rincon-Williams): connected exactly when no block
-    i..j other than 1..n is mapped onto itself.  A fixed point is such a
-    block unless n = 1.  Derives no bases; ``is_connected``, the rank-split
-    test, is the reference that ``verify_roundtrips`` compares it with.
-    """
-    return is_stabilized_interval_free(decorated_from_necklace(necklace).perm)
-
-
-def is_stabilized_interval_free(perm: Sequence[int]) -> bool:
-    """No block i..j of 1..n other than 1..n itself is mapped onto itself.
-
-    A block is stabilized exactly when its least image is i and its
-    greatest is j, so one running min and max per start i decide it.  A
-    cyclic interval that wraps past n is stabilized exactly when its
-    complement, a block, is; so blocks decide the cyclic notion too.
-    """
-    n = len(perm)
-    for i in range(1, n + 1):
-        low, high = n, 1
-        for j in range(i, n + 1):
-            low, high = min(low, perm[j - 1]), max(high, perm[j - 1])
-            if low < i:
-                break
-            if high == j and j - i < n - 1:
-                return False
-    return True
+    """One block (``necklace_components``), so no bases are derived;
+    ``is_connected`` is the reference."""
+    return len(necklace.fact(necklace_components)) == 1
 
 
 def _restrict_bases(bases: PositroidBases, ground: tuple[int, ...]) -> PositroidBases:
@@ -350,12 +361,19 @@ def _restrict_bases(bases: PositroidBases, ground: tuple[int, ...]) -> Positroid
 
 
 def decompose_direct_sum(bases: PositroidBases) -> list[tuple[tuple[int, ...], PositroidBases]]:
-    """Finest direct-sum decomposition, as (ground subset, relabeled component) pairs.
+    """Finest direct-sum decomposition of any matroid, as (ground subset,
+    relabeled component) pairs ordered by their smallest ground element: the
+    components of the fundamental graph (``_fundamental_union_find``).  Loops
+    and coloops come out as singleton components of rank 0 and 1.
 
-    Components (those of ``components_of_bases``) are ordered by their smallest
-    ground element.  Loops and coloops come out as singleton components of rank 0 and 1.
+    >>> [(g, part.r) for g, part in decompose_direct_sum(PositroidBases(2, 1, {0b010}))]
+    [((1,), 1), ((2,), 0)]
     """
-    return [(g, _restrict_bases(bases, g)) for g in components_of_bases(bases.bases, bases.n)]
+    find, _ = _fundamental_union_find(bases.bases, bases.n)
+    grounds: dict[int, list[int]] = {}
+    for x in range(1, bases.n + 1):
+        grounds.setdefault(find(x), []).append(x)
+    return [(g, _restrict_bases(bases, g)) for g in map(tuple, grounds.values())]
 
 
 class IntervalInequality(_Record):
@@ -452,25 +470,6 @@ def _fundamental_union_find(masks: frozenset[int], n: int) -> tuple[Callable[[in
                     parent[a] = b
                     unions += 1
     return find, unions
-
-
-def components_of_bases(masks: frozenset[int], n: int) -> list[tuple[int, ...]]:
-    """The connected components of a matroid on 1..n, given by its basis
-    bitmasks, ordered by their least element.
-
-    >>> components_of_bases(frozenset({0b010, 0b100}), 2)  # a segment
-    [(1, 2)]
-    >>> components_of_bases(frozenset({0b010}), 2)  # a coloop and a loop
-    [(1,), (2,)]
-    >>> square = frozenset({0b01010, 0b01100, 0b10010, 0b10100})  # U(1,2) + U(1,2)
-    >>> components_of_bases(square, 4)
-    [(1, 2), (3, 4)]
-    """
-    find, _ = _fundamental_union_find(masks, n)
-    blocks: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        blocks.setdefault(find(x), []).append(x)
-    return [tuple(block) for block in blocks.values()]
 
 
 def dimension_of_bases(masks: frozenset[int], n: int) -> int:

@@ -322,10 +322,11 @@ def verify_roundtrips(max_n: int) -> list[Check]:
     cross-checks.
 
     For every decorated permutation the rank-split connectivity answer
-    (`positroid.is_connected` on the bases) must match the
-    stabilized-interval-free rule of `positroid.necklace_connected`, and
-    for every connected one the closure's facets
-    (`positroid.facet_representation`) must equal the bases rule's.
+    (`positroid.is_connected` on the bases) must match the one-block rule
+    of `positroid.necklace_connected`, a disconnected one's blocks
+    (`positroid.necklace_components`) the fundamental graph's
+    (`positroid.decompose_direct_sum`), and a connected one's closure facets
+    (`positroid.facet_representation`) the bases rule's.
     """
     bad_trip = bad_sif = bad_facets = 0
     total = connected_total = 0
@@ -336,8 +337,10 @@ def verify_roundtrips(max_n: int) -> list[Check]:
             if po.decorated_from_necklace(necklace) != dec:
                 bad_trip += 1
                 continue
-            connected = po.is_connected(necklace.fact(po.bases_from_necklace))
-            if connected != necklace.fact(po.necklace_connected):
+            bases = necklace.fact(po.bases_from_necklace)
+            if (connected := po.is_connected(bases)) != necklace.fact(po.necklace_connected) or (
+                    not connected and necklace.fact(po.necklace_components)
+                    != tuple(g for g, _ in po.decompose_direct_sum(bases))):
                 bad_sif += 1
             elif connected:
                 connected_total += 1

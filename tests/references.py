@@ -61,7 +61,8 @@ def reference_is_matroid(bases):
 
 def reference_stabilized_intervals(perm):
     """The proper cyclic intervals I of 1..n, wrapping ones included, with
-    perm(I) = I: the cyclic form of ``positroid.is_stabilized_interval_free``.
+    perm(I) = I; the positroid is connected exactly when there is none
+    (``positroid.necklace_connected``).
 
     >>> reference_stabilized_intervals((2, 1, 3))
     [(1, 2), (3,)]

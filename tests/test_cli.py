@@ -121,6 +121,22 @@ class TestParsing:
         assert run(capsys, "convert", "--", text) == (
             2, "", f'error: necklace entry {entry} is empty; write an empty J_i as "-"\n')
 
+    @pytest.mark.parametrize("text, entry", [("١٢,٢٣,١٣,١٤", "١٢"), ("1²,23", "1²")])
+    def test_only_ascii_digits_are_digits(self, capsys, text, entry):
+        # str.isdigit admits Arabic-Indic digits and superscripts; a label is 0-9
+        assert run(capsys, "convert", "--", text) == (
+            2, "", f"error: necklace entry {entry!r} is not a digit string\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("1²,23")
+    def test_compact_text_gives_a_necklace_or_an_input_error(self, text):
+        try:
+            necklace = cli.parse_compact_necklace(text)
+        except cli.InputError:
+            return
+        assert isinstance(necklace, po.GrassmannNecklace)
+
     @pytest.mark.parametrize("text", [" 12,23,13,14 ", "12 , 23,13 ,14", "12,23,13,14\n",
                                       "\t12,23,13,14\n\n"])
     def test_whitespace_around_entries_is_accepted(self, text):

@@ -1014,6 +1014,18 @@ class TestEhrhartFromHstar:
             ehr = ehrhart_of_positroid(necklace)
             assert tuple(map(ehr, range(dim + 1))) == counts, necklace.compact()
 
+    def test_the_disconnected_oracle_reads_its_dimension_off_the_blocks(self, monkeypatch):
+        # d = n - #blocks of pi's cycles: the fundamental graph of the bases
+        # is never asked, and fresh necklaces keep no fact from a test before
+        def refuse(*args):
+            raise AssertionError("the dimension is n minus the number of blocks")
+
+        monkeypatch.setattr("positroid_hstar.positroid.dimension_of_bases", refuse)
+        assert not hasattr(eh, "dimension_of_bases")
+        compacts = ("13,23,13,14", "12,12", "1,2,1", "134,234,134,145,145", "13,23,34,14")
+        assert [eh._hrep_ehrhart(cli.parse_compact_necklace(text))[1].dim
+                for text in compacts] == [2, 0, 1, 2, 3]
+
 
 class TestEhrhartCommand:
     @pytest.mark.parametrize("argv, report", [

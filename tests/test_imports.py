@@ -86,14 +86,18 @@ def test_no_module_binds_affine_rank():
 
 
 def test_no_module_binds_a_second_form_of_bases_or_connectivity():
-    # bases are bitmasks in PositroidBases itself, and connectivity is one
-    # block scan; the set-based exchange check and the cyclic intervals are
-    # the tests' references
+    # bases are bitmasks in PositroidBases itself, and a positroid's direct
+    # sum is one scan of pi's cycles (positroid.necklace_components); the
+    # set-based exchange check and the cyclic intervals are the tests'
+    # references, and the fundamental graph splits only a handed-in basis set
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
-        for name in ("basis_masks", "_masks", "stabilized_intervals"):
+        for name in ("basis_masks", "_masks", "stabilized_intervals",
+                     "is_stabilized_interval_free", "components_of_bases", "_components"):
             assert not hasattr(home, name), (module.name, name)
-    assert list(inspect.signature(po.is_stabilized_interval_free).parameters) == ["perm"]
+    for name in ("cli", "ehrhart"):
+        home = importlib.import_module(f"positroid_hstar.{name}")
+        assert not hasattr(home, "dimension_of_bases"), name
 
 
 def test_no_module_binds_a_second_home_of_a_job():

@@ -20,7 +20,7 @@ from positroid_hstar.positroid import (
     h_representation,
     is_connected,
     is_matroid,
-    is_stabilized_interval_free,
+    necklace_components,
     necklace_connected,
     necklace_from_bases,
     necklace_from_decorated,
@@ -295,6 +295,15 @@ class TestRankAndConnectivity:
         # U(6,12): a rank split would scan thousands of subsets against 924 bases
         uniform = validate_necklace([[(i + k) % 12 + 1 for k in range(6)] for i in range(12)])
         assert necklace_connected(uniform)
+        # n = 24: U(2,4) on 1..4 with its crossing cycles (1 3)(2 4), a loop at
+        # 5, the 7-cycle 6..12, and the nested transpositions (13 24)(14 23)
+        # around the 8-cycle 15..22; a rank split would scan 2^23 subsets
+        perm = [3, 4, 1, 2, 5, *range(7, 12), 12, 6, 24, 23, *range(16, 23), 15, 14, 13]
+        disco = necklace_from_decorated(DecoratedPermutation(perm))
+        assert disco.fact(necklace_components) == (
+            (1, 2, 3, 4), (5,), (6, 7, 8, 9, 10, 11, 12), (13, 24), (14, 23),
+            tuple(range(15, 23)))
+        assert not disco.fact(necklace_connected)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_block_scan_matches_the_cyclic_intervals(self, n):
@@ -302,7 +311,8 @@ class TestRankAndConnectivity:
         # colors do not enter), against the cyclic rule that also tests the
         # intervals wrapping past n
         for perm in itertools.permutations(range(1, n + 1)):
-            assert is_stabilized_interval_free(perm) == (not reference_stabilized_intervals(perm))
+            necklace = necklace_from_decorated(DecoratedPermutation(perm))
+            assert necklace_connected(necklace) == (not reference_stabilized_intervals(perm))
 
 
 class TestDecomposition:
@@ -343,6 +353,31 @@ class TestDecomposition:
                             for choice in itertools.product(
                                 *(element_sets(comp) for _, comp in parts))}
                 assert products == element_sets(B), dec
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_blocks_are_the_fundamental_graph_components(self, n):
+        # every decorated permutation: the non-crossing blocks of pi's cycles
+        # against the grounds that the fundamental graph of the bases gives
+        for dec in decorated_permutations(n):
+            J = necklace_from_decorated(dec)
+            grounds = tuple(g for g, _ in decompose_direct_sum(bases_from_necklace(J)))
+            assert necklace_components(J) == grounds, dec
+
+    def test_blocks_restrict_pi_to_the_components(self):
+        # seeded draws at n = 8..10: each block is closed under pi, and pi
+        # restricted to it is the decorated permutation of that component
+        rng = random.Random(44)
+        for n in (8, 9, 10):
+            for _ in range(12):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                J = necklace_from_decorated(DecoratedPermutation(perm))
+                parts = decompose_direct_sum(bases_from_necklace(J))
+                assert necklace_components(J) == tuple(g for g, _ in parts), perm
+                for ground, comp in parts:
+                    label = {v: k for k, v in enumerate(ground, start=1)}
+                    assert decorated_from_necklace(necklace_from_bases(comp)).perm == tuple(
+                        label[perm[v - 1]] for v in ground), perm
 
     def test_loop_components_have_rank_zero(self):
         # 1 and 3 swapped, 2 is a black fixed point (a loop)
