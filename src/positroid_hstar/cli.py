@@ -378,7 +378,7 @@ def connected_necklaces(n: int) -> Iterator[po.GrassmannNecklace]:
 def cmd_convert(args) -> dict:
     kind, necklace = input_necklace(read_input(args.input))
     bases = necklace.fact(po.bases_from_necklace)
-    dec = po.decorated_from_necklace(necklace)
+    dec = necklace.fact(po.decorated_from_necklace)
     connected = necklace.fact(po.necklace_connected)
     report = {
         "input_kind": kind,

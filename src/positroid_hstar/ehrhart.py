@@ -19,7 +19,7 @@ polytope, or a face of one, has only its vertices at t = 1, so R(1) = 0
 for d >= 1 and E(0..d - 1) fix h* (``_face_hstar_from_counts``, E(1)
 checked against the bases): the faces of ``upper_tally``, and any
 positroid's full necklace H-representation in its own affine hull
-(``_hrep_ehrhart``), the disconnected oracle and the sweep's reference.
+(``_hrep_ehrhart``), the oracle's reference in the sweep and in ``verify``.
 ``face_hstar`` counts a face up to t = dim F, so its ends overlap in
 h*_{dim F} = 0.  Rational coefficients are computed only where a report
 prints them.
@@ -38,9 +38,14 @@ and inclusion-exclusion reads every face's counts off that table: a face cut
 out by upper facets G holds the points whose mask contains G (``face_hstar``,
 one face alone at t = 0..dim F, is the reference).
 
-A connected positroid is counted, with no bases derived, from its
-irredundant facets, the rows of ``facet_representation``, each read once as
-a bound z_v - z_u <= c on two prefix sums
+The oracle (``_oracle``) counts a positroid as the product of its direct
+summands (``ehrhart_product``): a disconnected positroid's polytope is the
+product of its components', and each summand's necklace is read off the
+necklace (``necklace_summands``).  A batch counts each distinct summand once
+(``_summand_ehrhart``, a bounded memo keyed by the summand's necklace).
+A connected positroid, its own one summand, is counted, with no bases
+derived, from its irredundant facets, the rows of ``facet_representation``,
+each read once as a bound z_v - z_u <= c on two prefix sums
 (``IntervalInequality.difference_bound``) and kept with its sense
 (``_facet_rows``): the redundant necklace inequalities would each keep
 extra prefix sums alive in the counting state.
@@ -53,13 +58,13 @@ the DP depends on the cut a hundredfold at n = 12-13.
 states the DP holds (``_cut_costs``), and keeps the bounds relabelled to it,
 so every body above and ``upper_tally`` count in that cut.
 ``lattice_counts`` of any H-representation, and so ``face_hstar`` and the
-sweep's count of ``h_representation``, stays at the first cut, as a
-reference; so does a disconnected positroid's, whose reference is the
-product of its components' Ehrhart polynomials (``ehrhart_product``).
+count of ``h_representation`` (``_hrep_ehrhart``), stays at the first cut,
+as a reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
 
@@ -72,7 +77,7 @@ from .positroid import (
     facet_representation,
     h_representation,
     necklace_components,
-    necklace_connected,
+    necklace_summands,
 )
 
 if TYPE_CHECKING:
@@ -508,25 +513,45 @@ def _hrep_ehrhart(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], Ehrhart
     counted in its own affine hull, of dimension d = n minus its direct
     summands (``necklace_components``), at t = 0..``_last_dilate(d)``, and
     the Ehrhart polynomial the counts fix (``_face_hstar_from_counts``, E(1)
-    against the bases): the disconnected oracle, and the sweep's reference
-    for a connected one."""
+    against the bases).  It shares neither the facets nor the summands with
+    the oracle (``_oracle``), so it is the oracle's reference: in the sweep
+    (``cli._exhaustive_worker``) and in ``verify --input`` on a disconnected
+    positroid."""
     bases = necklace.fact(bases_from_necklace).bases
     dim = necklace.n - len(necklace.fact(necklace_components))
     counts = lattice_counts(necklace.fact(h_representation), _last_dilate(dim))
     return counts, EhrhartPolynomial(_face_hstar_from_counts(counts, dim, len(bases)), dim)
 
 
+# Summands kept: every summand of a positroid with n <= 8, at most the 1,728
+# connected positroids with n <= 7.
+_SUMMANDS_KEPT = 2048
+
+
+@functools.lru_cache(maxsize=_SUMMANDS_KEPT)
+def _summand_ehrhart(summand: GrassmannNecklace) -> EhrhartPolynomial:
+    """``count_to_degree`` of a connected summand, kept by its necklace's
+    value (``_SUMMANDS_KEPT``): a batch counts each distinct summand once,
+    however many positroids have it."""
+    return count_to_degree(summand)
+
+
 def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """The counting oracle's Ehrhart polynomial of any positroid polytope:
-    a connected one counted up to its h*-degree (``count_to_degree``), a
-    disconnected one from its necklace inequalities (``_hrep_ehrhart``)."""
-    if necklace.fact(necklace_connected):
+    """The counting oracle's Ehrhart polynomial of any positroid polytope,
+    the product of its summands' (``necklace_summands``, ``ehrhart_product``),
+    each counted up to its h*-degree (``count_to_degree``) and so checked at
+    both ends.  A connected positroid is its own one summand, counted alone;
+    a disconnected one's summands go through ``_summand_ehrhart``.  No bases
+    are derived."""
+    summands = necklace_summands(necklace)
+    if len(summands) == 1:
         return count_to_degree(necklace)
-    return _hrep_ehrhart(necklace)[1]
+    return ehrhart_product([_summand_ehrhart(summand) for summand in summands])
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """Ehrhart polynomial of any positroid polytope, from its counted h*."""
+    """Ehrhart polynomial of any positroid polytope, from its counted h*: a
+    disconnected one's is the product of its summands' (``_oracle``)."""
     return necklace.fact(_oracle)
 
 

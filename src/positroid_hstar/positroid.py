@@ -14,13 +14,14 @@ one filter (``_r_subsets_within``) yields both the bases of a necklace and
 the 0/1 points, as bitmasks, of any H-representation (``zero_one_points``).
 
 This module validates and converts between the three, reads a positroid's
-direct sum off its decorated permutation with no bases
-(``necklace_components``), and produces two H-representations of the
-polytope conv{e_B : B a basis}: every cyclic-interval inequality of the
-necklace (``h_representation``), and for a connected positroid its
-irredundant facets, each an ``IntervalInequality`` row on a block that
-never reads x_n, read off a shortest-path closure of the necklace with no
-bases (``facet_representation``).  Any row, wrapping or not, reads as a
+direct sum off its decorated permutation with no bases (its blocks,
+``necklace_components``, and their necklaces, ``necklace_summands``), and
+produces two H-representations of the polytope conv{e_B : B a basis}:
+every cyclic-interval inequality of the necklace (``h_representation``),
+and for a connected positroid its irredundant facets, each an
+``IntervalInequality`` row on a block that never reads x_n, read off a
+shortest-path closure of the necklace with no bases
+(``facet_representation``).  Any row, wrapping or not, reads as a
 bound z_v - z_u <= c on two prefix sums (``difference_bound``): the closure
 and the counting DP take every row that way.
 Bases are bitmasks, bit k for element k: ``PositroidBases`` holds them so,
@@ -52,9 +53,10 @@ class NecklaceError(ValueError):
 class DisconnectedPositroidError(ValueError):
     """Raised when a connected-only route is given a disconnected positroid.
 
-    The counting oracle (``ehrhart.hstar_by_counting``) takes any positroid.
-    For the other routes, split it into its summands (``necklace_components``
-    on the necklace, ``decompose_direct_sum`` on the bases) and combine the
+    The counting oracle (``ehrhart.hstar_by_counting``) takes any positroid:
+    it counts each summand and multiplies their Ehrhart polynomials.  For the
+    other routes, split it the same way (``necklace_summands`` on the
+    necklace, ``decompose_direct_sum`` on the bases) and combine the
     per-component results with ``ehrhart.ehrhart_product``.
     """
 
@@ -285,7 +287,9 @@ def necklace_from_decorated(dec: DecoratedPermutation) -> GrassmannNecklace:
 
     j belongs to J_m exactly when j is white-fixed or m lies in the cyclic
     interval (pi^{-1}(j), j]; this membership rule inverts the forward map
-    (round trips are exercised exhaustively in the tests).
+    (round trips are exercised exhaustively in the tests).  The necklace
+    keeps ``dec`` as its ``decorated_from_necklace`` fact, so the routes that
+    read pi (``necklace_components``) do not derive it again.
     """
     n = dec.n
     inv = {v: i for i, v in enumerate(dec.perm, start=1)}
@@ -297,7 +301,9 @@ def necklace_from_decorated(dec: DecoratedPermutation) -> GrassmannNecklace:
             if src != j and _in_half_open_cyclic(m, src, j, n):
                 members.add(j)
         subsets.append(frozenset(members))
-    return GrassmannNecklace(n, tuple(subsets))
+    necklace = GrassmannNecklace(n, tuple(subsets))
+    necklace._facts[decorated_from_necklace] = dec
+    return necklace
 
 
 def is_connected(bases: PositroidBases) -> bool:
@@ -326,7 +332,7 @@ def necklace_components(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], .
     >>> necklace_components(necklace_from_decorated(DecoratedPermutation((3, 2, 1, 5, 4))))
     ((1, 3), (2,), (4, 5))
     """
-    perm = decorated_from_necklace(necklace).perm
+    perm = necklace.fact(decorated_from_necklace).perm
     inverse = {v: i for i, v in enumerate(perm, start=1)}
     blocks, stack = [], []  # the open blocks: [farthest partner of a member, members]
     for v, image in enumerate(perm, start=1):
@@ -349,6 +355,30 @@ def necklace_connected(necklace: GrassmannNecklace) -> bool:
     """One block (``necklace_components``), so no bases are derived;
     ``is_connected`` is the reference."""
     return len(necklace.fact(necklace_components)) == 1
+
+
+def necklace_summands(necklace: GrassmannNecklace) -> tuple[GrassmannNecklace, ...]:
+    """The necklaces of the direct summands, one per block B of
+    ``necklace_components``, with no bases: J_i meet B for each i in B,
+    relabelled order-preservingly to 1..|B|.  Restricted to B, the order <_i
+    is B's own cyclic order from i, and a direct sum's <_i-least basis is
+    the union of its summands', so these are the summands' necklaces;
+    ``GrassmannNecklace`` checks each.  A connected necklace is its own one
+    summand.
+
+    >>> square = validate_necklace([[1, 3], [2, 3], [1, 3], [1, 4]])  # U(1,2) + U(1,2)
+    >>> [summand.compact() for summand in necklace_summands(square)]
+    ['1,2', '1,2']
+    """
+    blocks = necklace.fact(necklace_components)
+    if len(blocks) == 1:
+        return (necklace,)
+    summands = []
+    for block in blocks:
+        label = {v: k for k, v in enumerate(block, start=1)}
+        summands.append(GrassmannNecklace(len(block), tuple(
+            frozenset(label[v] for v in necklace.subsets[i - 1] if v in label) for i in block)))
+    return tuple(summands)
 
 
 def _restrict_bases(bases: PositroidBases, ground: tuple[int, ...]) -> PositroidBases:

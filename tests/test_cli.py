@@ -31,16 +31,22 @@ SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
 
 
 def one_more_point_in_the_square(monkeypatch):
-    """Count one point too many in the square U(1,2) + U(1,2) at t = 1, the
-    one dilate past t = 0 its oracle counts: E(1) = 5, but it has 4 bases.
-    The square's plan has its four coordinates, each segment's has two."""
+    """Count one point too many in the closed body of each summand U(1,2) of
+    the square U(1,2) + U(1,2).  The oracle counts a segment's interior at
+    t = 1 (empty) and t = 2, and its closed body at t = 0 alone, so E(0) = 2
+    gives h*_0 = 2 against the interior's 1.  A segment's plan has its two
+    coordinates, the square's four, and no interior runs at t = 0."""
     tally = eh._run
 
     def one_more(plan, t):
         histogram = tally(plan, t)
-        return {0: histogram[0] + 1} if t == 1 and plan[0] == 4 else histogram
+        return {0: histogram[0] + 1} if t == 0 and plan[0] == 2 else histogram
 
     monkeypatch.setattr(eh, "_run", one_more)
+
+
+SQUARE_COUNTING_BUG = ("h*_0 = 2 by the body's counts but 1 by the reciprocal body's: "
+                       "counting bug")
 
 
 def keep_a_redundant_facet_row(monkeypatch):
@@ -384,7 +390,7 @@ class TestHstar:
         # one error line, no traceback
         one_more_point_in_the_square(monkeypatch)
         assert run(capsys, "hstar", "13,23,13,14", "--method", "oracle") == (
-            1, "", "error: a face with 4 bases has E(1) = 5 lattice points: counting bug\n")
+            1, "", f"error: {SQUARE_COUNTING_BUG}\n")
 
     def test_disconnected_oracle_works(self, capsys):
         report = run_json(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}',
@@ -675,17 +681,18 @@ class TestVerify:
 
     def test_a_wrong_count_of_a_disconnected_input_fails(self, capsys, monkeypatch):
         one_more_point_in_the_square(monkeypatch)
-        detail = "a face with 4 bases has E(1) = 5 lattice points: counting bug"
+        detail = SQUARE_COUNTING_BUG
         assert run(capsys, "verify", "--input", "13,23,13,14") == (1, (
             f"FAIL  counting check  {detail}\n0/1 checks passed\n"
             f'first failure: {{"detail": "{detail}", "name": "counting check"}}\n'), "")
 
     def test_a_disconnected_oracle_off_its_components_product_fails(self, capsys, monkeypatch):
-        # the oracle of the square must equal the product of its segments'
+        # the oracle of the square, the product of its segments', must equal
+        # the count of its necklace inequalities: a wrong product fails
         monkeypatch.setattr(eh, "ehrhart_product", lambda factors: eh.EhrhartPolynomial((1,), 2))
         code, out, err = run(capsys, "verify", "--input", "13,23,13,14")
         assert (code, err) == (1, "")
-        assert out.startswith("FAIL  disconnected input oracle h*  [1, 1]\n")
+        assert out.startswith("FAIL  disconnected input oracle h*  [1]\n")
 
     ROUNDTRIP = ("necklace/decorated round trips n <= 4            88 decorated permutations",
                  "rank-split vs interval-free connectivity n <= 4  88 decorated permutations",
@@ -741,8 +748,9 @@ class TestVerify:
         assert code == 0 and "46 connected positroids" in out
 
     @pytest.mark.parametrize("argv", [("verify", "--scope", "exhaustive", "--max-n", "5"),
-                                      ("atlas", "--n", "4")])
+                                      ("atlas", "--n", "4"), ("atlas", "--n", "6")])
     def test_two_jobs_match_one(self, capsys, argv):
+        # atlas --n 6: each process counts the summands it meets in its own memo
         one = run(capsys, *argv, "--jobs", "1")
         assert one[0] == 0 and run(capsys, *argv, "--jobs", "2") == one
 

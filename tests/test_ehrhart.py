@@ -28,6 +28,7 @@ from positroid_hstar.positroid import (
     HRepresentation,
     IntervalInequality,
     bases_from_necklace,
+    decorated_from_necklace,
     dimension_of_bases,
     facet_representation,
     h_representation,
@@ -556,9 +557,9 @@ class TestDrivers:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_product_hstar_equals_ambient_count_for_every_direct_sum(self, n):
-        # counting the ambient polytope on its own affine hull must agree with
-        # the product of its components' Ehrhart polynomials, for every
-        # disconnected positroid
+        # the oracle multiplies the counts of its summands, read off the
+        # necklace; the product over the summands that the bases split off
+        # must agree, for every disconnected positroid
         from positroid_hstar.positroid import (
             DecoratedPermutation,
             bases_from_necklace,
@@ -761,17 +762,20 @@ class TestReadingRule:
         reads.clear()
         face_hstar(h_representation(PRISM), [(1, 4, 2)], 3)
         assert reads == [(3, (1, 6, 18, 40), (0,))]  # a triangle times a segment
-        # the disconnected oracle and the sweep's reference read one count
-        # of the full necklace H-representation (eh._hrep_ehrhart)
+        # the disconnected oracle reads its one distinct summand, a segment,
+        # from both ends, and the product's counts; only the sweep's
+        # reference reads one count of the full necklace H-representation
+        # (eh._hrep_ehrhart)
         counted = []
         monkeypatch.setattr(eh, "_hrep_ehrhart", lambda necklace: counted.append(
             necklace.compact()) or hrep(necklace))
         reads.clear()
         assert eh.ehrhart_of_positroid(necklace_from_decorated(DecoratedPermutation(
             (2, 1, 4, 3)))).hstar == (1, 1)
+        assert reads == [(1, (1,), (0, 1)), (2, (1, 4, 9), ())]
         assert cli._exhaustive_worker(((1, 2), (2, 3), (1, 3), (1, 4)))[1]
-        assert counted == ["13,23,13,14", "12,23,13,14"]
-        assert (2, (1, 4), (0,)) in reads and (3, (1, 5, 14), (0,)) in reads
+        assert counted == ["12,23,13,14"]
+        assert (3, (1, 5, 14), (0,)) in reads
 
 
 class TestFactsOfTheBases:
@@ -999,9 +1003,10 @@ class TestEhrhartFromHstar:
             assert_is_the_interpolant(ehrhart_of_positroid(necklace), counts)
 
     def test_a_disconnected_positroid_counts_no_point_at_its_top_coefficient(self):
-        # the premise of the oracle's count below t = dim, from the full
+        # the premise of the reference's count below t = dim, from the full
         # count E(0..dim) alone: E(1) is the bases and h*_dim = 0.  The
-        # oracle's polynomial meets that count at every t <= dim
+        # oracle's polynomial, a product over the summands, meets that count
+        # at every t <= dim, and so equals the reference (eh._hrep_ehrhart)
         necklaces = disconnected_up_to(6)
         assert len(necklaces) == 2119
         for necklace in necklaces:
@@ -1013,6 +1018,7 @@ class TestEhrhartFromHstar:
                 assert len(hstar_from_counts(counts)) <= dim, necklace.compact()
             ehr = ehrhart_of_positroid(necklace)
             assert tuple(map(ehr, range(dim + 1))) == counts, necklace.compact()
+            assert ehr == eh._hrep_ehrhart(necklace)[1], necklace.compact()
 
     def test_the_disconnected_oracle_reads_its_dimension_off_the_blocks(self, monkeypatch):
         # d = n - #blocks of pi's cycles: the fundamental graph of the bases
@@ -1025,6 +1031,79 @@ class TestEhrhartFromHstar:
         compacts = ("13,23,13,14", "12,12", "1,2,1", "134,234,134,145,145", "13,23,34,14")
         assert [eh._hrep_ehrhart(cli.parse_compact_necklace(text))[1].dim
                 for text in compacts] == [2, 0, 1, 2, 3]
+
+
+def disconnected_draws(seed, per_n=6):
+    """Seeded disconnected decorated permutations with n = 7, 8, 9, each
+    with up to two points forced fixed and every fixed point white or black
+    at random, as necklaces."""
+    rng = random.Random(seed)
+    for n in (7, 8, 9):
+        drawn = 0
+        while drawn < per_n:
+            fixed = rng.sample(range(1, n + 1), rng.randrange(3))
+            moved = [v for v in range(1, n + 1) if v not in fixed]
+            perm = list(range(1, n + 1))
+            for v, image in zip(moved, rng.sample(moved, len(moved))):
+                perm[v - 1] = image
+            white = {v for v in range(1, n + 1) if perm[v - 1] == v and rng.random() < 0.5}
+            necklace = necklace_from_decorated(DecoratedPermutation(perm, white))
+            if not necklace_connected(necklace):
+                drawn += 1
+                yield necklace
+
+
+class TestTheOracleOfADirectSum:
+    """A disconnected positroid's oracle is the product of its summands'
+    counts (``necklace_summands``, ``ehrhart_product``); the count of its
+    necklace inequalities in its affine hull (``eh._hrep_ehrhart``), which
+    shares neither the summands nor the facets, is the reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_draws_of_n7_to_n9(self, seed):
+        necklaces = list(disconnected_draws(seed))
+        # the draws include white fixed points, the coloops
+        assert any(decorated_from_necklace(necklace).white for necklace in necklaces)
+        for necklace in necklaces:
+            assert ehrhart_of_positroid(necklace) == eh._hrep_ehrhart(necklace)[1], \
+                necklace.compact()
+
+    def test_six_uniform_summands_at_n24_derive_no_bases(self, monkeypatch):
+        # six summands U(2,4), each of dimension 3 and normalized volume 4:
+        # h*_1 = E(1) - 19 with E(1) = 6^6 bases, which are never listed,
+        # and the product's normalized volume is 18! / 3!^6 * 4^6
+        def refuse(necklace):
+            raise AssertionError("the oracle derives no bases")
+
+        monkeypatch.setattr(eh, "bases_from_necklace", refuse)
+        monkeypatch.setattr("positroid_hstar.positroid.bases_from_necklace", refuse)
+        perm = [4 * (k // 4) + (k + 2) % 4 + 1 for k in range(24)]
+        necklace = necklace_from_decorated(DecoratedPermutation(perm))
+        ehr = ehrhart_of_positroid(necklace)
+        assert ehr.dim == 18 and ehr.hstar[1] == 6 ** 6 - 19 == 46637
+        assert sum(ehr.hstar) == math.factorial(18) // math.factorial(3) ** 6 * 4 ** 6
+        assert eh._summand_ehrhart.cache_info().misses == 1
+
+    def test_a_fault_in_a_kept_summand_is_caught_once_forgotten(self, monkeypatch):
+        # the square U(1,2) + U(1,2) keeps its segment's count; a fault in
+        # counting after that shows only once the memo is emptied, as the
+        # test fixture empties it before each test
+        square = lambda: necklace_from_decorated(DecoratedPermutation((2, 1, 4, 3)))
+        assert ehrhart_of_positroid(square()).hstar == (1, 1)
+        run = eh._run
+        monkeypatch.setattr(eh, "_run", lambda plan, t: {0: 2} if t == 0 else run(plan, t))
+        assert ehrhart_of_positroid(square()).hstar == (1, 1)
+        eh._summand_ehrhart.cache_clear()
+        with pytest.raises(ArithmeticError, match="h\\*_0 = 2 by the body's counts but 1"):
+            ehrhart_of_positroid(square())
+
+    def test_the_memo_keeps_every_summand_up_to_n8(self):
+        # the tests above fill the memo, and the test fixture empties it
+        # before each test; a summand of a positroid with n <= 8 is a
+        # connected one with n <= 7
+        assert eh._summand_ehrhart.cache_info() == (0, 0, eh._SUMMANDS_KEPT, 0)
+        assert sum(1 for n in range(1, 8) for _ in cli.connected_necklaces(n)) == 1728
+        assert 1728 <= eh._SUMMANDS_KEPT
 
 
 class TestEhrhartCommand:

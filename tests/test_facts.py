@@ -150,9 +150,9 @@ def test_one_sweep_pass_runs_1195_reference_dilates(calls):
     assert runs == 1195
 
 
-def test_the_disconnected_oracle_runs_below_the_top_dilate(calls):
-    # every disconnected positroid with n <= 6 is counted in its affine hull
-    # at t = 0..max(dim - 1, min(dim, 1)), from one plan
+def test_the_disconnected_reference_runs_below_the_top_dilate(calls):
+    # the oracle's reference counts every disconnected positroid with n <= 6
+    # in its affine hull at t = 0..max(dim - 1, min(dim, 1)), from one plan
     seen = 0
     for n in range(1, 7):
         for dec in cli.all_decorated_permutations(n):
@@ -160,7 +160,7 @@ def test_the_disconnected_oracle_runs_below_the_top_dilate(calls):
             if necklace.fact(po.necklace_connected):
                 continue
             calls.clear()
-            ehr = eh.ehrhart_of_positroid(necklace)
+            ehr = eh._hrep_ehrhart(necklace)[1]
             assert len(calls["_plan"]) == 1
             plan = calls["_plan"][0][1]
             assert [t for (run, t), _ in calls["_run"] if run is plan] == list(
@@ -191,6 +191,59 @@ def test_a_connected_oracle_query_derives_no_bases(calls, capsys, argv):
     assert json.loads(capsys.readouterr().out)["connected"]
     assert calls["bases_from_necklace"] == []
     assert len(calls["facet_representation"]) == 1
+
+
+@pytest.mark.parametrize("argv", [("ehrhart",), ("hstar", "--method", "oracle"),
+                                  ("hstar", "--method", "all")])
+@pytest.mark.parametrize("text", ["13,23,13,14", "134,234,134,145,145", "12,12"])
+def test_a_disconnected_oracle_query_derives_no_bases(calls, capsys, argv, text):
+    # the oracle multiplies its summands' counts, each read off the necklace
+    assert cli.main([*argv, text]) == 0
+    assert not json.loads(capsys.readouterr().out)["connected"]
+    assert calls["bases_from_necklace"] == []
+
+
+def test_only_the_sweep_and_verify_reach_the_full_count(monkeypatch, capsys):
+    # the oracle counts each summand; the count of the full necklace
+    # H-representation (eh._hrep_ehrhart) is only its reference
+    callers, reference = set(), eh._hrep_ehrhart
+
+    def spy(necklace):
+        caller = sys._getframe(1)
+        callers.add((caller.f_globals["__name__"], caller.f_code.co_name))
+        return reference(necklace)
+
+    monkeypatch.setattr(eh, "_hrep_ehrhart", spy)
+    for argv in (["hstar", "13,23,13,14", "--method", "all"], ["ehrhart", "1,2,1"],
+                 ["hstar", SEVEN, "--method", "all"], ["atlas", "--n", "5"],
+                 ["verify", "--scope", "all", "--max-n", "4"],
+                 ["verify", "--input", "13,23,13,14"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert callers == {("positroid_hstar.cli", "_exhaustive_worker"),
+                       ("positroid_hstar.verify", "verify_single_input")}
+
+
+def test_an_atlas_counts_each_distinct_summand_once(monkeypatch, capsys):
+    # the oracle counts a connected row as itself and a disconnected row's
+    # summands through one memo (eh._summand_ehrhart), so across the atlas
+    # each distinct summand is counted once
+    counted, count = [], eh.count_to_degree
+    monkeypatch.setattr(eh, "count_to_degree", lambda necklace, half_open=False: (
+        counted.append(necklace) or count(necklace, half_open)))
+    assert cli.main(["atlas", "--n", "6"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    necklaces = [(po.validate_necklace(row["necklace"]), row["connected"]) for row in rows]
+    connected = [necklace for necklace, one in necklaces if one]
+    summands = [summand for necklace, one in necklaces if not one
+                for summand in po.necklace_summands(necklace)]
+    # the 1,751 disconnected rows have 5,903 summands: the 46 connected
+    # positroids with n <= 5
+    assert (len(rows), len(connected), len(summands)) == (1957, 206, 5903)
+    summands = set(summands)
+    assert len(summands) == 46
+    assert len(counted) == len(set(counted)) == len(connected) + len(summands)
+    assert set(counted) == set(connected) | summands
 
 
 def test_facts_stay_out_of_equality_hash_and_repr():

@@ -184,8 +184,8 @@ def test_no_module_binds_a_second_form_of_a_count():
 def test_one_reading_rule_for_every_h_star():
     # every h* is read from counts at both ends of reciprocity
     # (ehrhart._hstar_from_ends): no hand-written check of h*_s, and the
-    # sweep's reference reads the full H-representation through the same
-    # function as the disconnected oracle (ehrhart._hrep_ehrhart)
+    # oracle's reference, the full H-representation counted in its affine
+    # hull (ehrhart._hrep_ehrhart), reads its counts as a face's are read
     cli_source = (ROOT / "src" / "positroid_hstar" / "cli.py").read_text()
     for name in ("_last_dilate", "_face_hstar_from_counts", "_hstar_head"):
         assert name not in cli_source, name

@@ -24,6 +24,7 @@ from positroid_hstar.positroid import (
     necklace_connected,
     necklace_from_bases,
     necklace_from_decorated,
+    necklace_summands,
     validate_necklace,
     zero_one_points,
 )
@@ -305,6 +306,28 @@ class TestRankAndConnectivity:
             tuple(range(15, 23)))
         assert not disco.fact(necklace_connected)
 
+    def test_a_necklace_built_from_pi_keeps_it(self, monkeypatch):
+        # necklace_from_decorated keeps pi as a fact, so the blocks read it
+        # with no second derivation; a necklace given by its subsets derives
+        # it once, and verify's round trip derives it itself, once for each
+        # decorated permutation
+        from positroid_hstar import verify
+
+        derived, derive = [], po.decorated_from_necklace
+        monkeypatch.setattr(po, "decorated_from_necklace",
+                            lambda necklace: derived.append(necklace) or derive(necklace))
+        for dec in decorated_permutations(5):
+            J = po.necklace_from_decorated(dec)
+            assert J.fact(po.decorated_from_necklace) is dec
+            J.fact(necklace_components)
+        assert derived == []
+        J = validate_necklace(PYRAMID.subsets)
+        assert J.fact(necklace_connected) and J.fact(necklace_components) == ((1, 2, 3, 4),)
+        assert derived == [J]
+        derived.clear()
+        assert all(ok for _, ok, _ in verify.verify_roundtrips(4))
+        assert len(derived) == 88
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_block_scan_matches_the_cyclic_intervals(self, n):
         # every permutation of 1..n, so every decorated permutation (the
@@ -363,9 +386,22 @@ class TestDecomposition:
             grounds = tuple(g for g, _ in decompose_direct_sum(bases_from_necklace(J)))
             assert necklace_components(J) == grounds, dec
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_summand_necklaces_are_the_components(self, n):
+        # every decorated permutation: J_i meet each block B, i in B, is the
+        # necklace of the component that the bases split off on B, and a
+        # connected necklace is its own one summand
+        for dec in decorated_permutations(n):
+            J = necklace_from_decorated(dec)
+            summands = necklace_summands(J)
+            assert summands == tuple(necklace_from_bases(comp) for _, comp in
+                                     decompose_direct_sum(bases_from_necklace(J))), dec
+            assert (summands == (J,)) == necklace_connected(J), dec
+
     def test_blocks_restrict_pi_to_the_components(self):
         # seeded draws at n = 8..10: each block is closed under pi, and pi
-        # restricted to it is the decorated permutation of that component
+        # restricted to it is the decorated permutation of that component,
+        # whose necklace is the block's summand
         rng = random.Random(44)
         for n in (8, 9, 10):
             for _ in range(12):
@@ -374,10 +410,11 @@ class TestDecomposition:
                 J = necklace_from_decorated(DecoratedPermutation(perm))
                 parts = decompose_direct_sum(bases_from_necklace(J))
                 assert necklace_components(J) == tuple(g for g, _ in parts), perm
-                for ground, comp in parts:
+                for (ground, comp), summand in zip(parts, necklace_summands(J), strict=True):
                     label = {v: k for k, v in enumerate(ground, start=1)}
                     assert decorated_from_necklace(necklace_from_bases(comp)).perm == tuple(
                         label[perm[v - 1]] for v in ground), perm
+                    assert summand == necklace_from_bases(comp), perm
 
     def test_loop_components_have_rank_zero(self):
         # 1 and 3 swapped, 2 is a black fixed point (a loop)
