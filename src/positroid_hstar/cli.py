@@ -323,8 +323,9 @@ def hstar_routes(necklace: po.GrassmannNecklace, methods: Sequence[str],
                  half_open: bool = False,
                  base: tuple[int, ...] | None = None) -> dict[str, list[int]]:
     """The h* of the closed body of ``necklace`` (or its half-open body) by
-    each of ``methods``; ``base`` is the shelling's base label.  A route
-    imports its module only when it runs."""
+    each of ``methods``; ``base`` is the shelling's base label.  A closed
+    route takes a disconnected positroid by its summands
+    (``ehrhart.ehrhart_by_route``).  A route imports its module when it runs."""
     out = {}
     for method in methods:
         if half_open and method in HALF_OPEN_METHODS:
@@ -332,16 +333,23 @@ def hstar_routes(necklace: po.GrassmannNecklace, methods: Sequence[str],
 
             h = (necklace.fact(ho.hstar_half_open) if method == "descents"
                  else ho.hstar_half_open_by_counting(necklace))
-        elif not half_open and method == "shelling":
-            h = tg.hstar_shelling(necklace, base)
-        elif not half_open and method == "inclusion-exclusion":
-            from . import halfopen as ho
-
-            h = ho.hstar_closed_via_inclusion_exclusion(necklace)
         elif not half_open and method == "oracle":
             from . import ehrhart as eh
 
             h = eh.hstar_by_counting(necklace)
+        elif not half_open and method in CLOSED_METHODS:
+            if method == "shelling":
+                route = tg.hstar_shelling
+            else:
+                from . import halfopen as ho
+
+                route = ho.hstar_closed_via_inclusion_exclusion
+            if base is None and not necklace.fact(po.necklace_connected):
+                from . import ehrhart as eh
+
+                h = eh.ehrhart_by_route(necklace, route).hstar
+            else:  # a base label is one triangulation's, which a direct sum refuses
+                h = tg.hstar_shelling(necklace, base) if method == "shelling" else route(necklace)
         else:
             body = "half-open" if half_open else "closed"
             raise InputError(f"method {method!r} does not compute a {body} h*")
@@ -418,18 +426,12 @@ def cmd_hstar(args) -> dict:
             raise InputError("the descent formula computes the half-open h*; "
                              "pass --half-open (or use inclusion-exclusion)")
         methods = CLOSED_METHODS if method == "all" else (method,)
-        if not connected and method == "all" and args.w0 is None:
-            methods = ("oracle",)
     if args.w0 is not None and "shelling" not in methods:
         raise InputError("--w0 applies only to the shelling method")
     if not connected:
         if args.half_open:
             raise po.DisconnectedPositroidError(
                 "half-open h* needs a connected positroid; split with decompose_direct_sum")
-        if methods != ("oracle",):
-            raise po.DisconnectedPositroidError(
-                f"method {method} needs a connected positroid; "
-                "split with decompose_direct_sum and multiply Ehrhart factors")
         report["components"] = [list(g) for g in necklace.fact(po.necklace_components)]
     base = parse_word(args.w0) if args.w0 is not None else None
     results = hstar_routes(necklace, methods, args.half_open, base)
@@ -662,13 +664,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the cross-validation suites")
-    p.add_argument("--scope", choices=("golden", "roundtrip", "exhaustive", "random", "all"),
-                   default="golden")
+    # None unless given, so that --input can refuse them: verify.SUITE_DEFAULTS
+    p.add_argument("--scope", choices=("golden", "roundtrip", "exhaustive", "random", "all"))
     p.add_argument("--input", help="verify method agreement on one input instead")
     p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--seed", type=int, default=20240814)
-    p.add_argument("--w0-samples", type=int, default=50, dest="w0_samples")
-    p.add_argument("--subdivision-samples", type=int, default=200, dest="subdivision_samples")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--w0-samples", type=int, dest="w0_samples")
+    p.add_argument("--subdivision-samples", type=int, dest="subdivision_samples")
     p.add_argument("--jobs", type=int, default=1)
     return parser
 

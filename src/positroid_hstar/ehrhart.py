@@ -38,17 +38,15 @@ and inclusion-exclusion reads every face's counts off that table: a face cut
 out by upper facets G holds the points whose mask contains G (``face_hstar``,
 one face alone at t = 0..dim F, is the reference).
 
-The oracle (``_oracle``) counts a positroid as the product of its direct
-summands (``ehrhart_product``): a disconnected positroid's polytope is the
-product of its components', and each summand's necklace is read off the
-necklace (``necklace_summands``).  A batch counts each distinct summand once
-(``_summand_ehrhart``, a bounded memo keyed by the summand's necklace).
-A connected positroid, its own one summand, is counted, with no bases
-derived, from its irredundant facets, the rows of ``facet_representation``,
-each read once as a bound z_v - z_u <= c on two prefix sums
-(``IntervalInequality.difference_bound``) and kept with its sense
-(``_facet_rows``): the redundant necklace inequalities would each keep
-extra prefix sums alive in the counting state.
+Every closed route takes a disconnected positroid's polytope as the product
+of its summands' (``ehrhart_by_route``, ``necklace_summands``), each run once
+per batch and route (``_summand_ehrhart``, one bounded memo).
+The oracle (``_oracle``) counts a connected positroid, its own one summand,
+with no bases derived, from its irredundant facets, the rows of
+``facet_representation``, each read once as a bound z_v - z_u <= c on two
+prefix sums (``IntervalInequality.difference_bound``) and kept with its
+sense (``_facet_rows``): the redundant necklace inequalities would each
+keep extra prefix sums alive in the counting state.
 The closed body, its interior, the half-open body and its reciprocal differ
 only in which senses of these bounds are strict; ``_linear`` orients each
 bound into a prefix-sum row.  A cut of the cycle, to the coordinates
@@ -66,7 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .core import _trim
 from .positroid import (
@@ -77,6 +75,7 @@ from .positroid import (
     facet_representation,
     h_representation,
     necklace_components,
+    necklace_connected,
     necklace_summands,
 )
 
@@ -523,30 +522,38 @@ def _hrep_ehrhart(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], Ehrhart
     return counts, EhrhartPolynomial(_face_hstar_from_counts(counts, dim, len(bases)), dim)
 
 
-# Summands kept: every summand of a positroid with n <= 8, at most the 1,728
-# connected positroids with n <= 7.
-_SUMMANDS_KEPT = 2048
+# every summand of a positroid with n <= 8 (1,728), by each closed route
+_SUMMANDS_KEPT = 3 * 2048
 
 
 @functools.lru_cache(maxsize=_SUMMANDS_KEPT)
-def _summand_ehrhart(summand: GrassmannNecklace) -> EhrhartPolynomial:
-    """``count_to_degree`` of a connected summand, kept by its necklace's
-    value (``_SUMMANDS_KEPT``): a batch counts each distinct summand once,
-    however many positroids have it."""
-    return count_to_degree(summand)
+def _summand_ehrhart(route: Callable[[GrassmannNecklace], tuple[int, ...]],
+                     summand: GrassmannNecklace) -> EhrhartPolynomial:
+    """``route``'s Ehrhart polynomial of a connected summand, kept by the
+    route and the summand's necklace value (``_SUMMANDS_KEPT``)."""
+    return EhrhartPolynomial(route(summand), summand.n - 1)
+
+
+def ehrhart_by_route(necklace: GrassmannNecklace,
+                     route: Callable[[GrassmannNecklace], tuple[int, ...]]) -> EhrhartPolynomial:
+    """Ehrhart polynomial of any positroid polytope by ``route``, a closed
+    h* route of a connected positroid, which takes a connected one alone.
+    A disconnected one's polytope is the product of its summands', so their
+    Ehrhart polynomials multiply, each through ``_summand_ehrhart``."""
+    if necklace.fact(necklace_connected):
+        return EhrhartPolynomial(route(necklace), necklace.n - 1)
+    return ehrhart_product([_summand_ehrhart(route, summand)
+                            for summand in necklace.fact(necklace_summands)])
+
+
+def counted_hstar(necklace: GrassmannNecklace) -> tuple[int, ...]:
+    """The counting oracle's route: a connected positroid's ``count_to_degree``."""
+    return count_to_degree(necklace).hstar
 
 
 def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """The counting oracle's Ehrhart polynomial of any positroid polytope,
-    the product of its summands' (``necklace_summands``, ``ehrhart_product``),
-    each counted up to its h*-degree (``count_to_degree``) and so checked at
-    both ends.  A connected positroid is its own one summand, counted alone;
-    a disconnected one's summands go through ``_summand_ehrhart``.  No bases
-    are derived."""
-    summands = necklace_summands(necklace)
-    if len(summands) == 1:
-        return count_to_degree(necklace)
-    return ehrhart_product([_summand_ehrhart(summand) for summand in summands])
+    """The counting oracle of any positroid polytope; no bases are derived."""
+    return ehrhart_by_route(necklace, counted_hstar)
 
 
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:

@@ -51,14 +51,10 @@ class NecklaceError(ValueError):
 
 
 class DisconnectedPositroidError(ValueError):
-    """Raised when a connected-only route is given a disconnected positroid.
-
-    The counting oracle (``ehrhart.hstar_by_counting``) takes any positroid:
-    it counts each summand and multiplies their Ehrhart polynomials.  For the
-    other routes, split it the same way (``necklace_summands`` on the
-    necklace, ``decompose_direct_sum`` on the bases) and combine the
-    per-component results with ``ehrhart.ehrhart_product``.
-    """
+    """Raised when the triangulation (its labels, a --w0 base label) or a
+    half-open body is asked of a disconnected positroid.  Every closed route
+    takes any positroid, as the product of its summands
+    (``ehrhart.ehrhart_by_route``)."""
 
 
 class GrassmannNecklace(_Record):
@@ -363,18 +359,15 @@ def necklace_summands(necklace: GrassmannNecklace) -> tuple[GrassmannNecklace, .
     relabelled order-preservingly to 1..|B|.  Restricted to B, the order <_i
     is B's own cyclic order from i, and a direct sum's <_i-least basis is
     the union of its summands', so these are the summands' necklaces;
-    ``GrassmannNecklace`` checks each.  A connected necklace is its own one
-    summand.
+    ``GrassmannNecklace`` checks each.  A connected necklace's one summand
+    equals it.
 
     >>> square = validate_necklace([[1, 3], [2, 3], [1, 3], [1, 4]])  # U(1,2) + U(1,2)
     >>> [summand.compact() for summand in necklace_summands(square)]
     ['1,2', '1,2']
     """
-    blocks = necklace.fact(necklace_components)
-    if len(blocks) == 1:
-        return (necklace,)
     summands = []
-    for block in blocks:
+    for block in necklace.fact(necklace_components):
         label = {v: k for k, v in enumerate(block, start=1)}
         summands.append(GrassmannNecklace(len(block), tuple(
             frozenset(label[v] for v in necklace.subsets[i - 1] if v in label) for i in block)))

@@ -34,14 +34,24 @@ def one_more_point_in_the_square(monkeypatch):
     """Count one point too many in the closed body of each summand U(1,2) of
     the square U(1,2) + U(1,2).  The oracle counts a segment's interior at
     t = 1 (empty) and t = 2, and its closed body at t = 0 alone, so E(0) = 2
-    gives h*_0 = 2 against the interior's 1.  A segment's plan has its two
-    coordinates, the square's four, and no interior runs at t = 0."""
-    tally = eh._run
+    gives h*_0 = 2 against the interior's 1.  Only the oracle's bodies
+    (``eh._body``) of a segment, whose plans have its two coordinates, gain
+    the point; inclusion-exclusion's tally of the upper facets keeps its
+    counts, and no interior runs at t = 0."""
+    body, tally, segments = eh._body, eh._run, []
+
+    def planning(necklace, strict):
+        plan = body(necklace, strict)
+        if necklace.n == 2:
+            segments.append(plan)
+        return plan
 
     def one_more(plan, t):
         histogram = tally(plan, t)
-        return {0: histogram[0] + 1} if t == 0 and plan[0] == 2 else histogram
+        return ({0: histogram[0] + 1} if t == 0 and any(plan is p for p in segments)
+                else histogram)
 
+    monkeypatch.setattr(eh, "_body", planning)
     monkeypatch.setattr(eh, "_run", one_more)
 
 
@@ -92,8 +102,11 @@ class TestParsing:
     def test_rank_zero_compact_form_verifies(self, capsys):
         necklace = po.validate_necklace([[], [], []])
         assert necklace.compact() == "-,-,-"
-        assert run(capsys, "verify", f"--input={necklace.compact()}") == (
-            0, "PASS  disconnected input oracle h*  [1]\n1/1 checks passed\n", "")
+        # every closed route multiplies its three summands, single points
+        assert run(capsys, "verify", f"--input={necklace.compact()}") == (0, (
+            'PASS  closed method agreement       {"inclusion-exclusion": [1], "oracle": [1], '
+            '"shelling": [1]}\n'
+            "PASS  disconnected input oracle h*  [1]\n2/2 checks passed\n"), "")
 
     def test_an_input_starting_with_a_dash_reads_as_an_option(self, capsys):
         # argparse takes "-,-,-" for an option; options first and then "--"
@@ -102,9 +115,7 @@ class TestParsing:
             cli.main(["hstar", "-,-,-"])
         assert stop.value.code == 2
         assert capsys.readouterr().err.endswith("error: unrecognized arguments: -,-,-\n")
-        assert run(capsys, "hstar", "--", "-,-,-") == (
-            3, "", "error: method shelling needs a connected positroid; split with "
-                   "decompose_direct_sum and multiply Ehrhart factors\n")
+        assert run_json(capsys, "hstar", "--", "-,-,-")["hstar"] == {"shelling": [1]}
         report = run_json(capsys, "hstar", "--method", "oracle", "--", "-,-,-")
         assert report["hstar"] == {"oracle": [1]} and report["rank"] == 0
         assert report["components"] == [[1], [2], [3]]
@@ -362,18 +373,22 @@ class TestHstar:
         code, _, err = run(capsys, "hstar", "12,23,13,14", "--method", "descents")
         assert code == 2 and "half-open" in err
 
-    def test_disconnected_connected_only_method_exits_3(self, capsys):
-        assert run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}', "--method", "shelling") == (
-            3, "", "error: method shelling needs a connected positroid; split with "
-                   "decompose_direct_sum and multiply Ehrhart factors\n")
+    @pytest.mark.parametrize("method", ["shelling", "inclusion-exclusion"])
+    @pytest.mark.parametrize("text", ["13,23,13,14", '{"pi": [2,1,4,3], "colors": {}}'])
+    def test_a_disconnected_closed_route_multiplies_its_summands(self, capsys, method, text):
+        # the square U(1,2) + U(1,2): each segment's h* is 1, and the
+        # product of two segments has h* 1 + z
+        report = run_json(capsys, "hstar", text, "--method", method)
+        assert report["hstar"] == {method: [1, 1]} and report["verdict"] is None
+        assert report["components"] == [[1, 2], [3, 4]] and "num_simplices" not in report
 
     @pytest.mark.parametrize("method", ["all", "shelling"])
     def test_disconnected_w0_with_the_shelling_route_exits_3(self, capsys, method):
-        # --w0 is checked against the methods asked for, so a disconnected
-        # `all` is not first narrowed to the oracle
+        # a base label names a label of one triangulation, which a
+        # disconnected positroid does not have
         assert run(capsys, "hstar", "13,23,13,14", "--method", method, "--w0", "1234") == (
-            3, "", f"error: method {method} needs a connected positroid; split with "
-                   "decompose_direct_sum and multiply Ehrhart factors\n")
+            3, "", "error: the triangulation needs a connected positroid; split with "
+                   "decompose_direct_sum and combine via ehrhart_product\n")
 
     def test_disconnected_half_open_exits_3(self, capsys):
         assert run(capsys, "hstar", '{"pi": [2,1,4,3], "colors": {}}', "--half-open") == (
@@ -397,6 +412,30 @@ class TestHstar:
                           "--method", "oracle")
         assert report["hstar"]["oracle"] == [1, 1]
         assert report["components"] == [[1, 2], [3, 4]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.permutations(range(1, n + 1)), st.lists(st.booleans(), min_size=n, max_size=n))))
+    def test_every_decorated_permutation_passes_every_route(self, drawn):
+        # a disconnected positroid takes every closed route summand by
+        # summand, and the half-open body alone refuses it (exit code 3);
+        # no outcome is a traceback
+        perm, whites = drawn
+        colors = {str(v): "white" if white else "black"
+                  for v, (image, white) in enumerate(zip(perm, whites), 1) if image == v}
+        doc = json.dumps({"pi": list(perm), "colors": colors})
+        connected = po.is_connected(po.bases_from_necklace(cli.input_necklace(doc)[1]))
+        for argv, want in ((("--method", "all"), 0),
+                           (("--half-open", "--method", "all"),
+                            0 if connected and len(perm) > 1 else 2 if connected else 3)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["hstar", doc, *argv])
+            assert code == want, (argv, err.getvalue())
+            assert err.getvalue() == "" if code == 0 else (
+                err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1)
+            if code == 0:
+                assert json.loads(out.getvalue())["verdict"] == "PASS"
 
     def test_w0_is_checked_with_a_single_label(self, capsys):
         code, out, err = run(capsys, "hstar", "1,2,3", "--w0", "999")
@@ -539,7 +578,7 @@ class TestAtlas:
 
     @pytest.mark.parametrize("argv,digest", [
         (("atlas", "--n", "5"),
-         "405a2facb114fa3d2f905d41f112c0c2eb69fa8fd91bc3e93b7af5bc55102d6e"),
+         "7f007a23e50b659c42f75976007d2953c64ae3c12d35a59837275e5c371533dc"),
         (("atlas", "--n", "5", "--connected-only"),
          "1a55b77482a7ac3d43eafa671629e8410f5eab0b86d07820143754a18f4da37c"),
         (("atlas", "--n", "5", "--format", "csv"),
@@ -687,12 +726,16 @@ class TestVerify:
             f'first failure: {{"detail": "{detail}", "name": "counting check"}}\n'), "")
 
     def test_a_disconnected_oracle_off_its_components_product_fails(self, capsys, monkeypatch):
-        # the oracle of the square, the product of its segments', must equal
-        # the count of its necklace inequalities: a wrong product fails
+        # every closed route multiplies the square's segments by one rule, so
+        # a wrong product passes their agreement; the count of the necklace
+        # inequalities, which shares neither the summands nor the facets,
+        # catches it
         monkeypatch.setattr(eh, "ehrhart_product", lambda factors: eh.EhrhartPolynomial((1,), 2))
         code, out, err = run(capsys, "verify", "--input", "13,23,13,14")
         assert (code, err) == (1, "")
-        assert out.startswith("FAIL  disconnected input oracle h*  [1]\n")
+        assert out.splitlines()[:3] == [
+            'PASS  closed method agreement       {"inclusion-exclusion": [1], "oracle": [1], '
+            '"shelling": [1]}', "FAIL  disconnected input oracle h*  [1]", "1/2 checks passed"]
 
     ROUNDTRIP = ("necklace/decorated round trips n <= 4            88 decorated permutations",
                  "rank-split vs interval-free connectivity n <= 4  88 decorated permutations",
@@ -814,6 +857,31 @@ class TestVerify:
         assert run(capsys, "verify", "--scope", "random", "--max-n", max_n) == (
             2, "", "error: --max-n must be at least 4 for the random scope "
                    "(subdivision sampling needs n >= 4)\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--scope", "exhaustive", "--seed", "3", "--w0-samples", "0"), "--scope"),
+        (("--scope", "golden"), "--scope"),  # the default, given explicitly
+        (("--seed", "20240814"), "--seed"),
+        (("--w0-samples", "0"), "--w0-samples"),
+        (("--subdivision-samples", "-1"), "--subdivision-samples"),
+    ])
+    def test_input_refuses_the_flags_that_steer_the_suites(self, capsys, monkeypatch,
+                                                           argv, flag):
+        for name in ("verify_golden", "verify_roundtrips", "verify_exhaustive",
+                     "verify_random", "verify_single_input"):
+            monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("work started"))
+        for where in ((), ("--jobs", "1")):
+            assert run(capsys, "verify", "--input", "12,23,13,14", *where, *argv) == (
+                2, "", f"error: {flag} applies only to the suites, not to --input\n")
+
+    def test_the_suites_keep_their_defaults(self, capsys, monkeypatch):
+        monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+        seen, check = [], [("suite", True, "")]
+        monkeypatch.setattr(verify, "verify_golden", lambda: seen.append("golden") or check)
+        monkeypatch.setattr(verify, "verify_random", lambda *args: seen.append(args) or check)
+        for argv in ((), ("--scope", "random")):
+            assert run(capsys, "verify", *argv) == (0, "PASS  suite\n1/1 checks passed\n", "")
+        assert seen == ["golden", (20240814, 50, 200, 7)]
 
     @pytest.mark.parametrize("cap, argv", [
         (None, ("--scope", "roundtrip", "--max-n", "11")),  # the default cap, 7

@@ -1100,10 +1100,32 @@ class TestTheOracleOfADirectSum:
     def test_the_memo_keeps_every_summand_up_to_n8(self):
         # the tests above fill the memo, and the test fixture empties it
         # before each test; a summand of a positroid with n <= 8 is a
-        # connected one with n <= 7
+        # connected one with n <= 7, and each of the three closed routes
+        # keeps its own entry of it
         assert eh._summand_ehrhart.cache_info() == (0, 0, eh._SUMMANDS_KEPT, 0)
-        assert sum(1 for n in range(1, 8) for _ in cli.connected_necklaces(n)) == 1728
-        assert 1728 <= eh._SUMMANDS_KEPT
+        summands = [nk for n in range(1, 8) for nk in cli.connected_necklaces(n)]
+        assert len(summands) == 1728
+        routes = [lambda necklace, k=k: (1, k) for k in range(len(cli.CLOSED_METHODS))]
+        for _ in range(2):  # the second pass finds every entry the first kept
+            for route in routes:
+                for summand in summands:
+                    eh._summand_ehrhart(route, summand)
+        assert eh._summand_ehrhart.cache_info()[:2] == (3 * 1728, 3 * 1728)
+        assert eh._summand_ehrhart.cache_info().currsize == 3 * 1728 <= eh._SUMMANDS_KEPT
+
+    def test_every_closed_route_of_a_direct_sum_up_to_n6(self):
+        # shelling, inclusion-exclusion and the oracle multiply their
+        # summands' h* by one rule (eh.ehrhart_by_route); the count of the
+        # whole necklace H-representation in its affine hull shares neither
+        # the summands nor the facets
+        necklaces = disconnected_up_to(6)
+        assert len(necklaces) == 2119
+        for necklace in necklaces:
+            reference = list(eh._hrep_ehrhart(necklace)[1].hstar)
+            assert cli.hstar_routes(necklace, cli.CLOSED_METHODS) == dict.fromkeys(
+                cli.CLOSED_METHODS, reference), necklace.compact()
+        # 46 distinct summands, each run once by each route
+        assert eh._summand_ehrhart.cache_info()[1:] == (3 * 46, eh._SUMMANDS_KEPT, 3 * 46)
 
 
 class TestEhrhartCommand:

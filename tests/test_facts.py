@@ -193,14 +193,26 @@ def test_a_connected_oracle_query_derives_no_bases(calls, capsys, argv):
     assert len(calls["facet_representation"]) == 1
 
 
-@pytest.mark.parametrize("argv", [("ehrhart",), ("hstar", "--method", "oracle"),
-                                  ("hstar", "--method", "all")])
+@pytest.mark.parametrize("argv", [("ehrhart",), ("hstar", "--method", "oracle")])
 @pytest.mark.parametrize("text", ["13,23,13,14", "134,234,134,145,145", "12,12"])
 def test_a_disconnected_oracle_query_derives_no_bases(calls, capsys, argv, text):
     # the oracle multiplies its summands' counts, each read off the necklace
     assert cli.main([*argv, text]) == 0
     assert not json.loads(capsys.readouterr().out)["connected"]
     assert calls["bases_from_necklace"] == []
+
+
+@pytest.mark.parametrize("text", ["13,23,13,14", "134,234,134,145,145", "124,234,134,145,145"])
+def test_a_disconnected_query_derives_only_its_summands_bases(calls, capsys, text):
+    # the shelling checks each label's circuits against its summand's bases
+    # and inclusion-exclusion reads its faces as sets of them; the whole
+    # positroid's bases are never derived, and each distinct summand's once
+    # (a point's label is itself, and a point has no upper facet)
+    assert cli.main(["hstar", "--method", "all", text]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
+    summands = po.necklace_summands(cli.parse_compact_necklace(text))
+    assert sorted(args[0].compact() for args, _ in calls["bases_from_necklace"]) == sorted(
+        {summand.compact() for summand in summands if summand.n > 1})
 
 
 def test_only_the_sweep_and_verify_reach_the_full_count(monkeypatch, capsys):
@@ -225,12 +237,19 @@ def test_only_the_sweep_and_verify_reach_the_full_count(monkeypatch, capsys):
 
 
 def test_an_atlas_counts_each_distinct_summand_once(monkeypatch, capsys):
-    # the oracle counts a connected row as itself and a disconnected row's
-    # summands through one memo (eh._summand_ehrhart), so across the atlas
-    # each distinct summand is counted once
-    counted, count = [], eh.count_to_degree
-    monkeypatch.setattr(eh, "count_to_degree", lambda necklace, half_open=False: (
-        counted.append(necklace) or count(necklace, half_open)))
+    # every closed route takes a connected row as itself and a disconnected
+    # row's summands through one memo (eh._summand_ehrhart), so across the
+    # atlas each route runs once on each distinct summand
+    ran = {method: [] for method in cli.CLOSED_METHODS}
+
+    def spy(module, name, method):
+        route = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda necklace, *args: (
+            ran[method].append(necklace) or route(necklace, *args)))
+
+    spy(tg, "hstar_shelling", "shelling")
+    spy(ho, "hstar_closed_via_inclusion_exclusion", "inclusion-exclusion")
+    spy(eh, "count_to_degree", "oracle")
     assert cli.main(["atlas", "--n", "6"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     necklaces = [(po.validate_necklace(row["necklace"]), row["connected"]) for row in rows]
@@ -242,8 +261,11 @@ def test_an_atlas_counts_each_distinct_summand_once(monkeypatch, capsys):
     assert (len(rows), len(connected), len(summands)) == (1957, 206, 5903)
     summands = set(summands)
     assert len(summands) == 46
-    assert len(counted) == len(set(counted)) == len(connected) + len(summands)
-    assert set(counted) == set(connected) | summands
+    assert all(set(row["hstar"]) == set(cli.CLOSED_METHODS) and row["verdict"] == "PASS"
+               for row in rows)
+    for method, necklaces in ran.items():
+        assert len(necklaces) == len(set(necklaces)) == len(connected) + len(summands), method
+        assert set(necklaces) == set(connected) | summands, method
 
 
 def test_facts_stay_out_of_equality_hash_and_repr():

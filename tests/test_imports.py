@@ -1,5 +1,6 @@
 """What a process loads, what the package exports, and how its records behave."""
 
+import ast
 import importlib
 import inspect
 import itertools
@@ -9,16 +10,19 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import positroid_hstar
+from positroid_hstar import cli
 from positroid_hstar import ehrhart as eh
 from positroid_hstar import halfopen as ho
 from positroid_hstar import positroid as po
 from positroid_hstar import tree as tr
 from positroid_hstar import triangulation as tg
+from positroid_hstar import verify
 from positroid_hstar.core import _Record
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +58,8 @@ class TestColdStart:
         assert loaded_after(["hstar", U37, "--half-open", "--method", "all"]) == []
 
     def test_a_disconnected_query_loads_no_fractions(self):
-        # a disconnected input runs the oracle alone, which counts in ints
+        # a disconnected input runs every closed route on its summands, and
+        # the product of their Ehrhart polynomials is counted in ints
         assert loaded_after(["hstar", "13,23,13,14", "--method", "all"]) == []
 
     @pytest.mark.parametrize("command", ["triangulate", "convert"])
@@ -155,6 +160,51 @@ def test_one_form_of_a_counting_row(monkeypatch):
     assert built == []
     po.h_representation(po.validate_necklace(PRISM.subsets))  # the spy sees a row built
     assert built
+
+
+def _names_read(node):
+    """The names and attribute names read anywhere under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_one_rule_takes_a_direct_sum_on_every_closed_route():
+    # ehrhart.ehrhart_by_route alone reads a positroid's summands and
+    # multiplies them (the golden checks multiply a triangle and a segment);
+    # one memo keeps each route's summands, and the test fixture empties it
+    readers = set()
+    for path in sorted((ROOT / "src" / "positroid_hstar").glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                for name in {"necklace_summands", "ehrhart_product"} & _names_read(function):
+                    readers.add((path.stem, function.name, name))
+    assert readers == {("ehrhart", "ehrhart_by_route", "necklace_summands"),
+                       ("ehrhart", "ehrhart_by_route", "ehrhart_product"),
+                       ("verify", "verify_golden", "ehrhart_product")}
+    memos = [name for name, value in vars(eh).items() if hasattr(value, "cache_info")]
+    assert memos == ["_summand_ehrhart"]
+    assert "eh._summand_ehrhart.cache_clear()" in (ROOT / "tests" / "conftest.py").read_text()
+
+
+@pytest.mark.parametrize("function", [cli.cmd_hstar, verify._atlas_row,
+                                      verify.verify_single_input])
+def test_no_command_chooses_the_closed_routes_by_connectivity(function):
+    # a branch on connectivity may refuse the half-open body, report the
+    # components or add the reference's line, but never choose the closed
+    # routes or return before them
+    source = textwrap.dedent(inspect.getsource(function))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.If, ast.IfExp)) and any(
+                "connected" in name for name in _names_read(node.test)):
+            branches = ast.Module(body=[*node.body, *node.orelse] if isinstance(node, ast.If)
+                                  else [ast.Expr(node.body), ast.Expr(node.orelse)],
+                                  type_ignores=[])
+            assert "CLOSED_METHODS" not in _names_read(branches)
+            for n in ast.walk(branches):
+                assert not isinstance(n, ast.Return)
+                assert not (isinstance(n, ast.Assign) and "methods" in _names_read(n.targets[0]))
+                if isinstance(n, ast.Call) and "hstar_routes" in _names_read(n.func):
+                    assert "HALF_OPEN_METHODS" in _names_read(n.args[1])
 
 
 def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
