@@ -11,8 +11,8 @@ others:
   inclusion-exclusion over the removed upper facets
   (``halfopen.hstar_closed_via_inclusion_exclusion``),
 - lattice-point counting and the binomial transform, for any positroid
-  (``ehrhart.hstar_by_counting``; a disconnected one is counted in its own
-  affine hull),
+  (``ehrhart.hstar_by_counting``; a disconnected one's count is the product
+  of its summands', ``ehrhart.ehrhart_by_route``),
 - the same cover statistic over the circular extensions of a bicolored
   subdivision's chain order, for tree positroids; the extensions are
   asserted to be the triangulation labels (``tree.hstar_tree``).

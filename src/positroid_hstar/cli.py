@@ -7,8 +7,9 @@ Inputs are JSON objects keyed by representation ("necklace", "pi", "bases",
 degree, with rationals rendered as "p/q" strings.
 
 Each job has one home.  ``input_necklace`` reads an input into its kind and
-necklace, ``hstar_routes`` runs the h* routes on a closed or half-open
-body, and ``output`` opens --out (or stdout) for every report and atlas.
+necklace, ``hstar_routes`` runs the h* routes ``ROUTES`` names on a closed
+or half-open body (the first route of each body is its default), and
+``output`` opens --out (or stdout) for every report and atlas.
 Each report command is a function from parsed arguments to its report dict.
 ``main`` alone times it, emits the report and maps an exception to one
 ``error:`` line on stderr and an exit code: 0 success, 1 verification
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import itertools
 import json
 import os
@@ -43,8 +45,21 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DISCONNECTED = 3
 
-CLOSED_METHODS = ("shelling", "inclusion-exclusion", "oracle")
-HALF_OPEN_METHODS = ("descents", "oracle")
+# every h* route: half-open or not -> method -> (module, function); the
+# first method of each body is its default
+ROUTES = {
+    False: {"shelling": ("triangulation", "hstar_shelling"),
+            "inclusion-exclusion": ("halfopen", "hstar_closed_via_inclusion_exclusion"),
+            "oracle": ("ehrhart", "counted_hstar")},
+    True: {"descents": ("halfopen", "hstar_half_open"),
+           "oracle": ("halfopen", "hstar_half_open_by_counting")},
+}
+CLOSED_METHODS = tuple(ROUTES[False])
+HALF_OPEN_METHODS = tuple(ROUTES[True])
+# the error of a method outside a body's routes
+REFUSALS = {False: "the descent formula computes the half-open h*; pass --half-open (or use "
+                   "inclusion-exclusion)",
+            True: "method {method} does not apply to half-open polytopes; use descents or oracle"}
 INPUT_KEYS = ("necklace", "pi", "bases", "cells")
 
 
@@ -321,38 +336,25 @@ def _emit_text(report: dict, out, prefix: str = "") -> None:
 
 def hstar_routes(necklace: po.GrassmannNecklace, methods: Sequence[str],
                  half_open: bool = False,
-                 base: tuple[int, ...] | None = None) -> dict[str, list[int]]:
+                 bases: dict[str, tuple[int, ...]] | None = None) -> dict[str, list[int]]:
     """The h* of the closed body of ``necklace`` (or its half-open body) by
-    each of ``methods``; ``base`` is the shelling's base label.  A closed
-    route takes a disconnected positroid by its summands
-    (``ehrhart.ehrhart_by_route``).  A route imports its module when it runs."""
+    each of ``methods``, by one rule: a method given a base label in
+    ``bases`` runs on it, a half-open body or a connected positroid keeps
+    each route's h* as a fact, and a closed route takes a disconnected one
+    by its summands (``ehrhart.ehrhart_by_route``).  A route imports its
+    module (``ROUTES``) when it runs."""
     out = {}
     for method in methods:
-        if half_open and method in HALF_OPEN_METHODS:
-            from . import halfopen as ho
-
-            h = (necklace.fact(ho.hstar_half_open) if method == "descents"
-                 else ho.hstar_half_open_by_counting(necklace))
-        elif not half_open and method == "oracle":
+        module, name = ROUTES[half_open][method]
+        route = getattr(importlib.import_module(f".{module}", __package__), name)
+        if bases and method in bases:
+            h = route(necklace, bases[method])
+        elif half_open or necklace.fact(po.necklace_connected):
+            h = necklace.fact(route)
+        else:
             from . import ehrhart as eh
 
-            h = eh.hstar_by_counting(necklace)
-        elif not half_open and method in CLOSED_METHODS:
-            if method == "shelling":
-                route = tg.hstar_shelling
-            else:
-                from . import halfopen as ho
-
-                route = ho.hstar_closed_via_inclusion_exclusion
-            if base is None and not necklace.fact(po.necklace_connected):
-                from . import ehrhart as eh
-
-                h = eh.ehrhart_by_route(necklace, route).hstar
-            else:  # a base label is one triangulation's, which a direct sum refuses
-                h = tg.hstar_shelling(necklace, base) if method == "shelling" else route(necklace)
-        else:
-            body = "half-open" if half_open else "closed"
-            raise InputError(f"method {method!r} does not compute a {body} h*")
+            h = eh.ehrhart_by_route(necklace, route).hstar
         out[method] = poly_ints(h)
     return out
 
@@ -406,7 +408,8 @@ def cmd_convert(args) -> dict:
 def cmd_hstar(args) -> dict:
     kind, necklace = input_necklace(read_input(args.input))
     connected = necklace.fact(po.necklace_connected)
-    method = args.method or ("descents" if args.half_open else "shelling")
+    routes = ROUTES[args.half_open]
+    method = args.method or next(iter(routes))
 
     report = {
         "input_kind": kind,
@@ -416,16 +419,9 @@ def cmd_hstar(args) -> dict:
         "connected": connected,
         "half_open": args.half_open,
     }
-    if args.half_open:
-        if method in ("shelling", "inclusion-exclusion"):
-            raise InputError(f"method {method} does not apply to half-open polytopes; "
-                             "use descents or oracle")
-        methods = HALF_OPEN_METHODS if method == "all" else (method,)
-    else:
-        if method == "descents":
-            raise InputError("the descent formula computes the half-open h*; "
-                             "pass --half-open (or use inclusion-exclusion)")
-        methods = CLOSED_METHODS if method == "all" else (method,)
+    if method != "all" and method not in routes:
+        raise InputError(REFUSALS[args.half_open].format(method=method))
+    methods = tuple(routes) if method == "all" else (method,)
     if args.w0 is not None and "shelling" not in methods:
         raise InputError("--w0 applies only to the shelling method")
     if not connected:
@@ -433,8 +429,8 @@ def cmd_hstar(args) -> dict:
             raise po.DisconnectedPositroidError(
                 "half-open h* needs a connected positroid; split with decompose_direct_sum")
         report["components"] = [list(g) for g in necklace.fact(po.necklace_components)]
-    base = parse_word(args.w0) if args.w0 is not None else None
-    results = hstar_routes(necklace, methods, args.half_open, base)
+    bases = {"shelling": parse_word(args.w0)} if args.w0 is not None else None
+    results = hstar_routes(necklace, methods, args.half_open, bases)
     if connected:
         # The oracle alone derives no labels; its h*(1), the normalized
         # volume, is the label count.
@@ -589,7 +585,8 @@ def _exhaustive_worker(subsets: tuple[tuple[int, ...], ...]) -> Check:
             return _check(name, False, f"h*(1), |D_J| and normalized volume differ: "
                                        f"{sum(shelling)}, {len(labels)}, {sum(ehr.hstar)}")
         stage = "closed routes"
-        closed = {"shelling": shelling, **hstar_routes(necklace, CLOSED_METHODS[1:])}
+        others = hstar_routes(necklace, ("inclusion-exclusion", "oracle"))
+        closed = {"shelling": shelling, **others}
         if agreement_verdict(closed) != "PASS":
             return _check(name, False, f"closed methods disagree: {closed}")
         if n > 1:

@@ -38,15 +38,16 @@ and inclusion-exclusion reads every face's counts off that table: a face cut
 out by upper facets G holds the points whose mask contains G (``face_hstar``,
 one face alone at t = 0..dim F, is the reference).
 
-Every closed route takes a disconnected positroid's polytope as the product
-of its summands' (``ehrhart_by_route``, ``necklace_summands``), each run once
-per batch and route (``_summand_ehrhart``, one bounded memo).
-The oracle (``_oracle``) counts a connected positroid, its own one summand,
-with no bases derived, from its irredundant facets, the rows of
-``facet_representation``, each read once as a bound z_v - z_u <= c on two
-prefix sums (``IntervalInequality.difference_bound``) and kept with its
-sense (``_facet_rows``): the redundant necklace inequalities would each
-keep extra prefix sums alive in the counting state.
+Every closed route takes a connected positroid's h* as a fact of its
+necklace and a disconnected one's polytope as the product of its summands'
+(``ehrhart_by_route``, ``necklace_summands``), each run once per batch and
+route (``_summand_ehrhart``, one bounded memo).  The oracle
+(``counted_hstar``) counts a connected positroid, with no bases derived,
+from its irredundant facets, the rows of ``facet_representation``, each
+read once as a bound z_v - z_u <= c on two prefix sums
+(``IntervalInequality.difference_bound``) and kept with its sense
+(``_facet_rows``): the redundant necklace inequalities would each keep
+extra prefix sums alive in the counting state.
 The closed body, its interior, the half-open body and its reciprocal differ
 only in which senses of these bounds are strict; ``_linear`` orients each
 bound into a prefix-sum row.  A cut of the cycle, to the coordinates
@@ -513,9 +514,9 @@ def _hrep_ehrhart(necklace: GrassmannNecklace) -> tuple[tuple[int, ...], Ehrhart
     summands (``necklace_components``), at t = 0..``_last_dilate(d)``, and
     the Ehrhart polynomial the counts fix (``_face_hstar_from_counts``, E(1)
     against the bases).  It shares neither the facets nor the summands with
-    the oracle (``_oracle``), so it is the oracle's reference: in the sweep
-    (``cli._exhaustive_worker``) and in ``verify --input`` on a disconnected
-    positroid."""
+    the oracle (``counted_hstar``), so it is the oracle's reference: in the
+    sweep (``cli._exhaustive_worker``) and in ``verify --input`` on a
+    disconnected positroid."""
     bases = necklace.fact(bases_from_necklace).bases
     dim = necklace.n - len(necklace.fact(necklace_components))
     counts = lattice_counts(necklace.fact(h_representation), _last_dilate(dim))
@@ -537,11 +538,11 @@ def _summand_ehrhart(route: Callable[[GrassmannNecklace], tuple[int, ...]],
 def ehrhart_by_route(necklace: GrassmannNecklace,
                      route: Callable[[GrassmannNecklace], tuple[int, ...]]) -> EhrhartPolynomial:
     """Ehrhart polynomial of any positroid polytope by ``route``, a closed
-    h* route of a connected positroid, which takes a connected one alone.
+    h* route of a connected positroid, kept as a fact of a connected one.
     A disconnected one's polytope is the product of its summands', so their
     Ehrhart polynomials multiply, each through ``_summand_ehrhart``."""
     if necklace.fact(necklace_connected):
-        return EhrhartPolynomial(route(necklace), necklace.n - 1)
+        return EhrhartPolynomial(necklace.fact(route), necklace.n - 1)
     return ehrhart_product([_summand_ehrhart(route, summand)
                             for summand in necklace.fact(necklace_summands)])
 
@@ -551,17 +552,12 @@ def counted_hstar(necklace: GrassmannNecklace) -> tuple[int, ...]:
     return count_to_degree(necklace).hstar
 
 
-def _oracle(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """The counting oracle of any positroid polytope; no bases are derived."""
-    return ehrhart_by_route(necklace, counted_hstar)
-
-
 def ehrhart_of_positroid(necklace: GrassmannNecklace) -> EhrhartPolynomial:
-    """Ehrhart polynomial of any positroid polytope, from its counted h*: a
-    disconnected one's is the product of its summands' (``_oracle``)."""
-    return necklace.fact(_oracle)
+    """Ehrhart polynomial of any positroid polytope, from its counted h*
+    (``counted_hstar``); no bases are derived."""
+    return ehrhart_by_route(necklace, counted_hstar)
 
 
 def hstar_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """Oracle h* of any positroid polytope: count, then transform."""
-    return necklace.fact(_oracle).hstar
+    return ehrhart_of_positroid(necklace).hstar

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -53,6 +54,26 @@ def one_more_point_in_the_square(monkeypatch):
 
     monkeypatch.setattr(eh, "_body", planning)
     monkeypatch.setattr(eh, "_run", one_more)
+
+
+# bounded JSON documents for the fuzz tests: every field is either
+# arbitrary JSON or a value of the shape it asks for
+_SMALL = st.integers(-2, 8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.floats(-9, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_PERMUTATIONS = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1)))
+_COLORS = st.dictionaries(st.sampled_from("0123456"), st.sampled_from(["white", "black", "red"]),
+                          max_size=3)
+_NECKLACES = _PERMUTATIONS.map(lambda perm: [sorted(s) for s in po.necklace_from_decorated(
+    po.DecoratedPermutation(tuple(perm))).subsets])
+_SUBSET_LISTS = st.lists(st.lists(_SMALL, max_size=4), max_size=6)
+
+
+def _field(*shapes):
+    return st.one_of(_JSON, *shapes)
 
 
 SQUARE_COUNTING_BUG = ("h*_0 = 2 by the body's counts but 1 by the reciprocal body's: "
@@ -299,6 +320,33 @@ class TestParsing:
         outcome = code, bool(out.getvalue()), err.getvalue()[:7]
         assert outcome in [(0, True, ""), (2, False, "error: ")], err.getvalue()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["convert", "hstar", "ehrhart"]), st.one_of(
+        st.fixed_dictionaries({"pi": _field(_PERMUTATIONS, st.lists(_SMALL, max_size=6))},
+                              optional={"colors": _field(_COLORS), "n": _field(_SMALL)}),
+        st.fixed_dictionaries({"necklace": _field(_NECKLACES, _SUBSET_LISTS)},
+                              optional={"n": _field(_SMALL)}),
+        st.fixed_dictionaries({"n": _field(_SMALL), "cells": _field(st.lists(
+            st.fixed_dictionaries({"color": _field(st.sampled_from(["black", "white"])),
+                                   "vertices": _field(st.lists(_SMALL, max_size=5))}),
+            max_size=4))})))
+    @example("hstar", json.loads(SQUARE))
+    @example("ehrhart", {"pi": [2, 1, 4, 3], "colors": {}})
+    @example("convert", {"necklace": [[1, 2], [2, 3], [1, 3], [1, 4]], "n": 4})
+    def test_any_pi_necklace_or_cells_document_gives_a_report_or_one_error_line(self, command,
+                                                                               doc):
+        # arbitrary JSON in every field: a report, an input error (2) or a
+        # disconnected input's refusal (3), never a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, json.dumps(doc)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert not out.getvalue() and err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+
     def test_the_exchange_scan_runs_only_to_name_a_failed_round_trip(self, capsys, monkeypatch):
         scanned = []
         scan = po.is_matroid
@@ -372,6 +420,32 @@ class TestHstar:
     def test_descents_without_half_open_rejected(self, capsys):
         code, _, err = run(capsys, "hstar", "12,23,13,14", "--method", "descents")
         assert code == 2 and "half-open" in err
+
+    def test_the_method_choices_are_every_route_and_all(self):
+        # no route of cli.ROUTES is unreachable; argparse keeps its own
+        # order, which its invalid-choice message prints
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["hstar"]._actions if a.dest == "method")
+        assert method.choices == ("shelling", "descents", "inclusion-exclusion", "oracle", "all")
+        assert set(method.choices) == {*cli.CLOSED_METHODS, *cli.HALF_OPEN_METHODS, "all"}
+
+    REFUSED = {
+        False: "the descent formula computes the half-open h*; "
+               "pass --half-open (or use inclusion-exclusion)",
+        True: "method {} does not apply to half-open polytopes; use descents or oracle",
+    }
+
+    @pytest.mark.parametrize("text", ["12,23,13,14", "13,23,13,14"])
+    @pytest.mark.parametrize("half_open, method", [
+        (half_open, method) for half_open in (False, True)
+        for method in ("shelling", "descents", "inclusion-exclusion", "oracle")
+        if method not in cli.ROUTES[half_open]])
+    def test_every_method_of_the_other_body_exits_2(self, capsys, text, half_open, method):
+        # the body's refusal comes before a disconnected input's (exit 3)
+        argv = ("--half-open",) if half_open else ()
+        assert run(capsys, "hstar", text, *argv, "--method", method) == (
+            2, "", f"error: {self.REFUSED[half_open].format(method)}\n")
 
     @pytest.mark.parametrize("method", ["shelling", "inclusion-exclusion"])
     @pytest.mark.parametrize("text", ["13,23,13,14", '{"pi": [2,1,4,3], "colors": {}}'])
@@ -952,7 +1026,9 @@ class TestExhaustiveWorker:
         assert cli._exhaustive_worker(self.PYRAMID) == ("12,23,13,14", True, "")
 
     def test_closed_disagreement_fails(self, monkeypatch):
-        monkeypatch.setattr(eh, "hstar_by_counting", lambda necklace: (1,))
+        # the oracle's route also gives the closed profile, checked first;
+        # a wrong inclusion-exclusion route fails only the agreement
+        monkeypatch.setattr(ho, "hstar_closed_via_inclusion_exclusion", lambda necklace: (1,))
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok and detail.startswith("closed methods disagree")
 
@@ -995,7 +1071,7 @@ class TestExhaustiveWorker:
         # E(1), and 1 + z + z^2 first at E(2), past the counts the oracle
         # reads.  1 + z + z^3 has E(0..2) = 1, 5, 14, the reference's counts:
         # only its degree, 3 = dim P, which no 0/1 polytope's h* has, differs
-        monkeypatch.setattr(eh, "_oracle", lambda necklace: eh.EhrhartPolynomial(hstar, 3))
+        monkeypatch.setattr(eh, "counted_hstar", lambda necklace: hstar)
         name, ok, detail = cli._exhaustive_worker(self.PYRAMID)
         assert not ok
         assert detail == ("closed profile differs from the full H-representation count: "

@@ -1,5 +1,6 @@
 """Per-necklace facts: every route shares one derivation of each fact."""
 
+import importlib
 import json
 import sys
 from collections import defaultdict
@@ -266,6 +267,43 @@ def test_an_atlas_counts_each_distinct_summand_once(monkeypatch, capsys):
     for method, necklaces in ran.items():
         assert len(necklaces) == len(set(necklaces)) == len(connected) + len(summands), method
         assert set(necklaces) == set(connected) | summands, method
+
+
+def test_each_route_runs_once_per_connected_necklace(monkeypatch):
+    # every route of cli.ROUTES keeps its h* as a fact of a connected
+    # necklace, keyed by the route itself: however often hstar_routes, the
+    # oracle's public functions or inclusion-exclusion (which reads the
+    # descents route) ask for it, it runs once
+    ran = []
+    for half_open, routes in cli.ROUTES.items():
+        for method, (module, name) in routes.items():
+            home = importlib.import_module(f"positroid_hstar.{module}")
+            monkeypatch.setattr(home, name, lambda necklace, _route=getattr(home, name),
+                                _key=(half_open, method): ran.append(_key) or _route(necklace))
+    necklace = po.validate_necklace(PRISM)
+    for _ in range(2):
+        assert cli.hstar_routes(necklace, cli.CLOSED_METHODS) == dict.fromkeys(
+            cli.CLOSED_METHODS, [1, 3, 1])
+        assert cli.hstar_routes(necklace, cli.HALF_OPEN_METHODS, half_open=True) == dict.fromkeys(
+            cli.HALF_OPEN_METHODS, [0, 0, 1, 4])
+        assert eh.hstar_by_counting(necklace) == eh.ehrhart_of_positroid(necklace).hstar
+    assert sorted(ran) == sorted((half_open, method) for half_open, routes in cli.ROUTES.items()
+                                 for method in routes)
+
+
+@pytest.mark.parametrize("query, outcome", [
+    (lambda: cli.main(["hstar", SEVEN, "--method", "all"]), 0),
+    (lambda: cli._exhaustive_worker(tuple(map(tuple, PRISM))), ("124,234,134,145,125", True, "")),
+], ids=["hstar --method all", "sweep worker"])
+def test_the_closed_count_runs_once_per_instance(monkeypatch, capsys, query, outcome):
+    # the oracle's route is one fact key (eh.counted_hstar) for hstar_routes
+    # and for ehrhart_of_positroid, which the sweep worker also asks
+    counted, count = [], eh.count_to_degree
+    monkeypatch.setattr(eh, "count_to_degree", lambda necklace, *args: (
+        counted.append(necklace) or count(necklace, *args)))
+    assert query() == outcome
+    capsys.readouterr()
+    assert len(counted) == 1
 
 
 def test_facts_stay_out_of_equality_hash_and_repr():

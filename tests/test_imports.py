@@ -69,8 +69,8 @@ class TestColdStart:
     def test_a_subdivision_loads_the_tree_module(self):
         assert loaded_after(["tree", SQUARE]) == ["positroid_hstar.tree"]
 
-    # each route imports its module on its own branch, so the shelling
-    # queries pay for no counting and no inclusion-exclusion
+    # each route imports the module cli.ROUTES names when it runs, so the
+    # shelling queries pay for no counting and no inclusion-exclusion
     ROUTE_MODULES = ("positroid_hstar.ehrhart", "positroid_hstar.halfopen")
 
     @pytest.mark.parametrize("argv", [["hstar", U37, "--method", "shelling"], ["triangulate", U37]])
@@ -106,12 +106,13 @@ def test_no_module_binds_a_second_form_of_bases_or_connectivity():
 
 
 def test_no_module_binds_a_second_home_of_a_job():
-    # one route runner (cli.hstar_routes), one cyclic interval
-    # (core.cyclic_interval), one plan per counted body (ehrhart._body), one
-    # DP loop (ehrhart._run)
+    # one route runner (cli.hstar_routes) of one route table (cli.ROUTES),
+    # whose functions are the routes' fact keys (no ehrhart._oracle), one
+    # cyclic interval (core.cyclic_interval), one plan per counted body
+    # (ehrhart._body), one DP loop (ehrhart._run)
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
-        for name in ("hstar_closed_all_methods", "hstar_half_open_all_methods",
+        for name in ("hstar_closed_all_methods", "hstar_half_open_all_methods", "_oracle",
                      "interval_support", "_body_rows", "_count_body", "_dilate"):
             assert not hasattr(home, name), (module.name, name)
 
@@ -205,6 +206,19 @@ def test_no_command_chooses_the_closed_routes_by_connectivity(function):
                 assert not (isinstance(n, ast.Assign) and "methods" in _names_read(n.targets[0]))
                 if isinstance(n, ast.Call) and "hstar_routes" in _names_read(n.func):
                     assert "HALF_OPEN_METHODS" in _names_read(n.args[1])
+
+
+def test_hstar_routes_runs_every_method_by_one_rule():
+    # cli.ROUTES names each route, so hstar_routes compares no method with a
+    # name; every route of the table is a function of the module it names
+    source = textwrap.dedent(inspect.getsource(cli.hstar_routes))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and "method" in _names_read(node):
+            assert not any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                           for n in ast.walk(node)), ast.unparse(node)
+    for routes in cli.ROUTES.values():
+        for module, name in routes.values():
+            assert callable(getattr(importlib.import_module(f"positroid_hstar.{module}"), name))
 
 
 def test_no_module_binds_a_second_form_of_the_ehrhart_polynomial():
