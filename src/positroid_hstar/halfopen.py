@@ -8,10 +8,11 @@ Removing all upper facets leaves the half-open polytope, whose h*-polynomial
 is the descent generating function z^(des+1) over triangulation labels.  The closed h* is then
 recovered by Moebius inclusion-exclusion over the poset of intersections of
 upper facets, in integer arithmetic on the h*-vectors (tuples of ints).
-A face is the set of its bases as bitmasks, so an intersection is a set
-intersection, and its dimension is read off its matroid's connected
-components (``positroid.dimension_of_bases``); the upper facets that hold
-it are one bitmask too, bit i for upper facet i, whose bases are those on its row.
+A face is the bitmask of the upper facets that hold it, bit i for upper
+facet i: the AND of its bases' masks, each basis masked by the upper rows it
+lies on.  So the faces are the AND-closure of the bases' masks, a face's bases
+are those whose mask contains its own, and its dimension is read off their
+matroid's connected components (``positroid.dimension_of_bases``).
 Each face's counts are read off one lattice count of the closed body per
 dilate, tallied by the upper facets each point lies on
 (``ehrhart.upper_tally``), and read as a 0/1 polytope's, E_F(1) checked
@@ -38,7 +39,7 @@ from .positroid import (
     dimension_of_bases,
     facet_representation,
 )
-from .triangulation import enumerate_labels
+from .triangulation import _histogram, enumerate_labels
 
 
 def hstar_half_open(necklace: GrassmannNecklace) -> tuple[int, ...]:
@@ -50,15 +51,7 @@ def hstar_half_open(necklace: GrassmannNecklace) -> tuple[int, ...]:
     """
     if necklace.n == 1:
         raise ValueError("half-open form needs n >= 2")
-    top = 0
-    coeffs = [0]
-    for word in necklace.fact(enumerate_labels):
-        e = descent_count(word[:-1]) + 1
-        if e > top:
-            coeffs.extend([0] * (e - top))
-            top = e
-        coeffs[e] += 1
-    return tuple(coeffs)
+    return _histogram(descent_count(word[:-1]) + 1 for word in necklace.fact(enumerate_labels))
 
 
 def hstar_half_open_by_counting(necklace: GrassmannNecklace) -> tuple[int, ...]:
@@ -90,28 +83,20 @@ class FacePoset(NamedTuple):
 def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     """Distinct nonempty intersections of upper facets with P, ordered by inclusion."""
     uppers = tuple(f for f in necklace.fact(facet_representation).inequalities if f.sense == "<=")
-    all_vertices = necklace.fact(bases_from_necklace).bases
-    tight = [frozenset(b for b in all_vertices  # x_start + ... + x_(stop-1) = bound
-                       if (b & (1 << f.stop) - (1 << f.start)).bit_count() == f.bound)
-             for f in uppers]
-    generators = {all_vertices: 0}  # each face found -> the upper facets that hold it
-    queue = [all_vertices]
-    while queue:
-        cur = queue.pop()
-        for i, tf in enumerate(tight):
-            child = cur & tf
-            if len(child) == len(cur):  # upper facet i holds cur
-                generators[cur] |= 1 << i
-            elif child and child not in generators:
-                generators[child] = 0
-                queue.append(child)
-    # P and its facets have known dimensions; the other faces are read off their bases
-    known = {all_vertices: necklace.n - 1, **dict.fromkeys(tight, necklace.n - 2)}
-    nodes = [FaceNode(vs, known[vs] if vs in known else dimension_of_bases(vs, necklace.n), gens)
-             for vs, gens in generators.items()]
+    on_rows = {b: sum(1 << i for i, f in enumerate(uppers)  # x_start + ... + x_(stop-1) = bound
+                      if (b & (1 << f.stop) - (1 << f.start)).bit_count() == f.bound)
+               for b in necklace.fact(bases_from_necklace).bases}
+    closure = {0}  # P, then every AND of the bases' masks
+    for mask in set(on_rows.values()):
+        closure |= {mask, *(mask & gens for gens in closure)}
+    nodes = []
+    for gens in closure:
+        vertices = frozenset(b for b, mask in on_rows.items() if mask & gens == gens)
+        rows = gens.bit_count()  # P has none and a facet one: their dimensions are known
+        dim = necklace.n - 1 - rows if rows < 2 else dimension_of_bases(vertices, necklace.n)
+        nodes.append(FaceNode(vertices, dim, gens))
     nodes.sort(key=lambda f: (-f.dim, sorted(f.vertex_set)))
-    top = next(f for f in nodes if f.vertex_set == all_vertices)
-    return FacePoset(top, tuple(nodes), uppers)
+    return FacePoset(nodes[0], tuple(nodes), uppers)
 
 
 def moebius(poset: FacePoset) -> dict[FaceNode, int]:

@@ -445,13 +445,26 @@ def _covers_by_base(labels: Sequence[Word], bases: Sequence[Sequence[int]]) -> l
     return covers
 
 
+def _histogram(values: Iterable[int]) -> tuple[int, ...]:
+    """Entry c counts the values equal to c, in one pass: the h* of a label statistic.
+
+    >>> _histogram([2, 0, 2, 3])
+    (1, 0, 2, 1)
+    """
+    counts: list[int] = []
+    for c in values:
+        if c >= len(counts):
+            counts.extend([0] * (c + 1 - len(counts)))
+        counts[c] += 1
+    if not counts:
+        raise ValueError("no values to count")
+    return tuple(counts)
+
+
 def hstar_from_covers(cover: Mapping[Word, int]) -> tuple[int, ...]:
     """Sum of z^cover(w) over all labels, from `wall_covers` or
     `ShellingPoset.cover`, as an h*-vector: entry c counts the labels of cover c."""
-    coeffs = [0] * (max(cover.values()) + 1)
-    for c in cover.values():
-        coeffs[c] += 1
-    return tuple(coeffs)
+    return _histogram(cover.values())
 
 
 def hstar_shelling(necklace: GrassmannNecklace,

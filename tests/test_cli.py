@@ -76,6 +76,34 @@ def _field(*shapes):
     return st.one_of(_JSON, *shapes)
 
 
+_CELLS_DOCS = st.fixed_dictionaries({"n": _field(_SMALL), "cells": _field(st.lists(
+    st.fixed_dictionaries({"color": _field(st.sampled_from(["black", "white"])),
+                           "vertices": _field(st.lists(_SMALL, max_size=5))}),
+    max_size=4))})
+# valid subdivisions: the fan of triangles at vertex 1, colors alternating
+_FANS = st.builds(lambda n, first: {"n": n, "cells": [
+    {"color": ("black", "white")[(i + first) % 2], "vertices": [1, i, i + 1]}
+    for i in range(2, n)]}, st.integers(3, 6), st.integers(0, 1))
+# --w0 words: comma-separated integers (negatives, 0, any length) or digits
+_W0_WORDS = (st.lists(st.integers(-3, 9), max_size=8).map(lambda w: ",".join(map(str, w)))
+             | st.text("0123456789", max_size=8))
+
+
+def report_or_one_error_line(argv):
+    """Run ``main`` on ``argv``: a report on stdout (exit 0), or an input
+    error (2) or a disconnected input's refusal (3) as one ``error:`` line
+    on stderr; any other exception escapes as a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
 SQUARE_COUNTING_BUG = ("h*_0 = 2 by the body's counts but 1 by the reciprocal body's: "
                        "counting bug")
 
@@ -326,10 +354,7 @@ class TestParsing:
                               optional={"colors": _field(_COLORS), "n": _field(_SMALL)}),
         st.fixed_dictionaries({"necklace": _field(_NECKLACES, _SUBSET_LISTS)},
                               optional={"n": _field(_SMALL)}),
-        st.fixed_dictionaries({"n": _field(_SMALL), "cells": _field(st.lists(
-            st.fixed_dictionaries({"color": _field(st.sampled_from(["black", "white"])),
-                                   "vertices": _field(st.lists(_SMALL, max_size=5))}),
-            max_size=4))})))
+        _CELLS_DOCS))
     @example("hstar", json.loads(SQUARE))
     @example("ehrhart", {"pi": [2, 1, 4, 3], "colors": {}})
     @example("convert", {"necklace": [[1, 2], [2, 3], [1, 3], [1, 4]], "n": 4})
@@ -337,15 +362,7 @@ class TestParsing:
                                                                                doc):
         # arbitrary JSON in every field: a report, an input error (2) or a
         # disconnected input's refusal (3), never a traceback
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, json.dumps(doc)])
-        assert code in (0, 2, 3), err.getvalue()
-        if code == 0:
-            assert out.getvalue() and not err.getvalue()
-        else:
-            assert not out.getvalue() and err.getvalue().startswith("error: ")
-            assert err.getvalue().count("\n") == 1, err.getvalue()
+        report_or_one_error_line([command, json.dumps(doc)])
 
     def test_the_exchange_scan_runs_only_to_name_a_failed_round_trip(self, capsys, monkeypatch):
         scanned = []
@@ -566,6 +583,22 @@ class TestTriangulate:
         report = run_json(capsys, "triangulate", "12,23,34,45,15", "--w0", "31425")
         assert report["windows"]["14235"] == [0, 2, 3, 4, 6]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.permutations(range(1, n + 1)), st.lists(st.booleans(), min_size=n, max_size=n),
+        st.none() | st.permutations(range(1, n + 1)).map(lambda w: ",".join(map(str, w)))
+        | _W0_WORDS)))
+    @example(((3, 4, 1, 2), [False] * 4, "-1,2,3,4"))
+    @example(((1, 2, 3), [False, True, False], "0"))
+    def test_any_decorated_permutation_and_base_gives_a_report_or_one_error_line(self, drawn):
+        # a base word may be a label, a permutation that is not one, or any
+        # integers; a word is passed as --w0=... so that "-1,..." is its value
+        perm, whites, w0 = drawn
+        colors = {str(v): "white" if white else "black"
+                  for v, (image, white) in enumerate(zip(perm, whites), 1) if image == v}
+        argv = ["triangulate", json.dumps({"pi": list(perm), "colors": colors})]
+        report_or_one_error_line(argv if w0 is None else [*argv, f"--w0={w0}"])
+
 
 class TestTree:
     def test_pentagon(self, capsys):
@@ -593,6 +626,17 @@ class TestTree:
         assert run_json(capsys, "tree", doc, "--w0", "41325")["hstar"] == [1, 3, 1]
         assert cli.poly_ints(tr.hstar_tree(cli.parse_input(doc)[1])) == [1, 3, 1]
         assert not {"build_graph", "shelling_poset", "hstar_from_covers"} & set(vars(tr))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_CELLS_DOCS | _FANS, st.none() | _W0_WORDS)
+    @example(json.loads(SQUARE), None)
+    @example(json.loads(SQUARE), "3142")
+    @example({"n": 5, "cells": [{"color": "black", "vertices": [1, 2, 3]},
+                                {"color": "white", "vertices": [1, 3, 4]},
+                                {"color": "black", "vertices": [1, 4, 5]}]}, "41325")
+    def test_any_cells_document_gives_a_report_or_one_error_line(self, doc, w0):
+        argv = ["tree", json.dumps(doc)]
+        report_or_one_error_line(argv if w0 is None else [*argv, f"--w0={w0}"])
 
 
 class TestAtlas:

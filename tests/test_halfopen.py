@@ -322,6 +322,23 @@ class TestFacePoset:
         assert sorted(node.dim for node in poset.nodes) == [1, 2]
         assert moebius(poset)[poset.nodes[1]] == -1
 
+    def test_the_nodes_are_every_intersection_of_upper_facets(self):
+        # brute force over every set of upper facets, the empty set giving P:
+        # the distinct nonempty intersections of their tight bases are the
+        # nodes, none missing and none extra
+        for necklace in [nk for n in range(1, 7) for nk in connected_necklaces(n)]:
+            poset = face_poset_of_uppers(necklace)
+            bases = bases_from_necklace(necklace).bases
+            masks = {b: tight_upper_mask(b, poset.facet_list) for b in bases}
+            tight = [frozenset(b for b in bases if masks[b] >> i & 1)
+                     for i in range(len(poset.facet_list))]
+            meets = [bases]  # facet set s -> the bases on every facet of s
+            for s in range(1, 1 << len(tight)):
+                meets.append(meets[s & s - 1] & tight[(s & -s).bit_length() - 1])
+            faces = [node.vertex_set for node in poset.nodes]
+            assert len(set(faces)) == len(faces), necklace.compact()
+            assert set(faces) == {meet for meet in meets if meet}, necklace.compact()
+
     @pytest.mark.parametrize("necklace", [PYRAMID, PRISM, UNIFORM25])
     def test_moebius_rows_sum_to_zero(self, necklace):
         poset = face_poset_of_uppers(necklace)

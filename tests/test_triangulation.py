@@ -427,6 +427,11 @@ class TestShelling:
         polys = {hstar_from_covers(shelling_poset(graph, w).cover) for w in graph.words}
         assert polys == {(1, 5, 5)}
 
+    def test_covers_count_into_one_histogram(self):
+        assert hstar_from_covers({(1, 2): 2, (2, 1): 0, (3, 1): 2}) == (1, 0, 2)
+        with pytest.raises(ValueError):
+            hstar_from_covers({})
+
     def test_a_base_given_as_a_list(self):
         graph = build_graph(enumerate_labels(PYRAMID))
         assert shelling_poset(graph, [2, 1, 3, 4]) == shelling_poset(graph, (2, 1, 3, 4))
