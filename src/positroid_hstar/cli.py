@@ -214,12 +214,10 @@ def input_necklace(text: str) -> tuple[str, po.GrassmannNecklace]:
     if kind == "decorated":
         return kind, po.necklace_from_decorated(value)
     if kind == "bases":
-        # A positroid is its necklace's basis set, so the round trip alone
-        # proves the matroid property; the exchange scan only names a failure.
+        # A positroid's basis set is checked by its exchanges; the exchange
+        # axiom's scan only names a failure.
         try:
-            necklace = po.necklace_from_bases(value)
-            if necklace.fact(po.bases_from_necklace).bases == value.bases:
-                return kind, necklace
+            return kind, po.positroid_necklace(value)
         except ValueError:
             pass
         if not po.is_matroid(value):

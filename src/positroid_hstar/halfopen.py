@@ -83,8 +83,9 @@ class FacePoset(NamedTuple):
 def face_poset_of_uppers(necklace: GrassmannNecklace) -> FacePoset:
     """Distinct nonempty intersections of upper facets with P, ordered by inclusion."""
     uppers = tuple(f for f in necklace.fact(facet_representation).inequalities if f.sense == "<=")
-    on_rows = {b: sum(1 << i for i, f in enumerate(uppers)  # x_start + ... + x_(stop-1) = bound
-                      if (b & (1 << f.stop) - (1 << f.start)).bit_count() == f.bound)
+    rows = [(f.mask(necklace.n), f.bound) for f in uppers]
+    on_rows = {b: sum(1 << i for i, (block, bound) in enumerate(rows)
+                      if (b & block).bit_count() == bound)
                for b in necklace.fact(bases_from_necklace).bases}
     closure = {0}  # P, then every AND of the bases' masks
     for mask in set(on_rows.values()):

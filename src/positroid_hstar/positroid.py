@@ -7,11 +7,11 @@ A positroid on 1..n can be handed around in three equivalent forms:
 - a decorated permutation: a permutation with black/white colored fixed points,
 - its set of bases.
 
-Both directions between necklace and bases read the Gale order one way,
-as prefix counts on bitmasks (``_gale_limits``).  Every interval bound on an
-r-subset takes one form, at most ``bound`` elements of a segment bitmask, so
-one filter (``_r_subsets_within``) yields both the bases of a necklace and
-the 0/1 points, as bitmasks, of any H-representation (``zero_one_points``).
+An r-subset is Gale-above J_i in <_i exactly when it obeys J_i's necklace
+inequalities (``_necklace_rows``), each read on bitmasks as at most ``bound``
+ones in its block (``IntervalInequality.mask``).  So a necklace's bases are
+the 0/1 points of its H-representation (``zero_one_points``), and a basis
+set is checked to be a positroid's by its exchanges (``positroid_necklace``).
 
 This module validates and converts between the three, reads a positroid's
 direct sum off its decorated permutation with no bases (its blocks,
@@ -115,10 +115,6 @@ class GrassmannNecklace(_Record):
                 f"the {what} needs a connected positroid; split with decompose_direct_sum "
                 "and combine via ehrhart_product")
 
-    def sorted_subset(self, i: int) -> tuple[int, ...]:
-        """Elements of J_i listed in increasing <_i order."""
-        return tuple(sorted(self.subsets[i - 1], key=i_order_key(i, self.n)))
-
     def compact(self) -> str:
         """Digit-string form like '12,23,13,14' (only valid for n <= 9); an
         empty J_i is written "-", as `cli.parse_compact_necklace` reads it."""
@@ -166,66 +162,54 @@ def is_matroid(bases: PositroidBases) -> bool:
     return True
 
 
-def _gale_limits(subset: Iterable[int], i: int, n: int, r: int) -> list[tuple[int, int]]:
-    """An r-subset B (bit k for element k) is Gale-above ``subset`` = J in
-    <_i exactly when popcount(B & S) <= bound for each returned (S, bound):
-    the k-th element of J is <=_i the k-th of B exactly when the initial
-    segment S of <_i ending at the latter holds at least k elements of J.
-    Pairs that no r-subset can break are dropped.
-
-    >>> [(bin(segment), bound) for segment, bound in _gale_limits({2, 3}, 1, 4, 2)]
-    [('0b10', 0), ('0b110', 1)]
-    """
-    j_mask, segment, limits = sum(1 << v for v in subset), 0, []
-    for k in range(n - 1):
-        segment |= 1 << (i - 1 + k) % n + 1
-        if (bound := (j_mask & segment).bit_count()) < min(k + 1, r):
-            limits.append((segment, bound))
-    return limits
-
-
-def _r_subsets_within(n: int, r: int, limits: Iterable[tuple[int, int]]) -> frozenset[int]:
-    """The r-subsets of 1..n (bit k for element k) with at most ``bound``
-    elements in ``segment`` for each (segment, bound) limit, equal limits
-    tested once: the one rule for 0/1 points, bases and H-representations alike."""
-    limits = set(limits)
-    masks = map(sum, itertools.combinations([1 << v for v in range(1, n + 1)], r))
-    return frozenset(mask for mask in masks
-                     if all((mask & segment).bit_count() <= bound for segment, bound in limits))
-
-
 def bases_from_necklace(necklace: GrassmannNecklace) -> PositroidBases:
-    """All r-subsets Gale-above every J_i (``_gale_limits``); the bases of the
-    positroid of J."""
-    n, r = necklace.n, necklace.rank
-    return PositroidBases(n, r, _r_subsets_within(n, r, (
-        limit for i, subset in enumerate(necklace.subsets, start=1)
-        for limit in _gale_limits(subset, i, n, r))))
+    """The bases of the positroid of J: the r-subsets Gale-above every J_i,
+    so the 0/1 points of the necklace inequalities (``h_representation``)."""
+    return PositroidBases(necklace.n, necklace.rank,
+                          zero_one_points(necklace.fact(h_representation)))
 
 
 def necklace_from_bases(bases: PositroidBases) -> GrassmannNecklace:
     """Necklace of Gale-minimal bases; requires the input to be a matroid.
 
     J_i is the <_i-lexicographic minimum, which for a matroid is the Gale
-    minimum for <_i; every basis is checked Gale-above it (``_gale_limits``),
+    minimum for <_i; every basis is checked Gale-above it (``_necklace_rows``),
     and a ValueError is raised if one is not (non-matroid input).  With
     element v at bit n - v, turning the mask left by i - 1 (within n bits)
     puts the elements in <_i order from the top bit down, so the minimum is
     the basis of largest turned mask.
     """
-    n, r, masks = bases.n, bases.r, bases.bases
+    n, masks = bases.n, bases.bases
     full = (1 << n) - 1
     reversed_masks = [(sum(1 << n - v for v in mask_elements(b)), b) for b in masks]
     subsets = []
     for i in range(1, n + 1):
         best = mask_elements(max(
             reversed_masks, key=lambda mb: (mb[0] << i - 1 | mb[0] >> n + 1 - i) & full)[1])
-        limits = _gale_limits(best, i, n, r)
-        if not all((mask & segment).bit_count() <= bound
-                   for mask in masks for segment, bound in limits):
+        rows = [(q.mask(n), q.bound) for q in _necklace_rows(best, i, n)]
+        if not all((mask & block).bit_count() <= bound for mask in masks for block, bound in rows):
             raise ValueError(f"no Gale minimum for <_{i}; input is not a matroid")
         subsets.append(frozenset(best))
     return GrassmannNecklace(n, tuple(subsets))
+
+
+def positroid_necklace(bases: PositroidBases) -> GrassmannNecklace:
+    """The necklace J of a positroid's bases, kept as its ``bases_from_necklace``
+    fact; a ValueError unless they are a positroid's.  ``necklace_from_bases``
+    puts them among J's bases, which are connected by exchanges: they are
+    all of them unless an exchange b - i + j of one leaves them and obeys
+    every necklace inequality."""
+    necklace = necklace_from_bases(bases)
+    n, masks = bases.n, bases.bases
+    ground = (1 << n + 1) - 2
+    rows = [(q.mask(n), q.bound) for q in necklace.fact(h_representation).inequalities]
+    exchanges = {b ^ 1 << i | 1 << j for b in masks
+                 for i in mask_elements(b) for j in mask_elements(ground & ~b)}
+    if any(all((c & block).bit_count() <= bound for block, bound in rows)
+           for c in exchanges - masks):
+        raise ValueError("basis set is not a positroid's")
+    necklace._facts[bases_from_necklace] = bases
+    return necklace
 
 
 class DecoratedPermutation(_Record):
@@ -416,6 +400,13 @@ class IntervalInequality(_Record):
     def support(self, n: int) -> tuple[int, ...]:
         return cyclic_interval(self.start, self.stop, n)[:-1]
 
+    def mask(self, n: int) -> int:
+        """The block as a bitmask, bit k for x_k: bits start..stop-1, or when
+        it wraps the complement of bits stop..start-1 within bits 1..n."""
+        if self.start <= self.stop:
+            return (1 << self.stop) - (1 << self.start)
+        return (1 << n + 1) - 2 - (1 << self.start) + (1 << self.stop)
+
     def difference_bound(self, r: int) -> tuple[int, int, int]:
         """The row as a bound z_v - z_u <= c on the prefix sums
         z_q = x_1 + ... + x_q, returned as (u, v, c).
@@ -443,30 +434,34 @@ class HRepresentation(NamedTuple):
     inequalities: tuple[IntervalInequality, ...]
 
 
-def h_representation(necklace: GrassmannNecklace) -> HRepresentation:
-    """Interval-sum inequalities of the positroid polytope of a necklace.
+def _necklace_rows(subset: Iterable[int], i: int, n: int) -> list[IntervalInequality]:
+    """The necklace inequalities of J_i = ``subset``: for each j = 1..r the sum
+    x_i + ... + x_{a-1} with a the j-th element of J_i in <_i order is at
+    most j-1; the empty sum (a == i) is dropped as vacuous."""
+    return [IntervalInequality(i, a, j, "<=")
+            for j, a in enumerate(sorted(subset, key=i_order_key(i, n))) if a != i]
 
-    For each i and each j = 1..r the sum x_i + ... + x_{a-1} with a the j-th
-    element of J_i in <_i order is at most j-1; empty sums (a == i) are
-    dropped as vacuous.  The pairs (i, a) are distinct, so no row repeats.
-    """
-    return HRepresentation(necklace.n, necklace.rank, tuple(
-        IntervalInequality(i, a, j, "<=") for i in range(1, necklace.n + 1)
-        for j, a in enumerate(necklace.sorted_subset(i)) if a != i))
+
+def h_representation(necklace: GrassmannNecklace) -> HRepresentation:
+    """The positroid polytope's interval-sum inequalities: every J_i's rows
+    (``_necklace_rows``).  The pairs (i, a) are distinct, so no row repeats."""
+    n = necklace.n
+    return HRepresentation(n, necklace.rank, tuple(
+        q for i in range(1, n + 1) for q in _necklace_rows(necklace.subsets[i - 1], i, n)))
 
 
 def zero_one_points(hrep: HRepresentation) -> frozenset[int]:
-    """The 0/1 points, as r-subset bitmasks (bit k for x_k), by the one filter:
+    """The 0/1 points, as r-subset bitmasks (bit k for x_k), by one filter: at
+    most ``bound`` ones in ``block`` for each limit, equal limits tested once.
     x(S) <= b is the limit (S, b), and x(S) >= b the limit (complement of S,
     r - b), as every point has r ones; a strict row tightens its limit by one."""
     n, r = hrep.n, hrep.r
     full = (1 << n + 1) - 2
-    limits = []
-    for q in hrep.inequalities:
-        segment = sum(1 << k for k in q.support(n))
-        limits.append((segment, q.bound - q.strict) if q.sense == "<="
-                      else (full ^ segment, r - q.bound - q.strict))
-    return _r_subsets_within(n, r, limits)
+    limits = {(q.mask(n), q.bound - q.strict) if q.sense == "<="
+              else (full ^ q.mask(n), r - q.bound - q.strict) for q in hrep.inequalities}
+    masks = map(sum, itertools.combinations([1 << v for v in range(1, n + 1)], r))
+    return frozenset(mask for mask in masks
+                     if all((mask & block).bit_count() <= bound for block, bound in limits))
 
 
 def _fundamental_union_find(masks: frozenset[int], n: int) -> tuple[Callable[[int], int], int]:

@@ -25,8 +25,7 @@ from .positroid import (
     HRepresentation,
     IntervalInequality,
     PositroidBases,
-    bases_from_necklace,
-    necklace_from_bases,
+    positroid_necklace,
     zero_one_points,
 )
 from .triangulation import enumerate_labels, hstar_shelling
@@ -199,7 +198,8 @@ def positroid_from_subdivision(tau: BicoloredSubdivision,
     """Necklace of the positroid that the compatible arcs
     (``arcs(tau)`` unless given) cut out, by ``h_rep_from_subdivision`` and
     by x_v >= 0 plus the lower bound of each facet-defining arc: the two
-    must select the same 0/1 points; asserted."""
+    must select the same 0/1 points; asserted.  They are the bases, checked
+    by ``positroid.positroid_necklace``."""
     compatible = arcs(tau) if compatible is None else compatible
     points = zero_one_points(h_rep_from_subdivision(tau, compatible))
     facet_only = HRepresentation(tau.n, tau.rank, tuple(
@@ -208,11 +208,7 @@ def positroid_from_subdivision(tau: BicoloredSubdivision,
         raise AssertionError("area-bound and facet-arc descriptions disagree on 0/1 points")
     if not points:
         raise SubdivisionError("subdivision polytope has no 0/1 points")
-    bases = PositroidBases(tau.n, tau.rank, points)
-    necklace = necklace_from_bases(bases)
-    if necklace.fact(bases_from_necklace).bases != bases.bases:
-        raise AssertionError("subdivision polytope vertices are not a positroid")
-    return necklace
+    return positroid_necklace(PositroidBases(tau.n, tau.rank, points))
 
 
 def tau_order(tau: BicoloredSubdivision) -> tuple[Word, ...]:

@@ -306,10 +306,11 @@ def _facets_by_bases(necklace: po.GrassmannNecklace) -> tuple[po.IntervalInequal
     facets = []
     for u, v, c in {q.difference_bound(r) for q in rows}:
         (a, b), bound = sorted((u, v)), c if u < v else -c
-        block = (1 << b + 1) - (1 << a + 1)  # the bits of x_(a+1), ..., x_b
+        row = po.IntervalInequality(a + 1, b + 1, bound, "<=" if u < v else ">=")
+        block = row.mask(n)
         tight = frozenset(m for m in masks if (m & block).bit_count() == bound)
         if po.dimension_of_bases(tight, n) == n - 2:
-            facets.append(po.IntervalInequality(a + 1, b + 1, bound, "<=" if u < v else ">="))
+            facets.append(row)
     return tuple(sorted(facets, key=lambda q: (q.start, q.stop, q.bound, q.sense == "<=")))
 
 

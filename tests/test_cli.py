@@ -9,11 +9,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from unittest import mock
 from hypothesis import strategies as st
 
 from positroid_hstar import cli
@@ -27,6 +29,7 @@ from positroid_hstar import verify
 from conftest import forget_words
 
 
+ROOT = Path(__file__).resolve().parent.parent
 SQUARE = ('{"n":4,"cells":[{"color":"black","vertices":[1,2,3]},'
           '{"color":"white","vertices":[1,3,4]}]}')
 
@@ -89,16 +92,22 @@ _W0_WORDS = (st.lists(st.integers(-3, 9), max_size=8).map(lambda w: ",".join(map
              | st.text("0123456789", max_size=8))
 
 
-def report_or_one_error_line(argv):
-    """Run ``main`` on ``argv``: a report on stdout (exit 0), or an input
-    error (2) or a disconnected input's refusal (3) as one ``error:`` line
-    on stderr; any other exception escapes as a traceback."""
+def report_or_one_error_line(argv, report_path=None, codes=(0, 2, 3), rows_may_be_none=False):
+    """Run ``main`` on ``argv``: a report on stdout, or in ``report_path``
+    when that is the --out path (exit 0), or an input error (2) or a
+    disconnected input's refusal (3) as one ``error:`` line on stderr; any
+    other exception escapes as a traceback.  A JSON atlas with no rows is
+    an empty report."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert code in (0, 2, 3), err.getvalue()
+    assert code in codes, err.getvalue()
     if code == 0:
-        assert out.getvalue() and not err.getvalue()
+        report = out.getvalue()
+        if report_path is not None:
+            assert not report
+            report = Path(report_path).read_text(encoding="utf-8")
+        assert (report or rows_may_be_none) and not err.getvalue()
     else:
         assert not out.getvalue() and err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1, err.getvalue()
@@ -338,8 +347,9 @@ class TestParsing:
 
     @settings(max_examples=150, deadline=None)
     @given(st.fixed_dictionaries(
-        {"bases": st.lists(st.lists(st.integers(-2, 8), max_size=6), max_size=8)},
-        optional={"n": st.integers(-2, 6)}))
+        {"bases": st.lists(st.lists(st.integers(-2, 40), max_size=6), max_size=8)},
+        optional={"n": st.integers(-2, 40)}))
+    @example({"n": 40, "bases": [list(range(1, 21))]})
     def test_any_bases_document_converts_or_is_an_input_error(self, doc):
         # an exception other than an input error would escape main as a traceback
         out, err = io.StringIO(), io.StringIO()
@@ -363,6 +373,16 @@ class TestParsing:
         # arbitrary JSON in every field: a report, an input error (2) or a
         # disconnected input's refusal (3), never a traceback
         report_or_one_error_line([command, json.dumps(doc)])
+
+    @pytest.mark.parametrize("argv", [["convert"], ["hstar", "--method", "all"]])
+    def test_a_basis_of_20_among_40_elements_is_checked_in_seconds(self, argv):
+        # a scan of all C(40, 20) subsets would not finish: its exchanges are read
+        doc = json.dumps({"n": 40, "bases": [list(range(1, 21))]})
+        result = subprocess.run([sys.executable, "-m", "positroid_hstar.cli", *argv, doc],
+                                capture_output=True, text=True, timeout=60,
+                                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(json.loads(result.stdout)["components"]) == 40
 
     def test_the_exchange_scan_runs_only_to_name_a_failed_round_trip(self, capsys, monkeypatch):
         scanned = []
@@ -1328,6 +1348,72 @@ class TestJobsBounds:
 
     def test_one_job_runs_without_a_pool(self, capsys):
         assert run(capsys, "atlas", "--n", "3", "--jobs", "1")[0] == 0
+
+
+class TestEveryFlag:
+    """argparse-valid values of each subcommand's flags: a report on stdout
+    or in the --out file, or one error line; --jobs never starts a pool."""
+
+    JOBS = st.none() | st.just(1) | st.sampled_from([-1, 0, (os.cpu_count() or 1) + 1])
+    N = st.sampled_from([-1, 0, 1, 2, 3, 4, 8])  # 8 is above the size cap
+
+    @staticmethod
+    def run(argv, out, **expected):
+        """``report_or_one_error_line`` with ``out`` (None, "fresh" or
+        "missing", a path under a missing directory) as the --out flag."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was requested")
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("multiprocessing.Pool", refuse), \
+                mock.patch.dict(os.environ):
+            os.environ.pop("POSITROID_MAX_N", None)  # the default size cap, 7
+            path = None if out is None else os.path.join(
+                tmp, *(["missing"] if out == "missing" else []), "report")
+            report_or_one_error_line(argv if path is None else [*argv, "--out", path],
+                                     path, **expected)
+
+    @staticmethod
+    def flag(name, value):
+        """``[name]`` for a true switch, ``[name=value]`` for a value, else nothing."""
+        if value is None or value is False:
+            return []
+        return [name] if value is True else [f"{name}={value}"]
+
+    @pytest.mark.parametrize("command", ["convert", "hstar", "ehrhart", "triangulate", "tree"])
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.sampled_from(["12,23,13,14", "13,23,13,14", SQUARE]),
+           fmt=st.sampled_from([None, "json", "text"]), timing=st.booleans(),
+           out=st.sampled_from([None, "fresh", "missing"]),
+           tmax=st.none() | st.integers(-3, 40))
+    def test_the_report_flags(self, command, text, fmt, timing, out, tmax):
+        argv = [command, text, *self.flag("--format", fmt), *self.flag("--timing", timing)]
+        self.run([*argv, *self.flag("--tmax", tmax)] if command == "ehrhart" else argv, out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=N, rank=st.none() | st.integers(-1, 5), connected_only=st.booleans(),
+           fmt=st.sampled_from([None, "json", "csv"]), jobs=JOBS,
+           out=st.sampled_from([None, "fresh", "missing"]))
+    @example(n=4, rank=2, connected_only=False, fmt="csv", jobs=1, out="fresh")
+    @example(n=3, rank=None, connected_only=True, fmt=None, jobs=None, out=None)
+    def test_the_atlas_flags(self, n, rank, connected_only, fmt, jobs, out):
+        self.run(["atlas", f"--n={n}", *self.flag("--rank", rank),
+                  *self.flag("--connected-only", connected_only), *self.flag("--format", fmt),
+                  *self.flag("--jobs", jobs)], out,
+                 rows_may_be_none=connected_only and fmt != "csv")
+
+    @settings(max_examples=40, deadline=None)
+    @given(scope=st.sampled_from([None, "golden", "roundtrip", "exhaustive", "random", "all"]),
+           text=st.sampled_from([None, None, None, "12,23,13,14"]), max_n=N,
+           seed=st.none() | st.integers(-2 ** 40, 2 ** 40),
+           samples=st.tuples(st.integers(-2, 2), st.integers(-2, 2)), jobs=JOBS)
+    @example(scope="all", text=None, max_n=4, seed=None, samples=(1, 2), jobs=1)
+    @example(scope="exhaustive", text=None, max_n=3, seed=5, samples=(0, 0), jobs=None)
+    def test_the_verify_flags(self, scope, text, max_n, seed, samples, jobs):
+        # the sizes are always given: the suites' defaults take seconds
+        self.run(["verify", *self.flag("--scope", scope), *self.flag("--input", text),
+                  f"--max-n={max_n}", *self.flag("--seed", seed),
+                  f"--w0-samples={samples[0]}", f"--subdivision-samples={samples[1]}",
+                  *self.flag("--jobs", jobs)], None, codes=(0, 2))
 
 
 class TestBrokenPipe:

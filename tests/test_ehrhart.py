@@ -778,11 +778,26 @@ class TestReadingRule:
         assert (3, (1, 5, 14), (0,)) in reads
 
 
+def stanley_holds(hstar):
+    """Stanley's inequalities (1991), with s = deg h*:
+    h*_0 + ... + h*_i <= h*_s + ... + h*_(s-i) for 0 <= i <= s/2."""
+    s = len(hstar) - 1
+    return all(sum(hstar[:i + 1]) <= sum(hstar[s - i:]) for i in range(s // 2 + 1))
+
+
+def hibi_holds(hstar, d):
+    """Hibi's inequalities (1994) for a d-dimensional lattice polytope:
+    h*_(d-1) + ... + h*_(d-i) <= h*_2 + ... + h*_(i+1) for 1 <= i <= (d-1)/2."""
+    h = (*hstar, *(0,) * (d + 1 - len(hstar)))
+    return all(sum(h[d - i:d]) <= sum(h[2:i + 2]) for i in range(1, (d - 1) // 2 + 1))
+
+
 class TestFactsOfTheBases:
     """Checks that need no second count: a matroid polytope's only lattice
     points are its vertices, the bases, so a connected positroid (d = n - 1)
     has h*_1 = E(1) - n = |bases| - n, and with no interior lattice point
-    its h*-degree is at most n - 2."""
+    its h*-degree is at most n - 2.  Every lattice polytope's h* obeys
+    Stanley's and Hibi's inequalities too."""
 
     def test_every_connected_positroid_up_to_n7(self):
         necklaces = connected_through(7)
@@ -792,6 +807,13 @@ class TestFactsOfTheBases:
             bases = bases_from_necklace(necklace).bases
             assert (*hstar, 0)[1] == len(bases) - n, necklace.compact()
             assert len(hstar) - 1 <= n - 2, necklace.compact()
+            assert stanley_holds(hstar) and hibi_holds(hstar, n - 1), necklace.compact()
+
+    def test_the_inequalities_reject_a_violation_of_each(self):
+        assert not stanley_holds((1, 2, 0, 1))  # h*_0 + h*_1 > h*_3 + h*_2
+        assert hibi_holds((1, 2, 0, 1), 3)
+        assert not hibi_holds((1, 1, 1, 1, 3), 5)  # h*_4 > h*_2
+        assert stanley_holds((1, 1, 1, 1, 3))
 
 
 # The fifth of five successive draws of a seeded random connected positroid

@@ -280,11 +280,14 @@ def test_no_module_binds_the_facets_with_their_bases():
 
 
 def test_no_module_binds_gale_leq():
-    # the Gale order is tested as prefix counts (positroid._gale_limits); the
-    # sorted comparison is the tests' reference
+    # the Gale order is the necklace inequalities (positroid._necklace_rows):
+    # the bases are the 0/1 points of h_representation, each row read on
+    # its block bitmask (IntervalInequality.mask); the sorted comparison is
+    # the tests' reference, and no prefix-count limits or second filter remain
     for module in pkgutil.iter_modules(positroid_hstar.__path__):
         home = importlib.import_module(f"positroid_hstar.{module.name}")
-        assert not hasattr(home, "gale_leq"), module.name
+        for name in ("gale_leq", "_gale_limits", "_r_subsets_within"):
+            assert not hasattr(home, name), (module.name, name)
 
 
 def test_one_rule_for_zero_one_points_and_one_read_of_the_arcs():

@@ -25,6 +25,7 @@ from positroid_hstar.positroid import (
     necklace_from_bases,
     necklace_from_decorated,
     necklace_summands,
+    positroid_necklace,
     validate_necklace,
     zero_one_points,
 )
@@ -99,6 +100,13 @@ class TestBasesFromNecklace:
             (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
             (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5))
 
+    def test_the_bases_are_the_zero_one_points_of_the_h_representation_fact(self):
+        # with no rows on top of the sum, every r-subset is a 0/1 point
+        necklace = validate_necklace(PRISM.subsets)
+        necklace._facts[h_representation] = HRepresentation(5, 3, ())
+        assert len(bases_from_necklace(necklace).bases) == 10
+        assert bases_from_necklace(PRISM).bases == zero_one_points(PRISM.fact(h_representation))
+
 
 def gale_sorted_bases(necklace):
     """Reference for `bases_from_necklace`: the r-subsets B such that, for
@@ -160,7 +168,7 @@ class TestNecklaceFromBases:
     def test_uniform_gale_minima(self):
         J = necklace_from_bases(element_bases(5, 2, itertools.combinations(range(1, 6), 2)))
         assert J == validate_necklace([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
-        assert J.sorted_subset(5) == (5, 1)
+        assert sorted(J.subsets[4], key=i_order_key(5, 5)) == [5, 1]
 
     def test_direct_sum_round_trip(self):
         B = element_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
@@ -206,6 +214,50 @@ class TestNecklaceFromBases:
             outcomes.append(got if isinstance(got, str) else "necklace")
         assert outcomes == ["necklace", "no Gale minimum for <_1; input is not a matroid",
                             "necklace", "necklace"]
+
+
+class TestPositroidNecklace:
+    """The exchange check of a basis set against the round trip through its
+    necklace: a positroid exactly when its necklace's bases are the set."""
+
+    @staticmethod
+    def round_trip(bases):
+        try:
+            necklace = necklace_from_bases(bases)
+        except ValueError:
+            return None
+        return necklace if bases_from_necklace(necklace).bases == bases.bases else None
+
+    @staticmethod
+    def checked(bases):
+        try:
+            necklace = positroid_necklace(bases)
+        except ValueError:
+            return None
+        assert necklace.fact(bases_from_necklace) is bases
+        return necklace
+
+    def test_random_basis_sets_match_the_round_trip(self):
+        rng = random.Random(41)
+        positroids = 0
+        for _ in range(1000):
+            n = rng.randint(2, 7)
+            r = rng.randint(1, n - 1)
+            subsets = list(itertools.combinations(range(1, n + 1), r))
+            bases = element_bases(n, r, rng.sample(subsets, rng.randint(1, len(subsets))))
+            necklace = self.checked(bases)
+            assert necklace == self.round_trip(bases), bases
+            positroids += necklace is not None
+        assert 100 < positroids < 900  # both outcomes occur often
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_positroid_less_one_basis_matches_the_round_trip(self, n):
+        for dec in decorated_permutations(n):
+            bases = bases_from_necklace(necklace_from_decorated(dec))
+            assert self.checked(bases) == necklace_from_decorated(dec), dec
+            for b in bases.bases if len(bases.bases) > 1 else ():
+                fewer = po.PositroidBases(n, bases.r, bases.bases - {b})
+                assert self.checked(fewer) == self.round_trip(fewer), (dec, b)
 
 
 class TestDecoratedBijection:
@@ -456,6 +508,12 @@ class TestHRepresentation:
             J = necklace_from_decorated(dec)
             H = h_representation(J)
             assert zero_one_points(H) == bases_from_necklace(J).bases == contained_points(H)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_block_bitmask_is_the_bits_of_its_support(self, n):
+        for start, stop in itertools.product(range(1, n + 1), repeat=2):
+            row = IntervalInequality(start, stop, 0, "<=")
+            assert row.mask(n) == sum(1 << k for k in row.support(n)), (start, stop)
 
     def test_lower_and_strict_rows_match_the_membership_reference(self):
         rng = random.Random(34)
